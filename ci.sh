@@ -144,18 +144,6 @@ if [[ "${1:-}" != "quick" ]]; then
     cargo run -q --release -p rig_bench --bin benchcheck -- \
         --min-par-speedup 1.5 "${json_tmp}/BENCH_parallel.json"
 
-    step "sharded-execution artifact (bench_shard) + benchcheck verification gate"
-    # the harness verifies every sharded count against the single-graph
-    # engine in-process; benchcheck hard-fails on any unverified run
-    cargo run -q --release -p rig_bench --bin bench_shard -- \
-        --scale 0.005 --timeout 2 --limit 100000 \
-        --json "${json_tmp}/BENCH_shard.json" > /dev/null
-    cargo run -q --release -p rig_bench --bin benchcheck -- \
-        "${json_tmp}/BENCH_shard.json"
-    # the committed full-scale artifact must pass the same hard gate
-    # (regenerate with: bench_shard --json BENCH_shard.json)
-    cargo run -q --release -p rig_bench --bin benchcheck -- BENCH_shard.json
-
     step "dynamic-graph artifact (bench_updates) + benchcheck verification gate"
     # the harness differentially verifies every overlay count against a
     # from-scratch rebuild; benchcheck hard-fails on any unverified query

@@ -12,12 +12,6 @@
 //! scaling is meaningless without cores to run on) — the schema and the
 //! in-harness count agreement still validate.
 //!
-//! Sharded-execution artifacts (`"shard": true`, emitted by
-//! `bench_shard --json`) are validated against the shard schema: the
-//! per-(shard count, partitioner) scaling sweep, per-configuration
-//! cut-edge totals, and — hard gate — **zero unverified runs** (every
-//! sharded count must have matched the single-graph engine in-harness).
-//!
 //! Dynamic-graph artifacts (`"updates": true`, emitted by
 //! `bench_updates --json`) are validated against the updates schema: base
 //! sizes, per-fill-level update throughput, per-query cold latency, and —
@@ -519,109 +513,6 @@ fn check_factorized(path: &str, doc: &JsonValue) -> f64 {
     speedup
 }
 
-/// Validates a `bench_shard` artifact: the sharded scaling sweep, with
-/// — hard gate — **every run verified** (each sharded count matched the
-/// single-graph engine's count in-harness).
-fn check_shard(path: &str, doc: &JsonValue) {
-    for key in ["harness", "baseline"] {
-        if doc.get(key).and_then(|v| v.as_str()).is_none() {
-            fail(path, &format!("missing string field {key:?}"));
-        }
-    }
-    for key in ["scale", "seed", "timeout_s", "limit"] {
-        if !doc.get(key).and_then(|v| v.as_f64()).is_some_and(f64::is_finite) {
-            fail(path, &format!("missing numeric field {key:?}"));
-        }
-    }
-    let shard_counts = match doc.get("shard_counts").and_then(|t| t.as_arr()) {
-        Some(t) if !t.is_empty() => t,
-        _ => fail(path, "shard_counts must be a non-empty array"),
-    };
-    let queries = match doc.get("queries").and_then(|q| q.as_arr()) {
-        Some(q) if !q.is_empty() => q,
-        _ => fail(path, "queries must be a non-empty array"),
-    };
-    for (i, q) in queries.iter().enumerate() {
-        if q.get("query").and_then(|v| v.as_str()).is_none() {
-            fail(path, &format!("queries[{i}].query missing"));
-        }
-        for key in ["matches", "base_s"] {
-            if !q.get(key).and_then(|v| v.as_f64()).is_some_and(f64::is_finite) {
-                fail(path, &format!("queries[{i}].{key} missing"));
-            }
-        }
-        let runs = match q.get("runs").and_then(|r| r.as_arr()) {
-            // every shard count ran under at least one partitioner
-            Some(r) if r.len() >= shard_counts.len() => r,
-            _ => fail(path, &format!("queries[{i}].runs must cover every shard count")),
-        };
-        for (j, r) in runs.iter().enumerate() {
-            for key in ["shards", "enum_s"] {
-                if !r.get(key).and_then(|v| v.as_f64()).is_some_and(f64::is_finite) {
-                    fail(path, &format!("queries[{i}].runs[{j}].{key} missing"));
-                }
-            }
-            if r.get("partitioner").and_then(|v| v.as_str()).is_none() {
-                fail(path, &format!("queries[{i}].runs[{j}].partitioner missing"));
-            }
-            if !matches!(r.get("verified"), Some(JsonValue::Bool(_))) {
-                fail(path, &format!("queries[{i}].runs[{j}].verified missing or not a bool"));
-            }
-        }
-    }
-    if doc.get("skipped").and_then(|s| s.as_arr()).is_none() {
-        fail(path, "skipped must be an array");
-    }
-    let cut_edges = match doc.get("cut_edges").and_then(|c| c.as_arr()) {
-        Some(c) if !c.is_empty() => c,
-        _ => fail(path, "cut_edges must be a non-empty array"),
-    };
-    for (i, c) in cut_edges.iter().enumerate() {
-        for key in ["dataset", "partitioner"] {
-            if c.get(key).and_then(|v| v.as_str()).is_none() {
-                fail(path, &format!("cut_edges[{i}].{key} missing"));
-            }
-        }
-        for key in ["shards", "cut_edges"] {
-            if !c.get(key).and_then(|v| v.as_f64()).is_some_and(f64::is_finite) {
-                fail(path, &format!("cut_edges[{i}].{key} missing"));
-            }
-        }
-    }
-    let totals = match doc.get("totals") {
-        Some(t) => t,
-        None => fail(path, "missing totals object"),
-    };
-    for key in ["queries", "skipped_queries", "runs", "verified_runs", "matches", "base_s"] {
-        require_num(path, totals, key);
-    }
-    let sweeps = match totals.get("sweeps").and_then(|s| s.as_arr()) {
-        Some(s) if s.len() >= shard_counts.len() => s,
-        _ => fail(path, "totals.sweeps must cover every shard count"),
-    };
-    for (i, s) in sweeps.iter().enumerate() {
-        for key in ["shards", "enum_s", "speedup_vs_single"] {
-            if !s.get(key).and_then(|v| v.as_f64()).is_some_and(f64::is_finite) {
-                fail(path, &format!("totals.sweeps[{i}].{key} missing"));
-            }
-        }
-        if s.get("partitioner").and_then(|v| v.as_str()).is_none() {
-            fail(path, &format!("totals.sweeps[{i}].partitioner missing"));
-        }
-    }
-    let unverified = require_num(path, totals, "unverified_runs");
-    if unverified != 0.0 {
-        fail(path, &format!("{unverified} sharded run(s) failed single-graph verification"));
-    }
-    let runs = require_num(path, totals, "runs");
-    println!(
-        "benchcheck: {path}: OK (shard sweep, {} queries x {} configurations, \
-         all {runs} runs verified against the single-graph engine)",
-        queries.len(),
-        sweeps.len()
-    );
-}
-
 fn check(path: &str, min_par_speedup: Option<f64>, min_factorized_speedup: Option<f64>) {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -654,10 +545,6 @@ fn check(path: &str, min_par_speedup: Option<f64>, min_factorized_speedup: Optio
                 fail(path, &format!("factorized speedup {speedup:.1}x is below the {min}x gate"));
             }
         }
-        return;
-    }
-    if matches!(doc.get("shard"), Some(JsonValue::Bool(true))) {
-        check_shard(path, &doc);
         return;
     }
     if matches!(doc.get("parallel"), Some(JsonValue::Bool(true))) {

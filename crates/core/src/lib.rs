@@ -29,7 +29,7 @@ pub use error::{Error, ErrorKind};
 pub use report::{RunReport, RunStatus};
 pub use session::{
     validate_pattern, CacheStats, CommitSummary, CompactionPolicy, Explain, GraphTxn, IntoPattern,
-    LintMode, Prepared, Run, Session, ShardCounters, ShardExplain, ShardingStats, StoreStats,
+    LintMode, Prepared, Run, Session, StoreStats,
 };
 
 // the static-analysis surface (see `rig_analyze`): front ends render
@@ -151,7 +151,6 @@ pub use rig_mjoin::{
     BatchSink, CollectSink, CountSink, EnumOptions as EnumerationOptions, FirstKSink, FnSink,
     ParOptions, ResultSink, SearchOrder,
 };
-pub use rig_shard::{Partitioner, ShardOptions, ShardStats, MAX_SHARDS};
 pub use rig_sim::{DirectCheckMode, ReachCheckMode, SimAlgorithm, SimOptions};
 pub use rig_storage::{
     Durability, FsBackend, MemBackend, RecoveryReport, StorageBackend, StorageError, StoreOptions,

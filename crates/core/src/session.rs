@@ -80,7 +80,6 @@ use rig_query::{
     closest_label, hpql, parse_hpql, transitive_reduction, EdgeKind, PatternQuery, QNode,
 };
 use rig_reach::{BflIndex, Reachability, SnapshotReach};
-use rig_shard::{run_sharded, Partitioner, ShardOptions, ShardedPlan, ShardedStore};
 use rig_sim::{SimContext, SimOptions};
 use rig_storage::{
     DurableStore, FsBackend, RecoveryReport, StorageBackend, StorageError, StoreOptions,
@@ -181,114 +180,6 @@ pub struct CacheStats {
     pub entries: usize,
     /// Maximum resident plans.
     pub capacity: usize,
-}
-
-// ---------------------------------------------------------------------------
-// sharded execution state
-// ---------------------------------------------------------------------------
-
-/// One cached sharded plan: the canonical query key plus the per-shard
-/// store versions it was built against (a mismatch on shard `s` means
-/// exactly shard `s`'s RIG block is stale).
-struct ShardPlanEntry {
-    key: CacheKey,
-    strategy: SearchOrder,
-    plan: Arc<ShardedPlan>,
-    built_versions: Vec<u64>,
-    has_reach: bool,
-}
-
-/// Everything the session tracks when sharded execution is enabled: the
-/// partitioned store, two per-shard version vectors (current vs. the
-/// versions the store was built at — the diff is the refresh set), the
-/// sharded-plan cache, and per-shard counters for `/metrics`.
-struct ShardingState {
-    opts: ShardOptions,
-    store: Option<Arc<ShardedStore>>,
-    /// Per-shard versions the resident `store` was built/refreshed at.
-    store_versions: Vec<u64>,
-    /// Current per-shard versions: a commit bumps exactly the owner
-    /// shards of its touched edge endpoints (node/label commits drop the
-    /// store wholesale — ownership itself may change).
-    shard_versions: Vec<u64>,
-    plans: Vec<ShardPlanEntry>,
-    /// Per-shard RIG-block (re)builds since sharding was enabled.
-    rig_builds: Vec<u64>,
-    /// Per-shard scatter-gather tasks processed.
-    tasks: Vec<u64>,
-    /// Per-shard matches emitted.
-    emitted: Vec<u64>,
-}
-
-/// Resident sharded plans kept per session (sharded plans are much
-/// larger than single-graph RIGs — one block pair per shard — so the cap
-/// is deliberately tighter than [`DEFAULT_CACHE_CAPACITY`]).
-const SHARD_PLAN_CAPACITY: usize = 16;
-
-/// Commits the shard log absorbs between sharded runs before giving up
-/// and forcing a wholesale store rebuild (a session that commits heavily
-/// without running sharded queries should not hoard its op history).
-const SHARD_LOG_CAP: usize = 4096;
-
-impl ShardingState {
-    fn new(opts: ShardOptions) -> ShardingState {
-        let ns = opts.effective_shards();
-        ShardingState {
-            opts,
-            store: None,
-            store_versions: vec![0; ns],
-            shard_versions: vec![0; ns],
-            plans: Vec::new(),
-            rig_builds: vec![0; ns],
-            tasks: vec![0; ns],
-            emitted: vec![0; ns],
-        }
-    }
-
-    /// Drops the partitioned store and every sharded plan (configuration
-    /// and counters survive) — the reset path for node/label commits and
-    /// whole-graph swaps, where even the owner function may change.
-    fn reset(&mut self) {
-        self.store = None;
-        self.plans.clear();
-        for v in &mut self.shard_versions {
-            *v += 1;
-        }
-        self.store_versions.clone_from(&self.shard_versions);
-    }
-}
-
-/// Per-shard size and activity counters (see [`Session::sharding_stats`]).
-#[derive(Debug, Clone, Default)]
-pub struct ShardCounters {
-    /// Nodes the shard owns (0 until the first sharded run builds the
-    /// store).
-    pub owned_nodes: u64,
-    /// Edges with both endpoints owned.
-    pub internal_edges: u64,
-    /// Cut edges leaving the shard.
-    pub cut_out: u64,
-    /// Cut edges entering the shard.
-    pub cut_in: u64,
-    /// RIG block (re)builds for this shard.
-    pub rig_builds: u64,
-    /// Scatter-gather tasks this shard's worker processed.
-    pub tasks: u64,
-    /// Matches this shard emitted.
-    pub emitted: u64,
-}
-
-/// Sharded-execution statistics (see [`Session::sharding_stats`]).
-#[derive(Debug, Clone)]
-pub struct ShardingStats {
-    /// Configured shard count.
-    pub shards: usize,
-    /// The owner function in use.
-    pub partitioner: Partitioner,
-    /// Total edges crossing shard boundaries (0 until the store builds).
-    pub cut_edges: u64,
-    /// Per-shard counters, indexed by shard id.
-    pub per_shard: Vec<ShardCounters>,
 }
 
 // ---------------------------------------------------------------------------
@@ -462,15 +353,6 @@ struct State {
     /// until a commit changes the graph. Compaction keeps it: it changes
     /// representation, never counts.
     pairs: Option<(u64, Arc<LabelPairCounts>)>,
-    /// Mutation ops committed since the last sharded run, appended under
-    /// the state lock (so the log and the published snapshot always
-    /// agree) and drained by the next sharded run to route staleness to
-    /// owner shards. Only fed while sharding is enabled; bounded by
-    /// [`SHARD_LOG_CAP`] — overflow trips the flag below instead.
-    shard_log: Vec<MutationOp>,
-    /// The shard log overflowed (or was bypassed): the next sharded run
-    /// must rebuild the partitioned store wholesale.
-    shard_log_overflow: bool,
 }
 
 /// A query session over one data graph: owns the versioned graph store,
@@ -478,25 +360,18 @@ struct State {
 /// [module docs](self) for a tour. `Session` is `Sync`: runs on other
 /// threads keep executing against their snapshots while a writer commits.
 pub struct Session {
+    /// Snapshot, BFL index, plan cache and version counters. The
+    /// session's only lock order is state → store.
     state: Mutex<State>,
     config: GmConfig,
     compaction: CompactionPolicy,
     /// Durable companion (WAL + snapshot segments) when the session was
     /// opened on a store directory; `None` for in-memory sessions. Lock
-    /// order is state → store (the store lock never takes the state lock).
+    /// order is state → store, the only order in the session: a holder
+    /// of this lock never takes the state lock.
     store: Option<Mutex<DurableStore>>,
     /// What recovery did, when this session came from [`Session::open`].
     recovery: Option<RecoveryReport>,
-    /// Sharded-execution state when [`Session::set_sharding`] enabled it;
-    /// `None` routes every run through the single-graph engines. Lock
-    /// order: a holder of this lock may take `state` briefly (to snapshot
-    /// the graph); `commit` takes it only *after* releasing `state` —
-    /// never hold `state` and then take `sharding`.
-    sharding: Mutex<Option<ShardingState>>,
-    /// Cheap mirror of `sharding.is_some()`, readable under the state
-    /// lock (where the sharding lock must not be taken): gates the
-    /// shard-log feed in [`Session::commit`].
-    sharding_on: std::sync::atomic::AtomicBool,
     epoch: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -528,12 +403,6 @@ impl Session {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Locks the sharding state (same poison posture as [`Session::state`]:
-    /// the guarded value is swapped whole, never left half-updated).
-    fn sharding(&self) -> MutexGuard<'_, Option<ShardingState>> {
-        self.sharding.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Opens a session on `graph` with the paper-default [`GmConfig`].
     /// Builds the BFL reachability index once (the per-graph setup cost of
     /// Fig. 18a); every prepared query reuses it.
@@ -560,15 +429,11 @@ impl Session {
                     evictions: 0,
                 },
                 pairs: None,
-                shard_log: Vec::new(),
-                shard_log_overflow: false,
             }),
             config,
             compaction: CompactionPolicy::default(),
             store: None,
             recovery: None,
-            sharding: Mutex::new(None),
-            sharding_on: std::sync::atomic::AtomicBool::new(false),
             epoch: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -711,78 +576,6 @@ impl Session {
         self
     }
 
-    // -- sharded execution --------------------------------------------------
-
-    /// Enables sharded execution: the graph is partitioned into
-    /// `opts.shards` edge-partitioned shards (see [`ShardOptions`]) and
-    /// every subsequent run routes through the scatter-gather MJoin of
-    /// `rig_shard` — per-shard RIG blocks, boundary bindings exchanged
-    /// between shard workers, results merged under the exact limit /
-    /// timeout discipline of the single-graph engines. The partitioned
-    /// store and plans build lazily on the first run.
-    ///
-    /// Notes on semantics under sharding (all answers stay exact):
-    /// - `count()` always enumerates (the factorized DP is a single-graph
-    ///   structure); `collect` returns tuples sorted ascending.
-    /// - `threads` / `morsel` knobs are ignored — parallelism is one
-    ///   worker per shard.
-    /// - a run's timeout budgets the enumeration phase; the shard store /
-    ///   plan build is not preempted mid-build.
-    ///
-    /// Calling again replaces the configuration and drops any partitioned
-    /// state built under the old one.
-    pub fn set_sharding(&self, opts: ShardOptions) {
-        let mut guard = self.sharding();
-        {
-            let mut st = self.state();
-            st.shard_log.clear();
-            st.shard_log_overflow = false;
-        }
-        self.sharding_on.store(true, Ordering::Relaxed);
-        *guard = Some(ShardingState::new(opts));
-    }
-
-    /// Disables sharded execution: later runs use the single-graph
-    /// engines again. Idempotent.
-    pub fn clear_sharding(&self) {
-        let mut guard = self.sharding();
-        self.sharding_on.store(false, Ordering::Relaxed);
-        {
-            let mut st = self.state();
-            st.shard_log.clear();
-            st.shard_log_overflow = false;
-        }
-        *guard = None;
-    }
-
-    /// Sharded-execution counters, or `None` when sharding is off. Size
-    /// columns are zero until the first sharded run builds the store.
-    pub fn sharding_stats(&self) -> Option<ShardingStats> {
-        let guard = self.sharding();
-        let sh = guard.as_ref()?;
-        let ns = sh.opts.effective_shards();
-        let mut per_shard: Vec<ShardCounters> = (0..ns)
-            .map(|s| ShardCounters {
-                rig_builds: sh.rig_builds[s],
-                tasks: sh.tasks[s],
-                emitted: sh.emitted[s],
-                ..ShardCounters::default()
-            })
-            .collect();
-        let mut cut_edges = 0;
-        if let Some(store) = &sh.store {
-            cut_edges = store.total_cut_edges();
-            for (s, counters) in per_shard.iter_mut().enumerate() {
-                let stats = &store.shard(s).stats;
-                counters.owned_nodes = stats.owned_nodes;
-                counters.internal_edges = stats.internal_edges;
-                counters.cut_out = stats.cut_out;
-                counters.cut_in = stats.cut_in;
-            }
-        }
-        Some(ShardingStats { shards: ns, partitioner: sh.opts.partitioner, cut_edges, per_shard })
-    }
-
     /// The current graph snapshot: an O(1) immutable view. Holding it
     /// pins nothing — later commits simply publish newer snapshots.
     pub fn graph(&self) -> Arc<Snapshot> {
@@ -844,14 +637,6 @@ impl Session {
         st.bfl = bfl;
         st.cache.entries.clear();
         st.pairs = None;
-        st.shard_log.clear();
-        st.shard_log_overflow = false;
-        drop(st);
-        // the new graph invalidates the partitioned store wholesale (the
-        // owner function itself depends on the node-id space)
-        if let Some(sh) = self.sharding().as_mut() {
-            sh.reset();
-        }
         self.epoch.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -913,18 +698,6 @@ impl Session {
         });
         self.invalidated.fetch_add(invalidated, Ordering::Relaxed);
         let retained = st.cache.entries.len() as u64;
-        // feed the shard log under the same lock that published the
-        // snapshot, so the next sharded run drains (snapshot, pending
-        // ops) atomically and routes staleness to exactly the owner
-        // shards of this commit's endpoints
-        if self.sharding_on.load(Ordering::Relaxed) {
-            if st.shard_log.len() + txn.ops.len() > SHARD_LOG_CAP {
-                st.shard_log.clear();
-                st.shard_log_overflow = true;
-            } else {
-                st.shard_log.extend(txn.ops.iter().cloned());
-            }
-        }
         drop(st);
 
         // compaction happens *outside* the state lock (materialize + BFL
@@ -1244,155 +1017,6 @@ impl Session {
         }
         (rig, false)
     }
-
-    /// Looks up or builds the sharded store and plan for `prepared`, or
-    /// `None` when sharding is off. The sharding lock is held across the
-    /// build (a documented simplification: concurrent sharded runs
-    /// serialize on plan setup; enumeration runs outside the lock).
-    ///
-    /// The pending commit log is drained *under the state lock together
-    /// with the snapshot*, so the store refresh set and the graph view it
-    /// refreshes against always describe the same version: edge commits
-    /// stale exactly their endpoints' owner shards; node/label commits
-    /// (and log overflow) reset the partitioned store wholesale, since
-    /// the owner function depends on the node-id space.
-    fn sharded_plan_for(
-        &self,
-        prepared: &Prepared<'_>,
-        strategy: SearchOrder,
-        use_cache: bool,
-    ) -> Option<(Arc<ShardedStore>, Arc<ShardedPlan>, bool)> {
-        let mut guard = self.sharding();
-        let sh = guard.as_mut()?;
-        let (snapshot, log, overflow) = {
-            let mut st = self.state();
-            let log = std::mem::take(&mut st.shard_log);
-            let overflow = std::mem::replace(&mut st.shard_log_overflow, false);
-            (Arc::clone(&st.snapshot), log, overflow)
-        };
-        let view = GraphView::from(&*snapshot);
-        if overflow {
-            sh.reset();
-        } else if let Some(store) = &sh.store {
-            let mut stale = vec![false; store.num_shards()];
-            let mut wholesale = false;
-            for op in &log {
-                match op {
-                    MutationOp::AddEdge(u, v) | MutationOp::RemoveEdge(u, v) => {
-                        stale[store.owner(*u)] = true;
-                        stale[store.owner(*v)] = true;
-                    }
-                    _ => {
-                        wholesale = true;
-                        break;
-                    }
-                }
-            }
-            if wholesale {
-                sh.reset();
-            } else {
-                for (s, is_stale) in stale.iter().enumerate() {
-                    if *is_stale {
-                        sh.shard_versions[s] += 1;
-                    }
-                }
-            }
-        }
-        let store = match &sh.store {
-            Some(store) if sh.store_versions == sh.shard_versions => Arc::clone(store),
-            Some(store) => {
-                let refresh: Vec<bool> = sh
-                    .store_versions
-                    .iter()
-                    .zip(&sh.shard_versions)
-                    .map(|(built, now)| built != now)
-                    .collect();
-                let refreshed = Arc::new(store.refresh(view, &refresh));
-                sh.store_versions.clone_from(&sh.shard_versions);
-                sh.store = Some(Arc::clone(&refreshed));
-                refreshed
-            }
-            None => {
-                let built = Arc::new(ShardedStore::build(view, &sh.opts));
-                sh.store_versions.clone_from(&sh.shard_versions);
-                sh.store = Some(Arc::clone(&built));
-                built
-            }
-        };
-        let key = CacheKey::new(&prepared.exec, &self.config.rig);
-        let pos = sh.plans.iter().position(|e| e.key == key && e.strategy == strategy);
-        if use_cache {
-            if let Some(i) = pos {
-                if sh.plans[i].built_versions == sh.shard_versions {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    let entry = sh.plans.remove(i);
-                    let plan = Arc::clone(&entry.plan);
-                    sh.plans.insert(0, entry);
-                    return Some((store, plan, true));
-                }
-            }
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        let has_reach = prepared.exec.edges().iter().any(|e| e.kind == EdgeKind::Reachability);
-        // a stale direct plan refreshes only its stale shards'
-        // RIG blocks; reachability plans rebuild whole (cut closures
-        // compose globally) — mirroring the single-graph invalidation rule
-        let plan = match pos {
-            Some(i) if use_cache && !sh.plans[i].has_reach => {
-                let entry = &sh.plans[i];
-                let stale: Vec<bool> = entry
-                    .built_versions
-                    .iter()
-                    .zip(&sh.shard_versions)
-                    .map(|(built, now)| built != now)
-                    .collect();
-                let plan = ShardedPlan::rebuild(view, &store, &prepared.exec, &entry.plan, &stale);
-                for (s, is_stale) in stale.iter().enumerate() {
-                    if *is_stale {
-                        sh.rig_builds[s] += 1;
-                    }
-                }
-                Arc::new(plan)
-            }
-            _ => {
-                for builds in &mut sh.rig_builds {
-                    *builds += 1;
-                }
-                Arc::new(ShardedPlan::build(view, &store, &prepared.exec, strategy))
-            }
-        };
-        if use_cache {
-            if let Some(i) = pos {
-                sh.plans.remove(i);
-            }
-            sh.plans.insert(
-                0,
-                ShardPlanEntry {
-                    key,
-                    strategy,
-                    plan: Arc::clone(&plan),
-                    built_versions: sh.shard_versions.clone(),
-                    has_reach,
-                },
-            );
-            sh.plans.truncate(SHARD_PLAN_CAPACITY);
-        }
-        Some((store, plan, false))
-    }
-
-    /// Folds a sharded run's per-shard task/emit counters into the
-    /// session totals (`/metrics` reads them via
-    /// [`Session::sharding_stats`]).
-    fn record_shard_run(&self, per_shard: &[rig_shard::ShardRunStats]) {
-        let mut guard = self.sharding();
-        let Some(sh) = guard.as_mut() else { return };
-        for (s, stats) in per_shard.iter().enumerate() {
-            if let (Some(tasks), Some(emitted)) = (sh.tasks.get_mut(s), sh.emitted.get_mut(s)) {
-                *tasks += stats.tasks;
-                *emitted += stats.emitted;
-            }
-        }
-    }
 }
 
 /// How much static analysis gates [`Session::prepare_with_lint`].
@@ -1424,19 +1048,6 @@ impl LintMode {
 
 fn label_mask(labels: &[Label]) -> u64 {
     labels.iter().fold(0u64, |m, &l| m | 1u64 << (l & 63))
-}
-
-/// Synthesizes [`RigStats`] for a sharded plan so [`GmMetrics`] and
-/// [`Explain`] render uniformly: node count is the shared candidate-array
-/// total (identical on every shard), edge count sums every shard's
-/// adjacency entries, and the whole build cost is charged to expansion.
-fn sharded_rig_stats(plan: &ShardedPlan) -> RigStats {
-    RigStats {
-        node_count: plan.rigs.first().map_or(0, |r| r.stats.node_count),
-        edge_count: plan.total_edge_entries(),
-        expand_time: plan.build_time,
-        ..RigStats::default()
-    }
 }
 
 /// Builds a RIG against one snapshot. Clean snapshots run the pure
@@ -1761,42 +1372,6 @@ impl<'a, 's> Run<'a, 's> {
         par
     }
 
-    /// Executes this run through the scatter-gather engine when the
-    /// session has sharding enabled; `None` falls through to the
-    /// single-graph engines. The run's wall-clock budget covers the
-    /// enumeration phase (a store/plan build in progress is not
-    /// preempted); tuples come back sorted ascending, so sharded output
-    /// is deterministic regardless of exchange interleaving.
-    fn sharded(&self, want_tuples: bool) -> Option<(Vec<Vec<NodeId>>, QueryOutcome)> {
-        let session = self.prepared.session;
-        let total_start = Instant::now();
-        let deadline = self.opts.timeout.and_then(|d| total_start.checked_add(d));
-        let (_store, plan, from_cache) =
-            session.sharded_plan_for(self.prepared, self.opts.order, self.use_cache)?;
-        let enum_start = Instant::now();
-        let (result, tuples) = if plan.is_empty() {
-            (EnumResult::empty(Vec::new()), Vec::new())
-        } else {
-            let mut opts = self.opts;
-            if let Some(d) = deadline {
-                opts.timeout = Some(d.saturating_duration_since(Instant::now()));
-            }
-            let run = run_sharded(&plan, &opts, want_tuples);
-            session.record_shard_run(&run.per_shard);
-            (run.result, run.tuples)
-        };
-        let metrics = GmMetrics {
-            reduction_time: self.prepared.reduction_time,
-            rig_stats: sharded_rig_stats(&plan),
-            enumeration_time: enum_start.elapsed(),
-            total_time: total_start.elapsed(),
-            edges_reduced: self.prepared.edges_reduced,
-            rig_from_cache: from_cache,
-            counted_via_factorization: false,
-        };
-        Some((tuples, QueryOutcome { result, metrics }))
-    }
-
     fn execute(
         self,
         engine: impl FnOnce(&PatternQuery, &Rig, &EnumOptions) -> EnumResult,
@@ -1842,11 +1417,6 @@ impl<'a, 's> Run<'a, 's> {
     /// [`Run::force_enumerate`] escape hatch and any budget knob fall back
     /// to the (possibly parallel) MJoin enumeration engine.
     pub fn count(self) -> QueryOutcome {
-        // sharded sessions always enumerate: the factorized DP is a
-        // single-graph structure (see `Session::set_sharding`)
-        if let Some((_, outcome)) = self.sharded(false) {
-            return outcome;
-        }
         let threads = self.threads;
         let par = self.par_options();
         let force_enumerate = self.force_enumerate;
@@ -1882,9 +1452,6 @@ impl<'a, 's> Run<'a, 's> {
         if self.opts.limit.is_none_or(|l| l > max as u64) {
             self.opts.limit = Some(max as u64);
         }
-        if let Some(sharded) = self.sharded(true) {
-            return sharded;
-        }
         let threads = self.threads;
         let par = self.par_options();
         let mut tuples = Vec::new();
@@ -1913,17 +1480,6 @@ impl<'a, 's> Run<'a, 's> {
     /// (ignores [`Run::threads`] — parallel streaming needs per-worker
     /// sinks, see [`Run::par_stream`]).
     pub fn stream<S: ResultSink>(self, sink: &mut S) -> QueryOutcome {
-        // sharded runs gather (sorted) first, then feed the sink on the
-        // calling thread — the sink contract (finish exactly once) holds
-        if let Some((tuples, outcome)) = self.sharded(true) {
-            for tuple in &tuples {
-                if !sink.push(tuple) {
-                    break;
-                }
-            }
-            sink.finish();
-            return outcome;
-        }
         let mut ran = false;
         let outcome = self.execute(|q, rig, opts| {
             ran = true;
@@ -1970,34 +1526,6 @@ impl<'a, 's> Run<'a, 's> {
     /// order MJoin would use.
     pub fn explain(self) -> Explain {
         let prepared = self.prepared;
-        if let Some((store, plan, from_cache)) =
-            prepared.session.sharded_plan_for(prepared, self.opts.order, self.use_cache)
-        {
-            let ns = store.num_shards();
-            let empty = plan.is_empty();
-            return Explain {
-                hpql: prepared.original_hpql(),
-                reduced_hpql: prepared.to_hpql(),
-                edges_reduced: prepared.edges_reduced,
-                rig_stats: sharded_rig_stats(&plan),
-                rig_from_cache: from_cache,
-                empty_answer: empty,
-                order_kind: self.opts.order,
-                order: if empty { Vec::new() } else { plan.order.clone() },
-                vars: prepared.vars.clone(),
-                count_strategy: crate::factorized::CountStrategy {
-                    eligible: false,
-                    describe: format!("sharded scatter-gather enumeration over {ns} shard(s)"),
-                },
-                shards: Some(ShardExplain {
-                    shards: ns,
-                    partitioner: store.partition().partitioner(),
-                    cut_edges: store.total_cut_edges(),
-                    per_shard: (0..ns).map(|s| store.shard(s).stats.clone()).collect(),
-                    rig_entries: plan.rigs.iter().map(|r| r.stats.edge_count).collect(),
-                }),
-            };
-        }
         let (rig, from_cache) = prepared.session.rig_for(prepared, self.use_cache, None);
         let order = if rig.is_empty() {
             Vec::new()
@@ -2017,7 +1545,6 @@ impl<'a, 's> Run<'a, 's> {
             order,
             vars: prepared.vars.clone(),
             count_strategy,
-            shards: None,
         }
     }
 
@@ -2106,24 +1633,6 @@ pub struct Explain {
     /// How [`Run::count`] would answer under this run's options:
     /// factorized DP eligibility and the human-readable choice.
     pub count_strategy: crate::factorized::CountStrategy,
-    /// Sharded-plan description when the session runs sharded.
-    pub shards: Option<ShardExplain>,
-}
-
-/// Per-shard plan description inside [`Explain`] (see
-/// [`Session::set_sharding`]).
-#[derive(Debug, Clone)]
-pub struct ShardExplain {
-    /// Number of shards.
-    pub shards: usize,
-    /// The owner function in use.
-    pub partitioner: Partitioner,
-    /// Total edges crossing shard boundaries.
-    pub cut_edges: u64,
-    /// Per-shard store sizes, indexed by shard id.
-    pub per_shard: Vec<rig_shard::ShardStats>,
-    /// Per-shard RIG adjacency entries (the shard's share of the plan).
-    pub rig_entries: Vec<u64>,
 }
 
 impl std::fmt::Display for Explain {
@@ -2139,27 +1648,6 @@ impl std::fmt::Display for Explain {
             self.rig_stats.sim_passes,
             self.rig_stats.pruned,
         )?;
-        if let Some(sh) = &self.shards {
-            writeln!(
-                f,
-                "shards:   {} ({} partitioning), {} cut edge(s)",
-                sh.shards,
-                sh.partitioner.name(),
-                sh.cut_edges
-            )?;
-            for (s, stats) in sh.per_shard.iter().enumerate() {
-                writeln!(
-                    f,
-                    "  shard {s}: {} owned node(s), {} internal + {}/{} cut edge(s), \
-                     {} RIG entries",
-                    stats.owned_nodes,
-                    stats.internal_edges,
-                    stats.cut_out,
-                    stats.cut_in,
-                    sh.rig_entries.get(s).copied().unwrap_or(0),
-                )?;
-            }
-        }
         if self.empty_answer {
             writeln!(f, "order:    — (empty candidate set: answer is empty)")?;
         } else {
@@ -2345,111 +1833,6 @@ mod tests {
         let mut sink = CountSink::default();
         assert_eq!(p.run().stream(&mut sink).result.count, 2);
         assert_eq!(sink.count, 2);
-    }
-
-    #[test]
-    fn sharded_runs_match_single_graph_answers() {
-        for shards in [1usize, 2, 4, 8] {
-            for opts in [ShardOptions::hash(shards), ShardOptions::range(shards)] {
-                let session = fig2_session();
-                session.set_sharding(opts);
-                let p = session.prepare(FIG2_HPQL).unwrap();
-                let (tuples, outcome) = p.run().collect_all();
-                assert_eq!(tuples, vec![vec![1, 3, 7], vec![2, 5, 9]], "{opts:?}");
-                assert_eq!(outcome.result.count, 2);
-                assert!(!outcome.metrics.rig_from_cache);
-                // warm run hits the sharded plan cache
-                let warm = p.run().count();
-                assert_eq!(warm.result.count, 2);
-                assert!(warm.metrics.rig_from_cache, "{opts:?}");
-                // stream feeds the sink the gathered (sorted) tuples
-                let mut sink = CountSink::default();
-                assert_eq!(p.run().stream(&mut sink).result.count, 2);
-                assert_eq!(sink.count, 2);
-                // budget knobs survive the cross-shard merge
-                let limited = p.run().limit(1).count();
-                assert_eq!(limited.result.count, 1);
-                assert!(limited.result.limit_hit);
-                let stats = session.sharding_stats().unwrap_or_else(|| {
-                    unreachable!("sharding is enabled");
-                });
-                assert_eq!(stats.per_shard.len(), shards);
-                assert_eq!(
-                    stats.per_shard.iter().map(|s| s.owned_nodes).sum::<u64>(),
-                    10,
-                    "every node has exactly one owner"
-                );
-                let emitted: u64 = stats.per_shard.iter().map(|s| s.emitted).sum();
-                assert!(emitted >= 2, "emit counters recorded");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_commits_route_to_owner_shards() {
-        let session = fig2_session();
-        session.set_sharding(ShardOptions::range(4));
-        let p = session.prepare(FIG2_HPQL).unwrap();
-        assert_eq!(p.run().count().result.count, 2);
-        // complete a third match (a=0, b=4, c=8): 0->4 already exists,
-        // add 4->8 (satisfies b=>c) and the closing 0->8
-        let mut txn = session.begin();
-        txn.add_edge(4, 8);
-        txn.add_edge(0, 8);
-        session.commit(txn).unwrap();
-        let (tuples, outcome) = p.run().collect_all();
-        assert_eq!(tuples, vec![vec![0, 4, 8], vec![1, 3, 7], vec![2, 5, 9]]);
-        // the refreshed plan was routed, not served stale from cache
-        assert!(!outcome.metrics.rig_from_cache);
-        // removing the edges restores the original answers
-        let mut txn = session.begin();
-        txn.remove_edge(4, 8);
-        txn.remove_edge(0, 8);
-        session.commit(txn).unwrap();
-        let (tuples, _) = p.run().collect_all();
-        assert_eq!(tuples, vec![vec![1, 3, 7], vec![2, 5, 9]]);
-    }
-
-    #[test]
-    fn sharded_node_commits_and_replace_graph_reset_the_store() {
-        let mut session = fig2_session();
-        session.set_sharding(ShardOptions::hash(3));
-        let p = session.prepare(FIG2_HPQL).unwrap();
-        assert_eq!(p.run().count().result.count, 2);
-        // node commits change the id space: the store resets wholesale
-        let mut txn = session.begin();
-        let c = txn.add_named_node("C");
-        txn.add_edge(1, c);
-        txn.add_edge(3, c);
-        session.commit(txn).unwrap();
-        assert_eq!(p.run().count().result.count, 3);
-        drop(p);
-        session.replace_graph(fig2_graph()).unwrap();
-        let p = session.prepare(FIG2_HPQL).unwrap();
-        assert_eq!(p.run().count().result.count, 2);
-        // sharding survives the swap (configuration, not state)
-        assert!(session.sharding_stats().is_some());
-    }
-
-    #[test]
-    fn sharded_explain_reports_partition_shape() {
-        let session = fig2_session();
-        session.set_sharding(ShardOptions::range(2));
-        let p = session.prepare(FIG2_HPQL).unwrap();
-        let explain = p.run().explain();
-        let Some(sh) = &explain.shards else {
-            unreachable!("sharded session explains its partition");
-        };
-        assert_eq!(sh.shards, 2);
-        assert_eq!(sh.partitioner, Partitioner::Range);
-        assert_eq!(sh.per_shard.len(), 2);
-        assert!(!explain.count_strategy.eligible);
-        let rendered = explain.to_string();
-        assert!(rendered.contains("shards:   2 (range partitioning)"), "{rendered}");
-        assert!(rendered.contains("shard 0:"), "{rendered}");
-        // disabling sharding restores the single-graph explain
-        session.clear_sharding();
-        assert!(p.run().explain().shards.is_none());
     }
 
     #[test]

@@ -49,7 +49,6 @@ pub use sink::{BatchSink, CollectSink, CountSink, FirstKSink, FnSink, ResultSink
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use rig_bitset::Bitset;
 use rig_graph::NodeId;
 use rig_index::{AdjRun, Rig};
 use rig_query::{PatternQuery, QNode};
@@ -137,8 +136,7 @@ pub fn enumerate(
     opts: &EnumOptions,
     visit: impl FnMut(&[NodeId]) -> bool,
 ) -> EnumResult {
-    let mut sink = FnSink(visit);
-    enumerate_inner(query, rig, opts, None, &mut sink)
+    enumerate_sink(query, rig, opts, &mut FnSink(visit))
 }
 
 /// Like [`enumerate`], but streams occurrences into a [`ResultSink`]
@@ -149,42 +147,12 @@ pub fn enumerate_sink<S: ResultSink>(
     opts: &EnumOptions,
     sink: &mut S,
 ) -> EnumResult {
-    enumerate_inner(query, rig, opts, None, sink)
-}
-
-/// Like [`enumerate`], but only explores bindings of the *first*
-/// search-order node that lie in `root_filter` — the partitioning hook kept
-/// for external drivers (the in-tree parallel engine now morsel-slices the
-/// root range directly, see [`parallel`]).
-pub fn enumerate_restricted(
-    query: &PatternQuery,
-    rig: &Rig,
-    opts: &EnumOptions,
-    root_filter: &Bitset,
-    visit: impl FnMut(&[NodeId]) -> bool,
-) -> EnumResult {
-    let mut sink = FnSink(visit);
-    enumerate_inner(query, rig, opts, Some(root_filter), &mut sink)
-}
-
-fn enumerate_inner<S: ResultSink>(
-    query: &PatternQuery,
-    rig: &Rig,
-    opts: &EnumOptions,
-    root_filter: Option<&Bitset>,
-    sink: &mut S,
-) -> EnumResult {
     let plan = Plan::new(query, rig, opts.order);
     if rig.is_empty() || query.num_nodes() == 0 {
         sink.finish();
         return EnumResult::empty(plan.order);
     }
     let mut worker = Worker::new(rig, opts, &plan, None);
-    // Root partition (restricted driver): global ids -> root-local ids.
-    worker.root_locals = root_filter.map(|f| {
-        let rq = plan.order[0] as usize;
-        f.iter().filter_map(|v| rig.local_of(rq, v)).collect()
-    });
     worker.recurse(0, sink);
     sink.finish();
     worker.result
@@ -300,8 +268,6 @@ enum Src<'r> {
     /// Unconstrained: the full local range `0..n_local` (no clone of the
     /// base candidate set).
     Range,
-    /// Unconstrained root restricted by the partitioned driver.
-    Root,
     /// Exactly one operand: iterate its run in place.
     Slice(&'r [u32]),
     /// Two or more operands: the intersection materialized in `buf`.
@@ -319,8 +285,6 @@ pub(crate) struct Worker<'a, 'r> {
     opts: &'a EnumOptions,
     plan: &'a Plan,
     steps: Vec<Step<'r>>,
-    /// Root partition of the restricted (sequential) driver.
-    root_locals: Option<Vec<u32>>,
     tuple_local: Vec<u32>,
     tuple_global: Vec<NodeId>,
     /// Occurrence remapped to query-node indexing, handed to the sink.
@@ -366,7 +330,6 @@ impl<'a, 'r> Worker<'a, 'r> {
             opts,
             plan,
             steps,
-            root_locals: None,
             tuple_local: vec![0; n],
             tuple_global: vec![0; n],
             out_tuple: vec![0; n],
@@ -536,13 +499,7 @@ impl<'a, 'r> Worker<'a, 'r> {
         }
 
         let (src, count) = match self.steps[i].ops.len() {
-            0 => {
-                if i == 0 && self.root_locals.is_some() {
-                    (Src::Root, self.root_locals.as_ref().map_or(0, |r| r.len()))
-                } else {
-                    (Src::Range, self.steps[i].n_local as usize)
-                }
-            }
+            0 => (Src::Range, self.steps[i].n_local as usize),
             1 => {
                 let run = self.steps[i].ops[0];
                 (Src::Slice(run.list), run.len())
@@ -557,7 +514,6 @@ impl<'a, 'r> Worker<'a, 'r> {
         for k in 0..count {
             let v_local = match src {
                 Src::Range => k as u32,
-                Src::Root => self.root_locals.as_ref().expect("root partition")[k],
                 Src::Slice(list) => list[k],
                 Src::Buf => self.steps[i].buf[k],
             };

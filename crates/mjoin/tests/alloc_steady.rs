@@ -104,31 +104,3 @@ fn zero_allocations_per_steady_state_step() {
         visits
     );
 }
-
-/// The restricted (parallel-partition) entry point must be steady-state
-/// allocation-free too: its root slice is resolved to local ids up front.
-#[test]
-fn restricted_enumeration_is_steady_state_allocation_free() {
-    use rig_bitset::Bitset;
-    let (g, q) = workload();
-    let bfl = BflIndex::new(&g);
-    let ctx = SimContext::new(&g, &q, &bfl);
-    let rig = build_rig(&ctx, &bfl, &RigOptions::default());
-    let root_half: Bitset = (0..(g.num_nodes() as u32) / 2).collect();
-
-    let opts = EnumOptions { limit: Some(20_000), ..Default::default() };
-    let mut at_first_visit: Option<u64> = None;
-    let mut at_last_visit: u64 = 0;
-    let mut visits: u64 = 0;
-    rig_mjoin::enumerate_restricted(&q, &rig, &opts, &root_half, |_| {
-        let now = ALLOC_CALLS.load(Ordering::Relaxed);
-        if at_first_visit.is_none() {
-            at_first_visit = Some(now);
-        }
-        at_last_visit = now;
-        visits += 1;
-        true
-    });
-    assert!(visits >= 1_000, "restricted run too small: {visits}");
-    assert_eq!(Some(at_last_visit), at_first_visit, "allocations during restricted enumeration");
-}

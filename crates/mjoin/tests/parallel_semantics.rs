@@ -154,7 +154,7 @@ fn parallel_timeout_interrupts_explosive_enumeration() {
 /// `EnumResult::merge` must keep both flags, in every combination.
 #[test]
 fn merge_keeps_both_budget_flags() {
-    for (lh_a, lh_b) in [(false, true), (true, false), (true, true)] {
+    for (lh_a, lh_b) in [(false, true), (true, false), (true, true), (false, false)] {
         for (to_a, to_b) in [(false, true), (true, false), (false, false)] {
             let mut a =
                 EnumResult { count: 2, timed_out: to_a, limit_hit: lh_a, order: vec![0], steps: 5 };

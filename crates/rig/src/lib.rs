@@ -348,58 +348,7 @@ pub struct Rig {
     pub stats: RigStats,
 }
 
-/// Raw CSR material for one query edge of a caller-assembled [`Rig`]
-/// (see [`Rig::from_parts`]). Both directions are explicit because a
-/// partitioned RIG's forward and backward blocks are **not** mutual
-/// transposes: a sharded engine keeps forward rows for the targets one
-/// shard owns and backward rows for the sources it owns.
-#[derive(Debug, Default, Clone)]
-pub struct RigEdgeParts {
-    /// `fwd_offsets[s]..fwd_offsets[s + 1]` delimits source-local `s`'s
-    /// run in `fwd_targets`; length must be `|cos(from)| + 1`.
-    pub fwd_offsets: Vec<u32>,
-    /// Concatenated sorted target-local runs.
-    pub fwd_targets: Vec<u32>,
-    /// Backward offsets, indexed by target-local id (`|cos(to)| + 1`).
-    pub bwd_offsets: Vec<u32>,
-    /// Concatenated sorted source-local runs.
-    pub bwd_targets: Vec<u32>,
-}
-
 impl Rig {
-    /// Assembles a RIG from caller-built parts: sorted candidate arrays,
-    /// query-edge endpoints and one explicit CSR block pair per query
-    /// edge. Dense bitmap rows are derived exactly as in [`build_rig`],
-    /// and `stats.node_count` / `stats.edge_count` are recomputed from
-    /// the parts. The caller is responsible for Def. 4.1 soundness
-    /// (`os ⊆ cos ⊆ ms` sandwiching of both node and edge sets); this
-    /// constructor only checks shape.
-    pub fn from_parts(
-        ids: Vec<Vec<NodeId>>,
-        edge_nodes: Vec<(usize, usize)>,
-        parts: Vec<RigEdgeParts>,
-        stats: RigStats,
-    ) -> Rig {
-        assert_eq!(parts.len(), edge_nodes.len(), "one CSR block pair per query edge");
-        let mut rig = Rig {
-            ids,
-            fwd: Vec::with_capacity(parts.len()),
-            bwd: Vec::with_capacity(parts.len()),
-            edge_nodes,
-            stats,
-        };
-        for (eid, p) in parts.into_iter().enumerate() {
-            let (from, to) = rig.edge_nodes[eid];
-            assert_eq!(p.fwd_offsets.len(), rig.ids[from].len() + 1, "fwd offsets (edge {eid})");
-            assert_eq!(p.bwd_offsets.len(), rig.ids[to].len() + 1, "bwd offsets (edge {eid})");
-            rig.fwd.push(CsrDir::new(p.fwd_offsets, p.fwd_targets, rig.ids[to].len()));
-            rig.bwd.push(CsrDir::new(p.bwd_offsets, p.bwd_targets, rig.ids[from].len()));
-        }
-        rig.stats.node_count = rig.ids.iter().map(|c| c.len() as u64).sum();
-        rig.stats.edge_count = rig.fwd.iter().map(|d| d.targets.len() as u64).sum();
-        rig
-    }
-
     /// Candidate occurrence set of query node `q`, materialized as a
     /// bitmap. Diagnostic / test accessor — production paths use the
     /// sorted [`Rig::candidates`] array, so the bitmap is not kept

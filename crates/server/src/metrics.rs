@@ -182,45 +182,6 @@ pub fn render(metrics: &ServerMetrics, session: &Session) -> String {
         "WAL flushes that failed or found a poisoned store",
         s.wal_flush_failures,
     );
-
-    // sharded execution (only when the session runs sharded); per-shard
-    // counters use flat `rigmatch_shard<N>_*` names so every line stays
-    // a plain `name value` pair
-    if let Some(sh) = session.sharding_stats() {
-        gauge(&mut out, "rigmatch_shards", "configured shard count", sh.shards as u64);
-        gauge(
-            &mut out,
-            "rigmatch_shard_cut_edges",
-            "edges crossing shard boundaries",
-            sh.cut_edges,
-        );
-        for (s, c) in sh.per_shard.iter().enumerate() {
-            gauge(
-                &mut out,
-                &format!("rigmatch_shard{s}_owned_nodes"),
-                "nodes this shard owns",
-                c.owned_nodes,
-            );
-            counter(
-                &mut out,
-                &format!("rigmatch_shard{s}_rig_builds_total"),
-                "RIG block (re)builds for this shard",
-                c.rig_builds,
-            );
-            counter(
-                &mut out,
-                &format!("rigmatch_shard{s}_tasks_total"),
-                "scatter-gather tasks this shard processed",
-                c.tasks,
-            );
-            counter(
-                &mut out,
-                &format!("rigmatch_shard{s}_emitted_total"),
-                "matches this shard emitted",
-                c.emitted,
-            );
-        }
-    }
     out
 }
 
@@ -244,39 +205,11 @@ mod tests {
         assert!(page.contains("rigmatch_tuples_streamed_total 42\n"));
         assert!(page.contains("rigmatch_graph_edges 1\n"));
         assert!(page.contains("rigmatch_wal_flush_failures_total 0\n"));
-        // sharding is off: no shard lines
-        assert!(!page.contains("rigmatch_shards"));
         // every non-comment line is `name value`
         for line in page.lines().filter(|l| !l.starts_with('#')) {
             let mut parts = line.split(' ');
             let name = parts.next().unwrap();
             assert!(name.starts_with("rigmatch_"), "{line}");
-            assert!(parts.next().unwrap().parse::<u64>().is_ok(), "{line}");
-            assert!(parts.next().is_none(), "{line}");
-        }
-    }
-
-    #[test]
-    fn sharded_session_renders_per_shard_lines() {
-        let mut b = GraphBuilder::new();
-        for _ in 0..8 {
-            b.add_node_with_name(0, "L");
-        }
-        for v in 1..8 {
-            b.add_edge(v - 1, v);
-        }
-        let session = Session::new(b.build());
-        session.set_sharding(rig_core::ShardOptions::range(2));
-        // a run builds the store so size gauges are populated
-        let p = session.prepare("MATCH (a:L)->(b:L)").unwrap();
-        assert_eq!(p.run().count().result.count, 7);
-        let page = render(&ServerMetrics::default(), &session);
-        assert!(page.contains("rigmatch_shards 2\n"), "{page}");
-        assert!(page.contains("rigmatch_shard0_owned_nodes 4\n"), "{page}");
-        assert!(page.contains("rigmatch_shard1_tasks_total"), "{page}");
-        for line in page.lines().filter(|l| !l.starts_with('#')) {
-            let mut parts = line.split(' ');
-            assert!(parts.next().unwrap().starts_with("rigmatch_"), "{line}");
             assert!(parts.next().unwrap().parse::<u64>().is_ok(), "{line}");
             assert!(parts.next().is_none(), "{line}");
         }

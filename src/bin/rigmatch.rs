@@ -15,10 +15,6 @@
 //!   --limit <n>              stop after n matches      (default all)
 //!   --timeout <secs>         wall-clock budget         (default none)
 //!   --threads <n>            parallel workers, gm only (default 1)
-//!   --shards <n>             sharded execution, gm + serve (default off):
-//!                            partition the graph into n shards and run
-//!                            the scatter-gather MJoin
-//!   --partitioner hash|range owner function for --shards (default hash)
 //!   --count                  print only the count
 //!   --order jo|ri|bj         search order, gm only     (default jo)
 //!   --no-reduction           skip query transitive reduction
@@ -106,10 +102,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use rigmatch::baselines::{Budget, Engine, Jm, NeoLike, Tm};
-use rigmatch::core::{
-    Durability, Error, FsBackend, GmConfig, LintMode, Partitioner, Session, ShardOptions,
-    StoreOptions,
-};
+use rigmatch::core::{Durability, Error, FsBackend, GmConfig, LintMode, Session, StoreOptions};
 use rigmatch::graph::parse_text;
 use rigmatch::mjoin::{BatchSink, EnumOptions, ResultSink, SearchOrder};
 use rigmatch::query::{looks_like_hpql, parse_query, PatternQuery};
@@ -148,11 +141,6 @@ struct Cli {
     limit: Option<u64>,
     timeout: Option<Duration>,
     threads: usize,
-    /// Sharded execution (`--shards N`), gm and serve: partition the
-    /// graph and run the scatter-gather MJoin.
-    shards: Option<usize>,
-    /// Owner function for `--shards` (`--partitioner hash|range`).
-    partitioner: Partitioner,
     count_only: bool,
     /// Print the factorized answer summary instead of enumerating.
     factorized: bool,
@@ -169,7 +157,6 @@ fn usage() -> ! {
     eprintln!(
         "usage: rigmatch [explain] <graph-file> (<query-file> | --query 'HPQL') \
          [--engine gm|jm|tm|neo] [--limit N] [--timeout SECS] [--threads N] \
-         [--shards N] [--partitioner hash|range] \
          [--count] [--factorized] [--order jo|ri|bj] [--no-reduction] \
          [--mutations FILE] [--stats] [--strict] [--lint off|warn|strict] \
          [--data-dir DIR] [--durability strict|batched|none]\n\
@@ -179,8 +166,7 @@ fn usage() -> ! {
          [--data-dir DIR] [--durability strict|batched|none]\n\
          \x20      rigmatch recover <data-dir>\n\
          \x20      rigmatch serve [<graph-file>] [--addr HOST:PORT] [--workers N] \
-         [--queue-depth N] [--shards N] [--partitioner hash|range] \
-         [--data-dir DIR] [--durability strict|batched|none]"
+         [--queue-depth N] [--data-dir DIR] [--durability strict|batched|none]"
     );
     std::process::exit(2);
 }
@@ -215,8 +201,6 @@ fn parse_cli() -> Cli {
         limit: None,
         timeout: None,
         threads: 1,
-        shards: None,
-        partitioner: Partitioner::Hash,
         count_only: false,
         factorized: false,
         order: SearchOrder::Jo,
@@ -251,19 +235,6 @@ fn parse_cli() -> Cli {
             "--threads" => {
                 i += 1;
                 cli.threads = argv.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--shards" => {
-                i += 1;
-                let n: usize = argv.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-                if n == 0 {
-                    usage();
-                }
-                cli.shards = Some(n);
-            }
-            "--partitioner" => {
-                i += 1;
-                cli.partitioner =
-                    argv.get(i).and_then(|s| Partitioner::parse(s)).unwrap_or_else(|| usage());
             }
             "--count" => cli.count_only = true,
             "--factorized" => cli.factorized = true,
@@ -516,19 +487,6 @@ fn make_session(
     }
 }
 
-/// Enables sharded execution on the session when `--shards` was given
-/// (gm and serve paths; the baseline engines have no sharded analogue).
-fn apply_sharding(cli: &Cli, session: &Session) {
-    if let Some(shards) = cli.shards {
-        session.set_sharding(ShardOptions { shards, partitioner: cli.partitioner });
-        eprintln!(
-            "sharded execution: {} shard(s), {} partitioning",
-            shards,
-            cli.partitioner.name()
-        );
-    }
-}
-
 /// The `recover` subcommand: open the store, print what recovery found,
 /// and exit. Corruption or I/O trouble surfaces as exit code 7.
 fn run_recover(cli: &Cli) -> Result<ExitCode, Error> {
@@ -583,7 +541,6 @@ fn run_serve(cli: &Cli) -> Result<ExitCode, Error> {
     let session = make_session(cli, GmConfig::default(), || {
         Ok(g.expect("graph parsed unless the store was opened"))
     })?;
-    apply_sharding(cli, &session);
     eprintln!("graph: {:?}", session.graph());
     let config = rigmatch::server::ServerConfig {
         workers: cli.workers.max(1),
@@ -709,7 +666,6 @@ fn run_gm(
     }
     let session =
         make_session(cli, cfg, || Ok(g.expect("graph parsed unless the store was opened")))?;
-    apply_sharding(cli, &session);
     if let Some(path) = &cli.mutations_path {
         // GM queries straight through the delta overlay — no rebuild.
         apply_mutations(&session, path, cli.stats)?;

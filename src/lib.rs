@@ -65,7 +65,6 @@
 //! | [`sim`] | double simulation (FBSimBas / FBSimDag / FBSim) |
 //! | [`rig`] | runtime index graphs and `BuildRIG` |
 //! | [`mjoin`] | MJoin enumeration and search orders |
-//! | [`shard`] | sharded execution: graph partitioning, scatter-gather MJoin |
 //! | [`core`] | the [`Session`] API, unified [`Error`], the GM pipeline |
 //! | [`storage`] | durability: WAL, binary snapshots, crash recovery |
 //! | [`server`] | concurrent HTTP/NDJSON query server (`rigmatch serve`) |
@@ -82,7 +81,6 @@ pub use rig_mjoin as mjoin;
 pub use rig_query as query;
 pub use rig_reach as reach;
 pub use rig_server as server;
-pub use rig_shard as shard;
 pub use rig_sim as sim;
 pub use rig_storage as storage;
 
@@ -92,8 +90,8 @@ pub use rig_core::{Error, ErrorKind, Session};
 pub mod prelude {
     pub use rig_core::{
         CacheStats, CommitSummary, CompactionPolicy, Durability, Error, ErrorKind, Explain,
-        GmConfig, GmMetrics, GraphTxn, Partitioner, Prepared, QueryOutcome, RecoveryReport, Run,
-        RunReport, RunStatus, Session, ShardOptions, ShardingStats, StoreOptions, StoreStats,
+        GmConfig, GmMetrics, GraphTxn, Prepared, QueryOutcome, RecoveryReport, Run, RunReport,
+        RunStatus, Session, StoreOptions, StoreStats,
     };
     pub use rig_graph::{
         parse_mutations, DataGraph, GraphBuilder, GraphView, Label, MutationOp, NodeId, Snapshot,
