@@ -4,8 +4,9 @@
 #   ./ci.sh         build + tests + fmt + clippy + examples
 #   ./ci.sh quick   build + tests only
 #
-# Everything runs offline: the rand/proptest/criterion dependencies are the
-# vendored stand-ins under vendor/ (see vendor/README.md).
+# Everything runs offline: the rand/proptest dependencies are the vendored
+# stand-ins under vendor/ (see vendor/README.md). Performance is measured by
+# perfbench/ (declared in BENCHMARK.json), not here.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -41,7 +42,7 @@ if [[ "${1:-}" != "quick" ]]; then
     step "cargo doc --no-deps (broken intra-doc links fail)"
     # vendor/ stand-ins are excluded: their docs mirror external crates
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet \
-        --exclude rand --exclude proptest --exclude criterion
+        --exclude rand --exclude proptest
 
     step "CLI smoke: --query inline HPQL + explain + exit codes"
     cli_tmp="$(mktemp -d)"
@@ -67,8 +68,8 @@ if [[ "${1:-}" != "quick" ]]; then
     rc=0; run_cli "${cli_tmp}/missing.txt" --query 'MATCH (a:Author)' 2> /dev/null || rc=$?
     [[ "${rc}" == "4" ]]
     # static analysis: `check` lints without executing — satisfiable
-    # queries exit 0, provably-empty ones exit 8 with an emptiness proof,
-    # and the JSON report validates through benchcheck's analysis schema
+    # queries exit 0, provably-empty ones exit 8 with an emptiness proof
+    # (the JSON schema's invariants are asserted in tests/analysis_soundness.rs)
     check_out="$(run_cli check "${cli_tmp}/g.txt" --query 'MATCH (a:Author)->(p:Paper)')"
     grep -q '0 error(s)' <<< "${check_out}"
     rc=0; run_cli check "${cli_tmp}/g.txt" \
@@ -76,9 +77,8 @@ if [[ "${1:-}" != "quick" ]]; then
     [[ "${rc}" == "8" ]]
     grep -q 'error\[E102\]' "${cli_tmp}/check.txt"
     rc=0; run_cli check "${cli_tmp}/g.txt" --format json \
-        --query 'MATCH (p:Paper)->(a:Author)' > "${cli_tmp}/check.json" || rc=$?
+        --query 'MATCH (p:Paper)->(a:Author)' > /dev/null || rc=$?
     [[ "${rc}" == "8" ]]
-    cargo run -q --release -p rig_bench --bin benchcheck -- "${cli_tmp}/check.json"
     # strict lint mode wires the same proofs into query execution: exit 8
     rc=0; run_cli "${cli_tmp}/g.txt" --lint strict --count \
         --query 'MATCH (p:Paper)->(a:Author)' 2> /dev/null || rc=$?
@@ -113,102 +113,14 @@ if [[ "${1:-}" != "quick" ]]; then
         cargo run -q --release --example "${example}" > /dev/null
     done
 
-    step "cargo bench smoke (CRITERION_SMOKE single-shot)"
-    CRITERION_SMOKE=1 cargo bench -q -p rig_bench > /dev/null
+    step "paper harness smoke (fig9, fig13)"
+    for fig in fig9 fig13; do
+        cargo run -q --release -p rig_bench --bin "${fig}" -- \
+            --scale 0.005 --timeout 2 --limit 100000 > /dev/null
+    done
 
     step "parallel engine agreement sweep (RIGMATCH_THREADS=1,2,8)"
     RIGMATCH_THREADS=1,2,8 cargo test -q -p rig_mjoin --test engine_matrix
-
-    step "bench --json artifacts regenerate + parse"
-    json_tmp="$(mktemp -d)"
-    trap 'rm -rf "${json_tmp}"' EXIT
-    cargo run -q --release -p rig_bench --bin fig9 -- \
-        --scale 0.005 --timeout 2 --limit 100000 \
-        --json "${json_tmp}/BENCH_mjoin.json" > /dev/null
-    cargo run -q --release -p rig_bench --bin fig13 -- \
-        --scale 0.005 --timeout 2 --limit 100000 \
-        --json "${json_tmp}/BENCH_rig.json" > /dev/null
-    cargo run -q --release -p rig_bench --bin benchcheck -- \
-        "${json_tmp}/BENCH_mjoin.json" "${json_tmp}/BENCH_rig.json"
-
-    step "parallel sweep artifact (fig9 --threads 1,2,8) + benchcheck gate"
-    cargo run -q --release -p rig_bench --bin fig9 -- \
-        --scale 0.005 --timeout 2 --limit 100000 \
-        --threads 1,2,8 \
-        --json-parallel "${json_tmp}/BENCH_parallel.json" > /dev/null
-    # The >= 1.5x speedup assertion needs hardware that can actually run
-    # threads concurrently; benchcheck reads hw_threads from the artifact
-    # and skips the gate with an explicit log line on smaller machines
-    # (the sweep still runs, and the in-harness count agreement still
-    # gates).
-    cargo run -q --release -p rig_bench --bin benchcheck -- \
-        --min-par-speedup 1.5 "${json_tmp}/BENCH_parallel.json"
-
-    step "dynamic-graph artifact (bench_updates) + benchcheck verification gate"
-    # the harness differentially verifies every overlay count against a
-    # from-scratch rebuild; benchcheck hard-fails on any unverified query
-    cargo run -q --release -p rig_bench --bin bench_updates -- \
-        --scale 0.005 --timeout 2 --limit 100000 \
-        --json "${json_tmp}/BENCH_updates.json" > /dev/null
-    cargo run -q --release -p rig_bench --bin benchcheck -- \
-        "${json_tmp}/BENCH_updates.json"
-
-    step "factorized-counting artifact (bench_factorized) + benchcheck gates"
-    # every count in the harness is verified against the brute-force
-    # oracle in-process; benchcheck hard-fails on any unverified query
-    cargo run -q --release -p rig_bench --bin bench_factorized -- \
-        --scale 0.005 --json "${json_tmp}/BENCH_factorized.json" > /dev/null
-    cargo run -q --release -p rig_bench --bin benchcheck -- \
-        "${json_tmp}/BENCH_factorized.json"
-    # the committed full-scale artifact must hold the >= 100x DP-speedup
-    # claim (regenerate with:
-    #   bench_factorized --scale 0.02 --seed 42 --json BENCH_factorized.json)
-    cargo run -q --release -p rig_bench --bin benchcheck -- \
-        --min-factorized-speedup 100 BENCH_factorized.json
-
-    step "durability artifact (bench_storage) + recovery-verification gate"
-    # every policy run re-opens its store and differentially verifies the
-    # recovered version + graph against the mutation-stream mirror;
-    # benchcheck hard-fails any unverified recovery count
-    cargo run -q --release -p rig_bench --bin bench_storage -- \
-        --scale 0.005 --json "${json_tmp}/BENCH_storage.json" > /dev/null
-    cargo run -q --release -p rig_bench --bin benchcheck -- \
-        "${json_tmp}/BENCH_storage.json"
-    # the committed full-scale artifact must pass the same hard gate
-    # (regenerate with: bench_storage --json BENCH_storage.json)
-    cargo run -q --release -p rig_bench --bin benchcheck -- BENCH_storage.json
-
-    step "serving smoke: rigmatch serve + bench_serving --smoke"
-    serve_tmp="$(mktemp -d)"
-    printf 'l 0 Author\nl 1 Paper\nv 0 0\nv 1 1\nv 2 1\ne 0 1\ne 1 2\n' \
-        > "${serve_tmp}/g.txt"
-    cargo run -q --release --bin rigmatch -- serve "${serve_tmp}/g.txt" \
-        --addr 127.0.0.1:0 > "${serve_tmp}/serve.log" &
-    serve_pid=$!
-    for _ in $(seq 1 100); do
-        grep -q '^listening on ' "${serve_tmp}/serve.log" 2> /dev/null && break
-        sleep 0.1
-    done
-    serve_addr="$(sed -n 's|^listening on http://||p' "${serve_tmp}/serve.log")"
-    [[ -n "${serve_addr}" ]]
-    cargo run -q --release -p rig_bench --bin bench_serving -- \
-        --smoke --addr "${serve_addr}" --query 'MATCH (a:Author)->(p:Paper)'
-    # the smoke ends with POST /shutdown; serve must exit 0 on its own
-    wait "${serve_pid}"
-    rm -rf "${serve_tmp}"
-
-    step "serving artifact (bench_serving) + HTTP-vs-direct differential gate"
-    # open-loop load against an in-process server; quiesced, every
-    # workload count served over HTTP must match the direct in-process
-    # count — benchcheck hard-fails the artifact on any disagreement
-    cargo run -q --release -p rig_bench --bin bench_serving -- \
-        --scale 0.005 --requests 120 --qps 120 \
-        --json "${json_tmp}/BENCH_serving.json" > /dev/null
-    cargo run -q --release -p rig_bench --bin benchcheck -- \
-        "${json_tmp}/BENCH_serving.json"
-    # the committed full-scale artifact must pass the same hard gate
-    # (regenerate with: bench_serving --json BENCH_serving.json)
-    cargo run -q --release -p rig_bench --bin benchcheck -- BENCH_serving.json
 
     step "kill-and-recover differential + crash-recovery proptests"
     cargo test -q --test kill_recover --test storage_recovery

@@ -1,5 +1,5 @@
 //! Diagnostic types, the rustc-style text renderer and the JSON
-//! exposition consumed by `rigmatch check --format json` / benchcheck.
+//! exposition emitted by `rigmatch check --format json`.
 
 use rig_query::Span;
 
@@ -198,8 +198,9 @@ impl Report {
         out
     }
 
-    /// The `analysis` JSON schema benchcheck validates: top-level
-    /// metadata, severity counts and one object per diagnostic.
+    /// The `analysis` JSON schema: top-level metadata, severity counts and
+    /// one object per diagnostic, one diagnostic per line
+    /// (`tests/analysis_soundness.rs` asserts its invariants).
     pub fn to_json(&self) -> String {
         let (errors, warnings, notes) = self.counts();
         let mut out = String::from("{\n  \"analysis\": true,\n");

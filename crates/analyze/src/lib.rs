@@ -30,8 +30,9 @@
 //!
 //! The output [`Report`] renders rustc-style caret diagnostics
 //! ([`Report::render`]) and the `analysis` JSON schema
-//! ([`Report::to_json`]) that `rigmatch check --format json` emits and
-//! benchcheck validates. See `docs/analysis.md` for the lint-code table.
+//! ([`Report::to_json`]) that `rigmatch check --format json` emits; the
+//! schema's invariants are asserted in `tests/analysis_soundness.rs`. See
+//! `docs/analysis.md` for the lint-code table.
 
 mod diag;
 

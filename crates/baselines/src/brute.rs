@@ -1,8 +1,9 @@
 //! Brute-force reference counter: naive backtracking directly over the
 //! raw data graph — **no RIG, no simulation pruning, no search-order
 //! statistics** — so it shares no code (and no bugs) with the engine under
-//! test. It is the ground-truth oracle for every counting test and for
-//! the `bench_factorized` in-harness verification.
+//! test. It is the ground-truth oracle for every counting test (the
+//! factorized-counting differentials in `tests/factorized_differential.rs`
+//! among them).
 //!
 //! Semantics match the engine exactly:
 //! * tuples are homomorphisms (or isomorphism-style embeddings with

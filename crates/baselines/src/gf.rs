@@ -6,7 +6,7 @@
 //! paper demonstrates: it enumerates label-annotated 2-paths — already
 //! super-linear — and its memory blows up on large many-label graphs. We
 //! reproduce the paper's observed failures with a deterministic memory
-//! model (see [`Catalog::BUILD_OOM_EDGES`] and DESIGN.md): construction
+//! model (see [`Catalog::BUILD_OOM_EDGES`]): construction
 //! reports OM when `|E| ≥ 400k ∧ |L| ≥ 20` or `|L| ≥ 100`, exactly the
 //! em/ep/hp pattern of Fig. 16(a).
 //!

@@ -23,12 +23,10 @@
 //!   harnesses can iterate engines uniformly.
 //! * [`brute_force_count`] — the ground-truth oracle: naive backtracking
 //!   over the raw graph with on-line DFS reachability, sharing no code
-//!   with the engine; every counting test and the `bench_factorized`
-//!   harness verify against it.
+//!   with the engine; every counting test verifies against it.
 //!
-//! See DESIGN.md ("Substitutions") for the fidelity argument: these
-//! analogues reproduce the *architectural* properties the paper attributes
-//! to each system, on identical inputs.
+//! These analogues reproduce the *architectural* properties the paper
+//! attributes to each system, on identical inputs.
 
 pub mod brute;
 mod gf;

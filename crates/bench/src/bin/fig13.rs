@@ -9,20 +9,9 @@
 //! Expected shape: GM/GM-S build the smallest auxiliary structure (≈0.4%
 //! of the graph in the paper), GM-F an order of magnitude larger; smaller
 //! RIG ⇒ faster enumeration.
-//!
-//! `--json <path>` additionally compares the CSR RIG against the
-//! pre-refactor hashmap reference (build time + heap bytes + enumeration)
-//! on this workload and writes the artifact as `BENCH_rig.json`.
-//!
-//! `--threads 1,2,8` additionally sweeps **parallel RIG construction**
-//! (per-query-edge CSR blocks built on scoped worker threads) over the
-//! same workload and prints total build time per thread count.
 
 use rig_baselines::{Engine, GmEngine, Tm};
-use rig_bench::{
-    load, measure_pair, template_query_probed, totals_json, write_bench_json, Args,
-    PairMeasurement, Table,
-};
+use rig_bench::{load, template_query_probed, Args, Table};
 use rig_core::{GmConfig, SelectMode, Session};
 use rig_index::{build_rig, Rig, RigOptions};
 use rig_query::Flavor;
@@ -59,7 +48,6 @@ fn main() {
         build_rig(&ctx, &bfl, opts)
     };
     let tm = Tm::new(&g);
-    let mut measurements: Vec<PairMeasurement> = Vec::new();
 
     let mut size_t = Table::new(&["query", "GM%", "GM-S%", "GM-F%", "TM%"]);
     let mut build_t = Table::new(&["query", "GM", "GM-S", "GM-F", "TM"]);
@@ -90,37 +78,9 @@ fn main() {
         size_t.row(sizes);
         build_t.row(builds);
         query_t.row(times);
-
-        if args.json.is_some() {
-            measurements.push(measure_pair(&session, &format!("ep/HQ{id}"), &q, &budget));
-        }
     }
 
     size_t.print("Fig. 13(a): auxiliary-structure size, % of |G| (nodes+edges)");
     build_t.print("Fig. 13(b): auxiliary-structure construction time [s]");
     query_t.print("Fig. 13(c): total query time [s]");
-
-    if !args.threads.is_empty() {
-        let mut sweep = Table::new(&["threads", "total RIG build [s]", "Σ|RIG|"]);
-        for &t in &args.threads {
-            let cfg =
-                GmConfig { rig: RigOptions::default().with_build_threads(t), ..Default::default() };
-            let mut total_s = 0.0f64;
-            let mut total_size = 0u64;
-            for id in ids {
-                let q = template_query_probed(&g, &session, id, Flavor::H, args.seed);
-                let rig = build_only(&q, &cfg.rig);
-                total_s += (rig.stats.select_time + rig.stats.expand_time).as_secs_f64();
-                total_size += rig.stats.size();
-            }
-            sweep.row(vec![t.to_string(), format!("{total_s:.4}"), total_size.to_string()]);
-        }
-        sweep.print("Fig. 13 parallel RIG-construction sweep (build_threads)");
-    }
-
-    if let Some(path) = &args.json {
-        let records = measurements.iter().map(|m| m.to_json()).collect();
-        let totals = totals_json(&measurements);
-        write_bench_json(path, "fig13", &args, records, totals);
-    }
 }

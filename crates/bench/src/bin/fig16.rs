@@ -2,7 +2,8 @@
 //!
 //! (a) catalog building time per dataset. The OM cells reproduce the
 //!     paper's observed failures via the deterministic memory model (the
-//!     rule fires on the *full-scale* Table 2 statistics; see DESIGN.md).
+//!     rule fires on the *full-scale* Table 2 statistics; see
+//!     `rig_baselines::Catalog::BUILD_OOM_EDGES`).
 //! (b) GM vs GF query time on the datasets whose catalog builds.
 //!
 //! Expected shape: GF wins on few-label graphs (am/bs/go), GM wins (by

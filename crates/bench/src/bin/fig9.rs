@@ -3,24 +3,10 @@
 //! ISO is GM's enumerator with injectivity enforced (the isomorphism
 //! semantics of \[53\]); the paper compares it against the homomorphism
 //! engines on the same child-edge-only workloads.
-//!
-//! `--json <path>` additionally measures GM's CSR RIG + allocation-free
-//! MJoin against the in-process pre-refactor reference implementation on
-//! the same workload and writes the comparison (enumeration throughput,
-//! build time, heap bytes) as `BENCH_mjoin.json`.
-//!
-//! `--threads 1,2,8` additionally sweeps the morsel-driven parallel engine
-//! over the same workload (RIG built once per query, enumeration timed at
-//! each worker count); `--json-parallel <path>` writes the sweep as
-//! `BENCH_parallel.json` for the benchcheck speedup gate.
 
 use rig_baselines::{Budget, Engine, GmEngine, Jm, Tm};
-use rig_bench::{
-    load, measure_pair, measure_parallel, parallel_totals_json, random_queries,
-    template_query_probed, totals_json, write_bench_json, write_parallel_json, Args,
-    PairMeasurement, ParallelMeasurement, Table,
-};
-use rig_core::{GmConfig, Session};
+use rig_bench::{load, random_queries, template_query_probed, Args, Table};
+use rig_core::GmConfig;
 use rig_mjoin::EnumOptions;
 use rig_query::Flavor;
 
@@ -40,17 +26,10 @@ fn main() {
     let args = Args::parse();
     let budget = args.budget();
     let ids = [0usize, 3, 5, 6, 8, 17, 11, 12, 19, 10, 13, 14];
-    let mut measurements: Vec<PairMeasurement> = Vec::new();
-    let mut par_measurements: Vec<ParallelMeasurement> = Vec::new();
 
     for ds in ["ep", "bs"] {
         let g = std::sync::Arc::new(load(ds, &args));
         println!("# dataset {ds}: {:?}", g.stats());
-        // the engine-comparison harnesses borrow the graph; the parallel
-        // sweep (when requested) runs through the owning Session
-        // (cached-RIG execution). Built lazily — a Session carries its own
-        // reachability index, which a sweep-less run should not pay for.
-        let session = (!args.threads.is_empty()).then(|| Session::new(std::sync::Arc::clone(&g)));
         let gm = GmEngine::new(g.clone());
         let iso = GmEngine::with_config(g.clone(), iso_config(&budget), "ISO");
         let tm = Tm::new(&g);
@@ -70,18 +49,6 @@ fn main() {
                 ri.display_cell(),
                 rg.occurrences.to_string(),
             ]);
-            if args.json.is_some() {
-                measurements.push(measure_pair(gm.session(), &format!("{ds}/CQ{id}"), &q, &budget));
-            }
-            if !args.threads.is_empty() {
-                par_measurements.push(measure_parallel(
-                    session.as_ref().expect("sweep implies a session"),
-                    &format!("{ds}/CQ{id}"),
-                    &q,
-                    &budget,
-                    &args.threads,
-                ));
-            }
         }
         table.print(&format!("Fig. 9 ({ds}) C-query time [s]"));
     }
@@ -89,7 +56,6 @@ fn main() {
     // hu: random C-queries by size
     let g = std::sync::Arc::new(load("hu", &args));
     println!("# dataset hu: {:?}", g.stats());
-    let session = (!args.threads.is_empty()).then(|| Session::new(std::sync::Arc::clone(&g)));
     let gm = GmEngine::new(g.clone());
     let iso = GmEngine::with_config(g.clone(), iso_config(&budget), "ISO");
     let tm = Tm::new(&g);
@@ -101,53 +67,13 @@ fn main() {
         let rj = jm.evaluate(&q, &budget);
         let ri = iso.evaluate(&q, &budget);
         table.row(vec![
-            name.clone(),
+            name,
             rg.display_cell(),
             rt.display_cell(),
             rj.display_cell(),
             ri.display_cell(),
             rg.occurrences.to_string(),
         ]);
-        if args.json.is_some() {
-            measurements.push(measure_pair(gm.session(), &format!("hu/{name}"), &q, &budget));
-        }
-        if !args.threads.is_empty() {
-            par_measurements.push(measure_parallel(
-                session.as_ref().expect("sweep implies a session"),
-                &format!("hu/{name}"),
-                &q,
-                &budget,
-                &args.threads,
-            ));
-        }
     }
     table.print("Fig. 9 (hu) random C-query time [s]");
-
-    if let Some(path) = &args.json {
-        let records = measurements.iter().map(|m| m.to_json()).collect();
-        let totals = totals_json(&measurements);
-        write_bench_json(path, "fig9", &args, records, totals);
-    }
-
-    if !args.threads.is_empty() {
-        let totals = parallel_totals_json(&par_measurements, &args.threads);
-        let mut sweep_table = Table::new(&["threads", "enum [s]", "speedup"]);
-        if let Some(sweeps) = totals.get("sweeps").and_then(|s| s.as_arr()) {
-            for s in sweeps {
-                sweep_table.row(vec![
-                    format!("{}", s.get("threads").and_then(|v| v.as_f64()).unwrap_or(0.0)),
-                    format!("{:.3}", s.get("enum_s").and_then(|v| v.as_f64()).unwrap_or(0.0)),
-                    format!(
-                        "{:.2}x",
-                        s.get("speedup_vs_base").and_then(|v| v.as_f64()).unwrap_or(0.0)
-                    ),
-                ]);
-            }
-        }
-        sweep_table.print("Fig. 9 morsel-parallel enumeration sweep");
-        if let Some(path) = &args.json_parallel {
-            let records = par_measurements.iter().map(|m| m.to_json()).collect();
-            write_parallel_json(path, "fig9-parallel", &args, &args.threads, records, totals);
-        }
-    }
 }

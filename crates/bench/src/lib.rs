@@ -1,8 +1,8 @@
 //! Shared harness utilities for the experiment binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md's per-experiment index). All binaries accept the same
-//! flags:
+//! (the README's "Experiment harnesses" section lists them) and prints it
+//! as a text table. All binaries accept the same flags:
 //!
 //! ```text
 //! --scale <f64>     fraction of the Table 2 dataset sizes (default 0.02)
@@ -13,87 +13,61 @@
 //!
 //! Absolute times differ from the paper (different hardware, synthetic
 //! stand-in graphs, scaled sizes); the *relationships* between engines are
-//! what EXPERIMENTS.md records and compares.
-//!
-//! With `--json <path>` the fig9/fig13 harnesses additionally emit a
-//! machine-readable benchmark artifact (`BENCH_mjoin.json` /
-//! `BENCH_rig.json`) comparing the CSR RIG + allocation-free MJoin engine
-//! against the in-process pre-refactor reference implementation
-//! (`rig_index::reference`, `rig_mjoin::reference`), so the perf
-//! trajectory of the hot path is recorded across PRs.
+//! what the harnesses reproduce. Performance is measured by the
+//! repository's benchmark (`perfbench/`, declared in `BENCHMARK.json`),
+//! not by these binaries.
 
-pub mod json;
+use std::time::Duration;
 
-use std::time::{Duration, Instant};
-
-use json::JsonValue;
 use rig_baselines::Budget;
 use rig_core::Session;
 use rig_datasets::spec;
 use rig_graph::DataGraph;
-use rig_index::{build_rig, RigOptions};
-use rig_mjoin::EnumOptions;
 use rig_query::{random_query, template, Flavor, GeneratorConfig, PatternQuery};
-use rig_sim::SimContext;
 
 /// Common command-line arguments.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Args {
     pub scale: f64,
     pub seed: u64,
     pub timeout: Duration,
     pub limit: u64,
-    /// Emit a machine-readable benchmark artifact to this path.
-    pub json: Option<String>,
-    /// Thread counts for the parallel sweep (`--threads 1,2,8`); empty =
-    /// sweep disabled.
-    pub threads: Vec<usize>,
-    /// Emit the parallel-sweep artifact (`BENCH_parallel.json`) here.
-    pub json_parallel: Option<String>,
 }
 
 impl Default for Args {
     fn default() -> Self {
-        Args {
-            scale: 0.02,
-            seed: 42,
-            timeout: Duration::from_secs(10),
-            limit: 1_000_000,
-            json: None,
-            threads: Vec::new(),
-            json_parallel: None,
-        }
+        Args { scale: 0.02, seed: 42, timeout: Duration::from_secs(10), limit: 1_000_000 }
     }
 }
 
 impl Args {
-    /// Parses `--scale/--seed/--timeout/--limit/--json/--threads/
-    /// --json-parallel` from `std::env::args`.
+    /// Parses `--scale/--seed/--timeout/--limit` from `std::env::args`,
+    /// panicking on any argument [`Args::parse_from`] rejects.
     pub fn parse() -> Self {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse_from(&argv).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Parses the arguments after the program name. Every flag takes a
+    /// value; a flag without one, an unparsable value, an unknown flag and
+    /// a stray positional argument are all errors.
+    pub fn parse_from(argv: &[String]) -> Result<Self, String> {
+        fn value<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
+            let v = v.ok_or_else(|| format!("missing value for {flag}"))?;
+            v.parse().map_err(|_| format!("bad {flag} value {v:?}"))
+        }
         let mut out = Args::default();
-        let argv: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i + 1 < argv.len() {
-            match argv[i].as_str() {
-                "--scale" => out.scale = argv[i + 1].parse().expect("bad --scale"),
-                "--seed" => out.seed = argv[i + 1].parse().expect("bad --seed"),
-                "--timeout" => {
-                    out.timeout = Duration::from_secs(argv[i + 1].parse().expect("bad --timeout"))
-                }
-                "--limit" => out.limit = argv[i + 1].parse().expect("bad --limit"),
-                "--json" => out.json = Some(argv[i + 1].clone()),
-                "--threads" => out.threads = parse_thread_list(&argv[i + 1]),
-                "--json-parallel" => out.json_parallel = Some(argv[i + 1].clone()),
-                other => panic!("unknown flag {other}"),
+        let mut it = argv.iter();
+        while let Some(flag) = it.next() {
+            match flag.as_str() {
+                "--scale" => out.scale = value(flag, it.next())?,
+                "--seed" => out.seed = value(flag, it.next())?,
+                "--timeout" => out.timeout = Duration::from_secs(value(flag, it.next())?),
+                "--limit" => out.limit = value(flag, it.next())?,
+                other => return Err(format!("unknown argument {other}")),
             }
-            i += 2;
         }
-        // The parallel artifact implies a sweep; default to the CI gate's
-        // thread counts when --threads was not given explicitly.
-        if out.json_parallel.is_some() && out.threads.is_empty() {
-            out.threads = vec![1, 2, 8];
-        }
-        out
+        Ok(out)
     }
 
     /// The evaluation budget derived from the flags.
@@ -104,21 +78,6 @@ impl Args {
             match_limit: Some(self.limit),
         }
     }
-}
-
-/// Parses a `--threads` value: a comma-separated list of worker counts
-/// (`"1,2,8"`), deduplicated, in the given order.
-pub fn parse_thread_list(s: &str) -> Vec<usize> {
-    let mut out: Vec<usize> = Vec::new();
-    for part in s.split(',') {
-        let t: usize = part.trim().parse().unwrap_or_else(|_| panic!("bad thread count {part:?}"));
-        assert!(t >= 1, "thread counts must be >= 1");
-        if !out.contains(&t) {
-            out.push(t);
-        }
-    }
-    assert!(!out.is_empty(), "--threads needs at least one count");
-    out
 }
 
 /// Generates dataset `name` at the configured scale. Small datasets (the
@@ -202,8 +161,7 @@ pub fn random_queries(
     out
 }
 
-/// Fixed-width table printer (markdown-ish, stable output for golden
-/// comparison in EXPERIMENTS.md).
+/// Fixed-width table printer (markdown-ish, stable column layout).
 pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -249,386 +207,6 @@ pub fn secs(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
 }
 
-/// One CSR-vs-reference measurement of a single query: RIG build time and
-/// heap footprint for both layouts, plus MJoin enumeration time / steps /
-/// matches / budget outcome for both engines, under the same limit/timeout
-/// budget. Matches and budget flags are recorded **per engine**, because a
-/// timeout or limit hitting only one side makes the raw times
-/// incomparable; [`totals_json`] only aggregates throughput over queries
-/// where both engines finished under identical conditions.
-pub struct PairMeasurement {
-    pub name: String,
-    pub csr_build_s: f64,
-    pub csr_heap_bytes: usize,
-    pub csr_enum_s: f64,
-    pub csr_steps: u64,
-    pub csr_matches: u64,
-    pub csr_timed_out: bool,
-    pub csr_limit_hit: bool,
-    pub ref_build_s: f64,
-    pub ref_heap_bytes: usize,
-    pub ref_enum_s: f64,
-    pub ref_steps: u64,
-    pub ref_matches: u64,
-    pub ref_timed_out: bool,
-    pub ref_limit_hit: bool,
-}
-
-impl PairMeasurement {
-    /// Both engines enumerated the same answer set under the same budget
-    /// outcome (neither tripped, or both hit the identical match limit),
-    /// so their times measure the same work.
-    pub fn comparable(&self) -> bool {
-        !self.csr_timed_out
-            && !self.ref_timed_out
-            && self.csr_limit_hit == self.ref_limit_hit
-            && self.csr_matches == self.ref_matches
-    }
-}
-
-/// Measures `query` on both implementations (CSR first, then reference) in
-/// the same process; both RIGs use the paper-default build options and both
-/// enumerations the same budget, so the numbers are directly comparable.
-pub fn measure_pair(
-    session: &Session,
-    name: &str,
-    query: &PatternQuery,
-    budget: &Budget,
-) -> PairMeasurement {
-    let bfl = session.bfl();
-    let snapshot = session.graph();
-    let ctx = SimContext::new(&snapshot, query, &*bfl);
-    let bfl = &*bfl;
-    let opts = RigOptions::default();
-    let eo =
-        EnumOptions { limit: budget.match_limit, timeout: budget.timeout, ..Default::default() };
-
-    let start = Instant::now();
-    let rig = build_rig(&ctx, bfl, &opts);
-    let csr_build_s = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let csr = rig_mjoin::count(query, &rig, &eo);
-    let csr_enum_s = start.elapsed().as_secs_f64();
-
-    let start = Instant::now();
-    let ref_rig = rig_index::reference::build_reference_rig(&ctx, bfl, &opts);
-    let ref_build_s = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let reference = rig_mjoin::reference::ref_count(query, &ref_rig, &eo);
-    let ref_enum_s = start.elapsed().as_secs_f64();
-
-    // Prop. 4.1: any valid RIG is lossless, so both engines must agree on
-    // the answer whenever neither budget tripped.
-    if !csr.timed_out && !reference.timed_out && !csr.limit_hit && !reference.limit_hit {
-        assert_eq!(csr.count, reference.count, "CSR vs reference count mismatch on {name}");
-    }
-
-    PairMeasurement {
-        name: name.to_string(),
-        csr_build_s,
-        csr_heap_bytes: rig.heap_bytes(),
-        csr_enum_s,
-        csr_steps: csr.steps,
-        csr_matches: csr.count,
-        csr_timed_out: csr.timed_out,
-        csr_limit_hit: csr.limit_hit,
-        ref_build_s,
-        ref_heap_bytes: ref_rig.heap_bytes(),
-        ref_enum_s,
-        ref_steps: reference.steps,
-        ref_matches: reference.count,
-        ref_timed_out: reference.timed_out,
-        ref_limit_hit: reference.limit_hit,
-    }
-}
-
-impl PairMeasurement {
-    /// The per-query JSON record.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("query", self.name.as_str().into()),
-            ("comparable", JsonValue::Bool(self.comparable())),
-            (
-                "csr",
-                JsonValue::obj(vec![
-                    ("build_s", self.csr_build_s.into()),
-                    ("heap_bytes", self.csr_heap_bytes.into()),
-                    ("enum_s", self.csr_enum_s.into()),
-                    ("steps", self.csr_steps.into()),
-                    ("matches", self.csr_matches.into()),
-                    ("timed_out", JsonValue::Bool(self.csr_timed_out)),
-                    ("limit_hit", JsonValue::Bool(self.csr_limit_hit)),
-                ]),
-            ),
-            (
-                "reference",
-                JsonValue::obj(vec![
-                    ("build_s", self.ref_build_s.into()),
-                    ("heap_bytes", self.ref_heap_bytes.into()),
-                    ("enum_s", self.ref_enum_s.into()),
-                    ("steps", self.ref_steps.into()),
-                    ("matches", self.ref_matches.into()),
-                    ("timed_out", JsonValue::Bool(self.ref_timed_out)),
-                    ("limit_hit", JsonValue::Bool(self.ref_limit_hit)),
-                ]),
-            ),
-        ])
-    }
-}
-
-/// Aggregates measurements into the `totals` object: enumeration
-/// throughput (matches/s) for both engines, the speedup ratio, and the
-/// heap/build comparison — the metrics `BENCH_*.json` exists to track.
-///
-/// Throughput and speedup are computed only over **comparable** queries
-/// (both engines finished the same work — see
-/// [`PairMeasurement::comparable`]); queries where a budget tripped one
-/// side are counted in `incomparable_queries` instead of silently skewing
-/// the ratios. Build time and heap totals cover every query — builds run
-/// without a budget.
-pub fn totals_json(ms: &[PairMeasurement]) -> JsonValue {
-    let comparable: Vec<&PairMeasurement> = ms.iter().filter(|m| m.comparable()).collect();
-    let csr_enum_s: f64 = comparable.iter().map(|m| m.csr_enum_s).sum();
-    let ref_enum_s: f64 = comparable.iter().map(|m| m.ref_enum_s).sum();
-    let matches: u64 = comparable.iter().map(|m| m.csr_matches).sum();
-    let csr_build_s: f64 = ms.iter().map(|m| m.csr_build_s).sum();
-    let ref_build_s: f64 = ms.iter().map(|m| m.ref_build_s).sum();
-    let csr_heap: usize = ms.iter().map(|m| m.csr_heap_bytes).sum();
-    let ref_heap: usize = ms.iter().map(|m| m.ref_heap_bytes).sum();
-    let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
-    let csr_tput = ratio(matches as f64, csr_enum_s);
-    let ref_tput = ratio(matches as f64, ref_enum_s);
-    JsonValue::obj(vec![
-        ("queries", ms.len().into()),
-        ("comparable_queries", comparable.len().into()),
-        ("incomparable_queries", (ms.len() - comparable.len()).into()),
-        ("matches", matches.into()),
-        ("csr_enum_s", csr_enum_s.into()),
-        ("ref_enum_s", ref_enum_s.into()),
-        ("csr_throughput_per_s", csr_tput.into()),
-        ("ref_throughput_per_s", ref_tput.into()),
-        ("enum_speedup", ratio(csr_tput, ref_tput).into()),
-        ("csr_build_s", csr_build_s.into()),
-        ("ref_build_s", ref_build_s.into()),
-        ("build_speedup", ratio(ref_build_s, csr_build_s).into()),
-        ("csr_heap_bytes", csr_heap.into()),
-        ("ref_heap_bytes", ref_heap.into()),
-        (
-            "heap_reduction_pct",
-            (100.0 * (1.0 - ratio(csr_heap as f64, ref_heap.max(1) as f64))).into(),
-        ),
-    ])
-}
-
-/// One thread-count point of a parallel sweep over a single query.
-#[derive(Debug, Clone)]
-pub struct ParRun {
-    pub threads: usize,
-    pub enum_s: f64,
-    pub matches: u64,
-    pub steps: u64,
-    pub timed_out: bool,
-    pub limit_hit: bool,
-}
-
-/// Thread-count sweep of the morsel-driven engine over one query: the RIG
-/// is built once, then enumeration is timed at each worker count on the
-/// identical index under the identical budget.
-#[derive(Debug, Clone)]
-pub struct ParallelMeasurement {
-    pub name: String,
-    pub runs: Vec<ParRun>,
-}
-
-impl ParallelMeasurement {
-    /// Every thread count finished the same work: no timeouts, and the
-    /// match count / limit outcome is identical across the sweep, so the
-    /// wall-clock ratios are genuine speedups.
-    pub fn comparable(&self) -> bool {
-        self.runs.iter().all(|r| !r.timed_out)
-            && self
-                .runs
-                .windows(2)
-                .all(|w| w[0].matches == w[1].matches && w[0].limit_hit == w[1].limit_hit)
-    }
-
-    /// The per-query JSON record.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("query", self.name.as_str().into()),
-            ("comparable", JsonValue::Bool(self.comparable())),
-            (
-                "runs",
-                JsonValue::Arr(
-                    self.runs
-                        .iter()
-                        .map(|r| {
-                            JsonValue::obj(vec![
-                                ("threads", r.threads.into()),
-                                ("enum_s", r.enum_s.into()),
-                                ("matches", r.matches.into()),
-                                ("steps", r.steps.into()),
-                                ("timed_out", JsonValue::Bool(r.timed_out)),
-                                ("limit_hit", JsonValue::Bool(r.limit_hit)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-/// Runs the parallel sweep for one query through the Session API: the
-/// query is prepared once, the first thread count's run builds (and
-/// caches) the RIG, and every later count reuses the cached plan — the
-/// sweep measures enumeration only, as before, now via the same code path
-/// applications use. Doubles as an in-harness differential check:
-/// whenever no budget tripped, all thread counts must report the
-/// identical match count.
-pub fn measure_parallel(
-    session: &rig_core::Session,
-    name: &str,
-    query: &PatternQuery,
-    budget: &Budget,
-    thread_counts: &[usize],
-) -> ParallelMeasurement {
-    let prepared = session
-        .prepare(query)
-        .unwrap_or_else(|e| panic!("{name}: workload query must prepare: {e}"));
-    // Charge the RIG build to the prepare side of the ledger, not to the
-    // first swept thread count.
-    let _ = prepared.run().explain();
-    let mut runs = Vec::with_capacity(thread_counts.len());
-    for &t in thread_counts {
-        let mut run = prepared.run().threads(t);
-        if let Some(l) = budget.match_limit {
-            run = run.limit(l);
-        }
-        if let Some(d) = budget.timeout {
-            run = run.timeout(d);
-        }
-        let start = Instant::now();
-        let o = run.count();
-        assert!(o.metrics.rig_from_cache, "{name}: sweep must reuse the cached RIG");
-        let r = o.result;
-        runs.push(ParRun {
-            threads: t,
-            enum_s: start.elapsed().as_secs_f64(),
-            matches: r.count,
-            steps: r.steps,
-            timed_out: r.timed_out,
-            limit_hit: r.limit_hit,
-        });
-    }
-    let clean: Vec<&ParRun> = runs.iter().filter(|r| !r.timed_out && !r.limit_hit).collect();
-    for pair in clean.windows(2) {
-        assert_eq!(
-            pair[0].matches, pair[1].matches,
-            "{name}: thread counts {} and {} disagree on the answer",
-            pair[0].threads, pair[1].threads
-        );
-    }
-    ParallelMeasurement { name: name.to_string(), runs }
-}
-
-/// Aggregates a parallel sweep into its `totals` object: total enumeration
-/// time per thread count over **comparable** queries, the speedup of each
-/// count versus the first (baseline) count, and the best speedup — the
-/// number the CI gate asserts on.
-pub fn parallel_totals_json(ms: &[ParallelMeasurement], thread_counts: &[usize]) -> JsonValue {
-    let comparable: Vec<&ParallelMeasurement> = ms.iter().filter(|m| m.comparable()).collect();
-    let sum_at = |t: usize| -> f64 {
-        comparable
-            .iter()
-            .map(|m| m.runs.iter().find(|r| r.threads == t).map_or(0.0, |r| r.enum_s))
-            .sum()
-    };
-    let base_threads = thread_counts.first().copied().unwrap_or(1);
-    let base_s = sum_at(base_threads);
-    let matches: u64 = comparable.iter().map(|m| m.runs.first().map_or(0, |r| r.matches)).sum();
-    let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
-    let mut best_speedup = 0.0f64;
-    let sweeps: Vec<JsonValue> = thread_counts
-        .iter()
-        .map(|&t| {
-            let s = sum_at(t);
-            let speedup = ratio(base_s, s);
-            if t != base_threads {
-                best_speedup = best_speedup.max(speedup);
-            }
-            JsonValue::obj(vec![
-                ("threads", t.into()),
-                ("enum_s", s.into()),
-                ("throughput_per_s", ratio(matches as f64, s).into()),
-                ("speedup_vs_base", speedup.into()),
-            ])
-        })
-        .collect();
-    JsonValue::obj(vec![
-        ("queries", ms.len().into()),
-        ("comparable_queries", comparable.len().into()),
-        ("incomparable_queries", (ms.len() - comparable.len()).into()),
-        ("matches", matches.into()),
-        ("base_threads", base_threads.into()),
-        ("sweeps", JsonValue::Arr(sweeps)),
-        ("best_speedup", best_speedup.into()),
-    ])
-}
-
-/// Writes the parallel-sweep artifact (`BENCH_parallel.json`): flagged
-/// `"parallel": true` for `benchcheck`, self-describing about the hardware
-/// (`hw_threads`) so a committed artifact from a small machine is read in
-/// context.
-pub fn write_parallel_json(
-    path: &str,
-    harness: &str,
-    args: &Args,
-    thread_counts: &[usize],
-    records: Vec<JsonValue>,
-    totals: JsonValue,
-) {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let doc = JsonValue::obj(vec![
-        ("harness", harness.into()),
-        ("parallel", JsonValue::Bool(true)),
-        ("scale", args.scale.into()),
-        ("seed", args.seed.into()),
-        ("timeout_s", args.timeout.as_secs_f64().into()),
-        ("limit", args.limit.into()),
-        ("hw_threads", hw.into()),
-        ("morsel", rig_mjoin::parallel::DEFAULT_MORSEL.into()),
-        ("thread_counts", JsonValue::Arr(thread_counts.iter().map(|&t| t.into()).collect())),
-        ("baseline", "morsel engine at the first (base) thread count".into()),
-        ("queries", JsonValue::Arr(records)),
-        ("totals", totals),
-    ]);
-    std::fs::write(path, doc.to_pretty()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("\nwrote {path}");
-}
-
-/// Wraps records + totals in the top-level artifact and writes it.
-pub fn write_bench_json(
-    path: &str,
-    harness: &str,
-    args: &Args,
-    records: Vec<JsonValue>,
-    totals: JsonValue,
-) {
-    let doc = JsonValue::obj(vec![
-        ("harness", harness.into()),
-        ("scale", args.scale.into()),
-        ("seed", args.seed.into()),
-        ("timeout_s", args.timeout.as_secs_f64().into()),
-        ("limit", args.limit.into()),
-        ("baseline", "pre-CSR hashmap RIG + materializing multi_and MJoin".into()),
-        ("queries", JsonValue::Arr(records)),
-        ("totals", totals),
-    ]);
-    std::fs::write(path, doc.to_pretty()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("\nwrote {path}");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -668,59 +246,44 @@ mod tests {
         }
     }
 
-    #[test]
-    fn thread_list_parses_and_dedups() {
-        assert_eq!(parse_thread_list("1,2,8"), vec![1, 2, 8]);
-        assert_eq!(parse_thread_list("4, 4 ,2"), vec![4, 2]);
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
     }
 
     #[test]
-    fn parallel_measurement_roundtrip() {
-        let m = ParallelMeasurement {
-            name: "q".into(),
-            runs: vec![
-                ParRun {
-                    threads: 1,
-                    enum_s: 0.4,
-                    matches: 10,
-                    steps: 20,
-                    timed_out: false,
-                    limit_hit: false,
-                },
-                ParRun {
-                    threads: 8,
-                    enum_s: 0.1,
-                    matches: 10,
-                    steps: 22,
-                    timed_out: false,
-                    limit_hit: false,
-                },
-            ],
-        };
-        assert!(m.comparable());
-        let totals = parallel_totals_json(&[m], &[1, 8]);
-        let sweeps = totals.get("sweeps").unwrap().as_arr().unwrap();
-        assert_eq!(sweeps.len(), 2);
-        let speedup = totals.get("best_speedup").unwrap().as_f64().unwrap();
-        assert!((speedup - 4.0).abs() < 1e-9, "0.4s -> 0.1s is a 4x speedup, got {speedup}");
+    fn args_parse_all_flags() {
+        let a = Args::parse_from(&argv(&[
+            "--scale",
+            "0.5",
+            "--seed",
+            "3",
+            "--timeout",
+            "2",
+            "--limit",
+            "100",
+        ]))
+        .unwrap();
+        assert_eq!(a, Args { scale: 0.5, seed: 3, timeout: Duration::from_secs(2), limit: 100 });
+        assert_eq!(Args::parse_from(&[]).unwrap(), Args::default());
     }
 
     #[test]
-    fn timed_out_sweep_is_incomparable() {
-        let m = ParallelMeasurement {
-            name: "q".into(),
-            runs: vec![ParRun {
-                threads: 1,
-                enum_s: 2.0,
-                matches: 5,
-                steps: 9,
-                timed_out: true,
-                limit_hit: false,
-            }],
-        };
-        assert!(!m.comparable());
-        let totals = parallel_totals_json(&[m], &[1]);
-        assert_eq!(totals.get("comparable_queries").unwrap().as_f64(), Some(0.0));
+    fn args_reject_trailing_flag_without_value() {
+        let e = Args::parse_from(&argv(&["--scale"])).unwrap_err();
+        assert!(e.contains("--scale"), "{e}");
+        let e = Args::parse_from(&argv(&["--seed", "3", "--timeout"])).unwrap_err();
+        assert!(e.contains("--timeout"), "{e}");
+        // a flag is never taken as the previous flag's value
+        assert!(Args::parse_from(&argv(&["--seed", "--timeout", "2"])).is_err());
+    }
+
+    #[test]
+    fn args_reject_stray_and_unknown_arguments() {
+        let e = Args::parse_from(&argv(&["stray"])).unwrap_err();
+        assert!(e.contains("stray"), "{e}");
+        let e = Args::parse_from(&argv(&["--seed", "3", "extra"])).unwrap_err();
+        assert!(e.contains("extra"), "{e}");
+        assert!(Args::parse_from(&argv(&["--json", "out.json"])).is_err());
     }
 
     #[test]

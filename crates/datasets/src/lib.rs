@@ -6,8 +6,10 @@
 //! degree — using the structural model appropriate to each domain
 //! (preferential attachment for social/web/product graphs, Erdős–Rényi for
 //! biological and communication graphs) and a Zipf label distribution
-//! (real label frequencies are heavily skewed). See DESIGN.md,
-//! "Substitutions", for why this preserves the experiments' shape.
+//! (real label frequencies are heavily skewed). The experiments compare
+//! engines on identical inputs, so matching these statistics preserves
+//! their shape even though absolute times differ (README, "Experiment
+//! harnesses").
 //!
 //! Every generator is deterministic in `(spec, scale, seed)`.
 //!

@@ -502,8 +502,8 @@ impl DeltaOverlay {
     /// target (e.g. removing an edge from an empty graph).
     ///
     /// This is the single source of the mutation workload shared by the
-    /// update-vs-rebuild differential suite and the `bench_updates`
-    /// harness: generate against a scratch clone, [`DeltaOverlay::apply`]
+    /// update-vs-rebuild, factorized and analysis differential suites:
+    /// generate against a scratch clone, [`DeltaOverlay::apply`]
     /// there to validate, and stage accepted ops on the real transaction.
     pub fn random_mutation(&self, state: &mut u64, num_labels: Label) -> Option<MutationOp> {
         let n = self.num_nodes() as NodeId;
@@ -582,8 +582,7 @@ fn xorshift(state: &mut u64) -> u64 {
 /// `(base graph, seed)`.
 ///
 /// This is the shared workload of the durability layer's kill-and-recover
-/// differential suite, the crash-recovery proptests, and `bench_storage`:
-/// the writer under test and the verifying reference both replay *the
+/// differential suite and the crash-recovery proptests: the writer under test and the verifying reference both replay *the
 /// same* commit sequence from the same seed, so "the store holding exactly
 /// the first `k` transactions" is reproducible anywhere.
 pub struct MutationStream {

@@ -1,6 +1,5 @@
 //! A small FxHash-style hasher so the workspace avoids pulling an extra
-//! dependency (see DESIGN.md "Extra dependency justification"). The
-//! algorithm is the multiply-rotate word hasher used by rustc; it is weak
+//! dependency. The algorithm is the multiply-rotate word hasher used by rustc; it is weak
 //! against adversarial keys but ideal for dense integer ids.
 
 use std::collections::{HashMap, HashSet};

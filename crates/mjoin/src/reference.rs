@@ -4,11 +4,11 @@
 //! per recursion step and a clone of the base candidate set at the
 //! unconstrained root.
 //!
-//! Used only by differential tests and by the `--json` benchmark harnesses
-//! as the in-process baseline; see `rig_index::reference` for the same
-//! story on the index side. `Bj` ordering falls back to `Jo` here — the
-//! baseline comparisons run on `Jo`/`Ri`, which both engines order
-//! identically for identical candidate sets.
+//! Used only by the differential suites, as the oracle; see
+//! `rig_index::reference` for the same story on the index side. `Bj`
+//! ordering falls back to `Jo` here — the differential comparisons run on
+//! `Jo`/`Ri`, which both engines order identically for identical candidate
+//! sets.
 
 use std::time::Instant;
 

@@ -2,7 +2,7 @@
 //!
 //! The paper's figure is graphical and not included in the text, so the
 //! exact drawings are not recoverable; these templates are reconstructed to
-//! satisfy every textual constraint (see DESIGN.md): the class grouping
+//! satisfy every textual constraint of the paper: the class grouping
 //! used by Figs. 8/9/12/13 — Acyc {HQ0, HQ3, HQ5}, Cyc {HQ6, HQ8, HQ17},
 //! Clique {HQ11, HQ12, HQ19}, Combo {HQ10, HQ13, HQ14, HQ16} — plus HQ2
 //! being a tree pattern (§7.3) and HQ19 a 7-clique (§7.2).

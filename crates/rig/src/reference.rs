@@ -4,15 +4,10 @@
 //! simulation from the raw match sets and intersecting with the pre-filter
 //! afterwards.
 //!
-//! It exists for two jobs only:
-//!
-//! * **differential testing** — `csr_vs_reference` proptests assert the CSR
-//!   [`crate::Rig`] produces identical candidate sets, adjacency and MJoin
-//!   counts;
-//! * **baseline benchmarking** — the `--json` experiment harnesses and the
-//!   criterion suite measure the CSR layout against this implementation in
-//!   the same process, which is what `BENCH_mjoin.json` / `BENCH_rig.json`
-//!   record.
+//! It exists for one job only: it is the **oracle** of the differential
+//! suites. The `csr_vs_reference` proptests assert the CSR [`crate::Rig`]
+//! produces identical candidate sets, adjacency and MJoin counts, and the
+//! `engine_matrix` suite checks the CSR engine's answers against it.
 //!
 //! Do not use it in new code paths; it is strictly slower and larger.
 

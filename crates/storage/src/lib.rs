@@ -133,7 +133,7 @@ pub(crate) fn corrupt(path: &Path, detail: impl Into<String>) -> StorageError {
 }
 
 /// What [`DurableStore::open`] did to bring the store back: the witness the
-/// `recover` subcommand prints and `bench_storage` verifies against.
+/// `recover` subcommand prints and the crash-recovery suites verify against.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
     /// Version captured by the segment recovery started from.

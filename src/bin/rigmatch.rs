@@ -33,11 +33,11 @@
 //! (empty labels, impossible direct edges, refuted reachability),
 //! redundancy lints and cost warnings — see `docs/analysis.md` for the
 //! lint-code table. Text output renders rustc-style caret underlines over
-//! the query source; `--format json` emits the machine schema benchcheck
-//! validates. Exit code: `0` clean (or warnings/notes only), `8` any
-//! error-severity finding, `3` if the query text failed to parse. With
-//! `--mutations <file>` the script is applied first, so proofs read
-//! through the delta overlay.
+//! the query source; `--format json` emits the machine-readable `analysis`
+//! schema (see `docs/analysis.md`). Exit code: `0` clean (or warnings/notes
+//! only), `8` any error-severity finding, `3` if the query text failed to
+//! parse. With `--mutations <file>` the script is applied first, so
+//! proofs read through the delta overlay.
 //!
 //! `explain` (first argument) prints the plan instead of running it: the
 //! query as given, its transitive reduction, the RIG statistics, the

@@ -9,13 +9,17 @@
 //! query (the engine finds a match) can never carry an emptiness proof.
 //! The deterministic tests pin both directions down so the property
 //! tests cannot pass vacuously.
+//!
+//! Every report the suite produces — from the pattern and from its HPQL
+//! text — also passes the `analysis` JSON schema invariants, structured
+//! and rendered ([`assert_report_schema`]).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rigmatch::core::{GmConfig, Session};
+use rigmatch::core::{GmConfig, Report, Session, Severity};
 use rigmatch::graph::{CommitImpact, DeltaOverlay, GraphBuilder, NodeId};
-use rigmatch::query::{template, template_count, EdgeKind, Flavor, PatternQuery};
+use rigmatch::query::{template, template_count, to_hpql, EdgeKind, Flavor, PatternQuery};
 use rigmatch::rig::{RigOptions, SelectMode};
 
 const NUM_LABELS: u32 = 3;
@@ -55,6 +59,92 @@ fn workload(seed: u64) -> Vec<PatternQuery> {
     out
 }
 
+const KNOWN_CODES: [&str; 12] = [
+    "P001", "A001", "A002", "E101", "E102", "E103", "R201", "R202", "R203", "C301", "C302", "C303",
+];
+const PROOF_CODES: [&str; 3] = ["E101", "E102", "E103"];
+
+/// The raw value of `key` in flat JSON text: a number or literal up to the
+/// next `,`/`}`/newline, or a string's (still escaped) contents.
+fn json_value<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\": ");
+    let rest = &text[text.find(&needle)? + needle.len()..];
+    match rest.strip_prefix('"') {
+        Some(s) => {
+            let mut escaped = false;
+            let end = s.char_indices().find(|&(_, c)| {
+                let closes = c == '"' && !escaped;
+                escaped = c == '\\' && !escaped;
+                closes
+            })?;
+            Some(&s[..end.0])
+        }
+        None => Some(rest[..rest.find([',', '}', '\n']).unwrap_or(rest.len())].trim()),
+    }
+}
+
+/// The `analysis` schema invariants, on the structured [`Report`] and on
+/// its `to_json()` rendering: the declared `errors`/`warnings`/`notes`
+/// equal the diagnostics counted by severity, `proven_empty` holds
+/// exactly when an E101/E102/E103 diagnostic is present, and a span is
+/// all-or-nothing (`line`, `col` and `len` together, or none).
+fn assert_report_schema(report: &Report, ctx: &str) {
+    let by_severity = |s: Severity| report.diagnostics.iter().filter(|d| d.severity == s).count();
+    let counted =
+        (by_severity(Severity::Error), by_severity(Severity::Warning), by_severity(Severity::Note));
+    assert_eq!(report.counts(), counted, "{ctx}: declared severity counts");
+    let has_proof = report.diagnostics.iter().any(|d| PROOF_CODES.contains(&d.code.as_str()));
+    assert_eq!(report.proven_empty(), has_proof, "{ctx}: proven_empty vs proof codes");
+
+    let json = report.to_json();
+    assert_eq!(json_value(&json, "analysis"), Some("true"), "{ctx}:\n{json}");
+    let query = json.lines().find_map(|l| l.strip_prefix("  \"query\": "));
+    assert!(
+        query.is_some_and(|q| q == "null," || q.starts_with('"')),
+        "{ctx}: query must be a string or null:\n{json}"
+    );
+    let lines: Vec<&str> = json.lines().filter(|l| l.starts_with("    {")).collect();
+    assert_eq!(lines.len(), report.diagnostics.len(), "{ctx}: one line per diagnostic:\n{json}");
+    let (mut errors, mut warnings, mut notes, mut any_proof) = (0, 0, 0, false);
+    for (line, d) in lines.iter().zip(&report.diagnostics) {
+        let code = json_value(line, "code").unwrap_or_else(|| panic!("{ctx}: no code: {line}"));
+        assert!(KNOWN_CODES.contains(&code), "{ctx}: unknown lint code {code}");
+        any_proof |= PROOF_CODES.contains(&code);
+        match json_value(line, "severity") {
+            Some("error") => errors += 1,
+            Some("warning") => warnings += 1,
+            Some("note") => notes += 1,
+            other => panic!("{ctx}: severity {other:?} in {line}"),
+        }
+        assert!(json_value(line, "message").is_some(), "{ctx}: no message: {line}");
+        let span = ["line", "col", "len"].map(|k| {
+            json_value(line, k).map(|v| {
+                v.parse::<u64>().unwrap_or_else(|_| panic!("{ctx}: {k} {v:?} not a number"))
+            })
+        });
+        assert!(
+            span.iter().all(Option::is_some) || span.iter().all(Option::is_none),
+            "{ctx}: partial span in {line}"
+        );
+        assert_eq!(span[0].is_some(), d.span.is_some(), "{ctx}: span rendering: {line}");
+    }
+    for (key, n) in [("errors", errors), ("warnings", warnings), ("notes", notes)] {
+        assert_eq!(json_value(&json, key), Some(n.to_string().as_str()), "{ctx}: {key}:\n{json}");
+    }
+    let proven = if any_proof { "true" } else { "false" };
+    assert_eq!(json_value(&json, "proven_empty"), Some(proven), "{ctx}:\n{json}");
+}
+
+/// [`Session::analyze_pattern`] plus the schema check, which also runs on
+/// the report for the pattern's HPQL text (the one with spans and source).
+fn analyze_checked(session: &Session, q: &PatternQuery, ctx: &str) -> Report {
+    let report = session.analyze_pattern(q);
+    assert_report_schema(&report, ctx);
+    let text = to_hpql(q, None, |_| None);
+    assert_report_schema(&session.analyze(&text), &format!("{ctx} text {text:?}"));
+    report
+}
+
 /// The soundness invariant for one session snapshot: each proven-empty
 /// query must count 0 through the DP path and through forced
 /// enumeration. Returns how many proofs were exercised so callers can
@@ -62,7 +152,7 @@ fn workload(seed: u64) -> Vec<PatternQuery> {
 fn check_soundness(session: &Session, ctx: &str, seed: u64) -> usize {
     let mut proven = 0;
     for (qi, q) in workload(seed).iter().enumerate() {
-        let report = session.analyze_pattern(q);
+        let report = analyze_checked(session, q, &format!("{ctx}: query {qi}"));
         if !report.proven_empty() {
             continue;
         }
@@ -193,20 +283,20 @@ fn emptiness_proofs_fire_and_the_engine_agrees() {
             GmConfig { rig: RigOptions { select, ..RigOptions::exact() }, ..GmConfig::default() };
         let session = Session::with_config(g.clone(), cfg);
         for q in [&reversed_direct, &reversed_reach] {
-            let report = session.analyze_pattern(q);
+            let report = analyze_checked(&session, q, &format!("select={select:?}"));
             assert!(report.proven_empty(), "select={select:?}:\n{}", report.render_compact());
             let p = session.prepare(q).expect("labels are in range");
             assert_eq!(p.run().count().result.count, 0, "select={select:?}");
             assert_eq!(p.run().force_enumerate().count().result.count, 0, "select={select:?}");
         }
         // the satisfiable direction carries no proof
-        assert!(!session.analyze_pattern(&forward).proven_empty());
+        assert!(!analyze_checked(&session, &forward, &format!("select={select:?}")).proven_empty());
 
         // dirty snapshot: delete 0->1, the forward edge becomes provable
         let mut txn = session.begin();
         txn.push(rigmatch::graph::MutationOp::RemoveEdge(0, 1));
         session.commit(txn).expect("edge exists");
-        let report = session.analyze_pattern(&forward);
+        let report = analyze_checked(&session, &forward, &format!("select={select:?} dirty"));
         assert!(report.proven_empty(), "select={select:?}:\n{}", report.render_compact());
         let p = session.prepare(&forward).expect("labels are in range");
         assert_eq!(p.run().count().result.count, 0, "select={select:?} dirty");
@@ -229,7 +319,7 @@ fn satisfiable_fig9_templates_are_never_flagged() {
                 continue;
             }
             satisfiable += 1;
-            let report = session.analyze_pattern(&q);
+            let report = analyze_checked(&session, &q, &format!("template {id} {flavor:?}"));
             assert!(
                 !report.proven_empty(),
                 "template {id} flavor {flavor:?} has matches but was proven empty:\n{}",

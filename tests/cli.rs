@@ -301,3 +301,100 @@ fn limit_and_order_flags() {
         assert_eq!(String::from_utf8(out.stdout).unwrap().trim(), "1", "{order}");
     }
 }
+
+/// One HTTP request over its own connection (`rigmatch serve` answers
+/// `Connection: close`); returns the status code and the body.
+fn http(addr: &str, method: &str, target: &str, body: &str) -> (u16, String) {
+    use std::io::Read;
+    let mut s = std::net::TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+    let request = format!(
+        "{method} {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    s.write_all(request.as_bytes()).unwrap();
+    // accumulate by hand: a reset at the tail must not discard the bytes
+    // already received
+    let (mut bytes, mut buf) = (Vec::new(), [0u8; 4096]);
+    while let Ok(n @ 1..) = s.read(&mut buf) {
+        bytes.extend_from_slice(&buf[..n]);
+    }
+    let response = String::from_utf8(bytes).unwrap();
+    let status = response.split_whitespace().nth(1).and_then(|v| v.parse().ok());
+    let (_, body) = response.split_once("\r\n\r\n").unwrap_or(("", ""));
+    (status.unwrap_or_else(|| panic!("bad status line in {response:?}")), body.to_string())
+}
+
+/// Kills the server child if the test fails before it exits on its own.
+struct KillOnDrop(std::process::Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// A real `rigmatch serve` process round trip: health check, a count
+/// query, an update that must change the next count, the metrics
+/// counters, and a clean exit after `POST /shutdown`.
+#[test]
+fn serve_process_round_trip() {
+    use std::io::BufRead;
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    let g = write_tmp("serve_g.txt", "l 0 Author\nl 1 Paper\nv 0 0\nv 1 1\nv 2 1\ne 0 1\ne 1 2\n");
+    let mut child = KillOnDrop(
+        bin()
+            .arg("serve")
+            .arg(&g)
+            .args(["--addr", "127.0.0.1:0"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
+    let mut line = String::new();
+    std::io::BufReader::new(child.0.stdout.take().unwrap()).read_line(&mut line).unwrap();
+    let addr = line
+        .trim()
+        .strip_prefix("listening on http://")
+        .unwrap_or_else(|| panic!("unexpected first line {line:?}"))
+        .to_string();
+
+    let ok = |method: &str, target: &str, body: &str| {
+        let (status, body) = http(&addr, method, target, body);
+        assert_eq!(status, 200, "{method} {target}: {body}");
+        body
+    };
+    let count = || {
+        let summary = ok("POST", "/query?mode=count", "MATCH (a:Author)->(p:Paper)");
+        let rest = &summary[summary.find("\"count\":").expect("count field") + 8..];
+        rest[..rest.find([',', '}']).unwrap_or(rest.len())].trim().to_string()
+    };
+    ok("GET", "/healthz", "");
+    assert_eq!(count(), "1");
+    ok("POST", "/update", "a e 0 2\ncommit");
+    assert_eq!(count(), "2", "the committed edge must be visible to the next query");
+    let page = ok("GET", "/metrics", "");
+    for name in ["rigmatch_queries_total", "rigmatch_commits_applied_total"] {
+        let value: u64 = page
+            .lines()
+            .find_map(|l| l.strip_prefix(&format!("{name} ")))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("{name} missing from\n{page}"));
+        assert!(value >= 1, "{name} = {value}");
+    }
+    ok("POST", "/shutdown", "");
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.0.try_wait().unwrap() {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "serve did not exit within 10 s of /shutdown");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(status.code(), Some(0), "{status:?}");
+}

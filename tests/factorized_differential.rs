@@ -166,8 +166,8 @@ fn check_clean(select: SelectMode, seed: u64) {
     }
 }
 
-/// Dirty-snapshot check: random committed mutation batches (shared
-/// workload generator with `bench_updates`), then the tri-modal agreement
+/// Dirty-snapshot check: random committed mutation batches (the shared
+/// `DeltaOverlay::random_mutation` workload generator), then the tri-modal agreement
 /// against a brute force over the materialized snapshot.
 fn check_dirty(select: SelectMode, seed: u64, commits: usize, ops_per_commit: usize) {
     let cfg = GmConfig { rig: RigOptions { select, ..RigOptions::exact() }, ..GmConfig::default() };

@@ -1,4 +1,4 @@
-//! Kill-and-recover differential suite (ISSUE 7 acceptance criterion):
+//! Kill-and-recover differential suite (the durability layer's end-to-end check):
 //! spawn the `crashwriter` child, `SIGKILL` it at an arbitrary point in
 //! its commit stream, recover the store with [`Session::open`], and
 //! require the recovered graph — and its query answers — to be

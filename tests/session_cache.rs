@@ -2,8 +2,8 @@
 //! RIG must produce the byte-identical answer of a cold run, across every
 //! SelectMode × EdgeKind flavor; the cache must invalidate on a graph
 //! epoch bump; and a query expressed as HPQL text must produce the same
-//! match set as the same query built programmatically (the PR's
-//! acceptance criterion), with the cache-hit counters proving the reuse.
+//! match set as the same query built programmatically, with the cache-hit
+//! counters proving the reuse.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -128,7 +128,7 @@ fn epoch_bump_invalidates_the_cache() {
     assert!(!o.metrics.rig_from_cache);
 }
 
-/// The PR's acceptance criterion: one query written as HPQL text and once
+/// The Session API's headline check: one query written as HPQL text and once
 /// via the builder API produce identical match sets through `Session`,
 /// and the second execution reuses the cached RIG with a measurable skip
 /// of the build phase (witnessed by the metrics flag + hit counter).

@@ -11,8 +11,8 @@
 //!
 //! Mutations are generated *at runtime* against the live snapshot (ids and
 //! edges depend on earlier commits) by the shared
-//! `DeltaOverlay::random_mutation` workload generator (also used by the
-//! `bench_updates` harness), driven by a proptest-supplied seed so every
+//! `DeltaOverlay::random_mutation` workload generator, driven by a
+//! proptest-supplied seed so every
 //! failure replays deterministically.
 
 use proptest::prelude::*;
