@@ -23,6 +23,7 @@
 mod error;
 pub mod factorized;
 mod report;
+mod run;
 pub mod session;
 
 pub use error::{Error, ErrorKind};

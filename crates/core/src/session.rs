@@ -74,18 +74,16 @@ use rig_graph::{
     CommitImpact, DataGraph, DeltaOverlay, GraphView, Label, LabelPairCounts, MutationOp, NodeId,
     Snapshot,
 };
-use rig_index::{build_rig, Rig, RigOptions, RigStats};
-use rig_mjoin::{compute_order, EnumOptions, EnumResult, ParOptions, ResultSink, SearchOrder};
-use rig_query::{
-    closest_label, hpql, parse_hpql, transitive_reduction, EdgeKind, PatternQuery, QNode,
-};
+use rig_index::{build_rig, Rig, RigOptions};
+use rig_query::{closest_label, parse_hpql, transitive_reduction, EdgeKind, PatternQuery};
 use rig_reach::{BflIndex, Reachability, SnapshotReach};
 use rig_sim::{SimContext, SimOptions};
 use rig_storage::{
     DurableStore, FsBackend, RecoveryReport, StorageBackend, StorageError, StoreOptions,
 };
 
-use crate::{Error, GmConfig, GmMetrics, QueryOutcome};
+pub use crate::run::{Explain, Prepared, Run};
+use crate::{Error, GmConfig};
 
 /// Default number of cached RIGs per session.
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
@@ -976,7 +974,7 @@ impl Session {
     /// simulation pass boundary, expansion aborts): a timed-out build
     /// comes back as an empty-shaped RIG with `stats.timed_out` set and is
     /// never cached.
-    fn rig_for(
+    pub(crate) fn rig_for(
         &self,
         prepared: &Prepared<'_>,
         use_cache: bool,
@@ -1195,482 +1193,11 @@ impl IntoPattern for &PatternQuery {
     }
 }
 
-// ---------------------------------------------------------------------------
-// prepared queries
-// ---------------------------------------------------------------------------
-
-/// A parsed, validated, reduced and canonicalized query, bound to its
-/// [`Session`]. Create with [`Session::prepare`]; execute with
-/// [`Prepared::run`]. Runs always execute against the session's newest
-/// snapshot; only the query's resolved label names are captured at
-/// prepare time (the label space never shrinks, so validation stays
-/// good, and nothing of the prepare-time snapshot is pinned).
-pub struct Prepared<'s> {
-    session: &'s Session,
-    /// `(label, name)` pairs for the query's named labels, for HPQL
-    /// rendering.
-    label_names: Vec<(Label, String)>,
-    original: PatternQuery,
-    /// The query the engine runs: transitively reduced + canonical edge
-    /// order. Node ids match `original` (they index occurrence tuples).
-    exec: PatternQuery,
-    vars: Option<Vec<String>>,
-    edges_reduced: usize,
-    reduction_time: Duration,
-}
-
-impl<'s> Prepared<'s> {
-    /// The session this plan belongs to.
-    pub fn session(&self) -> &'s Session {
-        self.session
-    }
-
-    /// The query as given (before reduction).
-    pub fn query(&self) -> &PatternQuery {
-        &self.original
-    }
-
-    /// The reduced, canonical query the engine executes.
-    pub fn reduced(&self) -> &PatternQuery {
-        &self.exec
-    }
-
-    /// Variable names (parallel to pattern node ids / occurrence-tuple
-    /// positions) when the query came from HPQL text.
-    pub fn vars(&self) -> Option<&[String]> {
-        self.vars.as_deref()
-    }
-
-    /// Reachability edges removed by §3 transitive reduction.
-    pub fn edges_reduced(&self) -> usize {
-        self.edges_reduced
-    }
-
-    /// Pretty-prints the *reduced* query as HPQL (label names resolved
-    /// through the graph's dictionary where present).
-    pub fn to_hpql(&self) -> String {
-        self.render(&self.exec)
-    }
-
-    /// Pretty-prints the query *as given* as HPQL.
-    pub fn original_hpql(&self) -> String {
-        self.render(&self.original)
-    }
-
-    fn render(&self, q: &PatternQuery) -> String {
-        hpql::to_hpql(q, self.vars.as_deref(), |l| {
-            self.label_names
-                .binary_search_by_key(&l, |&(label, _)| label)
-                .ok()
-                .map(|i| self.label_names[i].1.clone())
-        })
-    }
-
-    /// Starts building an execution of this plan.
-    pub fn run(&self) -> Run<'_, 's> {
-        Run {
-            prepared: self,
-            opts: self.session.config.enumeration,
-            threads: 1,
-            morsel: None,
-            use_cache: true,
-            force_enumerate: false,
-        }
-    }
-}
-
-impl std::fmt::Debug for Prepared<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Prepared")
-            .field("hpql", &self.to_hpql())
-            .field("edges_reduced", &self.edges_reduced)
-            .finish()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// run builder
-// ---------------------------------------------------------------------------
-
-/// Fluent execution builder:
-/// `prepared.run().limit(10).timeout(d).threads(4).count()`.
-///
-/// Defaults come from the session's `GmConfig::enumeration`; every knob
-/// here overrides per run. Terminal methods: [`Run::count`],
-/// [`Run::collect`], [`Run::collect_all`], [`Run::stream`],
-/// [`Run::par_stream`], [`Run::explain`].
-#[must_use = "a Run does nothing until a terminal method (count/collect/stream/explain) is called"]
-pub struct Run<'a, 's> {
-    prepared: &'a Prepared<'s>,
-    opts: EnumOptions,
-    threads: usize,
-    morsel: Option<usize>,
-    use_cache: bool,
-    force_enumerate: bool,
-}
-
-impl<'a, 's> Run<'a, 's> {
-    /// Stop after `k` occurrences (exact under parallelism; the run
-    /// reports `limit_hit`).
-    pub fn limit(mut self, k: u64) -> Self {
-        self.opts.limit = Some(k);
-        self
-    }
-
-    /// Wall-clock budget for the enumeration phase.
-    pub fn timeout(mut self, d: Duration) -> Self {
-        self.opts.timeout = Some(d);
-        self
-    }
-
-    /// Search-order strategy (§5.2).
-    pub fn order(mut self, order: SearchOrder) -> Self {
-        self.opts.order = order;
-        self
-    }
-
-    /// Enforce injectivity (isomorphism-style matching).
-    pub fn injective(mut self, injective: bool) -> Self {
-        self.opts.injective = injective;
-        self
-    }
-
-    /// Morsel-driven parallel enumeration with `n` workers (1 =
-    /// sequential).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
-        self
-    }
-
-    /// Morsel size for the parallel engine (positions claimed per cursor
-    /// bump).
-    pub fn morsel(mut self, morsel: usize) -> Self {
-        self.morsel = Some(morsel.max(1));
-        self
-    }
-
-    /// Bypass the plan cache for this run (the RIG is rebuilt and not
-    /// stored) — benchmarking cold paths, mostly.
-    pub fn no_cache(mut self) -> Self {
-        self.use_cache = false;
-        self
-    }
-
-    /// Escape hatch: never answer [`Run::count`] with the factorized DP,
-    /// always enumerate tuples (differential testing, benchmarking the
-    /// enumeration path).
-    pub fn force_enumerate(mut self) -> Self {
-        self.force_enumerate = true;
-        self
-    }
-
-    fn par_options(&self) -> ParOptions {
-        let mut par = ParOptions::with_threads(self.threads);
-        if let Some(m) = self.morsel {
-            par.morsel = m;
-        }
-        par
-    }
-
-    fn execute(
-        self,
-        engine: impl FnOnce(&PatternQuery, &Rig, &EnumOptions) -> EnumResult,
-    ) -> QueryOutcome {
-        let total_start = Instant::now();
-        // One wall-clock budget for the whole run: the RIG build consumes
-        // it first, enumeration gets what remains.
-        let deadline = self.opts.timeout.and_then(|d| total_start.checked_add(d));
-        let (rig, from_cache) =
-            self.prepared.session.rig_for(self.prepared, self.use_cache, deadline);
-        let enum_start = Instant::now();
-        let result = if rig.stats.timed_out {
-            // the build deadline expired: a timeout, never an empty answer
-            EnumResult { timed_out: true, ..EnumResult::empty(Vec::new()) }
-        } else if rig.is_empty() {
-            EnumResult::empty(Vec::new())
-        } else {
-            let mut opts = self.opts;
-            if let Some(d) = deadline {
-                opts.timeout = Some(d.saturating_duration_since(Instant::now()));
-            }
-            engine(&self.prepared.exec, &rig, &opts)
-        };
-        let enumeration_time = enum_start.elapsed();
-        let metrics = GmMetrics {
-            reduction_time: self.prepared.reduction_time,
-            rig_stats: rig.stats.clone(),
-            enumeration_time,
-            total_time: total_start.elapsed(),
-            edges_reduced: self.prepared.edges_reduced,
-            rig_from_cache: from_cache,
-            counted_via_factorization: false,
-        };
-        QueryOutcome { result, metrics }
-    }
-
-    /// Counts the occurrences.
-    ///
-    /// Eligible plans (no injectivity, no limit/timeout budget — see
-    /// [`crate::factorized::dp_eligible`]) are answered by the factorized
-    /// counting DP over the pruned RIG without enumerating a single tuple,
-    /// witnessed by [`GmMetrics::counted_via_factorization`]. The
-    /// [`Run::force_enumerate`] escape hatch and any budget knob fall back
-    /// to the (possibly parallel) MJoin enumeration engine.
-    pub fn count(self) -> QueryOutcome {
-        let threads = self.threads;
-        let par = self.par_options();
-        let force_enumerate = self.force_enumerate;
-        let mut via_dp = false;
-        let mut outcome = self.execute(|q, rig, opts| {
-            if !force_enumerate && crate::factorized::dp_eligible(opts) {
-                if let Some(r) = crate::factorized::dp_count_result(q, rig) {
-                    via_dp = true;
-                    return r;
-                }
-            }
-            if threads > 1 {
-                rig_mjoin::par_count_with(q, rig, opts, &par)
-            } else {
-                rig_mjoin::count(q, rig, opts)
-            }
-        });
-        outcome.metrics.counted_via_factorization = via_dp;
-        outcome
-    }
-
-    /// Like [`Run::count`] but errs with [`Error::Budget`] when the limit
-    /// or timeout truncated the answer.
-    pub fn try_count(self) -> Result<QueryOutcome, Error> {
-        self.count().require_complete()
-    }
-
-    /// Collects up to `max` occurrence tuples (indexed by pattern node
-    /// id). Parallel runs return the tuples sorted (deterministic across
-    /// schedules); sequential runs return enumeration order.
-    pub fn collect(mut self, max: usize) -> (Vec<Vec<NodeId>>, QueryOutcome) {
-        // cap enumeration at `max` unless a tighter limit is already set
-        if self.opts.limit.is_none_or(|l| l > max as u64) {
-            self.opts.limit = Some(max as u64);
-        }
-        let threads = self.threads;
-        let par = self.par_options();
-        let mut tuples = Vec::new();
-        let outcome = self.execute(|q, rig, opts| {
-            if threads > 1 {
-                let (t, r) = rig_mjoin::par_collect_sorted(q, rig, opts, &par);
-                tuples = t;
-                r
-            } else {
-                let (t, r) = rig_mjoin::collect(q, rig, opts, max);
-                tuples = t;
-                r
-            }
-        });
-        (tuples, outcome)
-    }
-
-    /// Collects every occurrence tuple (honors an explicit
-    /// [`Run::limit`]).
-    pub fn collect_all(self) -> (Vec<Vec<NodeId>>, QueryOutcome) {
-        let max = self.opts.limit.map_or(usize::MAX, |l| l as usize);
-        self.collect(max)
-    }
-
-    /// Streams every occurrence into `sink` on the calling thread
-    /// (ignores [`Run::threads`] — parallel streaming needs per-worker
-    /// sinks, see [`Run::par_stream`]).
-    pub fn stream<S: ResultSink>(self, sink: &mut S) -> QueryOutcome {
-        let mut ran = false;
-        let outcome = self.execute(|q, rig, opts| {
-            ran = true;
-            rig_mjoin::enumerate_sink(q, rig, opts, sink)
-        });
-        if !ran {
-            // empty-RIG short circuit: the sink contract (finish exactly
-            // once per run) must still hold
-            sink.finish();
-        }
-        outcome
-    }
-
-    /// Parallel streaming: `make_sink(worker)` builds one sink per
-    /// worker; returns the sinks (all finished) with the outcome.
-    pub fn par_stream<S, F>(self, make_sink: F) -> (Vec<S>, QueryOutcome)
-    where
-        S: ResultSink + Send,
-        F: Fn(usize) -> S + Sync,
-    {
-        let par = self.par_options();
-        let mut sinks = Vec::new();
-        let outcome = self.execute(|q, rig, opts| {
-            let (s, r) = rig_mjoin::par_enumerate(q, rig, opts, &par, &make_sink);
-            sinks = s;
-            r
-        });
-        if sinks.is_empty() {
-            // empty-RIG short circuit: hand back one finished sink per
-            // worker so callers can merge uniformly
-            sinks = (0..par.threads.max(1))
-                .map(|w| {
-                    let mut s = make_sink(w);
-                    s.finish();
-                    s
-                })
-                .collect();
-        }
-        (sinks, outcome)
-    }
-
-    /// Explains the plan without enumerating: the reduced query, whether
-    /// its RIG came from the cache, the RIG statistics and the search
-    /// order MJoin would use.
-    pub fn explain(self) -> Explain {
-        let prepared = self.prepared;
-        let (rig, from_cache) = prepared.session.rig_for(prepared, self.use_cache, None);
-        let order = if rig.is_empty() {
-            Vec::new()
-        } else {
-            compute_order(&prepared.exec, &rig, self.opts.order)
-        };
-        let count_strategy =
-            crate::factorized::strategy(&prepared.exec, &self.opts, self.force_enumerate);
-        Explain {
-            hpql: prepared.original_hpql(),
-            reduced_hpql: prepared.to_hpql(),
-            edges_reduced: prepared.edges_reduced,
-            rig_stats: rig.stats.clone(),
-            rig_from_cache: from_cache,
-            empty_answer: rig.is_empty(),
-            order_kind: self.opts.order,
-            order,
-            vars: prepared.vars.clone(),
-            count_strategy,
-        }
-    }
-
-    /// Builds the factorized answer-graph summary (the CLI's
-    /// `--factorized` output mode): shape, exact DP count and
-    /// per-variable distinct-binding cardinalities, computed without
-    /// materializing any tuple. Ignores [`Run::threads`] and the limit
-    /// knob — this terminal always runs the DP. A [`Run::timeout`] *is*
-    /// honored: it caps the RIG build and the DP's conditioning loop, and
-    /// a truncated summary reports `timed_out` with `count: None`.
-    pub fn factorized_summary(self) -> crate::factorized::FactorizedSummary {
-        use crate::factorized::{FactorizedSummary, VarSummary};
-        let prepared = self.prepared;
-        let deadline = self.opts.timeout.and_then(|d| Instant::now().checked_add(d));
-        let (rig, from_cache) = prepared.session.rig_for(prepared, self.use_cache, deadline);
-        let q = &prepared.exec;
-        let name_of = |i: usize| match prepared.vars.as_deref() {
-            Some(v) => v[i].clone(),
-            None => format!("v{i}"),
-        };
-        if rig.is_empty() {
-            let timed_out = rig.stats.timed_out;
-            return FactorizedSummary {
-                hpql: prepared.to_hpql(),
-                tree: crate::factorized::FactorizationShape::analyze(q).is_tree(),
-                extra_edges: crate::factorized::FactorizationShape::analyze(q).extra_edges.len(),
-                conditioned: Vec::new(),
-                assignments: 0,
-                count: if timed_out { None } else { Some(0) },
-                vars: (0..q.num_nodes())
-                    .map(|i| VarSummary { name: name_of(i), candidates: 0, distinct: 0 })
-                    .collect(),
-                rig_from_cache: from_cache,
-                timed_out,
-            };
-        }
-        let mut f = crate::factorized::Factorization::new(q, &rig);
-        f.set_deadline(deadline);
-        let dp = f.count();
-        // cardinalities re-run the conditioning loop: skip them once the
-        // budget is gone rather than doubling the overrun
-        let cards = if dp.timed_out { vec![0; q.num_nodes()] } else { f.var_cardinalities() };
-        FactorizedSummary {
-            hpql: prepared.to_hpql(),
-            tree: f.is_tree(),
-            extra_edges: f.shape().extra_edges.len(),
-            conditioned: f.shape().conditioned.iter().map(|&c| name_of(c as usize)).collect(),
-            assignments: dp.assignments,
-            count: dp.total,
-            vars: (0..q.num_nodes())
-                .map(|i| VarSummary {
-                    name: name_of(i),
-                    candidates: rig.cos_len(i as QNode),
-                    distinct: cards[i],
-                })
-                .collect(),
-            rig_from_cache: from_cache,
-            timed_out: dp.timed_out,
-        }
-    }
-}
-
-/// Plan description produced by [`Run::explain`] (and the CLI's `explain`
-/// mode).
-#[derive(Debug, Clone)]
-pub struct Explain {
-    /// The query as given, pretty-printed as HPQL.
-    pub hpql: String,
-    /// The transitively reduced, canonical query the engine executes.
-    pub reduced_hpql: String,
-    /// Reachability edges removed by the reduction.
-    pub edges_reduced: usize,
-    /// Statistics of the (possibly cached) RIG.
-    pub rig_stats: RigStats,
-    /// True when the RIG came from the session's plan cache.
-    pub rig_from_cache: bool,
-    /// True when some candidate set is empty — the answer is empty and
-    /// enumeration would be skipped entirely.
-    pub empty_answer: bool,
-    /// Search-order strategy that would drive MJoin.
-    pub order_kind: SearchOrder,
-    /// The concrete node order (empty when `empty_answer`).
-    pub order: Vec<QNode>,
-    /// Variable names, when the query came from HPQL.
-    pub vars: Option<Vec<String>>,
-    /// How [`Run::count`] would answer under this run's options:
-    /// factorized DP eligibility and the human-readable choice.
-    pub count_strategy: crate::factorized::CountStrategy,
-}
-
-impl std::fmt::Display for Explain {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "query:    {}", self.hpql)?;
-        writeln!(f, "reduced:  {} ({} edge(s) removed)", self.reduced_hpql, self.edges_reduced)?;
-        writeln!(
-            f,
-            "RIG:      {} nodes / {} edges ({}, {} sim passes, {} pruned)",
-            self.rig_stats.node_count,
-            self.rig_stats.edge_count,
-            if self.rig_from_cache { "cached" } else { "built" },
-            self.rig_stats.sim_passes,
-            self.rig_stats.pruned,
-        )?;
-        if self.empty_answer {
-            writeln!(f, "order:    — (empty candidate set: answer is empty)")?;
-        } else {
-            let names: Vec<String> = self
-                .order
-                .iter()
-                .map(|&q| match &self.vars {
-                    Some(v) => v[q as usize].clone(),
-                    None => format!("v{q}"),
-                })
-                .collect();
-            writeln!(f, "order:    {:?} [{}]", self.order_kind, names.join(" → "))?;
-        }
-        writeln!(f, "count:    {}", self.count_strategy.describe)?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ErrorKind;
-    use rig_mjoin::CountSink;
+    use rig_mjoin::{CountSink, ResultSink, SearchOrder};
     use rig_query::EdgeKind;
 
     fn fig2_graph() -> DataGraph {
