@@ -100,9 +100,9 @@ pub trait Engine {
     }
 }
 
-/// GM behind the [`Engine`] trait. With `threads > 1` the enumeration
-/// stage runs the morsel-driven parallel engine (counting sinks — no
-/// materialization), still honoring the budget's limit and timeout.
+/// GM behind the [`Engine`] trait: it counts through
+/// [`Run::count`](rig_core::Run::count) — the factorized DP or sequential
+/// MJoin — under the budget's limit and timeout.
 ///
 /// Owns a [`Session`] (the application entry point), so harness runs
 /// exercise the same code path — including the plan cache — users do.
@@ -112,12 +112,11 @@ pub trait Engine {
 pub struct GmEngine {
     session: Session,
     name: &'static str,
-    threads: usize,
 }
 
 impl GmEngine {
     pub fn new(graph: impl Into<Arc<DataGraph>>) -> Self {
-        GmEngine { session: Session::new(graph), name: "GM", threads: 1 }
+        GmEngine { session: Session::new(graph), name: "GM" }
     }
 
     pub fn with_config(
@@ -125,12 +124,7 @@ impl GmEngine {
         config: GmConfig,
         name: &'static str,
     ) -> Self {
-        GmEngine { session: Session::with_config(graph, config), name, threads: 1 }
-    }
-
-    /// GM with `threads` morsel-driven enumeration workers.
-    pub fn with_threads(graph: impl Into<Arc<DataGraph>>, threads: usize) -> Self {
-        GmEngine { session: Session::new(graph), name: "GM-par", threads }
+        GmEngine { session: Session::with_config(graph, config), name }
     }
 
     pub fn session(&self) -> &Session {
@@ -151,7 +145,7 @@ impl Engine for GmEngine {
             Ok(p) => p,
             Err(_) => return failure_report(self.name, RunStatus::Failed, Duration::ZERO, 0),
         };
-        let mut run = prepared.run().threads(self.threads);
+        let mut run = prepared.run();
         if let Some(l) = budget.match_limit {
             run = run.limit(l);
         }
@@ -221,13 +215,5 @@ mod tests {
         let e = GmEngine::new(fig2_graph());
         let r = e.evaluate(&fig2_query(), &Budget::with_limit(1));
         assert_eq!(r.occurrences, 1);
-    }
-
-    #[test]
-    fn parallel_gm_engine_agrees_and_honors_limit() {
-        let par = GmEngine::with_threads(fig2_graph(), 4);
-        assert_eq!(par.name(), "GM-par");
-        assert_eq!(par.evaluate(&fig2_query(), &Budget::default()).occurrences, 2);
-        assert_eq!(par.evaluate(&fig2_query(), &Budget::with_limit(1)).occurrences, 1);
     }
 }

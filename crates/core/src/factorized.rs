@@ -1,8 +1,9 @@
 //! Session-level surface of the factorized answer subsystem.
 //!
 //! The engine lives in [`rig_mjoin::factorized`]: a [`Factorization`]
-//! compiles one query against its pruned RIG into a DP-countable /
-//! lazily-expandable answer representation (see `docs/factorized.md`).
+//! compiles one query against its pruned RIG into a DP-countable answer
+//! representation (see `docs/factorized.md`). It answers counts and
+//! per-variable cardinalities; every tuple comes from MJoin.
 //! This module adds the *policy* layer the [`Session`](crate::Session)
 //! API uses:
 //!
@@ -16,7 +17,7 @@
 //! * [`FactorizedSummary`] — the answer-graph summary printed by the
 //!   CLI's `--factorized` output mode.
 
-pub use rig_mjoin::factorized::{DpCount, Factorization, FactorizationShape, FactorizedTuples};
+pub use rig_mjoin::factorized::{DpCount, Factorization, FactorizationShape};
 
 use rig_index::Rig;
 use rig_mjoin::{EnumOptions, EnumResult};

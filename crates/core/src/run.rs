@@ -5,12 +5,22 @@
 //! through [`Prepared::run`]. The session (see [`crate::session`]) owns
 //! the graph store and the plan cache; this module owns what one run does
 //! with the RIG it gets back.
+//!
+//! Tuples come from MJoin only. `count()` answers from the factorized DP
+//! when it is eligible; otherwise it, `collect()` and `par_stream()` drive
+//! MJoin through [`rig_mjoin::par_enumerate`], so [`Run::threads`] is the
+//! one switch between sequential (one worker, inline on the calling
+//! thread) and parallel execution. [`Run::stream`] feeds one `&mut` sink
+//! and therefore always runs a single worker.
 
 use std::time::{Duration, Instant};
 
 use rig_graph::{Label, NodeId};
 use rig_index::{Rig, RigStats};
-use rig_mjoin::{compute_order, EnumOptions, EnumResult, ParOptions, ResultSink, SearchOrder};
+use rig_mjoin::{
+    compute_order, CollectSink, CountSink, EnumOptions, EnumResult, ParOptions, ResultSink,
+    SearchOrder,
+};
 use rig_query::{hpql, PatternQuery, QNode};
 
 use crate::session::Session;
@@ -152,8 +162,10 @@ impl<'a, 's> Run<'a, 's> {
         self
     }
 
-    /// Morsel-driven parallel enumeration with `n` workers (1 =
-    /// sequential).
+    /// MJoin workers for the enumerating terminals (`count`'s
+    /// enumeration, `collect`, `par_stream`). `1`, the default, runs one
+    /// worker inline on the calling thread; more use the morsel-driven
+    /// parallel engine.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
@@ -234,7 +246,6 @@ impl<'a, 's> Run<'a, 's> {
     /// [`Run::force_enumerate`] escape hatch and any budget knob fall back
     /// to the (possibly parallel) MJoin enumeration engine.
     pub fn count(self) -> QueryOutcome {
-        let threads = self.threads;
         let par = self.par_options();
         let force_enumerate = self.force_enumerate;
         let mut via_dp = false;
@@ -245,11 +256,7 @@ impl<'a, 's> Run<'a, 's> {
                     return r;
                 }
             }
-            if threads > 1 {
-                rig_mjoin::par_count_with(q, rig, opts, &par)
-            } else {
-                rig_mjoin::count(q, rig, opts)
-            }
+            rig_mjoin::par_enumerate(q, rig, opts, &par, |_| CountSink::default()).1
         });
         outcome.metrics.counted_via_factorization = via_dp;
         outcome
@@ -269,28 +276,19 @@ impl<'a, 's> Run<'a, 's> {
         if self.opts.limit.is_none_or(|l| l > max as u64) {
             self.opts.limit = Some(max as u64);
         }
-        let threads = self.threads;
-        let par = self.par_options();
-        let mut tuples = Vec::new();
-        let outcome = self.execute(|q, rig, opts| {
-            if threads > 1 {
-                let (t, r) = rig_mjoin::par_collect_sorted(q, rig, opts, &par);
-                tuples = t;
-                r
-            } else {
-                let (t, r) = rig_mjoin::collect(q, rig, opts, max);
-                tuples = t;
-                r
-            }
-        });
-        (tuples, outcome)
+        self.collect_all()
     }
 
     /// Collects every occurrence tuple (honors an explicit
-    /// [`Run::limit`]).
+    /// [`Run::limit`]), in the same order as [`Run::collect`].
     pub fn collect_all(self) -> (Vec<Vec<NodeId>>, QueryOutcome) {
-        let max = self.opts.limit.map_or(usize::MAX, |l| l as usize);
-        self.collect(max)
+        let parallel = self.threads > 1;
+        let (sinks, outcome) = self.par_stream(|_| CollectSink::default());
+        let mut tuples: Vec<Vec<NodeId>> = sinks.into_iter().flat_map(|s| s.tuples).collect();
+        if parallel {
+            tuples.sort_unstable();
+        }
+        (tuples, outcome)
     }
 
     /// Streams every occurrence into `sink` on the calling thread
@@ -310,8 +308,10 @@ impl<'a, 's> Run<'a, 's> {
         outcome
     }
 
-    /// Parallel streaming: `make_sink(worker)` builds one sink per
-    /// worker; returns the sinks (all finished) with the outcome.
+    /// Streams through [`rig_mjoin::par_enumerate`] with [`Run::threads`]
+    /// workers: `make_sink(worker)` builds one sink per worker; returns
+    /// the sinks (all finished) with the outcome. With one thread this is
+    /// [`Run::stream`]: one sink, built and fed on the calling thread.
     pub fn par_stream<S, F>(self, make_sink: F) -> (Vec<S>, QueryOutcome)
     where
         S: ResultSink + Send,

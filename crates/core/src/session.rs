@@ -1388,6 +1388,37 @@ mod tests {
         assert!(sinks.iter().all(|s| s.0 == 1));
     }
 
+    /// One thread is the sequential engine, not one spawned worker:
+    /// `par_stream` builds exactly one sink on the calling thread, every
+    /// push happens there, and the tuples arrive in `stream`'s order.
+    #[test]
+    fn single_thread_par_stream_runs_inline_like_stream() {
+        struct OnCaller {
+            caller: std::thread::ThreadId,
+            tuples: Vec<Vec<NodeId>>,
+        }
+        impl ResultSink for OnCaller {
+            fn push(&mut self, t: &[NodeId]) -> bool {
+                assert_eq!(std::thread::current().id(), self.caller, "push off the caller");
+                self.tuples.push(t.to_vec());
+                true
+            }
+        }
+        let session = dense_session(6);
+        let p = session.prepare(TRIANGLE).unwrap();
+        let caller = std::thread::current().id();
+        let mut expect = rig_mjoin::CollectSink::default();
+        let seq = p.run().stream(&mut expect);
+        assert_eq!(expect.tuples.len(), 120);
+        let (sinks, o) = p.run().threads(1).par_stream(|w| {
+            assert_eq!((w, std::thread::current().id()), (0, caller), "sink built off the caller");
+            OnCaller { caller, tuples: Vec::new() }
+        });
+        assert_eq!(sinks.len(), 1);
+        assert_eq!(sinks[0].tuples, expect.tuples);
+        assert_eq!(o.result.count, seq.result.count);
+    }
+
     #[test]
     fn explain_reports_reduction_and_cache_state() {
         let session = fig2_session();

@@ -1,5 +1,5 @@
-//! Factorized answers over the pruned RIG: DP counting, pushed-down
-//! aggregates and lazy tuple expansion.
+//! Factorized answers over the pruned RIG: DP counting and pushed-down
+//! aggregates.
 //!
 //! The fully pruned RIG is a near-factorized representation of the answer
 //! set: per query node a candidate array, per query edge a bipartite
@@ -19,27 +19,24 @@
 //! constraint graph over the free nodes is a forest, so the tree DP
 //! applies per binding and the grand total is the sum over bindings.
 //!
-//! Three consumption modes share the machinery:
-//! * [`Factorization::count`] / [`Factorization::exists`] — aggregates
-//!   pushed down into the DP, never touching a tuple;
+//! Two aggregates share the machinery:
+//! * [`Factorization::count`] — the exact occurrence count, pushed down
+//!   into the DP, never touching a tuple;
 //! * [`Factorization::var_cardinalities`] — per-variable distinct-binding
-//!   counts via an additional top-down participation pass;
-//! * [`Factorization::stream`] / [`Factorization::tuples`] — lazy tuple
-//!   expansion: a pull-based enumeration of the answer set guided by the
-//!   DP counts (subtrees with zero extensions are never entered), feeding
-//!   the ordinary [`ResultSink`] layer or a pull [`Iterator`].
+//!   counts via an additional top-down participation pass.
+//!
+//! Tuples are never produced here: every answer tuple comes from the MJoin
+//! engine ([`crate::enumerate_sink`], [`crate::par_enumerate`]).
 //!
 //! Counting arithmetic is u128 with saturation + an overflow flag:
-//! zero/non-zero decisions (pruning, `exists`) stay correct under
-//! saturation, while [`DpCount::total`] reports `None` when the exact
-//! value would have overflowed, letting callers fall back to enumeration.
+//! zero/non-zero decisions (pruning) stay correct under saturation, while
+//! [`DpCount::total`] reports `None` when the exact value would have
+//! overflowed, letting callers fall back to enumeration.
 //!
 //! All scratch (count arrays, cursors, bindings) is allocated in
 //! [`Factorization::new`]; the counting entry points are **allocation-free
 //! in steady state** (see `tests/alloc_factorized.rs`).
 
-use crate::sink::ResultSink;
-use rig_graph::NodeId;
 use rig_index::{AdjRun, Rig};
 use rig_query::{EdgeId, PatternQuery, QNode};
 
@@ -196,8 +193,7 @@ fn run_from(rig: &Rig, eid: EdgeId, anchor: u32, fwd: bool) -> AdjRun<'_> {
 ///   candidates, folded into its DP counts;
 /// * both endpoints free → a forest parent/child link driving the DP.
 ///
-/// Local ids are used throughout; tuples are translated back to data-node
-/// ids only at emission.
+/// Local ids are used throughout.
 pub struct Factorization<'q, 'r> {
     query: &'q PatternQuery,
     rig: &'r Rig,
@@ -239,7 +235,6 @@ pub struct Factorization<'q, 'r> {
     support_ready: bool,
     binding: Vec<u32>,
     cursors: Vec<usize>,
-    tuple: Vec<NodeId>,
     started: bool,
     done: bool,
     /// Wall-clock cutoff for the aggregate conditioning loops (see
@@ -399,7 +394,6 @@ impl<'q, 'r> Factorization<'q, 'r> {
             support_ready: false,
             binding: vec![0; n],
             cursors: vec![0; n],
-            tuple: vec![0; n],
             started: false,
             done: false,
             deadline: None,
@@ -455,8 +449,8 @@ impl<'q, 'r> Factorization<'q, 'r> {
         self.conditioning_estimate().saturating_mul(width)
     }
 
-    /// Rewinds the enumeration/conditioning state machine.
-    pub fn reset(&mut self) {
+    /// Rewinds the conditioning-binding enumeration.
+    fn reset(&mut self) {
         self.started = false;
         self.done = false;
     }
@@ -732,62 +726,37 @@ impl<'q, 'r> Factorization<'q, 'r> {
         total
     }
 
-    /// Next candidate at `pos`, advancing its cursor: conditioned
-    /// positions run a generator/probe intersection over their checks;
-    /// free positions walk the parent run (or the full candidate range at
-    /// component roots) pruned by `counts > 0`.
+    /// Next candidate at conditioned position `pos`, advancing its cursor:
+    /// a generator/probe intersection over the position's checks, pruned
+    /// by the support filter.
     fn next_at(&mut self, pos: usize) -> Option<u32> {
-        if pos < self.s_len {
-            let clen = self.cand_len(pos);
-            let use_gen = !self.checks[pos].is_empty();
-            loop {
-                let k = self.cursors[pos];
-                self.cursors[pos] += 1;
-                let cand = if use_gen {
-                    let g = self.checks[pos][0];
-                    let run = run_from(self.rig, g.eid, self.binding[g.pos], g.fwd);
-                    if k >= run.len() {
-                        return None;
-                    }
-                    run.list[k]
-                } else {
-                    if k >= clen {
-                        return None;
-                    }
-                    k as u32
-                };
-                if !self.s_support[pos][cand as usize] {
-                    continue;
+        let clen = self.cand_len(pos);
+        let use_gen = !self.checks[pos].is_empty();
+        loop {
+            let k = self.cursors[pos];
+            self.cursors[pos] += 1;
+            let cand = if use_gen {
+                let g = self.checks[pos][0];
+                let run = run_from(self.rig, g.eid, self.binding[g.pos], g.fwd);
+                if k >= run.len() {
+                    return None;
                 }
-                let rest = &self.checks[pos][if use_gen { 1 } else { 0 }..];
-                if rest.iter().all(|ch| {
-                    run_from(self.rig, ch.eid, self.binding[ch.pos], ch.fwd).contains(cand)
-                }) {
-                    return Some(cand);
+                run.list[k]
+            } else {
+                if k >= clen {
+                    return None;
                 }
+                k as u32
+            };
+            if !self.s_support[pos][cand as usize] {
+                continue;
             }
-        } else {
-            loop {
-                let k = self.cursors[pos];
-                self.cursors[pos] += 1;
-                let cand = match self.parent[pos] {
-                    Some(p) => {
-                        let run = run_from(self.rig, p.eid, self.binding[p.pos], p.fwd);
-                        if k >= run.len() {
-                            return None;
-                        }
-                        run.list[k]
-                    }
-                    None => {
-                        if k >= self.counts[pos].len() {
-                            return None;
-                        }
-                        k as u32
-                    }
-                };
-                if self.counts[pos][cand as usize] > 0 {
-                    return Some(cand);
-                }
+            let rest = &self.checks[pos][if use_gen { 1 } else { 0 }..];
+            if rest
+                .iter()
+                .all(|ch| run_from(self.rig, ch.eid, self.binding[ch.pos], ch.fwd).contains(cand))
+            {
+                return Some(cand);
             }
         }
     }
@@ -831,8 +800,8 @@ impl<'q, 'r> Factorization<'q, 'r> {
     /// Sets a wall-clock cutoff for [`Self::count`]'s conditioning loop.
     /// Past the deadline the count aborts with `timed_out` set and
     /// `total: None` — a partial sum is never reported as the answer.
-    /// Enumeration entry points are unaffected (they take their own budget
-    /// through `EnumOptions`).
+    /// MJoin enumeration is unaffected (it takes its own budget through
+    /// `EnumOptions`).
     pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
         self.deadline = deadline;
     }
@@ -878,33 +847,6 @@ impl<'q, 'r> Factorization<'q, 'r> {
             (grand, assignments)
         };
         DpCount { total: if of || timed_out { None } else { Some(grand) }, assignments, timed_out }
-    }
-
-    /// Pushed-down existence check: stops at the first conditioning
-    /// binding whose DP total is positive.
-    pub fn exists(&mut self) -> bool {
-        if self.rig.is_empty() || self.order.is_empty() {
-            return false;
-        }
-        let mut of = false;
-        if self.s_len == 0 {
-            return self.forest_dp(&mut of) > 0;
-        }
-        self.potential_forest_dp(&mut of);
-        let base = self.base_factor(&mut of);
-        if base == 0 {
-            return false;
-        }
-        if !self.support_ready {
-            self.compute_support();
-        }
-        self.reset();
-        while self.next_s_assignment() {
-            if self.sparse_pass(base, &mut of) > 0 {
-                return true;
-            }
-        }
-        false
     }
 
     /// Per-variable distinct-binding cardinality: for each query node, the
@@ -979,92 +921,6 @@ impl<'q, 'r> Factorization<'q, 'r> {
             }
         }
     }
-
-    /// Advances the lazy expansion to the next answer tuple. The DP runs
-    /// once per conditioning binding as the enumeration first crosses into
-    /// the free zone (the "conditional re-expansion"); free-zone descent
-    /// only ever enters subtrees with a positive extension count.
-    fn advance(&mut self) -> bool {
-        let n = self.order.len();
-        let mut pos;
-        if !self.started {
-            self.started = true;
-            if self.rig.is_empty() || n == 0 {
-                self.done = true;
-                return false;
-            }
-            self.cursors[0] = 0;
-            pos = 0;
-            if self.s_len == 0 {
-                let mut of = false;
-                if self.forest_dp(&mut of) == 0 {
-                    self.done = true;
-                    return false;
-                }
-            }
-        } else {
-            if self.done {
-                return false;
-            }
-            pos = n - 1;
-        }
-        loop {
-            match self.next_at(pos) {
-                Some(local) => {
-                    self.binding[pos] = local;
-                    pos += 1;
-                    if pos == n {
-                        return true;
-                    }
-                    self.cursors[pos] = 0;
-                    if pos == self.s_len {
-                        let mut of = false;
-                        if self.forest_dp(&mut of) == 0 {
-                            pos -= 1; // dead conditioning binding
-                        }
-                    }
-                }
-                None => {
-                    if pos == 0 {
-                        self.done = true;
-                        return false;
-                    }
-                    pos -= 1;
-                }
-            }
-        }
-    }
-
-    fn fill_tuple(&mut self) {
-        for pos in 0..self.order.len() {
-            let q = self.order[pos] as usize;
-            self.tuple[q] = self.rig.node_at(q, self.binding[pos]);
-        }
-    }
-
-    /// Streams every answer tuple into `sink` (tuples indexed by query
-    /// node, exactly like the MJoin engine). Returns the number of tuples
-    /// emitted; a sink returning `false` stops the expansion early.
-    /// `finish` is called exactly once.
-    pub fn stream<S: ResultSink>(&mut self, sink: &mut S) -> u64 {
-        self.reset();
-        let mut emitted = 0u64;
-        while self.advance() {
-            self.fill_tuple();
-            emitted += 1;
-            if !sink.push(&self.tuple) {
-                break;
-            }
-        }
-        sink.finish();
-        emitted
-    }
-
-    /// Pull-based lazy iterator over the answer tuples.
-    pub fn tuples(&mut self) -> FactorizedTuples<'_, 'q, 'r> {
-        self.reset();
-        FactorizedTuples { fac: self }
-    }
 }
 
 impl std::fmt::Debug for Factorization<'_, '_> {
@@ -1074,26 +930,6 @@ impl std::fmt::Debug for Factorization<'_, '_> {
             .field("conditioned", &self.shape.conditioned)
             .field("extra_edges", &self.shape.extra_edges)
             .finish()
-    }
-}
-
-/// Lazy pull iterator over a [`Factorization`]'s answer tuples (indexed by
-/// query node id). Each `next` advances the underlying expansion by one
-/// answer; nothing is precomputed beyond the per-conditioning-binding DP.
-pub struct FactorizedTuples<'f, 'q, 'r> {
-    fac: &'f mut Factorization<'q, 'r>,
-}
-
-impl Iterator for FactorizedTuples<'_, '_, '_> {
-    type Item = Vec<NodeId>;
-
-    fn next(&mut self) -> Option<Vec<NodeId>> {
-        if self.fac.advance() {
-            self.fac.fill_tuple();
-            Some(self.fac.tuple.clone())
-        } else {
-            None
-        }
     }
 }
 
@@ -1158,28 +994,23 @@ mod tests {
         let mut f = Factorization::new(&q, &rig);
         let dp = f.count();
         assert_eq!(dp.total, Some(mjoin.count as u128));
-        assert!(f.exists());
     }
 
     #[test]
-    fn tree_query_tuples_match_collect() {
+    fn tree_query_count_matches_collect() {
         let g = fig2();
         let mut q = PatternQuery::new(vec![0, 1, 2]);
         q.add_edge(0, 1, EdgeKind::Direct);
         q.add_edge(1, 2, EdgeKind::Reachability);
         let rig = rig_for(&g, &q);
-        let (mut expect, _) = collect(&q, &rig, &EnumOptions::default(), usize::MAX);
-        expect.sort();
+        let (expect, _) = collect(&q, &rig, &EnumOptions::default(), usize::MAX);
         let mut f = Factorization::new(&q, &rig);
         assert!(f.is_tree());
-        let mut got: Vec<_> = f.tuples().collect();
-        got.sort();
-        assert_eq!(got, expect);
         assert_eq!(f.count().total, Some(expect.len() as u128));
     }
 
     #[test]
-    fn cyclic_query_tuples_and_count_match() {
+    fn cyclic_query_count_matches_collect() {
         let mut b = GraphBuilder::new();
         for _ in 0..6 {
             b.add_node(0);
@@ -1193,15 +1024,10 @@ mod tests {
         q.add_edge(1, 2, EdgeKind::Direct);
         q.add_edge(0, 2, EdgeKind::Reachability); // cyclic chord
         let rig = rig_for(&g, &q);
-        let (mut expect, _) = collect(&q, &rig, &EnumOptions::default(), usize::MAX);
-        expect.sort();
+        let (expect, _) = collect(&q, &rig, &EnumOptions::default(), usize::MAX);
         let mut f = Factorization::new(&q, &rig);
         assert!(!f.is_tree());
-        let mut got: Vec<_> = f.tuples().collect();
-        got.sort();
-        assert_eq!(got, expect);
         assert_eq!(f.count().total, Some(expect.len() as u128));
-        assert_eq!(f.exists(), !expect.is_empty());
     }
 
     #[test]
@@ -1218,18 +1044,5 @@ mod tests {
             vals.dedup();
             assert_eq!(cards[qn], vals.len() as u64, "var {qn}");
         }
-    }
-
-    #[test]
-    fn sink_early_stop_is_honored() {
-        let g = fig2();
-        let mut q = PatternQuery::new(vec![1, 2]);
-        q.add_edge(0, 1, EdgeKind::Reachability);
-        let rig = rig_for(&g, &q);
-        let mut f = Factorization::new(&q, &rig);
-        let mut sink = crate::FirstKSink::new(1);
-        let emitted = f.stream(&mut sink);
-        assert_eq!(emitted, 1);
-        assert_eq!(sink.tuples.len(), 1);
     }
 }

@@ -28,12 +28,17 @@
 //! enumeration (the ISO comparison of Fig. 9).
 //!
 //! Results stream through a [`ResultSink`] (see [`sink`]) rather than being
-//! materialized, and the same engine core powers the **morsel-driven
-//! parallel** entry points [`par_count`] / [`par_enumerate`] (see
-//! [`parallel`] and `docs/parallel.md`): workers pull fixed-size morsels of
-//! the root candidate range off a shared atomic cursor and share the
-//! `limit`/timeout budget through atomics, so parallel runs honor both
-//! without falling back to the sequential engine.
+//! materialized. The same engine core powers the **morsel-driven parallel**
+//! entry point [`par_enumerate`] (see [`parallel`] and `docs/parallel.md`):
+//! workers pull fixed-size morsels of the root candidate range off a shared
+//! atomic cursor and share the `limit`/timeout budget through atomics, so
+//! parallel runs honor both without falling back to the sequential engine.
+//! With one thread, [`par_enumerate`] runs a single worker inline, exactly
+//! like [`enumerate_sink`].
+//!
+//! This engine is the only producer of answer tuples. The [`factorized`]
+//! DP answers counts and per-variable cardinalities over the same RIG but
+//! never emits a tuple.
 
 pub mod factorized;
 pub(crate) mod order;
@@ -41,9 +46,9 @@ pub mod parallel;
 pub mod reference;
 pub mod sink;
 
-pub use factorized::{DpCount, Factorization, FactorizationShape, FactorizedTuples};
+pub use factorized::{DpCount, Factorization, FactorizationShape};
 pub use order::{compute_order, edge_cardinality, is_connected_order, SearchOrder};
-pub use parallel::{par_collect_sorted, par_count, par_count_with, par_enumerate, ParOptions};
+pub use parallel::{par_enumerate, ParOptions};
 pub use sink::{BatchSink, CollectSink, CountSink, FirstKSink, FnSink, ResultSink};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};

@@ -18,12 +18,15 @@
 //! counter (exactly `limit` matches are emitted across all workers, and
 //! `limit_hit` survives the merge), and a shared deadline + stop flag
 //! terminates every worker within one recursion step.
+//!
+//! [`par_enumerate`] is the only driver. With one thread it runs the
+//! sequential engine inline on the calling thread, so callers choose
+//! between sequential and parallel execution by the thread count alone.
 
 use std::sync::atomic::Ordering;
 
-use crate::sink::{CollectSink, CountSink, ResultSink};
-use crate::{count, EnumOptions, EnumResult, Plan, SharedState, Worker};
-use rig_graph::NodeId;
+use crate::sink::ResultSink;
+use crate::{enumerate_sink, EnumOptions, EnumResult, Plan, SharedState, Worker};
 use rig_index::Rig;
 use rig_query::PatternQuery;
 
@@ -56,41 +59,17 @@ impl ParOptions {
     }
 }
 
-/// Counts occurrences with `threads` worker threads (default morsel size).
-/// `limit` and `timeout` are enforced across workers — no sequential
-/// fallback. `threads <= 1` runs the sequential [`count`] directly.
-pub fn par_count(
-    query: &PatternQuery,
-    rig: &Rig,
-    opts: &EnumOptions,
-    threads: usize,
-) -> EnumResult {
-    par_count_with(query, rig, opts, &ParOptions::with_threads(threads))
-}
-
-/// [`par_count`] with explicit [`ParOptions`].
-pub fn par_count_with(
-    query: &PatternQuery,
-    rig: &Rig,
-    opts: &EnumOptions,
-    par: &ParOptions,
-) -> EnumResult {
-    if par.threads <= 1 {
-        return count(query, rig, opts);
-    }
-    let (sinks, result) = par_enumerate(query, rig, opts, par, |_| CountSink::default());
-    debug_assert_eq!(result.count, sinks.iter().map(|s| s.count).sum::<u64>());
-    result
-}
-
-/// Enumerates in parallel, streaming matches into **per-worker sinks**
-/// (`make_sink(worker_index)` builds one sink per worker; no locking on
-/// the emit path). Returns the sinks — in worker-index order — plus the
-/// merged [`EnumResult`]. Which worker sees which match is
-/// scheduling-dependent, but without a `limit` the *multiset* of matches
-/// across all sinks is exactly the sequential answer, for every thread
-/// count and morsel size (see [`par_collect_sorted`] for a deterministic
-/// ordering).
+/// Enumerates with `par.threads` workers, streaming matches into
+/// **per-worker sinks** (`make_sink(worker_index)` builds one sink per
+/// worker; no locking on the emit path). Returns the sinks — in
+/// worker-index order — plus the merged [`EnumResult`].
+///
+/// `threads <= 1` builds one sink and runs one worker inline on the
+/// calling thread, exactly like [`enumerate_sink`]: no thread is spawned
+/// and no shared budget state is paid for. With more threads, which
+/// worker sees which match is scheduling-dependent, but without a `limit`
+/// the *multiset* of matches across all sinks is exactly the sequential
+/// answer, for every thread count and morsel size.
 pub fn par_enumerate<S, F>(
     query: &PatternQuery,
     rig: &Rig,
@@ -102,7 +81,12 @@ where
     S: ResultSink + Send,
     F: Fn(usize) -> S + Sync,
 {
-    let threads = par.threads.max(1);
+    if par.threads <= 1 {
+        let mut sink = make_sink(0);
+        let result = enumerate_sink(query, rig, opts, &mut sink);
+        return (vec![sink], result);
+    }
+    let threads = par.threads;
     let morsel = par.morsel.max(1);
     let plan = Plan::new(query, rig, opts.order);
     let mut merged = EnumResult::empty(plan.order.clone());
@@ -143,27 +127,10 @@ where
     (sinks, merged)
 }
 
-/// Parallel enumeration with a **deterministic** result: collects every
-/// worker's matches and returns them sorted, so the output is
-/// byte-identical for every thread count and morsel size (as long as no
-/// `limit` truncates the answer — which k matches survive a limit is
-/// inherently scheduling-dependent).
-pub fn par_collect_sorted(
-    query: &PatternQuery,
-    rig: &Rig,
-    opts: &EnumOptions,
-    par: &ParOptions,
-) -> (Vec<Vec<NodeId>>, EnumResult) {
-    let (sinks, result) = par_enumerate(query, rig, opts, par, |_| CollectSink::default());
-    let mut tuples: Vec<Vec<NodeId>> = sinks.into_iter().flat_map(|s| s.tuples).collect();
-    tuples.sort_unstable();
-    (tuples, result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EnumOptions;
+    use crate::{count, CollectSink, CountSink, EnumOptions};
     use rig_graph::GraphBuilder;
     use rig_index::{build_rig, RigOptions};
     use rig_query::{EdgeKind, PatternQuery};
@@ -193,18 +160,26 @@ mod tests {
         (g, q)
     }
 
+    fn rig_of(g: &rig_graph::DataGraph, q: &PatternQuery) -> Rig {
+        let bfl = BflIndex::new(g);
+        let ctx = SimContext::new(g, q, &bfl);
+        build_rig(&ctx, &bfl, &RigOptions::exact())
+    }
+
     #[test]
     fn parallel_count_equals_sequential() {
         for seed in 0..5u64 {
             let (g, q) = random_setup(seed);
-            let bfl = BflIndex::new(&g);
-            let ctx = SimContext::new(&g, &q, &bfl);
-            let rig = build_rig(&ctx, &bfl, &RigOptions::exact());
+            let rig = rig_of(&g, &q);
             let seq = count(&q, &rig, &EnumOptions::default());
             for threads in [2usize, 4, 8] {
-                let par = par_count(&q, &rig, &EnumOptions::default(), threads);
-                assert_eq!(par.count, seq.count, "seed={seed} threads={threads}");
-                assert!(!par.timed_out && !par.limit_hit);
+                let par = ParOptions::with_threads(threads);
+                let (sinks, r) = par_enumerate(&q, &rig, &EnumOptions::default(), &par, |_| {
+                    CountSink::default()
+                });
+                assert_eq!(r.count, seq.count, "seed={seed} threads={threads}");
+                assert_eq!(sinks.iter().map(|s| s.count).sum::<u64>(), seq.count);
+                assert!(!r.timed_out && !r.limit_hit);
             }
         }
     }
@@ -215,46 +190,44 @@ mod tests {
     #[test]
     fn limit_honored_under_parallelism() {
         let (g, q) = random_setup(0);
-        let bfl = BflIndex::new(&g);
-        let ctx = SimContext::new(&g, &q, &bfl);
-        let rig = build_rig(&ctx, &bfl, &RigOptions::exact());
+        let rig = rig_of(&g, &q);
         let opts = EnumOptions { limit: Some(3), ..Default::default() };
-        let r = par_count(&q, &rig, &opts, 4);
+        let (sinks, r) = par_enumerate(&q, &rig, &opts, &ParOptions::with_threads(4), |_| {
+            CollectSink::default()
+        });
         assert_eq!(r.count, 3);
         assert!(r.limit_hit);
         // the emitted tuples themselves are also capped at the limit
-        let (sinks, r2) = par_enumerate(&q, &rig, &opts, &ParOptions::with_threads(4), |_| {
-            CollectSink::default()
-        });
         assert_eq!(sinks.iter().map(|s| s.tuples.len()).sum::<usize>(), 3);
-        assert!(r2.limit_hit);
     }
 
     #[test]
     fn single_thread_is_sequential() {
         let (g, q) = random_setup(1);
-        let bfl = BflIndex::new(&g);
-        let ctx = SimContext::new(&g, &q, &bfl);
-        let rig = build_rig(&ctx, &bfl, &RigOptions::exact());
-        let a = par_count(&q, &rig, &EnumOptions::default(), 1);
+        let rig = rig_of(&g, &q);
+        let par = ParOptions::with_threads(1);
+        let (sinks, a) =
+            par_enumerate(&q, &rig, &EnumOptions::default(), &par, |_| CountSink::default());
         let b = count(&q, &rig, &EnumOptions::default());
         assert_eq!(a.count, b.count);
+        assert_eq!(sinks.len(), 1);
     }
 
     #[test]
     fn sorted_collection_matches_sequential_answer() {
         let (g, q) = random_setup(2);
-        let bfl = BflIndex::new(&g);
-        let ctx = SimContext::new(&g, &q, &bfl);
-        let rig = build_rig(&ctx, &bfl, &RigOptions::exact());
+        let rig = rig_of(&g, &q);
         let (mut seq, _) = crate::collect(&q, &rig, &EnumOptions::default(), usize::MAX);
         seq.sort_unstable();
-        let (par, r) = par_collect_sorted(
+        let (sinks, r) = par_enumerate(
             &q,
             &rig,
             &EnumOptions::default(),
             &ParOptions { threads: 3, morsel: 2 },
+            |_| CollectSink::default(),
         );
+        let mut par: Vec<_> = sinks.into_iter().flat_map(|s| s.tuples).collect();
+        par.sort_unstable();
         assert_eq!(par, seq);
         assert_eq!(r.count as usize, seq.len());
     }
@@ -264,9 +237,7 @@ mod tests {
     #[test]
     fn sink_stop_propagates_to_all_workers() {
         let (g, q) = random_setup(3);
-        let bfl = BflIndex::new(&g);
-        let ctx = SimContext::new(&g, &q, &bfl);
-        let rig = build_rig(&ctx, &bfl, &RigOptions::exact());
+        let rig = rig_of(&g, &q);
         let seq = count(&q, &rig, &EnumOptions::default());
         assert!(seq.count > 8, "workload must be non-trivial");
         let (sinks, r) = par_enumerate(

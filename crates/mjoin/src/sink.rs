@@ -5,9 +5,9 @@
 //! count-only sink keeps a single counter, a first-k sink keeps at most
 //! `k` tuples, a batched sink hands out fixed-size blocks to a flush
 //! callback. Every enumeration entry point — [`crate::enumerate_sink`],
-//! [`crate::count`], [`crate::par_count`], [`crate::par_enumerate`] — is
-//! built on this trait; the closure-based [`crate::enumerate`] API wraps
-//! its visitor in a [`FnSink`].
+//! [`crate::count`], [`crate::par_enumerate`] — is built on this trait;
+//! the closure-based [`crate::enumerate`] API wraps its visitor in a
+//! [`FnSink`].
 //!
 //! Under [`crate::par_enumerate`] each worker owns a **private** sink (no
 //! locks on the emit path); the per-worker sinks are returned to the

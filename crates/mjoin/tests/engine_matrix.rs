@@ -1,6 +1,6 @@
 //! Cross-engine differential matrix: on random graphs × random query
 //! templates, the sequential CSR engine (`count`), the morsel-driven
-//! parallel engine (`par_count`, threads ∈ {2, 3, 8} by default) and the
+//! parallel engine (`par_enumerate`, threads ∈ {2, 3, 8} by default) and the
 //! pre-CSR reference implementation (`reference::ref_count`) must agree on
 //! the occurrence count, across **all** `SelectMode` × `EdgeKind`
 //! combinations and both data-driven search orders.
@@ -14,7 +14,7 @@ use rig_graph::GraphBuilder;
 use rig_index::reference::build_reference_rig;
 use rig_index::{build_rig, RigOptions, SelectMode};
 use rig_mjoin::reference::ref_count;
-use rig_mjoin::{count, par_count_with, EnumOptions, ParOptions, SearchOrder};
+use rig_mjoin::{count, par_enumerate, CountSink, EnumOptions, ParOptions, SearchOrder};
 use rig_query::{EdgeKind, PatternQuery};
 use rig_reach::BflIndex;
 use rig_sim::SimContext;
@@ -127,7 +127,10 @@ proptest! {
                 prop_assert!(!seq.timed_out && !seq.limit_hit);
                 for &t in &threads {
                     for morsel in [1usize, 64] {
-                        let par = par_count_with(&q, &csr, &eo, &ParOptions { threads: t, morsel });
+                        let par_opts = ParOptions { threads: t, morsel };
+                        let (sinks, par) =
+                            par_enumerate(&q, &csr, &eo, &par_opts, |_| CountSink::default());
+                        prop_assert_eq!(sinks.iter().map(|s| s.count).sum::<u64>(), par.count);
                         prop_assert_eq!(
                             par.count, seq.count,
                             "{:?} {:?} threads={} morsel={}", select, order, t, morsel

@@ -6,8 +6,8 @@ use std::time::{Duration, Instant};
 use rig_graph::{GraphBuilder, NodeId};
 use rig_index::{build_rig, Rig, RigOptions};
 use rig_mjoin::{
-    collect, count, par_collect_sorted, par_count, par_count_with, par_enumerate, CollectSink,
-    EnumOptions, EnumResult, ParOptions,
+    collect, count, enumerate_sink, par_enumerate, CollectSink, CountSink, EnumOptions, EnumResult,
+    ParOptions,
 };
 use rig_query::{EdgeKind, PatternQuery};
 use rig_reach::BflIndex;
@@ -17,6 +17,14 @@ fn build(g: &rig_graph::DataGraph, q: &PatternQuery) -> Rig {
     let bfl = BflIndex::new(g);
     let ctx = SimContext::new(g, q, &bfl);
     build_rig(&ctx, &bfl, &RigOptions::exact())
+}
+
+/// Counts through `par_enumerate` with one `CountSink` per worker; the
+/// sinks must agree with the merged result.
+fn par_total(q: &PatternQuery, rig: &Rig, opts: &EnumOptions, par: &ParOptions) -> EnumResult {
+    let (sinks, r) = par_enumerate(q, rig, opts, par, |_| CountSink::default());
+    assert_eq!(r.count, sinks.iter().map(|s| s.count).sum::<u64>());
+    r
 }
 
 /// Mixed-label random graph with a hybrid 3-node pattern — a mid-size
@@ -85,7 +93,12 @@ fn sorted_match_sets_are_invariant_to_threads_and_morsels() {
     let huge = rig.candidates(0).len() + 7; // > |candidates| of every node
     for threads in [1usize, 2, 3, 8] {
         for morsel in [1usize, 5, 64, huge] {
-            let (tuples, r) = par_collect_sorted(&q, &rig, &opts, &ParOptions { threads, morsel });
+            let (sinks, r) =
+                par_enumerate(&q, &rig, &opts, &ParOptions { threads, morsel }, |_| {
+                    CollectSink::default()
+                });
+            let mut tuples: Vec<_> = sinks.into_iter().flat_map(|s| s.tuples).collect();
+            tuples.sort_unstable();
             assert_eq!(tuples, expect, "match set differs at threads={threads} morsel={morsel}");
             assert_eq!(r.count, seq.count);
             assert!(!r.timed_out && !r.limit_hit);
@@ -128,7 +141,7 @@ fn zero_budget_timeout_terminates_workers_promptly() {
     let rig = build(&g, &q);
     let opts = EnumOptions { timeout: Some(Duration::ZERO), ..Default::default() };
     let start = Instant::now();
-    let r = par_count(&q, &rig, &opts, 8);
+    let r = par_total(&q, &rig, &opts, &ParOptions::with_threads(8));
     let elapsed = start.elapsed();
     assert!(r.timed_out, "zero budget must time out");
     assert_eq!(r.count, 0, "no matches can be produced on an expired budget");
@@ -143,7 +156,7 @@ fn parallel_timeout_interrupts_explosive_enumeration() {
     let rig = build(&g, &q);
     let opts = EnumOptions { timeout: Some(Duration::from_millis(50)), ..Default::default() };
     let start = Instant::now();
-    let r = par_count(&q, &rig, &opts, 4);
+    let r = par_total(&q, &rig, &opts, &ParOptions::with_threads(4));
     assert!(r.timed_out, "must hit the wall-clock budget");
     assert!(start.elapsed() < Duration::from_secs(10));
     assert!(r.count > 0, "partial results are still produced");
@@ -169,7 +182,7 @@ fn merge_keeps_both_budget_flags() {
     }
 }
 
-/// par_count with limit reports `limit_hit` end to end (the observable
+/// A parallel count with a limit reports `limit_hit` end to end (the observable
 /// symptom of the old dropped-flag bug, now exercised through the real
 /// parallel path instead of a fallback).
 #[test]
@@ -180,7 +193,7 @@ fn par_count_reports_limit_hit() {
     assert!(full.count >= 4, "need a few matches");
     let k = full.count / 2;
     let opts = EnumOptions { limit: Some(k), ..Default::default() };
-    let r = par_count_with(&q, &rig, &opts, &ParOptions { threads: 3, morsel: 2 });
+    let r = par_total(&q, &rig, &opts, &ParOptions { threads: 3, morsel: 2 });
     assert_eq!(r.count, k);
     assert!(r.limit_hit, "limit_hit lost in the parallel merge");
 }
@@ -191,15 +204,59 @@ fn degenerate_shapes_are_safe() {
     let (g, q) = mixed_setup(7);
     let rig = build(&g, &q);
     let seq = count(&q, &rig, &EnumOptions::default());
-    let wide =
-        par_count_with(&q, &rig, &EnumOptions::default(), &ParOptions { threads: 64, morsel: 1 });
+    let wide = par_total(&q, &rig, &EnumOptions::default(), &ParOptions { threads: 64, morsel: 1 });
     assert_eq!(wide.count, seq.count);
 
     // empty RIG: label 7 never occurs
     let mut q2 = PatternQuery::new(vec![7, 1]);
     q2.add_edge(0, 1, EdgeKind::Direct);
     let rig2 = build(&g, &q2);
-    let r = par_count(&q2, &rig2, &EnumOptions::default(), 4);
+    let r = par_total(&q2, &rig2, &EnumOptions::default(), &ParOptions::with_threads(4));
     assert_eq!(r.count, 0);
     assert!(!r.timed_out && !r.limit_hit);
+}
+
+/// One thread runs the sequential engine inline: `par_enumerate` builds
+/// exactly one sink on the calling thread, every push happens there, and
+/// the tuple sequence is `enumerate_sink`'s, in the same order.
+#[test]
+fn single_thread_runs_inline_in_sequential_order() {
+    struct ThreadCheckSink {
+        owner: std::thread::ThreadId,
+        tuples: Vec<Vec<NodeId>>,
+    }
+    impl rig_mjoin::ResultSink for ThreadCheckSink {
+        fn push(&mut self, tuple: &[NodeId]) -> bool {
+            assert_eq!(std::thread::current().id(), self.owner, "push left the calling thread");
+            self.tuples.push(tuple.to_vec());
+            true
+        }
+    }
+
+    let (g, q) = mixed_setup(5);
+    let rig = build(&g, &q);
+    let caller = std::thread::current().id();
+    for opts in [EnumOptions::default(), EnumOptions { limit: Some(7), ..Default::default() }] {
+        let mut expect = CollectSink::default();
+        let seq = enumerate_sink(&q, &rig, &opts, &mut expect);
+        assert!(expect.tuples.len() > 5, "workload too small: {}", expect.tuples.len());
+        for morsel in [1usize, 64] {
+            let (sinks, r) =
+                par_enumerate(&q, &rig, &opts, &ParOptions { threads: 1, morsel }, |w| {
+                    assert_eq!(w, 0);
+                    assert_eq!(
+                        std::thread::current().id(),
+                        caller,
+                        "sink built off the calling thread"
+                    );
+                    ThreadCheckSink { owner: caller, tuples: Vec::new() }
+                });
+            assert_eq!(sinks.len(), 1, "one thread must mean one sink");
+            assert_eq!(
+                sinks[0].tuples, expect.tuples,
+                "tuple sequence differs from enumerate_sink"
+            );
+            assert_eq!((r.count, r.limit_hit, r.steps), (seq.count, seq.limit_hit, seq.steps));
+        }
+    }
 }

@@ -117,7 +117,8 @@ fn try_sample(g: &DataGraph, cfg: &GeneratorConfig, rng: &mut StdRng) -> Option<
     // edge, which BFS expansion guarantees.
     let mut edge_seq = 0usize;
     for (idx, par) in parent.iter().enumerate().skip(1) {
-        let p = par.expect("non-root has a parent");
+        // every non-root has a parent; a sample without one is discarded
+        let p = (*par)?;
         q.add_edge(p as QNode, idx as QNode, pick_kind(edge_seq));
         edge_seq += 1;
     }

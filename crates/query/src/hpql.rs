@@ -445,8 +445,9 @@ fn lex(input: &str) -> Result<Vec<Lexed>, HpqlError> {
             }
             c if c.is_ascii_digit() => {
                 let mut s = String::new();
-                while chars.peek().is_some_and(|c| c.is_ascii_digit()) {
-                    s.push(bump!().unwrap());
+                while let Some(&d) = chars.peek().filter(|c| c.is_ascii_digit()) {
+                    bump!();
+                    s.push(d);
                 }
                 let n: u32 = s.parse().map_err(|_| {
                     err_span(Span::new(tl, tc, s.len()), format!("label id '{s}' out of range"))
@@ -455,8 +456,11 @@ fn lex(input: &str) -> Result<Vec<Lexed>, HpqlError> {
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let mut s = String::new();
-                while chars.peek().is_some_and(|&c| c.is_ascii_alphanumeric() || c == '_') {
-                    s.push(bump!().unwrap());
+                while let Some(&d) =
+                    chars.peek().filter(|&&c| c.is_ascii_alphanumeric() || c == '_')
+                {
+                    bump!();
+                    s.push(d);
                 }
                 let len = s.len();
                 let tok = if s.eq_ignore_ascii_case("match") { Tok::Match } else { Tok::Ident(s) };
@@ -634,12 +638,11 @@ impl Parser {
     fn node(&mut self) -> Result<QNode, HpqlError> {
         let open = self.expect(Tok::LParen)?;
         let open_span = open.span();
-        let var = match self.peek().tok {
-            Tok::Ident(_) => {
-                let lexed = self.next();
-                let span = lexed.span();
-                let Tok::Ident(name) = lexed.tok else { unreachable!() };
-                Some((name, span))
+        let var = match &self.peek().tok {
+            Tok::Ident(name) => {
+                let var = (name.clone(), self.peek().span());
+                self.next();
+                Some(var)
             }
             _ => None,
         };

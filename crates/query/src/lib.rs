@@ -163,6 +163,7 @@ impl PatternQuery {
     /// statically known — parsers and generators use `try_add_edge` /
     /// [`PatternQuery::ensure_edge`] instead).
     #[track_caller]
+    #[allow(clippy::panic, reason = "infallible by contract; try_add_edge is the fallible form")]
     pub fn add_edge(&mut self, from: QNode, to: QNode, kind: EdgeKind) -> EdgeId {
         match self.try_add_edge(from, to, kind) {
             Ok(id) => id,

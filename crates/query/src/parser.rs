@@ -39,7 +39,7 @@ pub fn parse_query(input: &str) -> Result<PatternQuery, QueryParseError> {
             continue;
         }
         let mut parts = line.split_whitespace();
-        let tag = parts.next().unwrap();
+        let Some(tag) = parts.next() else { continue };
         let mut next_u32 = |what: &str| -> Result<u32, QueryParseError> {
             parts
                 .next()

@@ -723,10 +723,10 @@ fn run_gm(
     let trouble = StdoutTrouble::default();
     let outcome = if cli.count_only {
         prepared.run().threads(cli.threads).count()
-    } else if cli.threads > 1 {
-        // Parallel streaming: each worker batches matches and flushes
-        // them under a shared stdout lock, so nothing is materialized
-        // and lines never interleave mid-tuple.
+    } else {
+        // Each worker (one, running inline, unless --threads > 1) batches
+        // matches and flushes them under a shared stdout lock, so nothing
+        // is materialized and lines never interleave mid-tuple.
         let stdout = std::io::stdout();
         let arity = q.num_nodes();
         let (_, outcome) = prepared.run().threads(cli.threads).par_stream(|_worker| {
@@ -747,21 +747,6 @@ fn run_gm(
             StopOnTrouble { inner, trouble }
         });
         outcome
-    } else {
-        let stdout = std::io::stdout();
-        let mut sink = rigmatch::mjoin::FnSink(|t: &[u32]| {
-            use std::io::Write;
-            let line = t.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(" ");
-            let mut out = stdout.lock();
-            match writeln!(out, "{line}") {
-                Ok(()) => true,
-                Err(e) => {
-                    trouble.record(e);
-                    false
-                }
-            }
-        });
-        prepared.run().stream(&mut sink)
     };
     // a non-EPIPE stdout failure is a real I/O error; EPIPE is a clean stop
     trouble.check()?;

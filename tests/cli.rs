@@ -85,6 +85,45 @@ fn parallel_flags_stream_and_count() {
     assert_eq!(String::from_utf8(out.stdout).unwrap().trim(), "1");
 }
 
+/// `rigmatch ... | head -1`: a reader that goes away mid-stream is a clean
+/// stop (exit 0, no panic), for the inline single worker and for the
+/// parallel workers alike.
+#[test]
+fn closed_stdout_stops_enumeration_cleanly() {
+    use std::io::BufRead;
+    use std::process::Stdio;
+    // a complete directed graph on 40 nodes: ~60k two-hop paths, far more
+    // output than a pipe buffer holds
+    let n = 40;
+    let mut graph = String::from("l 0 A\n");
+    for v in 0..n {
+        graph.push_str(&format!("v {v} 0\n"));
+    }
+    for u in 0..n {
+        for v in (0..n).filter(|&v| v != u) {
+            graph.push_str(&format!("e {u} {v}\n"));
+        }
+    }
+    let g = write_tmp("g_epipe.txt", &graph);
+    for threads in ["1", "4"] {
+        let mut child = bin()
+            .arg(&g)
+            .args(["--query", "MATCH (a:A)->(b:A)->(c:A)", "--threads", threads])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut first = String::new();
+        std::io::BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
+        assert_eq!(first.split_whitespace().count(), 3, "threads={threads}: {first:?}");
+        // the reader is dropped here: every later write hits EPIPE
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(out.status.success(), "threads={threads}: {:?} {stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "threads={threads}: {stderr}");
+    }
+}
+
 #[test]
 fn hpql_query_files_are_autodetected() {
     let g = write_tmp("g7.txt", GRAPH);

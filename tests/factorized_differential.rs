@@ -6,10 +6,10 @@
 //! shapes, and on both clean base graphs and dirty delta-overlay
 //! snapshots.
 //!
-//! The DP path is additionally cross-checked at the engine level: its lazy
-//! pull-iterator must expand exactly the enumeration engine's match set,
-//! and its per-variable cardinalities must equal the distinct binding
-//! counts of the enumerated answers.
+//! The DP path is additionally cross-checked at the engine level: its
+//! count must equal the size of the enumeration engine's match set, and
+//! its per-variable cardinalities must equal the distinct binding counts
+//! of the enumerated answers.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -131,15 +131,15 @@ fn check_session(session: &Session, g: &rigmatch::graph::DataGraph, ctx_label: &
     }
 }
 
-/// Clean-base check plus the engine-level lazy-iterator cross-check.
+/// Clean-base check plus the engine-level DP cross-check.
 fn check_clean(select: SelectMode, seed: u64) {
     let cfg = GmConfig { rig: RigOptions { select, ..RigOptions::exact() }, ..GmConfig::default() };
     let g = random_base(20, 50, seed);
     let session = Session::with_config(g.clone(), cfg);
     check_session(&session, &g, &format!("clean select={select:?} seed={seed}"));
 
-    // Engine-level: lazy expansion produces exactly the enumerated match
-    // set, and var cardinalities equal the distinct enumerated bindings.
+    // Engine-level: the DP count is the size of the enumerated match set,
+    // and var cardinalities equal the distinct enumerated bindings.
     let opts = RigOptions { select, ..RigOptions::exact() };
     let bfl = BflIndex::new(&g);
     for (qi, q) in workload().iter().enumerate() {
@@ -148,14 +148,9 @@ fn check_clean(select: SelectMode, seed: u64) {
         if rig.is_empty() {
             continue;
         }
-        let (mut expect, _) = rigmatch::mjoin::collect(q, &rig, &Default::default(), usize::MAX);
-        expect.sort();
+        let (expect, _) = rigmatch::mjoin::collect(q, &rig, &Default::default(), usize::MAX);
         let mut f = Factorization::new(q, &rig);
-        let mut got: Vec<_> = f.tuples().collect();
-        got.sort();
-        assert_eq!(got, expect, "lazy iterator, query {qi} seed={seed}");
         assert_eq!(f.count().total, Some(expect.len() as u128));
-        assert_eq!(f.exists(), !expect.is_empty());
         let cards = f.var_cardinalities();
         for qn in 0..q.num_nodes() {
             let mut vals: Vec<_> = expect.iter().map(|t| t[qn]).collect();
