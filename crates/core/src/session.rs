@@ -60,9 +60,17 @@
 //! reduced query reads, or when it contains reachability edges and the
 //! commit changed any edge (paths traverse arbitrary labels). Plans over
 //! disjoint labels stay hot — [`CacheStats::invalidated`] counts the
-//! drops. Once the delta grows past the [`CompactionPolicy`] threshold,
-//! the store compacts LSM-style: the overlay is merged into a fresh
-//! id-stable base segment and the BFL index is rebuilt.
+//! drops.
+//!
+//! Folding the delta away has two halves. A **rebase** merges the
+//! overlay into a fresh id-stable base in memory and rebuilds BFL; it
+//! touches no storage. A read whose plan has a reachability edge and that
+//! finds a dirty snapshot rebases first, so reachability edges always
+//! expand through BFL probes on a clean base (direct-only plans read the
+//! overlay as is). A **checkpoint** writes that base to a segment and
+//! truncates the WAL. Once the ops committed since the last checkpoint
+//! pass the [`CompactionPolicy`] threshold, the commit *compacts*: rebase
+//! (unless a read already did) plus checkpoint.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -184,19 +192,23 @@ pub struct CacheStats {
 // compaction policy & store statistics
 // ---------------------------------------------------------------------------
 
-/// When the delta overlay is merged into a fresh base segment.
+/// When the store compacts: rebases the delta into a fresh base and
+/// checkpoints it.
 ///
-/// Compaction triggers at the end of a commit once the overlay has
-/// absorbed at least `min_ops` mutations **and** at least
-/// `ratio * (|V| + |E|)` of the current base segment's size. Both knobs
-/// guard the two failure modes: tiny graphs should not recompact on every
-/// commit, and huge graphs should not let the (hash-probed) overlay grow
-/// into a significant fraction of reads.
+/// Compaction triggers at the end of a commit once the commits since the
+/// last checkpoint have applied at least `min_ops` mutations **and** at
+/// least `ratio * (|V| + |E|)` of the current base segment's size. Both
+/// knobs guard the two failure modes: tiny graphs should not recompact on
+/// every commit, and huge graphs should not let the (hash-probed) overlay
+/// and the WAL grow into a significant fraction of reads and recovery.
+/// Read-time rebases do not reset the count, so they never delay a
+/// checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompactionPolicy {
-    /// Minimum delta operations before compaction is considered.
+    /// Minimum operations committed since the last checkpoint before
+    /// compaction is considered.
     pub min_ops: u64,
-    /// Delta operations as a fraction of base size (nodes + edges).
+    /// Those operations as a fraction of base size (nodes + edges).
     pub ratio: f64,
 }
 
@@ -212,8 +224,9 @@ impl CompactionPolicy {
         CompactionPolicy { min_ops: u64::MAX, ratio: f64::INFINITY }
     }
 
-    fn due(&self, delta_ops: u64, base_size: u64) -> bool {
-        delta_ops >= self.min_ops && (delta_ops as f64) >= self.ratio * base_size as f64
+    fn due(&self, ops_since_checkpoint: u64, base_size: u64) -> bool {
+        ops_since_checkpoint >= self.min_ops
+            && (ops_since_checkpoint as f64) >= self.ratio * base_size as f64
     }
 }
 
@@ -224,9 +237,14 @@ pub struct StoreStats {
     pub version: u64,
     /// Commits applied since the session opened.
     pub commits: u64,
-    /// LSM compactions run (automatic + manual).
+    /// LSM compactions run (automatic + manual): rebase plus checkpoint.
     pub compactions: u64,
-    /// Mutations currently resident in the delta overlay.
+    /// Dirty snapshots rebased in memory and published (materialize +
+    /// BFL rebuild, no storage I/O), by a reachability read or by a
+    /// compaction.
+    pub rebases: u64,
+    /// Mutations currently resident in the delta overlay: 0 exactly when
+    /// the current snapshot is clean.
     pub delta_ops: u64,
     /// Base segment size: node slots.
     pub base_nodes: usize,
@@ -345,6 +363,11 @@ struct State {
     version: u64,
     commits: u64,
     compactions: u64,
+    rebases: u64,
+    /// Mutations applied by the commits since the last checkpoint (the
+    /// [`CompactionPolicy`] input). Unlike the overlay's op count, a
+    /// rebase leaves it alone.
+    ops_since_checkpoint: u64,
     cache: PlanCache,
     /// Label-pair edge-count matrix for the snapshot at `.0` (a store
     /// version), built lazily on the first lint/analysis run and reused
@@ -359,14 +382,18 @@ struct State {
 /// threads keep executing against their snapshots while a writer commits.
 pub struct Session {
     /// Snapshot, BFL index, plan cache and version counters. The
-    /// session's only lock order is state → store.
+    /// session's lock order is rebase → state → store.
     state: Mutex<State>,
+    /// Single-flights rebases: racing readers of one dirty snapshot
+    /// build its clean base once. Taken before the state lock, never
+    /// while holding it.
+    rebase: Mutex<()>,
     config: GmConfig,
     compaction: CompactionPolicy,
     /// Durable companion (WAL + snapshot segments) when the session was
     /// opened on a store directory; `None` for in-memory sessions. Lock
-    /// order is state → store, the only order in the session: a holder
-    /// of this lock never takes the state lock.
+    /// order is rebase → state → store: a holder of this lock never takes
+    /// the state or rebase lock.
     store: Option<Mutex<DurableStore>>,
     /// What recovery did, when this session came from [`Session::open`].
     recovery: Option<RecoveryReport>,
@@ -421,6 +448,8 @@ impl Session {
                 version: 0,
                 commits: 0,
                 compactions: 0,
+                rebases: 0,
+                ops_since_checkpoint: 0,
                 cache: PlanCache {
                     capacity: DEFAULT_CACHE_CAPACITY,
                     entries: Vec::new(),
@@ -428,6 +457,7 @@ impl Session {
                 },
                 pairs: None,
             }),
+            rebase: Mutex::new(()),
             config,
             compaction: CompactionPolicy::default(),
             store: None,
@@ -510,10 +540,14 @@ impl Session {
             }
             version = rec.version;
         }
+        // the replayed records are not checkpointed yet: they count
+        // towards the next compaction exactly as before the restart
+        let ops_since_checkpoint = overlay.ops();
         let snapshot = Arc::new(Snapshot::new(Arc::new(overlay), version));
         let mut session = Session::with_config(Arc::clone(&base), config);
         {
             let mut st = session.state();
+            st.ops_since_checkpoint = ops_since_checkpoint;
             st.snapshot = snapshot;
             st.bfl = bfl;
             st.version = version;
@@ -599,7 +633,9 @@ impl Session {
 
     /// The concrete BFL index of the current **base segment**, for
     /// harnesses that drive RIG construction outside the session. On a
-    /// dirty snapshot pair it with [`rig_reach::SnapshotReach`].
+    /// dirty snapshot pair it with [`rig_reach::SnapshotReach`]. A
+    /// reachability read may rebase in between two calls, so take
+    /// [`Session::graph`] and this index with no read running.
     pub fn bfl(&self) -> Arc<BflIndex> {
         Arc::clone(&self.state().bfl)
     }
@@ -633,6 +669,7 @@ impl Session {
         st.version = version;
         st.snapshot = Arc::new(Snapshot::new(Arc::new(DeltaOverlay::new(base)), version));
         st.bfl = bfl;
+        st.ops_since_checkpoint = 0;
         st.cache.entries.clear();
         st.pairs = None;
         self.epoch.fetch_add(1, Ordering::Relaxed);
@@ -676,7 +713,8 @@ impl Session {
         st.version += 1;
         st.commits += 1;
         st.pairs = None;
-        let delta_ops = overlay.ops();
+        st.ops_since_checkpoint += impact.ops();
+        let ops_since_checkpoint = st.ops_since_checkpoint;
         let base = overlay.base();
         let base_size = (base.num_nodes() + base.num_edges()) as u64;
         st.snapshot = Arc::new(Snapshot::new(Arc::new(overlay), st.version));
@@ -701,7 +739,8 @@ impl Session {
         // compaction happens *outside* the state lock (materialize + BFL
         // rebuild are the expensive part) so readers keep executing
         // against the just-published snapshot in the meantime
-        let compacted = self.compaction.due(delta_ops, base_size) && self.compact_at(version);
+        let compacted =
+            self.compaction.due(ops_since_checkpoint, base_size) && self.compact_at(version);
         Ok(CommitSummary {
             version,
             nodes_added: impact.nodes_added,
@@ -729,14 +768,16 @@ impl Session {
         self.commit(txn)
     }
 
-    /// Forces a compaction now (merge the delta into a fresh base segment
-    /// and rebuild BFL). Returns `false` when the delta was already empty
-    /// or a concurrent commit raced the merge (that commit will trigger
-    /// its own compaction if the delta is still over threshold).
+    /// Forces a compaction now: rebase the delta into a fresh base, then
+    /// checkpoint it. Returns `false` when there is nothing to fold (a
+    /// clean snapshot, and on a durable session no commit since the last
+    /// checkpoint) or a concurrent commit raced the compaction (that
+    /// commit will trigger its own if it is still over threshold).
     pub fn compact(&self) -> bool {
         let version = {
             let st = self.state();
-            if !st.snapshot.is_dirty() {
+            let unsaved = self.store.is_some() && st.ops_since_checkpoint > 0;
+            if !st.snapshot.is_dirty() && !unsaved {
                 return false;
             }
             st.version
@@ -744,12 +785,14 @@ impl Session {
         self.compact_at(version)
     }
 
-    /// Compacts the snapshot published at `version`: materializes the
-    /// merged base and rebuilds BFL **without holding the state lock**,
-    /// then swaps both in iff no commit landed in the meantime. Losing
-    /// the race just wastes the build — the racing commit re-evaluates
-    /// the threshold itself. Cached plans are deliberately kept:
-    /// compaction changes representation, never the graph.
+    /// Compacts the snapshot published at `version`: a rebase (skipped
+    /// when a read already rebased that version) followed by a checkpoint
+    /// of the clean base, both **outside the state lock**. The WAL is
+    /// truncated iff no commit landed in the meantime; losing that race
+    /// leaves a harmless extra segment (replay skips the records it
+    /// absorbed), and the racing commit re-evaluates the threshold itself.
+    /// If the checkpoint fails the previous segment and the full WAL stay
+    /// authoritative and the next commit retries.
     fn compact_at(&self, version: u64) -> bool {
         let snapshot = {
             let st = self.state();
@@ -758,16 +801,14 @@ impl Session {
             }
             Arc::clone(&st.snapshot)
         };
-        let merged = Arc::new(snapshot.materialize());
-        let bfl = Arc::new(BflIndex::new(&merged));
-        // durable checkpoint happens *before* the swap and outside the
-        // state lock: write-new, fsync, atomic rename. If a commit races
-        // us the leftover segment is harmless (replay skips the records it
-        // absorbed); if the checkpoint fails, compaction is skipped and
-        // the previous segment + full WAL stay authoritative.
+        let base = if snapshot.is_dirty() {
+            Arc::clone(self.rebase(&snapshot, version).0.base())
+        } else {
+            Arc::clone(snapshot.base())
+        };
         if let Some(store) = &self.store {
             let Ok(mut s) = lock_store(store) else { return false };
-            if s.checkpoint(&merged, version).is_err() {
+            if s.checkpoint(&base, version).is_err() {
                 return false;
             }
         }
@@ -783,10 +824,37 @@ impl Session {
                 let _ = s.truncate_wal(version);
             }
         }
-        st.snapshot = Arc::new(Snapshot::new(Arc::new(DeltaOverlay::new(merged)), version));
-        st.bfl = bfl;
+        st.ops_since_checkpoint = 0;
         st.compactions += 1;
         true
+    }
+
+    /// Rebases `snapshot`, the dirty snapshot published at `version`:
+    /// materializes it and rebuilds BFL **without holding the state
+    /// lock**, and publishes the clean pair iff no commit landed in the
+    /// meantime. Either way the caller gets a clean snapshot of its own
+    /// `version` plus its BFL, so snapshot isolation is unchanged.
+    /// Touches no storage. Single-flight: a racer that waited on the
+    /// rebase lock finds the clean pair published and reuses it. Cached
+    /// plans are kept: a rebase changes representation, never the graph.
+    fn rebase(&self, snapshot: &Snapshot, version: u64) -> (Arc<Snapshot>, Arc<BflIndex>) {
+        let _flight = self.rebase.lock().unwrap_or_else(PoisonError::into_inner);
+        {
+            let st = self.state();
+            if st.version == version && !st.snapshot.is_dirty() {
+                return (Arc::clone(&st.snapshot), Arc::clone(&st.bfl));
+            }
+        }
+        let merged = Arc::new(snapshot.materialize());
+        let bfl = Arc::new(BflIndex::new(&merged));
+        let clean = Arc::new(Snapshot::new(Arc::new(DeltaOverlay::new(merged)), version));
+        let mut st = self.state();
+        if st.version == version {
+            st.snapshot = Arc::clone(&clean);
+            st.bfl = Arc::clone(&bfl);
+            st.rebases += 1;
+        }
+        (clean, bfl)
     }
 
     /// Drops every cached plan (counters are kept).
@@ -815,6 +883,7 @@ impl Session {
             version: st.version,
             commits: st.commits,
             compactions: st.compactions,
+            rebases: st.rebases,
             delta_ops: st.snapshot.delta().ops(),
             base_nodes: base.num_nodes(),
             base_edges: base.num_edges(),
@@ -965,10 +1034,13 @@ impl Session {
     }
 
     /// Looks up or builds the RIG for `prepared`. Returns the plan and
-    /// whether it came from the cache. No lock is held during the build,
-    /// so concurrent misses on the same key build twice and the second
-    /// insert wins — wasted work, never a wrong answer; a build raced by
-    /// a commit is simply not cached (its snapshot is already stale).
+    /// whether it came from the cache. A build of a plan with a
+    /// reachability edge on a dirty snapshot rebases it first, so the
+    /// expansion probes BFL on a clean base. No lock is held during the
+    /// build, so concurrent misses on the same key build twice and the
+    /// second insert wins — wasted work, never a wrong answer; a build
+    /// raced by a commit is simply not cached (its snapshot is already
+    /// stale).
     ///
     /// `deadline` caps the build itself (selection stops at the next
     /// simulation pass boundary, expansion aborts): a timed-out build
@@ -981,7 +1053,8 @@ impl Session {
         deadline: Option<Instant>,
     ) -> (Arc<Rig>, bool) {
         let key = CacheKey::new(&prepared.exec, &self.config.rig);
-        let (snapshot, bfl, version) = {
+        let has_reach = prepared.exec.edges().iter().any(|e| e.kind == EdgeKind::Reachability);
+        let (mut snapshot, mut bfl, version) = {
             let mut st = self.state();
             if use_cache {
                 if let Some(rig) = st.cache.get(&key) {
@@ -994,6 +1067,9 @@ impl Session {
             }
             (Arc::clone(&st.snapshot), Arc::clone(&st.bfl), st.version)
         };
+        if has_reach && snapshot.is_dirty() {
+            (snapshot, bfl) = self.rebase(&snapshot, version);
+        }
         let opts = self.config.rig.with_deadline(deadline);
         let rig = Arc::new(build_plan(&snapshot, &bfl, &prepared.exec, &opts));
         if use_cache && !rig.stats.timed_out {
@@ -1003,11 +1079,7 @@ impl Session {
             if st.version == version {
                 st.cache.insert(CacheEntry {
                     mask: label_mask(&key.labels),
-                    has_reach: prepared
-                        .exec
-                        .edges()
-                        .iter()
-                        .any(|e| e.kind == EdgeKind::Reachability),
+                    has_reach,
                     rig: Arc::clone(&rig),
                     key,
                 });
@@ -1051,6 +1123,8 @@ fn label_mask(labels: &[Label]) -> u64 {
 /// Builds a RIG against one snapshot. Clean snapshots run the pure
 /// base-CSR + BFL path; dirty ones read adjacency through the overlay and
 /// probe reachability through the delta-aware [`SnapshotReach`] oracle.
+/// [`Session::rig_for`] rebases reachability plans first, so only
+/// direct-only plans take the dirty branch.
 fn build_plan(snapshot: &Snapshot, bfl: &BflIndex, exec: &PatternQuery, opts: &RigOptions) -> Rig {
     if snapshot.is_dirty() {
         let reach = SnapshotReach::new(snapshot, bfl);
@@ -1603,6 +1677,132 @@ mod tests {
         let (mut par_tuples, _) = p.run().threads(4).morsel(1).collect_all();
         par_tuples.sort();
         assert_eq!(par_tuples, overlay_tuples);
+    }
+
+    /// Sorted match set of `hpql` on `session`.
+    fn sorted_matches(session: &Session, hpql: &str) -> Vec<Vec<NodeId>> {
+        let (mut tuples, _) = session.prepare(hpql).unwrap().run().collect_all();
+        tuples.sort();
+        tuples
+    }
+
+    /// fig2 plus one structural commit: a new A -> B -> C chain.
+    fn dirty_fig2_session() -> Session {
+        let session = fig2_session();
+        let mut txn = session.begin();
+        let a3 = txn.add_named_node("A");
+        txn.add_edge(a3, 4); // a3 -> b1
+        txn.add_edge(3, 9); // b0 -> c2
+        session.commit(txn).unwrap();
+        assert!(session.graph().is_dirty());
+        session
+    }
+
+    #[test]
+    fn reachability_read_rebases_a_dirty_snapshot() {
+        let session = dirty_fig2_session();
+        let expect = sorted_matches(&Session::new(session.graph().materialize()), FIG2_HPQL);
+        let before = session.store_stats();
+        assert_eq!(before.delta_ops, 3);
+        assert_eq!(sorted_matches(&session, FIG2_HPQL), expect);
+        let after = session.store_stats();
+        assert!(!session.graph().is_dirty(), "the read published a clean base");
+        assert_eq!(after.delta_ops, 0);
+        assert_eq!(after.rebases, 1);
+        assert_eq!(after.compactions, before.compactions, "a rebase is not a checkpoint");
+        assert_eq!(after.version, before.version, "a rebase publishes no new version");
+        assert_eq!((after.base_nodes, after.edges), (11, before.edges));
+        // the rebased base answers the next (cached and uncached) reads
+        assert_eq!(sorted_matches(&session, FIG2_HPQL), expect);
+        let (mut t, _) = session.prepare(FIG2_HPQL).unwrap().run().no_cache().collect_all();
+        t.sort();
+        assert_eq!(t, expect);
+        assert_eq!(session.store_stats().rebases, 1);
+    }
+
+    #[test]
+    fn direct_only_read_leaves_the_snapshot_dirty() {
+        let session = dirty_fig2_session();
+        let q = "MATCH (a:A)->(b:B)";
+        let expect = sorted_matches(&Session::new(session.graph().materialize()), q);
+        assert_eq!(sorted_matches(&session, q), expect);
+        assert_eq!(session.prepare(q).unwrap().run().no_cache().count().result.count, 4);
+        assert!(session.graph().is_dirty());
+        let stats = session.store_stats();
+        assert_eq!((stats.rebases, stats.delta_ops), (0, 3));
+    }
+
+    #[test]
+    fn snapshots_taken_before_a_rebase_keep_their_version() {
+        let session = fig2_session();
+        let clean = session.graph();
+        let mut txn = session.begin();
+        txn.add_edge(0, 7);
+        txn.remove_edge(1, 3);
+        session.commit(txn).unwrap();
+        let dirty = session.graph();
+        session.prepare(FIG2_HPQL).unwrap().run().count();
+        let rebased = session.graph();
+        assert!(!rebased.is_dirty());
+        assert_eq!(session.store_stats().rebases, 1);
+        // the held snapshots answer for their own versions
+        assert!(dirty.is_dirty());
+        assert_eq!((dirty.version(), rebased.version()), (1, 1));
+        assert!(dirty.has_edge(0, 7) && !dirty.has_edge(1, 3));
+        assert!(!clean.has_edge(0, 7) && clean.has_edge(1, 3));
+        assert_eq!((clean.num_edges(), dirty.num_edges(), rebased.num_edges()), (11, 11, 11));
+        assert!(rebased.has_edge(0, 7) && !rebased.has_edge(1, 3));
+    }
+
+    /// Readers racing the first reachability read on one dirty snapshot
+    /// rebase it once. The rebase lock is held while they start, so all
+    /// of them queue on it (a late starter finds the clean base), and
+    /// only the first may materialize.
+    #[test]
+    fn racing_reachability_reads_rebase_once() {
+        let session = dirty_fig2_session();
+        let expect = sorted_matches(&Session::new(session.graph().materialize()), FIG2_HPQL);
+        let answers = std::thread::scope(|s| {
+            let flight = session.rebase.lock().unwrap();
+            let readers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let p = session.prepare(FIG2_HPQL).unwrap();
+                        let (mut t, _) = p.run().no_cache().collect_all();
+                        t.sort();
+                        t
+                    })
+                })
+                .collect();
+            std::thread::sleep(Duration::from_millis(100));
+            drop(flight);
+            readers.into_iter().map(|r| r.join().unwrap()).collect::<Vec<_>>()
+        });
+        assert!(answers.iter().all(|t| *t == expect), "{answers:?}");
+        assert_eq!(session.store_stats().rebases, 1);
+        assert!(!session.graph().is_dirty());
+    }
+
+    /// The checkpoint cadence counts ops since the last checkpoint: a
+    /// read-time rebase empties the overlay but must not postpone the
+    /// compaction the committed ops are due.
+    #[test]
+    fn rebases_do_not_delay_the_checkpoint_cadence() {
+        let session =
+            Session::new(fig2_graph()).with_compaction(CompactionPolicy { min_ops: 3, ratio: 0.0 });
+        let mut txn = session.begin();
+        txn.add_edge(0, 7);
+        assert!(!session.commit(txn).unwrap().compacted, "1 op < min_ops");
+        assert_eq!(session.prepare(FIG2_HPQL).unwrap().run().count().result.count, 3);
+        assert_eq!(session.store_stats().rebases, 1);
+        let mut txn = session.begin();
+        let x = txn.add_named_node("A");
+        txn.add_edge(x, 3);
+        assert!(session.commit(txn).unwrap().compacted, "1 + 2 ops >= min_ops");
+        let stats = session.store_stats();
+        assert_eq!((stats.compactions, stats.delta_ops), (1, 0));
+        // an in-memory session has nothing to checkpoint once clean
+        assert!(!session.compact());
     }
 
     #[test]

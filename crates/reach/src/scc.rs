@@ -69,8 +69,7 @@ impl Condensation {
                         lowlink[p as usize] = lowlink[p as usize].min(lowlink[v as usize]);
                     }
                     if lowlink[v as usize] == index[v as usize] {
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
+                        while let Some(w) = stack.pop() {
                             on_stack[w as usize] = false;
                             comp[w as usize] = comp_count;
                             if w == v {

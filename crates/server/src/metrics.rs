@@ -173,6 +173,12 @@ pub fn render(metrics: &ServerMetrics, session: &Session) -> String {
     gauge(&mut out, "rigmatch_store_version", "monotone store version", s.version);
     counter(&mut out, "rigmatch_store_commits_total", "commits since open", s.commits);
     counter(&mut out, "rigmatch_store_compactions_total", "LSM compactions run", s.compactions);
+    counter(
+        &mut out,
+        "rigmatch_store_rebases_total",
+        "dirty snapshots rebased in memory for reachability reads or compactions",
+        s.rebases,
+    );
     gauge(&mut out, "rigmatch_store_delta_ops", "mutations resident in the overlay", s.delta_ops);
     gauge(&mut out, "rigmatch_graph_live_nodes", "live nodes in the snapshot", s.live_nodes as u64);
     gauge(&mut out, "rigmatch_graph_edges", "edges in the snapshot", s.edges as u64);
@@ -205,6 +211,7 @@ mod tests {
         assert!(page.contains("rigmatch_tuples_streamed_total 42\n"));
         assert!(page.contains("rigmatch_graph_edges 1\n"));
         assert!(page.contains("rigmatch_wal_flush_failures_total 0\n"));
+        assert!(page.contains("rigmatch_store_rebases_total 0\n"));
         // every non-comment line is `name value`
         for line in page.lines().filter(|l| !l.starts_with('#')) {
             let mut parts = line.split(' ');

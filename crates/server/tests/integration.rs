@@ -511,6 +511,44 @@ fn strict_lint_rejects_with_structured_diagnostics() {
     handle.join().unwrap().unwrap();
 }
 
+/// The value of the unlabelled metric `name` on a `/metrics` page.
+fn metric(page: &str, name: &str) -> u64 {
+    page.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("{name} missing from {page}"))
+        .parse()
+        .unwrap()
+}
+
+/// A reachability query on the snapshot an update left dirty rebases it
+/// in memory: `rigmatch_store_rebases_total` counts that, the overlay
+/// gauge drops to 0, and no compaction (checkpoint) is counted.
+#[test]
+fn reachability_query_after_update_counts_a_rebase() {
+    let session = Arc::new(Session::new(ab_graph()));
+    let server =
+        Server::bind(Arc::clone(&session), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.serve());
+
+    let (_, page) = send_raw(addr, "GET", "/metrics", "");
+    assert_eq!(metric(&page, "rigmatch_store_rebases_total"), 0);
+    let (status, body) = send_raw(addr, "POST", "/update", "a e 0 11\ncommit\n");
+    assert_eq!(status, 200, "{body}");
+    let (_, page) = send_raw(addr, "GET", "/metrics", "");
+    assert_eq!(metric(&page, "rigmatch_store_delta_ops"), 1, "{page}");
+    let (status, summary) = send_raw(addr, "POST", "/query?mode=count", "MATCH (a:0)=>(b:1)");
+    assert_eq!(status, 200, "{summary}");
+    assert_eq!(json_field(&summary, "count"), "11");
+    let (_, page) = send_raw(addr, "GET", "/metrics", "");
+    assert!(metric(&page, "rigmatch_store_rebases_total") >= 1, "{page}");
+    assert_eq!(metric(&page, "rigmatch_store_delta_ops"), 0, "{page}");
+    assert_eq!(metric(&page, "rigmatch_store_compactions_total"), 0, "{page}");
+
+    send_raw(addr, "POST", "/shutdown", "");
+    handle.join().unwrap().unwrap();
+}
+
 /// The metrics page reflects traffic (counter monotonicity smoke).
 #[test]
 fn metrics_page_reflects_traffic() {

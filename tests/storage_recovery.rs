@@ -400,6 +400,85 @@ fn recovered_session_resumes_committing() {
     );
 }
 
+/// Read-time rebases are in-memory only: a reachability read on a dirty
+/// durable session folds the overlay into a fresh base without appending
+/// to, shrinking or syncing the WAL and without writing a segment. Only
+/// the explicit compaction (a checkpoint of the already-rebased base)
+/// touches storage, and recovery afterwards equals the in-memory rebuild.
+#[test]
+fn reachability_reads_rebase_without_touching_storage() {
+    use rigmatch::core::StorageBackend;
+    let backend = Arc::new(MemBackend::new());
+    let dir = PathBuf::from(STORE_DIR);
+    let wal = dir.join("wal.log");
+    let seed = 11;
+    let base = Arc::new(base_graph(seed));
+    let mut stream = MutationStream::new(Arc::clone(&base), seed);
+    let open_opts = || {
+        (
+            GmConfig::default(),
+            Arc::clone(&backend) as Arc<dyn StorageBackend>,
+            StoreOptions::default(),
+        )
+    };
+    let (config, store_backend, opts) = open_opts();
+    let session = Session::create_at_with(&dir, Arc::clone(&base), config, store_backend, opts)
+        .expect("create");
+    let reference = Session::new(Arc::clone(&base));
+    let probe = |session: &Session, kind: EdgeKind| -> u64 {
+        let mut q = PatternQuery::new(vec![0, 1]);
+        q.add_edge(0, 1, kind);
+        // no_cache: a cached plan would be served without a rebase
+        session.prepare(&q).expect("valid probe").run().no_cache().count().result.count
+    };
+    let storage =
+        || (backend.ops(), backend.syncs(), backend.file(&wal), backend.list(&dir).unwrap());
+
+    let mut rebased = 0;
+    for step in 0..8 {
+        let ops = stream.next_txn(4);
+        session.apply(&ops).expect("clean commit");
+        reference.apply(&ops).expect("clean commit");
+        let dirty = session.graph().is_dirty();
+        let before = storage();
+        assert_eq!(
+            probe(&session, EdgeKind::Reachability),
+            probe(&reference, EdgeKind::Reachability)
+        );
+        assert_eq!(storage(), before, "step {step}: a read touched storage");
+        assert!(!session.graph().is_dirty(), "step {step}: the reachability read rebased");
+        rebased += u64::from(dirty);
+        assert_eq!(session.store_stats().rebases, rebased);
+        assert_eq!(probe(&session, EdgeKind::Direct), probe(&reference, EdgeKind::Direct));
+
+        if step == 4 {
+            // the snapshot is clean but the WAL holds 5 commits: compaction
+            // checkpoints the rebased base without materializing it again
+            let wal_before = backend.file(&wal).unwrap().len();
+            assert!(wal_before > 0);
+            assert!(session.compact(), "uncheckpointed commits make a durable store compactable");
+            assert_eq!(session.store_stats().rebases, rebased, "no second rebase");
+            assert_eq!(session.store_stats().compactions, 1);
+            assert_eq!(backend.file(&wal).unwrap().len(), 0, "the checkpoint truncated the WAL");
+            assert!(!session.compact(), "nothing left to checkpoint");
+        }
+    }
+    assert!(rebased >= 4, "the stream must have dirtied most steps ({rebased})");
+    session.flush_wal().expect("flush");
+    drop(session);
+
+    let (config, store_backend, opts) = open_opts();
+    let recovered = Session::open_with(&dir, config, store_backend, opts).expect("recover");
+    assert_eq!(recovered.recovery_report().unwrap().recovered_version, 8);
+    assert_eq!(
+        graph_bytes(&recovered.graph().materialize()),
+        graph_bytes(&reference.graph().materialize())
+    );
+    for kind in [EdgeKind::Direct, EdgeKind::Reachability] {
+        assert_eq!(probe(&recovered, kind), probe(&reference, kind), "{kind:?}");
+    }
+}
+
 /// The storage layer surfaces unrecoverable states as [`Error::Storage`],
 /// wired to exit code 7 — the contract the CLI's `recover` subcommand and
 /// the bench harness rely on.

@@ -1,8 +1,13 @@
 //! Update-vs-rebuild differential suite: random interleavings of node/edge
-//! inserts, deletes and compactions, executed through the delta overlay,
-//! must produce **byte-identical match sets** to a from-scratch rebuild
-//! (fresh CSR base + fresh BFL on the materialized snapshot), across every
-//! `SelectMode`, both `EdgeKind`s, and thread counts {1, 2, 8}.
+//! inserts, deletes and compactions, executed through the session, must
+//! produce **byte-identical match sets** to a from-scratch rebuild (fresh
+//! CSR base + fresh BFL on the materialized snapshot), across every
+//! `SelectMode`, both `EdgeKind`s, and thread counts {1, 2, 8}. Session
+//! reads of direct-only plans run through the delta overlay; a plan with a
+//! reachability edge first rebases the dirty snapshot onto a fresh base.
+//! The overlay reachability oracle (`SnapshotReach` plus the dirty branch
+//! of RIG expansion) is driven directly, outside the session, by
+//! `overlay_oracle_matches_rebuild`.
 //!
 //! On top of match-set equality, every checked snapshot also exercises the
 //! `count()` terminal — which auto-routes to the factorized counting DP on
@@ -18,10 +23,13 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rigmatch::core::{CompactionPolicy, GmConfig, Session};
+use rigmatch::core::{CompactionPolicy, GmConfig, GraphTxn, Session};
 use rigmatch::graph::{CommitImpact, DeltaOverlay, GraphBuilder, NodeId};
+use rigmatch::mjoin::EnumOptions;
 use rigmatch::query::{EdgeKind, PatternQuery};
-use rigmatch::rig::{RigOptions, SelectMode};
+use rigmatch::reach::{BflIndex, SnapshotReach};
+use rigmatch::rig::{build_rig, Rig, RigOptions, SelectMode};
+use rigmatch::sim::SimContext;
 
 const NUM_LABELS: u32 = 3;
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -78,6 +86,24 @@ fn matches(session: &Session, q: &PatternQuery, threads: usize) -> Vec<Vec<NodeI
     tuples
 }
 
+/// Stages up to `ops` random mutations on a txn while mirroring them on a
+/// scratch overlay: the scratch validates each op against the graph *as
+/// mutated so far in this txn* (an earlier staged remove may have killed
+/// an endpoint), so committing the txn is guaranteed to apply cleanly.
+fn random_txn(session: &Session, gen_state: &mut u64, ops: usize) -> GraphTxn {
+    let mut scratch: DeltaOverlay = (**session.graph().delta()).clone();
+    let mut txn = session.begin();
+    for _ in 0..ops {
+        if let Some(op) = scratch.random_mutation(gen_state, NUM_LABELS) {
+            let mut impact = CommitImpact::default();
+            if scratch.apply(&op, &mut impact).is_ok() {
+                txn.push(op);
+            }
+        }
+    }
+    txn
+}
+
 /// The heart of the suite: drive `commits` random transactions through
 /// `session`, and after every commit compare the overlay's match sets
 /// against a from-scratch rebuild of the materialized snapshot — for every
@@ -89,20 +115,7 @@ fn drive_and_check(select: SelectMode, seed: u64, commits: usize, ops_per_commit
     let session = Session::with_config(base, cfg).with_compaction(CompactionPolicy::disabled());
     let queries = workload();
     for step in 0..commits {
-        // Stage ops on the txn while mirroring them on a scratch overlay:
-        // the scratch validates each op against the graph *as mutated so
-        // far in this txn* (an earlier staged remove may have killed an
-        // endpoint), so the commit below is guaranteed to apply cleanly.
-        let mut scratch: DeltaOverlay = (**session.graph().delta()).clone();
-        let mut txn = session.begin();
-        for _ in 0..ops_per_commit {
-            if let Some(op) = scratch.random_mutation(&mut gen_state, NUM_LABELS) {
-                let mut impact = CommitImpact::default();
-                if scratch.apply(&op, &mut impact).is_ok() {
-                    txn.push(op);
-                }
-            }
-        }
+        let txn = random_txn(&session, &mut gen_state, ops_per_commit);
         let summary = session.commit(txn).expect("scratch-validated ops commit cleanly");
         // occasionally fold the delta into a fresh base mid-stream
         if step % 3 == 2 {
@@ -121,8 +134,10 @@ fn drive_and_check(select: SelectMode, seed: u64, commits: usize, ops_per_commit
                     summary.version
                 );
             }
-            // the count() terminal rides the factorized DP on the dirty
-            // snapshot — it must agree with the match set and the oracle
+            // the count() terminal rides the factorized DP on the session's
+            // snapshot (still dirty for direct-only plans until a
+            // reachability read rebases it) — it must agree with the match
+            // set and the oracle
             let brute = rigmatch::baselines::brute_force_count(&materialized, q, false);
             assert_eq!(brute, expect.len() as u64, "oracle vs rebuild, query {qi}");
             let p = session.prepare(q).expect("workload validates");
@@ -137,8 +152,79 @@ fn drive_and_check(select: SelectMode, seed: u64, commits: usize, ops_per_commit
     }
 }
 
+/// Sorted match set of `q` over a RIG built outside the session.
+fn rig_matches(q: &PatternQuery, rig: &Rig) -> Vec<Vec<NodeId>> {
+    if rig.is_empty() {
+        return Vec::new();
+    }
+    let (mut tuples, result) =
+        rigmatch::mjoin::collect(q, rig, &EnumOptions::default(), usize::MAX);
+    assert!(!result.timed_out && !result.limit_hit);
+    tuples.sort();
+    tuples
+}
+
+/// The overlay reachability oracle against the rebuild. Builds each RIG
+/// outside the session, the way a harness replays a read layer by layer:
+/// a `SimContext` over the dirty snapshot whose reachability probes go
+/// through `SnapshotReach` (overlay BFS over the base BFL), then
+/// `build_rig`, whose reachability expansion takes the overlay-DFS branch.
+/// No session read runs between commits, so every checked snapshot that
+/// any commit touched stays dirty.
+fn check_overlay_oracle(seed: u64, commits: usize, ops_per_commit: usize) {
+    let mut gen_state = seed ^ 0x0A4C;
+    let session =
+        Session::new(random_base(24, 60, seed)).with_compaction(CompactionPolicy::disabled());
+    let queries = workload();
+    let mut dirty_checks = 0;
+    for step in 0..commits {
+        let txn = random_txn(&session, &mut gen_state, ops_per_commit);
+        session.commit(txn).expect("scratch-validated ops commit cleanly");
+        let snapshot = session.graph();
+        if !snapshot.is_dirty() {
+            continue;
+        }
+        dirty_checks += 1;
+        let bfl = session.bfl();
+        let reach = SnapshotReach::new(&snapshot, &bfl);
+        let materialized = snapshot.materialize();
+        let rebuilt_bfl = BflIndex::new(&materialized);
+        for select in [
+            SelectMode::PrefilterThenSim,
+            SelectMode::SimOnly,
+            SelectMode::PrefilterOnly,
+            SelectMode::MatchSets,
+        ] {
+            let opts = RigOptions { select, ..RigOptions::exact() };
+            for (qi, q) in queries.iter().enumerate() {
+                let over = build_rig(&SimContext::new(&*snapshot, q, &reach), &bfl, &opts);
+                let rebuilt = build_rig(
+                    &SimContext::new(&materialized, q, &rebuilt_bfl),
+                    &rebuilt_bfl,
+                    &opts,
+                );
+                assert_eq!(
+                    rig_matches(q, &over),
+                    rig_matches(q, &rebuilt),
+                    "select={select:?} seed={seed} step={step} query={qi}"
+                );
+            }
+        }
+    }
+    assert!(session.graph().is_dirty() && session.store_stats().rebases == 0);
+    assert!(dirty_checks > 0, "seed {seed}: no commit dirtied the snapshot");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Overlay-oracle RIGs (`SnapshotReach` + the dirty expansion branch)
+    /// on a dirty snapshot equal a rebuild of the materialized snapshot,
+    /// for every `SelectMode` and both `EdgeKind`s.
+    #[test]
+    fn overlay_oracle_matches_rebuild(seed in 0u64..1_000_000) {
+        check_overlay_oracle(seed, 4, 6);
+    }
 
     /// Refined (prefilter + simulation) RIGs over the overlay equal a
     /// from-scratch rebuild after arbitrary committed mutation sequences.
