@@ -26,7 +26,7 @@ if [[ "${1:-}" != "quick" ]]; then
     step "cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
 
-    step "panic-lint gate: no unwrap/expect/panic in core, server, analyze, query, reach"
+    step "panic-lint gate: no unwrap/expect/panic in core, server, analyze, query, reach, graph, storage"
     # the clippy run above enforces the denies through the [lints] tables;
     # this gate asserts that wiring is intact so a manifest regression
     # (e.g. a dropped [lints] table) cannot silently downgrade the three
@@ -35,7 +35,7 @@ if [[ "${1:-}" != "quick" ]]; then
         grep -A8 '^\[workspace\.lints\.clippy\]' Cargo.toml \
             | grep -q "^${lint} = \"deny\""
     done
-    for c in core server analyze query reach; do
+    for c in core server analyze query reach graph storage; do
         grep -A1 '^\[lints\]' "crates/${c}/Cargo.toml" | grep -q '^workspace = true'
     done
 
@@ -124,6 +124,17 @@ if [[ "${1:-}" != "quick" ]]; then
 
     step "kill-and-recover differential + crash-recovery proptests"
     cargo test -q --test kill_recover --test storage_recovery
+
+    step "perfbench self-tests (it builds against the rig_core surface)"
+    # building perfbench re-resolves its committed Cargo.lock offline;
+    # put the committed file back afterwards, also when the tests fail
+    lock_copy="$(mktemp)"
+    cp perfbench/Cargo.lock "${lock_copy}"
+    rc=0
+    cargo test -q --release --manifest-path perfbench/Cargo.toml || rc=$?
+    cp "${lock_copy}" perfbench/Cargo.lock
+    rm -f "${lock_copy}"
+    [[ "${rc}" == "0" ]]
 fi
 
 step "OK"

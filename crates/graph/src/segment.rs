@@ -155,12 +155,17 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SegmentError> {
+        let pos = self.pos;
+        self.take(N)?.try_into().or_else(|_| err(format!("truncated payload at offset {pos}")))
+    }
+
     fn u32(&mut self) -> Result<u32, SegmentError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, SegmentError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 }
 
@@ -175,8 +180,9 @@ pub fn decode_segment(bytes: &[u8]) -> Result<(DataGraph, u64), SegmentError> {
     if &bytes[0..8] != SEGMENT_MAGIC {
         return err("bad magic: not a segment file");
     }
-    let want_crc = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    let payload_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
+    let mut header = Cursor { bytes, pos: 8 };
+    let want_crc = header.u32()?;
+    let payload_len = header.u64()?;
     let payload = &bytes[20..];
     if payload_len != payload.len() as u64 {
         return err(format!(

@@ -520,9 +520,6 @@ fn record_query_metrics(metrics: &ServerMetrics, outcome: &rig_core::QueryOutcom
     if outcome.metrics.counted_via_factorization {
         ServerMetrics::bump(&metrics.queries_via_dp);
     }
-    if outcome.metrics.rig_from_cache {
-        ServerMetrics::bump(&metrics.rig_cache_hits);
-    }
 }
 
 fn handle_update(req: &Request, stream: &TcpStream, session: &Session, metrics: &ServerMetrics) {

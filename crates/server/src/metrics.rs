@@ -36,8 +36,6 @@ pub struct ServerMetrics {
     /// `count()` runs answered by the factorized DP instead of
     /// enumeration.
     pub queries_via_dp: AtomicU64,
-    /// Query runs whose RIG came from the session plan cache.
-    pub rig_cache_hits: AtomicU64,
     /// Queries refused 422 by `?lint=strict` static analysis.
     pub lint_rejections: AtomicU64,
     /// Optimistic-commit conflicts retried by `/update` (each retry
@@ -119,12 +117,6 @@ pub fn render(metrics: &ServerMetrics, session: &Session) -> String {
         "rigmatch_queries_via_dp_total",
         "counts answered by the factorized DP",
         load(&m.queries_via_dp),
-    );
-    counter(
-        &mut out,
-        "rigmatch_rig_cache_hits_total",
-        "query runs whose RIG came from the plan cache",
-        load(&m.rig_cache_hits),
     );
     counter(
         &mut out,

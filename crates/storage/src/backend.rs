@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The file operations the store needs. Path-based and stateless on
 /// purpose: there is no handle lifetime to reason about across a simulated
@@ -156,31 +156,37 @@ impl MemBackend {
         MemBackend::default()
     }
 
+    /// Locks the backend state. No critical section panics halfway
+    /// through an update, so a poisoned lock still holds coherent files.
+    fn inner(&self) -> MutexGuard<'_, MemInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Fail the `n`th mutating operation (1-based), persisting nothing.
     pub fn fail_op_at(&self, n: u64) {
-        self.inner.lock().unwrap().faults.fail_op = Some(n);
+        self.inner().faults.fail_op = Some(n);
     }
 
     /// On the `n`th append (counted on the shared mutating-op counter),
     /// persist only `keep` bytes and fail.
     pub fn short_append_at(&self, n: u64, keep: usize) {
-        self.inner.lock().unwrap().faults.short_append = Some((n, keep));
+        self.inner().faults.short_append = Some((n, keep));
     }
 
     /// Fail the `n`th sync/sync_dir call (1-based, own counter).
     pub fn fail_sync_at(&self, n: u64) {
-        self.inner.lock().unwrap().faults.fail_sync = Some(n);
+        self.inner().faults.fail_sync = Some(n);
     }
 
     /// After the first injected fault, fail every later operation too.
     pub fn wedge_after_fault(&self) {
-        self.inner.lock().unwrap().faults.wedge_after_fault = true;
+        self.inner().faults.wedge_after_fault = true;
     }
 
     /// Power loss: every file keeps only its synced prefix; fault plan and
     /// wedge are cleared so recovery can run.
     pub fn simulate_crash(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         for f in inner.files.values_mut() {
             let keep = f.synced;
             f.data.truncate(keep);
@@ -190,32 +196,34 @@ impl MemBackend {
     }
 
     /// XORs `mask` into the byte at `offset` (bit-flip corruption).
+    /// Panics if `path` does not exist or `offset` is past its end.
+    #[allow(clippy::panic, reason = "fault-injection misuse must fail the test loudly")]
     pub fn corrupt(&self, path: &Path, offset: usize, mask: u8) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         let f = inner.files.get_mut(path).unwrap_or_else(|| panic!("no file {}", path.display()));
         f.data[offset] ^= mask;
     }
 
     /// Current contents of `path`, if it exists.
     pub fn file(&self, path: &Path) -> Option<Vec<u8>> {
-        self.inner.lock().unwrap().files.get(path).map(|f| f.data.clone())
+        self.inner().files.get(path).map(|f| f.data.clone())
     }
 
     /// Number of mutating operations performed so far (the counter the
     /// `*_at` fault points index into).
     pub fn ops(&self) -> u64 {
-        self.inner.lock().unwrap().ops
+        self.inner().ops
     }
 
     /// Number of sync calls performed so far.
     pub fn syncs(&self) -> u64 {
-        self.inner.lock().unwrap().syncs
+        self.inner().syncs
     }
 
     /// Marks everything currently written as synced (useful to set up a
     /// known-durable baseline before arming faults).
     pub fn sync_all_files(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         for f in inner.files.values_mut() {
             f.synced = f.data.len();
         }
@@ -242,7 +250,7 @@ impl MemInner {
 
 impl StorageBackend for MemBackend {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.inner();
         if inner.wedged {
             return Err(injected("backend wedged"));
         }
@@ -253,7 +261,7 @@ impl StorageBackend for MemBackend {
     }
 
     fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         inner.mutating_op("write")?;
         let f = inner.files.entry(path.to_path_buf()).or_default();
         f.data = data.to_vec();
@@ -262,7 +270,7 @@ impl StorageBackend for MemBackend {
     }
 
     fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         // a short append tears: part of the payload lands, then the error
         if let Some((n, keep)) = inner.faults.short_append {
             if n == inner.ops + 1 {
@@ -284,7 +292,7 @@ impl StorageBackend for MemBackend {
     }
 
     fn sync(&self, path: &Path) -> io::Result<()> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         if inner.wedged {
             return Err(injected("backend wedged"));
         }
@@ -305,7 +313,7 @@ impl StorageBackend for MemBackend {
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         inner.mutating_op("rename")?;
         match inner.files.remove(from) {
             Some(f) => {
@@ -317,7 +325,7 @@ impl StorageBackend for MemBackend {
     }
 
     fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         inner.mutating_op("truncate")?;
         match inner.files.get_mut(path) {
             Some(f) => {
@@ -330,7 +338,7 @@ impl StorageBackend for MemBackend {
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         inner.mutating_op("remove")?;
         match inner.files.remove(path) {
             Some(_) => Ok(()),
@@ -339,7 +347,7 @@ impl StorageBackend for MemBackend {
     }
 
     fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.inner();
         if inner.wedged {
             return Err(injected("backend wedged"));
         }
@@ -358,7 +366,7 @@ impl StorageBackend for MemBackend {
     }
 
     fn sync_dir(&self, _dir: &Path) -> io::Result<()> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         if inner.wedged {
             return Err(injected("backend wedged"));
         }
@@ -373,7 +381,7 @@ impl StorageBackend for MemBackend {
     }
 
     fn exists(&self, path: &Path) -> bool {
-        self.inner.lock().unwrap().files.contains_key(path)
+        self.inner().files.contains_key(path)
     }
 }
 

@@ -91,16 +91,20 @@ impl<'a> Cursor<'a> {
         Some(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
+    }
+
     fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
+        self.array().map(u8::from_le_bytes)
     }
 
     fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|s| u32::from_le_bytes(s.try_into().unwrap()))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|s| u64::from_le_bytes(s.try_into().unwrap()))
+        self.array().map(u64::from_le_bytes)
     }
 }
 
@@ -162,13 +166,11 @@ pub(crate) fn replay_wal(path: &Path, bytes: &[u8]) -> Result<WalScan, StorageEr
     let mut records = Vec::new();
     let mut pos = 0usize;
     while pos < bytes.len() {
-        let remaining = bytes.len() - pos;
-        if remaining < 8 {
-            // header torn off mid-write
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let want_crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
+        let mut header = Cursor { bytes, pos };
+        let (Some(len), Some(want_crc)) = (header.u32(), header.u32()) else {
+            break; // header torn off mid-write
+        };
+        let len = len as usize;
         let Some(end) = pos.checked_add(8).and_then(|p| p.checked_add(len)) else {
             break; // absurd length: only explicable as a torn/garbage tail
         };

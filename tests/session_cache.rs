@@ -1,9 +1,8 @@
 //! Session plan-cache differential tests: a run served from the cached
 //! RIG must produce the byte-identical answer of a cold run, across every
-//! SelectMode × EdgeKind flavor; the cache must invalidate on a graph
-//! epoch bump; and a query expressed as HPQL text must produce the same
-//! match set as the same query built programmatically, with the cache-hit
-//! counters proving the reuse.
+//! SelectMode × EdgeKind flavor; and a query expressed as HPQL text must
+//! produce the same match set as the same query built programmatically,
+//! with the cache-hit counters proving the reuse.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,36 +95,6 @@ fn parallel_and_sequential_share_the_cached_plan() {
         assert_eq!(par, seq, "threads={threads} (parallel collect is sorted)");
     }
     assert_eq!(session.cache_stats().misses, 1);
-}
-
-#[test]
-fn epoch_bump_invalidates_the_cache() {
-    let g = random_graph(60, 150, 13);
-    let mut session = Session::new(g.clone());
-    let count_before;
-    {
-        let p = session.prepare(shaped_query(Flavor::H)).unwrap();
-        count_before = p.run().count().result.count;
-        assert!(p.run().count().metrics.rig_from_cache);
-    }
-    assert_eq!(session.cache_stats().hits, 1);
-
-    // identical graph content, new epoch: must rebuild, same answer
-    session.replace_graph(g.clone()).unwrap();
-    assert_eq!(session.epoch(), 1);
-    assert_eq!(session.cache_stats().entries, 0);
-    {
-        let p = session.prepare(shaped_query(Flavor::H)).unwrap();
-        let o = p.run().count();
-        assert!(!o.metrics.rig_from_cache, "epoch bump must force a rebuild");
-        assert_eq!(o.result.count, count_before);
-    }
-
-    // genuinely different graph: the fresh plan serves the new answer
-    session.replace_graph(random_graph(60, 150, 14)).unwrap();
-    let p = session.prepare(shaped_query(Flavor::H)).unwrap();
-    let o = p.run().count();
-    assert!(!o.metrics.rig_from_cache);
 }
 
 /// The Session API's headline check: one query written as HPQL text and once
