@@ -40,32 +40,17 @@ pub use diag::{Code, Diagnostic, Report, Severity};
 pub use rig_query::Span;
 
 use rig_graph::{GraphView, Label, LabelPairCounts};
-use rig_mjoin::factorized::FactorizationShape;
+use rig_mjoin::factorized::{FactorizationShape, DP_CONDITIONING_LIMIT};
 use rig_query::hpql::LabelSpec;
 use rig_query::{
     closest_label, parse_hpql, transitive_reduction, EdgeKind, HpqlError, HpqlQuery, PatternQuery,
 };
 use rig_reach::Reachability;
 
-/// Tunables for the emptiness and cost passes.
-#[derive(Debug, Clone)]
-pub struct AnalyzerConfig {
-    /// Conditioning-work budget above which a cyclic query is predicted
-    /// to route to worst-case enumeration (mirrors
-    /// `rig_core::factorized::DP_CONDITIONING_LIMIT`).
-    pub dp_conditioning_limit: u64,
-    /// Maximum number of `(source, target)` candidate pairs the
-    /// reachability-refutation pass probes per edge; larger candidate
-    /// products are left unproven rather than paying for exhaustive
-    /// probing.
-    pub reach_probe_budget: u64,
-}
-
-impl Default for AnalyzerConfig {
-    fn default() -> Self {
-        AnalyzerConfig { dp_conditioning_limit: 1 << 18, reach_probe_budget: 4096 }
-    }
-}
+/// Maximum number of `(source, target)` candidate pairs the
+/// reachability-refutation pass probes per edge; larger candidate products
+/// are left unproven rather than paying for exhaustive probing.
+const REACH_PROBE_BUDGET: u64 = 4096;
 
 /// The analyzer: a graph view, optional precomputed statistics and an
 /// optional reachability oracle. All borrowed — building one is free;
@@ -76,12 +61,11 @@ pub struct Analyzer<'a> {
     view: GraphView<'a>,
     reach: Option<&'a dyn Reachability>,
     pairs: Option<&'a LabelPairCounts>,
-    config: AnalyzerConfig,
 }
 
 impl<'a> Analyzer<'a> {
     pub fn new(view: GraphView<'a>) -> Analyzer<'a> {
-        Analyzer { view, reach: None, pairs: None, config: AnalyzerConfig::default() }
+        Analyzer { view, reach: None, pairs: None }
     }
 
     /// Supplies a reachability oracle for the `E103` refutation pass.
@@ -97,11 +81,6 @@ impl<'a> Analyzer<'a> {
     /// per [`Analyzer::analyze_text`] call, an `O(|V| + |E|)` scan).
     pub fn with_pair_counts(mut self, pairs: &'a LabelPairCounts) -> Analyzer<'a> {
         self.pairs = Some(pairs);
-        self
-    }
-
-    pub fn with_config(mut self, config: AnalyzerConfig) -> Analyzer<'a> {
-        self.config = config;
         self
     }
 
@@ -316,7 +295,7 @@ impl<'a> Analyzer<'a> {
                         continue; // E101 already proves emptiness
                     }
                     let pairs_to_probe = from.len() as u64 * to.len() as u64;
-                    if pairs_to_probe > self.config.reach_probe_budget {
+                    if pairs_to_probe > REACH_PROBE_BUDGET {
                         continue; // extremes too wide to probe, no claim
                     }
                     let any = from.iter().any(|&u| to.iter().any(|&v| reach.reaches(u, v)));
@@ -485,15 +464,15 @@ impl<'a> Analyzer<'a> {
         }
         let cond_vars: Vec<&str> =
             shape.conditioned.iter().map(|&c| ctx.vars[c as usize].as_str()).collect();
-        if width > self.config.dp_conditioning_limit {
+        if width > DP_CONDITIONING_LIMIT {
             report.diagnostics.push(Diagnostic::new(
                 Code::EnumerationRouting,
                 Severity::Warning,
                 format!(
                     "cyclic pattern conditions on {{{}}} with predicted width {width} \
-                     (limit {}): counting will route to worst-case enumeration",
+                     (limit {DP_CONDITIONING_LIMIT}): counting will route to worst-case \
+                     enumeration",
                     cond_vars.join(", "),
-                    self.config.dp_conditioning_limit
                 ),
             ));
         } else {
@@ -658,13 +637,18 @@ mod tests {
 
     #[test]
     fn enumeration_routing_warns_past_the_limit() {
-        let g = graph();
-        let bfl = BflIndex::new(&g);
-        let cfg = AnalyzerConfig { dp_conditioning_limit: 0, ..AnalyzerConfig::default() };
+        // the predicted width is the conditioned variable's label count,
+        // so one label with more than DP_CONDITIONING_LIMIT nodes puts a
+        // triangle over it past the limit
+        let mut b = GraphBuilder::new();
+        let hubs: Vec<_> =
+            (0..=DP_CONDITIONING_LIMIT).map(|_| b.add_node_with_name(0, "Hub")).collect();
+        b.add_edge(hubs[0], hubs[1]);
+        b.add_edge(hubs[1], hubs[2]);
+        b.add_edge(hubs[0], hubs[2]);
+        let g = b.build();
         let r = Analyzer::new(GraphView::from(&g))
-            .with_reach(&bfl)
-            .with_config(cfg)
-            .analyze_text("MATCH (a:Author)->(p:Paper)=>(c:Cited), (a)->(c)");
+            .analyze_text("MATCH (a:Hub)->(b:Hub)->(c:Hub), (a)->(c)");
         assert!(r.diagnostics.iter().any(|d| d.code == Code::EnumerationRouting));
     }
 

@@ -120,11 +120,6 @@ impl Bitset {
         self.chunks.is_empty()
     }
 
-    /// Number of containers (for introspection / memory accounting).
-    pub fn container_count(&self) -> usize {
-        self.chunks.len()
-    }
-
     /// Approximate heap footprint in bytes (used by RIG size accounting).
     pub fn heap_bytes(&self) -> usize {
         self.chunks

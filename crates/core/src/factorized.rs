@@ -17,7 +17,9 @@
 //! * [`FactorizedSummary`] — the answer-graph summary printed by the
 //!   CLI's `--factorized` output mode.
 
-pub use rig_mjoin::factorized::{DpCount, Factorization, FactorizationShape};
+pub use rig_mjoin::factorized::{
+    DpCount, Factorization, FactorizationShape, DP_CONDITIONING_LIMIT,
+};
 
 use rig_index::Rig;
 use rig_mjoin::{EnumOptions, EnumResult};
@@ -49,6 +51,7 @@ pub struct CountStrategy {
 /// Computes the routing decision for `query` under `opts`.
 /// `force_enumerate` is the [`Run`](crate::session::Run) escape hatch.
 pub fn strategy(query: &PatternQuery, opts: &EnumOptions, force_enumerate: bool) -> CountStrategy {
+    let eligible = dp_eligible(opts) && !force_enumerate;
     let shape = FactorizationShape::analyze(query);
     let shape_desc = if shape.is_tree() {
         "tree".to_string()
@@ -59,31 +62,19 @@ pub fn strategy(query: &PatternQuery, opts: &EnumOptions, force_enumerate: bool)
             shape.conditioned.len()
         )
     };
-    if force_enumerate {
-        return CountStrategy {
-            eligible: false,
-            describe: format!("enumerate (forced; shape is {shape_desc})"),
-        };
-    }
-    if opts.injective {
-        return CountStrategy { eligible: false, describe: "enumerate (injective)".into() };
-    }
-    if opts.limit.is_some() || opts.timeout.is_some() {
-        return CountStrategy {
-            eligible: false,
-            describe: "enumerate (limit/timeout budget set)".into(),
-        };
-    }
-    let guard = if shape.is_tree() { "" } else { "; enumerates if conditioning fan-out is large" };
-    CountStrategy { eligible: true, describe: format!("factorized DP ({shape_desc}{guard})") }
+    let describe = if eligible {
+        let guard =
+            if shape.is_tree() { "" } else { "; enumerates if conditioning fan-out is large" };
+        format!("factorized DP ({shape_desc}{guard})")
+    } else if force_enumerate {
+        format!("enumerate (forced; shape is {shape_desc})")
+    } else if opts.injective {
+        "enumerate (injective)".into()
+    } else {
+        "enumerate (limit/timeout budget set)".into()
+    };
+    CountStrategy { eligible, describe }
 }
-
-/// Conditioning cost guard: when a cyclic query's estimated re-expansion
-/// work ([`Factorization::estimated_work`] — conditioning bindings times
-/// per-binding width) exceeds this, per-binding re-expansion loses to the
-/// enumeration engine's interleaved search and `count()` routes there
-/// instead.
-pub const DP_CONDITIONING_LIMIT: u64 = 1 << 18;
 
 /// Runs the counting DP and wraps it as an [`EnumResult`] (steps = number
 /// of conditioning bindings re-expanded). Returns `None` when the cyclic

@@ -37,7 +37,7 @@ pub use session::{
 
 // the static-analysis surface (see `rig_analyze`): front ends render
 // `Report`s returned by `Session::analyze` / carried by `Error::Analysis`
-pub use rig_analyze::{Analyzer, AnalyzerConfig, Code, Diagnostic, Report, Severity};
+pub use rig_analyze::{Analyzer, Code, Diagnostic, Report, Severity};
 
 use std::time::Duration;
 
@@ -263,7 +263,7 @@ mod tests {
             let par = p.run().threads(threads).count();
             assert_eq!(par.result.count, seq.result.count, "threads={threads}");
         }
-        let (sinks, outcome) = p.run().threads(3).morsel(1).par_stream(|_| CollectSink::default());
+        let (sinks, outcome) = p.run().threads(3).par_stream(|_| CollectSink::default());
         let mut tuples: Vec<Vec<rig_graph::NodeId>> =
             sinks.into_iter().flat_map(|s| s.tuples).collect();
         tuples.sort();

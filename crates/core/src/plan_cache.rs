@@ -9,7 +9,6 @@ use std::sync::Arc;
 use rig_graph::{CommitImpact, Label};
 use rig_index::{Rig, RigOptions};
 use rig_query::{EdgeKind, PatternEdge, PatternQuery};
-use rig_sim::SimOptions;
 
 /// Number of cached RIGs per session.
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
@@ -25,17 +24,9 @@ pub(crate) struct CacheKey {
 
 impl CacheKey {
     pub(crate) fn new(query: &PatternQuery, rig_opts: &RigOptions) -> CacheKey {
-        // build_threads is normalized out: the expansion phase is
-        // bit-identical at every thread count (see docs/parallel.md), so
-        // plans are shared across it. Deadlines are normalized out too:
-        // only fully-built plans are ever cached, and a cached plan
-        // serves runs with any budget.
-        let opts = RigOptions {
-            build_threads: 0,
-            deadline: None,
-            sim: SimOptions { deadline: None, ..rig_opts.sim },
-            ..*rig_opts
-        };
+        // The deadline is normalized out: only fully-built plans are
+        // ever cached, and a cached plan serves runs with any budget.
+        let opts = rig_opts.with_deadline(None);
         CacheKey { labels: query.labels().to_vec(), edges: query.edges().to_vec(), opts }
     }
 

@@ -99,7 +99,6 @@ impl<'s> Prepared<'s> {
             prepared: self,
             opts: self.session.config().enumeration,
             threads: 1,
-            morsel: None,
             use_cache: true,
             force_enumerate: false,
         }
@@ -131,7 +130,6 @@ pub struct Run<'a, 's> {
     prepared: &'a Prepared<'s>,
     opts: EnumOptions,
     threads: usize,
-    morsel: Option<usize>,
     use_cache: bool,
     force_enumerate: bool,
 }
@@ -171,13 +169,6 @@ impl<'a, 's> Run<'a, 's> {
         self
     }
 
-    /// Morsel size for the parallel engine (positions claimed per cursor
-    /// bump).
-    pub fn morsel(mut self, morsel: usize) -> Self {
-        self.morsel = Some(morsel.max(1));
-        self
-    }
-
     /// Bypass the plan cache for this run (the RIG is rebuilt and not
     /// stored) — benchmarking cold paths, mostly.
     pub fn no_cache(mut self) -> Self {
@@ -191,14 +182,6 @@ impl<'a, 's> Run<'a, 's> {
     pub fn force_enumerate(mut self) -> Self {
         self.force_enumerate = true;
         self
-    }
-
-    fn par_options(&self) -> ParOptions {
-        let mut par = ParOptions::with_threads(self.threads);
-        if let Some(m) = self.morsel {
-            par.morsel = m;
-        }
-        par
     }
 
     fn execute(
@@ -246,7 +229,7 @@ impl<'a, 's> Run<'a, 's> {
     /// [`Run::force_enumerate`] escape hatch and any budget knob fall back
     /// to the (possibly parallel) MJoin enumeration engine.
     pub fn count(self) -> QueryOutcome {
-        let par = self.par_options();
+        let par = ParOptions::with_threads(self.threads);
         let force_enumerate = self.force_enumerate;
         let mut via_dp = false;
         let mut outcome = self.execute(|q, rig, opts| {
@@ -317,7 +300,7 @@ impl<'a, 's> Run<'a, 's> {
         S: ResultSink + Send,
         F: Fn(usize) -> S + Sync,
     {
-        let par = self.par_options();
+        let par = ParOptions::with_threads(self.threads);
         let mut sinks = Vec::new();
         let outcome = self.execute(|q, rig, opts| {
             let (s, r) = rig_mjoin::par_enumerate(q, rig, opts, &par, &make_sink);
@@ -384,10 +367,11 @@ impl<'a, 's> Run<'a, 's> {
         };
         if rig.is_empty() {
             let timed_out = rig.stats.timed_out;
+            let shape = crate::factorized::FactorizationShape::analyze(q);
             return FactorizedSummary {
                 hpql: prepared.to_hpql(),
-                tree: crate::factorized::FactorizationShape::analyze(q).is_tree(),
-                extra_edges: crate::factorized::FactorizationShape::analyze(q).extra_edges.len(),
+                tree: shape.is_tree(),
+                extra_edges: shape.extra_edges.len(),
                 conditioned: Vec::new(),
                 assignments: 0,
                 count: if timed_out { None } else { Some(0) },

@@ -80,7 +80,7 @@ use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use rig_analyze::{Analyzer, AnalyzerConfig, Report};
+use rig_analyze::{Analyzer, Report};
 use rig_graph::{DataGraph, GraphView, Label, LabelPairCounts, Snapshot};
 use rig_index::{build_rig, Rig};
 use rig_query::{closest_label, parse_hpql, transitive_reduction, PatternQuery};
@@ -159,7 +159,7 @@ impl Session {
     }
 
     /// Opens a session with an explicit pipeline configuration (ablation
-    /// knobs, simulation tuning, RIG build threads).
+    /// knobs, simulation tuning, enumeration defaults).
     pub fn with_config(graph: impl Into<Arc<DataGraph>>, config: GmConfig) -> Session {
         let base = graph.into();
         let bfl = BflIndex::new(&base);
@@ -239,12 +239,8 @@ impl Session {
             (Arc::clone(&st.snapshot), Arc::clone(&st.bfl))
         };
         let pairs = self.pair_counts(&snapshot);
-        let config = AnalyzerConfig {
-            dp_conditioning_limit: crate::factorized::DP_CONDITIONING_LIMIT,
-            ..AnalyzerConfig::default()
-        };
         with_oracle(&snapshot, &bfl, |view, reach| {
-            f(&Analyzer::new(view).with_pair_counts(&pairs).with_reach(reach).with_config(config))
+            f(&Analyzer::new(view).with_pair_counts(&pairs).with_reach(reach))
         })
     }
 
@@ -669,6 +665,28 @@ mod tests {
         assert!(session.prepare("MATCH ;").is_err());
     }
 
+    /// `explain` reports the same DP-vs-enumerate routing that `count`
+    /// takes, under every budget knob and the escape hatch.
+    #[test]
+    fn explain_and_count_route_alike() {
+        let session = fig2_session();
+        let p = session.prepare("MATCH (a:A)->(b:B)=>(c:C)").unwrap();
+        type Knob = for<'a, 's> fn(Run<'a, 's>) -> Run<'a, 's>;
+        let knobs: [(&str, Knob); 5] = [
+            ("none", |r| r),
+            ("limit", |r| r.limit(100)),
+            ("timeout", |r| r.timeout(Duration::from_secs(60))),
+            ("injective", |r| r.injective(true)),
+            ("force_enumerate", |r| r.force_enumerate()),
+        ];
+        for (name, knob) in knobs {
+            let eligible = knob(p.run()).explain().count_strategy.eligible;
+            let via_dp = knob(p.run()).count().metrics.counted_via_factorization;
+            assert_eq!(eligible, via_dp, "{name}");
+            assert_eq!(eligible, name == "none", "{name}");
+        }
+    }
+
     #[test]
     fn run_builder_knobs() {
         let session = fig2_session();
@@ -682,7 +700,7 @@ mod tests {
         }
         for threads in [2usize, 4] {
             assert_eq!(p.run().threads(threads).count().result.count, 2);
-            let (tuples, _) = p.run().threads(threads).morsel(1).collect_all();
+            let (tuples, _) = p.run().threads(threads).collect_all();
             assert_eq!(tuples, vec![vec![1, 3, 7], vec![2, 5, 9]]);
         }
         let (tuples, _) = p.run().collect(1);
@@ -930,7 +948,7 @@ mod tests {
         rebuilt_tuples.sort();
         assert_eq!(overlay_tuples, rebuilt_tuples);
         // parallel enumeration on the dirty snapshot agrees too
-        let (mut par_tuples, _) = p.run().threads(4).morsel(1).collect_all();
+        let (mut par_tuples, _) = p.run().threads(4).collect_all();
         par_tuples.sort();
         assert_eq!(par_tuples, overlay_tuples);
     }

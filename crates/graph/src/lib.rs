@@ -200,29 +200,6 @@ impl DataGraph {
         &self.inverted_bits[label as usize]
     }
 
-    /// Out-neighbors of `v` as a freshly built bitmap.
-    pub fn out_bitset(&self, v: NodeId) -> Bitset {
-        Bitset::from_sorted_dedup(self.out_neighbors(v))
-    }
-
-    /// In-neighbors of `v` as a freshly built bitmap.
-    pub fn in_bitset(&self, v: NodeId) -> Bitset {
-        Bitset::from_sorted_dedup(self.in_neighbors(v))
-    }
-
-    /// Materializes per-node adjacency bitmaps (both directions) for the
-    /// batch simulation checks of §4.5. O(|V| + |E|) time and memory.
-    pub fn build_adjacency_bitmaps(&self) -> AdjacencyBitmaps {
-        let n = self.num_nodes();
-        let mut fwd = Vec::with_capacity(n);
-        let mut bwd = Vec::with_capacity(n);
-        for v in 0..n as NodeId {
-            fwd.push(Bitset::from_sorted_dedup(self.out_neighbors(v)));
-            bwd.push(Bitset::from_sorted_dedup(self.in_neighbors(v)));
-        }
-        AdjacencyBitmaps { fwd, bwd }
-    }
-
     /// Iterator over all edges `(u, v)`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         (0..self.num_nodes() as NodeId)
@@ -395,32 +372,6 @@ impl std::fmt::Debug for DataGraph {
     }
 }
 
-/// Materialized per-node adjacency bitmaps (forward and backward).
-pub struct AdjacencyBitmaps {
-    pub fwd: Vec<Bitset>,
-    pub bwd: Vec<Bitset>,
-}
-
-impl AdjacencyBitmaps {
-    /// Union of forward adjacency bitmaps of all nodes in `sources`.
-    pub fn union_fwd(&self, sources: &Bitset) -> Bitset {
-        let mut acc = Bitset::new();
-        for v in sources.iter() {
-            acc.or_assign(&self.fwd[v as usize]);
-        }
-        acc
-    }
-
-    /// Union of backward adjacency bitmaps of all nodes in `sources`.
-    pub fn union_bwd(&self, sources: &Bitset) -> Bitset {
-        let mut acc = Bitset::new();
-        for v in sources.iter() {
-            acc.or_assign(&self.bwd[v as usize]);
-        }
-        acc
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,18 +455,6 @@ mod tests {
         for l in 0..g.num_labels() as Label {
             assert_eq!(g.label_bitset(l).to_vec(), g.nodes_with_label(l));
         }
-    }
-
-    #[test]
-    fn adjacency_bitmaps_and_unions() {
-        let g = fig2_graph();
-        let adj = g.build_adjacency_bitmaps();
-        assert_eq!(adj.fwd[1].to_vec(), vec![3, 7]);
-        let sources = Bitset::from_slice(&[1, 2]); // a1, a2
-                                                   // union of children of a1 and a2 = {b0, c0, b2, c2}
-        assert_eq!(adj.union_fwd(&sources).to_vec(), vec![3, 5, 7, 9]);
-        let sinks = Bitset::from_slice(&[7]); // c0
-        assert_eq!(adj.union_bwd(&sinks).to_vec(), vec![1, 4, 8]);
     }
 
     #[test]

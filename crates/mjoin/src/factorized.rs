@@ -40,6 +40,14 @@
 use rig_index::{AdjRun, Rig};
 use rig_query::{EdgeId, PatternQuery, QNode};
 
+/// Conditioning cost guard: when a cyclic query's estimated re-expansion
+/// work ([`Factorization::estimated_work`] — conditioning bindings times
+/// per-binding width) exceeds this, per-binding re-expansion loses to the
+/// enumeration engine's interleaved search and `count()` routes there
+/// instead. The static analyzer predicts the same routing from label
+/// counts.
+pub const DP_CONDITIONING_LIMIT: u64 = 1 << 18;
+
 /// Query-only shape analysis: a BFS spanning forest, the leftover cyclic
 /// edges, and a greedy vertex cover of those edges (the conditioning set).
 /// Deterministic in the query alone, so `explain` can report the shape
@@ -437,7 +445,8 @@ impl<'q, 'r> Factorization<'q, 'r> {
     /// conditioning bindings times the expected per-binding re-expansion
     /// width (one plus the mean generator-run length of every S-anchored
     /// free position). `1` for tree queries. Callers compare this against
-    /// a budget to route between the DP and plain enumeration.
+    /// [`DP_CONDITIONING_LIMIT`] to route between the DP and plain
+    /// enumeration.
     pub fn estimated_work(&self) -> u64 {
         let mut width = 1u64;
         for pos in self.s_len..self.order.len() {

@@ -77,11 +77,6 @@ impl Default for EnumOptions {
 }
 
 impl EnumOptions {
-    /// Same options with the given search order.
-    pub fn with_order(self, order: SearchOrder) -> Self {
-        EnumOptions { order, ..self }
-    }
-
     /// Same options stopping after `limit` occurrences.
     pub fn with_limit(self, limit: u64) -> Self {
         EnumOptions { limit: Some(limit), ..self }
@@ -90,11 +85,6 @@ impl EnumOptions {
     /// Same options with a wall-clock budget.
     pub fn with_timeout(self, timeout: Duration) -> Self {
         EnumOptions { timeout: Some(timeout), ..self }
-    }
-
-    /// Same options with injectivity (isomorphism-style matching) toggled.
-    pub fn with_injective(self, injective: bool) -> Self {
-        EnumOptions { injective, ..self }
     }
 }
 

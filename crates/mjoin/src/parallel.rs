@@ -43,15 +43,6 @@ pub struct ParOptions {
     pub morsel: usize,
 }
 
-impl Default for ParOptions {
-    fn default() -> Self {
-        ParOptions {
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            morsel: DEFAULT_MORSEL,
-        }
-    }
-}
-
 impl ParOptions {
     /// `threads` workers with the default morsel size.
     pub fn with_threads(threads: usize) -> Self {

@@ -141,19 +141,4 @@ proptest! {
             }
         }
     }
-
-    /// Parallel RIG construction slots into the same matrix: the RIG built
-    /// with worker threads is interchangeable with the sequential one.
-    #[test]
-    fn parallel_rig_build_preserves_counts((g, q) in setup_strategy()) {
-        let bfl = BflIndex::new(&g);
-        let ctx = SimContext::new(&g, &q, &bfl);
-        let eo = EnumOptions::default();
-        let seq_rig = build_rig(&ctx, &bfl, &RigOptions::exact());
-        let expect = count(&q, &seq_rig, &eo).count;
-        for &t in &thread_counts() {
-            let par_rig = build_rig(&ctx, &bfl, &RigOptions::exact().with_build_threads(t));
-            prop_assert_eq!(count(&q, &par_rig, &eo).count, expect, "build_threads={}", t);
-        }
-    }
 }

@@ -71,17 +71,6 @@ pub struct RigOptions {
     pub reach_expand: ReachExpandMode,
     /// Apply the interval-label early-termination cut during expansion.
     pub early_termination: bool,
-    /// Worker threads for the node-expansion phase: per-query-edge CSR
-    /// blocks are independent, so they are built on scoped threads that
-    /// claim edges off an atomic cursor. `0`/`1` = sequential. The
-    /// resulting RIG is bit-identical for every thread count.
-    pub build_threads: usize,
-    /// Hard wall-clock deadline for construction. Selection stops at the
-    /// next simulation pass boundary (sound — a superset survives);
-    /// expansion *aborts*: past the deadline the build returns an
-    /// empty-shaped RIG with [`RigStats::timed_out`] set, which callers
-    /// must report as a timeout, never as an empty answer.
-    pub deadline: Option<Instant>,
 }
 
 impl Default for RigOptions {
@@ -91,8 +80,6 @@ impl Default for RigOptions {
             sim: SimOptions::paper_default(),
             reach_expand: ReachExpandMode::PairwiseBfl,
             early_termination: true,
-            build_threads: 1,
-            deadline: None,
         }
     }
 }
@@ -103,15 +90,14 @@ impl RigOptions {
         RigOptions { sim: SimOptions::exact(), ..Default::default() }
     }
 
-    /// Same options with `build_threads` workers expanding query edges.
-    pub fn with_build_threads(self, build_threads: usize) -> Self {
-        RigOptions { build_threads, ..self }
-    }
-
-    /// Same options with a construction deadline (propagated to the
-    /// simulation pass cap as well).
+    /// Same options with a hard wall-clock construction deadline
+    /// (`sim.deadline`, which selection and expansion both read).
+    /// Selection stops at the next simulation pass boundary (sound — a
+    /// superset survives); expansion *aborts*: past the deadline the build
+    /// returns an empty-shaped RIG with [`RigStats::timed_out`] set, which
+    /// callers must report as a timeout, never as an empty answer.
     pub fn with_deadline(self, deadline: Option<Instant>) -> Self {
-        RigOptions { deadline, sim: SimOptions { deadline, ..self.sim }, ..self }
+        RigOptions { sim: SimOptions { deadline, ..self.sim }, ..self }
     }
 }
 
@@ -642,11 +628,8 @@ impl DeadlineProbe {
 }
 
 /// Expands every query edge into its (forward, backward) CSR block pair,
-/// in edge-id order. With `opts.build_threads > 1`, scoped worker threads
-/// claim edges off an atomic cursor and build the blocks concurrently —
-/// each block only reads the shared context (graph, BFL, candidate
-/// arrays), so the output is identical to the sequential build for every
-/// thread count. Returns `None` when `opts.deadline` expired mid-build.
+/// in edge-id order. Returns `None` when `opts.sim.deadline` expired
+/// mid-build.
 fn expand_all(
     ctx: &SimContext<'_>,
     bfl: &BflIndex,
@@ -654,56 +637,14 @@ fn expand_all(
     ids: &[Vec<NodeId>],
     edge_nodes: &[(usize, usize)],
 ) -> Option<Vec<(CsrDir, CsrDir)>> {
-    let ne = edge_nodes.len();
-    let build_one = |eid: usize| {
-        let (p, q) = edge_nodes[eid];
+    let build_one = |(eid, &(p, q)): (usize, &(usize, usize))| {
         let (offsets, targets) = expand_edge(ctx, bfl, opts, ids, eid as EdgeId, p, q)?;
         let fwd = CsrDir::new(offsets, targets, ids[q].len());
         let (boff, btgt) = fwd.transpose(ids[q].len());
         let bwd = CsrDir::new(boff, btgt, ids[p].len());
         Some((fwd, bwd))
     };
-    let threads = opts.build_threads.clamp(1, ne.max(1));
-    if threads <= 1 || ne <= 1 {
-        return (0..ne).map(build_one).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let timed_out = std::sync::atomic::AtomicBool::new(false);
-    let per_worker: Vec<Vec<(usize, (CsrDir, CsrDir))>> = std::thread::scope(|scope| {
-        let (next, build_one, timed_out) = (&next, &build_one, &timed_out);
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut built = Vec::new();
-                    loop {
-                        if timed_out.load(std::sync::atomic::Ordering::Relaxed) {
-                            return built;
-                        }
-                        let eid = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if eid >= ne {
-                            return built;
-                        }
-                        match build_one(eid) {
-                            Some(block) => built.push((eid, block)),
-                            None => {
-                                timed_out.store(true, std::sync::atomic::Ordering::Relaxed);
-                                return built;
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("rig expansion worker panicked")).collect()
-    });
-    if timed_out.load(std::sync::atomic::Ordering::Relaxed) {
-        return None;
-    }
-    let mut slots: Vec<Option<(CsrDir, CsrDir)>> = (0..ne).map(|_| None).collect();
-    for (eid, block) in per_worker.into_iter().flatten() {
-        slots[eid] = Some(block);
-    }
-    Some(slots.into_iter().map(|s| s.expect("every query edge expanded")).collect())
+    edge_nodes.iter().enumerate().map(build_one).collect()
 }
 
 /// Expands one query edge into forward CSR runs (local target ids).
@@ -725,7 +666,7 @@ fn expand_edge(
     p: usize,
     q: usize,
 ) -> Option<(Vec<u32>, Vec<u32>)> {
-    let dl = opts.deadline;
+    let dl = opts.sim.deadline;
     match ctx.query.edge(eid).kind {
         EdgeKind::Direct => expand_direct(ctx, ids, p, q, dl),
         EdgeKind::Reachability if ctx.graph.is_dirty() => expand_reach_dfs(ctx, ids, p, q, dl),
@@ -828,7 +769,7 @@ fn expand_reach_pairwise(
     let cond = bfl.condensation();
     let intervals = bfl.intervals();
     let (src, tgt) = (&ids[p], &ids[q]);
-    let mut probe = DeadlineProbe::new(opts.deadline);
+    let mut probe = DeadlineProbe::new(opts.sim.deadline);
     // (begin, target node, local id), cached once per edge; sorted by
     // interval begin only when the early-termination cut needs that order.
     let mut tinfo: Vec<(u32, NodeId, u32)> = tgt
@@ -1123,39 +1064,6 @@ mod tests {
             assert_eq!(full.cos(i).to_vec(), seeded.cos(i).to_vec());
         }
         assert_eq!(full.stats.edge_count, seeded.stats.edge_count);
-    }
-
-    /// Parallel expansion is a pure scheduling change: the RIG it builds
-    /// is identical to the sequential one for every thread count.
-    #[test]
-    fn parallel_build_matches_sequential() {
-        let g = fig2_graph();
-        let q = fig2_query();
-        let seq = build(&g, &q, &RigOptions::exact());
-        for threads in [2usize, 3, 8] {
-            let par = build(&g, &q, &RigOptions::exact().with_build_threads(threads));
-            for i in 0..q.num_nodes() {
-                assert_eq!(seq.candidates(i), par.candidates(i), "threads={threads} cos({i})");
-            }
-            for eid in 0..q.num_edges() as EdgeId {
-                assert_eq!(seq.edge_cardinality(eid), par.edge_cardinality(eid), "e{eid}");
-                let (p, t) = seq.edge_endpoints(eid);
-                for u in 0..seq.candidates(p).len() as u32 {
-                    assert_eq!(
-                        seq.successors_local(eid, u).list,
-                        par.successors_local(eid, u).list,
-                        "threads={threads} fwd(e{eid}, {u})"
-                    );
-                }
-                for v in 0..seq.candidates(t).len() as u32 {
-                    assert_eq!(
-                        seq.predecessors_local(eid, v).list,
-                        par.predecessors_local(eid, v).list,
-                        "threads={threads} bwd(e{eid}, {v})"
-                    );
-                }
-            }
-        }
     }
 
     /// Dense bitmap rows kick in on long runs and agree with the sparse

@@ -155,7 +155,11 @@ impl<'c, 'a> Runner<'c, 'a> {
     fn run_dag(&mut self, edges: &[EdgeId]) {
         let in_set: std::collections::HashSet<EdgeId> = edges.iter().copied().collect();
         let sub = self.ctx.query.with_edges(edges);
-        let topo = sub.topological_order().expect("run_dag requires an acyclic edge subset");
+        // callers pass an acyclic subset; were it ever cyclic, the basic
+        // algorithm over every edge is still a sound simulation
+        let Some(topo) = sub.topological_order() else {
+            return self.run_basic();
+        };
         let nq = self.ctx.query.num_nodes();
         // last-seen input versions for the change-flag optimization
         let mut seen_fwd = vec![u64::MAX; nq];

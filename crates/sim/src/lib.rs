@@ -48,8 +48,8 @@ use rig_reach::Reachability;
 pub struct SimContext<'a> {
     pub graph: GraphView<'a>,
     pub query: &'a PatternQuery,
-    /// `Sync` so one context can be shared by parallel RIG-construction
-    /// workers (every in-tree oracle is plain data).
+    /// `Sync` so one context can be shared across threads (every in-tree
+    /// oracle is plain data).
     pub reach: &'a (dyn Reachability + Sync),
 }
 
@@ -130,7 +130,8 @@ pub struct SimOptions {
     pub trace: bool,
     /// Stop at the next pass boundary once this instant has passed. Like
     /// `max_passes`, stopping early leaves a superset of `FB`, so the
-    /// result is still sound — expansion just prunes less.
+    /// result is still sound — expansion just prunes less. It is also the
+    /// RIG build's deadline: expansion aborts once it has passed.
     pub deadline: Option<std::time::Instant>,
 }
 

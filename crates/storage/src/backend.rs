@@ -219,15 +219,6 @@ impl MemBackend {
     pub fn syncs(&self) -> u64 {
         self.inner().syncs
     }
-
-    /// Marks everything currently written as synced (useful to set up a
-    /// known-durable baseline before arming faults).
-    pub fn sync_all_files(&self) {
-        let mut inner = self.inner();
-        for f in inner.files.values_mut() {
-            f.synced = f.data.len();
-        }
-    }
 }
 
 impl MemInner {

@@ -40,10 +40,7 @@ fn build_transfers(people: usize, accounts: usize, transfers: usize, seed: u64) 
 }
 
 fn main() {
-    // parallel RIG expansion too: 2 build threads in the session config
-    let mut cfg = GmConfig::default();
-    cfg.rig = cfg.rig.with_build_threads(2);
-    let session = Session::with_config(build_transfers(50, 400, 1200, 7), cfg);
+    let session = Session::new(build_transfers(50, 400, 1200, 7));
     println!("transfer graph: {:?}", session.graph());
 
     // Pattern:

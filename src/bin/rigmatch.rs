@@ -70,8 +70,8 @@
 //! With `--threads N` (N > 1) GM runs the morsel-driven parallel engine:
 //! counting uses per-worker counting sinks, enumeration streams matches
 //! through per-worker batched sinks (match order is then
-//! scheduling-dependent; RIG construction is parallelized too). `--limit`
-//! and `--timeout` are honored in both modes.
+//! scheduling-dependent). `--limit` and `--timeout` are honored in both
+//! modes.
 //!
 //! With `--data-dir <dir>` the GM session is **durable**: an empty or
 //! uninitialized directory is seeded from the graph file (binary snapshot
@@ -659,11 +659,8 @@ fn run_gm(
     cli: &Cli,
     g: Option<rigmatch::graph::DataGraph>,
     source: QuerySource,
-    mut cfg: GmConfig,
+    cfg: GmConfig,
 ) -> Result<ExitCode, Error> {
-    if cli.threads > 1 {
-        cfg.rig = cfg.rig.with_build_threads(cli.threads);
-    }
     let session =
         make_session(cli, cfg, || Ok(g.expect("graph parsed unless the store was opened")))?;
     if let Some(path) = &cli.mutations_path {

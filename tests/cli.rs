@@ -70,7 +70,7 @@ fn bad_inputs_fail_cleanly() {
 fn parallel_flags_stream_and_count() {
     let g = write_tmp("g6.txt", GRAPH);
     let q = write_tmp("q6.txt", QUERY);
-    // parallel counting (morsel engine + parallel RIG build)
+    // parallel counting (morsel engine)
     let out = bin().arg(&g).arg(&q).args(["--count", "--threads", "4"]).output().unwrap();
     assert!(out.status.success(), "{out:?}");
     assert_eq!(String::from_utf8(out.stdout).unwrap().trim(), "1");
