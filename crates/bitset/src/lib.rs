@@ -172,12 +172,12 @@ impl Bitset {
 
     /// Smallest stored value.
     pub fn min(&self) -> Option<u32> {
-        self.chunks.first().map(|(k, c)| join(*k, c.min().unwrap()))
+        self.chunks.first().and_then(|(k, c)| c.min().map(|low| join(*k, low)))
     }
 
     /// Largest stored value.
     pub fn max(&self) -> Option<u32> {
-        self.chunks.last().map(|(k, c)| join(*k, c.max().unwrap()))
+        self.chunks.last().and_then(|(k, c)| c.max().map(|low| join(*k, low)))
     }
 
     /// Removes all values.
@@ -427,18 +427,19 @@ impl Bitset {
                 let mut pick = || {
                     let k = (0..sets.len())
                         .filter(|&k| used & (1 << k) == 0)
-                        .min_by_key(|&k| sets[k].len())
-                        .expect("operand available");
+                        .min_by_key(|&k| sets[k].len())?;
                     used |= 1 << k;
-                    k
+                    Some(k)
                 };
-                let (a, b) = (pick(), pick());
+                let (Some(a), Some(b)) = (pick(), pick()) else {
+                    return; // unreachable: this arm has at least two operands
+                };
                 sets[a].and_into(sets[b], out);
-                for _ in 2..sets.len() {
+                while let Some(k) = pick() {
                     if out.is_empty() {
                         return;
                     }
-                    out.and_assign(sets[pick()]);
+                    out.and_assign(sets[k]);
                 }
             }
         }

@@ -160,9 +160,9 @@ impl<'a> GraphView<'a> {
     }
 
     /// True when this view carries uncompacted mutations: the base-only
-    /// reachability machinery (BFL intervals, SCC memoization, early
-    /// expansion termination) is then unsound and the pipeline must use
-    /// overlay-aware traversal instead.
+    /// reachability machinery (BFL intervals, condensation sweeps, per-SCC
+    /// shared runs, early expansion termination) is then unsound and the
+    /// pipeline must use overlay-aware traversal instead.
     #[inline]
     pub fn is_dirty(self) -> bool {
         match self {

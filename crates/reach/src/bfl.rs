@@ -52,10 +52,10 @@ fn filter_or(dst: &mut Filter, src: &Filter) {
 
 /// The BFL reachability index.
 ///
-/// Plain data end to end: the guided-DFS fallback keeps its scratch on
-/// the caller's stack, so the index is trivially `Sync` and parallel
-/// RIG-construction workers probe it with zero coordination (no shared
-/// scratch lock to convoy on).
+/// Plain data end to end: the guided-DFS fallback keeps its visited set in
+/// a per-thread scratch buffer, so the index is `Sync` and concurrent
+/// reads sharing one index (a session's request threads) probe it with
+/// zero coordination (no shared scratch lock to convoy on).
 pub struct BflIndex {
     cond: Condensation,
     intervals: IntervalLabels,
@@ -169,6 +169,10 @@ impl Reachability for BflIndex {
     fn name(&self) -> &'static str {
         "BFL"
     }
+
+    fn condensation(&self) -> Option<&Condensation> {
+        Some(&self.cond)
+    }
 }
 
 #[cfg(test)]
@@ -241,8 +245,8 @@ mod tests {
         }
     }
 
-    /// The index is probed from many threads at once (the parallel
-    /// RIG-build pattern); answers must match the single-threaded ones.
+    /// The index is probed from many threads at once (concurrent reads of
+    /// one session); answers must match the single-threaded ones.
     #[test]
     fn concurrent_probes_agree() {
         let g = random_graph(60, 150, 11);

@@ -17,8 +17,10 @@
 //!   and fast but memory-hungry; this is what the GF baseline has to build
 //!   for D-queries in §7.5 (Fig. 18), and what property tests use as ground
 //!   truth;
-//! * [`setreach`] — multi-source BFS descendant/ancestor sets, the batched
-//!   form of reachability used by the double-simulation select phase.
+//! * [`setreach`] — multi-source descendant/ancestor sets, the batched
+//!   form of reachability used by the double-simulation select phase,
+//!   swept over the condensation DAG or, for dirty snapshots, the data
+//!   graph.
 
 pub mod bfl;
 pub mod interval;
@@ -32,7 +34,7 @@ pub use bfl::BflIndex;
 pub use interval::IntervalLabels;
 pub use overlay::SnapshotReach;
 pub use scc::Condensation;
-pub use setreach::{ancestors_of_set, descendants_of_set};
+pub use setreach::{ancestors_of_set, descendants_of_set, ComponentSet};
 pub use tc::TransitiveClosure;
 
 use rig_graph::NodeId;
@@ -66,6 +68,13 @@ pub trait Reachability {
 
     /// Human-readable name for reports.
     fn name(&self) -> &'static str;
+
+    /// The SCC condensation this oracle answers from, when it has one.
+    /// It describes the graph the oracle was built on, so it must not be
+    /// used for a view that differs from that graph (a dirty snapshot).
+    fn condensation(&self) -> Option<&Condensation> {
+        None
+    }
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! Traversal fallbacks (the BFL guided DFS, the snapshot-overlay BFS) need
 //! a visited set per call. Allocating one per probe costs O(|V|) zeroing
-//! before any work; a shared buffer behind a lock serializes parallel
-//! RIG-build workers. This epoch-stamped buffer in a `thread_local` gives
+//! before any work; a shared buffer behind a lock serializes concurrent
+//! readers. This epoch-stamped buffer in a `thread_local` gives
 //! both properties up: O(1) amortized reset (bump the epoch; the array is
 //! only re-zeroed on the rare u32 wraparound) and zero cross-thread
 //! coordination, so the indexes that use it stay plain-data `Sync`.

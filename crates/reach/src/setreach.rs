@@ -1,12 +1,24 @@
 //! Batched set reachability: descendants / ancestors of a *set* of nodes
-//! in one multi-source BFS sweep.
+//! in one multi-source sweep.
 //!
 //! The double-simulation select phase (§4.2) repeatedly asks, for a
 //! reachability query edge `(qi, qj)`: *which candidate nodes of `qi` reach
 //! at least one candidate of `qj`?* That is exactly membership in
-//! `ancestors_of_set(G, FB(qj))`, computable in O(|V| + |E|) — far cheaper
-//! than per-pair probes when candidate sets are large.
+//! `ancestors_of_set(G, FB(qj))` — far cheaper than per-pair probes when
+//! candidate sets are large.
+//!
+//! Two sweeps answer it:
+//!
+//! * [`Condensation::descendants_of_set`] / [`Condensation::ancestors_of_set`]
+//!   sweep the condensation DAG, in O(|C| + |E_C| + |sources|) for `|C|`
+//!   components. Selection uses them whenever the oracle exposes a
+//!   condensation ([`crate::Reachability::condensation`]) and the graph
+//!   view is clean, so the condensation describes it.
+//! * [`descendants_of_set`] / [`ancestors_of_set`] sweep the data graph in
+//!   O(|V| + |E|). They read any [`GraphView`], so they are the fallback
+//!   for a dirty snapshot, which has no condensation.
 
+use crate::Condensation;
 use rig_bitset::Bitset;
 use rig_graph::{GraphView, NodeId};
 
@@ -62,6 +74,68 @@ fn sweep(g: GraphView<'_>, sources: &Bitset, dir: Direction) -> Bitset {
     }
     frontier.sort_unstable();
     Bitset::from_sorted_dedup(&frontier)
+}
+
+/// A node set produced by a condensation sweep, held as one flag per
+/// component of the [`Condensation`] it was swept on.
+pub struct ComponentSet<'a> {
+    cond: &'a Condensation,
+    member: Vec<bool>,
+}
+
+impl ComponentSet<'_> {
+    /// True iff node `v` is in the set.
+    #[inline]
+    pub fn contains(&self, v: NodeId) -> bool {
+        self.member[self.cond.component(v) as usize]
+    }
+}
+
+impl Condensation {
+    /// [`descendants_of_set`] of the graph this condensation was built
+    /// from, swept over the condensation DAG instead of the data graph.
+    pub fn descendants_of_set(&self, sources: &Bitset) -> ComponentSet<'_> {
+        self.sweep(sources, &self.dag_fwd)
+    }
+
+    /// [`ancestors_of_set`] of the graph this condensation was built from,
+    /// swept over the condensation DAG instead of the data graph.
+    pub fn ancestors_of_set(&self, sources: &Bitset) -> ComponentSet<'_> {
+        self.sweep(sources, &self.dag_bwd)
+    }
+
+    /// Marks every component reached from a source's component by a
+    /// non-empty DAG path, plus every cyclic source component (its members
+    /// reach each other, themselves included). A trivial source component
+    /// is marked only if another source reaches it: its sole member has no
+    /// non-empty path back to itself.
+    fn sweep(&self, sources: &Bitset, dag: &[Vec<u32>]) -> ComponentSet<'_> {
+        let mut member = vec![false; self.count];
+        let mut frontier: Vec<u32> = Vec::new();
+        for s in sources.iter() {
+            let c = self.component(s) as usize;
+            // A cyclic component is marked on first sight, so it is queued
+            // once; a trivial one holds a single node, so it is seen once.
+            if !member[c] {
+                member[c] = self.nontrivial[c];
+                frontier.push(c as u32);
+            }
+        }
+        // A trivial seed reached later is queued a second time; its
+        // children are already marked by then, so the rescan is cheap.
+        let mut head = 0;
+        while head < frontier.len() {
+            let c = frontier[head] as usize;
+            head += 1;
+            for &d in &dag[c] {
+                if !member[d as usize] {
+                    member[d as usize] = true;
+                    frontier.push(d);
+                }
+            }
+        }
+        ComponentSet { cond: self, member }
+    }
 }
 
 #[cfg(test)]

@@ -119,6 +119,10 @@ impl Reachability for TransitiveClosure {
     fn name(&self) -> &'static str {
         "TC"
     }
+
+    fn condensation(&self) -> Option<&Condensation> {
+        Some(&self.cond)
+    }
 }
 
 #[cfg(test)]

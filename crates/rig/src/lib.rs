@@ -20,11 +20,14 @@
 //! candidate-local ids** (see `docs/rig-layout.md`): each `cos(q)` keeps a
 //! sorted id array (`local id` = index into it, the rank dictionary), and
 //! each query edge stores one offset array plus a concatenated arena of
-//! sorted local-id runs per direction. Long runs additionally materialize a
-//! local-id bitmap row for O(1) membership probes. The backward direction
-//! is derived from the forward one by a counting-sort transpose, so
-//! expansion never touches a hash map. MJoin's multiway intersections
-//! operate directly on these runs ([`AdjRun`]) without allocating.
+//! sorted local-id runs per direction. A reachability edge stores one run
+//! per SCC rather than per node (sources in one SCC have the same
+//! successors, targets in one SCC the same predecessors), with a map from
+//! each node to its run. Long runs additionally materialize a local-id
+//! bitmap row for O(1) membership probes. The backward direction is derived
+//! from the forward one by a counting-sort transpose. MJoin's multiway
+//! intersections operate directly on these runs ([`AdjRun`]) without
+//! allocating.
 //!
 //! The previous hashmap-of-bitsets representation survives as
 //! [`reference::RefRig`] — the differential-testing and benchmark baseline.
@@ -204,13 +207,22 @@ impl<'a> AdjRun<'a> {
 }
 
 /// One direction of one query edge's adjacency in CSR form over local ids.
+///
+/// Sources with the same neighbour set can share one stored run: on a
+/// reachability edge, every source in one SCC has the same successors and
+/// every target in one SCC the same predecessors. `run_of` maps each
+/// source to its run; when it is empty, run `s` belongs to source `s`.
 #[derive(Debug, Default, Clone)]
 struct CsrDir {
-    /// `offsets[s]..offsets[s + 1]` delimits source `s`'s run in `targets`.
+    /// `offsets[r]..offsets[r + 1]` delimits run `r` in `targets`.
     offsets: Vec<u32>,
     /// Concatenated sorted local-id runs.
     targets: Vec<u32>,
-    /// Per-source dense row index ([`NO_DENSE`] = sparse only); empty when
+    /// Run index of each source; empty = the identity map.
+    run_of: Vec<u32>,
+    /// Logical adjacency entries: Σ over sources of their run's length.
+    entries: u64,
+    /// Per-run dense row index ([`NO_DENSE`] = sparse only); empty when
     /// no run qualified for a bitmap.
     dense_idx: Vec<u32>,
     /// Bitmap arena, `words_per_row` words per dense row.
@@ -219,10 +231,24 @@ struct CsrDir {
 }
 
 impl CsrDir {
-    fn new(offsets: Vec<u32>, targets: Vec<u32>, n_targets: usize) -> CsrDir {
+    /// `run_of` may be empty (one run per source); an identity map is
+    /// dropped so that [`CsrDir::run`] skips the lookup.
+    fn new(offsets: Vec<u32>, targets: Vec<u32>, mut run_of: Vec<u32>, n_targets: usize) -> CsrDir {
+        if run_of.len() == offsets.len() - 1
+            && run_of.iter().enumerate().all(|(s, &r)| r as usize == s)
+        {
+            run_of = Vec::new();
+        }
+        let entries = if run_of.is_empty() {
+            targets.len() as u64
+        } else {
+            run_of.iter().map(|&r| (offsets[r as usize + 1] - offsets[r as usize]) as u64).sum()
+        };
         let mut dir = CsrDir {
             offsets,
             targets,
+            run_of,
+            entries,
             dense_idx: Vec::new(),
             dense_words: Vec::new(),
             words_per_row: n_targets.div_ceil(64),
@@ -231,13 +257,30 @@ impl CsrDir {
         dir
     }
 
-    fn n_sources(&self) -> usize {
+    fn n_runs(&self) -> usize {
         self.offsets.len() - 1
     }
 
+    fn n_sources(&self) -> usize {
+        if self.run_of.is_empty() {
+            self.n_runs()
+        } else {
+            self.run_of.len()
+        }
+    }
+
     #[inline]
-    fn run_bounds(&self, s: usize) -> (usize, usize) {
-        (self.offsets[s] as usize, self.offsets[s + 1] as usize)
+    fn run_index(&self, s: usize) -> usize {
+        if self.run_of.is_empty() {
+            s
+        } else {
+            self.run_of[s] as usize
+        }
+    }
+
+    #[inline]
+    fn run_bounds(&self, r: usize) -> (usize, usize) {
+        (self.offsets[r] as usize, self.offsets[r + 1] as usize)
     }
 
     /// A run qualifies for a dense row when it is long enough to amortize
@@ -250,8 +293,8 @@ impl CsrDir {
         }
         let qualifies = |len: usize| len >= DENSE_MIN_RUN && len >= 2 * wpr;
         let mut rows = 0u32;
-        for s in 0..self.n_sources() {
-            let (lo, hi) = self.run_bounds(s);
+        for r in 0..self.n_runs() {
+            let (lo, hi) = self.run_bounds(r);
             if qualifies(hi - lo) {
                 rows += 1;
             }
@@ -259,15 +302,15 @@ impl CsrDir {
         if rows == 0 {
             return;
         }
-        self.dense_idx = vec![NO_DENSE; self.n_sources()];
+        self.dense_idx = vec![NO_DENSE; self.n_runs()];
         self.dense_words = vec![0u64; rows as usize * wpr];
         let mut next = 0u32;
-        for s in 0..self.n_sources() {
-            let (lo, hi) = self.run_bounds(s);
+        for r in 0..self.n_runs() {
+            let (lo, hi) = self.run_bounds(r);
             if !qualifies(hi - lo) {
                 continue;
             }
-            self.dense_idx[s] = next;
+            self.dense_idx[r] = next;
             let row = &mut self.dense_words[next as usize * wpr..][..wpr];
             for &t in &self.targets[lo..hi] {
                 row[(t >> 6) as usize] |= 1 << (t & 63);
@@ -278,8 +321,9 @@ impl CsrDir {
 
     #[inline]
     fn run(&self, s: u32) -> AdjRun<'_> {
-        let (lo, hi) = self.run_bounds(s as usize);
-        let dense = match self.dense_idx.get(s as usize) {
+        let r = self.run_index(s as usize);
+        let (lo, hi) = self.run_bounds(r);
+        let dense = match self.dense_idx.get(r) {
             Some(&ix) if ix != NO_DENSE => {
                 Some(&self.dense_words[ix as usize * self.words_per_row..][..self.words_per_row])
             }
@@ -288,32 +332,79 @@ impl CsrDir {
         AdjRun { list: &self.targets[lo..hi], dense }
     }
 
-    /// Counting-sort transpose: offsets + targets of the opposite
-    /// direction. Because sources are scanned in ascending order, every
-    /// transposed run comes out sorted without any comparison sort.
-    fn transpose(&self, n_targets: usize) -> (Vec<u32>, Vec<u32>) {
-        let mut offsets = vec![0u32; n_targets + 1];
-        for &t in &self.targets {
-            offsets[t as usize + 1] += 1;
-        }
-        for i in 0..n_targets {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor: Vec<u32> = offsets[..n_targets].to_vec();
-        let mut out = vec![0u32; self.targets.len()];
+    /// Counting-sort transpose into the opposite direction, with one
+    /// predecessor run per target group: `target_group[t]` is the group of
+    /// target `t` (groups numbered in order of first appearance; empty =
+    /// one group per target), and targets in one group must have the same
+    /// sources. `n_targets` is the size of the target side. Because
+    /// sources are scanned in ascending order, every transposed run comes
+    /// out sorted without any comparison sort.
+    fn transpose(&self, n_targets: usize, target_group: Vec<u32>) -> CsrDir {
+        // The groups each forward run holds, as a CSR over runs: the run
+        // itself when every target is its own group, else the runs
+        // filtered to each group's first target.
+        let grouped: (Vec<u32>, Vec<u32>);
+        let (group_off, group_list, n_groups) = if target_group.is_empty() {
+            (&self.offsets, &self.targets, n_targets)
+        } else {
+            let mut first = vec![false; n_targets];
+            let mut n_groups = 0;
+            for (t, &g) in target_group.iter().enumerate() {
+                if g as usize == n_groups {
+                    first[t] = true;
+                    n_groups += 1;
+                }
+            }
+            let mut off = Vec::with_capacity(self.n_runs() + 1);
+            off.push(0u32);
+            let mut list = Vec::new();
+            for r in 0..self.n_runs() {
+                let (lo, hi) = self.run_bounds(r);
+                list.extend(
+                    self.targets[lo..hi]
+                        .iter()
+                        .filter(|&&t| first[t as usize])
+                        .map(|&t| target_group[t as usize]),
+                );
+                off.push(list.len() as u32);
+            }
+            grouped = (off, list);
+            (&grouped.0, &grouped.1, n_groups)
+        };
+        let groups_of_run =
+            |r: usize| &group_list[group_off[r] as usize..group_off[r + 1] as usize];
+
+        let mut sources_per_run = vec![0usize; self.n_runs()];
         for s in 0..self.n_sources() {
-            let (lo, hi) = self.run_bounds(s);
-            for &t in &self.targets[lo..hi] {
-                out[cursor[t as usize] as usize] = s as u32;
-                cursor[t as usize] += 1;
+            sources_per_run[self.run_index(s)] += 1;
+        }
+        let mut counts = vec![0usize; n_groups + 1];
+        for (r, &m) in sources_per_run.iter().enumerate() {
+            for &g in groups_of_run(r) {
+                counts[g as usize + 1] += m;
             }
         }
-        (offsets, out)
+        let mut offsets = Vec::with_capacity(n_groups + 1);
+        let mut total = 0usize;
+        for c in counts {
+            total += c;
+            push_offset(&mut offsets, total);
+        }
+        let mut cursor: Vec<u32> = offsets[..n_groups].to_vec();
+        let mut out = vec![0u32; total];
+        for s in 0..self.n_sources() {
+            for &g in groups_of_run(self.run_index(s)) {
+                out[cursor[g as usize] as usize] = s as u32;
+                cursor[g as usize] += 1;
+            }
+        }
+        CsrDir::new(offsets, out, target_group, self.n_sources())
     }
 
     fn heap_bytes(&self) -> usize {
         self.offsets.capacity() * 4
             + self.targets.capacity() * 4
+            + self.run_of.capacity() * 4
             + self.dense_idx.capacity() * 4
             + self.dense_words.capacity() * 8
     }
@@ -434,7 +525,7 @@ impl Rig {
     /// `|R_j|` statistic of Thm. 5.1 and the BJ cost model). O(1) on the
     /// CSR layout.
     pub fn edge_cardinality(&self, eid: EdgeId) -> u64 {
-        self.fwd[eid as usize].targets.len() as u64
+        self.fwd[eid as usize].entries
     }
 
     /// RIG size / data graph size, as reported in Fig. 13(a).
@@ -576,7 +667,7 @@ fn finish_rig(
     }
     rig.stats.expand_time = expand_start.elapsed();
     rig.stats.node_count = rig.ids.iter().map(|c| c.len() as u64).sum();
-    rig.stats.edge_count = rig.fwd.iter().map(|d| d.targets.len() as u64).sum();
+    rig.stats.edge_count = rig.fwd.iter().map(|d| d.entries).sum();
     rig
 }
 
@@ -591,8 +682,8 @@ fn empty_shaped(nq: usize, ne: usize, edge_nodes: Vec<(usize, usize)>, stats: Ri
         stats,
     };
     for _ in 0..ne {
-        rig.fwd.push(CsrDir::new(vec![0], Vec::new(), 0));
-        rig.bwd.push(CsrDir::new(vec![0], Vec::new(), 0));
+        rig.fwd.push(CsrDir::new(vec![0], Vec::new(), Vec::new(), 0));
+        rig.bwd.push(CsrDir::new(vec![0], Vec::new(), Vec::new(), 0));
     }
     rig.stats.node_count = 0;
     rig.stats.edge_count = 0;
@@ -638,13 +729,28 @@ fn expand_all(
     edge_nodes: &[(usize, usize)],
 ) -> Option<Vec<(CsrDir, CsrDir)>> {
     let build_one = |(eid, &(p, q)): (usize, &(usize, usize))| {
-        let (offsets, targets) = expand_edge(ctx, bfl, opts, ids, eid as EdgeId, p, q)?;
-        let fwd = CsrDir::new(offsets, targets, ids[q].len());
-        let (boff, btgt) = fwd.transpose(ids[q].len());
-        let bwd = CsrDir::new(boff, btgt, ids[p].len());
+        let x = expand_edge(ctx, bfl, opts, ids, eid as EdgeId, p, q)?;
+        let fwd = CsrDir::new(x.offsets, x.targets, x.run_of, ids[q].len());
+        let bwd = fwd.transpose(ids[q].len(), x.target_group);
         Some((fwd, bwd))
     };
     edge_nodes.iter().enumerate().map(build_one).collect()
+}
+
+/// One expanded query edge: forward runs of local target ids, the source
+/// → run map (empty = one run per source) and the grouping of targets that
+/// share their predecessors (empty = one group per target).
+struct Expansion {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    run_of: Vec<u32>,
+    target_group: Vec<u32>,
+}
+
+impl Expansion {
+    fn per_source(offsets: Vec<u32>, targets: Vec<u32>) -> Expansion {
+        Expansion { offsets, targets, run_of: Vec::new(), target_group: Vec::new() }
+    }
 }
 
 /// Expands one query edge into forward CSR runs (local target ids).
@@ -665,7 +771,7 @@ fn expand_edge(
     eid: EdgeId,
     p: usize,
     q: usize,
-) -> Option<(Vec<u32>, Vec<u32>)> {
+) -> Option<Expansion> {
     let dl = opts.sim.deadline;
     match ctx.query.edge(eid).kind {
         EdgeKind::Direct => expand_direct(ctx, ids, p, q, dl),
@@ -699,7 +805,7 @@ fn expand_direct(
     p: usize,
     q: usize,
     deadline: Option<Instant>,
-) -> Option<(Vec<u32>, Vec<u32>)> {
+) -> Option<Expansion> {
     let (src, tgt) = (&ids[p], &ids[q]);
     let mut probe = DeadlineProbe::new(deadline);
     let mut offsets = Vec::with_capacity(src.len() + 1);
@@ -712,7 +818,7 @@ fn expand_direct(
         intersect_to_locals(ctx.graph.out_neighbors(u), tgt, &mut targets);
         push_offset(&mut offsets, targets.len());
     }
-    Some((offsets, targets))
+    Some(Expansion::per_source(offsets, targets))
 }
 
 /// Intersects two sorted id lists, emitting the *positions in `tgt`* (local
@@ -755,9 +861,11 @@ fn intersect_to_locals(nbrs: &[NodeId], tgt: &[NodeId], out: &mut Vec<u32>) {
 ///
 /// The target list, its interval sort and the per-target
 /// component/interval lookups are all hoisted out of the per-source loop,
-/// and whole runs are memoized per source SCC: every source in one
-/// component reaches exactly the same candidates (self-candidacy included,
-/// because a trivial component's sole member is its only possible source).
+/// and each source SCC's run is computed and stored once, shared by every
+/// source in the component: they all reach exactly the same candidates
+/// (self-candidacy included, because a trivial component's sole member is
+/// its only possible source). Targets are grouped by SCC for the backward
+/// direction, since targets in one component have the same predecessors.
 fn expand_reach_pairwise(
     ctx: &SimContext<'_>,
     bfl: &BflIndex,
@@ -765,7 +873,7 @@ fn expand_reach_pairwise(
     ids: &[Vec<NodeId>],
     p: usize,
     q: usize,
-) -> Option<(Vec<u32>, Vec<u32>)> {
+) -> Option<Expansion> {
     let cond = bfl.condensation();
     let intervals = bfl.intervals();
     let (src, tgt) = (&ids[p], &ids[q]);
@@ -780,47 +888,57 @@ fn expand_reach_pairwise(
     if opts.early_termination {
         tinfo.sort_unstable();
     }
-    let mut offsets = Vec::with_capacity(src.len() + 1);
-    offsets.push(0u32);
+    let mut offsets = vec![0u32];
     let mut targets = Vec::new();
-    let mut memo: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-    let mut run: Vec<u32> = Vec::new();
+    let mut run_of = Vec::with_capacity(src.len());
+    // Source component -> its run. Only nontrivial SCCs can host more than
+    // one source, so only they are worth memoizing (a trivial component's
+    // run could never be requested again).
+    let mut memo: FxHashMap<u32, u32> = FxHashMap::default();
     for &u in src {
         if probe.expired() {
             return None;
         }
         let cu = cond.component(u);
         let nontrivial = cond.nontrivial[cu as usize];
-        // Only nontrivial SCCs can host more than one source, so only they
-        // are worth memoizing (a trivial component's run could never be
-        // requested again).
         if nontrivial {
-            if let Some(cached) = memo.get(&cu) {
-                targets.extend_from_slice(cached);
-                push_offset(&mut offsets, targets.len());
+            if let Some(&r) = memo.get(&cu) {
+                run_of.push(r);
                 continue;
             }
         }
-        run.clear();
+        let start = targets.len();
         let u_end = intervals.end[cu as usize];
         for &(begin, v, j) in &tinfo {
             if opts.early_termination && begin > u_end {
                 break; // all later candidates are unreachable from u
             }
             if (u != v || nontrivial) && ctx.reach.reaches(u, v) {
-                run.push(j);
+                targets.push(j);
             }
         }
         if opts.early_termination {
-            run.sort_unstable(); // begin order -> local-id order
+            targets[start..].sort_unstable(); // begin order -> local-id order
         }
-        targets.extend_from_slice(&run);
+        let r = (offsets.len() - 1) as u32;
         push_offset(&mut offsets, targets.len());
+        run_of.push(r);
         if nontrivial {
-            memo.insert(cu, run.clone());
+            memo.insert(cu, r);
         }
     }
-    Some((offsets, targets))
+    let mut group_of_comp: FxHashMap<u32, u32> = FxHashMap::default();
+    let mut target_group: Vec<u32> = tgt
+        .iter()
+        .map(|&v| {
+            let next = group_of_comp.len() as u32;
+            *group_of_comp.entry(cond.component(v)).or_insert(next)
+        })
+        .collect();
+    if group_of_comp.len() == tgt.len() {
+        target_group.clear(); // every target is its own group
+    }
+    Some(Expansion { offsets, targets, run_of, target_group })
 }
 
 /// Reachability expansion by one pruned DFS per source node.
@@ -830,7 +948,7 @@ fn expand_reach_dfs(
     p: usize,
     q: usize,
     deadline: Option<Instant>,
-) -> Option<(Vec<u32>, Vec<u32>)> {
+) -> Option<Expansion> {
     let g = ctx.graph;
     let (src, tgt) = (&ids[p], &ids[q]);
     // One DFS can walk the whole graph, so the probe ticks per pop, not
@@ -862,7 +980,7 @@ fn expand_reach_dfs(
         targets.extend_from_slice(&run);
         push_offset(&mut offsets, targets.len());
     }
-    Some((offsets, targets))
+    Some(Expansion::per_source(offsets, targets))
 }
 
 #[cfg(test)]
@@ -1064,6 +1182,72 @@ mod tests {
             assert_eq!(full.cos(i).to_vec(), seeded.cos(i).to_vec());
         }
         assert_eq!(full.stats.edge_count, seeded.stats.edge_count);
+    }
+
+    /// `A ⇝ B` over one SCC holding `n` a-nodes and `m` b-nodes in a ring.
+    fn one_scc_rig(n: u32, m: u32) -> Rig {
+        let mut b = GraphBuilder::new();
+        for i in 0..n + m {
+            b.add_node(u32::from(i >= n));
+        }
+        for i in 0..n + m {
+            b.add_edge(i, (i + 1) % (n + m));
+        }
+        let g = b.build();
+        let mut q = PatternQuery::new(vec![0, 1]);
+        q.add_edge(0, 1, EdgeKind::Reachability);
+        build(&g, &q, &RigOptions { select: SelectMode::MatchSets, ..RigOptions::exact() })
+    }
+
+    /// Sources in one SCC share one stored run, and so do targets: the
+    /// arena grows with N + M while the logical size is N × M.
+    #[test]
+    fn one_scc_stores_one_run_per_direction() {
+        for (n, m) in [(3u32, 5u32), (200, 300)] {
+            let rig = one_scc_rig(n, m);
+            assert_eq!((rig.fwd[0].n_runs(), rig.fwd[0].n_sources()), (1, n as usize));
+            assert_eq!((rig.bwd[0].n_runs(), rig.bwd[0].n_sources()), (1, m as usize));
+            assert_eq!(rig.fwd[0].targets.len(), m as usize);
+            assert_eq!(rig.bwd[0].targets.len(), n as usize);
+            assert_eq!(rig.edge_cardinality(0), u64::from(n * m));
+            assert_eq!(rig.stats.edge_count, u64::from(n * m));
+            assert_eq!(rig.successors_local(0, n - 1).len(), m as usize);
+            assert_eq!(rig.predecessors_local(0, m - 1).len(), n as usize);
+            let bound = 32 * (n + m) as usize + 1024;
+            assert!(rig.heap_bytes() < bound, "{} bytes for N={n} M={m}", rig.heap_bytes());
+        }
+    }
+
+    /// On a DAG every component is trivial, so every source and every
+    /// target keeps its own run (and no run map is stored).
+    #[test]
+    fn dag_keeps_one_run_per_source() {
+        // a_i -> a_{i+1} and a_i -> b_i: a_i reaches b_i..b_{k-1}
+        let k = 6;
+        let mut b = GraphBuilder::new();
+        for _ in 0..k {
+            b.add_node(0);
+        }
+        for _ in 0..k {
+            b.add_node(1);
+        }
+        for i in 0..k {
+            if i + 1 < k {
+                b.add_edge(i, i + 1);
+            }
+            b.add_edge(i, k + i);
+        }
+        let g = b.build();
+        let mut q = PatternQuery::new(vec![0, 1]);
+        q.add_edge(0, 1, EdgeKind::Reachability);
+        let rig = build(&g, &q, &RigOptions::exact());
+        for dir in [&rig.fwd[0], &rig.bwd[0]] {
+            assert!(dir.run_of.is_empty());
+            assert_eq!(dir.n_runs(), k as usize);
+        }
+        assert_eq!(rig.successors_local(0, 2).list, &[2, 3, 4, 5]);
+        assert_eq!(rig.predecessors_local(0, 2).list, &[0, 1, 2]);
+        assert_eq!(rig.edge_cardinality(0), 21);
     }
 
     /// Dense bitmap rows kick in on long runs and agree with the sparse

@@ -1,10 +1,11 @@
 //! Randomized agreement between the two reachability-edge expansion modes
-//! (per-pair BFL with/without early termination vs pruned DFS), and
-//! invariants of the RIG adjacency structure.
+//! (per-pair BFL with/without early termination, which shares one run per
+//! SCC, vs pruned DFS, which stores one run per source), and invariants of
+//! the RIG adjacency structure.
 
 use proptest::prelude::*;
-use rig_graph::GraphBuilder;
-use rig_index::{build_rig, ReachExpandMode, RigOptions};
+use rig_graph::{DataGraph, GraphBuilder};
+use rig_index::{build_rig, ReachExpandMode, Rig, RigOptions, SelectMode};
 use rig_query::{EdgeKind, PatternQuery};
 use rig_reach::BflIndex;
 use rig_sim::SimContext;
@@ -124,5 +125,127 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// A labelled graph built from blocks of 1–4 consecutive nodes: with
+/// `cyclic` set each block of two or more is closed into a cycle (many
+/// small SCCs), otherwise the graph is a DAG. Random edges run only from a
+/// lower block to a higher one.
+fn blocks_strategy(cyclic: bool) -> impl Strategy<Value = (DataGraph, PatternQuery)> {
+    (
+        prop::collection::vec((1u32..5, 0u32..3), 2..12),
+        prop::collection::vec((0u32..48, 0u32..48), 0..60),
+        prop::collection::vec(prop::bool::ANY, 2),
+    )
+        .prop_map(move |(blocks, edges, kinds)| {
+            let mut b = GraphBuilder::new();
+            let mut block_of = Vec::new();
+            let mut start = 0u32;
+            for (i, &(size, label)) in blocks.iter().enumerate() {
+                for k in 0..size {
+                    b.add_node((label + k / 2) % 3);
+                    block_of.push(i);
+                }
+                if cyclic && size > 1 {
+                    for k in 0..size {
+                        b.add_edge(start + k, start + (k + 1) % size);
+                    }
+                }
+                start += size;
+            }
+            let n = start;
+            for (u, v) in edges {
+                let (u, v) = (u % n, v % n);
+                if block_of[u as usize] < block_of[v as usize] {
+                    b.add_edge(u, v);
+                }
+            }
+            let mut q = PatternQuery::new(vec![0, 1, 2]);
+            let kind = |b: bool| if b { EdgeKind::Direct } else { EdgeKind::Reachability };
+            q.add_edge(0, 1, kind(kinds[0]));
+            q.add_edge(1, 2, EdgeKind::Reachability);
+            q.add_edge(0, 2, kind(kinds[1]));
+            (b.build(), q)
+        })
+}
+
+/// Every local successor and predecessor run, and every edge count, of
+/// `shared` equals that of the per-source reference `base`.
+fn assert_same_runs(
+    q: &PatternQuery,
+    base: &Rig,
+    shared: &Rig,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(base.stats.edge_count, shared.stats.edge_count, "{}", what);
+    for eid in 0..q.num_edges() as u32 {
+        let (p, t) = base.edge_endpoints(eid);
+        prop_assert_eq!(base.candidates(p), shared.candidates(p), "{}", what);
+        prop_assert_eq!(base.candidates(t), shared.candidates(t), "{}", what);
+        prop_assert_eq!(base.edge_cardinality(eid), shared.edge_cardinality(eid), "{}", what);
+        for u in 0..base.candidates(p).len() as u32 {
+            prop_assert_eq!(
+                base.successors_local(eid, u).list,
+                shared.successors_local(eid, u).list,
+                "{} edge {} source {}",
+                what,
+                eid,
+                u
+            );
+        }
+        for v in 0..base.candidates(t).len() as u32 {
+            prop_assert_eq!(
+                base.predecessors_local(eid, v).list,
+                shared.predecessors_local(eid, v).list,
+                "{} edge {} target {}",
+                what,
+                eid,
+                v
+            );
+        }
+    }
+    Ok(())
+}
+
+fn assert_shared_runs_match_per_source(
+    g: &DataGraph,
+    q: &PatternQuery,
+) -> Result<(), TestCaseError> {
+    let bfl = BflIndex::new(g);
+    let ctx = SimContext::new(g, q, &bfl);
+    // Raw match sets keep the candidate sets large, so many sources share
+    // a component; exact simulation is the configuration reads use.
+    for select in [SelectMode::MatchSets, SelectMode::PrefilterThenSim] {
+        let opts = RigOptions { select, ..RigOptions::exact() };
+        let base =
+            build_rig(&ctx, &bfl, &RigOptions { reach_expand: ReachExpandMode::PrunedDfs, ..opts });
+        for early in [false, true] {
+            let shared = build_rig(
+                &ctx,
+                &bfl,
+                &RigOptions {
+                    reach_expand: ReachExpandMode::PairwiseBfl,
+                    early_termination: early,
+                    ..opts
+                },
+            );
+            assert_same_runs(q, &base, &shared, &format!("{select:?} early={early}"))?;
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn shared_runs_match_per_source_runs_on_small_sccs((g, q) in blocks_strategy(true)) {
+        assert_shared_runs_match_per_source(&g, &q)?;
+    }
+
+    #[test]
+    fn shared_runs_match_per_source_runs_on_dags((g, q) in blocks_strategy(false)) {
+        assert_shared_runs_match_per_source(&g, &q)?;
     }
 }

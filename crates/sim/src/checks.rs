@@ -69,10 +69,16 @@ pub fn forward_prune_edge(
             }
         },
         EdgeKind::Reachability => match opts.reach_mode {
-            ReachCheckMode::BfsSets => {
-                let qualified = ancestors_of_set(ctx.graph, &fb[qj]);
-                shrink_to(&mut fb[qi], &qualified)
-            }
+            ReachCheckMode::BfsSets => match ctx.condensation() {
+                Some(cond) => {
+                    let qualified = cond.ancestors_of_set(&fb[qj]);
+                    shrink_to_members(&mut fb[qi], |v| qualified.contains(v))
+                }
+                None => {
+                    let qualified = ancestors_of_set(ctx.graph, &fb[qj]);
+                    shrink_to(&mut fb[qi], &qualified)
+                }
+            },
             ReachCheckMode::PairwiseIndex => {
                 let keep = fb[qj].clone();
                 prune_by(&mut fb[qi], |v| keep.iter().any(|w| ctx.reach.reaches(v, w)))
@@ -114,10 +120,16 @@ pub fn backward_prune_edge(
             }
         },
         EdgeKind::Reachability => match opts.reach_mode {
-            ReachCheckMode::BfsSets => {
-                let qualified = descendants_of_set(ctx.graph, &fb[qi]);
-                shrink_to(&mut fb[qj], &qualified)
-            }
+            ReachCheckMode::BfsSets => match ctx.condensation() {
+                Some(cond) => {
+                    let qualified = cond.descendants_of_set(&fb[qi]);
+                    shrink_to_members(&mut fb[qj], |v| qualified.contains(v))
+                }
+                None => {
+                    let qualified = descendants_of_set(ctx.graph, &fb[qi]);
+                    shrink_to(&mut fb[qj], &qualified)
+                }
+            },
             ReachCheckMode::PairwiseIndex => {
                 let keep = fb[qi].clone();
                 prune_by(&mut fb[qj], |v| keep.iter().any(|u| ctx.reach.reaches(u, v)))
@@ -133,6 +145,13 @@ fn shrink_to(set: &mut Bitset, qualified: &Bitset) -> Vec<NodeId> {
         set.and_assign(qualified);
     }
     removed
+}
+
+/// [`shrink_to`] the members of `set` that satisfy `member`: one pass over
+/// `set`, without materializing `member` as a bitset.
+fn shrink_to_members(set: &mut Bitset, member: impl Fn(NodeId) -> bool) -> Vec<NodeId> {
+    let kept: Vec<NodeId> = set.iter().filter(|&v| member(v)).collect();
+    shrink_to(set, &Bitset::from_sorted_dedup(&kept))
 }
 
 /// Retains elements satisfying `pred`, returning the removed ones.

@@ -36,7 +36,7 @@ pub use prefilter::prefilter;
 use rig_bitset::Bitset;
 use rig_graph::GraphView;
 use rig_query::PatternQuery;
-use rig_reach::Reachability;
+use rig_reach::{Condensation, Reachability};
 
 /// Everything a simulation pass needs to look at.
 ///
@@ -45,6 +45,10 @@ use rig_reach::Reachability;
 /// frozen graph and over an uncompacted overlay. When the view is a dirty
 /// snapshot, `reach` must be a delta-aware oracle (e.g.
 /// [`rig_reach::SnapshotReach`]), never the base-only BFL index.
+///
+/// The [`ReachCheckMode::BfsSets`] checks sweep the condensation of
+/// `reach` ([`rig_reach::Reachability::condensation`]) when it has one and
+/// the view is clean; otherwise they sweep the data graph itself.
 pub struct SimContext<'a> {
     pub graph: GraphView<'a>,
     pub query: &'a PatternQuery,
@@ -60,6 +64,15 @@ impl<'a> SimContext<'a> {
         reach: &'a (dyn Reachability + Sync),
     ) -> Self {
         SimContext { graph: graph.into(), query, reach }
+    }
+
+    /// The condensation of `graph`, if `reach` has one that describes it:
+    /// a dirty view has changed since any condensation was built.
+    pub(crate) fn condensation(&self) -> Option<&'a Condensation> {
+        if self.graph.is_dirty() {
+            return None;
+        }
+        self.reach.condensation()
     }
 
     /// The match sets `ms(q)` — label inverted lists — for every query node.
@@ -108,8 +121,9 @@ pub enum DirectCheckMode {
 pub enum ReachCheckMode {
     /// Per candidate pair, probe the reachability index (BFL).
     PairwiseIndex,
-    /// One multi-source BFS per (edge, direction): intersect with the
-    /// ancestor/descendant set of the other side's candidates.
+    /// One multi-source sweep per (edge, direction): intersect with the
+    /// ancestor/descendant set of the other side's candidates. The sweep
+    /// runs on the condensation DAG when [`SimContext`] has one.
     BfsSets,
 }
 
