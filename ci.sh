@@ -83,11 +83,18 @@ if [[ "${1:-}" != "quick" ]]; then
     rc=0; run_cli "${cli_tmp}/g.txt" --lint strict --count \
         --query 'MATCH (p:Paper)->(a:Author)' 2> /dev/null || rc=$?
     [[ "${rc}" == "8" ]]
-    # dynamic updates: --mutations applies a script before the query runs
-    # (the overlay path), and `update` rewrites the materialized graph
+    # dynamic updates: --mutations commits a script before the query runs
+    # (the first read rebases the dirty snapshot onto a clean base), and
+    # `update` rewrites the materialized graph
     printf 'a v Author\na e 3 1\ncommit\nd e 1 2\n' > "${cli_tmp}/m.txt"
     [[ "$(run_cli "${cli_tmp}/g.txt" --count --mutations "${cli_tmp}/m.txt" \
           --query 'MATCH (a:Author)->(p:Paper)')" == "2" ]]
+    # analysis of the mutated graph runs on the rebased base: with its
+    # only Paper -> Paper edge deleted, the direct edge is provably empty
+    rc=0; run_cli check "${cli_tmp}/g.txt" --mutations "${cli_tmp}/m.txt" \
+        --query 'MATCH (p:Paper)->(q:Paper)' > "${cli_tmp}/check.txt" || rc=$?
+    [[ "${rc}" == "8" ]]
+    grep -q 'error\[E102\]' "${cli_tmp}/check.txt"
     run_cli update "${cli_tmp}/g.txt" "${cli_tmp}/m.txt" --output "${cli_tmp}/g2.txt"
     grep -q '^e 3 1$' "${cli_tmp}/g2.txt"
     [[ "$(run_cli "${cli_tmp}/g2.txt" --count \

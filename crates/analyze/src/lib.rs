@@ -1,7 +1,7 @@
 //! `rig_analyze` — static analysis of hybrid pattern queries.
 //!
 //! A multi-pass analyzer that inspects a parsed [`HpqlQuery`] /
-//! [`PatternQuery`] against a [`GraphView`]'s cheap statistics and
+//! [`PatternQuery`] against a [`DataGraph`]'s cheap statistics and
 //! produces typed, span-carrying [`Diagnostic`]s — **without ever
 //! executing the query**. Four pass families:
 //!
@@ -11,7 +11,7 @@
 //!    and numeric label ids outside the graph's label space.
 //! 2. **Emptiness proofs** (`E1…`): a label with an empty inverted list;
 //!    a `Direct` edge between a label pair with zero co-occurring edges
-//!    (the [`LabelPairCounts`] matrix, delta-overlay-aware); a
+//!    (the [`LabelPairCounts`] matrix); a
 //!    `Reachability` edge refuted by probing every candidate pair
 //!    against the reachability oracle when the candidate extremes are
 //!    small enough to afford it. Every `E1…` finding is a *proof*: the
@@ -39,7 +39,7 @@ mod diag;
 pub use diag::{Code, Diagnostic, Report, Severity};
 pub use rig_query::Span;
 
-use rig_graph::{GraphView, Label, LabelPairCounts};
+use rig_graph::{DataGraph, Label, LabelPairCounts};
 use rig_mjoin::factorized::{FactorizationShape, DP_CONDITIONING_LIMIT};
 use rig_query::hpql::LabelSpec;
 use rig_query::{
@@ -52,26 +52,25 @@ use rig_reach::Reachability;
 /// are left unproven rather than paying for exhaustive probing.
 const REACH_PROBE_BUDGET: u64 = 4096;
 
-/// The analyzer: a graph view, optional precomputed statistics and an
+/// The analyzer: a data graph, optional precomputed statistics and an
 /// optional reachability oracle. All borrowed — building one is free;
 /// the expensive inputs ([`LabelPairCounts`], a BFL index) are supplied
 /// by the caller so they can be cached across queries (the session layer
 /// caches both per store version).
 pub struct Analyzer<'a> {
-    view: GraphView<'a>,
+    graph: &'a DataGraph,
     reach: Option<&'a dyn Reachability>,
     pairs: Option<&'a LabelPairCounts>,
 }
 
 impl<'a> Analyzer<'a> {
-    pub fn new(view: GraphView<'a>) -> Analyzer<'a> {
-        Analyzer { view, reach: None, pairs: None }
+    pub fn new(graph: &'a DataGraph) -> Analyzer<'a> {
+        Analyzer { graph, reach: None, pairs: None }
     }
 
     /// Supplies a reachability oracle for the `E103` refutation pass.
-    /// The oracle must be exact for `view` (BFL on a clean base,
-    /// overlay-aware reachability on a dirty snapshot) — refutations
-    /// become emptiness *proofs*. Without one the pass is skipped.
+    /// The oracle must be exact for the analyzed graph (its BFL index) —
+    /// refutations become emptiness *proofs*. Without one the pass is skipped.
     pub fn with_reach(mut self, reach: &'a dyn Reachability) -> Analyzer<'a> {
         self.reach = Some(reach);
         self
@@ -134,14 +133,14 @@ impl<'a> Analyzer<'a> {
 
     fn analyze_ast_into(&self, ast: &HpqlQuery, report: &mut Report) {
         // pass 1: name resolution over the AST, with suggestions
-        let dictionary: Vec<&str> = (0..self.view.num_labels() as Label)
-            .map(|l| self.view.label_name(l))
+        let dictionary: Vec<&str> = (0..self.graph.num_labels() as Label)
+            .map(|l| self.graph.label_name(l))
             .filter(|n| !n.is_empty())
             .collect();
         let mut labels: Vec<Option<Label>> = Vec::with_capacity(ast.num_nodes());
         for (i, spec) in ast.labels().iter().enumerate() {
             match spec {
-                LabelSpec::Name(name) => match self.view.label_id(name) {
+                LabelSpec::Name(name) => match self.graph.label_id(name) {
                     Some(l) => labels.push(Some(l)),
                     None => {
                         let mut d = Diagnostic::new(
@@ -162,7 +161,7 @@ impl<'a> Analyzer<'a> {
                     }
                 },
                 LabelSpec::Id(id) => {
-                    if (*id as usize) >= self.view.num_labels() {
+                    if (*id as usize) >= self.graph.num_labels() {
                         report.diagnostics.push(
                             Diagnostic::new(
                                 Code::LabelOutOfRange,
@@ -171,7 +170,7 @@ impl<'a> Analyzer<'a> {
                                     "label id {id} (variable '{}') is outside the graph's \
                                      label space of {} labels",
                                     ast.vars()[i],
-                                    self.view.num_labels()
+                                    self.graph.num_labels()
                                 ),
                             )
                             .with_span(ast.label_span(i)),
@@ -209,7 +208,7 @@ impl<'a> Analyzer<'a> {
     fn resolution_pass_pattern(&self, ctx: &Ctx, report: &mut Report) {
         for i in 0..ctx.q.num_nodes() {
             let l = ctx.q.label(i as u32);
-            if (l as usize) >= self.view.num_labels() {
+            if (l as usize) >= self.graph.num_labels() {
                 report.diagnostics.push(Diagnostic::new(
                     Code::LabelOutOfRange,
                     Severity::Error,
@@ -217,7 +216,7 @@ impl<'a> Analyzer<'a> {
                         "label id {l} (variable '{}') is outside the graph's label space \
                          of {} labels",
                         ctx.vars[i],
-                        self.view.num_labels()
+                        self.graph.num_labels()
                     ),
                 ));
             }
@@ -230,7 +229,7 @@ impl<'a> Analyzer<'a> {
         let pairs = match self.pairs {
             Some(p) => p,
             None => {
-                owned_pairs = LabelPairCounts::of(self.view);
+                owned_pairs = LabelPairCounts::of(self.graph);
                 &owned_pairs
             }
         };
@@ -246,7 +245,7 @@ impl<'a> Analyzer<'a> {
         // E101: empty inverted list
         for i in 0..q.num_nodes() {
             let l = q.label(i as u32);
-            if self.view.nodes_with_label(l).is_empty() {
+            if self.graph.nodes_with_label(l).is_empty() {
                 report.diagnostics.push(
                     Diagnostic::new(
                         Code::EmptyLabel,
@@ -254,7 +253,7 @@ impl<'a> Analyzer<'a> {
                         format!(
                             "label {} has no nodes in the graph: variable '{}' can never \
                              bind, the answer is provably empty",
-                            ctx.label_display(self.view, i),
+                            ctx.label_display(self.graph, i),
                             ctx.vars[i]
                         ),
                     )
@@ -276,8 +275,8 @@ impl<'a> Analyzer<'a> {
                                 format!(
                                     "no {} → {} edges exist in the graph: direct edge \
                                      ({})->({}) can never match, the answer is provably empty",
-                                    ctx.label_display(self.view, pe.from as usize),
-                                    ctx.label_display(self.view, pe.to as usize),
+                                    ctx.label_display(self.graph, pe.from as usize),
+                                    ctx.label_display(self.graph, pe.to as usize),
                                     ctx.vars[pe.from as usize],
                                     ctx.vars[pe.to as usize]
                                 ),
@@ -289,8 +288,8 @@ impl<'a> Analyzer<'a> {
                 // E103: bounded refutation against the reachability oracle
                 EdgeKind::Reachability => {
                     let Some(reach) = self.reach else { continue };
-                    let from = self.view.nodes_with_label(lf);
-                    let to = self.view.nodes_with_label(lt);
+                    let from = self.graph.nodes_with_label(lf);
+                    let to = self.graph.nodes_with_label(lt);
                     if from.is_empty() || to.is_empty() {
                         continue; // E101 already proves emptiness
                     }
@@ -308,8 +307,8 @@ impl<'a> Analyzer<'a> {
                                     "no {} node reaches any {} node (all {} candidate pairs \
                                      refuted): reachability edge ({})=>({}) can never match, \
                                      the answer is provably empty",
-                                    ctx.label_display(self.view, pe.from as usize),
-                                    ctx.label_display(self.view, pe.to as usize),
+                                    ctx.label_display(self.graph, pe.from as usize),
+                                    ctx.label_display(self.graph, pe.to as usize),
                                     pairs_to_probe,
                                     ctx.vars[pe.from as usize],
                                     ctx.vars[pe.to as usize]
@@ -415,7 +414,7 @@ impl<'a> Analyzer<'a> {
 
     fn cost_pass(&self, ctx: &Ctx, pairs: &LabelPairCounts, report: &mut Report) {
         let q = &ctx.q;
-        let inv = |i: usize| self.view.nodes_with_label(q.label(i as u32)).len() as u64;
+        let inv = |i: usize| self.graph.nodes_with_label(q.label(i as u32)).len() as u64;
         // predicted RIG size: one candidate array per variable, each at
         // most the label's inverted list
         let rig_size: u64 = (0..q.num_nodes()).map(inv).sum();
@@ -501,9 +500,9 @@ struct Ctx {
 
 impl Ctx {
     /// `'Name'` when the label is named, `id N` otherwise.
-    fn label_display(&self, view: GraphView<'_>, node: usize) -> String {
+    fn label_display(&self, graph: &DataGraph, node: usize) -> String {
         let l = self.q.label(node as u32);
-        let name = view.label_name(l);
+        let name = graph.label_name(l);
         if name.is_empty() {
             format!("label id {l}")
         } else {
@@ -551,7 +550,7 @@ mod tests {
     fn analyze(text: &str) -> Report {
         let g = graph();
         let bfl = BflIndex::new(&g);
-        Analyzer::new(GraphView::from(&g)).with_reach(&bfl).analyze_text(text)
+        Analyzer::new(&g).with_reach(&bfl).analyze_text(text)
     }
 
     #[test]
@@ -594,7 +593,7 @@ mod tests {
         assert!(r.diagnostics.iter().any(|d| d.code == Code::UnreachablePair));
         // without an oracle the pass stays silent
         let g = graph();
-        let r = Analyzer::new(GraphView::from(&g)).analyze_text("MATCH (c:Cited)=>(a:Author)");
+        let r = Analyzer::new(&g).analyze_text("MATCH (c:Cited)=>(a:Author)");
         assert!(!r.proven_empty());
     }
 
@@ -647,8 +646,7 @@ mod tests {
         b.add_edge(hubs[1], hubs[2]);
         b.add_edge(hubs[0], hubs[2]);
         let g = b.build();
-        let r = Analyzer::new(GraphView::from(&g))
-            .analyze_text("MATCH (a:Hub)->(b:Hub)->(c:Hub), (a)->(c)");
+        let r = Analyzer::new(&g).analyze_text("MATCH (a:Hub)->(b:Hub)->(c:Hub), (a)->(c)");
         assert!(r.diagnostics.iter().any(|d| d.code == Code::EnumerationRouting));
     }
 
@@ -658,12 +656,12 @@ mod tests {
         // Paper -> Author: provably empty
         let mut q = PatternQuery::new(vec![1, 0]);
         q.try_add_edge(0, 1, EdgeKind::Direct).unwrap();
-        let r = Analyzer::new(GraphView::from(&g)).analyze_pattern(&q, None);
+        let r = Analyzer::new(&g).analyze_pattern(&q, None);
         assert!(r.proven_empty(), "{:?}", r.diagnostics);
         assert!(r.diagnostics.iter().all(|d| d.span.is_none()));
         // out-of-range label id
         let q = PatternQuery::new(vec![9]);
-        let r = Analyzer::new(GraphView::from(&g)).analyze_pattern(&q, None);
+        let r = Analyzer::new(&g).analyze_pattern(&q, None);
         assert!(r.diagnostics.iter().any(|d| d.code == Code::LabelOutOfRange));
     }
 

@@ -317,20 +317,6 @@ impl Container {
         }
     }
 
-    pub fn intersection_len(&self, other: &Container) -> u32 {
-        match (self, other) {
-            (Container::Array(a), Container::Array(b)) => intersect_sorted_len(a, b),
-            (Container::Array(a), Container::Bitmap { words, .. })
-            | (Container::Bitmap { words, .. }, Container::Array(a)) => {
-                a.iter().filter(|&&v| words[(v >> 6) as usize] & (1 << (v & 63)) != 0).count()
-                    as u32
-            }
-            (Container::Bitmap { words: wa, .. }, Container::Bitmap { words: wb, .. }) => {
-                (0..BITMAP_WORDS).map(|i| (wa[i] & wb[i]).count_ones()).sum()
-            }
-        }
-    }
-
     pub fn intersects(&self, other: &Container) -> bool {
         match (self, other) {
             (Container::Array(a), Container::Array(b)) => {
@@ -377,22 +363,6 @@ fn intersect_sorted(a: &[u16], b: &[u16]) -> Vec<u16> {
         }
     }
     out
-}
-
-fn intersect_sorted_len(a: &[u16], b: &[u16]) -> u32 {
-    let (mut i, mut j, mut n) = (0, 0, 0u32);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
 }
 
 fn union_sorted(a: &[u16], b: &[u16]) -> Vec<u16> {
@@ -487,7 +457,6 @@ mod tests {
         let mut got = Vec::new();
         ca.and(&cb).append_values(0, &mut got);
         assert_eq!(got, naive_and.iter().map(|&v| v as u32).collect::<Vec<_>>());
-        assert_eq!(ca.intersection_len(&cb), naive_and.len() as u32);
         assert_eq!(ca.intersects(&cb), !naive_and.is_empty());
     }
 

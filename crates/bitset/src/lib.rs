@@ -13,11 +13,11 @@
 //! * containers convert between the two representations automatically.
 //!
 //! On top of the containers we provide the aggregation utilities the paper
-//! relies on: pairwise and **multi-way** intersection/union
-//! ([`Bitset::multi_and`], [`Bitset::multi_or`] — the `FastAggregation`
-//! analogue), *batch iterators* ([`Bitset::batch_iter`]) that decode many
-//! values per call (§6 reports 2–10x over per-value iterators), and
-//! cardinality / emptiness fast paths used by the join ordering heuristics.
+//! relies on: pairwise intersection, union and difference, **multi-way**
+//! intersection ([`Bitset::multi_and`] — the `FastAggregation` analogue),
+//! *batch iterators* ([`Bitset::batch_iter`]) that decode many values per
+//! call (§6 reports 2–10x over per-value iterators), and cardinality /
+//! emptiness fast paths used by the join ordering heuristics.
 //!
 //! The API is deliberately close to a sorted `u32` set so the rest of the
 //! workspace can treat it as an opaque set type.
@@ -40,7 +40,9 @@ pub use ops::{for_each_in_intersection, intersection_nonempty};
 /// let a = Bitset::from_slice(&[1, 2, 3, 100_000]);
 /// let b: Bitset = (2..5u32).collect();
 /// assert_eq!(a.and(&b).to_vec(), vec![2, 3]);
-/// assert_eq!(Bitset::multi_or(&[&a, &b]).len(), 5); // {1,2,3,4,100000}
+/// let mut union = a.clone();
+/// union.or_assign(&b);
+/// assert_eq!(union.len(), 5); // {1,2,3,4,100000}
 /// assert!(a.contains(100_000));
 /// ```
 #[derive(Clone, Default, PartialEq, Eq)]
@@ -63,24 +65,6 @@ impl Bitset {
     /// Creates an empty bitset.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a bitset holding every value in `0..n`.
-    pub fn full_range(n: u32) -> Self {
-        let mut out = Self::new();
-        if n == 0 {
-            return out;
-        }
-        let mut start = 0u32;
-        while start < n {
-            let key = (start >> 16) as u16;
-            let end_excl = ((start | 0xFFFF) + 1).min(n);
-            let lo = start as u16;
-            let hi_len = end_excl - start;
-            out.chunks.push((key, Container::run(lo, hi_len)));
-            start = end_excl;
-        }
-        out
     }
 
     /// Builds a bitset from a slice of values (need not be sorted).
@@ -264,40 +248,6 @@ impl Bitset {
         self.chunks.truncate(write);
     }
 
-    /// `self ∪ other` as a new bitset.
-    pub fn or(&self, other: &Bitset) -> Bitset {
-        let mut out = Bitset::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.chunks.len() || j < other.chunks.len() {
-            if j >= other.chunks.len() {
-                out.chunks.push(self.chunks[i].clone());
-                i += 1;
-            } else if i >= self.chunks.len() {
-                out.chunks.push(other.chunks[j].clone());
-                j += 1;
-            } else {
-                let (ka, ca) = &self.chunks[i];
-                let (kb, cb) = &other.chunks[j];
-                match ka.cmp(kb) {
-                    std::cmp::Ordering::Less => {
-                        out.chunks.push((*ka, ca.clone()));
-                        i += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        out.chunks.push((*kb, cb.clone()));
-                        j += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        out.chunks.push((*ka, ca.or(cb)));
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// In-place `self ∪= other`.
     pub fn or_assign(&mut self, other: &Bitset) {
         if other.is_empty() {
@@ -307,7 +257,22 @@ impl Bitset {
             *self = other.clone();
             return;
         }
-        *self = self.or(other);
+        let mut merged = Vec::with_capacity(self.chunks.len() + other.chunks.len());
+        let mut j = 0;
+        for (ka, ca) in self.chunks.drain(..) {
+            while j < other.chunks.len() && other.chunks[j].0 < ka {
+                merged.push(other.chunks[j].clone());
+                j += 1;
+            }
+            if j < other.chunks.len() && other.chunks[j].0 == ka {
+                merged.push((ka, ca.or(&other.chunks[j].1)));
+                j += 1;
+            } else {
+                merged.push((ka, ca));
+            }
+        }
+        merged.extend_from_slice(&other.chunks[j..]);
+        self.chunks = merged;
     }
 
     /// `self \ other` as a new bitset.
@@ -328,33 +293,6 @@ impl Bitset {
             }
         }
         out
-    }
-
-    /// In-place `self \= other`; returns number of removed values.
-    pub fn and_not_assign(&mut self, other: &Bitset) -> u64 {
-        let before = self.len();
-        *self = self.and_not(other);
-        before - self.len()
-    }
-
-    /// Cardinality of `self ∩ other` without materializing it.
-    pub fn intersection_len(&self, other: &Bitset) -> u64 {
-        let (mut i, mut j) = (0, 0);
-        let mut n = 0u64;
-        while i < self.chunks.len() && j < other.chunks.len() {
-            let (ka, ca) = &self.chunks[i];
-            let (kb, cb) = &other.chunks[j];
-            match ka.cmp(kb) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    n += ca.intersection_len(cb) as u64;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        n
     }
 
     /// True iff `self ∩ other` is non-empty (early-exit existence test).
@@ -441,21 +379,6 @@ impl Bitset {
                     }
                     out.and_assign(sets[k]);
                 }
-            }
-        }
-    }
-
-    /// Union of many bitsets (pairwise tree fold).
-    pub fn multi_or(sets: &[&Bitset]) -> Bitset {
-        match sets.len() {
-            0 => Bitset::new(),
-            1 => sets[0].clone(),
-            _ => {
-                let mut acc = sets[0].clone();
-                for s in &sets[1..] {
-                    acc.or_assign(s);
-                }
-                acc
             }
         }
     }
@@ -571,26 +494,14 @@ mod tests {
     }
 
     #[test]
-    fn full_range_matches_naive() {
-        for n in [0u32, 1, 5, 65_536, 65_537, 200_000] {
-            let b = Bitset::full_range(n);
-            assert_eq!(b.len(), n as u64, "n={n}");
-            if n > 0 {
-                assert!(b.contains(0));
-                assert!(b.contains(n - 1));
-                assert!(!b.contains(n));
-            }
-        }
-    }
-
-    #[test]
     fn set_algebra_small() {
         let a = Bitset::from_slice(&[1, 2, 3, 100_000, 100_001]);
         let b = Bitset::from_slice(&[2, 3, 4, 100_001, 200_000]);
         assert_eq!(a.and(&b).to_vec(), vec![2, 3, 100_001]);
-        assert_eq!(a.or(&b).to_vec(), vec![1, 2, 3, 4, 100_000, 100_001, 200_000]);
+        let mut union = a.clone();
+        union.or_assign(&b);
+        assert_eq!(union.to_vec(), vec![1, 2, 3, 4, 100_000, 100_001, 200_000]);
         assert_eq!(a.and_not(&b).to_vec(), vec![1, 100_000]);
-        assert_eq!(a.intersection_len(&b), 3);
         assert!(a.intersects(&b));
         assert!(!a.intersects(&Bitset::from_slice(&[7, 8])));
     }
@@ -610,7 +521,10 @@ mod tests {
         let b = Bitset::from_slice(&[2, 3, 4, 5, 6]);
         let c = Bitset::from_slice(&[3, 4, 5, 6, 7]);
         assert_eq!(Bitset::multi_and(&[&a, &b, &c]).to_vec(), vec![3, 4, 5]);
-        assert_eq!(Bitset::multi_or(&[&a, &b, &c]).to_vec(), vec![1, 2, 3, 4, 5, 6, 7]);
+        let mut union = a.clone();
+        union.or_assign(&b);
+        union.or_assign(&c);
+        assert_eq!(union.to_vec(), vec![1, 2, 3, 4, 5, 6, 7]);
         assert!(Bitset::multi_and(&[]).is_empty());
         assert_eq!(Bitset::multi_and(&[&a]).to_vec(), a.to_vec());
     }
@@ -693,7 +607,7 @@ mod tests {
     fn debug_small_and_large() {
         let b = Bitset::from_slice(&[1, 2]);
         assert_eq!(format!("{b:?}"), "{1, 2}");
-        let big = Bitset::full_range(1000);
+        let big: Bitset = (0..1000u32).collect();
         assert_eq!(format!("{big:?}"), "Bitset(len=1000)");
     }
 }

@@ -53,9 +53,10 @@ proptest! {
         let or: Vec<u32> = ma.union(&mb).copied().collect();
         let not: Vec<u32> = ma.difference(&mb).copied().collect();
         prop_assert_eq!(sa.and(&sb).to_vec(), and.clone());
-        prop_assert_eq!(sa.or(&sb).to_vec(), or);
+        let mut union = sa.clone();
+        union.or_assign(&sb);
+        prop_assert_eq!(union.to_vec(), or);
         prop_assert_eq!(sa.and_not(&sb).to_vec(), not);
-        prop_assert_eq!(sa.intersection_len(&sb), and.len() as u64);
         prop_assert_eq!(sa.intersects(&sb), !and.is_empty());
         prop_assert_eq!(sa.is_subset(&sb), ma.is_subset(&mb));
     }
@@ -66,9 +67,7 @@ proptest! {
         let sb = Bitset::from_slice(&b);
         let sc = Bitset::from_slice(&c);
         let folded_and = sa.and(&sb).and(&sc);
-        let folded_or = sa.or(&sb).or(&sc);
         prop_assert_eq!(Bitset::multi_and(&[&sa, &sb, &sc]), folded_and);
-        prop_assert_eq!(Bitset::multi_or(&[&sa, &sb, &sc]), folded_or);
     }
 
     #[test]
@@ -147,12 +146,8 @@ proptest! {
 
         let mut or = sa.clone();
         or.or_assign(&sb);
-        prop_assert_eq!(&or, &sa.or(&sb));
-
-        let mut not = sa.clone();
-        let removed = not.and_not_assign(&sb);
-        prop_assert_eq!(&not, &sa.and_not(&sb));
-        prop_assert_eq!(removed, sa.len() - not.len());
+        let model: Vec<u32> = sa.iter().chain(sb.iter()).collect::<BTreeSet<u32>>().into_iter().collect();
+        prop_assert_eq!(or.to_vec(), model);
     }
 
     #[test]
@@ -165,18 +160,6 @@ proptest! {
         prop_assert_eq!(&from_slice, &from_sorted);
         prop_assert_eq!(&from_slice, &collected);
         prop_assert_eq!(from_slice.is_empty(), model.is_empty());
-    }
-
-    #[test]
-    fn full_range_matches_interval(n in 0u32..200_000) {
-        let set = Bitset::full_range(n);
-        prop_assert_eq!(set.len(), n as u64);
-        prop_assert_eq!(set.min(), if n == 0 { None } else { Some(0) });
-        prop_assert_eq!(set.max(), n.checked_sub(1));
-        // spot-check membership at the boundaries and interior
-        for probe in [0u32, n / 2, n.saturating_sub(1), n, n + 1] {
-            prop_assert_eq!(set.contains(probe), probe < n, "probe {}", probe);
-        }
     }
 
     #[test]

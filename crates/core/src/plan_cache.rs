@@ -40,9 +40,6 @@ impl CacheKey {
 struct CacheEntry {
     key: CacheKey,
     rig: Arc<Rig>,
-    /// 64-bit label-set fingerprint of the reduced query (bit `l mod 64`
-    /// per label) — the cheap pre-check of the commit invalidation sweep.
-    mask: u64,
 }
 
 /// Tiny exact-LRU over a vec: entries ordered most- to least-recently
@@ -82,8 +79,7 @@ impl PlanCache {
         if let Some(pos) = self.entries.iter().position(|e| e.key == key) {
             self.entries.remove(pos);
         }
-        let mask = label_mask(&key.labels);
-        self.entries.insert(0, CacheEntry { key, rig, mask });
+        self.entries.insert(0, CacheEntry { key, rig });
         while self.entries.len() > self.capacity {
             self.entries.pop();
             self.evictions += 1;
@@ -93,15 +89,12 @@ impl PlanCache {
     /// Drops every plan a commit with `impact` may have changed and
     /// returns `(dropped, retained)`. A plan goes when it has a
     /// reachability edge and the commit changed any edge, or when the
-    /// commit touched one of its labels (the mask pre-check, confirmed
-    /// on the label list).
+    /// commit touched one of its labels.
     pub(crate) fn invalidate(&mut self, impact: &CommitImpact) -> (u64, u64) {
-        let touched_mask = impact.touched_mask();
         let before = self.entries.len();
         self.entries.retain(|e| {
             let stale = (impact.structural && e.key.has_reach())
-                || (e.mask & touched_mask != 0
-                    && e.key.labels.iter().any(|l| impact.touched.contains(l)));
+                || e.key.labels.iter().any(|l| impact.touched.contains(l));
             !stale
         });
         let dropped = (before - self.entries.len()) as u64;
@@ -138,10 +131,6 @@ pub struct CacheStats {
     pub entries: usize,
     /// Maximum resident plans.
     pub capacity: usize,
-}
-
-fn label_mask(labels: &[Label]) -> u64 {
-    labels.iter().fold(0u64, |m, &l| m | 1u64 << (l & 63))
 }
 
 #[cfg(test)]
@@ -202,15 +191,14 @@ mod tests {
         assert_eq!(stats.entries, 2);
     }
 
-    /// Labels 1 and 65 share mask bit 1: the mask pre-check passes and
-    /// the label list must still keep the plan over label 1.
+    /// A commit touching label 65 drops the plan over label 65 and keeps
+    /// the one over label 1.
     #[test]
     fn mask_collisions_are_confirmed_on_the_label_list() {
         let rig = rig();
         let mut cache = PlanCache::new(DEFAULT_CACHE_CAPACITY);
         cache.insert(key(vec![1], None), Arc::clone(&rig));
         cache.insert(key(vec![65], None), Arc::clone(&rig));
-        assert_eq!(label_mask(&[1]), label_mask(&[65]));
         assert_eq!(cache.invalidate(&impact(&[65], true)), (1, 1));
         assert!(cache.get(&key(vec![1], None)).is_some(), "the label-1 plan survived");
         assert!(cache.get(&key(vec![65], None)).is_none(), "the label-65 plan went");

@@ -68,13 +68,14 @@
 //!
 //! Folding the delta away has two halves. A **rebase** merges the
 //! overlay into a fresh id-stable base in memory and rebuilds BFL; it
-//! touches no storage. A read whose plan has a reachability edge and that
-//! finds a dirty snapshot rebases first, so reachability edges always
-//! expand through BFL probes on a clean base (direct-only plans read the
-//! overlay as is). A **checkpoint** writes that base to a segment and
-//! truncates the WAL. Once the ops committed since the last checkpoint
-//! pass the [`CompactionPolicy`] threshold, the commit *compacts*: rebase
-//! (unless a read already did) plus checkpoint.
+//! touches no storage. **Every RIG build and every analysis reads a clean
+//! base and the BFL index of that base**: one that finds a dirty snapshot
+//! rebases it first (once, however many readers race). Cache hits skip
+//! this, since a cached plan was built on a clean base and survives only
+//! commits that could not change it. A **checkpoint** writes that base to
+//! a segment and truncates the WAL. Once the ops committed since the last
+//! checkpoint pass the [`CompactionPolicy`] threshold, the commit
+//! *compacts*: rebase (unless a read already did) plus checkpoint.
 
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -84,7 +85,7 @@ use rig_analyze::{Analyzer, Report};
 use rig_graph::{DataGraph, GraphView, Label, LabelPairCounts, Snapshot};
 use rig_index::{build_rig, Rig};
 use rig_query::{closest_label, parse_hpql, transitive_reduction, PatternQuery};
-use rig_reach::{BflIndex, Reachability, SnapshotReach};
+use rig_reach::BflIndex;
 use rig_sim::SimContext;
 use rig_storage::{DurableStore, RecoveryReport};
 
@@ -213,10 +214,10 @@ impl Session {
     /// executes the query. Parse failures come back as `P001`
     /// diagnostics inside the report, not as `Err`.
     ///
-    /// The label-pair count matrix is built lazily and cached per store
-    /// version; reachability refutation probes BFL directly on clean
-    /// snapshots and the delta-aware [`SnapshotReach`] oracle on dirty
-    /// ones, so proofs stay sound across uncompacted commits.
+    /// Analysis reads the clean base of the current version (a dirty
+    /// snapshot is rebased first, as for a RIG build): the label-pair
+    /// count matrix is built lazily and cached per store version, and
+    /// reachability refutation probes that base's BFL index.
     pub fn analyze(&self, text: &str) -> Report {
         self.with_analyzer(|a| a.analyze_text(text))
     }
@@ -234,19 +235,30 @@ impl Session {
     }
 
     fn with_analyzer<R>(&self, f: impl FnOnce(&Analyzer<'_>) -> R) -> R {
+        let (snapshot, bfl) = self.clean_snapshot();
+        let pairs = self.pair_counts(&snapshot);
+        f(&Analyzer::new(snapshot.base()).with_pair_counts(&pairs).with_reach(&*bfl))
+    }
+
+    /// The published snapshot and the BFL index of its base, rebased
+    /// first (single-flight, see [`Session::rebase`]) when the snapshot
+    /// is dirty. Every RIG build and every analysis reads through this
+    /// one rule, so each sees a clean base its BFL index describes.
+    fn clean_snapshot(&self) -> (Arc<Snapshot>, Arc<BflIndex>) {
         let (snapshot, bfl) = {
             let st = self.state();
             (Arc::clone(&st.snapshot), Arc::clone(&st.bfl))
         };
-        let pairs = self.pair_counts(&snapshot);
-        with_oracle(&snapshot, &bfl, |view, reach| {
-            f(&Analyzer::new(view).with_pair_counts(&pairs).with_reach(reach))
-        })
+        if snapshot.is_dirty() {
+            self.rebase(&snapshot)
+        } else {
+            (snapshot, bfl)
+        }
     }
 
-    /// The label-pair count matrix for `snapshot`, built (O(V + E)) on
-    /// the first analysis after each commit and cached until the next
-    /// one.
+    /// The label-pair count matrix for the clean `snapshot`, built
+    /// (O(V + E)) on the first analysis after each commit and cached
+    /// until the next one.
     fn pair_counts(&self, snapshot: &Snapshot) -> Arc<LabelPairCounts> {
         let version = snapshot.version();
         {
@@ -258,7 +270,7 @@ impl Session {
             }
         }
         // built outside the lock; a racing commit just refuses the insert
-        let pairs = Arc::new(LabelPairCounts::of(GraphView::from(snapshot)));
+        let pairs = Arc::new(LabelPairCounts::of(snapshot.base()));
         let mut st = self.state();
         if st.snapshot.version() == version {
             st.pairs = Some((version, Arc::clone(&pairs)));
@@ -335,9 +347,9 @@ impl Session {
     }
 
     /// Looks up or builds the RIG for `prepared`. Returns the plan and
-    /// whether it came from the cache. A build of a plan with a
-    /// reachability edge on a dirty snapshot rebases it first, so the
-    /// expansion probes BFL on a clean base. No lock is held during the
+    /// whether it came from the cache. A build reads a clean base (a
+    /// dirty snapshot is rebased first), so selection and expansion probe
+    /// the BFL index of the graph they read. No lock is held during the
     /// build, so concurrent misses on the same key build twice and the
     /// second insert wins — wasted work, never a wrong answer; a build
     /// raced by a commit is simply not cached (its snapshot is already
@@ -354,24 +366,17 @@ impl Session {
         deadline: Option<Instant>,
     ) -> (Arc<Rig>, bool) {
         let key = CacheKey::new(&prepared.exec, &self.config.rig);
-        let (mut snapshot, mut bfl) = {
-            let mut st = self.state();
-            // only attempted lookups count: `no_cache` runs bypass the
-            // cache and must not skew the hit rate
-            if use_cache {
-                if let Some(rig) = st.cache.get(&key) {
-                    return (rig, true);
-                }
+        // only attempted lookups count: `no_cache` runs bypass the cache
+        // and must not skew the hit rate
+        if use_cache {
+            if let Some(rig) = self.state().cache.get(&key) {
+                return (rig, true);
             }
-            (Arc::clone(&st.snapshot), Arc::clone(&st.bfl))
-        };
-        if key.has_reach() && snapshot.is_dirty() {
-            (snapshot, bfl) = self.rebase(&snapshot);
         }
+        let (snapshot, bfl) = self.clean_snapshot();
         let opts = self.config.rig.with_deadline(deadline);
-        let rig = Arc::new(with_oracle(&snapshot, &bfl, |view, reach| {
-            build_rig(&SimContext::new(view, &prepared.exec, reach), &bfl, &opts)
-        }));
+        let ctx = SimContext::new(snapshot.base(), &prepared.exec, &*bfl);
+        let rig = Arc::new(build_rig(&ctx, &bfl, &opts));
         if use_cache && !rig.stats.timed_out {
             let mut st = self.state();
             // a commit may have landed while we built: then this RIG
@@ -381,23 +386,6 @@ impl Session {
             }
         }
         (rig, false)
-    }
-}
-
-/// Hands `f` the graph view and reachability oracle that reads of
-/// `snapshot` use: the base CSR plus `bfl` when it is clean, the overlay
-/// plus the delta-aware [`SnapshotReach`] oracle when it is dirty. `bfl`
-/// indexes the snapshot's base. [`Session::rig_for`] rebases reachability
-/// plans first, so only direct-only plans and analysis read dirty.
-fn with_oracle<R>(
-    snapshot: &Snapshot,
-    bfl: &BflIndex,
-    f: impl for<'g> FnOnce(GraphView<'g>, &'g (dyn Reachability + Sync)) -> R,
-) -> R {
-    if snapshot.is_dirty() {
-        f(GraphView::Snapshot(snapshot), &SnapshotReach::new(snapshot, bfl))
-    } else {
-        f(GraphView::Base(snapshot.base()), bfl)
     }
 }
 
@@ -995,15 +983,41 @@ mod tests {
     }
 
     #[test]
-    fn direct_only_read_leaves_the_snapshot_dirty() {
+    fn direct_only_read_rebases_a_dirty_snapshot() {
         let session = dirty_fig2_session();
         let q = "MATCH (a:A)->(b:B)";
         let expect = sorted_matches(&Session::new(session.graph().materialize()), q);
         assert_eq!(sorted_matches(&session, q), expect);
-        assert_eq!(session.prepare(q).unwrap().run().no_cache().count().result.count, 4);
-        assert!(session.graph().is_dirty());
+        assert!(!session.graph().is_dirty());
         let stats = session.store_stats();
-        assert_eq!((stats.rebases, stats.delta_ops), (0, 3));
+        assert_eq!((stats.rebases, stats.delta_ops), (1, 0));
+        assert_eq!(session.prepare(q).unwrap().run().no_cache().count().result.count, 4);
+        assert_eq!(session.store_stats().rebases, 1);
+    }
+
+    /// The diagnostic codes of `report`, in order.
+    fn codes(report: &Report) -> Vec<rig_analyze::Code> {
+        report.diagnostics.iter().map(|d| d.code).collect()
+    }
+
+    /// Satisfiable, a refuted direct edge (C -> A) and a refuted
+    /// reachability edge (C =*=> B) on the dirty fig2 graph.
+    const ANALYZED: [&str; 3] = [FIG2_HPQL, "MATCH (c:C)->(a:A)", "MATCH (c:C)=>(b:B)"];
+
+    #[test]
+    fn analysis_of_a_dirty_snapshot_rebases_once() {
+        let session = dirty_fig2_session();
+        let rebuilt = Session::new(session.graph().materialize());
+        for q in ANALYZED {
+            assert_eq!(codes(&session.analyze(q)), codes(&rebuilt.analyze(q)), "{q}");
+        }
+        assert!(session.analyze(ANALYZED[1]).proven_empty());
+        assert!(session.analyze(ANALYZED[2]).proven_empty());
+        let stats = session.store_stats();
+        assert_eq!((stats.rebases, stats.delta_ops), (1, 0));
+        // a reachability read finds the base the analysis rebased
+        assert_eq!(sorted_matches(&session, FIG2_HPQL), sorted_matches(&rebuilt, FIG2_HPQL));
+        assert_eq!(session.store_stats().rebases, 1);
     }
 
     #[test]
@@ -1028,17 +1042,19 @@ mod tests {
         assert!(rebased.has_edge(0, 7) && !rebased.has_edge(1, 3));
     }
 
-    /// Readers racing the first reachability read on one dirty snapshot
+    /// Readers and analyses racing the first read of one dirty snapshot
     /// rebase it once. The rebase lock is held while they start, so all
     /// of them queue on it (a late starter finds the clean base), and
     /// only the first may materialize.
     #[test]
     fn racing_reachability_reads_rebase_once() {
         let session = dirty_fig2_session();
-        let expect = sorted_matches(&Session::new(session.graph().materialize()), FIG2_HPQL);
-        let answers = std::thread::scope(|s| {
+        let rebuilt = Session::new(session.graph().materialize());
+        let expect = sorted_matches(&rebuilt, FIG2_HPQL);
+        let expect_codes: Vec<_> = ANALYZED.iter().map(|q| codes(&rebuilt.analyze(q))).collect();
+        let (answers, reports) = std::thread::scope(|s| {
             let flight = session.rebase.lock().unwrap();
-            let readers: Vec<_> = (0..4)
+            let readers: Vec<_> = (0..3)
                 .map(|_| {
                     s.spawn(|| {
                         let p = session.prepare(FIG2_HPQL).unwrap();
@@ -1048,11 +1064,17 @@ mod tests {
                     })
                 })
                 .collect();
+            let analyzers: Vec<_> = (0..3)
+                .map(|_| s.spawn(|| ANALYZED.iter().map(|q| codes(&session.analyze(q))).collect()))
+                .collect();
             std::thread::sleep(Duration::from_millis(100));
             drop(flight);
-            readers.into_iter().map(|r| r.join().unwrap()).collect::<Vec<_>>()
+            let answers: Vec<_> = readers.into_iter().map(|r| r.join().unwrap()).collect();
+            let reports: Vec<Vec<_>> = analyzers.into_iter().map(|a| a.join().unwrap()).collect();
+            (answers, reports)
         });
         assert!(answers.iter().all(|t| *t == expect), "{answers:?}");
+        assert!(reports.iter().all(|r| *r == expect_codes), "{reports:?}");
         assert_eq!(session.store_stats().rebases, 1);
         assert!(!session.graph().is_dirty());
     }
@@ -1293,8 +1315,9 @@ mod tests {
     fn analysis_pair_counts_follow_commits() {
         let session = Session::new(library_graph());
         assert!(session.analyze("MATCH (p:Paper)->(a:Author)").proven_empty());
-        // add a Paper -> Author edge: the proof must dissolve on the
-        // dirty snapshot (cache invalidated, counts read the overlay)
+        // add a Paper -> Author edge: the proof must dissolve once the
+        // commit lands (cache invalidated, counts rebuilt on the rebased
+        // base)
         let mut txn = session.begin();
         txn.add_edge(1, 0);
         session.commit(txn).unwrap();
@@ -1312,7 +1335,7 @@ mod tests {
         // Author =*=> Paper holds on the base graph
         assert!(!session.analyze("MATCH (a:Author)=>(q:Paper)").proven_empty());
         // remove both edges: no Author can reach any Paper any more, and
-        // the dirty-snapshot oracle (SnapshotReach) must see that
+        // BFL of the rebased base must see that
         let mut txn = session.begin();
         txn.remove_edge(0, 1);
         txn.remove_edge(1, 2);

@@ -65,7 +65,7 @@ pub struct StoreStats {
     /// LSM compactions run (automatic + manual): rebase plus checkpoint.
     pub compactions: u64,
     /// Dirty snapshots rebased in memory and published (materialize +
-    /// BFL rebuild, no storage I/O), by a reachability read or by a
+    /// BFL rebuild, no storage I/O), by a RIG build, an analysis or a
     /// compaction.
     pub rebases: u64,
     /// Mutations currently resident in the delta overlay: 0 exactly when
@@ -309,8 +309,8 @@ impl Session {
 
     /// The concrete BFL index of the current **base segment**, for
     /// harnesses that drive RIG construction outside the session. On a
-    /// dirty snapshot pair it with [`rig_reach::SnapshotReach`]. A
-    /// reachability read may rebase in between two calls, so take
+    /// dirty snapshot pair it with [`rig_reach::SnapshotReach`]. Any
+    /// RIG build or analysis may rebase in between two calls, so take
     /// [`Session::graph`] and this index with no read running.
     pub fn bfl(&self) -> Arc<BflIndex> {
         Arc::clone(&self.state().bfl)

@@ -78,12 +78,6 @@ pub struct CommitImpact {
 }
 
 impl CommitImpact {
-    /// 64-bit label-set fingerprint (bit `l mod 64` per touched label) for
-    /// the cache sweep's cheap pre-check.
-    pub fn touched_mask(&self) -> u64 {
-        self.touched.iter().fold(0u64, |m, &l| m | 1u64 << (l & 63))
-    }
-
     /// Total mutation operations recorded.
     pub fn ops(&self) -> u64 {
         self.nodes_added + self.nodes_removed + self.edges_added + self.edges_removed

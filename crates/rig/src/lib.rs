@@ -760,9 +760,9 @@ impl Expansion {
 /// per-SCC memoization all describe the base segment only, so both the
 /// early-termination cut and the memo would be unsound — the pruned DFS
 /// reads adjacency through the overlay and needs none of them. A rebase
-/// (materialize + BFL rebuild) restores the indexed path; session reads
-/// rebase before they build a plan with a reachability edge, so this
-/// branch serves callers that build over a dirty snapshot directly.
+/// (materialize + BFL rebuild) restores the indexed path; a session
+/// rebases before every build, so this branch serves callers that build
+/// over a dirty snapshot directly.
 fn expand_edge(
     ctx: &SimContext<'_>,
     bfl: &BflIndex,

@@ -168,7 +168,7 @@ pub fn render(metrics: &ServerMetrics, session: &Session) -> String {
     counter(
         &mut out,
         "rigmatch_store_rebases_total",
-        "dirty snapshots rebased in memory for reachability reads or compactions",
+        "dirty snapshots rebased in memory for reads, analyses or compactions",
         s.rebases,
     );
     gauge(&mut out, "rigmatch_store_delta_ops", "mutations resident in the overlay", s.delta_ops);

@@ -36,8 +36,8 @@
 //! the query source; `--format json` emits the machine-readable `analysis`
 //! schema (see `docs/analysis.md`). Exit code: `0` clean (or warnings/notes
 //! only), `8` any error-severity finding, `3` if the query text failed to
-//! parse. With `--mutations <file>` the script is applied first, so
-//! proofs read through the delta overlay.
+//! parse. With `--mutations <file>` the script is committed first, and the
+//! analysis runs on the clean base the session rebases the result onto.
 //!
 //! `explain` (first argument) prints the plan instead of running it: the
 //! query as given, its transitive reduction, the RIG statistics, the
@@ -54,8 +54,8 @@
 //! `docs/updates.md`) and writes the resulting graph in the text format
 //! (tombstoned nodes appear as `x <id>` lines, keeping node ids stable).
 //! With `--mutations <file>` the query path does the same in memory first:
-//! GM runs on the delta overlay directly; baseline engines get the
-//! materialized graph.
+//! GM commits the script to its session, whose first read rebases it onto
+//! a clean base; baseline engines get the materialized graph.
 //!
 //! Query sources: a file in either format — **HPQL**
 //! (`MATCH (a:Author)->(p:Paper)=>(q:Paper)`, detected by its leading
@@ -604,7 +604,7 @@ fn run(cli: &Cli) -> Result<ExitCode, Error> {
             let g = g.expect("baselines always parse the graph file");
             // Baseline engines evaluate static CSR graphs: a mutation
             // script is applied through a throwaway session and handed
-            // over materialized (same answers as GM's overlay path).
+            // over materialized (the base GM's session rebases onto).
             let g = match &cli.mutations_path {
                 Some(path) => {
                     let session = Session::new(g);
@@ -634,7 +634,7 @@ fn run_check(
         Ok(g.expect("graph parsed unless the store was opened"))
     })?;
     if let Some(path) = &cli.mutations_path {
-        // emptiness proofs then read through the delta overlay
+        // the analysis rebases the dirty snapshot and proves on its base
         apply_mutations(&session, path, cli.stats)?;
     }
     let report = match &source {
@@ -664,7 +664,7 @@ fn run_gm(
     let session =
         make_session(cli, cfg, || Ok(g.expect("graph parsed unless the store was opened")))?;
     if let Some(path) = &cli.mutations_path {
-        // GM queries straight through the delta overlay — no rebuild.
+        // the first read rebases the committed script onto a clean base
         apply_mutations(&session, path, cli.stats)?;
         session.flush_wal()?;
     }

@@ -2,8 +2,11 @@
 //! query empty (codes E101/E102/E103), the engine must report count 0 —
 //! through both the factorized-DP count path and forced tuple
 //! enumeration — across the `SelectMode` matrix, all three template
-//! flavors (Direct / hybrid / Reachability edges), and on both clean
-//! base graphs and dirty delta-overlay snapshots.
+//! flavors (Direct / hybrid / Reachability edges), and on both fresh
+//! base graphs and sessions with uncompacted commits. A session analyses
+//! only a clean base: the analysis after a commit rebases the dirty
+//! snapshot first, exactly as a RIG build does, so the proofs and the
+//! engine read the same graph.
 //!
 //! The contrapositive is covered by the same assertion: a satisfiable
 //! query (the engine finds a match) can never carry an emptiness proof.
@@ -184,9 +187,9 @@ fn check_clean(select: SelectMode, seed: u64) {
     check_soundness(&session, &format!("clean select={select:?} seed={seed}"), seed);
 }
 
-/// Random committed mutation batches, then the soundness check against
-/// the dirty overlay snapshot (the analyzer's pair counts and
-/// reachability oracle both read through the delta).
+/// Random committed mutation batches, then the soundness check on the
+/// dirty snapshot each commit leaves (the analysis rebases it first, so
+/// pair counts and BFL describe the merged graph).
 fn check_dirty(select: SelectMode, seed: u64, commits: usize, ops_per_commit: usize) {
     let cfg = GmConfig { rig: RigOptions { select, ..RigOptions::exact() }, ..GmConfig::default() };
     let mut gen_state = seed ^ 0xA11A;
@@ -238,13 +241,13 @@ proptest! {
         check_clean(SelectMode::MatchSets, seed);
     }
 
-    /// Dirty overlay snapshots under the refined mode.
+    /// Snapshots with uncompacted commits under the refined mode.
     #[test]
     fn refined_dirty_is_sound(seed in 0u64..1_000_000) {
         check_dirty(SelectMode::PrefilterThenSim, seed, 2, 6);
     }
 
-    /// Dirty overlay snapshots under match-set RIGs.
+    /// Snapshots with uncompacted commits under match-set RIGs.
     #[test]
     fn match_sets_dirty_is_sound(seed in 0u64..1_000_000) {
         check_dirty(SelectMode::MatchSets, seed, 2, 6);

@@ -269,9 +269,10 @@ fn check_emits_the_analysis_json_schema() {
     assert!(stdout.contains("\"query\": null"), "{stdout}");
 }
 
-/// `check --mutations` analyzes through the delta overlay: deleting both
+/// `check --mutations` analyzes the graph after the script: deleting both
 /// Author→Paper edges flips the forward query from clean to provably
-/// empty without touching the base file.
+/// empty (on the base the session rebases onto) without touching the base
+/// file.
 #[test]
 fn check_reads_through_the_delta_overlay() {
     let g = write_tmp("g14.txt", GRAPH);

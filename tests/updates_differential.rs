@@ -3,16 +3,16 @@
 //! produce **byte-identical match sets** to a from-scratch rebuild (fresh
 //! CSR base + fresh BFL on the materialized snapshot), across every
 //! `SelectMode`, both `EdgeKind`s, and thread counts {1, 2, 8}. Session
-//! reads of direct-only plans run through the delta overlay; a plan with a
-//! reachability edge first rebases the dirty snapshot onto a fresh base.
-//! The overlay reachability oracle (`SnapshotReach` plus the dirty branch
-//! of RIG expansion) is driven directly, outside the session, by
+//! reads only ever build on a clean base: the first RIG build after a
+//! commit rebases the dirty snapshot onto a fresh base. The overlay
+//! reachability oracle (`SnapshotReach` plus the dirty branch of RIG
+//! expansion) is driven directly, outside the session, by
 //! `overlay_oracle_matches_rebuild`.
 //!
 //! On top of match-set equality, every checked snapshot also exercises the
-//! `count()` terminal — which auto-routes to the factorized counting DP on
-//! dirty snapshots — asserting it agrees with the match-set size and with
-//! the RIG-free brute-force oracle over the materialized snapshot.
+//! `count()` terminal — which auto-routes to the factorized counting DP —
+//! asserting it agrees with the match-set size and with the RIG-free
+//! brute-force oracle over the materialized snapshot.
 //!
 //! Mutations are generated *at runtime* against the live snapshot (ids and
 //! edges depend on earlier commits) by the shared
@@ -135,16 +135,15 @@ fn drive_and_check(select: SelectMode, seed: u64, commits: usize, ops_per_commit
                 );
             }
             // the count() terminal rides the factorized DP on the session's
-            // snapshot (still dirty for direct-only plans until a
-            // reachability read rebases it) — it must agree with the match
-            // set and the oracle
+            // rebased base — it must agree with the match set and the
+            // oracle
             let brute = rigmatch::baselines::brute_force_count(&materialized, q, false);
             assert_eq!(brute, expect.len() as u64, "oracle vs rebuild, query {qi}");
             let p = session.prepare(q).expect("workload validates");
             let o = p.run().count();
             assert_eq!(
                 o.result.count, brute,
-                "select={select:?} seed={seed} step={step} query={qi}: DP count on dirty snapshot"
+                "select={select:?} seed={seed} step={step} query={qi}: DP count after commits"
             );
             let empty = p.run().explain().empty_answer;
             assert_eq!(o.metrics.counted_via_factorization, !empty, "witness flag, query {qi}");
