@@ -26,7 +26,7 @@ if [[ "${1:-}" != "quick" ]]; then
     step "cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
 
-    step "panic-lint gate: no unwrap/expect/panic in core, server, analyze, query, reach, graph, storage, rig, sim, bitset"
+    step "panic-lint gate: no unwrap/expect/panic in core, server, analyze, query, reach, graph, storage, rig, sim, bitset, mjoin"
     # the clippy run above enforces the denies through the [lints] tables;
     # this gate asserts that wiring is intact so a manifest regression
     # (e.g. a dropped [lints] table) cannot silently downgrade the three
@@ -35,7 +35,7 @@ if [[ "${1:-}" != "quick" ]]; then
         grep -A8 '^\[workspace\.lints\.clippy\]' Cargo.toml \
             | grep -q "^${lint} = \"deny\""
     done
-    for c in core server analyze query reach graph storage rig sim bitset; do
+    for c in core server analyze query reach graph storage rig sim bitset mjoin; do
         grep -A1 '^\[lints\]' "crates/${c}/Cargo.toml" | grep -q '^workspace = true'
     done
 

@@ -24,11 +24,9 @@
 
 mod container;
 mod iter;
-mod ops;
 
 pub use container::{Container, ARRAY_MAX, BITMAP_WORDS};
 pub use iter::{BatchIter, Iter};
-pub use ops::{for_each_in_intersection, intersection_nonempty};
 
 /// A compressed bitmap of `u32` values.
 ///

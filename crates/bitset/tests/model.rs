@@ -103,18 +103,6 @@ proptest! {
     }
 
     #[test]
-    fn visitor_intersection(a in values(), b in values()) {
-        let sa = Bitset::from_slice(&a);
-        let sb = Bitset::from_slice(&b);
-        let mut got = Vec::new();
-        rig_bitset::for_each_in_intersection(&sa, &[&sb], |v| {
-            got.push(v);
-            true
-        });
-        prop_assert_eq!(got, sa.and(&sb).to_vec());
-    }
-
-    #[test]
     fn batch_iter_equals_iter(vals in values(), batch in 1usize..300) {
         let set = Bitset::from_slice(&vals);
         let mut batched = Vec::new();
@@ -184,28 +172,5 @@ proptest! {
             prop_assert_eq!(set.rank(v), i as u64, "rank below member {}", v);
             prop_assert_eq!(set.rank(v + 1), i as u64 + 1, "rank past member {}", v);
         }
-    }
-
-    #[test]
-    fn multiway_intersection_nonempty_agrees(a in values(), b in values(), c in values()) {
-        let sa = Bitset::from_slice(&a);
-        let sb = Bitset::from_slice(&b);
-        let sc = Bitset::from_slice(&c);
-        let expect = !sa.and(&sb).and(&sc).is_empty();
-        prop_assert_eq!(rig_bitset::intersection_nonempty(&sa, &[&sb, &sc]), expect);
-    }
-
-    #[test]
-    fn visitor_short_circuits(a in values(), b in values(), stop_after in 0usize..64) {
-        let sa = Bitset::from_slice(&a);
-        let sb = Bitset::from_slice(&b);
-        let full = sa.and(&sb).to_vec();
-        let mut got = Vec::new();
-        rig_bitset::for_each_in_intersection(&sa, &[&sb], |v| {
-            got.push(v);
-            got.len() <= stop_after
-        });
-        let expect_len = full.len().min(stop_after + 1);
-        prop_assert_eq!(&got[..], &full[..expect_len]);
     }
 }

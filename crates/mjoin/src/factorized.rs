@@ -672,11 +672,12 @@ impl<'q, 'r> Factorization<'q, 'r> {
                 }
             } else {
                 // frontier: parents of a dependent child's nonzero
-                // candidates (any other candidate has a zero child factor)
-                let ch = self.children[pos]
-                    .iter()
-                    .find(|ch| self.s_dep[ch.pos])
-                    .expect("dependent position without own check has a dependent child");
+                // candidates (any other candidate has a zero child factor).
+                // `s_dep` marks a position without own checks only if it
+                // has a dependent child; without one nothing would be live.
+                let Some(ch) = self.children[pos].iter().find(|ch| self.s_dep[ch.pos]) else {
+                    return 0;
+                };
                 let child_stamped = &f_tail[ch.pos - pos - 1];
                 for &c2 in child_stamped {
                     let rrun = run_from(rig, ch.eid, c2, !ch.fwd);

@@ -17,7 +17,13 @@
 //! probe the rest with galloping cursors (or O(1) dense-bitmap tests),
 //! writing survivors into a per-depth scratch buffer that is reused across
 //! steps — steady-state enumeration performs **zero heap allocations per
-//! recursion step** (asserted by the `alloc_steady` test).
+//! recursion step** (asserted by the `alloc_steady` test). A depth
+//! recomputes its intersection only when its operand runs change: runs are
+//! compared by address and length, and a reachability edge stores one run
+//! per source SCC, so consecutive bindings often hand a step the same
+//! runs. The last search step emits each full binding in place, and the
+//! output tuple is kept in query-node order as nodes are bound, so an
+//! emitted tuple costs one sink call (see `docs/rig-layout.md`).
 //!
 //! The search order is pluggable (§5.2): [`SearchOrder::Jo`] (greedy on RIG
 //! candidate cardinalities), [`SearchOrder::Ri`] (topology-only), and
@@ -244,29 +250,41 @@ impl SharedState {
     }
 }
 
+/// Identity of one operand run: its address and length. Two runs with the
+/// same key are the same slice of the RIG, so they have the same contents.
+type RunKey = (*const u32, usize);
+
+fn run_key(run: &AdjRun<'_>) -> RunKey {
+    (run.list.as_ptr(), run.list.len())
+}
+
 /// Reusable per-depth scratch (allocated once per worker).
 struct Step<'r> {
     /// Query node bound at this depth.
     q: usize,
-    /// `|cos(q)|` — the full local-id range.
-    n_local: u32,
-    /// Operand runs gathered for the current binding of earlier nodes.
+    /// `cos(q)`: local id `k` is data node `cos[k]`.
+    cos: &'r [NodeId],
+    /// Operand runs gathered for the current binding of earlier nodes, in
+    /// constraint order until [`Worker::intersect_into`] moves the driver
+    /// to the front.
     ops: Vec<AdjRun<'r>>,
+    /// Keys of the operand runs whose intersection `buf` holds, in
+    /// constraint order (empty until the first intersection). When the next
+    /// binding gathers runs with the same keys, `buf` is reused as is.
+    buf_key: Vec<RunKey>,
     /// Galloping cursors, parallel to `ops`.
     cursors: Vec<usize>,
-    /// Materialized intersection (local ids); capacity = `n_local`.
+    /// Materialized intersection (local ids); capacity = `|cos(q)|`.
     buf: Vec<u32>,
 }
 
-/// Where the candidates of the current step come from.
-enum Src<'r> {
-    /// Unconstrained: the full local range `0..n_local` (no clone of the
-    /// base candidate set).
-    Range,
-    /// Exactly one operand: iterate its run in place.
-    Slice(&'r [u32]),
-    /// Two or more operands: the intersection materialized in `buf`.
-    Buf,
+impl Step<'_> {
+    /// True iff `buf` already holds the intersection of the runs in `ops`:
+    /// they are, operand for operand, the runs it was computed from.
+    fn buf_is_current(&self) -> bool {
+        self.buf_key.len() == self.ops.len()
+            && self.ops.iter().zip(&self.buf_key).all(|(run, key)| run_key(run) == *key)
+    }
 }
 
 /// One enumeration worker: all per-run mutable state (per-depth scratch,
@@ -280,9 +298,10 @@ pub(crate) struct Worker<'a, 'r> {
     opts: &'a EnumOptions,
     plan: &'a Plan,
     steps: Vec<Step<'r>>,
+    /// Local id bound at each search position (read by later constraints).
     tuple_local: Vec<u32>,
-    tuple_global: Vec<NodeId>,
-    /// Occurrence remapped to query-node indexing, handed to the sink.
+    /// The occurrence in query-node order, written as each node is bound
+    /// and handed to the sink as is.
     out_tuple: Vec<NodeId>,
     deadline: Option<Instant>,
     check_counter: u32,
@@ -306,13 +325,15 @@ impl<'a, 'r> Worker<'a, 'r> {
             .iter()
             .enumerate()
             .map(|(i, &q)| {
-                let n_local = rig.candidates(q as usize).len();
+                let cos = rig.candidates(q as usize);
+                let n_ops = plan.constraints[i].len();
                 Step {
                     q: q as usize,
-                    n_local: n_local as u32,
-                    ops: Vec::with_capacity(plan.constraints[i].len()),
-                    cursors: Vec::with_capacity(plan.constraints[i].len()),
-                    buf: Vec::with_capacity(n_local),
+                    cos,
+                    ops: Vec::with_capacity(n_ops),
+                    buf_key: Vec::with_capacity(n_ops),
+                    cursors: Vec::with_capacity(n_ops),
+                    buf: Vec::with_capacity(cos.len()),
                 }
             })
             .collect();
@@ -326,7 +347,6 @@ impl<'a, 'r> Worker<'a, 'r> {
             plan,
             steps,
             tuple_local: vec![0; n],
-            tuple_global: vec![0; n],
             out_tuple: vec![0; n],
             deadline,
             check_counter: 0,
@@ -376,12 +396,9 @@ impl<'a, 'r> Worker<'a, 'r> {
         false
     }
 
-    /// Emits the current full binding. Returns `false` when the
-    /// enumeration must stop (limit reached or sink asked to stop).
+    /// Emits the current full binding (`out_tuple`). Returns `false` when
+    /// the enumeration must stop (limit reached or sink asked to stop).
     fn emit<S: ResultSink>(&mut self, sink: &mut S) -> bool {
-        for (i, &q) in self.plan.order.iter().enumerate() {
-            self.out_tuple[q as usize] = self.tuple_global[i];
-        }
         let Some(sh) = self.shared else {
             self.result.count += 1;
             let keep = sink.push(&self.out_tuple);
@@ -432,9 +449,14 @@ impl<'a, 'r> Worker<'a, 'r> {
     /// positions off the shared cursor, run the ordinary backtracking
     /// search under each claimed root binding, repeat until the cursor is
     /// exhausted or the run stops. Load balancing is automatic — cursor
-    /// contention *is* the work-stealing protocol.
+    /// contention *is* the work-stealing protocol. A worker without shared
+    /// state owns the whole root range and runs the sequential search.
     pub(crate) fn run_morsels<S: ResultSink>(&mut self, sink: &mut S, morsel: usize) {
-        let sh = self.shared.expect("run_morsels requires shared state");
+        let Some(sh) = self.shared else {
+            self.recurse(0, sink);
+            sink.finish();
+            return;
+        };
         debug_assert!(
             self.plan.constraints[0].is_empty(),
             "the first search-order node has no earlier-bound constraints"
@@ -445,8 +467,8 @@ impl<'a, 'r> Worker<'a, 'r> {
             sink.finish();
             return;
         }
-        let n_root = self.steps[0].n_local as usize;
-        let q_root = self.steps[0].q;
+        let (q_root, cos_root) = (self.steps[0].q, self.steps[0].cos);
+        let n_root = cos_root.len();
         let morsel = morsel.max(1);
         'claim: while !sh.stop.load(Ordering::Relaxed) {
             let lo = sh.cursor.fetch_add(morsel, Ordering::Relaxed);
@@ -455,9 +477,9 @@ impl<'a, 'r> Worker<'a, 'r> {
             }
             let hi = (lo + morsel).min(n_root);
             self.result.steps += 1; // root-level step, one per claimed morsel
-            for k in lo..hi {
+            for (k, &v) in (lo..).zip(&cos_root[lo..hi]) {
                 self.tuple_local[0] = k as u32;
-                self.tuple_global[0] = self.rig.node_at(q_root, k as u32);
+                self.out_tuple[q_root] = v;
                 if !self.recurse(1, sink) {
                     break 'claim;
                 }
@@ -469,6 +491,8 @@ impl<'a, 'r> Worker<'a, 'r> {
     /// Returns false when enumeration must stop entirely.
     fn recurse<S: ResultSink>(&mut self, i: usize, sink: &mut S) -> bool {
         if i == self.steps.len() {
+            // only a one-node query's morsel root binding gets here; every
+            // other full binding is emitted in place by the last step
             return self.emit(sink);
         }
         if self.stopped() {
@@ -493,57 +517,96 @@ impl<'a, 'r> Worker<'a, 'r> {
             self.steps[i].ops.push(run);
         }
 
-        let (src, count) = match self.steps[i].ops.len() {
-            0 => (Src::Range, self.steps[i].n_local as usize),
+        // The candidates: the full local range (unconstrained), the one
+        // operand's run in place, or the intersection in `buf`, which is
+        // recomputed only when the operand runs differ from the ones it
+        // was built from (shared runs make consecutive bindings repeat).
+        match self.steps[i].ops.len() {
+            0 => {
+                let n_local = self.steps[i].cos.len() as u32;
+                self.bind_each(i, 0..n_local, sink)
+            }
             1 => {
-                let run = self.steps[i].ops[0];
-                (Src::Slice(run.list), run.len())
+                let list = self.steps[i].ops[0].list;
+                self.bind_each(i, list.iter().copied(), sink)
             }
             _ => {
-                let len = self.intersect_into(i);
-                (Src::Buf, len)
+                if !self.steps[i].buf_is_current() {
+                    self.intersect_into(i);
+                }
+                // `buf` is lent out while deeper steps run; they only touch
+                // their own depths, and `Vec::new` does not allocate
+                let buf = std::mem::take(&mut self.steps[i].buf);
+                let keep = self.bind_each(i, buf.iter().copied(), sink);
+                self.steps[i].buf = buf;
+                keep
             }
-        };
+        }
+    }
 
-        let q = self.steps[i].q;
-        for k in 0..count {
-            let v_local = match src {
-                Src::Range => k as u32,
-                Src::Slice(list) => list[k],
-                Src::Buf => self.steps[i].buf[k],
-            };
-            let v_global = self.rig.node_at(q, v_local);
-            if self.opts.injective && self.tuple_global[..i].contains(&v_global) {
+    /// Binds search position `i` to each candidate local id in turn. The
+    /// last position emits each full binding in place; earlier ones
+    /// recurse. Returns false when enumeration must stop entirely.
+    fn bind_each<S: ResultSink>(
+        &mut self,
+        i: usize,
+        candidates: impl Iterator<Item = u32>,
+        sink: &mut S,
+    ) -> bool {
+        let (q, cos) = (self.steps[i].q, self.steps[i].cos);
+        let last = i + 1 == self.steps.len();
+        for v_local in candidates {
+            let v_global = cos[v_local as usize];
+            if self.opts.injective && self.bound_earlier(i, v_global) {
                 continue;
             }
-            self.tuple_local[i] = v_local;
-            self.tuple_global[i] = v_global;
-            if !self.recurse(i + 1, sink) {
+            self.out_tuple[q] = v_global;
+            let keep = if last {
+                self.emit(sink)
+            } else {
+                self.tuple_local[i] = v_local;
+                self.recurse(i + 1, sink)
+            };
+            if !keep {
                 return false;
             }
         }
         true
     }
 
+    /// True iff data node `v` is already bound at a search position before
+    /// `i` (the injectivity test).
+    fn bound_earlier(&self, i: usize, v: NodeId) -> bool {
+        self.plan.order[..i].iter().any(|&p| self.out_tuple[p as usize] == v)
+    }
+
     /// Materializes the multiway intersection of `steps[i].ops` into
     /// `steps[i].buf` (smallest operand drives, the rest are probed with
-    /// galloping cursors or dense-bitmap tests) and returns its length.
-    /// Allocation-free: the buffer and cursor vector were pre-sized.
-    fn intersect_into(&mut self, i: usize) -> usize {
+    /// galloping cursors or dense-bitmap tests) and records the operands'
+    /// keys. Allocation-free: the buffer, key and cursor vectors were
+    /// pre-sized. Every operand is non-empty.
+    fn intersect_into(&mut self, i: usize) {
         let step = &mut self.steps[i];
-        let driver_at =
-            (0..step.ops.len()).min_by_key(|&k| step.ops[k].len()).expect("at least two operands");
-        step.ops.swap(0, driver_at);
-        let driver = step.ops[0];
+        step.buf_key.clear();
+        step.buf_key.extend(step.ops.iter().map(run_key));
         step.buf.clear();
         // Cheap nonemptiness early exit: disjoint value ranges can never
         // intersect, so skip the probe loop entirely.
-        let lo = step.ops.iter().map(|o| o.list[0]).max().expect("nonempty");
-        let hi =
-            step.ops.iter().map(|o| *o.list.last().expect("nonempty")).min().expect("nonempty");
-        if lo > hi {
-            return 0;
+        let (mut driver_at, mut lo, mut hi) = (0, 0u32, u32::MAX);
+        for (k, run) in step.ops.iter().enumerate() {
+            if run.len() < step.ops[driver_at].len() {
+                driver_at = k;
+            }
+            if let (Some(&first), Some(&last)) = (run.list.first(), run.list.last()) {
+                lo = lo.max(first);
+                hi = hi.min(last);
+            }
         }
+        if lo > hi {
+            return;
+        }
+        step.ops.swap(0, driver_at);
+        let driver = step.ops[0];
         step.cursors.clear();
         step.cursors.resize(step.ops.len(), 0);
         'outer: for &v in driver.list {
@@ -554,7 +617,6 @@ impl<'a, 'r> Worker<'a, 'r> {
             }
             step.buf.push(v);
         }
-        step.buf.len()
     }
 }
 

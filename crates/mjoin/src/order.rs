@@ -57,24 +57,18 @@ fn jo_order(query: &PatternQuery, rig: &Rig) -> Vec<QNode> {
     let n = query.num_nodes();
     let mut order: Vec<QNode> = Vec::with_capacity(n);
     let mut used = vec![false; n];
-    // start node: smallest candidate set (ties by id for determinism)
-    let start = (0..n as QNode).min_by_key(|&q| (rig.cos_len(q), q)).expect("non-empty query");
-    order.push(start);
-    used[start as usize] = true;
-    while order.len() < n {
-        let next = (0..n as QNode)
-            .filter(|&q| !used[q as usize])
-            .filter(|&q| query.neighbors(q).any(|(nb, _, _)| used[nb as usize]))
-            .min_by_key(|&q| (rig.cos_len(q), q));
-        let next = match next {
-            Some(q) => q,
-            // disconnected pattern (not produced by our generators, but be
-            // total): fall back to the globally smallest remaining set
-            None => (0..n as QNode)
-                .filter(|&q| !used[q as usize])
-                .min_by_key(|&q| (rig.cos_len(q), q))
-                .unwrap(),
-        };
+    // next: the connected node with the smallest candidate set (ties by id
+    // for determinism), else the globally smallest remaining set — which
+    // picks the start node, and keeps a disconnected pattern (not produced
+    // by our generators) total
+    while let Some(next) = (0..n as QNode)
+        .filter(|&q| !used[q as usize])
+        .filter(|&q| query.neighbors(q).any(|(nb, _, _)| used[nb as usize]))
+        .min_by_key(|&q| (rig.cos_len(q), q))
+        .or_else(|| {
+            (0..n as QNode).filter(|&q| !used[q as usize]).min_by_key(|&q| (rig.cos_len(q), q))
+        })
+    {
         order.push(next);
         used[next as usize] = true;
     }
@@ -85,20 +79,11 @@ pub(crate) fn ri_order(query: &PatternQuery) -> Vec<QNode> {
     let n = query.num_nodes();
     let mut order: Vec<QNode> = Vec::with_capacity(n);
     let mut used = vec![false; n];
-    let start = (0..n as QNode)
-        .max_by_key(|&q| (query.degree(q), std::cmp::Reverse(q)))
-        .expect("non-empty query");
-    order.push(start);
-    used[start as usize] = true;
-    while order.len() < n {
-        let next = (0..n as QNode)
-            .filter(|&q| !used[q as usize])
-            .max_by_key(|&q| {
-                let into_prefix =
-                    query.neighbors(q).filter(|&(nb, _, _)| used[nb as usize]).count();
-                (into_prefix, query.degree(q), std::cmp::Reverse(q))
-            })
-            .unwrap();
+    // the start node has no prefix, so it is the highest-degree node
+    while let Some(next) = (0..n as QNode).filter(|&q| !used[q as usize]).max_by_key(|&q| {
+        let into_prefix = query.neighbors(q).filter(|&(nb, _, _)| used[nb as usize]).count();
+        (into_prefix, query.degree(q), std::cmp::Reverse(q))
+    }) {
         order.push(next);
         used[next as usize] = true;
     }

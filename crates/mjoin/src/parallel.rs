@@ -105,7 +105,11 @@ where
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("mjoin worker panicked")).collect()
+        // a worker's panic is re-raised on the calling thread unchanged
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
     });
 
     let mut sinks = Vec::with_capacity(threads);

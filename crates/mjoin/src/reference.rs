@@ -86,6 +86,11 @@ fn ref_order(query: &PatternQuery, rig: &RefRig, strategy: SearchOrder) -> Vec<Q
     }
 }
 
+#[allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "the pre-CSR engine is kept verbatim as the differential oracle"
+)]
 fn jo_order(query: &PatternQuery, rig: &RefRig) -> Vec<QNode> {
     let n = query.num_nodes();
     let mut order: Vec<QNode> = Vec::with_capacity(n);

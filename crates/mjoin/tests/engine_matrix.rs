@@ -20,6 +20,7 @@ use rig_reach::BflIndex;
 use rig_sim::SimContext;
 
 /// Thread counts under test: `RIGMATCH_THREADS` (comma list) or {2, 3, 8}.
+#[allow(clippy::panic, reason = "a malformed RIGMATCH_THREADS must fail the test run loudly")]
 fn thread_counts() -> Vec<usize> {
     match std::env::var("RIGMATCH_THREADS") {
         Ok(v) => v

@@ -447,12 +447,6 @@ impl Rig {
         self.ids[q].binary_search(&v).ok().map(|i| i as u32)
     }
 
-    /// Inverse of [`Rig::local_of`].
-    #[inline]
-    pub fn node_at(&self, q: usize, local: u32) -> NodeId {
-        self.ids[q][local as usize]
-    }
-
     /// Successor run of local id `u_local` across query edge `eid`, in the
     /// target side's local-id space.
     #[inline]
@@ -1061,7 +1055,6 @@ mod tests {
         assert_eq!(rig.candidates(1), &[3, 5]);
         assert_eq!(rig.local_of(1, 5), Some(1));
         assert_eq!(rig.local_of(1, 4), None);
-        assert_eq!(rig.node_at(1, 0), 3);
         // edge (B,C): local run of b2 (local 1) = {c0, c2} = locals {0, 1}
         let run = rig.successors_local(2, 1);
         assert_eq!(run.list, &[0, 1]);
