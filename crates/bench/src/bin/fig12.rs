@@ -6,6 +6,9 @@
 //! (b) simulation relation construction: Gra (FBSimBas) vs Dag (FBSimDag)
 //!     vs DagMap (FBSimDag + change flags), on H-queries; plus the Dag+Δ
 //!     comparison on cyclic variants.
+//!
+//! Every variant must compute the same FB sets for a query; the binary
+//! panics if two of them disagree, so a run doubles as an ablation check.
 
 use std::time::Instant;
 
@@ -27,14 +30,16 @@ fn main() {
         let q = template_query(&g, id, Flavor::C, args.seed);
         let ctx = SimContext::new(&g, &q, &bfl);
         let mut cells = vec![format!("CQ{id}")];
+        let mut fbs = Vec::new();
         for mode in [DirectCheckMode::BinSearch, DirectCheckMode::BitIter, DirectCheckMode::BitBat]
         {
             let opts = SimOptions { direct_mode: mode, ..SimOptions::exact() };
             let t = Instant::now();
             let r = double_simulation(&ctx, &opts);
-            std::hint::black_box(r.total_candidates());
             cells.push(format!("{:.4}", t.elapsed().as_secs_f64()));
+            fbs.push(r.fb);
         }
+        assert_same_fb(&fbs, &format!("CQ{id}"));
         ta.row(cells);
     }
     ta.print("Fig. 12(a): child-constraint check time on em [s]");
@@ -45,15 +50,17 @@ fn main() {
         let q = template_query(&g, id, Flavor::H, args.seed);
         let ctx = SimContext::new(&g, &q, &bfl);
         let mut cells = vec![format!("HQ{id}")];
+        let mut fbs = Vec::new();
         for (alg, flags) in
             [(SimAlgorithm::Basic, false), (SimAlgorithm::Dag, false), (SimAlgorithm::Dag, true)]
         {
             let opts = SimOptions { algorithm: alg, change_flags: flags, ..SimOptions::exact() };
             let t = Instant::now();
             let r = double_simulation(&ctx, &opts);
-            std::hint::black_box(r.total_candidates());
             cells.push(format!("{:.4}", t.elapsed().as_secs_f64()));
+            fbs.push(r.fb);
         }
+        assert_same_fb(&fbs, &format!("HQ{id}"));
         tb.row(cells);
     }
     tb.print("Fig. 12(b): FB construction time on em [s]");
@@ -69,14 +76,21 @@ fn main() {
         assert!(!q.is_dag(), "HQ{id} variant must be cyclic");
         let ctx = SimContext::new(&g, &q, &bfl);
         let mut cells = vec![format!("HQ{id}-cyc")];
+        let mut fbs = Vec::new();
         for alg in [SimAlgorithm::Basic, SimAlgorithm::DagDelta] {
             let opts = SimOptions { algorithm: alg, ..SimOptions::exact() };
             let t = Instant::now();
             let r = double_simulation(&ctx, &opts);
-            std::hint::black_box(r.total_candidates());
             cells.push(format!("{:.4}", t.elapsed().as_secs_f64()));
+            fbs.push(r.fb);
         }
+        assert_same_fb(&fbs, &format!("HQ{id}-cyc"));
         tc.row(cells);
     }
     tc.print("§7.4: Gra vs Dag+Δ on cyclic patterns [s]");
+}
+
+/// Panics unless the FB sets of every variant (one entry per column) agree.
+fn assert_same_fb<T: PartialEq>(fbs: &[T], query: &str) {
+    assert!(fbs.iter().all(|fb| fb == &fbs[0]), "{query}: the variants compute different FB sets");
 }

@@ -197,18 +197,28 @@ impl Container {
         }
     }
 
-    /// Number of values strictly below `low`.
-    pub fn rank(&self, low: u16) -> u32 {
+    /// Keeps the values (with chunk key `key` re-applied) for which `keep`
+    /// returns true, in place and in ascending order. Demotes a bitmap that
+    /// drops to [`ARRAY_MAX`] values.
+    pub fn retain(&mut self, key: u16, keep: &mut impl FnMut(u32) -> bool) {
+        let base = (key as u32) << 16;
         match self {
-            Container::Array(a) => match a.binary_search(&low) {
-                Ok(pos) | Err(pos) => pos as u32,
-            },
-            Container::Bitmap { words, .. } => {
-                let wi = (low >> 6) as usize;
-                let mut n: u32 = words[..wi].iter().map(|w| w.count_ones()).sum();
-                let mask = (1u64 << (low & 63)) - 1;
-                n += (words[wi] & mask).count_ones();
-                n
+            Container::Array(a) => a.retain(|&v| keep(base | v as u32)),
+            Container::Bitmap { words, len } => {
+                for (wi, word) in words.iter_mut().enumerate() {
+                    let mut w = *word;
+                    while w != 0 {
+                        let b = w.trailing_zeros();
+                        if !keep(base | (wi as u32) << 6 | b) {
+                            *word &= !(1 << b);
+                            *len -= 1;
+                        }
+                        w &= w - 1;
+                    }
+                }
+                if *len as usize <= ARRAY_MAX {
+                    *self = Container::Array(Self::bitmap_to_lows(words));
+                }
             }
         }
     }
@@ -467,13 +477,5 @@ mod tests {
         let d = a.and_not(&b);
         assert_eq!(d.len(), 16);
         assert!(matches!(d, Container::Array(_)));
-    }
-
-    #[test]
-    fn rank_array_and_bitmap() {
-        let arr = Container::from_sorted_lows(vec![2, 4, 6, 8]);
-        assert_eq!(arr.rank(5), 2);
-        let bm = Container::run(0, 10_000);
-        assert_eq!(bm.rank(5_000), 5_000);
     }
 }

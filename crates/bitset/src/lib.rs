@@ -381,29 +381,13 @@ impl Bitset {
         }
     }
 
-    /// Retains only values for which `keep` returns true.
+    /// Retains only values for which `keep` returns true, in one in-place
+    /// pass over the containers (in ascending order).
     pub fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) {
-        let doomed: Vec<u32> = self.iter().filter(|&v| !keep(v)).collect();
-        for v in doomed {
-            self.remove(v);
-        }
-    }
-
-    /// Rank: number of stored values strictly below `value`.
-    pub fn rank(&self, value: u32) -> u64 {
-        let (key, low) = split(value);
-        let mut n = 0u64;
-        for (k, c) in &self.chunks {
-            if *k < key {
-                n += c.len() as u64;
-            } else if *k == key {
-                n += c.rank(low) as u64;
-                break;
-            } else {
-                break;
-            }
-        }
-        n
+        self.chunks.retain_mut(|(key, c)| {
+            c.retain(*key, &mut keep);
+            !c.is_empty()
+        });
     }
 }
 
@@ -564,19 +548,16 @@ mod tests {
     }
 
     #[test]
-    fn rank_works() {
-        let b = Bitset::from_slice(&[10, 20, 30, 100_000]);
-        assert_eq!(b.rank(0), 0);
-        assert_eq!(b.rank(10), 0);
-        assert_eq!(b.rank(11), 1);
-        assert_eq!(b.rank(1_000_000), 4);
-    }
-
-    #[test]
     fn retain_filters() {
         let mut b = Bitset::from_slice(&[1, 2, 3, 4, 5, 6]);
         b.retain(|v| v % 2 == 0);
         assert_eq!(b.to_vec(), vec![2, 4, 6]);
+        // a bitmap chunk filters in place and demotes once small enough;
+        // a chunk left empty is dropped
+        let mut dense: Bitset = (0..10_000u32).chain([70_000]).collect();
+        dense.retain(|v| v % 3 == 0 && v < 70_000);
+        assert_eq!(dense.to_vec(), (0..10_000u32).filter(|v| v % 3 == 0).collect::<Vec<_>>());
+        assert!(matches!(dense.chunks[..], [(0, Container::Array(_))]));
     }
 
     #[test]

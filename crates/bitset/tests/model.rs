@@ -95,14 +95,6 @@ proptest! {
     }
 
     #[test]
-    fn rank_matches_model(vals in values(), probe in 0u32..1_100_000) {
-        let model: BTreeSet<u32> = vals.iter().copied().collect();
-        let set = Bitset::from_slice(&vals);
-        let expect = model.iter().filter(|&&v| v < probe).count() as u64;
-        prop_assert_eq!(set.rank(probe), expect);
-    }
-
-    #[test]
     fn batch_iter_equals_iter(vals in values(), batch in 1usize..300) {
         let set = Bitset::from_slice(&vals);
         let mut batched = Vec::new();
@@ -116,8 +108,7 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Model tests for the mutating / auxiliary API surface not covered above:
-// in-place algebra, retain, clear, construction fast paths, rank/iter
-// round-trips through every mutation, and the visitor short-circuit.
+// in-place algebra, retain, clear, construction fast paths.
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -161,16 +152,5 @@ proptest! {
         prop_assert!(set.is_empty());
         prop_assert_eq!(set.len(), 0);
         prop_assert_eq!(set.iter().next(), None);
-    }
-
-    #[test]
-    fn rank_iter_round_trip(vals in values()) {
-        // rank(v) over members enumerates 0..len in iteration order, and
-        // rank(v + 1) == rank(v) + 1 — i.e. rank inverts iteration.
-        let set = Bitset::from_slice(&vals);
-        for (i, v) in set.iter().enumerate().take(200) {
-            prop_assert_eq!(set.rank(v), i as u64, "rank below member {}", v);
-            prop_assert_eq!(set.rank(v + 1), i as u64 + 1, "rank past member {}", v);
-        }
     }
 }

@@ -8,31 +8,30 @@
 
 use crate::{DirectCheckMode, ReachCheckMode, SimContext, SimOptions};
 use rig_bitset::Bitset;
-use rig_graph::NodeId;
+use rig_graph::{GraphView, NodeId};
 use rig_query::{EdgeId, EdgeKind};
 use rig_reach::{ancestors_of_set, descendants_of_set};
 
-/// Union of out-neighbor lists of all members of `set` (computed straight
-/// off the CSR — the "⋃ adjf(v)" half of the bitBat batch operation).
-pub(crate) fn union_out(ctx: &SimContext<'_>, set: &Bitset) -> Bitset {
-    let mut acc: Vec<NodeId> = Vec::new();
-    for v in set.iter() {
-        acc.extend_from_slice(ctx.graph.out_neighbors(v));
+/// Marks every neighbor (under `adj`) of the members of `set` in a dense
+/// bitmap of `ceil(|V|/64)` words, one bit per adjacency entry: the
+/// adjacency union of the bitBat batch check, built without a sort.
+fn mark_neighbors<'a>(
+    graph: GraphView<'a>,
+    set: &Bitset,
+    adj: fn(GraphView<'a>, NodeId) -> &'a [NodeId],
+) -> Vec<u64> {
+    let mut marks = vec![0u64; graph.num_nodes().div_ceil(64)];
+    for w in set.iter() {
+        for &v in adj(graph, w) {
+            marks[(v >> 6) as usize] |= 1 << (v & 63);
+        }
     }
-    acc.sort_unstable();
-    acc.dedup();
-    Bitset::from_sorted_dedup(&acc)
+    marks
 }
 
-/// Union of in-neighbor lists of all members of `set`.
-pub(crate) fn union_in(ctx: &SimContext<'_>, set: &Bitset) -> Bitset {
-    let mut acc: Vec<NodeId> = Vec::new();
-    for v in set.iter() {
-        acc.extend_from_slice(ctx.graph.in_neighbors(v));
-    }
-    acc.sort_unstable();
-    acc.dedup();
-    Bitset::from_sorted_dedup(&acc)
+/// True iff `v`'s bit is set in a [`mark_neighbors`] bitmap.
+fn is_marked(marks: &[u64], v: NodeId) -> bool {
+    marks.get((v >> 6) as usize).is_some_and(|w| w >> (v & 63) & 1 != 0)
 }
 
 /// Prunes `fb[qi]` (tail side) of edge `eid`; returns pruned node ids.
@@ -50,19 +49,19 @@ pub fn forward_prune_edge(
     match e.kind {
         EdgeKind::Direct => match opts.direct_mode {
             DirectCheckMode::BitBat => {
-                // v survives iff v ∈ ⋃_{w ∈ FB(qj)} adjb(w)
-                let qualified = union_in(ctx, &fb[qj]);
-                shrink_to(&mut fb[qi], &qualified)
+                // v survives iff some w ∈ FB(qj) has v among its in-neighbors
+                let marks = mark_neighbors(ctx.graph, &fb[qj], GraphView::in_neighbors);
+                shrink_to_members(&mut fb[qi], |v| is_marked(&marks, v))
             }
             DirectCheckMode::BitIter => {
                 let keep = fb[qj].clone();
-                prune_by(&mut fb[qi], |v| {
+                shrink_to_members(&mut fb[qi], |v| {
                     Bitset::from_sorted_dedup(ctx.graph.out_neighbors(v)).intersects(&keep)
                 })
             }
             DirectCheckMode::BinSearch => {
                 let keep = fb[qj].clone();
-                prune_by(&mut fb[qi], |v| {
+                shrink_to_members(&mut fb[qi], |v| {
                     let adj = ctx.graph.out_neighbors(v);
                     keep.iter().any(|w| adj.binary_search(&w).is_ok())
                 })
@@ -76,12 +75,12 @@ pub fn forward_prune_edge(
                 }
                 None => {
                     let qualified = ancestors_of_set(ctx.graph, &fb[qj]);
-                    shrink_to(&mut fb[qi], &qualified)
+                    shrink_to_members(&mut fb[qi], |v| qualified.contains(v))
                 }
             },
             ReachCheckMode::PairwiseIndex => {
                 let keep = fb[qj].clone();
-                prune_by(&mut fb[qi], |v| keep.iter().any(|w| ctx.reach.reaches(v, w)))
+                shrink_to_members(&mut fb[qi], |v| keep.iter().any(|w| ctx.reach.reaches(v, w)))
             }
         },
     }
@@ -102,18 +101,18 @@ pub fn backward_prune_edge(
     match e.kind {
         EdgeKind::Direct => match opts.direct_mode {
             DirectCheckMode::BitBat => {
-                let qualified = union_out(ctx, &fb[qi]);
-                shrink_to(&mut fb[qj], &qualified)
+                let marks = mark_neighbors(ctx.graph, &fb[qi], GraphView::out_neighbors);
+                shrink_to_members(&mut fb[qj], |v| is_marked(&marks, v))
             }
             DirectCheckMode::BitIter => {
                 let keep = fb[qi].clone();
-                prune_by(&mut fb[qj], |v| {
+                shrink_to_members(&mut fb[qj], |v| {
                     Bitset::from_sorted_dedup(ctx.graph.in_neighbors(v)).intersects(&keep)
                 })
             }
             DirectCheckMode::BinSearch => {
                 let keep = fb[qi].clone();
-                prune_by(&mut fb[qj], |v| {
+                shrink_to_members(&mut fb[qj], |v| {
                     let adj = ctx.graph.in_neighbors(v);
                     keep.iter().any(|w| adj.binary_search(&w).is_ok())
                 })
@@ -127,39 +126,27 @@ pub fn backward_prune_edge(
                 }
                 None => {
                     let qualified = descendants_of_set(ctx.graph, &fb[qi]);
-                    shrink_to(&mut fb[qj], &qualified)
+                    shrink_to_members(&mut fb[qj], |v| qualified.contains(v))
                 }
             },
             ReachCheckMode::PairwiseIndex => {
                 let keep = fb[qi].clone();
-                prune_by(&mut fb[qj], |v| keep.iter().any(|u| ctx.reach.reaches(u, v)))
+                shrink_to_members(&mut fb[qj], |v| keep.iter().any(|u| ctx.reach.reaches(u, v)))
             }
         },
     }
 }
 
-/// `set ∩= qualified`, returning the removed elements.
-fn shrink_to(set: &mut Bitset, qualified: &Bitset) -> Vec<NodeId> {
-    let removed: Vec<NodeId> = set.and_not(qualified).iter().collect();
-    if !removed.is_empty() {
-        set.and_assign(qualified);
-    }
-    removed
-}
-
-/// [`shrink_to`] the members of `set` that satisfy `member`: one pass over
-/// `set`, without materializing `member` as a bitset.
-fn shrink_to_members(set: &mut Bitset, member: impl Fn(NodeId) -> bool) -> Vec<NodeId> {
-    let kept: Vec<NodeId> = set.iter().filter(|&v| member(v)).collect();
-    shrink_to(set, &Bitset::from_sorted_dedup(&kept))
-}
-
-/// Retains elements satisfying `pred`, returning the removed ones.
-fn prune_by(set: &mut Bitset, mut pred: impl FnMut(NodeId) -> bool) -> Vec<NodeId> {
-    let removed: Vec<NodeId> = set.iter().filter(|&v| !pred(v)).collect();
-    for &v in &removed {
-        set.remove(v);
-    }
+/// Keeps the members of `set` that satisfy `member` and returns the
+/// others: one in-place pass over `set`, no intermediate bitset.
+fn shrink_to_members(set: &mut Bitset, mut member: impl FnMut(NodeId) -> bool) -> Vec<NodeId> {
+    let mut removed = Vec::new();
+    set.retain(|v| {
+        member(v) || {
+            removed.push(v);
+            false
+        }
+    });
     removed
 }
 

@@ -111,8 +111,10 @@ pub enum DirectCheckMode {
     /// Per candidate node, bitmap AND of its adjacency list with the
     /// candidate set of the other endpoint.
     BitIter,
-    /// One batch per (edge, direction): union the adjacency bitmaps of one
-    /// side, intersect with the other side ("bitBat").
+    /// One batch per (edge, direction): mark every neighbor of one side's
+    /// candidates in a dense `|V|`-bit bitmap, then keep the other side's
+    /// candidates whose bit is set ("bitBat"). No sort, no per-candidate
+    /// bitset.
     BitBat,
 }
 
