@@ -99,6 +99,21 @@ if [[ "${1:-}" != "quick" ]]; then
     grep -q '^e 3 1$' "${cli_tmp}/g2.txt"
     [[ "$(run_cli "${cli_tmp}/g2.txt" --count \
           --query 'MATCH (a:Author)->(p:Paper)')" == "2" ]]
+    # a rebase whose delta adds a node and an edge the index already
+    # implies (3 -> 2 inside the cycle 1 -> 2 -> 3 -> 1) extends the BFL
+    # index instead of rebuilding it; answers match the rewritten graph
+    printf 'l 0 Author\nl 1 Paper\nv 0 0\nv 1 1\nv 2 1\nv 3 1\ne 0 1\ne 1 2\ne 2 3\ne 3 1\n' \
+        > "${cli_tmp}/cycle.txt"
+    printf 'a v Author\na e 3 2\n' > "${cli_tmp}/chord.txt"
+    chord_q='MATCH (p:Paper)->(q:Paper)=>(r:Paper)'
+    [[ "$(run_cli "${cli_tmp}/cycle.txt" --count --query "${chord_q}")" == "9" ]]
+    [[ "$(run_cli "${cli_tmp}/cycle.txt" --count --stats --mutations "${cli_tmp}/chord.txt" \
+          --query "${chord_q}" 2> "${cli_tmp}/chord.err")" == "12" ]]
+    grep -q 'store: v1, 1 rebase(s), 1 index extension(s)' "${cli_tmp}/chord.err"
+    run_cli update "${cli_tmp}/cycle.txt" "${cli_tmp}/chord.txt" --output "${cli_tmp}/chord2.txt" 2> /dev/null
+    grep -q '^v 4 0$' "${cli_tmp}/chord2.txt"
+    grep -q '^e 3 2$' "${cli_tmp}/chord2.txt"
+    [[ "$(run_cli "${cli_tmp}/chord2.txt" --count --query "${chord_q}")" == "12" ]]
     # durable store: seed from the graph file, write commits ahead to the
     # WAL, inspect recovery, then query the recovered store (once a store
     # exists, --data-dir is authoritative and the graph file is ignored)

@@ -1,6 +1,4 @@
-//! Value iterators: a plain ascending iterator and a *batch* iterator that
-//! decodes runs of values into a reusable buffer (the paper reports 2–10x
-//! speedups for batch iteration over per-value iteration, §6).
+//! The ascending value iterator.
 
 use crate::container::{Container, BITMAP_WORDS};
 use crate::Bitset;
@@ -80,49 +78,6 @@ impl Iterator for Iter<'_> {
     }
 }
 
-/// Batch iterator: refills an internal buffer with up to `batch` values per
-/// call to [`BatchIter::next_batch`], amortizing per-value dispatch.
-pub struct BatchIter<'a> {
-    inner: Iter<'a>,
-    buf: Vec<u32>,
-    batch: usize,
-    done: bool,
-}
-
-impl<'a> BatchIter<'a> {
-    pub(crate) fn new(set: &'a Bitset, batch: usize) -> Self {
-        BatchIter {
-            inner: Iter::new(set),
-            buf: Vec::with_capacity(batch.max(1)),
-            batch: batch.max(1),
-            done: false,
-        }
-    }
-
-    /// Returns the next slice of up to `batch` values, or `None` when the
-    /// set is exhausted. The returned slice is invalidated by the next call.
-    pub fn next_batch(&mut self) -> Option<&[u32]> {
-        if self.done {
-            return None;
-        }
-        self.buf.clear();
-        while self.buf.len() < self.batch {
-            match self.inner.next() {
-                Some(v) => self.buf.push(v),
-                None => {
-                    self.done = true;
-                    break;
-                }
-            }
-        }
-        if self.buf.is_empty() {
-            None
-        } else {
-            Some(&self.buf)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::Bitset;
@@ -133,26 +88,5 @@ mod tests {
         vals.extend([70_000, 70_002, 200_000]); // sparse arrays in later chunks
         let b = Bitset::from_slice(&vals);
         assert_eq!(b.iter().collect::<Vec<_>>(), vals);
-    }
-
-    #[test]
-    fn batch_iter_various_sizes() {
-        let vals: Vec<u32> = (0..1000u32).map(|v| v * 13).collect();
-        let b = Bitset::from_slice(&vals);
-        for batch in [1usize, 7, 64, 10_000] {
-            let mut got = Vec::new();
-            let mut it = b.batch_iter(batch);
-            while let Some(s) = it.next_batch() {
-                assert!(s.len() <= batch);
-                got.extend_from_slice(s);
-            }
-            assert_eq!(got, vals, "batch={batch}");
-        }
-    }
-
-    #[test]
-    fn batch_iter_empty() {
-        let b = Bitset::new();
-        assert!(b.batch_iter(8).next_batch().is_none());
     }
 }

@@ -15,9 +15,8 @@
 //! On top of the containers we provide the aggregation utilities the paper
 //! relies on: pairwise intersection, union and difference, **multi-way**
 //! intersection ([`Bitset::multi_and`] — the `FastAggregation` analogue),
-//! *batch iterators* ([`Bitset::batch_iter`]) that decode many values per
-//! call (§6 reports 2–10x over per-value iterators), and cardinality /
-//! emptiness fast paths used by the join ordering heuristics.
+//! and cardinality / emptiness fast paths used by the join ordering
+//! heuristics.
 //!
 //! The API is deliberately close to a sorted `u32` set so the rest of the
 //! workspace can treat it as an opaque set type.
@@ -26,7 +25,7 @@ mod container;
 mod iter;
 
 pub use container::{Container, ARRAY_MAX, BITMAP_WORDS};
-pub use iter::{BatchIter, Iter};
+pub use iter::Iter;
 
 /// A compressed bitmap of `u32` values.
 ///
@@ -170,13 +169,6 @@ impl Bitset {
     /// Iterator over values in ascending order.
     pub fn iter(&self) -> Iter<'_> {
         Iter::new(self)
-    }
-
-    /// Batch iterator decoding up to `batch` values per refill into an
-    /// internal buffer; substantially faster than [`Bitset::iter`] for dense
-    /// sets (§6 of the paper).
-    pub fn batch_iter(&self, batch: usize) -> BatchIter<'_> {
-        BatchIter::new(self, batch)
     }
 
     /// Collects all values into a vector (ascending order).
@@ -565,12 +557,6 @@ mod tests {
         let vals: Vec<u32> = (0..10_000u32).map(|v| v * 7).collect();
         let b = Bitset::from_slice(&vals);
         assert_eq!(b.iter().collect::<Vec<_>>(), vals);
-        let mut batched = Vec::new();
-        let mut it = b.batch_iter(256);
-        while let Some(chunk) = it.next_batch() {
-            batched.extend_from_slice(chunk);
-        }
-        assert_eq!(batched, vals);
     }
 
     #[test]

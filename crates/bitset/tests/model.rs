@@ -93,17 +93,6 @@ proptest! {
         acc.and_assign(&sc);
         prop_assert_eq!(acc.to_vec(), and3);
     }
-
-    #[test]
-    fn batch_iter_equals_iter(vals in values(), batch in 1usize..300) {
-        let set = Bitset::from_slice(&vals);
-        let mut batched = Vec::new();
-        let mut it = set.batch_iter(batch);
-        while let Some(chunk) = it.next_batch() {
-            batched.extend_from_slice(chunk);
-        }
-        prop_assert_eq!(batched, set.iter().collect::<Vec<_>>());
-    }
 }
 
 // ---------------------------------------------------------------------------

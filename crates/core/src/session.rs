@@ -67,8 +67,10 @@
 //! drops.
 //!
 //! Folding the delta away has two halves. A **rebase** merges the
-//! overlay into a fresh id-stable base in memory and rebuilds BFL; it
-//! touches no storage. **Every RIG build and every analysis reads a clean
+//! overlay into a fresh id-stable base in memory and gives it a BFL
+//! index: the previous one extended when the delta adds only nodes and
+//! edges the index already implies, a rebuilt one otherwise. It touches
+//! no storage. **Every RIG build and every analysis reads a clean
 //! base and the BFL index of that base**: one that finds a dirty snapshot
 //! rebases it first (once, however many readers race). Cache hits skip
 //! this, since a cached plan was built on a clean base and survives only
@@ -104,6 +106,7 @@ pub(crate) struct State {
     pub(crate) commits: u64,
     pub(crate) compactions: u64,
     pub(crate) rebases: u64,
+    pub(crate) index_extensions: u64,
     /// Mutations applied by the commits since the last checkpoint (the
     /// [`CompactionPolicy`] input). Unlike the overlay's op count, a
     /// rebase leaves it alone.
@@ -182,6 +185,7 @@ impl Session {
                 commits: 0,
                 compactions: 0,
                 rebases: 0,
+                index_extensions: 0,
                 ops_since_checkpoint,
                 cache: PlanCache::new(DEFAULT_CACHE_CAPACITY),
                 pairs: None,
@@ -1077,6 +1081,41 @@ mod tests {
         assert!(reports.iter().all(|r| *r == expect_codes), "{reports:?}");
         assert_eq!(session.store_stats().rebases, 1);
         assert!(!session.graph().is_dirty());
+    }
+
+    /// A rebase of an older dirty version that runs after a newer clean
+    /// base was published must not borrow that base's index: it rebuilds
+    /// one for its own graph. fig2 is acyclic, and version 2's edge
+    /// c0 -> a1 closes a cycle that version 1 does not have.
+    #[test]
+    fn rebase_of_an_older_version_rebuilds_its_index() {
+        use rig_reach::Reachability;
+        let session = fig2_session();
+        let mut txn = session.begin();
+        txn.add_named_node("A");
+        session.commit(txn).unwrap();
+        let old = session.graph();
+        let mut txn = session.begin();
+        txn.add_edge(7, 1);
+        session.commit(txn).unwrap();
+        assert!(session.compact());
+        let stats = session.store_stats();
+        assert_eq!((stats.rebases, stats.index_extensions), (1, 0), "a new path rebuilds");
+        assert!(session.bfl().reaches(7, 1));
+
+        let (clean, bfl) = session.rebase(&old);
+        assert_eq!((clean.version(), clean.is_dirty(), clean.num_nodes()), (1, false, 11));
+        let fresh = BflIndex::new(clean.base());
+        for u in 0..11 {
+            for v in 0..11 {
+                assert_eq!(bfl.reaches(u, v), fresh.reaches(u, v), "{u} -> {v}");
+            }
+        }
+        assert!(!bfl.reaches(7, 1), "version 1 has no c0 -> a1 path");
+        // the stale rebase published nothing
+        let stats = session.store_stats();
+        assert_eq!((stats.version, stats.rebases, stats.index_extensions), (2, 1, 0));
+        assert!(session.bfl().reaches(7, 1));
     }
 
     /// The checkpoint cadence counts ops since the last checkpoint: a

@@ -64,10 +64,14 @@ pub struct StoreStats {
     pub commits: u64,
     /// LSM compactions run (automatic + manual): rebase plus checkpoint.
     pub compactions: u64,
-    /// Dirty snapshots rebased in memory and published (materialize +
-    /// BFL rebuild, no storage I/O), by a RIG build, an analysis or a
-    /// compaction.
+    /// Dirty snapshots rebased in memory and published (materialize plus
+    /// a BFL index for the result, no storage I/O), by a RIG build, an
+    /// analysis or a compaction.
     pub rebases: u64,
+    /// Published rebases that extended the previous BFL index instead of
+    /// rebuilding it: those whose delta removed nothing and added only
+    /// nodes and edges the index already implied.
+    pub index_extensions: u64,
     /// Mutations currently resident in the delta overlay: 0 exactly when
     /// the current snapshot is clean.
     pub delta_ops: u64,
@@ -174,6 +178,22 @@ impl GraphTxn {
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
+}
+
+/// True when `delta` leaves reachability over its base as `base_bfl`
+/// (the base's index) reports it: the delta removed nothing, and every
+/// edge it added joins two base nodes that already reach each other. New
+/// nodes then carry no edges, and no new edge creates a path, so the
+/// materialized graph has the base's components plus one singleton per
+/// new node. Node inserts always qualify; edge inserts only when implied.
+fn preserves_reachability(delta: &DeltaOverlay, base_bfl: &BflIndex) -> bool {
+    let base_n = delta.base().num_nodes() as NodeId;
+    delta.edges_removed() == 0
+        && delta.nodes_removed() == 0
+        && delta
+            .added_edges()
+            .into_iter()
+            .all(|(u, v)| u < base_n && v < base_n && base_bfl.reaches(u, v))
 }
 
 /// Locks the durable store, mapping a poisoned mutex (a writer panicked
@@ -317,6 +337,9 @@ impl Session {
     }
 
     /// Reachability-index construction time (Fig. 18a's "BFL" column).
+    /// After a rebase that extended the previous index (see
+    /// [`StoreStats::index_extensions`]) this is the time of that
+    /// extension, not of a full build.
     pub fn index_build_time(&self) -> Duration {
         Duration::from_secs_f64(self.bfl().build_seconds())
     }
@@ -365,8 +388,8 @@ impl Session {
         let (plans_invalidated, plans_retained) = st.cache.invalidate(&impact);
         drop(st);
 
-        // compaction happens *outside* the state lock (materialize + BFL
-        // rebuild are the expensive part) so readers keep executing
+        // compaction happens *outside* the state lock (materialize and the
+        // BFL index are the expensive part) so readers keep executing
         // against the just-published snapshot in the meantime
         let compacted =
             self.compaction.due(ops_since_checkpoint, base_size) && self.compact_at(version);
@@ -456,31 +479,45 @@ impl Session {
         true
     }
 
-    /// Rebases the dirty `snapshot`: materializes it and rebuilds BFL
-    /// **without holding the state lock**, and publishes the clean pair
-    /// iff no commit landed in the meantime. Either way the caller gets a
-    /// clean snapshot of its own version plus its BFL, so snapshot
-    /// isolation is unchanged. Touches no storage. Single-flight: a racer
-    /// that waited on the rebase lock finds the clean pair published and
-    /// reuses it. Cached plans are kept: a rebase changes representation,
-    /// never the graph.
+    /// Rebases the dirty `snapshot`: materializes it and builds the BFL
+    /// index of the result **without holding the state lock**, and
+    /// publishes the clean pair iff no commit landed in the meantime.
+    /// Either way the caller gets a clean snapshot of its own version plus
+    /// its BFL, so snapshot isolation is unchanged. Touches no storage.
+    /// Single-flight: a racer that waited on the rebase lock finds the
+    /// clean pair published and reuses it. Cached plans are kept: a rebase
+    /// changes representation, never the graph.
+    ///
+    /// The index is extended, not rebuilt, when the published one indexes
+    /// exactly `snapshot`'s base and the delta preserves reachability (see
+    /// [`preserves_reachability`]): the new nodes join it as singleton
+    /// components. Every other delta rebuilds it from scratch.
     pub(crate) fn rebase(&self, snapshot: &Snapshot) -> (Arc<Snapshot>, Arc<BflIndex>) {
         let version = snapshot.version();
         let _flight = self.rebase.lock().unwrap_or_else(PoisonError::into_inner);
-        {
+        let parent = {
             let st = self.state();
             if st.snapshot.version() == version && !st.snapshot.is_dirty() {
                 return (Arc::clone(&st.snapshot), Arc::clone(&st.bfl));
             }
-        }
+            // the published index describes the published base; a rebase
+            // of an older version may see a newer base here, and must not
+            // borrow its index
+            Arc::ptr_eq(st.snapshot.base(), snapshot.base()).then(|| Arc::clone(&st.bfl))
+        };
         let merged = Arc::new(snapshot.materialize());
-        let bfl = Arc::new(BflIndex::new(&merged));
+        let extend = parent.filter(|bfl| preserves_reachability(snapshot.delta(), bfl));
+        let bfl = Arc::new(match &extend {
+            Some(parent) => parent.extended(merged.num_nodes()),
+            None => BflIndex::new(&merged),
+        });
         let clean = Arc::new(Snapshot::new(Arc::new(DeltaOverlay::new(merged)), version));
         let mut st = self.state();
         if st.snapshot.version() == version {
             st.snapshot = Arc::clone(&clean);
             st.bfl = Arc::clone(&bfl);
             st.rebases += 1;
+            st.index_extensions += u64::from(extend.is_some());
         }
         (clean, bfl)
     }
@@ -494,6 +531,7 @@ impl Session {
             commits: st.commits,
             compactions: st.compactions,
             rebases: st.rebases,
+            index_extensions: st.index_extensions,
             delta_ops: st.snapshot.delta().ops(),
             base_nodes: base.num_nodes(),
             base_edges: base.num_edges(),

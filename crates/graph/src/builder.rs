@@ -1,5 +1,7 @@
 //! Mutable construction of [`DataGraph`]s.
 
+use rig_bitset::Bitset;
+
 use crate::{DataGraph, FxHashMap, Label, NodeId};
 
 /// Accumulates nodes and edges, then freezes into an immutable CSR graph.
@@ -114,13 +116,17 @@ impl GraphBuilder {
 
     /// Freezes into an immutable [`DataGraph`]; sorts and deduplicates
     /// adjacency lists.
-    pub fn build(mut self) -> DataGraph {
-        let _ = self.edge_count_hint;
-        for adj in &mut self.adj {
+    pub fn build(self) -> DataGraph {
+        let mut offsets = Vec::with_capacity(self.adj.len() + 1);
+        let mut targets = Vec::with_capacity(self.edge_count_hint);
+        offsets.push(0);
+        for mut adj in self.adj {
             adj.sort_unstable();
             adj.dedup();
+            targets.extend_from_slice(&adj);
+            offsets.push(targets.len() as u64);
         }
-        DataGraph::from_parts(self.labels, self.adj, self.label_names)
+        DataGraph::from_csr(self.labels, offsets, targets, self.label_names, Bitset::new())
     }
 }
 

@@ -189,6 +189,31 @@ impl DeltaOverlay {
         self.edges_removed
     }
 
+    /// The edges present under the overlay but absent from the base, in
+    /// ascending `(u, v)` order: the forward patches minus the base rows
+    /// they replace.
+    pub fn added_edges(&self) -> Vec<(NodeId, NodeId)> {
+        let mut out = Vec::new();
+        for (&u, row) in &self.fwd {
+            let old = if (u as usize) < self.base.num_nodes() {
+                self.base.out_neighbors(u)
+            } else {
+                &EMPTY_IDS
+            };
+            let mut j = 0;
+            for &v in row {
+                while j < old.len() && old[j] < v {
+                    j += 1;
+                }
+                if j == old.len() || old[j] != v {
+                    out.push((u, v));
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
     // -- graph accessors (overlay view) ------------------------------------
 
     /// Node-id space size (base slots + added nodes; includes tombstones).
@@ -537,22 +562,93 @@ impl DeltaOverlay {
 
     /// Merges the overlay into a fresh id-stable base segment: same node
     /// ids (tombstones preserved as label-keeping dead slots), same label
-    /// ids, rebuilt CSR + inverted lists. This is both the LSM compaction
-    /// step and the differential-test oracle ("rebuild from scratch").
+    /// ids. This is both the LSM compaction step and the differential-test
+    /// oracle ("rebuild from scratch").
+    ///
+    /// The cost is a copy of the base plus the patches: rows and inverted
+    /// lists the overlay never patched are copied from the base as whole
+    /// slices (a run of unpatched rows is one copy plus shifted offsets),
+    /// patched ones are taken from the overlay, and added nodes without a
+    /// patch get empty rows. Nothing is re-sorted or re-derived.
     pub fn materialize(&self) -> DataGraph {
+        let base = &*self.base;
         let n = self.num_nodes();
-        let labels: Vec<Label> = (0..n as NodeId).map(|v| self.label(v)).collect();
-        let fwd: Vec<Vec<NodeId>> =
-            (0..n as NodeId).map(|v| self.out_neighbors(v).to_vec()).collect();
-        let mut names: Vec<String> = self.base.label_names().to_vec();
-        names.resize(self.base.num_labels(), String::new());
-        names.extend(self.extra_label_names.iter().cloned());
-        let mut dead = self.base.tombstones().clone();
-        for v in self.removed.iter() {
-            dead.insert(v);
+        let edges = self.num_edges();
+        let mut labels = Vec::with_capacity(n);
+        labels.extend_from_slice(&base.labels);
+        labels.extend_from_slice(&self.added_labels);
+        let (fwd_offsets, fwd_targets) =
+            merge_rows(n, &base.fwd_offsets, &base.fwd_targets, &self.fwd, edges);
+        let (bwd_offsets, bwd_targets) =
+            merge_rows(n, &base.bwd_offsets, &base.bwd_targets, &self.bwd, edges);
+        // labels past the base space always carry a patch (see
+        // `grow_label_space`), so the base lookups stay in range
+        let (inverted, inverted_bits) = (0..self.num_labels() as Label)
+            .map(|l| match self.inverted.get(&l) {
+                Some(p) => (p.list.clone(), p.bits.clone()),
+                None => (base.inverted[l as usize].clone(), base.inverted_bits[l as usize].clone()),
+            })
+            .unzip();
+        let mut label_names = base.label_names.clone();
+        label_names.extend(self.extra_label_names.iter().cloned());
+        let mut dead = base.dead.clone();
+        dead.or_assign(&self.removed);
+        DataGraph {
+            labels,
+            fwd_offsets,
+            fwd_targets,
+            bwd_offsets,
+            bwd_targets,
+            inverted,
+            inverted_bits,
+            name_to_label: crate::name_index(&label_names),
+            label_names,
+            dead,
         }
-        DataGraph::from_parts_dead(labels, fwd, names, dead)
     }
+}
+
+/// One direction of a materialized CSR over `n` rows: the base rows
+/// (`base_offsets` / `base_targets`) except where `patches` holds a full
+/// replacement row, and empty rows for unpatched ids past the base. Each
+/// run of base rows between two patched ids is one slice copy, its
+/// offsets shifted by the difference between its new and old start.
+fn merge_rows(
+    n: usize,
+    base_offsets: &[u64],
+    base_targets: &[NodeId],
+    patches: &FxHashMap<NodeId, Vec<NodeId>>,
+    edges: usize,
+) -> (Vec<u64>, Vec<NodeId>) {
+    let base_n = base_offsets.len() - 1;
+    let mut patched: Vec<(usize, &[NodeId])> =
+        patches.iter().map(|(&v, row)| (v as usize, row.as_slice())).collect();
+    patched.sort_unstable_by_key(|&(v, _)| v);
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut targets = Vec::with_capacity(edges);
+    offsets.push(0u64);
+    // rows `..next` are written; the sentinel flushes the tail
+    let mut next = 0;
+    for (v, row) in patched.into_iter().chain(std::iter::once((n, &[][..]))) {
+        let copy_end = v.min(base_n);
+        if next < copy_end {
+            let old_start = base_offsets[next];
+            let new_start = targets.len() as u64;
+            targets.extend_from_slice(
+                &base_targets[old_start as usize..base_offsets[copy_end] as usize],
+            );
+            offsets.extend(
+                base_offsets[next + 1..=copy_end].iter().map(|&o| o - old_start + new_start),
+            );
+        }
+        offsets.resize(v + 1, targets.len() as u64);
+        if v < n {
+            targets.extend_from_slice(row);
+            offsets.push(targets.len() as u64);
+        }
+        next = v + 1;
+    }
+    (offsets, targets)
 }
 
 /// xorshift64* step (Vigna): dependency-free deterministic randomness for
@@ -1026,6 +1122,107 @@ mod tests {
         assert!(d2.apply(&MutationOp::AddEdge(0, 2), &mut im).is_err(), "2 stays dead");
         d2.apply(&MutationOp::AddEdge(3, 0), &mut im).unwrap();
         assert!(d2.has_edge(3, 0));
+    }
+
+    /// The overlay's graph rebuilt from its rows through `GraphBuilder`.
+    fn builder_oracle(d: &DeltaOverlay) -> DataGraph {
+        let n = d.num_nodes() as NodeId;
+        let mut b = GraphBuilder::new();
+        for v in 0..n {
+            b.add_node(d.label(v));
+        }
+        for l in 0..d.num_labels() as Label {
+            b.set_label_name(l, d.label_name(l));
+        }
+        for v in 0..n {
+            for &w in d.out_neighbors(v) {
+                b.add_edge(v, w);
+            }
+        }
+        b.build().with_tombstones((0..n).filter(|&v| !d.is_live(v)).collect())
+    }
+
+    fn assert_same_graph(got: &DataGraph, want: &DataGraph, what: &str) {
+        assert_eq!(got.labels, want.labels, "{what}: labels");
+        assert_eq!(got.fwd_offsets, want.fwd_offsets, "{what}: fwd_offsets");
+        assert_eq!(got.fwd_targets, want.fwd_targets, "{what}: fwd_targets");
+        assert_eq!(got.bwd_offsets, want.bwd_offsets, "{what}: bwd_offsets");
+        assert_eq!(got.bwd_targets, want.bwd_targets, "{what}: bwd_targets");
+        assert_eq!(got.inverted, want.inverted, "{what}: inverted lists");
+        let bits = |g: &DataGraph| g.inverted_bits.iter().map(Bitset::to_vec).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}: inverted bitmaps");
+        assert_eq!(got.label_names, want.label_names, "{what}: label names");
+        assert_eq!(got.name_to_label, want.name_to_label, "{what}: name dictionary");
+        assert_eq!(got.dead.to_vec(), want.dead.to_vec(), "{what}: tombstones");
+    }
+
+    /// A random overlay: `ops` random mutations plus named and numeric
+    /// label growth, applied over `base`.
+    fn random_overlay(base: Arc<DataGraph>, seed: u64, ops: usize) -> DeltaOverlay {
+        let mut d = DeltaOverlay::new(base);
+        let mut state = seed;
+        let mut impact = CommitImpact::default();
+        for i in 0..ops {
+            let op = match i % 17 {
+                5 => MutationOp::AddNode(LabelSpec::Named(format!("L{}", seed % 3 + i as u64 % 2))),
+                11 => MutationOp::AddNode(LabelSpec::Id(d.num_labels() as Label + 1)),
+                _ => match d.random_mutation(&mut state, 4) {
+                    Some(op) => op,
+                    None => continue,
+                },
+            };
+            // a random op may be invalid (a duplicate edge is a no-op,
+            // an edge to a node removed earlier fails): skip those
+            let _ = d.apply(&op, &mut impact);
+        }
+        d
+    }
+
+    #[test]
+    fn materialize_equals_a_builder_oracle_on_random_overlays() {
+        for seed in 1..=24u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut b = GraphBuilder::new();
+            let n = 10 + (xorshift(&mut state) % 50) as NodeId;
+            for v in 0..n {
+                b.add_node_with_name(v % 3, ["A", "B", "C"][v as usize % 3]);
+            }
+            for _ in 0..(xorshift(&mut state) % (3 * n as u64)) {
+                let u = (xorshift(&mut state) % n as u64) as NodeId;
+                let v = (xorshift(&mut state) % n as u64) as NodeId;
+                b.add_edge(u, v);
+            }
+            let base = Arc::new(b.build());
+            // two generations, so the second base carries tombstones
+            let first = random_overlay(base, seed, 60);
+            let m1 = first.materialize();
+            assert_same_graph(&m1, &builder_oracle(&first), &format!("seed {seed} gen 1"));
+            let second = random_overlay(Arc::new(m1), seed + 100, 60);
+            let m2 = second.materialize();
+            assert_same_graph(&m2, &builder_oracle(&second), &format!("seed {seed} gen 2"));
+            // an empty overlay materializes to its base
+            let empty = DeltaOverlay::new(Arc::new(m2));
+            assert_same_graph(&empty.materialize(), empty.base(), &format!("seed {seed} empty"));
+        }
+    }
+
+    #[test]
+    fn added_edges_are_the_patches_minus_the_base() {
+        let base = small_base();
+        let mut d = DeltaOverlay::new(base);
+        apply_all(
+            &mut d,
+            &[
+                MutationOp::AddNode(LabelSpec::Id(1)), // id 4
+                MutationOp::AddEdge(4, 0),
+                MutationOp::AddEdge(3, 1),
+                MutationOp::AddEdge(0, 3),
+                MutationOp::RemoveEdge(0, 2),
+                MutationOp::AddEdge(0, 1),
+            ],
+        );
+        assert_eq!(d.added_edges(), vec![(0, 1), (0, 3), (3, 1), (4, 0)]);
+        assert!(DeltaOverlay::new(small_base()).added_edges().is_empty());
     }
 
     #[test]

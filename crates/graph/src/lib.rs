@@ -246,51 +246,37 @@ impl DataGraph {
         GraphStats::of(self)
     }
 
-    pub(crate) fn from_parts(
+    /// The one constructor: a forward CSR whose rows are strictly sorted,
+    /// the node labels, the label-name dictionary and the tombstones.
+    /// Derives the backward CSR (a counting-sort transpose), the inverted
+    /// lists and their bitmaps. Dead slots keep their label (so the label
+    /// space is stable) but are excluded from the inverted lists, and must
+    /// carry no edges.
+    pub(crate) fn from_csr(
         labels: Vec<Label>,
-        fwd: Vec<Vec<NodeId>>,
-        label_names: Vec<String>,
-    ) -> Self {
-        Self::from_parts_dead(labels, fwd, label_names, Bitset::new())
-    }
-
-    /// Like `from_parts`, with an explicit tombstone set: dead slots keep
-    /// their label (so the label space is stable) but are excluded from
-    /// the inverted lists, and must carry no edges.
-    pub(crate) fn from_parts_dead(
-        labels: Vec<Label>,
-        fwd: Vec<Vec<NodeId>>,
+        fwd_offsets: Vec<u64>,
+        fwd_targets: Vec<NodeId>,
         label_names: Vec<String>,
         dead: Bitset,
     ) -> Self {
         let n = labels.len();
+        debug_assert_eq!(fwd_offsets.len(), n + 1, "one offset per row plus one");
         debug_assert!(
-            dead.iter().all(|v| (v as usize) < n && fwd[v as usize].is_empty()),
+            dead.iter().all(|v| (v as usize) < n
+                && fwd_offsets[v as usize] == fwd_offsets[v as usize + 1]),
             "tombstones must be in range and edge-free"
         );
-        let mut fwd_offsets = Vec::with_capacity(n + 1);
-        let mut fwd_targets = Vec::new();
-        fwd_offsets.push(0);
-        for adj in &fwd {
-            fwd_targets.extend_from_slice(adj);
-            fwd_offsets.push(fwd_targets.len() as u64);
-        }
-        // backward CSR
-        let mut bwd_counts = vec![0u64; n];
+        let mut bwd_offsets = vec![0u64; n + 1];
         for &t in &fwd_targets {
-            bwd_counts[t as usize] += 1;
+            bwd_offsets[t as usize + 1] += 1;
         }
-        let mut bwd_offsets = Vec::with_capacity(n + 1);
-        let mut offset = 0u64;
-        bwd_offsets.push(offset);
-        for c in &bwd_counts {
-            offset += c;
-            bwd_offsets.push(offset);
+        for i in 0..n {
+            bwd_offsets[i + 1] += bwd_offsets[i];
         }
-        let mut cursor = bwd_offsets.clone();
+        let mut cursor = bwd_offsets[..n].to_vec();
         let mut bwd_targets = vec![0 as NodeId; fwd_targets.len()];
-        for (u, adj) in fwd.iter().enumerate() {
-            for &v in adj {
+        for (u, row) in fwd_offsets.windows(2).enumerate() {
+            for &v in &fwd_targets[row[0] as usize..row[1] as usize] {
                 bwd_targets[cursor[v as usize] as usize] = u as NodeId;
                 cursor[v as usize] += 1;
             }
@@ -313,12 +299,6 @@ impl DataGraph {
         let inverted_bits = inverted.iter().map(|list| Bitset::from_sorted_dedup(list)).collect();
         let mut names = label_names;
         names.resize(num_labels, String::new());
-        let mut name_to_label = FxHashMap::default();
-        for (l, name) in names.iter().enumerate() {
-            if !name.is_empty() {
-                name_to_label.entry(name.clone()).or_insert(l as Label);
-            }
-        }
         DataGraph {
             labels,
             fwd_offsets,
@@ -327,8 +307,8 @@ impl DataGraph {
             bwd_targets,
             inverted,
             inverted_bits,
+            name_to_label: name_index(&names),
             label_names: names,
-            name_to_label,
             dead,
         }
     }
@@ -347,6 +327,18 @@ impl DataGraph {
         self.dead = dead;
         self
     }
+}
+
+/// The reverse label dictionary of `names` (one name per label id; empty
+/// = unnamed). The first id carrying a name wins.
+pub(crate) fn name_index(names: &[String]) -> FxHashMap<String, Label> {
+    let mut name_to_label = FxHashMap::default();
+    for (l, name) in names.iter().enumerate() {
+        if !name.is_empty() {
+            name_to_label.entry(name.clone()).or_insert(l as Label);
+        }
+    }
+    name_to_label
 }
 
 impl std::fmt::Debug for DataGraph {

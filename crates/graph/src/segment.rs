@@ -3,9 +3,8 @@
 //! A segment file holds everything [`DataGraph`] reconstruction needs —
 //! node labels, the label-name dictionary, tombstones, and the forward
 //! adjacency (the backward CSR, inverted lists and bitmaps are derived on
-//! load, exactly like [`DeltaOverlay::materialize`] does in memory) — plus
-//! the store version the snapshot captures, under a magic/format-version
-//! header and a CRC-32 over the whole payload. Corruption anywhere in the
+//! load) — plus the store version the snapshot captures, under a
+//! magic/format-version header and a CRC-32 over the whole payload. Corruption anywhere in the
 //! file is detected before any graph structure is built, so a damaged
 //! segment surfaces as a typed [`SegmentError`], never a panic.
 //!
@@ -24,8 +23,6 @@
 //!           degrees       num_nodes x u32
 //!           targets       sum(degrees) x u32
 //! ```
-//!
-//! [`DeltaOverlay::materialize`]: crate::delta::DeltaOverlay::materialize
 
 use rig_bitset::Bitset;
 
@@ -228,38 +225,43 @@ pub fn decode_segment(bytes: &[u8]) -> Result<(DataGraph, u64), SegmentError> {
     dead_ids.sort_unstable();
     dead_ids.dedup();
     let dead = Bitset::from_sorted_dedup(&dead_ids);
-    let mut degrees: Vec<u32> = Vec::with_capacity(n);
-    for _ in 0..n {
-        degrees.push(c.u32()?);
+    let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    for v in 0..n {
+        let deg = c.u32()? as u64;
+        if deg > 0 && dead.contains(v as NodeId) {
+            return err(format!("tombstoned node {v} carries edges"));
+        }
+        offsets.push(offsets[v] + deg);
     }
-    let mut fwd: Vec<Vec<NodeId>> = Vec::with_capacity(n);
-    for (v, &deg) in degrees.iter().enumerate() {
-        let mut adj: Vec<NodeId> = Vec::with_capacity(deg as usize);
-        for _ in 0..deg {
+    // every target takes 4 bytes: a count past the payload is truncation,
+    // caught before the allocation it would size
+    let m = offsets[n];
+    if m > ((payload.len() - c.pos) / 4) as u64 {
+        return err(format!("truncated payload at offset {}", c.pos));
+    }
+    let mut targets: Vec<NodeId> = Vec::with_capacity(m as usize);
+    for (v, row) in offsets.windows(2).enumerate() {
+        let start = targets.len();
+        for _ in row[0]..row[1] {
             let t = c.u32()?;
             if t as usize >= n {
                 return err(format!("edge target {t} out of range (num_nodes {n})"));
             }
-            adj.push(t);
+            // a tombstone must not be a *target* either
+            if dead.contains(t) {
+                return err(format!("edge ({v}, {t}) points at a tombstoned node"));
+            }
+            targets.push(t);
         }
-        if !adj.windows(2).all(|w| w[0] < w[1]) {
+        if !targets[start..].windows(2).all(|w| w[0] < w[1]) {
             return err(format!("adjacency of node {v} is not strictly sorted"));
         }
-        if dead.contains(v as NodeId) && !adj.is_empty() {
-            return err(format!("tombstoned node {v} carries edges"));
-        }
-        fwd.push(adj);
     }
     if c.pos != payload.len() {
         return err(format!("{} trailing byte(s) after payload", payload.len() - c.pos));
     }
-    // a tombstone must not be a *target* either
-    for (v, adj) in fwd.iter().enumerate() {
-        if let Some(&t) = adj.iter().find(|&&t| dead.contains(t)) {
-            return err(format!("edge ({v}, {t}) points at a tombstoned node"));
-        }
-    }
-    Ok((DataGraph::from_parts_dead(labels, fwd, label_names, dead), store_version))
+    Ok((DataGraph::from_csr(labels, offsets, targets, label_names, dead), store_version))
 }
 
 #[cfg(test)]

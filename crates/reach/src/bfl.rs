@@ -43,6 +43,14 @@ fn filter_contains(f: &Filter, c: u32) -> bool {
     f[w] & m != 0
 }
 
+/// The filter holding only `c`'s own hash.
+fn self_filter(c: u32) -> Filter {
+    let (w, m) = hash_component(c);
+    let mut f = [0u64; FILTER_WORDS];
+    f[w] = m;
+    f
+}
+
 #[inline]
 fn filter_or(dst: &mut Filter, src: &Filter) {
     for i in 0..FILTER_WORDS {
@@ -75,9 +83,7 @@ impl BflIndex {
         let mut lin: Vec<Filter> = vec![[0; FILTER_WORDS]; n];
         // Lout in reverse topological order: self hash ∪ children's Lout.
         for &c in cond.topo.iter().rev() {
-            let (w, m) = hash_component(c);
-            let mut f = [0u64; FILTER_WORDS];
-            f[w] = m;
+            let mut f = self_filter(c);
             for &d in &cond.dag_fwd[c as usize] {
                 filter_or(&mut f, &lout[d as usize]);
             }
@@ -85,14 +91,41 @@ impl BflIndex {
         }
         // Lin in topological order: self hash ∪ parents' Lin.
         for &c in cond.topo.iter() {
-            let (w, m) = hash_component(c);
-            let mut f = [0u64; FILTER_WORDS];
-            f[w] = m;
+            let mut f = self_filter(c);
             for &p in &cond.dag_bwd[c as usize] {
                 filter_or(&mut f, &lin[p as usize]);
             }
             lin[c as usize] = f;
         }
+        let build_secs = start.elapsed().as_secs_f64();
+        BflIndex { cond, intervals, lout, lin, build_secs }
+    }
+
+    /// This index grown to `num_nodes` nodes. Each node past the indexed
+    /// graph becomes a trivial singleton component with no DAG edges, the
+    /// next interval clock value and its self-hash filters; the
+    /// components, DAG, intervals and filters of the indexed graph are
+    /// reused as they are.
+    ///
+    /// The result answers exactly for a graph that keeps every node and
+    /// edge of the indexed one, whose new nodes carry no edges, and whose
+    /// new edges `u -> v` all join nodes the index already reports
+    /// `reaches(u, v)` for: such a graph has the same reachability, so the
+    /// same components and the same component order. Checking that
+    /// precondition is the caller's job. [`Reachability::build_seconds`]
+    /// of the result is the time of the extension.
+    pub fn extended(&self, num_nodes: usize) -> BflIndex {
+        let start = Instant::now();
+        let added = num_nodes.saturating_sub(self.cond.comp.len());
+        let cond = self.cond.with_singletons(added);
+        let intervals = self.intervals.with_singletons(added);
+        let new = self.cond.count as u32..cond.count as u32;
+        let mut lout = Vec::with_capacity(cond.count);
+        lout.extend_from_slice(&self.lout);
+        lout.extend(new.clone().map(self_filter));
+        let mut lin = Vec::with_capacity(cond.count);
+        lin.extend_from_slice(&self.lin);
+        lin.extend(new.map(self_filter));
         let build_secs = start.elapsed().as_secs_f64();
         BflIndex { cond, intervals, lout, lin, build_secs }
     }
@@ -223,6 +256,39 @@ mod tests {
         assert!(!idx.reaches(2, 2));
         assert!(idx.reaches(0, 2));
         assert!(!idx.reaches(2, 0));
+    }
+
+    #[test]
+    fn extension_answers_for_isolated_nodes_and_implied_edges() {
+        use rig_graph::GraphBuilder;
+        for seed in 0..6u64 {
+            let g = random_graph(40, 70, seed);
+            let idx = BflIndex::new(&g);
+            // five isolated nodes, plus a sample of the edges the index
+            // already implies (self-loops on cycles included)
+            let mut b = GraphBuilder::new();
+            for _ in 0..45 {
+                b.add_node(0);
+            }
+            for (u, v) in g.edges() {
+                b.add_edge(u, v);
+            }
+            for u in 0..40u32 {
+                for v in 0..40u32 {
+                    if (u * 7 + v) % 5 == 0 && idx.reaches(u, v) {
+                        b.add_edge(u, v);
+                    }
+                }
+            }
+            let h = b.build();
+            let ext = idx.extended(45);
+            assert_eq!(ext.condensation().count, idx.condensation().count + 5);
+            for u in 0..45u32 {
+                for v in 0..45u32 {
+                    assert_eq!(ext.reaches(u, v), naive_reaches(&h, u, v), "seed={seed} {u}->{v}");
+                }
+            }
+        }
     }
 
     #[test]

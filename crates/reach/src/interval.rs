@@ -66,6 +66,23 @@ impl IntervalLabels {
         IntervalLabels { begin, end }
     }
 
+    /// These labels grown by `added` components with no DAG edges,
+    /// numbered after the existing ones. The DFS clock ends at the
+    /// component count, so component `c` of the new ones gets the next
+    /// clock value, `begin = end = c`: later than every existing interval,
+    /// so nothing reaches it and it reaches nothing.
+    pub fn with_singletons(&self, added: usize) -> IntervalLabels {
+        let first = self.begin.len() as u32;
+        let new = first..first + added as u32;
+        let mut begin = Vec::with_capacity(self.begin.len() + added);
+        begin.extend_from_slice(&self.begin);
+        begin.extend(new.clone());
+        let mut end = Vec::with_capacity(self.end.len() + added);
+        end.extend_from_slice(&self.end);
+        end.extend(new);
+        IntervalLabels { begin, end }
+    }
+
     /// Negative cut at the component level.
     #[inline]
     pub fn cannot_reach(&self, cu: u32, cv: u32) -> bool {

@@ -13,8 +13,8 @@
 //!   read the base CSR) with per-call scratch, mirroring the paper's
 //!   position that the reachability scheme is pluggable (§7.1).
 //!
-//! Compaction folds the delta into a fresh base and rebuilds BFL, at
-//! which point queries return to pure O(1)-ish index probes.
+//! A rebase folds the delta into a fresh base with a BFL index of its
+//! own, at which point queries return to pure O(1)-ish index probes.
 
 use crate::{BflIndex, Reachability};
 use rig_graph::{NodeId, Snapshot};

@@ -13,9 +13,9 @@ pub struct Condensation {
     /// Number of components.
     pub count: usize,
     /// Condensation DAG forward adjacency (sorted, deduplicated).
-    pub dag_fwd: Vec<Vec<u32>>,
+    pub(crate) dag_fwd: DagAdjacency,
     /// Condensation DAG backward adjacency (sorted, deduplicated).
-    pub dag_bwd: Vec<Vec<u32>>,
+    pub(crate) dag_bwd: DagAdjacency,
     /// Component ids in topological order (sources first).
     pub topo: Vec<u32>,
     /// `nontrivial[c]` = true iff component `c` contains a cycle
@@ -88,8 +88,7 @@ impl Condensation {
             comp_size[c as usize] += 1;
         }
         let mut nontrivial: Vec<bool> = comp_size.iter().map(|&s| s > 1).collect();
-        let mut dag_fwd: Vec<Vec<u32>> = vec![Vec::new(); count];
-        let mut dag_bwd: Vec<Vec<u32>> = vec![Vec::new(); count];
+        let mut dag_edges: Vec<(u32, u32)> = Vec::new();
         for (u, v) in g.edges() {
             let cu = comp[u as usize];
             let cv = comp[v as usize];
@@ -100,17 +99,14 @@ impl Condensation {
                     nontrivial[cu as usize] = true;
                 }
             } else {
-                dag_fwd[cu as usize].push(cv);
-                dag_bwd[cv as usize].push(cu);
+                dag_edges.push((cu, cv));
             }
         }
-        for adj in dag_fwd.iter_mut().chain(dag_bwd.iter_mut()) {
-            adj.sort_unstable();
-            adj.dedup();
-        }
+        let dag_fwd = DagAdjacency::from_edges(count, dag_edges.iter().copied());
+        let dag_bwd = DagAdjacency::from_edges(count, dag_edges.iter().map(|&(u, v)| (v, u)));
 
         // Kahn topological order on the condensation.
-        let mut indeg: Vec<u32> = dag_bwd.iter().map(|a| a.len() as u32).collect();
+        let mut indeg: Vec<u32> = (0..count).map(|c| dag_bwd[c].len() as u32).collect();
         let mut topo = Vec::with_capacity(count);
         let mut queue: Vec<u32> = (0..count as u32).filter(|&c| indeg[c as usize] == 0).collect();
         while let Some(c) = queue.pop() {
@@ -127,6 +123,27 @@ impl Condensation {
         Condensation { comp, count, dag_fwd, dag_bwd, topo, nontrivial }
     }
 
+    /// This condensation grown by `added` nodes, numbered after the
+    /// existing ones, each a trivial singleton component with no DAG
+    /// edges. Component ids, the DAG and the topological order of the
+    /// existing nodes are kept.
+    pub fn with_singletons(&self, added: usize) -> Condensation {
+        let first = self.count as u32;
+        let new = first..first + added as u32;
+        let mut comp = Vec::with_capacity(self.comp.len() + added);
+        comp.extend_from_slice(&self.comp);
+        comp.extend(new.clone());
+        let count = self.count + added;
+        let dag_fwd = self.dag_fwd.with_empty_rows(added);
+        let dag_bwd = self.dag_bwd.with_empty_rows(added);
+        let mut topo = Vec::with_capacity(count);
+        topo.extend_from_slice(&self.topo);
+        topo.extend(new);
+        let mut nontrivial = self.nontrivial.clone();
+        nontrivial.resize(count, false);
+        Condensation { comp, count, dag_fwd, dag_bwd, topo, nontrivial }
+    }
+
     /// Component of node `v`.
     #[inline]
     pub fn component(&self, v: NodeId) -> u32 {
@@ -137,6 +154,67 @@ impl Condensation {
     #[inline]
     pub fn same_component(&self, u: NodeId, v: NodeId) -> bool {
         self.comp[u as usize] == self.comp[v as usize]
+    }
+}
+
+/// One direction of the condensation DAG in CSR form: the neighbours of
+/// component `c` are `dag[c as usize]`, sorted and deduplicated.
+pub(crate) struct DagAdjacency {
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+}
+
+impl DagAdjacency {
+    /// The rows of `count` components holding the `(from, to)` edges,
+    /// each row sorted and deduplicated.
+    fn from_edges(count: usize, edges: impl Iterator<Item = (u32, u32)> + Clone) -> Self {
+        let mut offsets = vec![0usize; count + 1];
+        for (u, _) in edges.clone() {
+            offsets[u as usize + 1] += 1;
+        }
+        for c in 0..count {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut cursor = offsets[..count].to_vec();
+        let mut targets = vec![0u32; offsets[count]];
+        for (u, v) in edges {
+            targets[cursor[u as usize]] = v;
+            cursor[u as usize] += 1;
+        }
+        // sort each row, then compact away the duplicates in place
+        let mut kept = 0;
+        for c in 0..count {
+            let (lo, hi) = (offsets[c], offsets[c + 1]);
+            targets[lo..hi].sort_unstable();
+            let row_start = kept;
+            for i in lo..hi {
+                if kept == row_start || targets[kept - 1] != targets[i] {
+                    targets[kept] = targets[i];
+                    kept += 1;
+                }
+            }
+            offsets[c] = row_start;
+        }
+        offsets[count] = kept;
+        targets.truncate(kept);
+        DagAdjacency { offsets, targets }
+    }
+
+    /// This adjacency with `added` empty rows appended.
+    fn with_empty_rows(&self, added: usize) -> Self {
+        let mut offsets = Vec::with_capacity(self.offsets.len() + added);
+        offsets.extend_from_slice(&self.offsets);
+        offsets.resize(self.offsets.len() + added, self.targets.len());
+        DagAdjacency { offsets, targets: self.targets.clone() }
+    }
+}
+
+impl std::ops::Index<usize> for DagAdjacency {
+    type Output = [u32];
+
+    #[inline]
+    fn index(&self, c: usize) -> &[u32] {
+        &self.targets[self.offsets[c]..self.offsets[c + 1]]
     }
 }
 
@@ -199,6 +277,24 @@ mod tests {
         assert!(c.same_component(0, 1));
         assert!(c.same_component(2, 3));
         assert!(!c.same_component(0, 2));
+    }
+
+    #[test]
+    fn singletons_extend_without_renumbering() {
+        let g = graph(&[(0, 1), (1, 0), (1, 2)], 3);
+        let c = Condensation::new(&g);
+        let e = c.with_singletons(2);
+        assert_eq!(e.count, c.count + 2);
+        assert_eq!(&e.comp[..3], &c.comp[..]);
+        assert_eq!(&e.comp[3..], &[2, 3]);
+        for k in 0..2 {
+            assert_eq!(&e.dag_fwd[k], &c.dag_fwd[k]);
+            assert_eq!(&e.dag_bwd[k], &c.dag_bwd[k]);
+        }
+        assert!((2..4).all(|k| e.dag_fwd[k].is_empty() && e.dag_bwd[k].is_empty()));
+        assert_eq!(&e.topo[..2], &c.topo[..]);
+        assert_eq!(&e.topo[2..], &[2, 3]);
+        assert_eq!(&e.nontrivial[..], &[c.nontrivial[0], c.nontrivial[1], false, false]);
     }
 
     #[test]

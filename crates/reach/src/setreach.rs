@@ -18,6 +18,7 @@
 //!   O(|V| + |E|). They read any [`GraphView`], so they are the fallback
 //!   for a dirty snapshot, which has no condensation.
 
+use crate::scc::DagAdjacency;
 use crate::Condensation;
 use rig_bitset::Bitset;
 use rig_graph::{GraphView, NodeId};
@@ -109,7 +110,7 @@ impl Condensation {
     /// reach each other, themselves included). A trivial source component
     /// is marked only if another source reaches it: its sole member has no
     /// non-empty path back to itself.
-    fn sweep(&self, sources: &Bitset, dag: &[Vec<u32>]) -> ComponentSet<'_> {
+    fn sweep(&self, sources: &Bitset, dag: &DagAdjacency) -> ComponentSet<'_> {
         let mut member = vec![false; self.count];
         let mut frontier: Vec<u32> = Vec::new();
         for s in sources.iter() {

@@ -754,7 +754,7 @@ impl Expansion {
 /// per-SCC memoization all describe the base segment only, so both the
 /// early-termination cut and the memo would be unsound — the pruned DFS
 /// reads adjacency through the overlay and needs none of them. A rebase
-/// (materialize + BFL rebuild) restores the indexed path; a session
+/// (materialize plus an index of the result) restores the indexed path; a session
 /// rebases before every build, so this branch serves callers that build
 /// over a dirty snapshot directly.
 fn expand_edge(

@@ -171,6 +171,12 @@ pub fn render(metrics: &ServerMetrics, session: &Session) -> String {
         "dirty snapshots rebased in memory for reads, analyses or compactions",
         s.rebases,
     );
+    counter(
+        &mut out,
+        "rigmatch_store_index_extensions_total",
+        "rebases that extended the reachability index instead of rebuilding it",
+        s.index_extensions,
+    );
     gauge(&mut out, "rigmatch_store_delta_ops", "mutations resident in the overlay", s.delta_ops);
     gauge(&mut out, "rigmatch_graph_live_nodes", "live nodes in the snapshot", s.live_nodes as u64);
     gauge(&mut out, "rigmatch_graph_edges", "edges in the snapshot", s.edges as u64);
@@ -204,6 +210,15 @@ mod tests {
         assert!(page.contains("rigmatch_graph_edges 1\n"));
         assert!(page.contains("rigmatch_wal_flush_failures_total 0\n"));
         assert!(page.contains("rigmatch_store_rebases_total 0\n"));
+        assert!(page.contains("rigmatch_store_index_extensions_total 0\n"));
+        // a node-only commit, folded away, extends the index
+        let mut txn = session.begin();
+        txn.add_node(1);
+        session.commit(txn).unwrap();
+        assert!(session.compact());
+        let page = render(&m, &session);
+        assert!(page.contains("rigmatch_store_rebases_total 1\n"));
+        assert!(page.contains("rigmatch_store_index_extensions_total 1\n"));
         // every non-comment line is `name value`
         for line in page.lines().filter(|l| !l.starts_with('#')) {
             let mut parts = line.split(' ');

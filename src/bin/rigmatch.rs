@@ -775,6 +775,11 @@ fn run_gm(
             m.matching_time(),
             m.enumeration_time
         );
+        let s = session.store_stats();
+        eprintln!(
+            "store: v{}, {} rebase(s), {} index extension(s)",
+            s.version, s.rebases, s.index_extensions
+        );
     }
     if cli.strict {
         // propagate a truncated answer as a distinct exit code for scripts
