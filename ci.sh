@@ -135,8 +135,8 @@ if [[ "${1:-}" != "quick" ]]; then
         cargo run -q --release --example "${example}" > /dev/null
     done
 
-    step "paper harness smoke (fig9, fig12, fig13; fig12 also checks its ablation agrees)"
-    for fig in fig9 fig12 fig13; do
+    step "paper harness smoke (fig9, fig12, fig13, fig15; fig12 checks its ablation agrees, fig15 that reduction keeps every answer)"
+    for fig in fig9 fig12 fig13 fig15; do
         cargo run -q --release -p rig_bench --bin "${fig}" -- \
             --scale 0.005 --timeout 2 --limit 100000 > /dev/null
     done

@@ -4,10 +4,13 @@
 //! The D-flavor instances of the clique/combo templates contain transitive
 //! reachability edges (e.g. a chord over a 2-edge path), which is exactly
 //! the redundancy Fig. 14 illustrates.
+//!
+//! Reduction never changes an answer (§3): wherever GM, GM-NR and TM all
+//! complete a query, the binary panics unless their match counts agree.
 
 use rig_baselines::{Engine, GmEngine, Tm};
 use rig_bench::{load, template_query_probed, Args, Table};
-use rig_core::GmConfig;
+use rig_core::{GmConfig, RunStatus};
 use rig_query::{transitive_reduction, Flavor};
 
 fn main() {
@@ -32,6 +35,16 @@ fn main() {
             let rg = gm.evaluate(&q, &budget);
             let rn = gm_nr.evaluate(&q, &budget);
             let rt = tm.evaluate(&reduced, &budget);
+            let runs = [&rg, &rn, &rt];
+            if runs.iter().all(|r| r.status == RunStatus::Completed) {
+                assert!(
+                    runs.iter().all(|r| r.occurrences == rg.occurrences),
+                    "{ds} DQ{id}: reduction changed the answer (GM {}, GM-NR {}, TM {})",
+                    rg.occurrences,
+                    rn.occurrences,
+                    rt.occurrences
+                );
+            }
             table.row(vec![
                 format!("DQ{id}"),
                 q.num_edges().to_string(),

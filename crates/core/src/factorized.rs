@@ -125,15 +125,15 @@ pub struct FactorizedSummary {
     pub assignments: u64,
     /// Exact occurrence count. `None` when the count overflowed u128
     /// (effectively astronomically large) or the deadline truncated the
-    /// DP (`timed_out` distinguishes the two).
+    /// DP's count or cardinalities (`timed_out` distinguishes the two).
     pub count: Option<u128>,
     /// Per-variable candidate/distinct cardinalities.
     pub vars: Vec<VarSummary>,
     /// True when the RIG came from the session plan cache.
     pub rig_from_cache: bool,
-    /// True when the run's timeout expired during the RIG build or the
-    /// DP's conditioning loop: `count` is `None` and the cardinalities
-    /// are unreliable.
+    /// True when the run's timeout expired during the RIG build or one of
+    /// the DP's conditioning loops (count or cardinalities): `count` is
+    /// `None` and the cardinalities are unreliable.
     pub timed_out: bool,
 }
 

@@ -149,12 +149,12 @@ pub fn evaluate_once(
 
 // re-export the pieces users need to drive the matcher without digging
 // through sub-crates
-pub use rig_index::{ReachExpandMode, RigOptions as RigBuildOptions, SelectMode};
+pub use rig_index::{RigOptions as RigBuildOptions, SelectMode};
 pub use rig_mjoin::{
     BatchSink, CollectSink, CountSink, EnumOptions as EnumerationOptions, FirstKSink, FnSink,
     ParOptions, ResultSink, SearchOrder,
 };
-pub use rig_sim::{DirectCheckMode, ReachCheckMode, SimAlgorithm, SimOptions};
+pub use rig_sim::{DirectCheckMode, SimAlgorithm, SimOptions};
 pub use rig_storage::{
     Durability, FsBackend, MemBackend, RecoveryReport, StorageBackend, StorageError, StoreOptions,
 };

@@ -353,8 +353,9 @@ impl<'a, 's> Run<'a, 's> {
     /// per-variable distinct-binding cardinalities, computed without
     /// materializing any tuple. Ignores [`Run::threads`] and the limit
     /// knob — this terminal always runs the DP. A [`Run::timeout`] *is*
-    /// honored: it caps the RIG build and the DP's conditioning loop, and
-    /// a truncated summary reports `timed_out` with `count: None`.
+    /// honored: it caps the RIG build and the DP's conditioning loops for
+    /// the count and the cardinalities, and a summary truncated in any of
+    /// them reports `timed_out` with `count: None`.
     pub fn factorized_summary(self) -> crate::factorized::FactorizedSummary {
         use crate::factorized::{FactorizedSummary, VarSummary};
         let prepared = self.prepared;
@@ -385,16 +386,18 @@ impl<'a, 's> Run<'a, 's> {
         let mut f = crate::factorized::Factorization::new(q, &rig);
         f.set_deadline(deadline);
         let dp = f.count();
-        // cardinalities re-run the conditioning loop: skip them once the
-        // budget is gone rather than doubling the overrun
-        let cards = if dp.timed_out { vec![0; q.num_nodes()] } else { f.var_cardinalities() };
+        // cardinalities re-run the conditioning loop under the same
+        // deadline; a summary truncated in either loop reports no count
+        let cards = if dp.timed_out { None } else { f.var_cardinalities() };
+        let timed_out = cards.is_none();
+        let cards = cards.unwrap_or_else(|| vec![0; q.num_nodes()]);
         FactorizedSummary {
             hpql: prepared.to_hpql(),
             tree: f.is_tree(),
             extra_edges: f.shape().extra_edges.len(),
             conditioned: f.shape().conditioned.iter().map(|&c| name_of(c as usize)).collect(),
             assignments: dp.assignments,
-            count: dp.total,
+            count: if timed_out { None } else { dp.total },
             vars: (0..q.num_nodes())
                 .map(|i| VarSummary {
                     name: name_of(i),
@@ -403,7 +406,7 @@ impl<'a, 's> Run<'a, 's> {
                 })
                 .collect(),
             rig_from_cache: from_cache,
-            timed_out: dp.timed_out,
+            timed_out,
         }
     }
 }

@@ -23,7 +23,12 @@
 //! * [`Factorization::count`] — the exact occurrence count, pushed down
 //!   into the DP, never touching a tuple;
 //! * [`Factorization::var_cardinalities`] — per-variable distinct-binding
-//!   counts via an additional top-down participation pass.
+//!   counts via a top-down participation pass after each binding's DP.
+//!
+//! Both run the same conditioning loop: one dense pass over the free
+//! forest, then per support-filtered conditioning binding one sparse pass
+//! over the binding-dependent positions, with the deadline probed between
+//! bindings.
 //!
 //! Tuples are never produced here: every answer tuple comes from the MJoin
 //! engine ([`crate::enumerate_sink`], [`crate::par_enumerate`]).
@@ -469,63 +474,15 @@ impl<'q, 'r> Factorization<'q, 'r> {
         self.rig.candidates(self.order[pos] as usize).len()
     }
 
-    /// Bottom-up subtree-count DP over the free forest, under the current
-    /// conditioning binding. Returns the product of component totals
-    /// (`1` when the free zone is empty). Saturating arithmetic; `of` is
-    /// raised on overflow (zero/non-zero stays exact).
-    fn forest_dp(&mut self, of: &mut bool) -> u128 {
-        let n = self.order.len();
-        for pos in (self.s_len..n).rev() {
-            let (head, tail) = self.counts.split_at_mut(pos + 1);
-            let cur = &mut head[pos];
-            let rig = self.rig;
-            'cand: for (c, slot) in cur.iter_mut().enumerate() {
-                let cl = c as u32;
-                for ch in &self.checks[pos] {
-                    let run = run_from(rig, ch.eid, self.binding[ch.pos], ch.fwd);
-                    if !run.contains(cl) {
-                        *slot = 0;
-                        continue 'cand;
-                    }
-                }
-                let mut acc = 1u128;
-                for ch in &self.children[pos] {
-                    let run = run_from(rig, ch.eid, cl, ch.fwd);
-                    let child_counts = &tail[ch.pos - pos - 1];
-                    let mut s = 0u128;
-                    for &c2 in run.list {
-                        s = sat_add(s, child_counts[c2 as usize], of);
-                    }
-                    if s == 0 {
-                        acc = 0;
-                        break;
-                    }
-                    acc = sat_mul(acc, s, of);
-                }
-                *slot = acc;
-            }
-        }
-        let mut total = 1u128;
-        for &r in &self.roots {
-            let mut s = 0u128;
-            for &v in &self.counts[r] {
-                s = sat_add(s, v, of);
-            }
-            if s == 0 {
-                return 0;
-            }
-            total = sat_mul(total, s, of);
-        }
-        total
-    }
-
-    /// One-time (per aggregate call) dense pass over the free forest
-    /// **ignoring the S-anchored checks**. For binding-independent
-    /// positions this *is* their final count (no checks anywhere in their
-    /// subtree); for binding-dependent positions it is an upper-bound
+    /// Bottom-up subtree-count DP over the free forest **ignoring the
+    /// S-anchored checks**, run once per aggregate call. For
+    /// binding-independent positions this *is* their final count (no
+    /// checks anywhere in their subtree) — for a tree query, every
+    /// position; for binding-dependent positions it is an upper-bound
     /// "potential" — zero potential means zero under every conditioning
     /// binding, which [`Self::compute_support`] exploits to prune
-    /// conditioning candidates up front.
+    /// conditioning candidates up front. Saturating arithmetic; `of` is
+    /// raised on overflow (zero/non-zero stays exact).
     fn potential_forest_dp(&mut self, of: &mut bool) {
         let n = self.order.len();
         for pos in (self.s_len..n).rev() {
@@ -716,8 +673,9 @@ impl<'q, 'r> Factorization<'q, 'r> {
     }
 
     /// Product of the binding-independent component totals (after
-    /// [`Self::base_forest_dp`]); a zero here zeroes every conditioning
-    /// binding's contribution at once.
+    /// [`Self::potential_forest_dp`]); a zero here zeroes every
+    /// conditioning binding's contribution at once. For a tree query this
+    /// is the count.
     fn base_factor(&self, of: &mut bool) -> u128 {
         let mut total = 1u128;
         for &r in &self.roots {
@@ -807,11 +765,12 @@ impl<'q, 'r> Factorization<'q, 'r> {
         }
     }
 
-    /// Sets a wall-clock cutoff for [`Self::count`]'s conditioning loop.
-    /// Past the deadline the count aborts with `timed_out` set and
-    /// `total: None` — a partial sum is never reported as the answer.
-    /// MJoin enumeration is unaffected (it takes its own budget through
-    /// `EnumOptions`).
+    /// Sets a wall-clock cutoff for the conditioning loop of
+    /// [`Self::count`] and [`Self::var_cardinalities`]. Past the deadline
+    /// the count aborts with `timed_out` set and `total: None`, and the
+    /// cardinalities return `None` — a partial result is never reported
+    /// as the answer. MJoin enumeration is unaffected (it takes its own
+    /// budget through `EnumOptions`).
     pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
         self.deadline = deadline;
     }
@@ -825,68 +784,77 @@ impl<'q, 'r> Factorization<'q, 'r> {
             .is_some_and(|d| assignments.is_multiple_of(16) && std::time::Instant::now() >= d)
     }
 
-    /// Exact occurrence count by DP — no tuple is ever materialized.
-    pub fn count(&mut self) -> DpCount {
-        let mut of = false;
+    /// The conditioning loop both aggregates share: the dense potential
+    /// pass, then — for a cyclic query — one sparse pass per
+    /// support-filtered conditioning binding, probing the deadline between
+    /// bindings. `visit` runs after every binding whose count is positive
+    /// (once for a tree query), while the DP scratch holds that binding's
+    /// counts.
+    fn condition(&mut self, mut visit: impl FnMut(&Self)) -> DpCount {
         if self.rig.is_empty() || self.order.is_empty() {
             return DpCount { total: Some(0), assignments: 0, timed_out: false };
         }
-        let mut timed_out = false;
-        let (grand, assignments) = if self.s_len == 0 {
-            (self.forest_dp(&mut of), 1)
-        } else {
-            self.potential_forest_dp(&mut of);
-            let base = self.base_factor(&mut of);
-            let mut grand = 0u128;
-            let mut assignments = 0u64;
+        let mut of = false;
+        self.potential_forest_dp(&mut of);
+        let base = self.base_factor(&mut of);
+        let (mut grand, mut assignments, mut timed_out) = (0u128, 0u64, false);
+        if self.s_len == 0 {
+            (grand, assignments) = (base, 1);
             if base > 0 {
-                if !self.support_ready {
-                    self.compute_support();
+                visit(self);
+            }
+        } else if base > 0 {
+            if !self.support_ready {
+                self.compute_support();
+            }
+            self.reset();
+            while self.next_s_assignment() {
+                if self.past_deadline(assignments) {
+                    timed_out = true;
+                    break;
                 }
-                self.reset();
-                while self.next_s_assignment() {
-                    if self.past_deadline(assignments) {
-                        timed_out = true;
-                        break;
-                    }
-                    assignments += 1;
-                    let t = self.sparse_pass(base, &mut of);
+                assignments += 1;
+                let t = self.sparse_pass(base, &mut of);
+                if t > 0 {
                     grand = sat_add(grand, t, &mut of);
+                    visit(self);
                 }
             }
-            (grand, assignments)
-        };
+        }
         DpCount { total: if of || timed_out { None } else { Some(grand) }, assignments, timed_out }
+    }
+
+    /// Exact occurrence count by DP — no tuple is ever materialized.
+    pub fn count(&mut self) -> DpCount {
+        self.condition(|_| {})
     }
 
     /// Per-variable distinct-binding cardinality: for each query node, the
     /// number of its RIG candidates that occur in at least one answer.
     /// Computed by a top-down participation pass per conditioning binding
-    /// — still no tuple materialization.
-    pub fn var_cardinalities(&mut self) -> Vec<u64> {
+    /// — still no tuple materialization. `None` when the deadline expired
+    /// before every binding was visited.
+    pub fn var_cardinalities(&mut self) -> Option<Vec<u64>> {
         let n = self.order.len();
         let mut part: Vec<Vec<bool>> = (0..n).map(|p| vec![false; self.cand_len(p)]).collect();
         let mut above: Vec<Vec<bool>> = (0..n).map(|p| vec![false; self.cand_len(p)]).collect();
-        if !self.rig.is_empty() && !self.order.is_empty() {
-            let mut of = false;
-            if self.s_len == 0 {
-                if self.forest_dp(&mut of) > 0 {
-                    self.mark_participation(&mut part, &mut above);
-                }
-            } else {
-                self.reset();
-                while self.next_s_assignment() {
-                    if self.forest_dp(&mut of) > 0 {
-                        self.mark_participation(&mut part, &mut above);
-                    }
-                }
-            }
+        let dp = self.condition(|f| f.mark_participation(&mut part, &mut above));
+        if dp.timed_out {
+            return None;
         }
         let mut out = vec![0u64; n];
         for (pos, p) in part.iter().enumerate() {
             out[self.order[pos] as usize] = p.iter().filter(|&&b| b).count() as u64;
         }
-        out
+        Some(out)
+    }
+
+    /// True iff free position `pos`'s candidate `c` has a positive count
+    /// under the current binding. A binding-dependent position's count is
+    /// live only when the current sparse pass stamped it.
+    #[inline]
+    fn positive(&self, pos: usize, c: usize) -> bool {
+        self.counts[pos][c] > 0 && (!self.s_dep[pos] || self.stamp[pos][c] == self.epoch)
     }
 
     /// Marks, for the current (positive-total) conditioning binding, every
@@ -902,7 +870,7 @@ impl<'q, 'r> Factorization<'q, 'r> {
             match self.parent[pos] {
                 None => {
                     for (c, a) in above[pos].iter_mut().enumerate() {
-                        *a = self.counts[pos][c] > 0;
+                        *a = self.positive(pos, c);
                     }
                 }
                 Some(p) => {
@@ -917,7 +885,7 @@ impl<'q, 'r> Factorization<'q, 'r> {
                         }
                         let run = run_from(self.rig, p.eid, cp as u32, p.fwd);
                         for &c2 in run.list {
-                            if self.counts[pos][c2 as usize] > 0 {
+                            if self.positive(pos, c2 as usize) {
                                 cur[c2 as usize] = true;
                             }
                         }
@@ -1040,6 +1008,35 @@ mod tests {
         assert_eq!(f.count().total, Some(expect.len() as u128));
     }
 
+    /// The cardinalities run the count's conditioning loop, deadline
+    /// included: a deadline that expires after the count truncates them,
+    /// and the truncation is reported rather than partial cardinalities.
+    #[test]
+    fn cardinalities_honor_the_deadline() {
+        let mut b = GraphBuilder::new();
+        for _ in 0..6 {
+            b.add_node(0);
+        }
+        for (u, v) in [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (1, 4), (4, 5), (2, 5)] {
+            b.add_edge(u, v);
+        }
+        let g = b.build();
+        let mut q = PatternQuery::new(vec![0, 0, 0]);
+        q.add_edge(0, 1, EdgeKind::Direct);
+        q.add_edge(1, 2, EdgeKind::Direct);
+        q.add_edge(0, 2, EdgeKind::Reachability);
+        let rig = rig_for(&g, &q);
+        let mut f = Factorization::new(&q, &rig);
+        assert!(!f.is_tree());
+        let dp = f.count();
+        assert!(!dp.timed_out && dp.total.is_some_and(|t| t > 0));
+        f.set_deadline(Some(std::time::Instant::now()));
+        assert_eq!(f.var_cardinalities(), None);
+        assert!(f.count().timed_out);
+        f.set_deadline(None);
+        assert!(f.var_cardinalities().is_some());
+    }
+
     #[test]
     fn var_cardinalities_match_enumeration() {
         let g = fig2();
@@ -1047,7 +1044,7 @@ mod tests {
         let rig = rig_for(&g, &q);
         let (tuples, _) = collect(&q, &rig, &EnumOptions::default(), usize::MAX);
         let mut f = Factorization::new(&q, &rig);
-        let cards = f.var_cardinalities();
+        let cards = f.var_cardinalities().expect("no deadline");
         for qn in 0..q.num_nodes() {
             let mut vals: Vec<_> = tuples.iter().map(|t| t[qn]).collect();
             vals.sort_unstable();

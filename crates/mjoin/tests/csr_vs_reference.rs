@@ -67,7 +67,7 @@ proptest! {
         for select in ALL_SELECT_MODES {
             let opts = RigOptions { select, ..RigOptions::exact() };
             let csr = build_rig(&ctx, &bfl, &opts);
-            let reference = build_reference_rig(&ctx, &bfl, &opts);
+            let reference = build_reference_rig(&ctx, &opts);
             for i in 0..q.num_nodes() {
                 prop_assert_eq!(
                     csr.cos(i).to_vec(),
@@ -109,7 +109,7 @@ proptest! {
         for select in ALL_SELECT_MODES {
             let opts = RigOptions { select, ..RigOptions::exact() };
             let csr = build_rig(&ctx, &bfl, &opts);
-            let reference = build_reference_rig(&ctx, &bfl, &opts);
+            let reference = build_reference_rig(&ctx, &opts);
             for order in [SearchOrder::Jo, SearchOrder::Ri] {
                 for injective in [false, true] {
                     let eo = EnumOptions { order, injective, ..Default::default() };

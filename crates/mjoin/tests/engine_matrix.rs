@@ -116,7 +116,7 @@ proptest! {
         for select in ALL_SELECT_MODES {
             let opts = RigOptions { select, ..RigOptions::exact() };
             let csr = build_rig(&ctx, &bfl, &opts);
-            let reference = build_reference_rig(&ctx, &bfl, &opts);
+            let reference = build_reference_rig(&ctx, &opts);
             for order in [SearchOrder::Jo, SearchOrder::Ri] {
                 let eo = EnumOptions { order, ..Default::default() };
                 let seq = count(&q, &csr, &eo);

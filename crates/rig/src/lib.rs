@@ -55,35 +55,16 @@ pub enum SelectMode {
     MatchSets,
 }
 
-/// How reachability query edges are expanded into RIG edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReachExpandMode {
-    /// Per-pair BFL probes, candidates ordered by interval `begin`, with
-    /// early termination (§4.5). The paper's configuration.
-    PairwiseBfl,
-    /// Per-source pruned DFS collecting reachable candidates; cross-checked
-    /// against `PairwiseBfl` in tests.
-    PrunedDfs,
-}
-
 /// Options for [`build_rig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RigOptions {
     pub select: SelectMode,
     pub sim: SimOptions,
-    pub reach_expand: ReachExpandMode,
-    /// Apply the interval-label early-termination cut during expansion.
-    pub early_termination: bool,
 }
 
 impl Default for RigOptions {
     fn default() -> Self {
-        RigOptions {
-            select: SelectMode::PrefilterThenSim,
-            sim: SimOptions::paper_default(),
-            reach_expand: ReachExpandMode::PairwiseBfl,
-            early_termination: true,
-        }
+        RigOptions { select: SelectMode::PrefilterThenSim, sim: SimOptions::paper_default() }
     }
 }
 
@@ -536,9 +517,16 @@ impl Rig {
     }
 }
 
-/// Builds a RIG for `ctx.query` on `ctx.graph` (Alg. 4). `bfl` supplies the
-/// condensation + interval labels used by reachability expansion; it should
-/// be the same index `ctx.reach` wraps (the GM facade guarantees this).
+/// Builds a RIG for `ctx.query` on `ctx.graph` (Alg. 4).
+///
+/// On a clean view, reachability edges expand by BFL probes (`ctx.reach`)
+/// visited in interval order with the early-termination cut of §4.5; `bfl`
+/// supplies the condensation and interval labels for that and must be the
+/// index `ctx.reach` answers from (the GM facade guarantees this). On a
+/// dirty view (an uncompacted [`rig_graph::Snapshot`]), `bfl` describes
+/// only the base segment, so reachability edges expand by one DFS per
+/// source over the view's own adjacency instead and probe neither `bfl`
+/// nor `ctx.reach`.
 pub fn build_rig(ctx: &SimContext<'_>, bfl: &BflIndex, opts: &RigOptions) -> Rig {
     // ---- node selection phase ----
     let select_start = Instant::now();
@@ -642,7 +630,7 @@ fn finish_rig(
 
     // ---- node expansion phase ----
     let expand_start = Instant::now();
-    match expand_all(ctx, bfl, opts, &rig.ids, &rig.edge_nodes) {
+    match expand_all(ctx, bfl, opts.sim.deadline, &rig.ids, &rig.edge_nodes) {
         Some(blocks) => {
             for (fwd, bwd) in blocks {
                 rig.fwd.push(fwd);
@@ -713,17 +701,16 @@ impl DeadlineProbe {
 }
 
 /// Expands every query edge into its (forward, backward) CSR block pair,
-/// in edge-id order. Returns `None` when `opts.sim.deadline` expired
-/// mid-build.
+/// in edge-id order. Returns `None` when `deadline` expired mid-build.
 fn expand_all(
     ctx: &SimContext<'_>,
     bfl: &BflIndex,
-    opts: &RigOptions,
+    deadline: Option<Instant>,
     ids: &[Vec<NodeId>],
     edge_nodes: &[(usize, usize)],
 ) -> Option<Vec<(CsrDir, CsrDir)>> {
     let build_one = |(eid, &(p, q)): (usize, &(usize, usize))| {
-        let x = expand_edge(ctx, bfl, opts, ids, eid as EdgeId, p, q)?;
+        let x = expand_edge(ctx, bfl, deadline, ids, eid as EdgeId, p, q)?;
         let fwd = CsrDir::new(x.offsets, x.targets, x.run_of, ids[q].len());
         let bwd = fwd.transpose(ids[q].len(), x.target_group);
         Some((fwd, bwd))
@@ -749,31 +736,27 @@ impl Expansion {
 
 /// Expands one query edge into forward CSR runs (local target ids).
 ///
-/// On a **dirty snapshot** (uncompacted delta) reachability edges always
-/// take the overlay-DFS path: the BFL condensation, interval labels and
-/// per-SCC memoization all describe the base segment only, so both the
-/// early-termination cut and the memo would be unsound — the pruned DFS
-/// reads adjacency through the overlay and needs none of them. A rebase
-/// (materialize plus an index of the result) restores the indexed path; a session
-/// rebases before every build, so this branch serves callers that build
-/// over a dirty snapshot directly.
+/// On a **dirty snapshot** (uncompacted delta) reachability edges take the
+/// dirty-view DFS: the BFL condensation, interval labels and per-SCC
+/// memoization all describe the base segment only, so both the
+/// early-termination cut and the memo would be unsound — the DFS reads
+/// adjacency through the overlay and needs none of them. A rebase
+/// (materialize plus an index of the result) restores the indexed path; a
+/// session rebases before every build, so this branch serves callers that
+/// build over a dirty snapshot directly.
 fn expand_edge(
     ctx: &SimContext<'_>,
     bfl: &BflIndex,
-    opts: &RigOptions,
+    dl: Option<Instant>,
     ids: &[Vec<NodeId>],
     eid: EdgeId,
     p: usize,
     q: usize,
 ) -> Option<Expansion> {
-    let dl = opts.sim.deadline;
     match ctx.query.edge(eid).kind {
         EdgeKind::Direct => expand_direct(ctx, ids, p, q, dl),
         EdgeKind::Reachability if ctx.graph.is_dirty() => expand_reach_dfs(ctx, ids, p, q, dl),
-        EdgeKind::Reachability => match opts.reach_expand {
-            ReachExpandMode::PairwiseBfl => expand_reach_pairwise(ctx, bfl, opts, ids, p, q),
-            ReachExpandMode::PrunedDfs => expand_reach_dfs(ctx, ids, p, q, dl),
-        },
+        EdgeKind::Reachability => expand_reach_pairwise(ctx, bfl, ids, p, q, dl),
     }
 }
 
@@ -863,25 +846,23 @@ fn intersect_to_locals(nbrs: &[NodeId], tgt: &[NodeId], out: &mut Vec<u32>) {
 fn expand_reach_pairwise(
     ctx: &SimContext<'_>,
     bfl: &BflIndex,
-    opts: &RigOptions,
     ids: &[Vec<NodeId>],
     p: usize,
     q: usize,
+    deadline: Option<Instant>,
 ) -> Option<Expansion> {
     let cond = bfl.condensation();
     let intervals = bfl.intervals();
     let (src, tgt) = (&ids[p], &ids[q]);
-    let mut probe = DeadlineProbe::new(opts.sim.deadline);
-    // (begin, target node, local id), cached once per edge; sorted by
-    // interval begin only when the early-termination cut needs that order.
+    let mut probe = DeadlineProbe::new(deadline);
+    // (begin, target node, local id), cached once per edge and sorted by
+    // interval begin for the early-termination cut.
     let mut tinfo: Vec<(u32, NodeId, u32)> = tgt
         .iter()
         .enumerate()
         .map(|(j, &v)| (intervals.begin[cond.component(v) as usize], v, j as u32))
         .collect();
-    if opts.early_termination {
-        tinfo.sort_unstable();
-    }
+    tinfo.sort_unstable();
     let mut offsets = vec![0u32];
     let mut targets = Vec::new();
     let mut run_of = Vec::with_capacity(src.len());
@@ -904,16 +885,14 @@ fn expand_reach_pairwise(
         let start = targets.len();
         let u_end = intervals.end[cu as usize];
         for &(begin, v, j) in &tinfo {
-            if opts.early_termination && begin > u_end {
+            if begin > u_end {
                 break; // all later candidates are unreachable from u
             }
             if (u != v || nontrivial) && ctx.reach.reaches(u, v) {
                 targets.push(j);
             }
         }
-        if opts.early_termination {
-            targets[start..].sort_unstable(); // begin order -> local-id order
-        }
+        targets[start..].sort_unstable(); // begin order -> local-id order
         let r = (offsets.len() - 1) as u32;
         push_offset(&mut offsets, targets.len());
         run_of.push(r);
@@ -935,7 +914,8 @@ fn expand_reach_pairwise(
     Some(Expansion { offsets, targets, run_of, target_group })
 }
 
-/// Reachability expansion by one pruned DFS per source node.
+/// Reachability expansion by one DFS per source node over the view's own
+/// adjacency: the dirty-view path, which needs no index of the view.
 fn expand_reach_dfs(
     ctx: &SimContext<'_>,
     ids: &[Vec<NodeId>],
@@ -1070,9 +1050,8 @@ mod tests {
         assert!(rig.heap_bytes() > 0);
     }
 
-    /// All (select-mode, expand-mode, early-termination) combinations agree
-    /// on edges whenever their candidate sets agree; and every variant's
-    /// RIG contains the refined RIG (supersets shrink monotonically).
+    /// Every select mode's RIG contains the refined RIG (supersets shrink
+    /// monotonically).
     #[test]
     fn variants_are_supersets_of_refined_rig() {
         let g = fig2_graph();
@@ -1088,36 +1067,6 @@ mod tests {
                 );
             }
             assert!(r.stats.size() >= refined.stats.size(), "{select:?}");
-        }
-    }
-
-    #[test]
-    fn expand_modes_agree() {
-        let g = fig2_graph();
-        let q = fig2_query();
-        for early in [false, true] {
-            let a = build(
-                &g,
-                &q,
-                &RigOptions {
-                    reach_expand: ReachExpandMode::PairwiseBfl,
-                    early_termination: early,
-                    ..RigOptions::exact()
-                },
-            );
-            let b = build(
-                &g,
-                &q,
-                &RigOptions { reach_expand: ReachExpandMode::PrunedDfs, ..RigOptions::exact() },
-            );
-            assert_eq!(a.stats.edge_count, b.stats.edge_count, "early={early}");
-            for u in a.cos(1).iter() {
-                assert_eq!(
-                    a.successors(2, u).map(|s| s.to_vec()),
-                    b.successors(2, u).map(|s| s.to_vec()),
-                    "early={early} u={u}"
-                );
-            }
         }
     }
 

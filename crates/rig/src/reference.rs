@@ -16,10 +16,9 @@ use std::time::Instant;
 use rig_bitset::Bitset;
 use rig_graph::{FxHashMap, NodeId};
 use rig_query::{EdgeId, EdgeKind};
-use rig_reach::BflIndex;
 use rig_sim::{double_simulation, prefilter, SimContext};
 
-use crate::{ReachExpandMode, RigOptions, RigStats, SelectMode};
+use crate::{RigOptions, RigStats, SelectMode};
 
 /// A materialized runtime index graph in the pre-CSR layout.
 pub struct RefRig {
@@ -73,7 +72,7 @@ impl RefRig {
 }
 
 /// Builds a [`RefRig`] with the pre-CSR pipeline (Alg. 4, original code).
-pub fn build_reference_rig(ctx: &SimContext<'_>, bfl: &BflIndex, opts: &RigOptions) -> RefRig {
+pub fn build_reference_rig(ctx: &SimContext<'_>, opts: &RigOptions) -> RefRig {
     // ---- node selection phase ----
     let select_start = Instant::now();
     let mut sim_passes = 0;
@@ -123,7 +122,7 @@ pub fn build_reference_rig(ctx: &SimContext<'_>, bfl: &BflIndex, opts: &RigOptio
     // ---- node expansion phase ----
     let expand_start = Instant::now();
     for eid in 0..ne as EdgeId {
-        expand_edge(ctx, bfl, opts, &mut rig, eid);
+        expand_edge(ctx, &mut rig, eid);
     }
     rig.stats.expand_time = expand_start.elapsed();
     rig.stats.node_count = rig.cos.iter().map(|c| c.len()).sum();
@@ -131,13 +130,7 @@ pub fn build_reference_rig(ctx: &SimContext<'_>, bfl: &BflIndex, opts: &RigOptio
     rig
 }
 
-fn expand_edge(
-    ctx: &SimContext<'_>,
-    bfl: &BflIndex,
-    opts: &RigOptions,
-    rig: &mut RefRig,
-    eid: EdgeId,
-) {
+fn expand_edge(ctx: &SimContext<'_>, rig: &mut RefRig, eid: EdgeId) {
     let e = ctx.query.edge(eid);
     let (p, q) = (e.from as usize, e.to as usize);
     match e.kind {
@@ -158,61 +151,13 @@ fn expand_edge(
             rig.fwd[eid as usize] = fwd;
             rig.bwd[eid as usize] = bwd;
         }
-        EdgeKind::Reachability => match opts.reach_expand {
-            ReachExpandMode::PairwiseBfl => expand_reach_pairwise(ctx, bfl, opts, rig, eid, p, q),
-            ReachExpandMode::PrunedDfs => expand_reach_dfs(ctx, rig, eid, p, q),
-        },
+        EdgeKind::Reachability => expand_reach_dfs(ctx, rig, eid, p, q),
     }
 }
 
-/// Reachability expansion with per-pair BFL probes (original per-pair
-/// component/interval lookups, no memoization).
-fn expand_reach_pairwise(
-    ctx: &SimContext<'_>,
-    bfl: &BflIndex,
-    opts: &RigOptions,
-    rig: &mut RefRig,
-    eid: EdgeId,
-    p: usize,
-    q: usize,
-) {
-    let cond = bfl.condensation();
-    let intervals = bfl.intervals();
-    // cos(q) sorted by interval begin
-    let mut targets: Vec<NodeId> = rig.cos[q].iter().collect();
-    if opts.early_termination {
-        intervals.sort_nodes_by_begin(cond, &mut targets);
-    }
-    let mut fwd: FxHashMap<NodeId, Bitset> = FxHashMap::default();
-    let mut bwd: FxHashMap<NodeId, Bitset> = FxHashMap::default();
-    for u in rig.cos[p].iter() {
-        let cu = cond.component(u);
-        let u_end = intervals.end[cu as usize];
-        let mut succ = Bitset::new();
-        for &v in &targets {
-            if opts.early_termination {
-                let cv = cond.component(v);
-                if intervals.begin[cv as usize] > u_end {
-                    break; // all later candidates are unreachable from u
-                }
-            }
-            if (u != v || cond.nontrivial[cu as usize]) && ctx.reach.reaches(u, v) {
-                succ.insert(v);
-            }
-        }
-        if succ.is_empty() {
-            continue;
-        }
-        for v in succ.iter() {
-            bwd.entry(v).or_default().insert(u);
-        }
-        fwd.insert(u, succ);
-    }
-    rig.fwd[eid as usize] = fwd;
-    rig.bwd[eid as usize] = bwd;
-}
-
-/// Reachability expansion by one pruned DFS per source node.
+/// Reachability expansion by one DFS per source node. It reads neither the
+/// BFL index nor its interval labels, so it is an oracle independent of
+/// both the CSR build's probes and its early-termination cut.
 fn expand_reach_dfs(ctx: &SimContext<'_>, rig: &mut RefRig, eid: EdgeId, p: usize, q: usize) {
     let g = ctx.graph;
     let n = g.num_nodes();

@@ -1,11 +1,12 @@
-//! Randomized agreement between the two reachability-edge expansion modes
-//! (per-pair BFL with/without early termination, which shares one run per
-//! SCC, vs pruned DFS, which stores one run per source), and invariants of
-//! the RIG adjacency structure.
+//! Randomized agreement between the CSR RIG's reachability expansion
+//! (per-pair BFL probes with the interval cut, one run per SCC) and the
+//! reference RIG's per-source DFS, which uses neither the index nor the
+//! cut; and invariants of the RIG adjacency structure.
 
 use proptest::prelude::*;
 use rig_graph::{DataGraph, GraphBuilder};
-use rig_index::{build_rig, ReachExpandMode, Rig, RigOptions, SelectMode};
+use rig_index::reference::{build_reference_rig, RefRig};
+use rig_index::{build_rig, Rig, RigOptions, SelectMode};
 use rig_query::{EdgeKind, PatternQuery};
 use rig_reach::BflIndex;
 use rig_sim::SimContext;
@@ -45,37 +46,9 @@ proptest! {
     fn expansion_modes_agree((g, q) in setup_strategy()) {
         let bfl = BflIndex::new(&g);
         let ctx = SimContext::new(&g, &q, &bfl);
-        let base = build_rig(
-            &ctx,
-            &bfl,
-            &RigOptions {
-                reach_expand: ReachExpandMode::PrunedDfs,
-                ..RigOptions::exact()
-            },
-        );
-        for early in [false, true] {
-            let other = build_rig(
-                &ctx,
-                &bfl,
-                &RigOptions {
-                    reach_expand: ReachExpandMode::PairwiseBfl,
-                    early_termination: early,
-                    ..RigOptions::exact()
-                },
-            );
-            prop_assert_eq!(base.stats.node_count, other.stats.node_count);
-            prop_assert_eq!(base.stats.edge_count, other.stats.edge_count, "early={}", early);
-            for eid in 0..q.num_edges() as u32 {
-                let p = q.edge(eid).from as usize;
-                for u in base.cos(p).iter() {
-                    prop_assert_eq!(
-                        base.successors(eid, u).map(|s| s.to_vec()),
-                        other.successors(eid, u).map(|s| s.to_vec()),
-                        "edge {} source {} early={}", eid, u, early
-                    );
-                }
-            }
-        }
+        let opts = RigOptions::exact();
+        let rig = build_rig(&ctx, &bfl, &opts);
+        assert_matches_reference(&q, &build_reference_rig(&ctx, &opts), &rig, "exact")?;
     }
 
     /// Forward and backward RIG adjacency must mirror each other exactly.
@@ -170,34 +143,35 @@ fn blocks_strategy(cyclic: bool) -> impl Strategy<Value = (DataGraph, PatternQue
         })
 }
 
-/// Every local successor and predecessor run, and every edge count, of
-/// `shared` equals that of the per-source reference `base`.
-fn assert_same_runs(
+/// The CSR `rig` has the candidate sets, edge counts and per-node
+/// successor and predecessor sets of the per-source reference `base`.
+fn assert_matches_reference(
     q: &PatternQuery,
-    base: &Rig,
-    shared: &Rig,
+    base: &RefRig,
+    rig: &Rig,
     what: &str,
 ) -> Result<(), TestCaseError> {
-    prop_assert_eq!(base.stats.edge_count, shared.stats.edge_count, "{}", what);
+    for i in 0..q.num_nodes() {
+        prop_assert_eq!(base.cos[i].to_vec(), rig.cos(i).to_vec(), "{} cos({})", what, i);
+    }
+    prop_assert_eq!(base.stats.edge_count, rig.stats.edge_count, "{}", what);
     for eid in 0..q.num_edges() as u32 {
-        let (p, t) = base.edge_endpoints(eid);
-        prop_assert_eq!(base.candidates(p), shared.candidates(p), "{}", what);
-        prop_assert_eq!(base.candidates(t), shared.candidates(t), "{}", what);
-        prop_assert_eq!(base.edge_cardinality(eid), shared.edge_cardinality(eid), "{}", what);
-        for u in 0..base.candidates(p).len() as u32 {
+        let (p, t) = rig.edge_endpoints(eid);
+        prop_assert_eq!(base.edge_cardinality(eid), rig.edge_cardinality(eid), "{}", what);
+        for u in rig.cos(p).iter() {
             prop_assert_eq!(
-                base.successors_local(eid, u).list,
-                shared.successors_local(eid, u).list,
+                base.successors(eid, u).map(|s| s.to_vec()),
+                rig.successors(eid, u).map(|s| s.to_vec()),
                 "{} edge {} source {}",
                 what,
                 eid,
                 u
             );
         }
-        for v in 0..base.candidates(t).len() as u32 {
+        for v in rig.cos(t).iter() {
             prop_assert_eq!(
-                base.predecessors_local(eid, v).list,
-                shared.predecessors_local(eid, v).list,
+                base.predecessors(eid, v).map(|s| s.to_vec()),
+                rig.predecessors(eid, v).map(|s| s.to_vec()),
                 "{} edge {} target {}",
                 what,
                 eid,
@@ -218,20 +192,9 @@ fn assert_shared_runs_match_per_source(
     // a component; exact simulation is the configuration reads use.
     for select in [SelectMode::MatchSets, SelectMode::PrefilterThenSim] {
         let opts = RigOptions { select, ..RigOptions::exact() };
-        let base =
-            build_rig(&ctx, &bfl, &RigOptions { reach_expand: ReachExpandMode::PrunedDfs, ..opts });
-        for early in [false, true] {
-            let shared = build_rig(
-                &ctx,
-                &bfl,
-                &RigOptions {
-                    reach_expand: ReachExpandMode::PairwiseBfl,
-                    early_termination: early,
-                    ..opts
-                },
-            );
-            assert_same_runs(q, &base, &shared, &format!("{select:?} early={early}"))?;
-        }
+        let base = build_reference_rig(&ctx, &opts);
+        let shared = build_rig(&ctx, &bfl, &opts);
+        assert_matches_reference(q, &base, &shared, &format!("{select:?}"))?;
     }
     Ok(())
 }

@@ -272,7 +272,7 @@ impl<'c, 'a> Runner<'c, 'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DirectCheckMode, ReachCheckMode};
+    use crate::DirectCheckMode;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rig_graph::{DataGraph, GraphBuilder, NodeId};
@@ -362,24 +362,21 @@ mod tests {
             let ctx = SimContext::new(&g, &q, &reach);
             for algorithm in [SimAlgorithm::Basic, SimAlgorithm::Dag, SimAlgorithm::DagDelta] {
                 for direct_mode in [DirectCheckMode::BitBat, DirectCheckMode::BinSearch] {
-                    for reach_mode in [ReachCheckMode::BfsSets, ReachCheckMode::PairwiseIndex] {
-                        for change_flags in [false, true] {
-                            let opts = SimOptions {
-                                algorithm,
-                                direct_mode,
-                                reach_mode,
-                                max_passes: None,
-                                change_flags,
-                                ..Default::default()
-                            };
-                            let r = double_simulation(&ctx, &opts);
-                            for i in 0..q.num_nodes() {
-                                assert_eq!(
-                                    r.fb[i].to_vec(),
-                                    expect[i],
-                                    "seed={seed} node={i} {opts:?}"
-                                );
-                            }
+                    for change_flags in [false, true] {
+                        let opts = SimOptions {
+                            algorithm,
+                            direct_mode,
+                            max_passes: None,
+                            change_flags,
+                            ..Default::default()
+                        };
+                        let r = double_simulation(&ctx, &opts);
+                        for i in 0..q.num_nodes() {
+                            assert_eq!(
+                                r.fb[i].to_vec(),
+                                expect[i],
+                                "seed={seed} node={i} {opts:?}"
+                            );
                         }
                     }
                 }

@@ -6,7 +6,7 @@
 //! condition 3 symmetrically. Both return the set of nodes they pruned so
 //! callers can maintain change flags and traces.
 
-use crate::{DirectCheckMode, ReachCheckMode, SimContext, SimOptions};
+use crate::{DirectCheckMode, SimContext, SimOptions};
 use rig_bitset::Bitset;
 use rig_graph::{GraphView, NodeId};
 use rig_query::{EdgeId, EdgeKind};
@@ -67,20 +67,15 @@ pub fn forward_prune_edge(
                 })
             }
         },
-        EdgeKind::Reachability => match opts.reach_mode {
-            ReachCheckMode::BfsSets => match ctx.condensation() {
-                Some(cond) => {
-                    let qualified = cond.ancestors_of_set(&fb[qj]);
-                    shrink_to_members(&mut fb[qi], |v| qualified.contains(v))
-                }
-                None => {
-                    let qualified = ancestors_of_set(ctx.graph, &fb[qj]);
-                    shrink_to_members(&mut fb[qi], |v| qualified.contains(v))
-                }
-            },
-            ReachCheckMode::PairwiseIndex => {
-                let keep = fb[qj].clone();
-                shrink_to_members(&mut fb[qi], |v| keep.iter().any(|w| ctx.reach.reaches(v, w)))
+        // v survives iff it is an ancestor of some member of FB(qj)
+        EdgeKind::Reachability => match ctx.condensation() {
+            Some(cond) => {
+                let qualified = cond.ancestors_of_set(&fb[qj]);
+                shrink_to_members(&mut fb[qi], |v| qualified.contains(v))
+            }
+            None => {
+                let qualified = ancestors_of_set(ctx.graph, &fb[qj]);
+                shrink_to_members(&mut fb[qi], |v| qualified.contains(v))
             }
         },
     }
@@ -118,20 +113,14 @@ pub fn backward_prune_edge(
                 })
             }
         },
-        EdgeKind::Reachability => match opts.reach_mode {
-            ReachCheckMode::BfsSets => match ctx.condensation() {
-                Some(cond) => {
-                    let qualified = cond.descendants_of_set(&fb[qi]);
-                    shrink_to_members(&mut fb[qj], |v| qualified.contains(v))
-                }
-                None => {
-                    let qualified = descendants_of_set(ctx.graph, &fb[qi]);
-                    shrink_to_members(&mut fb[qj], |v| qualified.contains(v))
-                }
-            },
-            ReachCheckMode::PairwiseIndex => {
-                let keep = fb[qi].clone();
-                shrink_to_members(&mut fb[qj], |v| keep.iter().any(|u| ctx.reach.reaches(u, v)))
+        EdgeKind::Reachability => match ctx.condensation() {
+            Some(cond) => {
+                let qualified = cond.descendants_of_set(&fb[qi]);
+                shrink_to_members(&mut fb[qj], |v| qualified.contains(v))
+            }
+            None => {
+                let qualified = descendants_of_set(ctx.graph, &fb[qi]);
+                shrink_to_members(&mut fb[qj], |v| qualified.contains(v))
             }
         },
     }
@@ -153,9 +142,10 @@ fn shrink_to_members(set: &mut Bitset, mut member: impl FnMut(NodeId) -> bool) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rig_graph::GraphBuilder;
+    use rig_graph::{CommitImpact, DeltaOverlay, GraphBuilder, LabelSpec, MutationOp, Snapshot};
     use rig_query::{EdgeKind, PatternQuery};
     use rig_reach::BflIndex;
+    use std::sync::Arc;
 
     fn chain_graph() -> rig_graph::DataGraph {
         // 0:a -> 1:b -> 2:c ; 3:a (no children) ; 4:b (no c below)
@@ -209,20 +199,28 @@ mod tests {
         }
     }
 
+    /// The reachability check sweeps the condensation on a clean view and
+    /// the data graph on a dirty one; both must prune the same nodes.
     #[test]
     fn reachability_prune_both_modes_agree() {
-        let g = chain_graph();
+        let g = Arc::new(chain_graph());
         let mut q = PatternQuery::new(vec![0, 2]); // A ⇝ C
         q.add_edge(0, 1, EdgeKind::Reachability);
         let reach = BflIndex::new(&g);
-        let ctx = SimContext::new(&g, &q, &reach);
-        for mode in [ReachCheckMode::PairwiseIndex, ReachCheckMode::BfsSets] {
-            let opts = SimOptions { reach_mode: mode, ..SimOptions::default() };
+        // an isolated node of an unused label makes the view dirty without
+        // changing any answer
+        let mut delta = DeltaOverlay::new(Arc::clone(&g));
+        delta.apply(&MutationOp::AddNode(LabelSpec::Id(7)), &mut CommitImpact::default()).unwrap();
+        let dirty = Snapshot::new(Arc::new(delta), 1);
+        for view in [GraphView::from(&*g), GraphView::from(&dirty)] {
+            let ctx = SimContext::new(view, &q, &reach);
+            assert_eq!(ctx.condensation().is_some(), !view.is_dirty());
+            let opts = SimOptions::default();
             let mut fb = ctx.match_sets();
             let fp = forward_prune_edge(&ctx, &mut fb, 0, &opts);
-            assert_eq!(fp, vec![3], "{mode:?}"); // node 3 reaches nothing
+            assert_eq!(fp, vec![3], "dirty={}", view.is_dirty()); // node 3 reaches nothing
             let bp = backward_prune_edge(&ctx, &mut fb, 0, &opts);
-            assert!(bp.is_empty(), "{mode:?}");
+            assert!(bp.is_empty(), "dirty={}", view.is_dirty());
             assert_eq!(fb[0].to_vec(), vec![0]);
             assert_eq!(fb[1].to_vec(), vec![2]);
         }

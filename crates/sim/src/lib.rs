@@ -22,8 +22,14 @@
 //!
 //! Orthogonal knobs reproduce the §7.4 ablations: the direct-edge check
 //! implementation ([`DirectCheckMode`]: `binSearch` / `bitIter` / `bitBat`,
-//! Fig. 12a), the reachability-edge check ([`ReachCheckMode`]), change-flag
-//! pass skipping (`DagMap`, Fig. 12b) and the N-pass approximation of §4.5.
+//! Fig. 12a), change-flag pass skipping (`DagMap`, Fig. 12b) and the N-pass
+//! approximation of §4.5. The reachability-edge check has one
+//! implementation: one multi-source sweep per (edge, direction) that keeps
+//! the candidates in the ancestor/descendant set of the other side's
+//! candidates. On a clean view it sweeps the condensation DAG of `reach`
+//! ([`Condensation::ancestors_of_set`]); on a dirty view it sweeps the
+//! data graph itself ([`rig_reach::ancestors_of_set`]) and never probes
+//! `reach`.
 
 mod algorithms;
 mod checks;
@@ -42,13 +48,13 @@ use rig_reach::{Condensation, Reachability};
 ///
 /// The graph is a [`GraphView`] — the immutable base CSR or a delta
 /// [`rig_graph::Snapshot`] — so the same simulation code prunes over a
-/// frozen graph and over an uncompacted overlay. When the view is a dirty
-/// snapshot, `reach` must be a delta-aware oracle (e.g.
-/// [`rig_reach::SnapshotReach`]), never the base-only BFL index.
+/// frozen graph and over an uncompacted overlay.
 ///
-/// The [`ReachCheckMode::BfsSets`] checks sweep the condensation of
-/// `reach` ([`rig_reach::Reachability::condensation`]) when it has one and
-/// the view is clean; otherwise they sweep the data graph itself.
+/// The reachability checks sweep the condensation of `reach`
+/// ([`rig_reach::Reachability::condensation`]) when it has one and the view
+/// is clean; otherwise they sweep the data graph itself. On a dirty view no
+/// check probes `reach` (nor does RIG expansion, which walks the view's
+/// adjacency too), so a base-only index cannot leak stale answers there.
 pub struct SimContext<'a> {
     pub graph: GraphView<'a>,
     pub query: &'a PatternQuery,
@@ -118,23 +124,11 @@ pub enum DirectCheckMode {
     BitBat,
 }
 
-/// Implementation of the reachability-edge check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReachCheckMode {
-    /// Per candidate pair, probe the reachability index (BFL).
-    PairwiseIndex,
-    /// One multi-source sweep per (edge, direction): intersect with the
-    /// ancestor/descendant set of the other side's candidates. The sweep
-    /// runs on the condensation DAG when [`SimContext`] has one.
-    BfsSets,
-}
-
 /// Tuning options for [`double_simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimOptions {
     pub algorithm: SimAlgorithm,
     pub direct_mode: DirectCheckMode,
-    pub reach_mode: ReachCheckMode,
     /// Stop after this many passes even if not yet stable (the §4.5
     /// approximation; the paper fixes N = 3 in its evaluation). `None`
     /// runs to fixpoint.
@@ -156,7 +150,6 @@ impl Default for SimOptions {
         SimOptions {
             algorithm: SimAlgorithm::DagDelta,
             direct_mode: DirectCheckMode::BitBat,
-            reach_mode: ReachCheckMode::BfsSets,
             max_passes: None,
             change_flags: true,
             trace: false,
@@ -255,17 +248,14 @@ mod tests {
             for direct_mode in
                 [DirectCheckMode::BinSearch, DirectCheckMode::BitIter, DirectCheckMode::BitBat]
             {
-                for reach_mode in [ReachCheckMode::PairwiseIndex, ReachCheckMode::BfsSets] {
-                    for change_flags in [false, true] {
-                        out.push(SimOptions {
-                            algorithm,
-                            direct_mode,
-                            reach_mode,
-                            max_passes: None,
-                            change_flags,
-                            ..Default::default()
-                        });
-                    }
+                for change_flags in [false, true] {
+                    out.push(SimOptions {
+                        algorithm,
+                        direct_mode,
+                        max_passes: None,
+                        change_flags,
+                        ..Default::default()
+                    });
                 }
             }
         }
