@@ -114,6 +114,15 @@ if [[ "${1:-}" != "quick" ]]; then
     grep -q '^v 4 0$' "${cli_tmp}/chord2.txt"
     grep -q '^e 3 2$' "${cli_tmp}/chord2.txt"
     [[ "$(run_cli "${cli_tmp}/chord2.txt" --count --query "${chord_q}")" == "12" ]]
+    # a cyclic --factorized count over cycle.txt, whose Papers form one
+    # SCC, so the DP's conditioning loop sums shared reachability runs; it
+    # must equal the enumerated count (a --limit routes --count to MJoin)
+    cyc_q='MATCH (p:Paper)=>(q:Paper)=>(r:Paper), (r)->(p)'
+    cyc_out="$(run_cli "${cli_tmp}/cycle.txt" --factorized --query "${cyc_q}")"
+    grep -q 'shape:       cyclic' <<< "${cyc_out}"
+    cyc_enum="$(run_cli "${cli_tmp}/cycle.txt" --count --limit 1000000 --query "${cyc_q}")"
+    [[ "${cyc_enum}" == "9" ]]
+    grep -q "^count:       ${cyc_enum}\$" <<< "${cyc_out}"
     # durable store: seed from the graph file, write commits ahead to the
     # WAL, inspect recovery, then query the recovered store (once a store
     # exists, --data-dir is authoritative and the graph file is ignored)
@@ -135,7 +144,7 @@ if [[ "${1:-}" != "quick" ]]; then
         cargo run -q --release --example "${example}" > /dev/null
     done
 
-    step "paper harness smoke (fig9, fig12, fig13, fig15; fig12 checks its ablation agrees, fig15 that reduction keeps every answer)"
+    step "paper harness smoke (fig9, fig12, fig13, fig15; fig9 checks GM's finished counts against the DP, TM and JM, fig12 that its ablation agrees, fig15 that reduction keeps every answer)"
     for fig in fig9 fig12 fig13 fig15; do
         cargo run -q --release -p rig_bench --bin "${fig}" -- \
             --scale 0.005 --timeout 2 --limit 100000 > /dev/null

@@ -7,7 +7,10 @@
 //! shaped** (undirected cycle rank 0), the answer set is *exactly* the set
 //! of tuples consistent with every RIG edge, and its cardinality can be
 //! computed by a bottom-up dynamic program over subtree counts — linear in
-//! RIG size, with no tuple materialization.
+//! the stored adjacency runs plus the candidates, with no tuple
+//! materialization. A reachability edge stores one run per source SCC, and
+//! every DP loop sums or scans such a shared run once per pass, memoized
+//! by its run index ([`Rig::run_id`]), not once per candidate reading it.
 //!
 //! Cyclic queries are handled by **conditional re-expansion**: a BFS
 //! spanning tree of the query is computed, the non-tree ("cyclic") edges
@@ -38,7 +41,7 @@
 //! [`DpCount::total`] reports `None` when the exact value would have
 //! overflowed, letting callers fall back to enumeration.
 //!
-//! All scratch (count arrays, cursors, bindings) is allocated in
+//! All scratch (count arrays, run memos, cursors, bindings) is allocated in
 //! [`Factorization::new`]; the counting entry points are **allocation-free
 //! in steady state** (see `tests/alloc_factorized.rs`).
 
@@ -150,11 +153,70 @@ impl FactorizationShape {
 ///
 /// The same struct encodes forest parent/child links, where the anchor of
 /// a *child* link is the current node itself (see [`Factorization`]).
+/// `shared` is set when some anchors of the link share one stored run, so
+/// that a sum over a run is worth memoizing (see [`RunMemo`]).
 #[derive(Debug, Clone, Copy)]
 struct Check {
     eid: EdgeId,
     pos: usize,
     fwd: bool,
+    shared: bool,
+}
+
+impl Check {
+    fn new(rig: &Rig, eid: EdgeId, pos: usize, fwd: bool) -> Check {
+        let (from, to) = rig.edge_endpoints(eid);
+        let anchors = rig.candidates(if fwd { from } else { to }).len();
+        Check { eid, pos, fwd, shared: rig.num_runs(eid, fwd) < anchors }
+    }
+}
+
+/// Per-position memo over stored run ids: on a link that shares runs
+/// (every source of one SCC reads the same reachability run), a DP sum
+/// over a run is computed once per (pass, position) and looked up for
+/// every later anchor reading the same run. An entry is valid when its
+/// stamp equals `now`; [`RunMemo::renew`] invalidates all entries in O(1).
+struct RunMemo {
+    stamp: Vec<u32>,
+    val: Vec<u128>,
+    now: u32,
+}
+
+impl RunMemo {
+    fn new(runs: usize) -> RunMemo {
+        RunMemo { stamp: vec![0; runs], val: vec![0; runs], now: 0 }
+    }
+
+    /// Takes a fresh epoch, resetting the stamps on wraparound so a stale
+    /// stamp can never collide with a live epoch.
+    fn renew(&mut self) {
+        if self.now == u32::MAX {
+            self.now = 0;
+            self.stamp.fill(0);
+        }
+        self.now += 1;
+    }
+
+    /// `f` of the run `link` reads from `anchor`: memoized by run id in
+    /// this epoch when the link shares runs, computed directly otherwise.
+    #[inline]
+    fn run(
+        &mut self,
+        rig: &Rig,
+        link: &Check,
+        anchor: u32,
+        f: impl FnOnce(&[u32]) -> u128,
+    ) -> u128 {
+        if !link.shared {
+            return f(run_from(rig, link.eid, anchor, link.fwd).list);
+        }
+        let r = rig.run_id(link.eid, anchor, link.fwd) as usize;
+        if self.stamp[r] != self.now {
+            self.val[r] = f(run_from(rig, link.eid, anchor, link.fwd).list);
+            self.stamp[r] = self.now;
+        }
+        self.val[r]
+    }
 }
 
 /// Exact DP count. `total` is `None` when u128 arithmetic saturated —
@@ -184,6 +246,16 @@ fn sat_mul(a: u128, b: u128, of: &mut bool) -> u128 {
         *of = true;
         u128::MAX
     })
+}
+
+/// Saturating sum of `counts` over the local ids in `list`.
+#[inline]
+fn sum_over(list: &[u32], counts: &[u128], of: &mut bool) -> u128 {
+    let mut s = 0u128;
+    for &c in list {
+        s = sat_add(s, counts[c as usize], of);
+    }
+    s
 }
 
 #[inline]
@@ -240,6 +312,12 @@ pub struct Factorization<'q, 'r> {
     /// growth).
     stamped: Vec<Vec<u32>>,
     epoch: u32,
+    /// Per free position: run sums over its shared links (the parent link
+    /// and its S-anchored checks), sized to their largest stored-run
+    /// count; empty when no such link shares runs. A binding-independent
+    /// position's entries stay valid from the dense pass through every
+    /// sparse pass of one conditioning loop.
+    memo: Vec<RunMemo>,
     /// Conditioned zone: per S position, a binding-independent candidate
     /// filter (`false` = provably contributes to no answer, skipped by
     /// the conditioning enumeration). All-true until
@@ -319,8 +397,8 @@ impl<'q, 'r> Factorization<'q, 'r> {
                     if in_tree[e as usize] && !is_cond[vi] && !placed[vi] {
                         placed[vi] = true;
                         pos_of[vi] = order.len();
-                        parent[order.len()] = Some(Check { eid: e, pos: upos, fwd: out });
-                        children[upos].push(Check { eid: e, pos: order.len(), fwd: out });
+                        parent[order.len()] = Some(Check::new(rig, e, upos, out));
+                        children[upos].push(Check::new(rig, e, order.len(), out));
                         order.push(v);
                     }
                 }
@@ -336,7 +414,7 @@ impl<'q, 'r> Factorization<'q, 'r> {
                 // at least one conditioned endpoint: probe at the later
                 // position, anchored at the earlier one
                 let (late, early, fwd) = if pf < pt { (pt, pf, true) } else { (pf, pt, false) };
-                checks[late].push(Check { eid: ei as EdgeId, pos: early, fwd });
+                checks[late].push(Check::new(rig, ei as EdgeId, early, fwd));
             } else {
                 // both free: must be a forest parent/child link
                 debug_assert!(
@@ -378,6 +456,13 @@ impl<'q, 'r> Factorization<'q, 'r> {
                 }
             })
             .collect();
+        let memo: Vec<RunMemo> = (0..n)
+            .map(|p| {
+                let links = parent[p].iter().chain(if p >= s_len { &checks[p][..] } else { &[] });
+                let runs = links.filter(|l| l.shared).map(|l| rig.num_runs(l.eid, l.fwd)).max();
+                RunMemo::new(runs.unwrap_or(0))
+            })
+            .collect();
         let s_support: Vec<Vec<bool>> = (0..n)
             .map(|p| {
                 if p < s_len {
@@ -403,6 +488,7 @@ impl<'q, 'r> Factorization<'q, 'r> {
             stamp,
             stamped,
             epoch: 0,
+            memo,
             s_support,
             support_ready: false,
             binding: vec![0; n],
@@ -485,19 +571,20 @@ impl<'q, 'r> Factorization<'q, 'r> {
     /// raised on overflow (zero/non-zero stays exact).
     fn potential_forest_dp(&mut self, of: &mut bool) {
         let n = self.order.len();
+        let rig = self.rig;
         for pos in (self.s_len..n).rev() {
             let (head, tail) = self.counts.split_at_mut(pos + 1);
-            let cur = &mut head[pos];
-            let rig = self.rig;
-            for (c, slot) in cur.iter_mut().enumerate() {
+            let memo_tail = &mut self.memo[pos + 1..];
+            let children = &self.children[pos];
+            for ch in children {
+                memo_tail[ch.pos - pos - 1].renew();
+            }
+            for (c, slot) in head[pos].iter_mut().enumerate() {
                 let mut acc = 1u128;
-                for ch in &self.children[pos] {
-                    let run = run_from(rig, ch.eid, c as u32, ch.fwd);
+                for ch in children {
                     let child_counts = &tail[ch.pos - pos - 1];
-                    let mut s = 0u128;
-                    for &c2 in run.list {
-                        s = sat_add(s, child_counts[c2 as usize], of);
-                    }
+                    let s = memo_tail[ch.pos - pos - 1]
+                        .run(rig, ch, c as u32, |list| sum_over(list, child_counts, of));
                     if s == 0 {
                         acc = 0;
                         break;
@@ -514,20 +601,21 @@ impl<'q, 'r> Factorization<'q, 'r> {
     /// conditioning candidate anchoring a free-zone check whose run holds
     /// no candidate with positive potential can never contribute, so the
     /// conditioning enumeration skips it. Binding-independent, hence
-    /// computed once per factorization.
+    /// computed once per factorization. A shared check run is scanned once,
+    /// its verdict memoized by run id.
     fn compute_support(&mut self) {
         let n = self.order.len();
         for p in self.s_len..n {
+            let memo = &mut self.memo[p];
+            let potential = &self.counts[p];
             for ch in &self.checks[p] {
-                let sup = &mut self.s_support[ch.pos];
-                let potential = &self.counts[p];
-                for (x, live) in sup.iter_mut().enumerate() {
-                    if !*live {
-                        continue;
-                    }
-                    let run = run_from(self.rig, ch.eid, x as u32, ch.fwd);
-                    if !run.list.iter().any(|&c| potential[c as usize] > 0) {
-                        *live = false;
+                memo.renew();
+                for (x, live) in self.s_support[ch.pos].iter_mut().enumerate() {
+                    if *live {
+                        let any = memo.run(self.rig, ch, x as u32, |list| {
+                            list.iter().any(|&c| potential[c as usize] > 0).into()
+                        });
+                        *live = any > 0;
                     }
                 }
             }
@@ -555,9 +643,12 @@ impl<'q, 'r> Factorization<'q, 'r> {
     /// reverse runs of a dependent child's nonzero candidates (everything
     /// else is zero by the product rule). Cost is proportional to the
     /// *live* part of the answer graph for this binding, not the RIG.
-    /// Returns the product of the dependent component totals times
-    /// `base_factor` (the precomputed product of independent component
-    /// totals — see [`Self::base_factor`]).
+    /// Sums over a dependent child's shared runs are memoized per pass:
+    /// the child's stamps and counts are fixed while this position is
+    /// evaluated. A binding-independent child's memo carries over from the
+    /// dense pass. Returns the product of the dependent component totals
+    /// times `base_factor` (the precomputed product of independent
+    /// component totals — see [`Self::base_factor`]).
     fn sparse_pass(&mut self, base_factor: u128, of: &mut bool) -> u128 {
         let e = self.next_epoch();
         let n = self.order.len();
@@ -573,28 +664,33 @@ impl<'q, 'r> Factorization<'q, 'r> {
             let cur_stamp = &mut s_head[pos];
             let cur_stamped = &mut f_head[pos];
             cur_stamped.clear();
+            let memo_tail = &mut self.memo[pos + 1..];
             let children = &self.children[pos];
             let s_dep = &self.s_dep;
+            for ch in children.iter().filter(|ch| s_dep[ch.pos]) {
+                memo_tail[ch.pos - pos - 1].renew();
+            }
             // product of child-subtree sums for one candidate, reading
             // dependent children through this epoch's stamps
-            let eval = |cand: u32, of: &mut bool| {
+            let mut eval = |cand: u32, of: &mut bool| {
                 let mut acc = 1u128;
                 for ch in children {
-                    let run = run_from(rig, ch.eid, cand, ch.fwd);
                     let child_counts = &c_tail[ch.pos - pos - 1];
-                    let mut s = 0u128;
-                    if s_dep[ch.pos] {
+                    let memo = &mut memo_tail[ch.pos - pos - 1];
+                    let s = if s_dep[ch.pos] {
                         let child_stamp = &s_tail[ch.pos - pos - 1];
-                        for &c2 in run.list {
-                            if child_stamp[c2 as usize] == e {
-                                s = sat_add(s, child_counts[c2 as usize], of);
+                        memo.run(rig, ch, cand, |list| {
+                            let mut s = 0u128;
+                            for &c2 in list {
+                                if child_stamp[c2 as usize] == e {
+                                    s = sat_add(s, child_counts[c2 as usize], of);
+                                }
                             }
-                        }
+                            s
+                        })
                     } else {
-                        for &c2 in run.list {
-                            s = sat_add(s, child_counts[c2 as usize], of);
-                        }
-                    }
+                        memo.run(rig, ch, cand, |list| sum_over(list, child_counts, of))
+                    };
                     if s == 0 {
                         return 0;
                     }
@@ -838,7 +934,9 @@ impl<'q, 'r> Factorization<'q, 'r> {
         let n = self.order.len();
         let mut part: Vec<Vec<bool>> = (0..n).map(|p| vec![false; self.cand_len(p)]).collect();
         let mut above: Vec<Vec<bool>> = (0..n).map(|p| vec![false; self.cand_len(p)]).collect();
-        let dp = self.condition(|f| f.mark_participation(&mut part, &mut above));
+        let mut seen: Vec<RunMemo> =
+            self.memo.iter().map(|m| RunMemo::new(m.stamp.len())).collect();
+        let dp = self.condition(|f| f.mark_participation(&mut part, &mut above, &mut seen));
         if dp.timed_out {
             return None;
         }
@@ -860,8 +958,14 @@ impl<'q, 'r> Factorization<'q, 'r> {
     /// Marks, for the current (positive-total) conditioning binding, every
     /// candidate that participates in some answer: conditioned bindings
     /// directly, free candidates via a parents-first reachability pass
-    /// over positive DP counts.
-    fn mark_participation(&self, part: &mut [Vec<bool>], above: &mut [Vec<bool>]) {
+    /// over positive DP counts. Marking is idempotent, so a shared parent
+    /// run is marked once per position (`seen` memoizes run ids).
+    fn mark_participation(
+        &self,
+        part: &mut [Vec<bool>],
+        above: &mut [Vec<bool>],
+        seen: &mut [RunMemo],
+    ) {
         let n = self.order.len();
         for pos in 0..self.s_len {
             part[pos][self.binding[pos] as usize] = true;
@@ -879,16 +983,19 @@ impl<'q, 'r> Factorization<'q, 'r> {
                     }
                     let (pa, rest) = above.split_at_mut(pos);
                     let cur = &mut rest[0];
+                    seen[pos].renew();
                     for (cp, &ok) in pa[p.pos].iter().enumerate() {
                         if !ok {
                             continue;
                         }
-                        let run = run_from(self.rig, p.eid, cp as u32, p.fwd);
-                        for &c2 in run.list {
-                            if self.positive(pos, c2 as usize) {
-                                cur[c2 as usize] = true;
+                        seen[pos].run(self.rig, &p, cp as u32, |list| {
+                            for &c2 in list {
+                                if self.positive(pos, c2 as usize) {
+                                    cur[c2 as usize] = true;
+                                }
                             }
-                        }
+                            0
+                        });
                     }
                 }
             }

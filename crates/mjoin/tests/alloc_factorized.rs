@@ -4,6 +4,9 @@
 //! the DP runs entirely in the scratch buffers sized at construction time.
 //! Same counting-global-allocator harness as `alloc_steady.rs` (own test
 //! binary so the counter sees every allocation in the process).
+//!
+//! The dense graph's reachability edges share runs, so the window also
+//! covers the DP's per-run memo.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,7 +46,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Dense one-label graph so every query below has a large answer count.
+/// Dense one-label graph so every query below has a large answer count
+/// (and, being mostly one SCC, reachability runs shared between sources).
 fn dense_graph() -> rig_graph::DataGraph {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -86,6 +90,11 @@ fn repeated_dp_counts_do_not_allocate() {
         let ctx = SimContext::new(&g, q, &bfl);
         let rig = build_rig(&ctx, &bfl, &RigOptions::default());
         assert!(!rig.is_empty(), "workload query {qi} must have matches");
+        let shared = q.edges().iter().enumerate().any(|(eid, e)| {
+            rig.num_runs(eid as u32, true) < rig.cos_len(e.from) as usize
+                || rig.num_runs(eid as u32, false) < rig.cos_len(e.to) as usize
+        });
+        assert!(shared, "query {qi}: some RIG edge must share a run");
 
         let mut f = Factorization::new(q, &rig);
         if qi == 1 {

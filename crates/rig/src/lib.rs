@@ -442,6 +442,32 @@ impl Rig {
         self.bwd[eid as usize].run(v_local)
     }
 
+    /// Index of the stored run that local id `local` reads across query
+    /// edge `eid` (`fwd`: its successor run, else its predecessor run).
+    /// Sources that share a run get the same index; on an edge with one
+    /// run per source (direct edges, reachability over a DAG) the index is
+    /// `local` itself. Indexes lie in `0..num_runs(eid, fwd)`.
+    #[inline]
+    pub fn run_id(&self, eid: EdgeId, local: u32, fwd: bool) -> u32 {
+        self.dir(eid, fwd).run_index(local as usize) as u32
+    }
+
+    /// Number of stored runs of query edge `eid` in one direction. Less
+    /// than the source side's candidate count iff some sources share a
+    /// run.
+    pub fn num_runs(&self, eid: EdgeId, fwd: bool) -> usize {
+        self.dir(eid, fwd).n_runs()
+    }
+
+    #[inline]
+    fn dir(&self, eid: EdgeId, fwd: bool) -> &CsrDir {
+        if fwd {
+            &self.fwd[eid as usize]
+        } else {
+            &self.bwd[eid as usize]
+        }
+    }
+
     /// Query-node endpoints `(from, to)` of query edge `eid`.
     #[inline]
     pub fn edge_endpoints(&self, eid: EdgeId) -> (usize, usize) {
@@ -1149,6 +1175,9 @@ mod tests {
             let rig = one_scc_rig(n, m);
             assert_eq!((rig.fwd[0].n_runs(), rig.fwd[0].n_sources()), (1, n as usize));
             assert_eq!((rig.bwd[0].n_runs(), rig.bwd[0].n_sources()), (1, m as usize));
+            assert_eq!((rig.num_runs(0, true), rig.num_runs(0, false)), (1, 1));
+            assert!((0..n).all(|u| rig.run_id(0, u, true) == 0));
+            assert!((0..m).all(|v| rig.run_id(0, v, false) == 0));
             assert_eq!(rig.fwd[0].targets.len(), m as usize);
             assert_eq!(rig.bwd[0].targets.len(), n as usize);
             assert_eq!(rig.edge_cardinality(0), u64::from(n * m));
@@ -1186,6 +1215,10 @@ mod tests {
         for dir in [&rig.fwd[0], &rig.bwd[0]] {
             assert!(dir.run_of.is_empty());
             assert_eq!(dir.n_runs(), k as usize);
+        }
+        for fwd in [true, false] {
+            assert_eq!(rig.num_runs(0, fwd), k as usize);
+            assert!((0..k).all(|l| rig.run_id(0, l, fwd) == l));
         }
         assert_eq!(rig.successors_local(0, 2).list, &[2, 3, 4, 5]);
         assert_eq!(rig.predecessors_local(0, 2).list, &[0, 1, 2]);
