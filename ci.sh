@@ -144,8 +144,8 @@ if [[ "${1:-}" != "quick" ]]; then
         cargo run -q --release --example "${example}" > /dev/null
     done
 
-    step "paper harness smoke (fig9, fig12, fig13, fig15; fig9 checks GM's finished counts against the DP, TM and JM, fig12 that its ablation agrees, fig15 that reduction keeps every answer)"
-    for fig in fig9 fig12 fig13 fig15; do
+    step "paper harness smoke (fig9, fig12, fig13, fig15, fig17, table4; fig9 checks GM's finished counts against the DP, TM and JM, fig12 that its ablation agrees, fig15 that reduction keeps every answer, fig17 and table4 that search orders and RM agree)"
+    for fig in fig9 fig12 fig13 fig15 fig17 table4; do
         cargo run -q --release -p rig_bench --bin "${fig}" -- \
             --scale 0.005 --timeout 2 --limit 100000 > /dev/null
     done

@@ -5,9 +5,13 @@
 //! Expected shape: GM-JO best on dense query sets, GM-RI best on sparse
 //! ones (cardinality differences vanish on sparse queries, §7.5), RM in
 //! between.
+//!
+//! The engines must agree: the binary panics unless GM-JO, GM-RI and RM
+//! give the same count for every query all three finished under the match
+//! cap, and prints how many queries it compared.
 
 use rig_baselines::{Engine, GmEngine, RmLike};
-use rig_bench::{load, Args, Table};
+use rig_bench::{check_agreement, load, Args, Table};
 use rig_core::GmConfig;
 use rig_mjoin::{EnumOptions, SearchOrder};
 use rig_query::{random_query, Flavor, GeneratorConfig};
@@ -46,6 +50,7 @@ fn main() {
     );
     let rm = RmLike::new(&g);
 
+    let mut compared = 0usize;
     for dense in [true, false] {
         let mut table = Table::new(&["size", "GM-JO", "GM-RI", "RM"]);
         for n in [8usize, 12, 16, 20] {
@@ -58,9 +63,13 @@ fn main() {
                 }
                 let Some(q) = random_query(&g, &cfg) else { continue };
                 runs += 1;
-                sums[0] += gm_jo.evaluate(&q, &budget).secs();
-                sums[1] += gm_ri.evaluate(&q, &budget).secs();
-                sums[2] += rm.evaluate(&q, &budget).secs();
+                let reports = [&gm_jo as &dyn Engine, &gm_ri, &rm].map(|e| e.evaluate(&q, &budget));
+                let kind = if dense { "dense" } else { "sparse" };
+                let cell = format!("{kind} {n}N rep {rep}");
+                compared += usize::from(check_agreement(&cell, &budget, &reports.each_ref()));
+                for (sum, r) in sums.iter_mut().zip(&reports) {
+                    *sum += r.secs();
+                }
             }
             if runs == 0 {
                 continue;
@@ -75,4 +84,5 @@ fn main() {
         let kind = if dense { "dense" } else { "sparse" };
         table.print(&format!("Fig. 17 ({kind} query sets on Human): mean time [s]"));
     }
+    println!("# counts: GM-JO = GM-RI = RM in {compared} query(s)");
 }

@@ -11,8 +11,8 @@
 //! many cells it compared.
 
 use rig_baselines::{Budget, Engine, GmEngine, Jm, Tm};
-use rig_bench::{load, random_queries, template_query_probed, Args, Table};
-use rig_core::{GmConfig, RunReport, RunStatus};
+use rig_bench::{finished, load, random_queries, template_query_probed, Args, Table};
+use rig_core::{GmConfig, RunReport};
 use rig_mjoin::EnumOptions;
 use rig_query::{Flavor, PatternQuery};
 
@@ -26,10 +26,6 @@ fn iso_config(budget: &Budget) -> GmConfig {
         },
         ..Default::default()
     }
-}
-
-fn finished(r: &RunReport, budget: &Budget) -> bool {
-    r.status == RunStatus::Completed && budget.match_limit.is_none_or(|cap| r.occurrences < cap)
 }
 
 /// Checks one cell's counts (see the module docs). Returns whether the

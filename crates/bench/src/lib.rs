@@ -20,7 +20,7 @@
 use std::time::Duration;
 
 use rig_baselines::Budget;
-use rig_core::Session;
+use rig_core::{RunReport, RunStatus, Session};
 use rig_datasets::spec;
 use rig_graph::DataGraph;
 use rig_query::{random_query, template, Flavor, GeneratorConfig, PatternQuery};
@@ -200,6 +200,30 @@ impl Table {
             println!("{}", fmt_row(row));
         }
     }
+}
+
+/// True iff `r` completed under the budget's match cap, so its count is
+/// the whole answer.
+pub fn finished(r: &RunReport, budget: &Budget) -> bool {
+    r.status == RunStatus::Completed && budget.match_limit.is_none_or(|cap| r.occurrences < cap)
+}
+
+/// Panics unless the engines of one cell agree on the answer's size when
+/// every one of them finished (see [`finished`]). Returns whether the cell
+/// was compared.
+pub fn check_agreement(cell: &str, budget: &Budget, reports: &[&RunReport]) -> bool {
+    let Some((first, rest)) = reports.split_first() else { return false };
+    if !reports.iter().all(|r| finished(r, budget)) {
+        return false;
+    }
+    for r in rest {
+        assert_eq!(
+            r.occurrences, first.occurrences,
+            "{cell}: {} disagrees with {}",
+            r.engine, first.engine
+        );
+    }
+    true
 }
 
 /// Seconds with millisecond precision, for table cells.

@@ -18,8 +18,7 @@ use std::time::{Duration, Instant};
 use rig_graph::{Label, NodeId};
 use rig_index::{Rig, RigStats};
 use rig_mjoin::{
-    compute_order, CollectSink, CountSink, EnumOptions, EnumResult, ParOptions, ResultSink,
-    SearchOrder,
+    CollectSink, CountSink, EnumOptions, EnumResult, ParOptions, Plan, ResultSink, SearchOrder,
 };
 use rig_query::{hpql, PatternQuery, QNode};
 
@@ -327,10 +326,12 @@ impl<'a, 's> Run<'a, 's> {
     pub fn explain(self) -> Explain {
         let prepared = self.prepared;
         let (rig, from_cache) = prepared.session.rig_for(prepared, self.use_cache, None);
-        let order = if rig.is_empty() {
-            Vec::new()
+        let (order, memo_split) = if rig.is_empty() {
+            (Vec::new(), None)
         } else {
-            compute_order(&prepared.exec, &rig, self.opts.order)
+            let plan = Plan::new(&prepared.exec, &rig, &self.opts);
+            let split = plan.memo_split();
+            (plan.order, split)
         };
         let count_strategy =
             crate::factorized::strategy(&prepared.exec, &self.opts, self.force_enumerate);
@@ -343,6 +344,7 @@ impl<'a, 's> Run<'a, 's> {
             empty_answer: rig.is_empty(),
             order_kind: self.opts.order,
             order,
+            memo_split,
             vars: prepared.vars.clone(),
             count_strategy,
         }
@@ -432,6 +434,10 @@ pub struct Explain {
     pub order_kind: SearchOrder,
     /// The concrete node order (empty when `empty_answer`).
     pub order: Vec<QNode>,
+    /// MJoin's memo split: the search position from which it replays the
+    /// suffix `order[split..]` while the runs that suffix reads repeat
+    /// (`None`: the search never replays).
+    pub memo_split: Option<usize>,
     /// Variable names, when the query came from HPQL.
     pub vars: Option<Vec<String>>,
     /// How [`Run::count`] would answer under this run's options:
@@ -464,6 +470,14 @@ impl std::fmt::Display for Explain {
                 })
                 .collect();
             writeln!(f, "order:    {:?} [{}]", self.order_kind, names.join(" → "))?;
+            match self.memo_split {
+                Some(s) => writeln!(
+                    f,
+                    "memo:     split at position {s}: replays [{}] while its input runs repeat",
+                    names.get(s..).unwrap_or_default().join(" → ")
+                )?,
+                None => writeln!(f, "memo:     none")?,
+            }
         }
         writeln!(f, "count:    {}", self.count_strategy.describe)?;
         Ok(())

@@ -780,6 +780,23 @@ mod tests {
         assert!(ex2.to_string().contains("cached"));
     }
 
+    /// `explain` names MJoin's memo split and the suffix it replays, or
+    /// says there is none; injective runs never replay.
+    #[test]
+    fn explain_reports_the_memo_split() {
+        let session = fig2_session();
+        // Jo binds c, then the leaf d, so the suffix a → b replays while
+        // the run into a repeats
+        let p = session.prepare("MATCH (a:A)->(b:B), (a)=>(c:C)=>(d:C)").unwrap();
+        let ex = p.run().explain();
+        assert_eq!(ex.memo_split, Some(2));
+        let shown = ex.to_string();
+        assert!(shown.contains("memo:     split at position 2: replays [a → b]"), "{shown}");
+        let iso = p.run().injective(true).explain();
+        assert_eq!(iso.memo_split, None);
+        assert!(iso.to_string().contains("memo:     none"), "{iso}");
+    }
+
     #[test]
     fn equivalent_texts_share_one_plan() {
         let session = fig2_session();

@@ -25,6 +25,17 @@
 //! output tuple is kept in query-node order as nodes are bound, so an
 //! emitted tuple costs one sink call (see `docs/rig-layout.md`).
 //!
+//! Whole search suffixes repeat for the same reason. [`Plan::new`] picks
+//! a *memo split*: the deepest search position, at least two steps from
+//! the end, below which the suffix reads from the position just before it
+//! only shared runs (or nothing, when that position is a leaf). Each
+//! worker records the suffix below the split once per distinct set of
+//! input runs — per last-step call, the bindings of the suffix's other
+//! nodes and the last step's candidates — and replays it, one counted
+//! step, while the runs repeat. The recording lives in three arrays
+//! reserved at Σᵢ|cos(q_i)| entries, so the Thm. 5.1 space bound and the
+//! zero-allocation hot loop both still hold.
+//!
 //! The search order is pluggable (§5.2): [`SearchOrder::Jo`] (greedy on RIG
 //! candidate cardinalities), [`SearchOrder::Ri`] (topology-only), and
 //! [`SearchOrder::Bj`] (dynamic-programming optimal left-deep order, which
@@ -105,7 +116,8 @@ pub struct EnumResult {
     pub limit_hit: bool,
     /// The search order used.
     pub order: Vec<QNode>,
-    /// Recursion steps taken (search-tree nodes visited).
+    /// Recursion steps taken (search-tree nodes visited). A replay of a
+    /// recorded search suffix counts as one step.
     pub steps: u64,
 }
 
@@ -148,7 +160,7 @@ pub fn enumerate_sink<S: ResultSink>(
     opts: &EnumOptions,
     sink: &mut S,
 ) -> EnumResult {
-    let plan = Plan::new(query, rig, opts.order);
+    let plan = Plan::new(query, rig, opts);
     if rig.is_empty() || query.num_nodes() == 0 {
         sink.finish();
         return EnumResult::empty(plan.order);
@@ -183,17 +195,26 @@ pub fn collect(
 
 /// The query-shaped, RIG-independent-of-binding part of an enumeration:
 /// the search order plus, per search step, the edges connecting that step
-/// to earlier-bound query nodes. Computed once and shared (read-only) by
-/// every worker of a parallel run.
-pub(crate) struct Plan {
-    pub(crate) order: Vec<QNode>,
+/// to earlier-bound query nodes, and the suffix memo's split. Computed once
+/// and shared (read-only) by every worker of a parallel run.
+pub struct Plan {
+    /// The search order: position `i` binds query node `order[i]`.
+    pub order: Vec<QNode>,
     /// Per step `i`: `(edge id, bound search position, bound_is_source)`.
     constraints: Vec<Vec<(u32, usize, bool)>>,
+    /// See [`Plan::memo_split`].
+    memo_split: Option<usize>,
+    /// The constraints of the steps from the memo split on that read a
+    /// position before it: the runs that key the memo.
+    memo_inputs: Vec<(u32, usize, bool)>,
 }
 
 impl Plan {
-    pub(crate) fn new(query: &PatternQuery, rig: &Rig, strategy: SearchOrder) -> Plan {
-        let order = compute_order(query, rig, strategy);
+    /// Orders `query` over `rig` with `opts.order` and picks the memo
+    /// split. Injective runs get none: their candidates also depend on the
+    /// nodes bound earlier, which the memo's key does not capture.
+    pub fn new(query: &PatternQuery, rig: &Rig, opts: &EnumOptions) -> Plan {
+        let order = compute_order(query, rig, opts.order);
         let n = order.len();
         let mut pos_of = vec![usize::MAX; n];
         for (i, &q) in order.iter().enumerate() {
@@ -211,7 +232,27 @@ impl Plan {
                 constraints[pf].push((eid as u32, pt, false));
             }
         }
-        Plan { order, constraints }
+        // The deepest split whose suffix (the steps from it to the last)
+        // has at least two steps and reads, from the position just before
+        // it, only shared runs (fewer stored runs than sources): within one
+        // binding of the earlier positions, the suffix's input runs then
+        // repeat.
+        let shared = |&(eid, pos, fwd): &(u32, usize, bool)| {
+            (rig.num_runs(eid, fwd) as u64) < rig.cos_len(order[pos])
+        };
+        let inputs = |s: usize| constraints[s..].iter().flatten().filter(move |c| c.1 < s);
+        let deepest = if opts.injective { 0 } else { n.saturating_sub(2) };
+        let memo_split = (1..=deepest).rev().find(|&s| inputs(s).all(|c| c.1 + 1 < s || shared(c)));
+        let memo_inputs = memo_split.map_or(Vec::new(), |s| inputs(s).copied().collect());
+        Plan { order, constraints, memo_split, memo_inputs }
+    }
+
+    /// The memo split `s`: while the runs the search steps from `s` on read
+    /// from positions before `s` repeat, MJoin replays the suffix it
+    /// recorded instead of searching it again. `None` when no split
+    /// qualifies; the suffix is the query nodes `order[s..]`.
+    pub fn memo_split(&self) -> Option<usize> {
+        self.memo_split
     }
 }
 
@@ -287,6 +328,56 @@ impl Step<'_> {
     }
 }
 
+/// The last step's candidates in one recorded call of the suffix memo.
+#[derive(Clone, Copy)]
+enum Cands<'r> {
+    /// The full local range `0..|cos(q)|` (an unconstrained step).
+    Full,
+    /// One operand's RIG run, borrowed.
+    Run(&'r [u32]),
+    /// An intersection copied into `SuffixMemo::arena[start..end]`.
+    Arena(usize, usize),
+}
+
+/// Where a [`SuffixMemo`]'s recording stands.
+#[derive(Default, Clone, Copy, PartialEq)]
+enum MemoState {
+    /// Nothing replayable: never recorded, or the recording was dropped.
+    #[default]
+    Empty,
+    /// The search below the split is being recorded.
+    Recording,
+    /// The recording is complete and belongs to `key`.
+    Complete,
+}
+
+/// A worker's record of the search below the memo split, kept for the
+/// last input runs it was searched under. Each recorded call of the last
+/// step stores the bindings of the suffix's other positions and the last
+/// step's candidates; replaying them emits exactly what searching again
+/// would, in the same order, because every operand of the suffix is either
+/// an input run (in the key) or read from a recorded binding.
+#[derive(Default)]
+struct SuffixMemo<'r> {
+    /// Entries each array may hold: Σ|cos(q_i)|, reserved once.
+    cap: usize,
+    /// Keys of the input runs gathered at the split's latest visit.
+    probe: Vec<RunKey>,
+    /// Keys of the input runs the recording was made under.
+    key: Vec<RunKey>,
+    state: MemoState,
+    /// Data nodes bound at the positions between the split and the last
+    /// step, one group per recorded call.
+    binds: Vec<NodeId>,
+    /// The last step's candidates, one per recorded call.
+    cands: Vec<Cands<'r>>,
+    /// Intersections copied from the last step's buffer.
+    arena: Vec<u32>,
+    /// The arena span that holds the last step's current buffer, if this
+    /// recording copied it since it was last recomputed.
+    buf_span: Option<(usize, usize)>,
+}
+
 /// One enumeration worker: all per-run mutable state (per-depth scratch,
 /// tuple buffers, budget counters). Sequential enumeration is a single
 /// worker driven from the root; parallel enumeration is `threads` workers
@@ -306,6 +397,7 @@ pub(crate) struct Worker<'a, 'r> {
     deadline: Option<Instant>,
     check_counter: u32,
     shared: Option<&'a SharedState>,
+    memo: SuffixMemo<'r>,
     pub(crate) result: EnumResult,
 }
 
@@ -341,6 +433,24 @@ impl<'a, 'r> Worker<'a, 'r> {
             Some(sh) => sh.deadline,
             None => opts.timeout.map(|t| Instant::now() + t),
         };
+        // The memo's arrays get Σ|cos(q_i)| entries each, so it stays
+        // within the Thm. 5.1 space bound and never reallocates.
+        let memo = match plan.memo_split {
+            Some(_) => {
+                let cap = steps.iter().map(|st| st.cos.len()).sum();
+                let n_inputs = plan.memo_inputs.len();
+                SuffixMemo {
+                    cap,
+                    probe: Vec::with_capacity(n_inputs),
+                    key: Vec::with_capacity(n_inputs),
+                    binds: Vec::with_capacity(cap),
+                    cands: Vec::with_capacity(cap),
+                    arena: Vec::with_capacity(cap),
+                    ..SuffixMemo::default()
+                }
+            }
+            None => SuffixMemo::default(),
+        };
         Worker {
             rig,
             opts,
@@ -351,6 +461,7 @@ impl<'a, 'r> Worker<'a, 'r> {
             deadline,
             check_counter: 0,
             shared,
+            memo,
             result: EnumResult::empty(plan.order.clone()),
         }
     }
@@ -499,18 +610,135 @@ impl<'a, 'r> Worker<'a, 'r> {
             return false;
         }
         self.result.steps += 1;
+        if self.plan.memo_split == Some(i) {
+            return self.search_memoized(i, sink);
+        }
+        self.search(i, sink)
+    }
 
+    /// The run bound position `pos` reads across query edge `eid`.
+    fn run(&self, eid: u32, pos: usize, bound_is_source: bool) -> AdjRun<'r> {
+        let local = self.tuple_local[pos];
+        if bound_is_source {
+            self.rig.successors_local(eid, local)
+        } else {
+            self.rig.predecessors_local(eid, local)
+        }
+    }
+
+    /// The search step at the memo split: replays the recording when the
+    /// suffix's input runs are the ones it was made under, otherwise
+    /// searches and records. A recording the search did not finish (a
+    /// limit, timeout or sink stop) or that outgrew the arrays is dropped.
+    fn search_memoized<S: ResultSink>(&mut self, i: usize, sink: &mut S) -> bool {
+        let mut probe = std::mem::take(&mut self.memo.probe);
+        probe.clear();
+        let inputs = &self.plan.memo_inputs;
+        probe.extend(inputs.iter().map(|&(eid, pos, src)| run_key(&self.run(eid, pos, src))));
+        let memo = &mut self.memo;
+        memo.probe = probe;
+        if memo.state == MemoState::Complete && memo.probe == memo.key {
+            return self.replay(i, sink);
+        }
+        std::mem::swap(&mut memo.probe, &mut memo.key);
+        memo.binds.clear();
+        memo.cands.clear();
+        memo.arena.clear();
+        memo.buf_span = None;
+        memo.state = MemoState::Recording;
+        let keep = self.search(i, sink);
+        let memo = &mut self.memo;
+        memo.state = match memo.state {
+            MemoState::Recording if keep => MemoState::Complete,
+            _ => MemoState::Empty,
+        };
+        keep
+    }
+
+    /// Emits the recorded suffix below split `s` through the last step's
+    /// in-place loop, polling the deadline and the stop conditions once per
+    /// recorded call.
+    fn replay<S: ResultSink>(&mut self, s: usize, sink: &mut S) -> bool {
+        if self.deadline_expired() {
+            return false;
+        }
+        let last = self.steps.len() - 1;
+        let memo = std::mem::take(&mut self.memo);
+        let mut keep = true;
+        let groups = memo.binds.chunks_exact(last - s);
+        for (&cands, binds) in memo.cands.iter().zip(groups) {
+            if self.stopped() {
+                keep = false;
+                break;
+            }
+            for (step, &v) in self.steps[s..last].iter().zip(binds) {
+                self.out_tuple[step.q] = v;
+            }
+            keep = match cands {
+                Cands::Full => self.bind_each(last, 0..self.steps[last].cos.len() as u32, sink),
+                Cands::Run(list) => self.bind_each(last, list.iter().copied(), sink),
+                Cands::Arena(lo, hi) => {
+                    self.bind_each(last, memo.arena[lo..hi].iter().copied(), sink)
+                }
+            };
+            if !keep {
+                break;
+            }
+        }
+        self.memo = memo;
+        keep
+    }
+
+    /// Records one call of the last step into the memo: the bindings of
+    /// the positions between the split and the last step, and `cands`.
+    /// Stops the recording when an array would outgrow its reservation.
+    fn record(&mut self, cands: Cands<'r>) {
+        let Some(s) = self.plan.memo_split else { return };
+        let last = self.steps.len() - 1;
+        let memo = &mut self.memo;
+        if memo.cands.len() == memo.cap || memo.binds.len() + (last - s) > memo.cap {
+            memo.state = MemoState::Empty;
+            return;
+        }
+        memo.binds.extend(self.steps[s..last].iter().map(|step| self.out_tuple[step.q]));
+        memo.cands.push(cands);
+    }
+
+    /// Records a last-step call whose candidates are its buffer, copying
+    /// the buffer into the arena once per recomputation (`fresh`).
+    fn record_buf(&mut self, i: usize, fresh: bool) {
+        let memo = &mut self.memo;
+        let buf = &self.steps[i].buf;
+        if fresh {
+            memo.buf_span = None;
+        }
+        let span = match memo.buf_span {
+            Some(span) => span,
+            None if memo.arena.len() + buf.len() <= memo.cap => {
+                let lo = memo.arena.len();
+                memo.arena.extend_from_slice(buf);
+                let span = (lo, memo.arena.len());
+                memo.buf_span = Some(span);
+                span
+            }
+            None => {
+                memo.state = MemoState::Empty;
+                return;
+            }
+        };
+        self.record(Cands::Arena(span.0, span.1));
+    }
+
+    /// Searches step `i`: gathers its operand runs, computes its
+    /// candidates and binds each. Returns false when enumeration must stop
+    /// entirely.
+    fn search<S: ResultSink>(&mut self, i: usize, sink: &mut S) -> bool {
         // Gather the adjacency runs of all bound neighbors (Alg. 5 lines
         // 4-7). All runs live in cos(q_i)-local id space, so cos(q_i)
         // itself never has to join the intersection.
         self.steps[i].ops.clear();
         for &(eid, bound_pos, bound_is_source) in &self.plan.constraints[i] {
-            let bound_local = self.tuple_local[bound_pos];
-            let run = if bound_is_source {
-                self.rig.successors_local(eid, bound_local)
-            } else {
-                self.rig.predecessors_local(eid, bound_local)
-            };
+            let run = self.run(eid, bound_pos, bound_is_source);
             if run.is_empty() {
                 return true; // empty adjacency: dead branch
             }
@@ -521,18 +749,30 @@ impl<'a, 'r> Worker<'a, 'r> {
         // operand's run in place, or the intersection in `buf`, which is
         // recomputed only when the operand runs differ from the ones it
         // was built from (shared runs make consecutive bindings repeat).
+        // A recording memo notes each call of the last step.
+        let record = self.memo.state == MemoState::Recording && i + 1 == self.steps.len();
         match self.steps[i].ops.len() {
             0 => {
+                if record {
+                    self.record(Cands::Full);
+                }
                 let n_local = self.steps[i].cos.len() as u32;
                 self.bind_each(i, 0..n_local, sink)
             }
             1 => {
                 let list = self.steps[i].ops[0].list;
+                if record {
+                    self.record(Cands::Run(list));
+                }
                 self.bind_each(i, list.iter().copied(), sink)
             }
             _ => {
-                if !self.steps[i].buf_is_current() {
+                let fresh = !self.steps[i].buf_is_current();
+                if fresh {
                     self.intersect_into(i);
+                }
+                if record {
+                    self.record_buf(i, fresh);
                 }
                 // `buf` is lent out while deeper steps run; they only touch
                 // their own depths, and `Vec::new` does not allocate

@@ -79,7 +79,7 @@ where
     }
     let threads = par.threads;
     let morsel = par.morsel.max(1);
-    let plan = Plan::new(query, rig, opts.order);
+    let plan = Plan::new(query, rig, opts);
     let mut merged = EnumResult::empty(plan.order.clone());
     if rig.is_empty() || query.num_nodes() == 0 {
         let sinks = (0..threads)

@@ -165,6 +165,7 @@ fn explain_mode_prints_the_plan() {
     assert!(stdout.contains("RIG:"), "{stdout}");
     assert!(stdout.contains("order:"), "{stdout}");
     assert!(stdout.contains("a → p → c") || stdout.contains("order"), "{stdout}");
+    assert!(stdout.contains("memo:"), "{stdout}");
 }
 
 #[test]
