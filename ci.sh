@@ -83,6 +83,18 @@ if [[ "${1:-}" != "quick" ]]; then
     rc=0; run_cli "${cli_tmp}/g.txt" --lint strict --count \
         --query 'MATCH (p:Paper)->(a:Author)' 2> /dev/null || rc=$?
     [[ "${rc}" == "8" ]]
+    # E103 is exact for label pairs of any width: 70 Authors, 70 Papers
+    # and only Paper -> Author edges make 4 900 pairs, none reachable
+    {
+        printf 'l 0 Author\nl 1 Paper\n'
+        for i in $(seq 0 69); do printf 'v %d 0\n' "${i}"; done
+        for i in $(seq 70 139); do printf 'v %d 1\n' "${i}"; done
+        for i in $(seq 0 69); do printf 'e %d %d\n' "$((i + 70))" "${i}"; done
+    } > "${cli_tmp}/wide.txt"
+    rc=0; run_cli check "${cli_tmp}/wide.txt" \
+        --query 'MATCH (a:Author)=>(p:Paper)' > "${cli_tmp}/check.txt" || rc=$?
+    [[ "${rc}" == "8" ]]
+    grep -q 'error\[E103\]' "${cli_tmp}/check.txt"
     # dynamic updates: --mutations commits a script before the query runs
     # (the first read rebases the dirty snapshot onto a clean base), and
     # `update` rewrites the materialized graph

@@ -12,9 +12,9 @@
 //! 2. **Emptiness proofs** (`E1…`): a label with an empty inverted list;
 //!    a `Direct` edge between a label pair with zero co-occurring edges
 //!    (the [`LabelPairCounts`] matrix); a
-//!    `Reachability` edge refuted by probing every candidate pair
-//!    against the reachability oracle when the candidate extremes are
-//!    small enough to afford it. Every `E1…` finding is a *proof*: the
+//!    `Reachability` edge refuted by one sweep of the oracle's
+//!    condensation from every node of the source label, which reaches no
+//!    node of the target label. Every `E1…` finding is a *proof*: the
 //!    engine must count zero (asserted by the soundness proptests).
 //! 3. **Redundancy lints** (`R2…`): reachability edges the engine's own
 //!    transitive reduction removes (witnessed by diffing against
@@ -47,11 +47,6 @@ use rig_query::{
 };
 use rig_reach::Reachability;
 
-/// Maximum number of `(source, target)` candidate pairs the
-/// reachability-refutation pass probes per edge; larger candidate products
-/// are left unproven rather than paying for exhaustive probing.
-const REACH_PROBE_BUDGET: u64 = 4096;
-
 /// The analyzer: a data graph, optional precomputed statistics and an
 /// optional reachability oracle. All borrowed — building one is free;
 /// the expensive inputs ([`LabelPairCounts`], a BFL index) are supplied
@@ -68,9 +63,10 @@ impl<'a> Analyzer<'a> {
         Analyzer { graph, reach: None, pairs: None }
     }
 
-    /// Supplies a reachability oracle for the `E103` refutation pass.
-    /// The oracle must be exact for the analyzed graph (its BFL index) —
-    /// refutations become emptiness *proofs*. Without one the pass is skipped.
+    /// Supplies a reachability oracle for the `E103` refutation pass, which
+    /// sweeps its condensation. The oracle must be exact for the analyzed
+    /// graph (its BFL index) — refutations become emptiness *proofs*.
+    /// Without one, or without a condensation, the pass is skipped.
     pub fn with_reach(mut self, reach: &'a dyn Reachability) -> Analyzer<'a> {
         self.reach = Some(reach);
         self
@@ -285,20 +281,17 @@ impl<'a> Analyzer<'a> {
                         );
                     }
                 }
-                // E103: bounded refutation against the reachability oracle
+                // E103: the descendants of every source-label node, in one
+                // condensation sweep, hold no target-label node
                 EdgeKind::Reachability => {
-                    let Some(reach) = self.reach else { continue };
+                    let Some(cond) = self.reach.and_then(|r| r.condensation()) else { continue };
                     let from = self.graph.nodes_with_label(lf);
                     let to = self.graph.nodes_with_label(lt);
                     if from.is_empty() || to.is_empty() {
                         continue; // E101 already proves emptiness
                     }
-                    let pairs_to_probe = from.len() as u64 * to.len() as u64;
-                    if pairs_to_probe > REACH_PROBE_BUDGET {
-                        continue; // extremes too wide to probe, no claim
-                    }
-                    let any = from.iter().any(|&u| to.iter().any(|&v| reach.reaches(u, v)));
-                    if !any {
+                    let reached = cond.descendants_of_set(self.graph.label_bitset(lf));
+                    if !to.iter().any(|&v| reached.contains(v)) {
                         report.diagnostics.push(
                             Diagnostic::new(
                                 Code::UnreachablePair,
@@ -309,7 +302,7 @@ impl<'a> Analyzer<'a> {
                                      the answer is provably empty",
                                     ctx.label_display(self.graph, pe.from as usize),
                                     ctx.label_display(self.graph, pe.to as usize),
-                                    pairs_to_probe,
+                                    from.len() as u64 * to.len() as u64,
                                     ctx.vars[pe.from as usize],
                                     ctx.vars[pe.to as usize]
                                 ),
@@ -595,6 +588,27 @@ mod tests {
         let g = graph();
         let r = Analyzer::new(&g).analyze_text("MATCH (c:Cited)=>(a:Author)");
         assert!(!r.proven_empty());
+    }
+
+    /// 70 × 70 = 4 900 candidate pairs, with edges only from Paper to
+    /// Author: every pair is refuted, however many there are.
+    #[test]
+    fn wide_label_pairs_are_refuted_too() {
+        let mut b = GraphBuilder::new();
+        let authors: Vec<_> = (0..70).map(|_| b.add_node_with_name(0, "Author")).collect();
+        let papers: Vec<_> = (0..70).map(|_| b.add_node_with_name(1, "Paper")).collect();
+        for (i, &p) in papers.iter().enumerate() {
+            b.add_edge(p, authors[i]);
+            b.add_edge(p, authors[(i + 1) % 70]);
+        }
+        let g = b.build();
+        let bfl = BflIndex::new(&g);
+        let analyzer = Analyzer::new(&g).with_reach(&bfl);
+        let r = analyzer.analyze_text("MATCH (a:Author)=>(p:Paper)");
+        let d = r.diagnostics.iter().find(|d| d.code == Code::UnreachablePair);
+        assert!(d.is_some_and(|d| d.message.contains("all 4900 candidate pairs")), "{r:?}");
+        assert!(r.proven_empty());
+        assert!(!analyzer.analyze_text("MATCH (p:Paper)=>(a:Author)").proven_empty());
     }
 
     #[test]

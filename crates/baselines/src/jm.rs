@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use crate::{failure_report, Budget, Engine};
 use rig_core::{RunReport, RunStatus};
-use rig_graph::{DataGraph, FxHashMap, NodeId};
+use rig_graph::{DataGraph, Deadline, FxHashMap, NodeId};
 use rig_query::{EdgeId, EdgeKind, PatternQuery, QNode};
 use rig_reach::{BflIndex, Reachability};
 use rig_sim::{prefilter, SimContext};
@@ -205,8 +205,7 @@ impl Engine for Jm<'_> {
 
     fn evaluate(&self, query: &PatternQuery, budget: &Budget) -> RunReport {
         let start = Instant::now();
-        let deadline = budget.timeout.map(|t| start + t);
-        let over_deadline = |i: &Instant| deadline.is_some_and(|d| *i > d);
+        let mut deadline = Deadline::new(budget.timeout.map(|t| start + t));
 
         // node pre-filtering [11, 63]
         let ctx = SimContext::new(self.graph, query, &self.bfl);
@@ -225,7 +224,7 @@ impl Engine for Jm<'_> {
                     return failure_report("JM", status, start.elapsed(), intermediate_total)
                 }
             }
-            if over_deadline(&Instant::now()) {
+            if deadline.charge() {
                 return failure_report(
                     "JM",
                     RunStatus::Timeout,
@@ -245,7 +244,7 @@ impl Engine for Jm<'_> {
         let mut schema: Vec<QNode> = Vec::new();
         let mut tuples: Vec<Vec<NodeId>> = Vec::new();
         for (step, &eid) in order.iter().enumerate() {
-            if over_deadline(&Instant::now()) {
+            if deadline.charge() {
                 return failure_report(
                     "JM",
                     RunStatus::Timeout,

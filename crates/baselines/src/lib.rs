@@ -186,6 +186,36 @@ mod tests {
     use rig_datasets::examples::fig2_graph;
     use rig_query::fig2_query;
 
+    /// TM builds its tree RIG under the budget too: on a random
+    /// 20 000-node DAG, expanding one reachability edge probes millions
+    /// of candidate pairs, and a 50 ms budget stops it within 100 ms.
+    #[test]
+    fn tm_budget_covers_the_rig_build() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut b = rig_graph::GraphBuilder::new();
+        let n: u32 = 20_000;
+        for _ in 0..n {
+            b.add_node(rng.gen_range(0..2));
+        }
+        for _ in 0..80_000 {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v {
+                b.add_edge(u.min(v), u.max(v));
+            }
+        }
+        let g = b.build();
+        let mut q = PatternQuery::new(vec![0, 1]);
+        q.add_edge(0, 1, rig_query::EdgeKind::Reachability);
+        let tm = Tm::new(&g);
+        let budget = Budget { timeout: Some(Duration::from_millis(50)), ..Budget::unlimited() };
+        let start = std::time::Instant::now();
+        let r = tm.evaluate(&q, &budget);
+        assert_eq!(r.status, RunStatus::Timeout);
+        assert!(start.elapsed() < Duration::from_millis(150), "{:?}", start.elapsed());
+    }
+
     #[test]
     fn gm_engine_adapter() {
         let e = GmEngine::new(fig2_graph());

@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use crate::{failure_report, Budget, Engine};
 use rig_core::{RunReport, RunStatus};
-use rig_graph::{DataGraph, NodeId};
+use rig_graph::{DataGraph, Deadline, NodeId};
 use rig_query::{EdgeKind, PatternQuery, QNode};
 
 /// The Neo4j-like engine.
@@ -84,7 +84,7 @@ impl Engine for NeoLike<'_> {
 
     fn evaluate(&self, query: &PatternQuery, budget: &Budget) -> RunReport {
         let start = Instant::now();
-        let deadline = budget.timeout.map(|t| start + t);
+        let mut deadline = Deadline::new(budget.timeout.map(|t| start + t));
         let cap = budget.max_intermediate.unwrap_or(u64::MAX);
         let g = self.graph;
 
@@ -93,15 +93,8 @@ impl Engine for NeoLike<'_> {
         let mut tuples: Vec<Vec<NodeId>> = Vec::new();
         let mut intermediate = 0u64;
         for (step, e) in query.edges().iter().enumerate() {
-            if let Some(d) = deadline {
-                if Instant::now() > d {
-                    return failure_report(
-                        "Neo4j",
-                        RunStatus::Timeout,
-                        start.elapsed(),
-                        intermediate,
-                    );
-                }
+            if deadline.charge() {
+                return failure_report("Neo4j", RunStatus::Timeout, start.elapsed(), intermediate);
             }
             let lf = query.label(e.from);
             let lt = query.label(e.to);
@@ -138,15 +131,13 @@ impl Engine for NeoLike<'_> {
                 let tpos = schema.iter().position(|&x| x == e.to);
                 let mut next: Vec<Vec<NodeId>> = Vec::new();
                 for tu in &tuples {
-                    if let Some(d) = deadline {
-                        if Instant::now() > d {
-                            return failure_report(
-                                "Neo4j",
-                                RunStatus::Timeout,
-                                start.elapsed(),
-                                intermediate,
-                            );
-                        }
+                    if deadline.charge() {
+                        return failure_report(
+                            "Neo4j",
+                            RunStatus::Timeout,
+                            start.elapsed(),
+                            intermediate,
+                        );
                     }
                     match (fpos, tpos) {
                         (Some(fp), Some(tp)) => {

@@ -38,6 +38,7 @@ impl Engine for RmLike<'_> {
 
     fn evaluate(&self, query: &PatternQuery, budget: &Budget) -> RunReport {
         let start = Instant::now();
+        let deadline = budget.timeout.map(|t| start + t);
         if query.edges().iter().any(|e| e.kind == EdgeKind::Reachability) {
             // RM evaluates subgraph (edge-to-edge) queries only.
             return failure_report("RM", RunStatus::Failed, start.elapsed(), 0);
@@ -45,15 +46,20 @@ impl Engine for RmLike<'_> {
         // tree-restricted filtering
         let (tree_edges, _) = crate::Tm::spanning_tree(query);
         let tree_query = query.with_edges(&tree_edges);
-        let tree_ctx = SimContext::new(self.graph, &tree_query, &self.bfl);
+        let mut tree_ctx = SimContext::new(self.graph, &tree_query, &self.bfl);
+        tree_ctx.deadline = deadline;
         let filtered = double_simulation(&tree_ctx, &SimOptions::paper_default());
 
         // expansion over the full query, directly from the tree-filtered
         // candidate sets (FB of the tree query sandwiches os ⊆ fb ⊆ ms, so
         // the RIG stays lossless for the full query)
-        let ctx = SimContext::new(self.graph, query, &self.bfl);
+        let mut ctx = SimContext::new(self.graph, query, &self.bfl);
+        ctx.deadline = deadline;
         let rig = build_rig_from_candidates(&ctx, &self.bfl, &RigOptions::default(), filtered.fb);
         let matching_time = start.elapsed();
+        if rig.stats.timed_out {
+            return failure_report("RM", RunStatus::Timeout, matching_time, 0);
+        }
         if rig.is_empty() {
             let total = start.elapsed();
             return RunReport {
@@ -70,7 +76,7 @@ impl Engine for RmLike<'_> {
         let opts = EnumOptions {
             order: SearchOrder::Ri,
             limit: budget.match_limit,
-            timeout: budget.timeout.map(|t| t.saturating_sub(start.elapsed())),
+            deadline,
             injective: false,
         };
         let result = count(query, &rig, &opts);

@@ -60,14 +60,19 @@ impl Engine for Tm<'_> {
 
     fn evaluate(&self, query: &PatternQuery, budget: &Budget) -> RunReport {
         let start = Instant::now();
+        let deadline = budget.timeout.map(|t| start + t);
         let (tree_edges, non_tree) = Self::spanning_tree(query);
         let tree_query = query.with_edges(&tree_edges);
 
         // [59]-style tree evaluation: double simulation on the tree query
         // plus an answer graph (a RIG restricted to tree edges).
-        let ctx = SimContext::new(self.graph, &tree_query, &self.bfl);
+        let mut ctx = SimContext::new(self.graph, &tree_query, &self.bfl);
+        ctx.deadline = deadline;
         let rig = build_rig(&ctx, &self.bfl, &RigOptions::default());
         let matching_time = start.elapsed();
+        if rig.stats.timed_out {
+            return failure_report("TM", RunStatus::Timeout, matching_time, 0);
+        }
         if rig.is_empty() {
             let total = start.elapsed();
             return RunReport {
@@ -83,12 +88,7 @@ impl Engine for Tm<'_> {
         }
 
         // enumerate tree occurrences, filtering each against non-tree edges
-        let opts = EnumOptions {
-            order: SearchOrder::Jo,
-            limit: None,
-            timeout: budget.timeout.map(|t| t.saturating_sub(start.elapsed())),
-            injective: false,
-        };
+        let opts = EnumOptions { order: SearchOrder::Jo, limit: None, deadline, injective: false };
         let mut count = 0u64;
         let mut tree_tuples = 0u64;
         let mut exceeded = false;

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use crate::Budget;
 use rig_bitset::Bitset;
 use rig_core::RunStatus;
-use rig_graph::{DataGraph, NodeId};
+use rig_graph::{DataGraph, Deadline, NodeId};
 use rig_query::{EdgeKind, PatternQuery, QNode};
 
 /// Result of a raw-graph WCOJ run.
@@ -67,7 +67,7 @@ pub fn wcoj_count(g: &DataGraph, query: &PatternQuery, budget: &Budget) -> WcojO
         query,
         order: &order,
         constraints: &constraints,
-        deadline: budget.timeout.map(|t| start + t),
+        deadline: Deadline::new(budget.timeout.map(|t| start + t)),
         limit: budget.match_limit.unwrap_or(u64::MAX),
         count: 0,
         steps: 0,
@@ -110,7 +110,7 @@ struct State<'a> {
     query: &'a PatternQuery,
     order: &'a [QNode],
     constraints: &'a [Vec<(usize, bool)>],
-    deadline: Option<Instant>,
+    deadline: Deadline,
     limit: u64,
     count: u64,
     steps: u64,
@@ -124,13 +124,9 @@ impl State<'_> {
             return self.count < self.limit;
         }
         self.steps += 1;
-        if self.steps.is_multiple_of(4096) {
-            if let Some(d) = self.deadline {
-                if Instant::now() > d {
-                    self.timed_out = true;
-                    return false;
-                }
-            }
+        if self.deadline.charge() {
+            self.timed_out = true;
+            return false;
         }
         let q = self.order[i];
         let label = self.query.label(q);

@@ -16,14 +16,10 @@ use rig_core::{GmConfig, RunReport};
 use rig_mjoin::EnumOptions;
 use rig_query::{Flavor, PatternQuery};
 
-fn iso_config(budget: &Budget) -> GmConfig {
+/// GM with injectivity on; `GmEngine::evaluate` applies the budget.
+fn iso_config() -> GmConfig {
     GmConfig {
-        enumeration: EnumOptions {
-            injective: true,
-            limit: budget.match_limit,
-            timeout: budget.timeout,
-            ..Default::default()
-        },
+        enumeration: EnumOptions { injective: true, ..Default::default() },
         ..Default::default()
     }
 }
@@ -64,7 +60,7 @@ fn main() {
         let g = std::sync::Arc::new(load(ds, &args));
         println!("# dataset {ds}: {:?}", g.stats());
         let gm = GmEngine::new(g.clone());
-        let iso = GmEngine::with_config(g.clone(), iso_config(&budget), "ISO");
+        let iso = GmEngine::with_config(g.clone(), iso_config(), "ISO");
         let tm = Tm::new(&g);
         let jm = Jm::new(&g);
         let mut table = Table::new(&["query", "GM", "TM", "JM", "ISO", "matches"]);
@@ -92,7 +88,7 @@ fn main() {
     let g = std::sync::Arc::new(load("hu", &args));
     println!("# dataset hu: {:?}", g.stats());
     let gm = GmEngine::new(g.clone());
-    let iso = GmEngine::with_config(g.clone(), iso_config(&budget), "ISO");
+    let iso = GmEngine::with_config(g.clone(), iso_config(), "ISO");
     let tm = Tm::new(&g);
     let jm = Jm::new(&g);
     let mut table = Table::new(&["query", "GM", "TM", "JM", "ISO", "matches"]);

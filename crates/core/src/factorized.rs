@@ -30,11 +30,11 @@ use rig_query::PatternQuery;
 /// * `injective` — the DP counts homomorphisms; injectivity constraints
 ///   cut across the factorization's independence structure, so injective
 ///   runs always enumerate.
-/// * `limit` / `timeout` — budgeted runs keep the enumeration engine's
+/// * `limit` / `deadline` — budgeted runs keep the enumeration engine's
 ///   exact truncation semantics (`limit_hit` / `timed_out` witness where
 ///   the budget struck), which a total-count DP cannot reproduce.
 pub fn dp_eligible(opts: &EnumOptions) -> bool {
-    !opts.injective && opts.limit.is_none() && opts.timeout.is_none()
+    !opts.injective && opts.limit.is_none() && opts.deadline.is_none()
 }
 
 /// The DP-vs-enumerate routing decision, as reported by `explain` and the
@@ -169,7 +169,7 @@ impl std::fmt::Display for FactorizedSummary {
 mod tests {
     use super::*;
     use rig_query::EdgeKind;
-    use std::time::Duration;
+    use std::time::Instant;
 
     fn chain() -> PatternQuery {
         let mut q = PatternQuery::new(vec![0, 1]);
@@ -184,7 +184,8 @@ mod tests {
         assert!(strategy(&q, &base, false).eligible);
         assert!(!strategy(&q, &base, true).eligible);
         assert!(!strategy(&q, &base.with_limit(5), false).eligible);
-        assert!(!strategy(&q, &base.with_timeout(Duration::from_secs(1)), false).eligible);
+        let budgeted = EnumOptions { deadline: Some(Instant::now()), ..base };
+        assert!(!strategy(&q, &budgeted, false).eligible);
         let inj = EnumOptions { injective: true, ..base };
         assert!(!strategy(&q, &inj, false).eligible);
         assert_eq!(dp_eligible(&base), strategy(&q, &base, false).eligible);

@@ -53,7 +53,7 @@ pub struct GmConfig {
     /// RIG construction options (selection mode, simulation tuning,
     /// expansion mode).
     pub rig: RigOptions,
-    /// Enumeration options (search order, limit, timeout, injectivity).
+    /// Enumeration options (search order, limit, deadline, injectivity).
     pub enumeration: EnumOptions,
 }
 

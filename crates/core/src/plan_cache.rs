@@ -23,11 +23,8 @@ pub(crate) struct CacheKey {
 }
 
 impl CacheKey {
-    pub(crate) fn new(query: &PatternQuery, rig_opts: &RigOptions) -> CacheKey {
-        // The deadline is normalized out: only fully-built plans are
-        // ever cached, and a cached plan serves runs with any budget.
-        let opts = rig_opts.with_deadline(None);
-        CacheKey { labels: query.labels().to_vec(), edges: query.edges().to_vec(), opts }
+    pub(crate) fn new(query: &PatternQuery, opts: &RigOptions) -> CacheKey {
+        CacheKey { labels: query.labels().to_vec(), edges: query.edges().to_vec(), opts: *opts }
     }
 
     /// True when the query has a reachability edge: such plans depend on

@@ -141,9 +141,11 @@ impl<'a, 's> Run<'a, 's> {
         self
     }
 
-    /// Wall-clock budget for the enumeration phase.
+    /// Wall-clock budget for the whole run, counted from this call: the
+    /// RIG build, the factorized DP and enumeration all stop at the one
+    /// deadline it sets, and a run cut short reports `timed_out`.
     pub fn timeout(mut self, d: Duration) -> Self {
-        self.opts.timeout = Some(d);
+        self.opts.deadline = Instant::now().checked_add(d);
         self
     }
 
@@ -188,11 +190,8 @@ impl<'a, 's> Run<'a, 's> {
         engine: impl FnOnce(&PatternQuery, &Rig, &EnumOptions) -> EnumResult,
     ) -> QueryOutcome {
         let total_start = Instant::now();
-        // One wall-clock budget for the whole run: the RIG build consumes
-        // it first, enumeration gets what remains.
-        let deadline = self.opts.timeout.and_then(|d| total_start.checked_add(d));
         let (rig, from_cache) =
-            self.prepared.session.rig_for(self.prepared, self.use_cache, deadline);
+            self.prepared.session.rig_for(self.prepared, self.use_cache, self.opts.deadline);
         let enum_start = Instant::now();
         let result = if rig.stats.timed_out {
             // the build deadline expired: a timeout, never an empty answer
@@ -200,11 +199,7 @@ impl<'a, 's> Run<'a, 's> {
         } else if rig.is_empty() {
             EnumResult::empty(Vec::new())
         } else {
-            let mut opts = self.opts;
-            if let Some(d) = deadline {
-                opts.timeout = Some(d.saturating_duration_since(Instant::now()));
-            }
-            engine(&self.prepared.exec, &rig, &opts)
+            engine(&self.prepared.exec, &rig, &self.opts)
         };
         let enumeration_time = enum_start.elapsed();
         let metrics = GmMetrics {
@@ -361,8 +356,8 @@ impl<'a, 's> Run<'a, 's> {
     pub fn factorized_summary(self) -> crate::factorized::FactorizedSummary {
         use crate::factorized::{FactorizedSummary, VarSummary};
         let prepared = self.prepared;
-        let deadline = self.opts.timeout.and_then(|d| Instant::now().checked_add(d));
-        let (rig, from_cache) = prepared.session.rig_for(prepared, self.use_cache, deadline);
+        let (rig, from_cache) =
+            prepared.session.rig_for(prepared, self.use_cache, self.opts.deadline);
         let q = &prepared.exec;
         let name_of = |i: usize| match prepared.vars.as_deref() {
             Some(v) => v[i].clone(),
@@ -386,7 +381,7 @@ impl<'a, 's> Run<'a, 's> {
             };
         }
         let mut f = crate::factorized::Factorization::new(q, &rig);
-        f.set_deadline(deadline);
+        f.set_deadline(self.opts.deadline);
         let dp = f.count();
         // cardinalities re-run the conditioning loop under the same
         // deadline; a summary truncated in either loop reports no count

@@ -359,10 +359,9 @@ impl Session {
     /// raced by a commit is simply not cached (its snapshot is already
     /// stale).
     ///
-    /// `deadline` caps the build itself (selection stops at the next
-    /// simulation pass boundary, expansion aborts): a timed-out build
-    /// comes back as an empty-shaped RIG with `stats.timed_out` set and is
-    /// never cached.
+    /// `deadline` caps the build itself (selection stops at the next edge
+    /// check, expansion aborts): a timed-out build comes back as an
+    /// empty-shaped RIG with `stats.timed_out` set and is never cached.
     pub(crate) fn rig_for(
         &self,
         prepared: &Prepared<'_>,
@@ -378,9 +377,9 @@ impl Session {
             }
         }
         let (snapshot, bfl) = self.clean_snapshot();
-        let opts = self.config.rig.with_deadline(deadline);
-        let ctx = SimContext::new(snapshot.base(), &prepared.exec, &*bfl);
-        let rig = Arc::new(build_rig(&ctx, &bfl, &opts));
+        let mut ctx = SimContext::new(snapshot.base(), &prepared.exec, &*bfl);
+        ctx.deadline = deadline;
+        let rig = Arc::new(build_rig(&ctx, &bfl, &self.config.rig));
         if use_cache && !rig.stats.timed_out {
             let mut st = self.state();
             // a commit may have landed while we built: then this RIG

@@ -8,6 +8,7 @@
 //! the pipeline (match sets, simulation, RIG construction) starts from them.
 
 mod builder;
+mod deadline;
 pub mod delta;
 mod hash;
 mod io;
@@ -16,6 +17,7 @@ mod stats;
 mod view;
 
 pub use builder::GraphBuilder;
+pub use deadline::Deadline;
 pub use delta::{
     parse_mutations, CommitImpact, DeltaOverlay, LabelSpec, MutationOp, MutationStream, Snapshot,
 };

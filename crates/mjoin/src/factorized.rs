@@ -30,8 +30,8 @@
 //!
 //! Both run the same conditioning loop: one dense pass over the free
 //! forest, then per support-filtered conditioning binding one sparse pass
-//! over the binding-dependent positions, with the deadline probed between
-//! bindings.
+//! over the binding-dependent positions, with the deadline charged once
+//! per binding.
 //!
 //! Tuples are never produced here: every answer tuple comes from the MJoin
 //! engine ([`crate::enumerate_sink`], [`crate::par_enumerate`]).
@@ -45,6 +45,7 @@
 //! [`Factorization::new`]; the counting entry points are **allocation-free
 //! in steady state** (see `tests/alloc_factorized.rs`).
 
+use rig_graph::Deadline;
 use rig_index::{AdjRun, Rig};
 use rig_query::{EdgeId, PatternQuery, QNode};
 
@@ -862,28 +863,19 @@ impl<'q, 'r> Factorization<'q, 'r> {
     }
 
     /// Sets a wall-clock cutoff for the conditioning loop of
-    /// [`Self::count`] and [`Self::var_cardinalities`]. Past the deadline
-    /// the count aborts with `timed_out` set and `total: None`, and the
-    /// cardinalities return `None` — a partial result is never reported
-    /// as the answer. MJoin enumeration is unaffected (it takes its own
-    /// budget through `EnumOptions`).
+    /// [`Self::count`] and [`Self::var_cardinalities`], charged once per
+    /// conditioning binding. Past the deadline the count aborts with
+    /// `timed_out` set and `total: None`, and the cardinalities return
+    /// `None` — a partial result is never reported as the answer. MJoin
+    /// enumeration reads its deadline from `EnumOptions::deadline`.
     pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
         self.deadline = deadline;
     }
 
-    /// True when the configured deadline has passed; probed every few
-    /// conditioning assignments, so one clock read amortizes over many
-    /// sparse passes.
-    #[inline]
-    fn past_deadline(&self, assignments: u64) -> bool {
-        self.deadline
-            .is_some_and(|d| assignments.is_multiple_of(16) && std::time::Instant::now() >= d)
-    }
-
     /// The conditioning loop both aggregates share: the dense potential
     /// pass, then — for a cyclic query — one sparse pass per
-    /// support-filtered conditioning binding, probing the deadline between
-    /// bindings. `visit` runs after every binding whose count is positive
+    /// support-filtered conditioning binding, charging the deadline once
+    /// per binding. `visit` runs after every binding whose count is positive
     /// (once for a tree query), while the DP scratch holds that binding's
     /// counts.
     fn condition(&mut self, mut visit: impl FnMut(&Self)) -> DpCount {
@@ -904,8 +896,9 @@ impl<'q, 'r> Factorization<'q, 'r> {
                 self.compute_support();
             }
             self.reset();
+            let mut deadline = Deadline::new(self.deadline);
             while self.next_s_assignment() {
-                if self.past_deadline(assignments) {
+                if deadline.charge() {
                     timed_out = true;
                     break;
                 }

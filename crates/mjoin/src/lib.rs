@@ -48,7 +48,7 @@
 //! materialized. The same engine core powers the **morsel-driven parallel**
 //! entry point [`par_enumerate`] (see [`parallel`] and `docs/parallel.md`):
 //! workers pull fixed-size morsels of the root candidate range off a shared
-//! atomic cursor and share the `limit`/timeout budget through atomics, so
+//! atomic cursor and share the `limit`/deadline budget through atomics, so
 //! parallel runs honor both without falling back to the sequential engine.
 //! With one thread, [`par_enumerate`] runs a single worker inline, exactly
 //! like [`enumerate_sink`].
@@ -69,9 +69,9 @@ pub use parallel::{par_enumerate, ParOptions};
 pub use sink::{BatchSink, CollectSink, CountSink, FirstKSink, FnSink, ResultSink};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use rig_graph::NodeId;
+use rig_graph::{Deadline, NodeId};
 use rig_index::{AdjRun, Rig};
 use rig_query::{PatternQuery, QNode};
 
@@ -81,15 +81,16 @@ pub struct EnumOptions {
     pub order: SearchOrder,
     /// Stop after this many occurrences (the paper caps at 10^7).
     pub limit: Option<u64>,
-    /// Wall-clock budget (the paper stops queries at 10 minutes).
-    pub timeout: Option<Duration>,
+    /// Wall-clock deadline (the paper stops queries at 10 minutes),
+    /// charged once per stop check.
+    pub deadline: Option<Instant>,
     /// Enforce injectivity (isomorphism-style matching).
     pub injective: bool,
 }
 
 impl Default for EnumOptions {
     fn default() -> Self {
-        EnumOptions { order: SearchOrder::Jo, limit: None, timeout: None, injective: false }
+        EnumOptions { order: SearchOrder::Jo, limit: None, deadline: None, injective: false }
     }
 }
 
@@ -97,11 +98,6 @@ impl EnumOptions {
     /// Same options stopping after `limit` occurrences.
     pub fn with_limit(self, limit: u64) -> Self {
         EnumOptions { limit: Some(limit), ..self }
-    }
-
-    /// Same options with a wall-clock budget.
-    pub fn with_timeout(self, timeout: Duration) -> Self {
-        EnumOptions { timeout: Some(timeout), ..self }
     }
 }
 
@@ -274,19 +270,16 @@ pub(crate) struct SharedState {
     emitted: AtomicU64,
     pub(crate) timed_out: AtomicBool,
     pub(crate) limit_hit: AtomicBool,
-    /// One deadline for the whole run (same wall clock for every worker).
-    deadline: Option<Instant>,
 }
 
 impl SharedState {
-    pub(crate) fn new(opts: &EnumOptions) -> SharedState {
+    pub(crate) fn new() -> SharedState {
         SharedState {
             cursor: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             emitted: AtomicU64::new(0),
             timed_out: AtomicBool::new(false),
             limit_hit: AtomicBool::new(false),
-            deadline: opts.timeout.map(|t| Instant::now() + t),
         }
     }
 }
@@ -394,8 +387,8 @@ pub(crate) struct Worker<'a, 'r> {
     /// The occurrence in query-node order, written as each node is bound
     /// and handed to the sink as is.
     out_tuple: Vec<NodeId>,
-    deadline: Option<Instant>,
-    check_counter: u32,
+    /// `opts.deadline`, charged per stop check.
+    deadline: Deadline,
     shared: Option<&'a SharedState>,
     memo: SuffixMemo<'r>,
     pub(crate) result: EnumResult,
@@ -429,10 +422,6 @@ impl<'a, 'r> Worker<'a, 'r> {
                 }
             })
             .collect();
-        let deadline = match shared {
-            Some(sh) => sh.deadline,
-            None => opts.timeout.map(|t| Instant::now() + t),
-        };
         // The memo's arrays get Σ|cos(q_i)| entries each, so it stays
         // within the Thm. 5.1 space bound and never reallocates.
         let memo = match plan.memo_split {
@@ -458,8 +447,7 @@ impl<'a, 'r> Worker<'a, 'r> {
             steps,
             tuple_local: vec![0; n],
             out_tuple: vec![0; n],
-            deadline,
-            check_counter: 0,
+            deadline: Deadline::new(opts.deadline),
             shared,
             memo,
             result: EnumResult::empty(plan.order.clone()),
@@ -481,30 +469,15 @@ impl<'a, 'r> Worker<'a, 'r> {
                 return true;
             }
         }
-        self.check_counter += 1;
-        if self.check_counter >= 1024 {
-            self.check_counter = 0;
-            if self.deadline_expired() {
-                return true;
-            }
+        if !self.deadline.charge() {
+            return false;
         }
-        false
-    }
-
-    /// Checks the wall-clock deadline, recording (and broadcasting) the
-    /// timeout when it has passed.
-    fn deadline_expired(&mut self) -> bool {
-        if let Some(deadline) = self.deadline {
-            if Instant::now() > deadline {
-                self.result.timed_out = true;
-                if let Some(sh) = self.shared {
-                    sh.timed_out.store(true, Ordering::Relaxed);
-                    sh.stop.store(true, Ordering::Relaxed);
-                }
-                return true;
-            }
+        self.result.timed_out = true;
+        if let Some(sh) = self.shared {
+            sh.timed_out.store(true, Ordering::Relaxed);
+            sh.stop.store(true, Ordering::Relaxed);
         }
-        false
+        true
     }
 
     /// Emits the current full binding (`out_tuple`). Returns `false` when
@@ -574,7 +547,7 @@ impl<'a, 'r> Worker<'a, 'r> {
         );
         // An already-expired (e.g. zero) budget stops the worker before it
         // claims any work.
-        if self.deadline_expired() {
+        if self.stopped() {
             sink.finish();
             return;
         }
@@ -656,12 +629,9 @@ impl<'a, 'r> Worker<'a, 'r> {
     }
 
     /// Emits the recorded suffix below split `s` through the last step's
-    /// in-place loop, polling the deadline and the stop conditions once per
-    /// recorded call.
+    /// in-place loop, running the stop check (and so charging the
+    /// deadline) once per recorded call.
     fn replay<S: ResultSink>(&mut self, s: usize, sink: &mut S) -> bool {
-        if self.deadline_expired() {
-            return false;
-        }
         let last = self.steps.len() - 1;
         let memo = std::mem::take(&mut self.memo);
         let mut keep = true;

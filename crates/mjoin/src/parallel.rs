@@ -13,11 +13,12 @@
 //! and shared by reference; each worker owns its per-depth scratch and its
 //! [`ResultSink`], so the emit path takes no locks.
 //!
-//! Unlike the earlier static-partition driver, `limit` and `timeout` are
+//! Unlike the earlier static-partition driver, `limit` and `deadline` are
 //! honored **under parallelism**: matches are reserved on a shared atomic
 //! counter (exactly `limit` matches are emitted across all workers, and
-//! `limit_hit` survives the merge), and a shared deadline + stop flag
-//! terminates every worker within one recursion step.
+//! `limit_hit` survives the merge); every worker charges the one deadline,
+//! and the first to see it pass raises a shared stop flag that terminates
+//! every worker within one recursion step.
 //!
 //! [`par_enumerate`] is the only driver. With one thread it runs the
 //! sequential engine inline on the calling thread, so callers choose
@@ -92,7 +93,7 @@ where
         return (sinks, merged);
     }
 
-    let shared = SharedState::new(opts);
+    let shared = SharedState::new();
     let (plan_ref, shared_ref, make_sink_ref) = (&plan, &shared, &make_sink);
     let worker_outputs: Vec<(S, EnumResult)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)

@@ -10,10 +10,8 @@
 //! `Jo`/`Ri`, which both engines order identically for identical candidate
 //! sets.
 
-use std::time::Instant;
-
 use rig_bitset::Bitset;
-use rig_graph::NodeId;
+use rig_graph::{Deadline, NodeId};
 use rig_index::reference::RefRig;
 use rig_query::{PatternQuery, QNode};
 
@@ -60,8 +58,7 @@ pub fn ref_enumerate(
         opts,
         order: &order,
         constraints: &constraints,
-        started: Instant::now(),
-        check_counter: 0,
+        deadline: Deadline::new(opts.deadline),
         result: &mut result,
     };
     let mut out_tuple = vec![0 as NodeId; n];
@@ -121,8 +118,7 @@ struct RefEngine<'a> {
     opts: &'a EnumOptions,
     order: &'a [QNode],
     constraints: &'a [Vec<(u32, usize, bool)>],
-    started: Instant,
-    check_counter: u32,
+    deadline: Deadline,
     result: &'a mut EnumResult,
 }
 
@@ -137,17 +133,8 @@ impl RefEngine<'_> {
                 return true;
             }
         }
-        self.check_counter += 1;
-        if self.check_counter >= 1024 {
-            self.check_counter = 0;
-            if let Some(budget) = self.opts.timeout {
-                if self.started.elapsed() > budget {
-                    self.result.timed_out = true;
-                    return true;
-                }
-            }
-        }
-        false
+        self.result.timed_out = self.deadline.charge();
+        self.result.timed_out
     }
 
     fn recurse(

@@ -1,11 +1,11 @@
 //! Budget enforcement: timeouts fire on explosive enumerations; limits are
 //! exact; steps accounting is sane.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rig_graph::{GraphBuilder, NodeId};
 use rig_index::{build_rig, RigOptions};
-use rig_mjoin::{count, EnumOptions};
+use rig_mjoin::{count, par_enumerate, CountSink, EnumOptions, ParOptions};
 use rig_query::{EdgeKind, PatternQuery};
 use rig_reach::BflIndex;
 use rig_sim::SimContext;
@@ -36,19 +36,28 @@ fn explosive_setup() -> (rig_graph::DataGraph, PatternQuery) {
     (g, q)
 }
 
+/// A 50 ms deadline stops the explosive enumeration, sequential and on
+/// two `par_enumerate` workers, within 100 ms of passing.
 #[test]
 fn timeout_interrupts_explosive_enumeration() {
     let (g, q) = explosive_setup();
     let bfl = BflIndex::new(&g);
     let ctx = SimContext::new(&g, &q, &bfl);
     let rig = build_rig(&ctx, &bfl, &RigOptions::default());
-    let opts = EnumOptions { timeout: Some(Duration::from_millis(50)), ..Default::default() };
-    let start = std::time::Instant::now();
-    let r = count(&q, &rig, &opts);
-    assert!(r.timed_out, "must hit the wall-clock budget");
-    // generous bound: the 1024-step check plus enumeration overhead
-    assert!(start.elapsed() < Duration::from_secs(10));
-    assert!(r.count > 0, "partial results are still produced");
+    for threads in [1, 2] {
+        let deadline = Instant::now() + Duration::from_millis(50);
+        let opts = EnumOptions { deadline: Some(deadline), ..Default::default() };
+        let par = ParOptions::with_threads(threads);
+        let (sinks, r) = par_enumerate(&q, &rig, &opts, &par, |_| CountSink::default());
+        let late = Instant::now().saturating_duration_since(deadline);
+        assert!(r.timed_out, "{threads} thread(s): must hit the wall-clock budget");
+        assert!(
+            late < Duration::from_millis(100),
+            "{threads} thread(s): {late:?} past the deadline"
+        );
+        assert!(r.count > 0, "partial results are still produced");
+        assert_eq!(sinks.iter().map(|s| s.count).sum::<u64>(), r.count);
+    }
 }
 
 #[test]

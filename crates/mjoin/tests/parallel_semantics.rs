@@ -139,8 +139,8 @@ fn limit_is_exact_and_flagged_in_both_engines() {
 fn zero_budget_timeout_terminates_workers_promptly() {
     let (g, q) = explosive_setup();
     let rig = build(&g, &q);
-    let opts = EnumOptions { timeout: Some(Duration::ZERO), ..Default::default() };
     let start = Instant::now();
+    let opts = EnumOptions { deadline: Some(start), ..Default::default() };
     let r = par_total(&q, &rig, &opts, &ParOptions::with_threads(8));
     let elapsed = start.elapsed();
     assert!(r.timed_out, "zero budget must time out");
@@ -154,8 +154,9 @@ fn zero_budget_timeout_terminates_workers_promptly() {
 fn parallel_timeout_interrupts_explosive_enumeration() {
     let (g, q) = explosive_setup();
     let rig = build(&g, &q);
-    let opts = EnumOptions { timeout: Some(Duration::from_millis(50)), ..Default::default() };
     let start = Instant::now();
+    let opts =
+        EnumOptions { deadline: Some(start + Duration::from_millis(50)), ..Default::default() };
     let r = par_total(&q, &rig, &opts, &ParOptions::with_threads(4));
     assert!(r.timed_out, "must hit the wall-clock budget");
     assert!(start.elapsed() < Duration::from_secs(10));

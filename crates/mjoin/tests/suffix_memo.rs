@@ -11,7 +11,7 @@
 //! and limits, deadlines, sink stops, two workers and injectivity must
 //! behave as without the memo.
 
-use std::time::Duration;
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -298,16 +298,16 @@ fn limits_stopping_inside_a_replay_are_exact() {
     }
 }
 
-/// A replay polls the deadline, so a run that replays notices a past
-/// deadline even when it takes fewer steps than the periodic poll's
-/// interval; parallel workers check it before claiming work.
+/// The first stop check reads the clock, so a run that replays notices a
+/// past deadline at once; parallel workers check it before claiming
+/// work.
 #[test]
 fn a_past_deadline_times_out() {
     for case in cases() {
         let g = graph(Regime::GiantScc, 1, case.n, case.labels);
         let rig = ctx_rig(&g, &case.q);
         for order in ORDERS {
-            let opts = EnumOptions { order, timeout: Some(Duration::ZERO), ..Default::default() };
+            let opts = EnumOptions { order, deadline: Some(Instant::now()), ..Default::default() };
             if Plan::new(&case.q, &rig, &opts).memo_split().is_none() {
                 continue;
             }

@@ -37,7 +37,7 @@ pub mod reference;
 use std::time::{Duration, Instant};
 
 use rig_bitset::Bitset;
-use rig_graph::{FxHashMap, NodeId};
+use rig_graph::{Deadline, FxHashMap, NodeId};
 use rig_query::{EdgeId, EdgeKind};
 use rig_reach::BflIndex;
 use rig_sim::{double_simulation, double_simulation_seeded, prefilter, SimContext, SimOptions};
@@ -73,16 +73,6 @@ impl RigOptions {
     pub fn exact() -> Self {
         RigOptions { sim: SimOptions::exact(), ..Default::default() }
     }
-
-    /// Same options with a hard wall-clock construction deadline
-    /// (`sim.deadline`, which selection and expansion both read).
-    /// Selection stops at the next simulation pass boundary (sound — a
-    /// superset survives); expansion *aborts*: past the deadline the build
-    /// returns an empty-shaped RIG with [`RigStats::timed_out`] set, which
-    /// callers must report as a timeout, never as an empty answer.
-    pub fn with_deadline(self, deadline: Option<Instant>) -> Self {
-        RigOptions { sim: SimOptions { deadline, ..self.sim }, ..self }
-    }
 }
 
 /// Phase timings and sizes reported by Fig. 13.
@@ -99,8 +89,9 @@ pub struct RigStats {
     /// Data nodes pruned out of the match sets during selection (pre-filter
     /// prunes plus simulation prunes).
     pub pruned: u64,
-    /// The construction deadline expired during expansion: the RIG is an
-    /// empty shell and must be reported as a timeout, not an empty answer.
+    /// The construction deadline ([`SimContext::deadline`]) expired during
+    /// expansion: the RIG is an empty shell and must be reported as a
+    /// timeout, not an empty answer.
     pub timed_out: bool,
 }
 
@@ -553,6 +544,10 @@ impl Rig {
 /// only the base segment, so reachability edges expand by one DFS per
 /// source over the view's own adjacency instead and probe neither `bfl`
 /// nor `ctx.reach`.
+///
+/// Both phases charge [`SimContext::deadline`] per unit of work; past it
+/// the build returns an empty-shaped RIG with [`RigStats::timed_out`] set,
+/// which callers must report as a timeout, never as an empty answer.
 pub fn build_rig(ctx: &SimContext<'_>, bfl: &BflIndex, opts: &RigOptions) -> Rig {
     // ---- node selection phase ----
     let select_start = Instant::now();
@@ -588,21 +583,22 @@ pub fn build_rig(ctx: &SimContext<'_>, bfl: &BflIndex, opts: &RigOptions) -> Rig
     };
     let select_time = select_start.elapsed();
     let stats = RigStats { select_time, sim_passes, pruned, ..Default::default() };
-    finish_rig(ctx, bfl, opts, cos, stats)
+    finish_rig(ctx, bfl, cos, stats)
 }
 
 /// Builds a RIG whose candidate sets are supplied by the caller (each must
 /// sandwich `os(q) ⊆ cos[q] ⊆ ms(q)`), skipping the selection phase. Used
 /// by engines with their own filtering front end (e.g. the RapidMatch
-/// analogue's tree-restricted filter).
+/// analogue's tree-restricted filter). Expansion has no options, so
+/// `_opts` only mirrors [`build_rig`]'s signature.
 pub fn build_rig_from_candidates(
     ctx: &SimContext<'_>,
     bfl: &BflIndex,
-    opts: &RigOptions,
+    _opts: &RigOptions,
     cos: Vec<Bitset>,
 ) -> Rig {
     assert_eq!(cos.len(), ctx.query.num_nodes(), "one candidate set per query node");
-    finish_rig(ctx, bfl, opts, cos, RigStats::default())
+    finish_rig(ctx, bfl, cos, RigStats::default())
 }
 
 fn total_len(sets: &[Bitset]) -> u64 {
@@ -625,13 +621,7 @@ fn match_set_total(ctx: &SimContext<'_>) -> u64 {
 
 /// Shared tail of RIG construction: the node expansion phase (§4.5) on a
 /// fixed candidate selection.
-fn finish_rig(
-    ctx: &SimContext<'_>,
-    bfl: &BflIndex,
-    opts: &RigOptions,
-    cos: Vec<Bitset>,
-    stats: RigStats,
-) -> Rig {
+fn finish_rig(ctx: &SimContext<'_>, bfl: &BflIndex, cos: Vec<Bitset>, stats: RigStats) -> Rig {
     let nq = ctx.query.num_nodes();
     let ne = ctx.query.num_edges();
     let edge_nodes: Vec<(usize, usize)> = (0..ne)
@@ -656,7 +646,7 @@ fn finish_rig(
 
     // ---- node expansion phase ----
     let expand_start = Instant::now();
-    match expand_all(ctx, bfl, opts.sim.deadline, &rig.ids, &rig.edge_nodes) {
+    match expand_all(ctx, bfl, &rig.ids, &rig.edge_nodes) {
         Some(blocks) => {
             for (fwd, bwd) in blocks {
                 rig.fwd.push(fwd);
@@ -698,45 +688,17 @@ fn empty_shaped(nq: usize, ne: usize, edge_nodes: Vec<(usize, usize)>, stats: Ri
     rig
 }
 
-/// Periodic deadline probe for the per-source expansion loops: reads the
-/// clock once every 256 probes (and on the very first, so an
-/// already-expired deadline aborts immediately).
-struct DeadlineProbe {
-    at: Option<Instant>,
-    tick: u32,
-    expired: bool,
-}
-
-impl DeadlineProbe {
-    fn new(at: Option<Instant>) -> Self {
-        DeadlineProbe { at, tick: 0, expired: false }
-    }
-
-    #[inline]
-    fn expired(&mut self) -> bool {
-        if self.expired {
-            return true;
-        }
-        let Some(at) = self.at else { return false };
-        self.tick = self.tick.wrapping_add(1);
-        if self.tick % 256 == 1 && Instant::now() >= at {
-            self.expired = true;
-        }
-        self.expired
-    }
-}
-
 /// Expands every query edge into its (forward, backward) CSR block pair,
-/// in edge-id order. Returns `None` when `deadline` expired mid-build.
+/// in edge-id order. Returns `None` when the context's deadline expired
+/// mid-build.
 fn expand_all(
     ctx: &SimContext<'_>,
     bfl: &BflIndex,
-    deadline: Option<Instant>,
     ids: &[Vec<NodeId>],
     edge_nodes: &[(usize, usize)],
 ) -> Option<Vec<(CsrDir, CsrDir)>> {
     let build_one = |(eid, &(p, q)): (usize, &(usize, usize))| {
-        let x = expand_edge(ctx, bfl, deadline, ids, eid as EdgeId, p, q)?;
+        let x = expand_edge(ctx, bfl, ids, eid as EdgeId, p, q)?;
         let fwd = CsrDir::new(x.offsets, x.targets, x.run_of, ids[q].len());
         let bwd = fwd.transpose(ids[q].len(), x.target_group);
         Some((fwd, bwd))
@@ -773,12 +735,12 @@ impl Expansion {
 fn expand_edge(
     ctx: &SimContext<'_>,
     bfl: &BflIndex,
-    dl: Option<Instant>,
     ids: &[Vec<NodeId>],
     eid: EdgeId,
     p: usize,
     q: usize,
 ) -> Option<Expansion> {
+    let dl = Deadline::new(ctx.deadline);
     match ctx.query.edge(eid).kind {
         EdgeKind::Direct => expand_direct(ctx, ids, p, q, dl),
         EdgeKind::Reachability if ctx.graph.is_dirty() => expand_reach_dfs(ctx, ids, p, q, dl),
@@ -807,15 +769,14 @@ fn expand_direct(
     ids: &[Vec<NodeId>],
     p: usize,
     q: usize,
-    deadline: Option<Instant>,
+    mut dl: Deadline,
 ) -> Option<Expansion> {
     let (src, tgt) = (&ids[p], &ids[q]);
-    let mut probe = DeadlineProbe::new(deadline);
     let mut offsets = Vec::with_capacity(src.len() + 1);
     offsets.push(0u32);
     let mut targets = Vec::new();
     for &u in src {
-        if probe.expired() {
+        if dl.charge() {
             return None;
         }
         intersect_to_locals(ctx.graph.out_neighbors(u), tgt, &mut targets);
@@ -875,12 +836,11 @@ fn expand_reach_pairwise(
     ids: &[Vec<NodeId>],
     p: usize,
     q: usize,
-    deadline: Option<Instant>,
+    mut dl: Deadline,
 ) -> Option<Expansion> {
     let cond = bfl.condensation();
     let intervals = bfl.intervals();
     let (src, tgt) = (&ids[p], &ids[q]);
-    let mut probe = DeadlineProbe::new(deadline);
     // (begin, target node, local id), cached once per edge and sorted by
     // interval begin for the early-termination cut.
     let mut tinfo: Vec<(u32, NodeId, u32)> = tgt
@@ -897,9 +857,6 @@ fn expand_reach_pairwise(
     // run could never be requested again).
     let mut memo: FxHashMap<u32, u32> = FxHashMap::default();
     for &u in src {
-        if probe.expired() {
-            return None;
-        }
         let cu = cond.component(u);
         let nontrivial = cond.nontrivial[cu as usize];
         if nontrivial {
@@ -913,6 +870,9 @@ fn expand_reach_pairwise(
         for &(begin, v, j) in &tinfo {
             if begin > u_end {
                 break; // all later candidates are unreachable from u
+            }
+            if dl.charge() {
+                return None;
             }
             if (u != v || nontrivial) && ctx.reach.reaches(u, v) {
                 targets.push(j);
@@ -947,13 +907,10 @@ fn expand_reach_dfs(
     ids: &[Vec<NodeId>],
     p: usize,
     q: usize,
-    deadline: Option<Instant>,
+    mut dl: Deadline,
 ) -> Option<Expansion> {
     let g = ctx.graph;
     let (src, tgt) = (&ids[p], &ids[q]);
-    // One DFS can walk the whole graph, so the probe ticks per pop, not
-    // per source.
-    let mut probe = DeadlineProbe::new(deadline);
     let mut stamp = vec![u32::MAX; g.num_nodes()];
     let mut offsets = Vec::with_capacity(src.len() + 1);
     offsets.push(0u32);
@@ -963,8 +920,9 @@ fn expand_reach_dfs(
         let epoch = epoch as u32;
         run.clear();
         let mut stack: Vec<NodeId> = g.out_neighbors(u).to_vec();
+        // one DFS can walk the whole graph: charge per pop, not per source
         while let Some(x) = stack.pop() {
-            if probe.expired() {
+            if dl.charge() {
                 return None;
             }
             if stamp[x as usize] == epoch {

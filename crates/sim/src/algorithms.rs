@@ -3,6 +3,7 @@
 use crate::checks::{backward_prune_edge, forward_prune_edge};
 use crate::{SimAlgorithm, SimContext, SimOptions, SimResult, TraceEvent};
 use rig_bitset::Bitset;
+use rig_graph::Deadline;
 use rig_query::{EdgeId, QNode};
 
 /// Computes the double simulation `FB` of `ctx.query` by `ctx.graph`.
@@ -53,6 +54,9 @@ struct Runner<'c, 'a> {
     step: usize,
     pruned: u64,
     trace: Vec<TraceEvent>,
+    /// Charged per edge check: past it, checks are skipped and the pass
+    /// loops end, leaving a superset of `FB`.
+    deadline: Deadline,
 }
 
 impl<'c, 'a> Runner<'c, 'a> {
@@ -72,6 +76,7 @@ impl<'c, 'a> Runner<'c, 'a> {
             step: 0,
             pruned: 0,
             trace: Vec::new(),
+            deadline: Deadline::new(ctx.deadline),
         }
     }
 
@@ -97,20 +102,25 @@ impl<'c, 'a> Runner<'c, 'a> {
     }
 
     fn fwd(&mut self, eid: EdgeId) -> bool {
+        if self.deadline.charge() {
+            return false;
+        }
         let q = self.ctx.query.edge(eid).from;
         let removed = forward_prune_edge(self.ctx, &mut self.fb, eid, &self.opts);
         self.record(q, removed)
     }
 
     fn bwd(&mut self, eid: EdgeId) -> bool {
+        if self.deadline.charge() {
+            return false;
+        }
         let q = self.ctx.query.edge(eid).to;
         let removed = backward_prune_edge(self.ctx, &mut self.fb, eid, &self.opts);
         self.record(q, removed)
     }
 
-    fn cap_reached(&self) -> bool {
-        self.opts.max_passes.is_some_and(|cap| self.passes >= cap)
-            || self.opts.deadline.is_some_and(|d| std::time::Instant::now() >= d)
+    fn cap_reached(&mut self) -> bool {
+        self.opts.max_passes.is_some_and(|cap| self.passes >= cap) || self.deadline.charge()
     }
 
     /// Sum of change counters of the nodes adjacent to `q` through the

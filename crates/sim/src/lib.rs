@@ -39,6 +39,8 @@ pub use algorithms::{double_simulation, double_simulation_seeded};
 pub use checks::{backward_prune_edge, forward_prune_edge};
 pub use prefilter::prefilter;
 
+use std::time::Instant;
+
 use rig_bitset::Bitset;
 use rig_graph::GraphView;
 use rig_query::PatternQuery;
@@ -61,6 +63,11 @@ pub struct SimContext<'a> {
     /// `Sync` so one context can be shared across threads (every in-tree
     /// oracle is plain data).
     pub reach: &'a (dyn Reachability + Sync),
+    /// The build's wall-clock deadline, charged per selection edge check
+    /// and per expansion unit (see [`rig_graph::Deadline`]). Selection
+    /// stops at it with a sound superset of `FB`; expansion aborts.
+    /// [`SimContext::new`] leaves it `None`.
+    pub deadline: Option<Instant>,
 }
 
 impl<'a> SimContext<'a> {
@@ -69,7 +76,7 @@ impl<'a> SimContext<'a> {
         query: &'a PatternQuery,
         reach: &'a (dyn Reachability + Sync),
     ) -> Self {
-        SimContext { graph: graph.into(), query, reach }
+        SimContext { graph: graph.into(), query, reach, deadline: None }
     }
 
     /// The condensation of `graph`, if `reach` has one that describes it:
@@ -138,11 +145,6 @@ pub struct SimOptions {
     pub change_flags: bool,
     /// Record per-step prune events (used to reproduce Figs. 4 and 5).
     pub trace: bool,
-    /// Stop at the next pass boundary once this instant has passed. Like
-    /// `max_passes`, stopping early leaves a superset of `FB`, so the
-    /// result is still sound — expansion just prunes less. It is also the
-    /// RIG build's deadline: expansion aborts once it has passed.
-    pub deadline: Option<std::time::Instant>,
 }
 
 impl Default for SimOptions {
@@ -153,7 +155,6 @@ impl Default for SimOptions {
             max_passes: None,
             change_flags: true,
             trace: false,
-            deadline: None,
         }
     }
 }

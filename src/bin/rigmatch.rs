@@ -586,12 +586,7 @@ fn run(cli: &Cli) -> Result<ExitCode, Error> {
 
     let cfg = GmConfig {
         skip_reduction: !cli.reduction,
-        enumeration: EnumOptions {
-            order: cli.order,
-            limit: cli.limit,
-            timeout: cli.timeout,
-            ..Default::default()
-        },
+        enumeration: EnumOptions { order: cli.order, limit: cli.limit, ..Default::default() },
         ..Default::default()
     };
 
@@ -712,21 +707,26 @@ fn run_gm(
         write_stdout(&out)?;
         return Ok(ExitCode::SUCCESS);
     }
+    // --timeout budgets each run from its start, through Run::timeout
+    let run = || match cli.timeout {
+        Some(t) => prepared.run().timeout(t),
+        None => prepared.run(),
+    };
     if cli.factorized {
-        write_stdout(&format!("{}", prepared.run().factorized_summary()))?;
+        write_stdout(&format!("{}", run().factorized_summary()))?;
         return Ok(ExitCode::SUCCESS);
     }
 
     let trouble = StdoutTrouble::default();
     let outcome = if cli.count_only {
-        prepared.run().threads(cli.threads).count()
+        run().threads(cli.threads).count()
     } else {
         // Each worker (one, running inline, unless --threads > 1) batches
         // matches and flushes them under a shared stdout lock, so nothing
         // is materialized and lines never interleave mid-tuple.
         let stdout = std::io::stdout();
         let arity = q.num_nodes();
-        let (_, outcome) = prepared.run().threads(cli.threads).par_stream(|_worker| {
+        let (_, outcome) = run().threads(cli.threads).par_stream(|_worker| {
             let stdout = &stdout;
             let trouble = &trouble;
             let inner = BatchSink::new(arity, 256, move |flat: &[u32], arity| {
