@@ -95,6 +95,18 @@ if [[ "${1:-}" != "quick" ]]; then
         --query 'MATCH (a:Author)=>(p:Paper)' > "${cli_tmp}/check.txt" || rc=$?
     [[ "${rc}" == "8" ]]
     grep -q 'error\[E103\]' "${cli_tmp}/check.txt"
+    # reachability expansion over 400 trivial components, where no node
+    # reaches itself: the chain 0 -> 1 -> ... -> 399 alternates Author and
+    # Paper, so Author 2k reaches 200 - k Papers, 20 100 pairs in all
+    {
+        printf 'l 0 Author\nl 1 Paper\n'
+        for i in $(seq 0 399); do printf 'v %d %d\n' "${i}" "$((i % 2))"; done
+        for i in $(seq 0 398); do printf 'e %d %d\n' "${i}" "$((i + 1))"; done
+    } > "${cli_tmp}/chain.txt"
+    for engine in gm jm; do
+        [[ "$(run_cli "${cli_tmp}/chain.txt" --engine "${engine}" --count \
+              --query 'MATCH (a:Author)=>(p:Paper)')" == "20100" ]]
+    done
     # dynamic updates: --mutations commits a script before the query runs
     # (the first read rebases the dirty snapshot onto a clean base), and
     # `update` rewrites the materialized graph

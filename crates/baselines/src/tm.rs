@@ -68,7 +68,7 @@ impl Engine for Tm<'_> {
         // plus an answer graph (a RIG restricted to tree edges).
         let mut ctx = SimContext::new(self.graph, &tree_query, &self.bfl);
         ctx.deadline = deadline;
-        let rig = build_rig(&ctx, &self.bfl, &RigOptions::default());
+        let rig = build_rig(&ctx, &RigOptions::default());
         let matching_time = start.elapsed();
         if rig.stats.timed_out {
             return failure_report("TM", RunStatus::Timeout, matching_time, 0);

@@ -45,7 +45,7 @@ fn main() {
             .collect();
     let build_only = |q: &PatternQuery, opts: &RigOptions| -> Rig {
         let ctx = SimContext::new(&g, q, &*bfl);
-        build_rig(&ctx, &bfl, opts)
+        build_rig(&ctx, opts)
     };
     let tm = Tm::new(&g);
 

@@ -143,7 +143,7 @@ mod tests {
         let g = GraphBuilder::new().build();
         let bfl = BflIndex::new(&g);
         let q = PatternQuery::new(vec![0]);
-        Arc::new(build_rig(&SimContext::new(&g, &q, &bfl), &bfl, &RigOptions::default()))
+        Arc::new(build_rig(&SimContext::new(&g, &q, &bfl), &RigOptions::default()))
     }
 
     fn key(labels: Vec<Label>, kind: Option<EdgeKind>) -> CacheKey {

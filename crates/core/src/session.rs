@@ -379,7 +379,7 @@ impl Session {
         let (snapshot, bfl) = self.clean_snapshot();
         let mut ctx = SimContext::new(snapshot.base(), &prepared.exec, &*bfl);
         ctx.deadline = deadline;
-        let rig = Arc::new(build_rig(&ctx, &bfl, &self.config.rig));
+        let rig = Arc::new(build_rig(&ctx, &self.config.rig));
         if use_cache && !rig.stats.timed_out {
             let mut st = self.state();
             // a commit may have landed while we built: then this RIG

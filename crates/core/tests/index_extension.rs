@@ -129,8 +129,7 @@ fn assert_same_answers(g: &DataGraph, got: &BflIndex, what: &str) {
         }
     }
     for q in queries() {
-        let rig =
-            |bfl: &BflIndex| build_rig(&SimContext::new(g, &q, bfl), bfl, &RigOptions::exact());
+        let rig = |bfl: &BflIndex| build_rig(&SimContext::new(g, &q, bfl), &RigOptions::exact());
         assert_same_runs(&q, &rig(got), &rig(&want), what);
     }
 }

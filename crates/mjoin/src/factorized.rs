@@ -1024,7 +1024,7 @@ mod tests {
     fn rig_for(g: &rig_graph::DataGraph, q: &PatternQuery) -> Rig {
         let bfl = BflIndex::new(g);
         let ctx = SimContext::new(g, q, &bfl);
-        build_rig(&ctx, &bfl, &RigOptions::default())
+        build_rig(&ctx, &RigOptions::default())
     }
 
     /// The Fig. 2(b)-style fixture used by the session tests: 3 As, 4 Bs,

@@ -867,7 +867,7 @@ mod tests {
     fn rig_for(g: &DataGraph, q: &PatternQuery) -> Rig {
         let bfl = BflIndex::new(g);
         let ctx = SimContext::new(g, q, &bfl);
-        build_rig(&ctx, &bfl, &RigOptions::exact())
+        build_rig(&ctx, &RigOptions::exact())
     }
 
     /// The running example answer: {(a1,b0,c0), (a2,b2,c2)} — and notably

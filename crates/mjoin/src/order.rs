@@ -213,7 +213,7 @@ mod tests {
         let q = fig2_query();
         let bfl = BflIndex::new(&g);
         let ctx = SimContext::new(&g, &q, &bfl);
-        let rig = build_rig(&ctx, &bfl, &RigOptions::exact());
+        let rig = build_rig(&ctx, &RigOptions::exact());
         (q, rig)
     }
 
@@ -268,7 +268,7 @@ mod tests {
         let g = b.build();
         let bfl = BflIndex::new(&g);
         let ctx = SimContext::new(&g, &q, &bfl);
-        let rig = build_rig(&ctx, &bfl, &RigOptions::exact());
+        let rig = build_rig(&ctx, &RigOptions::exact());
         let order = compute_order(&q, &rig, SearchOrder::Bj);
         assert_eq!(order.len(), 18);
         assert!(is_connected_order(&q, &order));

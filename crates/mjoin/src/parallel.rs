@@ -159,7 +159,7 @@ mod tests {
     fn rig_of(g: &rig_graph::DataGraph, q: &PatternQuery) -> Rig {
         let bfl = BflIndex::new(g);
         let ctx = SimContext::new(g, q, &bfl);
-        build_rig(&ctx, &bfl, &RigOptions::exact())
+        build_rig(&ctx, &RigOptions::exact())
     }
 
     #[test]

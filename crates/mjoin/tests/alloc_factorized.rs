@@ -88,7 +88,7 @@ fn repeated_dp_counts_do_not_allocate() {
     let bfl = BflIndex::new(&g);
     for (qi, q) in queries().iter().enumerate() {
         let ctx = SimContext::new(&g, q, &bfl);
-        let rig = build_rig(&ctx, &bfl, &RigOptions::default());
+        let rig = build_rig(&ctx, &RigOptions::default());
         assert!(!rig.is_empty(), "workload query {qi} must have matches");
         let shared = q.edges().iter().enumerate().any(|(eid, e)| {
             rig.num_runs(eid as u32, true) < rig.cos_len(e.from) as usize

@@ -111,7 +111,7 @@ fn star_query() -> PatternQuery {
 fn assert_steady(g: &rig_graph::DataGraph, q: &PatternQuery) -> EnumResult {
     let bfl = BflIndex::new(g);
     let ctx = SimContext::new(g, q, &bfl);
-    let rig = build_rig(&ctx, &bfl, &RigOptions::default());
+    let rig = build_rig(&ctx, &RigOptions::default());
     assert!(!rig.is_empty(), "workload must have matches");
 
     let opts = EnumOptions { limit: Some(100_000), ..Default::default() };
@@ -154,7 +154,7 @@ fn zero_allocations_while_replaying_a_suffix() {
     let (g, q) = (dense_graph(), star_query());
     let bfl = BflIndex::new(&g);
     let ctx = SimContext::new(&g, &q, &bfl);
-    let rig = build_rig(&ctx, &bfl, &RigOptions::default());
+    let rig = build_rig(&ctx, &RigOptions::default());
     assert!(Plan::new(&q, &rig, &EnumOptions::default()).memo_split().is_some());
     let r = assert_steady(&g, &q);
     let opts = EnumOptions { limit: Some(100_000), ..Default::default() };

@@ -43,7 +43,7 @@ fn timeout_interrupts_explosive_enumeration() {
     let (g, q) = explosive_setup();
     let bfl = BflIndex::new(&g);
     let ctx = SimContext::new(&g, &q, &bfl);
-    let rig = build_rig(&ctx, &bfl, &RigOptions::default());
+    let rig = build_rig(&ctx, &RigOptions::default());
     for threads in [1, 2] {
         let deadline = Instant::now() + Duration::from_millis(50);
         let opts = EnumOptions { deadline: Some(deadline), ..Default::default() };
@@ -65,7 +65,7 @@ fn limit_is_exact_on_large_answers() {
     let (g, q) = explosive_setup();
     let bfl = BflIndex::new(&g);
     let ctx = SimContext::new(&g, &q, &bfl);
-    let rig = build_rig(&ctx, &bfl, &RigOptions::default());
+    let rig = build_rig(&ctx, &RigOptions::default());
     for limit in [1u64, 17, 1000] {
         let r = count(&q, &rig, &EnumOptions { limit: Some(limit), ..Default::default() });
         assert_eq!(r.count, limit);
@@ -79,7 +79,7 @@ fn steps_bounded_by_answer_plus_backtracks() {
     let (g, q) = explosive_setup();
     let bfl = BflIndex::new(&g);
     let ctx = SimContext::new(&g, &q, &bfl);
-    let rig = build_rig(&ctx, &bfl, &RigOptions::default());
+    let rig = build_rig(&ctx, &RigOptions::default());
     let r = count(&q, &rig, &EnumOptions { limit: Some(5_000), ..Default::default() });
     // every answer takes at most |V(Q)| recursion steps on this workload
     assert!(r.steps <= r.count * q.num_nodes() as u64 + q.num_nodes() as u64 * 5_000);

@@ -66,7 +66,7 @@ proptest! {
         let ctx = SimContext::new(&g, &q, &bfl);
         for select in ALL_SELECT_MODES {
             let opts = RigOptions { select, ..RigOptions::exact() };
-            let csr = build_rig(&ctx, &bfl, &opts);
+            let csr = build_rig(&ctx, &opts);
             let reference = build_reference_rig(&ctx, &opts);
             for i in 0..q.num_nodes() {
                 prop_assert_eq!(
@@ -108,7 +108,7 @@ proptest! {
         let ctx = SimContext::new(&g, &q, &bfl);
         for select in ALL_SELECT_MODES {
             let opts = RigOptions { select, ..RigOptions::exact() };
-            let csr = build_rig(&ctx, &bfl, &opts);
+            let csr = build_rig(&ctx, &opts);
             let reference = build_reference_rig(&ctx, &opts);
             for order in [SearchOrder::Jo, SearchOrder::Ri] {
                 for injective in [false, true] {

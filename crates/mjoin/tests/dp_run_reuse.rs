@@ -115,7 +115,7 @@ fn cyclic_queries() -> Vec<PatternQuery> {
 fn rig_of(g: &DataGraph, q: &PatternQuery) -> Rig {
     let bfl = BflIndex::new(g);
     let ctx = SimContext::new(g, q, &bfl);
-    build_rig(&ctx, &bfl, &RigOptions::default())
+    build_rig(&ctx, &RigOptions::default())
 }
 
 /// Occurrence count and per-variable distinct-binding counts by exhaustive

@@ -115,7 +115,7 @@ proptest! {
         let threads = thread_counts();
         for select in ALL_SELECT_MODES {
             let opts = RigOptions { select, ..RigOptions::exact() };
-            let csr = build_rig(&ctx, &bfl, &opts);
+            let csr = build_rig(&ctx, &opts);
             let reference = build_reference_rig(&ctx, &opts);
             for order in [SearchOrder::Jo, SearchOrder::Ri] {
                 let eo = EnumOptions { order, ..Default::default() };

@@ -16,7 +16,7 @@ use rig_sim::SimContext;
 fn build(g: &rig_graph::DataGraph, q: &PatternQuery) -> Rig {
     let bfl = BflIndex::new(g);
     let ctx = SimContext::new(g, q, &bfl);
-    build_rig(&ctx, &bfl, &RigOptions::exact())
+    build_rig(&ctx, &RigOptions::exact())
 }
 
 /// Counts through `par_enumerate` with one `CountSink` per worker; the

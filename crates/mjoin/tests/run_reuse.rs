@@ -104,7 +104,7 @@ fn queries() -> Vec<PatternQuery> {
 fn rig_of(g: &DataGraph, q: &PatternQuery) -> Rig {
     let bfl = BflIndex::new(g);
     let ctx = SimContext::new(g, q, &bfl);
-    build_rig(&ctx, &bfl, &RigOptions::default())
+    build_rig(&ctx, &RigOptions::default())
 }
 
 /// Every occurrence by exhaustive search over the data graph, sorted.

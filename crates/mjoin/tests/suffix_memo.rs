@@ -122,7 +122,7 @@ fn cases() -> Vec<Case> {
 fn ctx_rig(g: &DataGraph, q: &PatternQuery) -> Rig {
     let bfl = BflIndex::new(g);
     let ctx = SimContext::new(g, q, &bfl);
-    build_rig(&ctx, &bfl, &RigOptions::default())
+    build_rig(&ctx, &RigOptions::default())
 }
 
 /// Every occurrence by exhaustive search over the data graph, sorted.

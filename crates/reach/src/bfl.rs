@@ -130,14 +130,10 @@ impl BflIndex {
         BflIndex { cond, intervals, lout, lin, build_secs }
     }
 
-    /// The underlying condensation (shared with RIG construction).
+    /// The underlying condensation (shared with node selection and RIG
+    /// expansion).
     pub fn condensation(&self) -> &Condensation {
         &self.cond
-    }
-
-    /// The interval labels (used by early expansion termination, §4.5).
-    pub fn intervals(&self) -> &IntervalLabels {
-        &self.intervals
     }
 
     /// Component-level reachability (`cu` can reach `cv` through DAG edges,

@@ -9,12 +9,12 @@
 //! * **positive hit**: if `u.begin < v.begin ≤ u.end` then `v` is a DFS-tree
 //!   descendant of `u` and hence reachable through tree edges.
 //!
-//! The paper orders candidate sets by `begin` and stops expanding a node
-//! `u` as soon as a candidate with `begin > u.end` is met ("early expansion
-//! termination", reported to save up to 30%).
+//! BFL's probes use both to answer most pairs without a DFS. The paper
+//! also orders RIG expansion's candidates by `begin` to stop early (§4.5);
+//! expansion here sweeps the condensation instead
+//! ([`Condensation::reach_runs`]), so it needs no order.
 
 use crate::scc::Condensation;
-use rig_graph::NodeId;
 
 /// Interval labels for the components of a [`Condensation`].
 pub struct IntervalLabels {
@@ -95,12 +95,6 @@ impl IntervalLabels {
         self.begin[cu as usize] < self.begin[cv as usize]
             && self.begin[cv as usize] <= self.end[cu as usize]
     }
-
-    /// Sorts node ids ascending by the `begin` label of their component —
-    /// the access order required by early expansion termination.
-    pub fn sort_nodes_by_begin(&self, cond: &Condensation, nodes: &mut [NodeId]) {
-        nodes.sort_unstable_by_key(|&v| self.begin[cond.component(v) as usize]);
-    }
 }
 
 #[cfg(test)]
@@ -159,13 +153,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sort_by_begin_orders_ancestors_first_on_chain() {
-        let (c, l) = labels(&[(0, 1), (1, 2), (0, 3)], 4);
-        let mut nodes = vec![2u32, 3, 1, 0];
-        l.sort_nodes_by_begin(&c, &mut nodes);
-        assert_eq!(nodes[0], 0);
     }
 }

@@ -7,20 +7,19 @@
 //!
 //! * [`scc`] — Tarjan strongly-connected-component condensation, shared by
 //!   every index (reachability is an SCC-level property);
-//! * [`interval`] — DFS interval labels on the condensation, giving O(1)
-//!   *negative* cuts (`u.end < v.begin ⇒ u ⊀ v`) and O(1) *positive* hits
-//!   for tree descendants; also used for the early-expansion-termination
-//!   optimization of §4.5;
+//! * [`interval`] — DFS interval labels on the condensation, giving BFL
+//!   O(1) *negative* cuts (`u.end < v.begin ⇒ u ⊀ v`) and O(1) *positive*
+//!   hits for tree descendants;
 //! * [`bfl`] — the BFL index: Bloom-filter in/out labels + interval labels
 //!   + pruned DFS fallback;
 //! * [`tc`] — materialized transitive closure (bitmap per component). Exact
 //!   and fast but memory-hungry; this is what the GF baseline has to build
 //!   for D-queries in §7.5 (Fig. 18), and what property tests use as ground
 //!   truth;
-//! * [`setreach`] — multi-source descendant/ancestor sets, the batched
-//!   form of reachability used by the double-simulation select phase,
-//!   swept over the condensation DAG or, for dirty snapshots, the data
-//!   graph.
+//! * [`setreach`] — reachability a set at a time: the descendants and
+//!   ancestors of a node set (node selection), over the condensation DAG
+//!   or, for dirty snapshots, the data graph; and the targets each source
+//!   reaches, in one condensation sweep (RIG expansion).
 
 pub mod bfl;
 pub mod interval;
@@ -34,7 +33,7 @@ pub use bfl::BflIndex;
 pub use interval::IntervalLabels;
 pub use overlay::SnapshotReach;
 pub use scc::Condensation;
-pub use setreach::{ancestors_of_set, descendants_of_set, ComponentSet};
+pub use setreach::{ancestors_of_set, descendants_of_set, ComponentSet, GroupedRuns};
 pub use tc::TransitiveClosure;
 
 use rig_graph::NodeId;

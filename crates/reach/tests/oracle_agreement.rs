@@ -5,7 +5,9 @@
 use proptest::prelude::*;
 use rig_bitset::Bitset;
 use rig_graph::{DataGraph, GraphBuilder, NodeId};
-use rig_reach::{ancestors_of_set, descendants_of_set, BflIndex, Reachability, TransitiveClosure};
+use rig_reach::{
+    ancestors_of_set, descendants_of_set, BflIndex, IntervalLabels, Reachability, TransitiveClosure,
+};
 
 fn graph_strategy() -> impl Strategy<Value = rig_graph::DataGraph> {
     (2usize..40, prop::collection::vec((0u32..40, 0u32..40), 0..120)).prop_map(|(n, edges)| {
@@ -114,7 +116,7 @@ proptest! {
         let bfl = BflIndex::new(&g);
         let tc = TransitiveClosure::new(&g);
         let cond = bfl.condensation();
-        let intervals = bfl.intervals();
+        let intervals = IntervalLabels::new(cond);
         for u in 0..g.num_nodes() as NodeId {
             for v in 0..g.num_nodes() as NodeId {
                 let (cu, cv) = (cond.component(u), cond.component(v));
@@ -130,35 +132,6 @@ proptest! {
                 }
                 if intervals.tree_descendant(cu, cv) {
                     prop_assert!(tc.reaches(u, v), "positive hit lied: u={} v={}", u, v);
-                }
-            }
-        }
-    }
-
-    /// On DAGs the early-termination order is usable: candidates sorted by
-    /// `begin` put every tree descendant of `u` before the first candidate
-    /// with `begin > u.end`, so stopping there loses nothing.
-    #[test]
-    fn early_termination_cut_complete_on_dags(g in dag_strategy()) {
-        let bfl = BflIndex::new(&g);
-        let tc = TransitiveClosure::new(&g);
-        let cond = bfl.condensation();
-        let intervals = bfl.intervals();
-        let mut nodes: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
-        intervals.sort_nodes_by_begin(cond, &mut nodes);
-        for u in 0..g.num_nodes() as NodeId {
-            let cu = cond.component(u) as usize;
-            let mut past_cut = false;
-            for &v in &nodes {
-                let cv = cond.component(v) as usize;
-                if intervals.begin[cv] > intervals.end[cu] {
-                    past_cut = true;
-                }
-                if past_cut {
-                    prop_assert!(
-                        !tc.reaches(u, v),
-                        "reachable candidate after the begin>end cut: u={} v={}", u, v
-                    );
                 }
             }
         }

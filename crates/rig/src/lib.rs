@@ -11,8 +11,8 @@
 //! simulation seeded from the cheaper pre-filter, or either alone for the
 //! GM-S / GM-F ablations of Fig. 13) and a **node expansion** phase that
 //! materializes RIG adjacency — direct query edges via `adjf(v) ∩ cos(q)`
-//! intersections, reachability edges via BFL probes ordered by DFS-interval
-//! `begin` with the early-termination cut of §4.5.
+//! intersections, reachability edges via one condensation sweep per query
+//! edge (not the paper's per-pair BFL probes, `docs/rig-layout.md`).
 //!
 //! ## Storage layout
 //!
@@ -37,9 +37,9 @@ pub mod reference;
 use std::time::{Duration, Instant};
 
 use rig_bitset::Bitset;
-use rig_graph::{Deadline, FxHashMap, NodeId};
+use rig_graph::{Deadline, NodeId};
 use rig_query::{EdgeId, EdgeKind};
-use rig_reach::BflIndex;
+use rig_reach::{BflIndex, GroupedRuns};
 use rig_sim::{double_simulation, double_simulation_seeded, prefilter, SimContext, SimOptions};
 
 /// Node-selection strategy (which Fig. 13 variant to build).
@@ -203,14 +203,8 @@ struct CsrDir {
 }
 
 impl CsrDir {
-    /// `run_of` may be empty (one run per source); an identity map is
-    /// dropped so that [`CsrDir::run`] skips the lookup.
-    fn new(offsets: Vec<u32>, targets: Vec<u32>, mut run_of: Vec<u32>, n_targets: usize) -> CsrDir {
-        if run_of.len() == offsets.len() - 1
-            && run_of.iter().enumerate().all(|(s, &r)| r as usize == s)
-        {
-            run_of = Vec::new();
-        }
+    /// `run_of` is empty when each source has a run of its own.
+    fn new(offsets: Vec<u32>, targets: Vec<u32>, run_of: Vec<u32>, n_targets: usize) -> CsrDir {
         let entries = if run_of.is_empty() {
             targets.len() as u64
         } else {
@@ -536,19 +530,14 @@ impl Rig {
 
 /// Builds a RIG for `ctx.query` on `ctx.graph` (Alg. 4).
 ///
-/// On a clean view, reachability edges expand by BFL probes (`ctx.reach`)
-/// visited in interval order with the early-termination cut of §4.5; `bfl`
-/// supplies the condensation and interval labels for that and must be the
-/// index `ctx.reach` answers from (the GM facade guarantees this). On a
-/// dirty view (an uncompacted [`rig_graph::Snapshot`]), `bfl` describes
-/// only the base segment, so reachability edges expand by one DFS per
-/// source over the view's own adjacency instead and probe neither `bfl`
-/// nor `ctx.reach`.
+/// Reachability edges expand by one sweep over [`SimContext::condensation`]
+/// per query edge, or without one (a dirty [`rig_graph::Snapshot`], or an
+/// oracle that has none) by one DFS per source; neither probes `ctx.reach`.
 ///
 /// Both phases charge [`SimContext::deadline`] per unit of work; past it
 /// the build returns an empty-shaped RIG with [`RigStats::timed_out`] set,
 /// which callers must report as a timeout, never as an empty answer.
-pub fn build_rig(ctx: &SimContext<'_>, bfl: &BflIndex, opts: &RigOptions) -> Rig {
+pub fn build_rig(ctx: &SimContext<'_>, opts: &RigOptions) -> Rig {
     // ---- node selection phase ----
     let select_start = Instant::now();
     let mut sim_passes = 0;
@@ -583,22 +572,22 @@ pub fn build_rig(ctx: &SimContext<'_>, bfl: &BflIndex, opts: &RigOptions) -> Rig
     };
     let select_time = select_start.elapsed();
     let stats = RigStats { select_time, sim_passes, pruned, ..Default::default() };
-    finish_rig(ctx, bfl, cos, stats)
+    finish_rig(ctx, cos, stats)
 }
 
 /// Builds a RIG whose candidate sets are supplied by the caller (each must
 /// sandwich `os(q) ⊆ cos[q] ⊆ ms(q)`), skipping the selection phase. Used
 /// by engines with their own filtering front end (e.g. the RapidMatch
-/// analogue's tree-restricted filter). Expansion has no options, so
-/// `_opts` only mirrors [`build_rig`]'s signature.
+/// analogue's tree-restricted filter). Expansion reads neither an index
+/// nor options, so `_bfl` and `_opts` are unused.
 pub fn build_rig_from_candidates(
     ctx: &SimContext<'_>,
-    bfl: &BflIndex,
+    _bfl: &BflIndex,
     _opts: &RigOptions,
     cos: Vec<Bitset>,
 ) -> Rig {
     assert_eq!(cos.len(), ctx.query.num_nodes(), "one candidate set per query node");
-    finish_rig(ctx, bfl, cos, RigStats::default())
+    finish_rig(ctx, cos, RigStats::default())
 }
 
 fn total_len(sets: &[Bitset]) -> u64 {
@@ -621,7 +610,7 @@ fn match_set_total(ctx: &SimContext<'_>) -> u64 {
 
 /// Shared tail of RIG construction: the node expansion phase (§4.5) on a
 /// fixed candidate selection.
-fn finish_rig(ctx: &SimContext<'_>, bfl: &BflIndex, cos: Vec<Bitset>, stats: RigStats) -> Rig {
+fn finish_rig(ctx: &SimContext<'_>, cos: Vec<Bitset>, stats: RigStats) -> Rig {
     let nq = ctx.query.num_nodes();
     let ne = ctx.query.num_edges();
     let edge_nodes: Vec<(usize, usize)> = (0..ne)
@@ -646,7 +635,7 @@ fn finish_rig(ctx: &SimContext<'_>, bfl: &BflIndex, cos: Vec<Bitset>, stats: Rig
 
     // ---- node expansion phase ----
     let expand_start = Instant::now();
-    match expand_all(ctx, bfl, &rig.ids, &rig.edge_nodes) {
+    match expand_all(ctx, &rig.ids, &rig.edge_nodes) {
         Some(blocks) => {
             for (fwd, bwd) in blocks {
                 rig.fwd.push(fwd);
@@ -693,12 +682,11 @@ fn empty_shaped(nq: usize, ne: usize, edge_nodes: Vec<(usize, usize)>, stats: Ri
 /// mid-build.
 fn expand_all(
     ctx: &SimContext<'_>,
-    bfl: &BflIndex,
     ids: &[Vec<NodeId>],
     edge_nodes: &[(usize, usize)],
 ) -> Option<Vec<(CsrDir, CsrDir)>> {
     let build_one = |(eid, &(p, q)): (usize, &(usize, usize))| {
-        let x = expand_edge(ctx, bfl, ids, eid as EdgeId, p, q)?;
+        let x = expand_edge(ctx, ids, eid as EdgeId, p, q)?;
         let fwd = CsrDir::new(x.offsets, x.targets, x.run_of, ids[q].len());
         let bwd = fwd.transpose(ids[q].len(), x.target_group);
         Some((fwd, bwd))
@@ -706,45 +694,26 @@ fn expand_all(
     edge_nodes.iter().enumerate().map(build_one).collect()
 }
 
-/// One expanded query edge: forward runs of local target ids, the source
-/// → run map (empty = one run per source) and the grouping of targets that
-/// share their predecessors (empty = one group per target).
-struct Expansion {
-    offsets: Vec<u32>,
-    targets: Vec<u32>,
-    run_of: Vec<u32>,
-    target_group: Vec<u32>,
-}
-
-impl Expansion {
-    fn per_source(offsets: Vec<u32>, targets: Vec<u32>) -> Expansion {
-        Expansion { offsets, targets, run_of: Vec::new(), target_group: Vec::new() }
-    }
-}
-
 /// Expands one query edge into forward CSR runs (local target ids).
 ///
-/// On a **dirty snapshot** (uncompacted delta) reachability edges take the
-/// dirty-view DFS: the BFL condensation, interval labels and per-SCC
-/// memoization all describe the base segment only, so both the
-/// early-termination cut and the memo would be unsound — the DFS reads
-/// adjacency through the overlay and needs none of them. A rebase
-/// (materialize plus an index of the result) restores the indexed path; a
-/// session rebases before every build, so this branch serves callers that
-/// build over a dirty snapshot directly.
+/// Reachability edges sweep [`SimContext::condensation`]. A dirty snapshot
+/// has none (the index describes its base only), so there they take one
+/// DFS per source over the view's own adjacency; sessions rebase before
+/// every build, so the DFS serves callers that build on one directly.
 fn expand_edge(
     ctx: &SimContext<'_>,
-    bfl: &BflIndex,
     ids: &[Vec<NodeId>],
     eid: EdgeId,
     p: usize,
     q: usize,
-) -> Option<Expansion> {
+) -> Option<GroupedRuns> {
     let dl = Deadline::new(ctx.deadline);
     match ctx.query.edge(eid).kind {
         EdgeKind::Direct => expand_direct(ctx, ids, p, q, dl),
-        EdgeKind::Reachability if ctx.graph.is_dirty() => expand_reach_dfs(ctx, ids, p, q, dl),
-        EdgeKind::Reachability => expand_reach_pairwise(ctx, bfl, ids, p, q, dl),
+        EdgeKind::Reachability => match ctx.condensation() {
+            Some(cond) => cond.reach_runs(&ids[p], &ids[q], dl),
+            None => expand_reach_dfs(ctx, ids, p, q, dl),
+        },
     }
 }
 
@@ -770,7 +739,7 @@ fn expand_direct(
     p: usize,
     q: usize,
     mut dl: Deadline,
-) -> Option<Expansion> {
+) -> Option<GroupedRuns> {
     let (src, tgt) = (&ids[p], &ids[q]);
     let mut offsets = Vec::with_capacity(src.len() + 1);
     offsets.push(0u32);
@@ -782,7 +751,7 @@ fn expand_direct(
         intersect_to_locals(ctx.graph.out_neighbors(u), tgt, &mut targets);
         push_offset(&mut offsets, targets.len());
     }
-    Some(Expansion::per_source(offsets, targets))
+    Some(GroupedRuns { offsets, targets, run_of: Vec::new(), target_group: Vec::new() })
 }
 
 /// Intersects two sorted id lists, emitting the *positions in `tgt`* (local
@@ -819,87 +788,6 @@ fn intersect_to_locals(nbrs: &[NodeId], tgt: &[NodeId], out: &mut Vec<u32>) {
     }
 }
 
-/// Reachability expansion with per-pair BFL probes; candidates of `q` are
-/// visited in ascending interval `begin` so that scanning can stop at the
-/// first candidate with `begin > u.end` (early expansion termination).
-///
-/// The target list, its interval sort and the per-target
-/// component/interval lookups are all hoisted out of the per-source loop,
-/// and each source SCC's run is computed and stored once, shared by every
-/// source in the component: they all reach exactly the same candidates
-/// (self-candidacy included, because a trivial component's sole member is
-/// its only possible source). Targets are grouped by SCC for the backward
-/// direction, since targets in one component have the same predecessors.
-fn expand_reach_pairwise(
-    ctx: &SimContext<'_>,
-    bfl: &BflIndex,
-    ids: &[Vec<NodeId>],
-    p: usize,
-    q: usize,
-    mut dl: Deadline,
-) -> Option<Expansion> {
-    let cond = bfl.condensation();
-    let intervals = bfl.intervals();
-    let (src, tgt) = (&ids[p], &ids[q]);
-    // (begin, target node, local id), cached once per edge and sorted by
-    // interval begin for the early-termination cut.
-    let mut tinfo: Vec<(u32, NodeId, u32)> = tgt
-        .iter()
-        .enumerate()
-        .map(|(j, &v)| (intervals.begin[cond.component(v) as usize], v, j as u32))
-        .collect();
-    tinfo.sort_unstable();
-    let mut offsets = vec![0u32];
-    let mut targets = Vec::new();
-    let mut run_of = Vec::with_capacity(src.len());
-    // Source component -> its run. Only nontrivial SCCs can host more than
-    // one source, so only they are worth memoizing (a trivial component's
-    // run could never be requested again).
-    let mut memo: FxHashMap<u32, u32> = FxHashMap::default();
-    for &u in src {
-        let cu = cond.component(u);
-        let nontrivial = cond.nontrivial[cu as usize];
-        if nontrivial {
-            if let Some(&r) = memo.get(&cu) {
-                run_of.push(r);
-                continue;
-            }
-        }
-        let start = targets.len();
-        let u_end = intervals.end[cu as usize];
-        for &(begin, v, j) in &tinfo {
-            if begin > u_end {
-                break; // all later candidates are unreachable from u
-            }
-            if dl.charge() {
-                return None;
-            }
-            if (u != v || nontrivial) && ctx.reach.reaches(u, v) {
-                targets.push(j);
-            }
-        }
-        targets[start..].sort_unstable(); // begin order -> local-id order
-        let r = (offsets.len() - 1) as u32;
-        push_offset(&mut offsets, targets.len());
-        run_of.push(r);
-        if nontrivial {
-            memo.insert(cu, r);
-        }
-    }
-    let mut group_of_comp: FxHashMap<u32, u32> = FxHashMap::default();
-    let mut target_group: Vec<u32> = tgt
-        .iter()
-        .map(|&v| {
-            let next = group_of_comp.len() as u32;
-            *group_of_comp.entry(cond.component(v)).or_insert(next)
-        })
-        .collect();
-    if group_of_comp.len() == tgt.len() {
-        target_group.clear(); // every target is its own group
-    }
-    Some(Expansion { offsets, targets, run_of, target_group })
-}
-
 /// Reachability expansion by one DFS per source node over the view's own
 /// adjacency: the dirty-view path, which needs no index of the view.
 fn expand_reach_dfs(
@@ -908,7 +796,7 @@ fn expand_reach_dfs(
     p: usize,
     q: usize,
     mut dl: Deadline,
-) -> Option<Expansion> {
+) -> Option<GroupedRuns> {
     let g = ctx.graph;
     let (src, tgt) = (&ids[p], &ids[q]);
     let mut stamp = vec![u32::MAX; g.num_nodes()];
@@ -938,7 +826,7 @@ fn expand_reach_dfs(
         targets.extend_from_slice(&run);
         push_offset(&mut offsets, targets.len());
     }
-    Some(Expansion::per_source(offsets, targets))
+    Some(GroupedRuns { offsets, targets, run_of: Vec::new(), target_group: Vec::new() })
 }
 
 #[cfg(test)]
@@ -976,7 +864,7 @@ mod tests {
     fn build(g: &DataGraph, q: &PatternQuery, opts: &RigOptions) -> Rig {
         let bfl = BflIndex::new(g);
         let ctx = SimContext::new(g, q, &bfl);
-        build_rig(&ctx, &bfl, opts)
+        build_rig(&ctx, opts)
     }
 
     /// The refined RIG on the running example: candidate sets equal the FB
@@ -1101,7 +989,7 @@ mod tests {
         let q = fig2_query();
         let bfl = BflIndex::new(&g);
         let ctx = SimContext::new(&g, &q, &bfl);
-        let full = build_rig(&ctx, &bfl, &RigOptions::exact());
+        let full = build_rig(&ctx, &RigOptions::exact());
         let fb = rig_sim::double_simulation(&ctx, &SimOptions::exact()).fb;
         let seeded = build_rig_from_candidates(&ctx, &bfl, &RigOptions::exact(), fb);
         for i in 0..q.num_nodes() {

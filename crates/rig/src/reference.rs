@@ -14,7 +14,7 @@
 use std::time::Instant;
 
 use rig_bitset::Bitset;
-use rig_graph::{FxHashMap, NodeId};
+use rig_graph::{FxHashMap, GraphView, NodeId};
 use rig_query::{EdgeId, EdgeKind};
 use rig_sim::{double_simulation, prefilter, SimContext};
 
@@ -55,19 +55,6 @@ impl RefRig {
     /// Total RIG edge cardinality `|cos(e)|` across query edge `eid`.
     pub fn edge_cardinality(&self, eid: EdgeId) -> u64 {
         self.fwd[eid as usize].values().map(|b| b.len()).sum()
-    }
-
-    /// Approximate heap footprint (bytes) of the hashmap layout.
-    pub fn heap_bytes(&self) -> usize {
-        let cos: usize = self.cos.iter().map(|b| b.heap_bytes()).sum();
-        let adj: usize = self
-            .fwd
-            .iter()
-            .chain(self.bwd.iter())
-            .flat_map(|m| m.values())
-            .map(|b| b.heap_bytes() + std::mem::size_of::<(NodeId, Bitset)>())
-            .sum();
-        cos + adj
     }
 }
 
@@ -130,54 +117,20 @@ pub fn build_reference_rig(ctx: &SimContext<'_>, opts: &RigOptions) -> RefRig {
     rig
 }
 
+/// Per source, `adjf(v_p) ∩ cos(q)` in one bitmap AND (§4.5) on a direct
+/// edge, one DFS on a reachability edge.
 fn expand_edge(ctx: &SimContext<'_>, rig: &mut RefRig, eid: EdgeId) {
     let e = ctx.query.edge(eid);
     let (p, q) = (e.from as usize, e.to as usize);
-    match e.kind {
-        EdgeKind::Direct => {
-            // adjf(v_p) ∩ cos(q) in one bitmap AND per source (§4.5).
-            let mut fwd: FxHashMap<NodeId, Bitset> = FxHashMap::default();
-            let mut bwd: FxHashMap<NodeId, Bitset> = FxHashMap::default();
-            for u in rig.cos[p].iter() {
-                let succ = Bitset::from_sorted_dedup(ctx.graph.out_neighbors(u)).and(&rig.cos[q]);
-                if succ.is_empty() {
-                    continue;
-                }
-                for v in succ.iter() {
-                    bwd.entry(v).or_default().insert(u);
-                }
-                fwd.insert(u, succ);
-            }
-            rig.fwd[eid as usize] = fwd;
-            rig.bwd[eid as usize] = bwd;
-        }
-        EdgeKind::Reachability => expand_reach_dfs(ctx, rig, eid, p, q),
-    }
-}
-
-/// Reachability expansion by one DFS per source node. It reads neither the
-/// BFL index nor its interval labels, so it is an oracle independent of
-/// both the CSR build's probes and its early-termination cut.
-fn expand_reach_dfs(ctx: &SimContext<'_>, rig: &mut RefRig, eid: EdgeId, p: usize, q: usize) {
-    let g = ctx.graph;
-    let n = g.num_nodes();
-    let mut stamp = vec![u32::MAX; n];
     let mut fwd: FxHashMap<NodeId, Bitset> = FxHashMap::default();
     let mut bwd: FxHashMap<NodeId, Bitset> = FxHashMap::default();
-    for (epoch, u) in rig.cos[p].iter().enumerate() {
-        let epoch = epoch as u32;
-        let mut succ = Bitset::new();
-        let mut stack: Vec<NodeId> = g.out_neighbors(u).to_vec();
-        while let Some(x) = stack.pop() {
-            if stamp[x as usize] == epoch {
-                continue;
+    for u in rig.cos[p].iter() {
+        let succ = match e.kind {
+            EdgeKind::Direct => {
+                Bitset::from_sorted_dedup(ctx.graph.out_neighbors(u)).and(&rig.cos[q])
             }
-            stamp[x as usize] = epoch;
-            if rig.cos[q].contains(x) {
-                succ.insert(x);
-            }
-            stack.extend_from_slice(g.out_neighbors(x));
-        }
+            EdgeKind::Reachability => reach_dfs(ctx.graph, u, &rig.cos[q]),
+        };
         if succ.is_empty() {
             continue;
         }
@@ -188,4 +141,23 @@ fn expand_reach_dfs(ctx: &SimContext<'_>, rig: &mut RefRig, eid: EdgeId, p: usiz
     }
     rig.fwd[eid as usize] = fwd;
     rig.bwd[eid as usize] = bwd;
+}
+
+/// The members of `targets` that `u` reaches, by one DFS over the view's
+/// adjacency. It reads no index and no condensation, so it is an oracle
+/// independent of the CSR build's sweep.
+fn reach_dfs(g: GraphView<'_>, u: NodeId, targets: &Bitset) -> Bitset {
+    let mut seen = vec![false; g.num_nodes()];
+    let mut succ = Bitset::new();
+    let mut stack: Vec<NodeId> = g.out_neighbors(u).to_vec();
+    while let Some(x) = stack.pop() {
+        if std::mem::replace(&mut seen[x as usize], true) {
+            continue;
+        }
+        if targets.contains(x) {
+            succ.insert(x);
+        }
+        stack.extend_from_slice(g.out_neighbors(x));
+    }
+    succ
 }

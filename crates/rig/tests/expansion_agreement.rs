@@ -1,14 +1,19 @@
-//! Randomized agreement between the CSR RIG's reachability expansion
-//! (per-pair BFL probes with the interval cut, one run per SCC) and the
-//! reference RIG's per-source DFS, which uses neither the index nor the
-//! cut; and invariants of the RIG adjacency structure.
+//! Agreement between the CSR RIG's reachability expansion (one sweep over
+//! the condensation per query edge, one run per source SCC) and the
+//! reference RIG's per-source DFS, which reads no index; invariants of the
+//! RIG adjacency structure; and a build that never probes the oracle
+//! pair by pair.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
-use rig_graph::{DataGraph, GraphBuilder};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use rig_graph::{DataGraph, GraphBuilder, NodeId};
 use rig_index::reference::{build_reference_rig, RefRig};
 use rig_index::{build_rig, Rig, RigOptions, SelectMode};
 use rig_query::{EdgeKind, PatternQuery};
-use rig_reach::BflIndex;
+use rig_reach::{BflIndex, Condensation, Reachability};
 use rig_sim::SimContext;
 
 fn setup_strategy() -> impl Strategy<Value = (rig_graph::DataGraph, PatternQuery)> {
@@ -47,7 +52,7 @@ proptest! {
         let bfl = BflIndex::new(&g);
         let ctx = SimContext::new(&g, &q, &bfl);
         let opts = RigOptions::exact();
-        let rig = build_rig(&ctx, &bfl, &opts);
+        let rig = build_rig(&ctx, &opts);
         assert_matches_reference(&q, &build_reference_rig(&ctx, &opts), &rig, "exact")?;
     }
 
@@ -56,7 +61,7 @@ proptest! {
     fn forward_backward_adjacency_mirror((g, q) in setup_strategy()) {
         let bfl = BflIndex::new(&g);
         let ctx = SimContext::new(&g, &q, &bfl);
-        let rig = build_rig(&ctx, &bfl, &RigOptions::exact());
+        let rig = build_rig(&ctx, &RigOptions::exact());
         for eid in 0..q.num_edges() as u32 {
             let e = q.edge(eid);
             for u in rig.cos(e.from as usize).iter() {
@@ -89,7 +94,7 @@ proptest! {
     fn rig_edges_stay_within_candidate_sets((g, q) in setup_strategy()) {
         let bfl = BflIndex::new(&g);
         let ctx = SimContext::new(&g, &q, &bfl);
-        let rig = build_rig(&ctx, &bfl, &RigOptions::exact());
+        let rig = build_rig(&ctx, &RigOptions::exact());
         for eid in 0..q.num_edges() as u32 {
             let e = q.edge(eid);
             for u in rig.cos(e.from as usize).iter() {
@@ -193,7 +198,7 @@ fn assert_shared_runs_match_per_source(
     for select in [SelectMode::MatchSets, SelectMode::PrefilterThenSim] {
         let opts = RigOptions { select, ..RigOptions::exact() };
         let base = build_reference_rig(&ctx, &opts);
-        let shared = build_rig(&ctx, &bfl, &opts);
+        let shared = build_rig(&ctx, &opts);
         assert_matches_reference(q, &base, &shared, &format!("{select:?}"))?;
     }
     Ok(())
@@ -210,5 +215,158 @@ proptest! {
     #[test]
     fn shared_runs_match_per_source_runs_on_dags((g, q) in blocks_strategy(false)) {
         assert_shared_runs_match_per_source(&g, &q)?;
+    }
+}
+
+fn query(labels: Vec<u32>, edges: &[(u32, u32, EdgeKind)]) -> PatternQuery {
+    let mut q = PatternQuery::new(labels);
+    for &(from, to, kind) in edges {
+        q.add_edge(from, to, kind);
+    }
+    q
+}
+
+/// Queries with reachability edges between labels 0 and 1, including one
+/// whose source and target query nodes share a label, so one data node is
+/// a candidate on both ends.
+fn hybrid_queries() -> Vec<PatternQuery> {
+    use EdgeKind::{Direct, Reachability as Reach};
+    vec![
+        query(vec![0, 1], &[(0, 1, Reach)]),
+        query(vec![0, 0], &[(0, 1, Reach)]),
+        query(vec![0, 1, 0], &[(0, 1, Direct), (1, 2, Reach)]),
+        query(vec![0, 1, 1], &[(0, 1, Reach), (1, 2, Reach), (0, 2, Direct)]),
+    ]
+}
+
+/// `n` nodes with random labels 0/1 and `m` random edges; with `dag` set
+/// every edge runs from the lower id to the higher.
+fn random_graph(n: usize, m: usize, dag: bool, seed: u64) -> DataGraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = GraphBuilder::new();
+    for _ in 0..n {
+        b.add_node(rng.gen_range(0..2));
+    }
+    for _ in 0..m {
+        let (u, v) = (rng.gen_range(0..n) as NodeId, rng.gen_range(0..n) as NodeId);
+        if u != v {
+            b.add_edge(if dag { u.min(v) } else { u }, if dag { u.max(v) } else { v });
+        }
+    }
+    b.build()
+}
+
+/// Rings of four nodes labelled 0, 1, 0, 1 (so each SCC holds both a
+/// source and a target), joined by random edges from lower rings to
+/// higher ones.
+fn small_scc_graph(rings: u32, m: usize, seed: u64) -> DataGraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = GraphBuilder::new();
+    for v in 0..4 * rings {
+        b.add_node(v % 2);
+    }
+    for r in 0..rings {
+        for k in 0..4 {
+            b.add_edge(4 * r + k, 4 * r + (k + 1) % 4);
+        }
+    }
+    for _ in 0..m {
+        let (u, v) = (rng.gen_range(0..4 * rings), rng.gen_range(0..4 * rings));
+        if u / 4 < v / 4 {
+            b.add_edge(u, v);
+        }
+    }
+    b.build()
+}
+
+fn assert_hybrid_queries_match_reference(g: &DataGraph) -> Result<(), TestCaseError> {
+    hybrid_queries().iter().try_for_each(|q| assert_shared_runs_match_per_source(g, q))
+}
+
+/// A DAG whose candidate sets run to hundreds of nodes per side.
+#[test]
+fn dag_with_large_candidate_sets_matches_reference() {
+    let g = random_graph(800, 2400, true, 5);
+    let bfl = BflIndex::new(&g);
+    let q = &hybrid_queries()[0];
+    let rig = build_rig(&SimContext::new(&g, q, &bfl), &RigOptions::exact());
+    assert!(rig.candidates(0).len() > 200 && rig.candidates(1).len() > 200);
+    assert_hybrid_queries_match_reference(&g).unwrap();
+}
+
+/// Nontrivial SCCs that each hold both a source and a target candidate.
+#[test]
+fn sccs_holding_sources_and_targets_match_reference() {
+    assert_hybrid_queries_match_reference(&small_scc_graph(60, 150, 3)).unwrap();
+}
+
+/// `A ⇝ A` over the chain 0 -> 1 -> 2 -> 3 with a self-loop on 3: nodes
+/// 0–2 are trivial components and both sources and targets, so none
+/// reaches itself; node 3 lies on a cycle and does.
+#[test]
+fn source_and_target_on_one_trivial_component() {
+    let mut b = GraphBuilder::new();
+    for _ in 0..4 {
+        b.add_node(0);
+    }
+    for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 3)] {
+        b.add_edge(u, v);
+    }
+    let g = b.build();
+    let q = &hybrid_queries()[1];
+    let bfl = BflIndex::new(&g);
+    let rig = build_rig(&SimContext::new(&g, q, &bfl), &RigOptions::exact());
+    let succ = |u| rig.successors(0, u).map(|s| s.to_vec());
+    assert_eq!(succ(0), Some(vec![1, 2, 3]));
+    assert_eq!(succ(1), Some(vec![2, 3]));
+    assert_eq!(succ(2), Some(vec![3]));
+    assert_eq!(succ(3), Some(vec![3]));
+    assert_shared_runs_match_per_source(&g, q).unwrap();
+}
+
+/// A BFL index that counts its pair probes and forwards its condensation.
+struct CountingOracle {
+    bfl: BflIndex,
+    probes: AtomicUsize,
+}
+
+impl Reachability for CountingOracle {
+    fn reaches(&self, u: NodeId, v: NodeId) -> bool {
+        self.probes.fetch_add(1, Ordering::Relaxed);
+        self.bfl.reaches(u, v)
+    }
+
+    fn build_seconds(&self) -> f64 {
+        self.bfl.build_seconds()
+    }
+
+    fn name(&self) -> &'static str {
+        "counting BFL"
+    }
+
+    fn condensation(&self) -> Option<&Condensation> {
+        Some(self.bfl.condensation())
+    }
+}
+
+/// Selection and expansion answer reachability by condensation sweeps
+/// alone: building RIGs for hybrid queries probes no pair, on one giant
+/// SCC, on small SCCs and on a DAG.
+#[test]
+fn rig_builds_probe_no_pairs() {
+    let graphs = [
+        ("giant SCC", random_graph(400, 2000, false, 1)),
+        ("small SCCs", small_scc_graph(100, 300, 2)),
+        ("DAG", random_graph(400, 1200, true, 3)),
+    ];
+    for (shape, g) in &graphs {
+        let oracle = CountingOracle { bfl: BflIndex::new(g), probes: AtomicUsize::new(0) };
+        for q in hybrid_queries() {
+            for opts in [RigOptions::default(), RigOptions::exact()] {
+                let rig = build_rig(&SimContext::new(g, &q, &oracle), &opts);
+                assert!(rig.stats.edge_count > 0, "{shape}: an empty RIG tests nothing");
+            }
+        }
+        assert_eq!(oracle.probes.load(Ordering::Relaxed), 0, "{shape}: pair probes");
     }
 }

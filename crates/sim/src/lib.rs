@@ -54,9 +54,9 @@ use rig_reach::{Condensation, Reachability};
 ///
 /// The reachability checks sweep the condensation of `reach`
 /// ([`rig_reach::Reachability::condensation`]) when it has one and the view
-/// is clean; otherwise they sweep the data graph itself. On a dirty view no
-/// check probes `reach` (nor does RIG expansion, which walks the view's
-/// adjacency too), so a base-only index cannot leak stale answers there.
+/// is clean; otherwise they sweep the data graph itself. No check probes
+/// `reach` pair by pair, and neither does RIG expansion, so on a dirty
+/// view a base-only index cannot leak stale answers.
 pub struct SimContext<'a> {
     pub graph: GraphView<'a>,
     pub query: &'a PatternQuery,
@@ -81,7 +81,7 @@ impl<'a> SimContext<'a> {
 
     /// The condensation of `graph`, if `reach` has one that describes it:
     /// a dirty view has changed since any condensation was built.
-    pub(crate) fn condensation(&self) -> Option<&'a Condensation> {
+    pub fn condensation(&self) -> Option<&'a Condensation> {
         if self.graph.is_dirty() {
             return None;
         }

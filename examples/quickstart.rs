@@ -42,7 +42,9 @@ fn main() {
     }
 
     // --- phase 1b: the runtime index graph (Alg. 4) ---
-    let rig = build_rig(&ctx, &bfl, &RigOptions::exact());
+    // The BFL index's condensation (through `ctx`) serves both phases:
+    // the B => C edge expands by one sweep over it, not by pair probes.
+    let rig = build_rig(&ctx, &RigOptions::exact());
     println!(
         "RIG: {} candidate nodes, {} candidate edges ({}% of |G|)",
         rig.stats.node_count,

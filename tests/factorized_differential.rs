@@ -144,7 +144,7 @@ fn check_clean(select: SelectMode, seed: u64) {
     let bfl = BflIndex::new(&g);
     for (qi, q) in workload().iter().enumerate() {
         let ctx = SimContext::new(&g, q, &bfl);
-        let rig = build_rig(&ctx, &bfl, &opts);
+        let rig = build_rig(&ctx, &opts);
         if rig.is_empty() {
             continue;
         }

@@ -101,7 +101,7 @@ fn prop41_rig_losslessness() {
     let bfl = BflIndex::new(&g);
     let ctx = SimContext::new(&g, &q, &bfl);
     for select in [SelectMode::MatchSets, SelectMode::PrefilterOnly, SelectMode::SimOnly] {
-        let rig = build_rig(&ctx, &bfl, &RigOptions { select, ..RigOptions::exact() });
+        let rig = build_rig(&ctx, &RigOptions { select, ..RigOptions::exact() });
         // the two known homomorphisms
         for t in [[1u32, 3, 7], [2, 5, 9]] {
             for (eid, e) in q.edges().iter().enumerate() {

@@ -158,7 +158,7 @@ proptest! {
         let truth = brute_force(&g, &q);
         let bfl = BflIndex::new(&g);
         let ctx = SimContext::new(&g, &q, &bfl);
-        let rig = build_rig(&ctx, &bfl, &RigOptions::exact());
+        let rig = build_rig(&ctx, &RigOptions::exact());
         for t in &truth {
             for (eid, e) in q.edges().iter().enumerate() {
                 let u = t[e.from as usize];
@@ -181,7 +181,7 @@ proptest! {
         use rigmatch::sim::SimContext;
         let bfl = BflIndex::new(&g);
         let ctx = SimContext::new(&g, &q, &bfl);
-        let rig = build_rig(&ctx, &bfl, &RigOptions::exact());
+        let rig = build_rig(&ctx, &RigOptions::exact());
         let session = Session::with_config(g.clone(), GmConfig::exact());
         // out-of-label-space queries are rejected by prepare; their answer
         // is empty and trivially satisfies every bound
@@ -247,7 +247,7 @@ proptest! {
             SelectMode::PrefilterOnly,
             SelectMode::MatchSets,
         ] {
-            let rig = build_rig(&ctx, &bfl, &RigOptions { select: mode, ..RigOptions::exact() });
+            let rig = build_rig(&ctx, &RigOptions { select: mode, ..RigOptions::exact() });
             let res = count(&q, &rig, &EnumOptions::default());
             prop_assert_eq!(res.count, truth, "select mode {:?}", mode);
             prop_assert!(!res.timed_out);

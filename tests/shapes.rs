@@ -49,7 +49,7 @@ fn rig_size_ordering() {
         let size = |select| {
             let opts = rigmatch::rig::RigOptions { select, ..rigmatch::rig::RigOptions::exact() };
             let ctx = rigmatch::sim::SimContext::new(&g, &q, &bfl);
-            rigmatch::rig::build_rig(&ctx, &bfl, &opts).stats.size()
+            rigmatch::rig::build_rig(&ctx, &opts).stats.size()
         };
         let refined = size(SelectMode::PrefilterThenSim);
         let sim_only = size(SelectMode::SimOnly);

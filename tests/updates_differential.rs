@@ -196,12 +196,8 @@ fn check_overlay_oracle(seed: u64, commits: usize, ops_per_commit: usize) {
         ] {
             let opts = RigOptions { select, ..RigOptions::exact() };
             for (qi, q) in queries.iter().enumerate() {
-                let over = build_rig(&SimContext::new(&*snapshot, q, &reach), &bfl, &opts);
-                let rebuilt = build_rig(
-                    &SimContext::new(&materialized, q, &rebuilt_bfl),
-                    &rebuilt_bfl,
-                    &opts,
-                );
+                let over = build_rig(&SimContext::new(&*snapshot, q, &reach), &opts);
+                let rebuilt = build_rig(&SimContext::new(&materialized, q, &rebuilt_bfl), &opts);
                 assert_eq!(
                     rig_matches(q, &over),
                     rig_matches(q, &rebuilt),
