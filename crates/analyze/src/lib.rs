@@ -12,7 +12,7 @@
 //! 2. **Emptiness proofs** (`E1…`): a label with an empty inverted list;
 //!    a `Direct` edge between a label pair with zero co-occurring edges
 //!    (the [`LabelPairCounts`] matrix); a
-//!    `Reachability` edge refuted by one sweep of the oracle's
+//!    `Reachability` edge refuted by one sweep of the graph's
 //!    condensation from every node of the source label, which reaches no
 //!    node of the target label. Every `E1…` finding is a *proof*: the
 //!    engine must count zero (asserted by the soundness proptests).
@@ -45,30 +45,29 @@ use rig_query::hpql::LabelSpec;
 use rig_query::{
     closest_label, parse_hpql, transitive_reduction, EdgeKind, HpqlError, HpqlQuery, PatternQuery,
 };
-use rig_reach::Reachability;
+use rig_reach::Condensation;
 
-/// The analyzer: a data graph, optional precomputed statistics and an
-/// optional reachability oracle. All borrowed — building one is free;
-/// the expensive inputs ([`LabelPairCounts`], a BFL index) are supplied
+/// The analyzer: a data graph, optional precomputed statistics and its
+/// optional SCC condensation. All borrowed — building one is free;
+/// the expensive inputs ([`LabelPairCounts`], a condensation) are supplied
 /// by the caller so they can be cached across queries (the session layer
 /// caches both per store version).
 pub struct Analyzer<'a> {
     graph: &'a DataGraph,
-    reach: Option<&'a dyn Reachability>,
+    cond: Option<&'a Condensation>,
     pairs: Option<&'a LabelPairCounts>,
 }
 
 impl<'a> Analyzer<'a> {
     pub fn new(graph: &'a DataGraph) -> Analyzer<'a> {
-        Analyzer { graph, reach: None, pairs: None }
+        Analyzer { graph, cond: None, pairs: None }
     }
 
-    /// Supplies a reachability oracle for the `E103` refutation pass, which
-    /// sweeps its condensation. The oracle must be exact for the analyzed
-    /// graph (its BFL index) — refutations become emptiness *proofs*.
-    /// Without one, or without a condensation, the pass is skipped.
-    pub fn with_reach(mut self, reach: &'a dyn Reachability) -> Analyzer<'a> {
-        self.reach = Some(reach);
+    /// Supplies the condensation of the analyzed graph for the `E103`
+    /// refutation pass, which sweeps it — refutations become emptiness
+    /// *proofs*. Without one, the pass is skipped.
+    pub fn with_condensation(mut self, cond: &'a Condensation) -> Analyzer<'a> {
+        self.cond = Some(cond);
         self
     }
 
@@ -284,7 +283,7 @@ impl<'a> Analyzer<'a> {
                 // E103: the descendants of every source-label node, in one
                 // condensation sweep, hold no target-label node
                 EdgeKind::Reachability => {
-                    let Some(cond) = self.reach.and_then(|r| r.condensation()) else { continue };
+                    let Some(cond) = self.cond else { continue };
                     let from = self.graph.nodes_with_label(lf);
                     let to = self.graph.nodes_with_label(lt);
                     if from.is_empty() || to.is_empty() {
@@ -523,7 +522,6 @@ impl MaybeSpan for Diagnostic {
 mod tests {
     use super::*;
     use rig_graph::{DataGraph, GraphBuilder};
-    use rig_reach::BflIndex;
 
     /// Author(0) -> Paper(1) -> Paper(2) -> Cited(3); label 'Ghost' (id 4)
     /// has no nodes; no edge ever enters an Author node.
@@ -542,8 +540,8 @@ mod tests {
 
     fn analyze(text: &str) -> Report {
         let g = graph();
-        let bfl = BflIndex::new(&g);
-        Analyzer::new(&g).with_reach(&bfl).analyze_text(text)
+        let cond = Condensation::new(&g);
+        Analyzer::new(&g).with_condensation(&cond).analyze_text(text)
     }
 
     #[test]
@@ -602,8 +600,8 @@ mod tests {
             b.add_edge(p, authors[(i + 1) % 70]);
         }
         let g = b.build();
-        let bfl = BflIndex::new(&g);
-        let analyzer = Analyzer::new(&g).with_reach(&bfl);
+        let cond = Condensation::new(&g);
+        let analyzer = Analyzer::new(&g).with_condensation(&cond);
         let r = analyzer.analyze_text("MATCH (a:Author)=>(p:Paper)");
         let d = r.diagnostics.iter().find(|d| d.code == Code::UnreachablePair);
         assert!(d.is_some_and(|d| d.message.contains("all 4900 candidate pairs")), "{r:?}");

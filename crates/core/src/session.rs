@@ -241,7 +241,9 @@ impl Session {
     fn with_analyzer<R>(&self, f: impl FnOnce(&Analyzer<'_>) -> R) -> R {
         let (snapshot, bfl) = self.clean_snapshot();
         let pairs = self.pair_counts(&snapshot);
-        f(&Analyzer::new(snapshot.base()).with_pair_counts(&pairs).with_reach(&*bfl))
+        f(&Analyzer::new(snapshot.base())
+            .with_pair_counts(&pairs)
+            .with_condensation(bfl.condensation()))
     }
 
     /// The published snapshot and the BFL index of its base, rebased

@@ -159,10 +159,10 @@ impl<'a> GraphView<'a> {
         }
     }
 
-    /// True when this view carries uncompacted mutations: the base-only
-    /// reachability machinery (BFL intervals, condensation sweeps, per-SCC
-    /// shared runs, early expansion termination) is then unsound and the
-    /// pipeline must use overlay-aware traversal instead.
+    /// True when this view carries uncompacted mutations: an index built
+    /// on the base (its BFL labels, its condensation) then no longer
+    /// describes the view, so a build computes the view's own condensation
+    /// instead of borrowing the index's.
     #[inline]
     pub fn is_dirty(self) -> bool {
         match self {

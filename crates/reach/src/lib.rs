@@ -16,10 +16,9 @@
 //!   and fast but memory-hungry; this is what the GF baseline has to build
 //!   for D-queries in §7.5 (Fig. 18), and what property tests use as ground
 //!   truth;
-//! * [`setreach`] — reachability a set at a time: the descendants and
-//!   ancestors of a node set (node selection), over the condensation DAG
-//!   or, for dirty snapshots, the data graph; and the targets each source
-//!   reaches, in one condensation sweep (RIG expansion).
+//! * [`setreach`] — reachability a set at a time over the condensation
+//!   DAG: the descendants and ancestors of a node set (node selection) and
+//!   the targets each source reaches (RIG expansion).
 
 pub mod bfl;
 pub mod interval;
@@ -33,7 +32,7 @@ pub use bfl::BflIndex;
 pub use interval::IntervalLabels;
 pub use overlay::SnapshotReach;
 pub use scc::Condensation;
-pub use setreach::{ancestors_of_set, descendants_of_set, ComponentSet, GroupedRuns};
+pub use setreach::{ComponentSet, GroupedRuns};
 pub use tc::TransitiveClosure;
 
 use rig_graph::NodeId;

@@ -4,9 +4,10 @@
 //! same SCC reach each other (with a non-empty path iff the SCC has an edge,
 //! i.e. size > 1 or a self-loop).
 
-use rig_graph::{DataGraph, NodeId};
+use rig_graph::{GraphView, NodeId};
 
 /// The SCC condensation of a data graph.
+#[derive(Clone)]
 pub struct Condensation {
     /// `comp[v]` = component id of node `v`; component ids are dense.
     pub comp: Vec<u32>,
@@ -24,8 +25,9 @@ pub struct Condensation {
 }
 
 impl Condensation {
-    /// Computes the condensation of `g`.
-    pub fn new(g: &DataGraph) -> Self {
+    /// Computes the condensation of `g`, a base graph or a snapshot.
+    pub fn new<'a>(g: impl Into<GraphView<'a>>) -> Self {
+        let g = g.into();
         let n = g.num_nodes();
         let mut comp = vec![u32::MAX; n];
         let mut index = vec![u32::MAX; n]; // discovery index
@@ -89,7 +91,8 @@ impl Condensation {
         }
         let mut nontrivial: Vec<bool> = comp_size.iter().map(|&s| s > 1).collect();
         let mut dag_edges: Vec<(u32, u32)> = Vec::new();
-        for (u, v) in g.edges() {
+        let edges = (0..n as NodeId).flat_map(|u| g.out_neighbors(u).iter().map(move |&v| (u, v)));
+        for (u, v) in edges {
             let cu = comp[u as usize];
             let cv = comp[v as usize];
             if cu == cv {
@@ -159,6 +162,7 @@ impl Condensation {
 
 /// One direction of the condensation DAG in CSR form: the neighbours of
 /// component `c` are `dag[c as usize]`, sorted and deduplicated.
+#[derive(Clone)]
 pub(crate) struct DagAdjacency {
     offsets: Vec<usize>,
     targets: Vec<u32>,

@@ -1,22 +1,14 @@
-//! Batched set reachability: descendants / ancestors of a *set* of nodes
-//! in one multi-source sweep.
+//! Batched set reachability over the condensation DAG: the descendants
+//! or ancestors of a *set* of nodes in one multi-source sweep, and the
+//! targets each source reaches.
 //!
 //! The double-simulation select phase (§4.2) repeatedly asks, for a
 //! reachability query edge `(qi, qj)`: *which candidate nodes of `qi` reach
-//! at least one candidate of `qj`?* That is exactly membership in
-//! `ancestors_of_set(G, FB(qj))` — far cheaper than per-pair probes when
-//! candidate sets are large.
-//!
-//! Two sweeps answer it:
-//!
-//! * [`Condensation::descendants_of_set`] / [`Condensation::ancestors_of_set`]
-//!   sweep the condensation DAG, in O(|C| + |E_C| + |sources|) for `|C|`
-//!   components. Selection uses them whenever the oracle exposes a
-//!   condensation ([`crate::Reachability::condensation`]) and the graph
-//!   view is clean, so the condensation describes it.
-//! * [`descendants_of_set`] / [`ancestors_of_set`] sweep the data graph in
-//!   O(|V| + |E|). They read any [`GraphView`], so they are the fallback
-//!   for a dirty snapshot, which has no condensation.
+//! at least one candidate of `qj`?* That is exactly membership in the
+//! ancestors of `FB(qj)` — far cheaper than per-pair probes when candidate
+//! sets are large. [`Condensation::descendants_of_set`] and
+//! [`Condensation::ancestors_of_set`] answer it in O(|C| + |E_C| +
+//! |sources|) for `|C|` components.
 //!
 //! RIG expansion asks *which targets does each source reach?*;
 //! [`Condensation::reach_runs`] answers it for all pairs in one sweep.
@@ -24,65 +16,11 @@
 use crate::scc::DagAdjacency;
 use crate::Condensation;
 use rig_bitset::Bitset;
-use rig_graph::{Deadline, GraphView, NodeId};
+use rig_graph::{Deadline, NodeId};
 
 /// Bytes of target-bit rows [`Condensation::reach_runs`] holds at once;
 /// wider target sets are swept in blocks of 64-bit words.
 const ROW_BYTES: usize = 4 << 20;
-
-/// All nodes `v` such that some `s ∈ sources` has a non-empty path `s ⇝ v`.
-/// (A source is included only if it is reachable *from* a source, e.g. on a
-/// cycle or downstream of another source.)
-pub fn descendants_of_set<'a>(g: impl Into<GraphView<'a>>, sources: &Bitset) -> Bitset {
-    sweep(g.into(), sources, Direction::Forward)
-}
-
-/// All nodes `v` such that `v` has a non-empty path to some `s ∈ sources`.
-pub fn ancestors_of_set<'a>(g: impl Into<GraphView<'a>>, sources: &Bitset) -> Bitset {
-    sweep(g.into(), sources, Direction::Backward)
-}
-
-enum Direction {
-    Forward,
-    Backward,
-}
-
-fn sweep(g: GraphView<'_>, sources: &Bitset, dir: Direction) -> Bitset {
-    let n = g.num_nodes();
-    let mut seen = vec![false; n];
-    let mut frontier: Vec<NodeId> = Vec::new();
-    // Seed with the one-step neighbors of every source, so that membership
-    // certifies a path of length >= 1.
-    for s in sources.iter() {
-        let neigh = match dir {
-            Direction::Forward => g.out_neighbors(s),
-            Direction::Backward => g.in_neighbors(s),
-        };
-        for &x in neigh {
-            if !seen[x as usize] {
-                seen[x as usize] = true;
-                frontier.push(x);
-            }
-        }
-    }
-    let mut head = 0;
-    while head < frontier.len() {
-        let v = frontier[head];
-        head += 1;
-        let neigh = match dir {
-            Direction::Forward => g.out_neighbors(v),
-            Direction::Backward => g.in_neighbors(v),
-        };
-        for &x in neigh {
-            if !seen[x as usize] {
-                seen[x as usize] = true;
-                frontier.push(x);
-            }
-        }
-    }
-    frontier.sort_unstable();
-    Bitset::from_sorted_dedup(&frontier)
-}
 
 /// A node set produced by a condensation sweep, held as one flag per
 /// component of the [`Condensation`] it was swept on.
@@ -100,14 +38,16 @@ impl ComponentSet<'_> {
 }
 
 impl Condensation {
-    /// [`descendants_of_set`] of the graph this condensation was built
-    /// from, swept over the condensation DAG instead of the data graph.
+    /// Every node `v` of the graph this condensation was built from such
+    /// that some `s ∈ sources` has a non-empty path `s ⇝ v`. A source is in
+    /// it only if a source reaches it, e.g. on a cycle or downstream of
+    /// another source.
     pub fn descendants_of_set(&self, sources: &Bitset) -> ComponentSet<'_> {
         self.sweep(sources.iter(), &self.dag_fwd)
     }
 
-    /// [`ancestors_of_set`] of the graph this condensation was built from,
-    /// swept over the condensation DAG instead of the data graph.
+    /// Every node `v` of the graph this condensation was built from that
+    /// has a non-empty path to some `s ∈ sources`.
     pub fn ancestors_of_set(&self, sources: &Bitset) -> ComponentSet<'_> {
         self.sweep(sources.iter(), &self.dag_bwd)
     }
@@ -298,9 +238,10 @@ mod tests {
     fn matches_per_node_reachability() {
         for seed in 0..6u64 {
             let g = random_graph(50, 110, seed);
+            let c = Condensation::new(&g);
             let sources = Bitset::from_slice(&[0, 7, 23]);
-            let desc = descendants_of_set(&g, &sources);
-            let anc = ancestors_of_set(&g, &sources);
+            let desc = c.descendants_of_set(&sources);
+            let anc = c.ancestors_of_set(&sources);
             for v in 0..50u32 {
                 let expect_desc = sources.iter().any(|s| naive_reaches(&g, s, v));
                 let expect_anc = sources.iter().any(|s| naive_reaches(&g, v, s));
@@ -313,8 +254,10 @@ mod tests {
     #[test]
     fn empty_sources_empty_result() {
         let g = random_graph(10, 20, 0);
-        assert!(descendants_of_set(&g, &Bitset::new()).is_empty());
-        assert!(ancestors_of_set(&g, &Bitset::new()).is_empty());
+        let c = Condensation::new(&g);
+        let (desc, anc) =
+            (c.descendants_of_set(&Bitset::new()), c.ancestors_of_set(&Bitset::new()));
+        assert!((0..10).all(|v| !desc.contains(v) && !anc.contains(v)));
     }
 
     /// The runs of `reach_runs_in_blocks` with `row_bytes`, one list of
@@ -375,7 +318,8 @@ mod tests {
         b.add_edge(0, 1);
         b.add_edge(1, 0);
         let g = b.build();
-        let d = descendants_of_set(&g, &Bitset::from_slice(&[0]));
+        let c = Condensation::new(&g);
+        let d = c.descendants_of_set(&Bitset::from_slice(&[0]));
         assert!(d.contains(0));
         assert!(d.contains(1));
     }

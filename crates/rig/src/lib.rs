@@ -531,8 +531,7 @@ impl Rig {
 /// Builds a RIG for `ctx.query` on `ctx.graph` (Alg. 4).
 ///
 /// Reachability edges expand by one sweep over [`SimContext::condensation`]
-/// per query edge, or without one (a dirty [`rig_graph::Snapshot`], or an
-/// oracle that has none) by one DFS per source; neither probes `ctx.reach`.
+/// per query edge.
 ///
 /// Both phases charge [`SimContext::deadline`] per unit of work; past it
 /// the build returns an empty-shaped RIG with [`RigStats::timed_out`] set,
@@ -694,12 +693,9 @@ fn expand_all(
     edge_nodes.iter().enumerate().map(build_one).collect()
 }
 
-/// Expands one query edge into forward CSR runs (local target ids).
-///
-/// Reachability edges sweep [`SimContext::condensation`]. A dirty snapshot
-/// has none (the index describes its base only), so there they take one
-/// DFS per source over the view's own adjacency; sessions rebase before
-/// every build, so the DFS serves callers that build on one directly.
+/// Expands one query edge into forward CSR runs (local target ids):
+/// direct edges by adjacency intersection, reachability edges by one sweep
+/// over [`SimContext::condensation`].
 fn expand_edge(
     ctx: &SimContext<'_>,
     ids: &[Vec<NodeId>],
@@ -710,10 +706,7 @@ fn expand_edge(
     let dl = Deadline::new(ctx.deadline);
     match ctx.query.edge(eid).kind {
         EdgeKind::Direct => expand_direct(ctx, ids, p, q, dl),
-        EdgeKind::Reachability => match ctx.condensation() {
-            Some(cond) => cond.reach_runs(&ids[p], &ids[q], dl),
-            None => expand_reach_dfs(ctx, ids, p, q, dl),
-        },
+        EdgeKind::Reachability => ctx.condensation().reach_runs(&ids[p], &ids[q], dl),
     }
 }
 
@@ -786,47 +779,6 @@ fn intersect_to_locals(nbrs: &[NodeId], tgt: &[NodeId], out: &mut Vec<u32>) {
             }
         }
     }
-}
-
-/// Reachability expansion by one DFS per source node over the view's own
-/// adjacency: the dirty-view path, which needs no index of the view.
-fn expand_reach_dfs(
-    ctx: &SimContext<'_>,
-    ids: &[Vec<NodeId>],
-    p: usize,
-    q: usize,
-    mut dl: Deadline,
-) -> Option<GroupedRuns> {
-    let g = ctx.graph;
-    let (src, tgt) = (&ids[p], &ids[q]);
-    let mut stamp = vec![u32::MAX; g.num_nodes()];
-    let mut offsets = Vec::with_capacity(src.len() + 1);
-    offsets.push(0u32);
-    let mut targets = Vec::new();
-    let mut run: Vec<u32> = Vec::new();
-    for (epoch, &u) in src.iter().enumerate() {
-        let epoch = epoch as u32;
-        run.clear();
-        let mut stack: Vec<NodeId> = g.out_neighbors(u).to_vec();
-        // one DFS can walk the whole graph: charge per pop, not per source
-        while let Some(x) = stack.pop() {
-            if dl.charge() {
-                return None;
-            }
-            if stamp[x as usize] == epoch {
-                continue;
-            }
-            stamp[x as usize] = epoch;
-            if let Ok(j) = tgt.binary_search(&x) {
-                run.push(j as u32);
-            }
-            stack.extend_from_slice(g.out_neighbors(x));
-        }
-        run.sort_unstable();
-        targets.extend_from_slice(&run);
-        push_offset(&mut offsets, targets.len());
-    }
-    Some(GroupedRuns { offsets, targets, run_of: Vec::new(), target_group: Vec::new() })
 }
 
 #[cfg(test)]

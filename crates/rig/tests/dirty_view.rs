@@ -1,8 +1,8 @@
 //! Differential for the dirty-view build: selection and expansion over an
-//! uncompacted [`Snapshot`] (the data-graph sweeps of the reachability
-//! checks and the dirty-view DFS, with a delta-aware [`SnapshotReach`])
-//! must select the same candidates and produce the same RIG edges as the
-//! indexed build over the snapshot's materialization with a fresh BFL.
+//! uncompacted [`Snapshot`] (given a delta-aware [`SnapshotReach`], which
+//! has no condensation, so the context computes the snapshot's own) must
+//! select the same candidates and produce the same RIG, run for run, as
+//! the indexed build over the snapshot's materialization with a fresh BFL.
 //!
 //! The deltas come from [`MutationStream`] seeds over three graph shapes:
 //! one giant SCC, many small SCCs and a DAG.
@@ -70,15 +70,20 @@ fn select_and_build(ctx: &SimContext<'_>, bfl: &BflIndex) -> Rig {
     build_rig_from_candidates(ctx, bfl, &opts, fb)
 }
 
-/// Equal candidate sets and equal per-source successor sets; the run
-/// layout may differ (the dirty-view DFS stores one run per source).
+/// Equal candidate sets, equal per-source successor sets and the same run
+/// layout: as many stored runs per edge and direction, and as many bytes.
 fn assert_same_rig(q: &PatternQuery, dirty: &Rig, clean: &Rig, what: &str) {
     assert!(!dirty.stats.timed_out && !clean.stats.timed_out, "{what}");
     for i in 0..q.num_nodes() {
         assert_eq!(dirty.candidates(i), clean.candidates(i), "{what}: cos({i})");
     }
     assert_eq!(dirty.stats.edge_count, clean.stats.edge_count, "{what}");
+    assert_eq!(dirty.heap_bytes(), clean.heap_bytes(), "{what}: heap bytes");
     for eid in 0..q.num_edges() as u32 {
+        for fwd in [true, false] {
+            let runs = (dirty.num_runs(eid, fwd), clean.num_runs(eid, fwd));
+            assert_eq!(runs.0, runs.1, "{what}: edge {eid} runs (fwd={fwd})");
+        }
         let (p, _) = clean.edge_endpoints(eid);
         for &u in clean.candidates(p) {
             assert_eq!(

@@ -1,8 +1,8 @@
 //! Agreement between the CSR RIG's reachability expansion (one sweep over
 //! the condensation per query edge, one run per source SCC) and the
 //! reference RIG's per-source DFS, which reads no index; invariants of the
-//! RIG adjacency structure; and a build that never probes the oracle
-//! pair by pair.
+//! RIG adjacency structure; a build that never probes the oracle pair by
+//! pair; and one whose oracle has no condensation.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -368,5 +368,69 @@ fn rig_builds_probe_no_pairs() {
             }
         }
         assert_eq!(oracle.probes.load(Ordering::Relaxed), 0, "{shape}: pair probes");
+    }
+}
+
+/// A BFL index that hides its condensation, so a context built on it
+/// computes the graph's own.
+struct NoCondensation(BflIndex);
+
+impl Reachability for NoCondensation {
+    fn reaches(&self, u: NodeId, v: NodeId) -> bool {
+        self.0.reaches(u, v)
+    }
+
+    fn build_seconds(&self) -> f64 {
+        self.0.build_seconds()
+    }
+
+    fn name(&self) -> &'static str {
+        "BFL without a condensation"
+    }
+}
+
+/// `got` and `want` have the same candidates and, per edge and direction,
+/// the same stored runs: as many, read by the same locals, with the same
+/// contents.
+fn assert_same_runs(q: &PatternQuery, got: &Rig, want: &Rig, what: &str) {
+    for i in 0..q.num_nodes() {
+        assert_eq!(got.candidates(i), want.candidates(i), "{what}: cos({i})");
+    }
+    for eid in 0..q.num_edges() as u32 {
+        let (p, t) = want.edge_endpoints(eid);
+        for (fwd, side) in [(true, p), (false, t)] {
+            assert_eq!(got.num_runs(eid, fwd), want.num_runs(eid, fwd), "{what}: edge {eid}");
+            for l in 0..want.candidates(side).len() as u32 {
+                let run = |r: &Rig| {
+                    let adj =
+                        if fwd { r.successors_local(eid, l) } else { r.predecessors_local(eid, l) };
+                    (r.run_id(eid, l, fwd), adj.list.to_vec())
+                };
+                assert_eq!(run(got), run(want), "{what}: edge {eid} local {l} (fwd={fwd})");
+            }
+        }
+    }
+    assert_eq!(got.heap_bytes(), want.heap_bytes(), "{what}: heap bytes");
+}
+
+/// An oracle without a condensation yields, on a clean graph, the RIG the
+/// BFL index yields, run for run: the context computes the same
+/// condensation itself.
+#[test]
+fn oracle_without_condensation_builds_the_same_runs() {
+    let graphs = [
+        ("giant SCC", random_graph(400, 2000, false, 1)),
+        ("small SCCs", small_scc_graph(100, 300, 2)),
+    ];
+    for (shape, g) in &graphs {
+        let bfl = BflIndex::new(g);
+        let hidden = NoCondensation(BflIndex::new(g));
+        for (qi, q) in hybrid_queries().iter().enumerate() {
+            let opts = RigOptions::exact();
+            let want = build_rig(&SimContext::new(g, q, &bfl), &opts);
+            let got = build_rig(&SimContext::new(g, q, &hidden), &opts);
+            assert!(want.stats.edge_count > 0, "{shape}: an empty RIG tests nothing");
+            assert_same_runs(q, &got, &want, &format!("{shape} query {qi}"));
+        }
     }
 }

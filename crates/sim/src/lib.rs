@@ -24,12 +24,10 @@
 //! implementation ([`DirectCheckMode`]: `binSearch` / `bitIter` / `bitBat`,
 //! Fig. 12a), change-flag pass skipping (`DagMap`, Fig. 12b) and the N-pass
 //! approximation of §4.5. The reachability-edge check has one
-//! implementation: one multi-source sweep per (edge, direction) that keeps
+//! implementation: one multi-source sweep per (edge, direction) over the
+//! context's condensation ([`Condensation::ancestors_of_set`]) that keeps
 //! the candidates in the ancestor/descendant set of the other side's
-//! candidates. On a clean view it sweeps the condensation DAG of `reach`
-//! ([`Condensation::ancestors_of_set`]); on a dirty view it sweeps the
-//! data graph itself ([`rig_reach::ancestors_of_set`]) and never probes
-//! `reach`.
+//! candidates.
 
 mod algorithms;
 mod checks;
@@ -39,6 +37,7 @@ pub use algorithms::{double_simulation, double_simulation_seeded};
 pub use checks::{backward_prune_edge, forward_prune_edge};
 pub use prefilter::prefilter;
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 use rig_bitset::Bitset;
@@ -52,40 +51,41 @@ use rig_reach::{Condensation, Reachability};
 /// [`rig_graph::Snapshot`] — so the same simulation code prunes over a
 /// frozen graph and over an uncompacted overlay.
 ///
-/// The reachability checks sweep the condensation of `reach`
-/// ([`rig_reach::Reachability::condensation`]) when it has one and the view
-/// is clean; otherwise they sweep the data graph itself. No check probes
-/// `reach` pair by pair, and neither does RIG expansion, so on a dirty
-/// view a base-only index cannot leak stale answers.
+/// Every reachability question of selection and RIG expansion is answered
+/// from one [`Condensation`] of the view, resolved once by
+/// [`SimContext::new`]; no check probes an oracle pair by pair.
 pub struct SimContext<'a> {
     pub graph: GraphView<'a>,
     pub query: &'a PatternQuery,
-    /// `Sync` so one context can be shared across threads (every in-tree
-    /// oracle is plain data).
-    pub reach: &'a (dyn Reachability + Sync),
     /// The build's wall-clock deadline, charged per selection edge check
     /// and per expansion unit (see [`rig_graph::Deadline`]). Selection
     /// stops at it with a sound superset of `FB`; expansion aborts.
     /// [`SimContext::new`] leaves it `None`.
     pub deadline: Option<Instant>,
+    cond: Cow<'a, Condensation>,
 }
 
 impl<'a> SimContext<'a> {
+    /// Borrows `reach`'s condensation when the view is clean and `reach`
+    /// has one; otherwise computes the view's own, in O(|V| + |E|). A
+    /// dirty view has changed since any index was built, so its
+    /// condensation is always its own.
     pub fn new(
         graph: impl Into<GraphView<'a>>,
         query: &'a PatternQuery,
         reach: &'a (dyn Reachability + Sync),
     ) -> Self {
-        SimContext { graph: graph.into(), query, reach, deadline: None }
+        let graph = graph.into();
+        let cond = match reach.condensation() {
+            Some(cond) if !graph.is_dirty() => Cow::Borrowed(cond),
+            _ => Cow::Owned(Condensation::new(graph)),
+        };
+        SimContext { graph, query, deadline: None, cond }
     }
 
-    /// The condensation of `graph`, if `reach` has one that describes it:
-    /// a dirty view has changed since any condensation was built.
-    pub fn condensation(&self) -> Option<&'a Condensation> {
-        if self.graph.is_dirty() {
-            return None;
-        }
-        self.reach.condensation()
+    /// The condensation of `graph`.
+    pub fn condensation(&self) -> &Condensation {
+        &self.cond
     }
 
     /// The match sets `ms(q)` — label inverted lists — for every query node.

@@ -4,10 +4,10 @@
 //! CSR base + fresh BFL on the materialized snapshot), across every
 //! `SelectMode`, both `EdgeKind`s, and thread counts {1, 2, 8}. Session
 //! reads only ever build on a clean base: the first RIG build after a
-//! commit rebases the dirty snapshot onto a fresh base. The overlay
-//! reachability oracle (`SnapshotReach` plus the dirty branch of RIG
-//! expansion) is driven directly, outside the session, by
-//! `overlay_oracle_matches_rebuild`.
+//! commit rebases the dirty snapshot onto a fresh base. A build over the
+//! dirty snapshot itself (given `SnapshotReach`, so it sweeps the
+//! snapshot's own condensation) is driven directly, outside the session,
+//! by `overlay_oracle_matches_rebuild`.
 //!
 //! On top of match-set equality, every checked snapshot also exercises the
 //! `count()` terminal — which auto-routes to the factorized counting DP —
@@ -163,11 +163,11 @@ fn rig_matches(q: &PatternQuery, rig: &Rig) -> Vec<Vec<NodeId>> {
     tuples
 }
 
-/// The overlay reachability oracle against the rebuild. Builds each RIG
-/// outside the session, the way a harness replays a read layer by layer:
-/// a `SimContext` over the dirty snapshot whose reachability probes go
-/// through `SnapshotReach` (overlay BFS over the base BFL), then
-/// `build_rig`, whose reachability expansion takes the overlay-DFS branch.
+/// A dirty-snapshot build against the rebuild. Builds each RIG outside the
+/// session, the way a harness replays a read layer by layer: a
+/// `SimContext` over the dirty snapshot with `SnapshotReach`, which has no
+/// condensation, so the context computes the snapshot's own, then
+/// `build_rig`.
 /// No session read runs between commits, so every checked snapshot that
 /// any commit touched stays dirty.
 fn check_overlay_oracle(seed: u64, commits: usize, ops_per_commit: usize) {
@@ -213,9 +213,9 @@ fn check_overlay_oracle(seed: u64, commits: usize, ops_per_commit: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Overlay-oracle RIGs (`SnapshotReach` + the dirty expansion branch)
-    /// on a dirty snapshot equal a rebuild of the materialized snapshot,
-    /// for every `SelectMode` and both `EdgeKind`s.
+    /// RIGs built on a dirty snapshot (given `SnapshotReach`) equal a
+    /// rebuild of the materialized snapshot, for every `SelectMode` and
+    /// both `EdgeKind`s.
     #[test]
     fn overlay_oracle_matches_rebuild(seed in 0u64..1_000_000) {
         check_overlay_oracle(seed, 4, 6);
