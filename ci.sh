@@ -107,6 +107,18 @@ if [[ "${1:-}" != "quick" ]]; then
         [[ "$(run_cli "${cli_tmp}/chain.txt" --engine "${engine}" --count \
               --query 'MATCH (a:Author)=>(p:Paper)')" == "20100" ]]
     done
+    # the same 20 100 pairs streamed as text span many 256-tuple batches:
+    # two workers print the lines one worker prints, in some order, and a
+    # full stdout is an I/O error (exit 4), not a clean stop
+    run_cli "${cli_tmp}/chain.txt" --query 'MATCH (a:Author)=>(p:Paper)' 2> /dev/null \
+        | LC_ALL=C sort > "${cli_tmp}/one.txt"
+    run_cli "${cli_tmp}/chain.txt" --query 'MATCH (a:Author)=>(p:Paper)' --threads 2 \
+        2> /dev/null | LC_ALL=C sort > "${cli_tmp}/two.txt"
+    [[ "$(wc -l < "${cli_tmp}/one.txt")" == "20100" ]]
+    cmp -s "${cli_tmp}/one.txt" "${cli_tmp}/two.txt"
+    rc=0; run_cli "${cli_tmp}/chain.txt" --query 'MATCH (a:Author)=>(p:Paper)' \
+        > /dev/full 2> /dev/null || rc=$?
+    [[ "${rc}" == "4" ]]
     # dynamic updates: --mutations commits a script before the query runs
     # (the first read rebases the dirty snapshot onto a clean base), and
     # `update` rewrites the materialized graph

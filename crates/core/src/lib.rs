@@ -151,8 +151,8 @@ pub fn evaluate_once(
 // through sub-crates
 pub use rig_index::{RigOptions as RigBuildOptions, SelectMode};
 pub use rig_mjoin::{
-    BatchSink, CollectSink, CountSink, EnumOptions as EnumerationOptions, FirstKSink, FnSink,
-    ParOptions, ResultSink, SearchOrder,
+    CollectSink, CountSink, EnumOptions as EnumerationOptions, FirstKSink, FnSink, ParOptions,
+    ResultSink, SearchOrder, TupleFormat, WriteSink,
 };
 pub use rig_sim::{DirectCheckMode, SimAlgorithm, SimOptions};
 pub use rig_storage::{

@@ -66,7 +66,7 @@ pub mod sink;
 pub use factorized::{DpCount, Factorization, FactorizationShape};
 pub use order::{compute_order, edge_cardinality, is_connected_order, SearchOrder};
 pub use parallel::{par_enumerate, ParOptions};
-pub use sink::{BatchSink, CollectSink, CountSink, FirstKSink, FnSink, ResultSink};
+pub use sink::{CollectSink, CountSink, FirstKSink, FnSink, ResultSink, TupleFormat, WriteSink};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -1035,28 +1035,20 @@ mod tests {
     }
 
     /// The sink entry point streams the same answer the closure API does,
-    /// and `finish` flushes batch tails.
+    /// and `finish` writes batch tails.
     #[test]
     fn sink_entry_point_streams_batches() {
         let g = fig2_graph();
         let q = fig2_query();
         let rig = rig_for(&g, &q);
-        let mut flat: Vec<NodeId> = Vec::new();
-        let mut flushes = 0usize;
-        {
-            let mut sink = BatchSink::new(q.num_nodes(), 1, |b: &[NodeId], arity| {
-                assert_eq!(arity, 3);
-                flat.extend_from_slice(b);
-                flushes += 1;
-            });
-            let r = enumerate_sink(&q, &rig, &EnumOptions::default(), &mut sink);
-            assert_eq!(r.count, 2);
-            assert_eq!(sink.pushed, 2);
-        }
-        assert_eq!(flushes, 2);
-        let mut tuples: Vec<Vec<NodeId>> = flat.chunks(3).map(|c| c.to_vec()).collect();
-        tuples.sort();
-        assert_eq!(tuples, vec![vec![1, 3, 7], vec![2, 5, 9]]);
+        let mut out: Vec<u8> = Vec::new();
+        let mut sink = WriteSink::new(&mut out, q.num_nodes(), 256, TupleFormat::TEXT);
+        let r = enumerate_sink(&q, &rig, &EnumOptions::default(), &mut sink);
+        assert_eq!(r.count, 2);
+        assert_eq!(sink.pushed(), 2);
+        let mut lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+        lines.sort();
+        assert_eq!(lines, ["1 3 7", "2 5 9"]);
     }
 
     /// EnumResult::merge is total: counts/steps add, both flags OR.

@@ -3,11 +3,11 @@
 //! A [`ResultSink`] receives occurrence tuples as MJoin produces them, so
 //! callers consume matches **without materializing the answer set**: a
 //! count-only sink keeps a single counter, a first-k sink keeps at most
-//! `k` tuples, a batched sink hands out fixed-size blocks to a flush
-//! callback. Every enumeration entry point — [`crate::enumerate_sink`],
-//! [`crate::count`], [`crate::par_enumerate`] — is built on this trait;
-//! the closure-based [`crate::enumerate`] API wraps its visitor in a
-//! [`FnSink`].
+//! `k` tuples, a [`WriteSink`] formats them as text and writes one batch
+//! at a time to any [`std::io::Write`]. Every enumeration entry point —
+//! [`crate::enumerate_sink`], [`crate::count`], [`crate::par_enumerate`]
+//! — is built on this trait; the closure-based [`crate::enumerate`] API
+//! wraps its visitor in a [`FnSink`].
 //!
 //! Under [`crate::par_enumerate`] each worker owns a **private** sink (no
 //! locks on the emit path); the per-worker sinks are returned to the
@@ -15,6 +15,8 @@
 //! requests early termination of the whole enumeration (all workers, in
 //! the parallel case) — it does *not* set `limit_hit`, which is reserved
 //! for the engine-enforced [`crate::EnumOptions::limit`] budget.
+
+use std::io::{self, Write};
 
 use rig_graph::NodeId;
 
@@ -92,45 +94,117 @@ impl ResultSink for CollectSink {
     }
 }
 
-/// Batches embeddings into a flat `NodeId` buffer and flushes it to a
-/// callback every `batch_tuples` occurrences (and once more at the end for
-/// the tail). The flush receives `(flat_buffer, arity)`; tuple `i` of the
-/// batch is `flat[i * arity..(i + 1) * arity]`. Space is O(batch), not
-/// O(answer) — the streaming analogue of collecting.
-pub struct BatchSink<F: FnMut(&[NodeId], usize)> {
-    arity: usize,
-    cap: usize,
-    buf: Vec<NodeId>,
-    flush: F,
-    /// Total tuples pushed through this sink.
-    pub pushed: u64,
+/// How [`WriteSink`] frames one tuple: `open`, the ids joined by `sep`,
+/// then `close`.
+#[derive(Debug, Clone, Copy)]
+pub struct TupleFormat {
+    open: &'static [u8],
+    sep: &'static [u8],
+    close: &'static [u8],
 }
 
-impl<F: FnMut(&[NodeId], usize)> BatchSink<F> {
-    /// `arity` = query node count; `batch_tuples` = tuples per flush.
-    pub fn new(arity: usize, batch_tuples: usize, flush: F) -> Self {
-        let cap = batch_tuples.max(1);
-        BatchSink { arity, cap, buf: Vec::with_capacity(cap * arity.max(1)), flush, pushed: 0 }
+impl TupleFormat {
+    /// `[a,b,c]\n`: one JSON array per line (the server's NDJSON body).
+    pub const NDJSON: TupleFormat = TupleFormat { open: b"[", sep: b",", close: b"]\n" };
+    /// `a b c\n`: the CLI's text output.
+    pub const TEXT: TupleFormat = TupleFormat { open: b"", sep: b" ", close: b"\n" };
+}
+
+/// Formats tuples as text into one reused byte buffer and writes every
+/// `batch_tuples` of them to `out` with one `write_all` and a `flush`
+/// (and the tail once more at [`ResultSink::finish`]). Space is
+/// O(batch), not O(answer), and nothing is allocated after
+/// construction. The first write error is kept, and `push` returns
+/// `false` from then on, so a dead reader stops the enumeration.
+pub struct WriteSink<W: Write> {
+    out: W,
+    format: TupleFormat,
+    batch_tuples: usize,
+    buf: Vec<u8>,
+    in_batch: usize,
+    pushed: u64,
+    error: Option<io::Error>,
+}
+
+impl<W: Write> WriteSink<W> {
+    /// `arity` = query node count; the buffer is sized for a full batch
+    /// of the longest possible tuples, so it never grows while streaming.
+    pub fn new(out: W, arity: usize, batch_tuples: usize, format: TupleFormat) -> Self {
+        let batch_tuples = batch_tuples.max(1);
+        let tuple_bytes =
+            format.open.len() + format.close.len() + arity * (MAX_ID_DIGITS + format.sep.len());
+        let buf = Vec::with_capacity(batch_tuples * tuple_bytes);
+        WriteSink { out, format, batch_tuples, buf, in_batch: 0, pushed: 0, error: None }
+    }
+
+    /// Appends raw bytes (a response head or trailer) to the pending
+    /// batch: they go out with its write.
+    pub fn write_raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Tuples accepted so far.
+    pub fn pushed(&self) -> u64 {
+        self.pushed
+    }
+
+    /// Consumes the sink, handing back its first write error.
+    pub fn into_error(self) -> Option<io::Error> {
+        self.error
+    }
+
+    fn write_out(&mut self) {
+        if self.error.is_none() && !self.buf.is_empty() {
+            let written = self.out.write_all(&self.buf).and_then(|()| self.out.flush());
+            self.error = written.err();
+        }
+        self.buf.clear();
+        self.in_batch = 0;
     }
 }
 
-impl<F: FnMut(&[NodeId], usize)> ResultSink for BatchSink<F> {
+/// Decimal digits of the largest `NodeId`.
+const MAX_ID_DIGITS: usize = 10;
+
+fn push_id(buf: &mut Vec<u8>, mut id: NodeId) {
+    let mut digits = [0u8; MAX_ID_DIGITS];
+    let mut start = MAX_ID_DIGITS;
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (id % 10) as u8;
+        id /= 10;
+        if id == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[start..]);
+}
+
+impl<W: Write> ResultSink for WriteSink<W> {
     fn push(&mut self, tuple: &[NodeId]) -> bool {
-        debug_assert_eq!(tuple.len(), self.arity);
-        self.buf.extend_from_slice(tuple);
-        self.pushed += 1;
-        if self.buf.len() >= self.cap * self.arity.max(1) {
-            (self.flush)(&self.buf, self.arity);
-            self.buf.clear();
+        if self.error.is_some() {
+            return false;
         }
-        true
+        self.buf.extend_from_slice(self.format.open);
+        let mut sep: &[u8] = b"";
+        for &id in tuple {
+            self.buf.extend_from_slice(sep);
+            push_id(&mut self.buf, id);
+            sep = self.format.sep;
+        }
+        self.buf.extend_from_slice(self.format.close);
+        self.pushed += 1;
+        self.in_batch += 1;
+        if self.in_batch == self.batch_tuples {
+            self.write_out();
+        }
+        self.error.is_none()
     }
 
+    /// Writes the pending tail. Calling it again after
+    /// [`WriteSink::write_raw`] writes those bytes too.
     fn finish(&mut self) {
-        if !self.buf.is_empty() {
-            (self.flush)(&self.buf, self.arity);
-            self.buf.clear();
-        }
+        self.write_out();
     }
 }
 
@@ -170,19 +244,70 @@ mod tests {
         assert_eq!(s.tuples, vec![vec![1], vec![2]]);
     }
 
-    #[test]
-    fn batch_sink_flushes_full_batches_and_tail() {
-        let mut batches: Vec<(Vec<NodeId>, usize)> = Vec::new();
-        {
-            let mut s = BatchSink::new(2, 2, |flat: &[NodeId], arity| {
-                batches.push((flat.to_vec(), arity));
-            });
-            for t in [[0, 1], [2, 3], [4, 5]] {
-                assert!(s.push(&t));
-            }
-            s.finish();
-            assert_eq!(s.pushed, 3);
+    /// Records each `write` call as one chunk, so a test sees how many
+    /// writes a sink made and what each carried.
+    #[derive(Default)]
+    struct Chunks(Vec<Vec<u8>>);
+
+    impl Write for &mut Chunks {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.push(bytes.to_vec());
+            Ok(bytes.len())
         }
-        assert_eq!(batches, vec![(vec![0, 1, 2, 3], 2), (vec![4, 5], 2)]);
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_sink_writes_full_batches_and_tail() {
+        let mut chunks = Chunks::default();
+        let mut s = WriteSink::new(&mut chunks, 2, 2, TupleFormat::NDJSON);
+        s.write_raw(b"head\n");
+        for t in [[0, 1], [2, 30], [4_294_967_295, 5]] {
+            assert!(s.push(&t));
+        }
+        s.finish();
+        s.write_raw(b"tail\n");
+        s.finish();
+        assert_eq!(s.pushed(), 3);
+        assert!(s.into_error().is_none());
+        let chunks: Vec<&[u8]> = chunks.0.iter().map(Vec::as_slice).collect();
+        let expected: [&[u8]; 3] = [b"head\n[0,1]\n[2,30]\n", b"[4294967295,5]\n", b"tail\n"];
+        assert_eq!(chunks, expected);
+    }
+
+    #[test]
+    fn write_sink_text_format() {
+        let mut out = Vec::new();
+        let mut s = WriteSink::new(&mut out, 3, 256, TupleFormat::TEXT);
+        assert!(s.push(&[7, 0, 12]));
+        assert!(s.push(&[100, 9, 1]));
+        s.finish();
+        assert_eq!(out, b"7 0 12\n100 9 1\n");
+    }
+
+    /// The first failed write is kept and stops the enumeration; nothing
+    /// is written after it.
+    #[test]
+    fn write_sink_stops_after_a_failed_write() {
+        struct Full(usize);
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                self.0 += 1;
+                Err(io::ErrorKind::StorageFull.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut s = WriteSink::new(Full(0), 1, 1, TupleFormat::TEXT);
+        assert!(!s.push(&[1]));
+        assert!(!s.push(&[2]));
+        s.finish();
+        assert_eq!(s.pushed(), 1);
+        assert_eq!(s.out.0, 1);
+        assert_eq!(s.into_error().map(|e| e.kind()), Some(io::ErrorKind::StorageFull));
     }
 }

@@ -6,7 +6,9 @@
 //! for the remainder of the sequential enumeration, which runs on that
 //! thread. Counting per thread keeps the test harness's own allocations
 //! on other threads out of the window. The second workload's plan has a
-//! memo split, so its window also covers suffix recordings and replays.
+//! memo split, so its window also covers suffix recordings and replays;
+//! the third formats every tuple into batched writes through a
+//! `WriteSink`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,7 +17,9 @@ use rig_graph::{GraphBuilder, NodeId};
 use rig_index::reference::build_reference_rig;
 use rig_index::{build_rig, RigOptions};
 use rig_mjoin::reference::ref_count;
-use rig_mjoin::{enumerate, EnumOptions, EnumResult, Plan};
+use rig_mjoin::{
+    enumerate_sink, CountSink, EnumOptions, EnumResult, Plan, ResultSink, TupleFormat, WriteSink,
+};
 use rig_query::{EdgeKind, PatternQuery};
 use rig_reach::BflIndex;
 use rig_sim::SimContext;
@@ -106,36 +110,47 @@ fn star_query() -> PatternQuery {
     q
 }
 
-/// Enumerates 100k matches of `q` and asserts the allocation count did not
-/// move between the first and the last emitted tuple.
-fn assert_steady(g: &rig_graph::DataGraph, q: &PatternQuery) -> EnumResult {
+/// Passes tuples on to `inner` and samples the thread's allocation count
+/// after every push.
+struct Probe<S> {
+    inner: S,
+    at_first_visit: Option<u64>,
+    at_last_visit: u64,
+    visits: u64,
+}
+
+impl<S: ResultSink> ResultSink for Probe<S> {
+    fn push(&mut self, tuple: &[NodeId]) -> bool {
+        let more = self.inner.push(tuple);
+        let now = alloc_calls();
+        self.at_first_visit.get_or_insert(now);
+        self.at_last_visit = now;
+        self.visits += 1;
+        more
+    }
+}
+
+/// Enumerates 100k matches of `q` into `sink` and asserts the allocation
+/// count did not move between the first and the last emitted tuple.
+fn assert_steady(g: &rig_graph::DataGraph, q: &PatternQuery, sink: impl ResultSink) -> EnumResult {
     let bfl = BflIndex::new(g);
     let ctx = SimContext::new(g, q, &bfl);
     let rig = build_rig(&ctx, &RigOptions::default());
     assert!(!rig.is_empty(), "workload must have matches");
 
     let opts = EnumOptions { limit: Some(100_000), ..Default::default() };
-    let mut at_first_visit: Option<u64> = None;
-    let mut at_last_visit: u64 = 0;
-    let mut visits: u64 = 0;
-    let r = enumerate(q, &rig, &opts, |_| {
-        let now = alloc_calls();
-        if at_first_visit.is_none() {
-            at_first_visit = Some(now);
-        }
-        at_last_visit = now;
-        visits += 1;
-        true
-    });
+    let mut probe = Probe { inner: sink, at_first_visit: None, at_last_visit: 0, visits: 0 };
+    let r = enumerate_sink(q, &rig, &opts, &mut probe);
+    let visits = probe.visits;
     assert!(visits >= 10_000, "need a meaningful steady-state window, got {visits} tuples");
     assert_eq!(r.count, visits);
     // set at the first of the (at least 10 000) tuples
-    let first = at_first_visit.unwrap_or(u64::MAX);
+    let first = probe.at_first_visit.unwrap_or(u64::MAX);
     assert_eq!(
-        at_last_visit,
+        probe.at_last_visit,
         first,
         "MJoin allocated {} time(s) during steady-state enumeration ({} tuples)",
-        at_last_visit - first,
+        probe.at_last_visit - first,
         visits
     );
     r
@@ -143,7 +158,16 @@ fn assert_steady(g: &rig_graph::DataGraph, q: &PatternQuery) -> EnumResult {
 
 #[test]
 fn zero_allocations_per_steady_state_step() {
-    assert_steady(&dense_graph(), &chain_query());
+    assert_steady(&dense_graph(), &chain_query(), CountSink::default());
+}
+
+/// Formatting tuples into batched writes allocates nothing per tuple
+/// either: the sink's buffer is sized for a full batch up front.
+#[test]
+fn zero_allocations_while_streaming_through_a_write_sink() {
+    let q = chain_query();
+    let sink = WriteSink::new(std::io::sink(), q.num_nodes(), 256, TupleFormat::NDJSON);
+    assert_steady(&dense_graph(), &q, sink);
 }
 
 /// The memo records before the first tuple and replays after it: the
@@ -156,7 +180,7 @@ fn zero_allocations_while_replaying_a_suffix() {
     let ctx = SimContext::new(&g, &q, &bfl);
     let rig = build_rig(&ctx, &RigOptions::default());
     assert!(Plan::new(&q, &rig, &EnumOptions::default()).memo_split().is_some());
-    let r = assert_steady(&g, &q);
+    let r = assert_steady(&g, &q, CountSink::default());
     let opts = EnumOptions { limit: Some(100_000), ..Default::default() };
     let reference = ref_count(&q, &build_reference_rig(&ctx, &RigOptions::default()), &opts);
     assert_eq!(reference.count, r.count);

@@ -177,15 +177,10 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes response headers; the caller streams the body afterwards and
-/// the connection close delimits it (no Content-Length).
-pub fn write_stream_head(
-    w: &mut impl Write,
-    status: u16,
-    content_type: &str,
-) -> std::io::Result<()> {
-    write!(
-        w,
+/// Response headers for a streamed body: the connection close delimits
+/// it (no Content-Length).
+pub fn stream_head(status: u16, content_type: &str) -> String {
+    format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nConnection: close\r\n\r\n",
         reason(status)
     )

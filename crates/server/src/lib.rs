@@ -9,8 +9,9 @@
 //! materializing answers. The server adds the serving shell:
 //!
 //! - **`POST /query`** — body is HPQL text. Default mode streams every
-//!   occurrence as one JSON array per line (NDJSON, batched through
-//!   [`BatchSink`]) followed by a trailing summary object;
+//!   occurrence as one JSON array per line (NDJSON, written through a
+//!   [`WriteSink`], one socket write per batch) followed by a trailing
+//!   summary object;
 //!   `?mode=count` returns a single JSON object instead, auto-routed
 //!   through the factorized DP when the query shape allows (`via_dp`).
 //!   `?limit=N` and `?timeout_ms=N` map onto the engine's budget
@@ -48,8 +49,7 @@
 pub mod http;
 pub mod metrics;
 
-use std::cell::{Cell, RefCell};
-use std::io::{BufReader, BufWriter, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, TrySendError};
@@ -58,7 +58,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rig_core::{Error, ErrorKind, Session};
-use rig_mjoin::{BatchSink, ResultSink};
+use rig_mjoin::{ResultSink, TupleFormat, WriteSink};
 
 use http::{json_escape, Request, RequestError};
 use metrics::ServerMetrics;
@@ -82,7 +82,8 @@ pub struct ServerConfig {
     pub write_timeout: Duration,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
-    /// Tuples per NDJSON flush (the `BatchSink` batch size).
+    /// Tuples per socket write of a streamed NDJSON body (the
+    /// [`WriteSink`] batch size).
     pub batch_tuples: usize,
     /// Test aid: sleep this long at the start of every `/query` before
     /// evaluating, to make admission-control behavior deterministic in
@@ -194,7 +195,7 @@ impl Server {
                 Ok(()) => {}
                 Err(TrySendError::Full(stream)) => {
                     ServerMetrics::bump(&metrics.rejected);
-                    reject_overloaded(stream, &config);
+                    reject_overloaded(stream);
                 }
                 Err(TrySendError::Disconnected(_)) => break,
             }
@@ -211,7 +212,7 @@ impl Server {
 /// timeouts so a misbehaving client cannot stall admission. The unread
 /// request is drained (capped) before the close: closing with unread
 /// bytes would RST the connection and destroy the 503 in flight.
-fn reject_overloaded(stream: TcpStream, _config: &ServerConfig) {
+fn reject_overloaded(stream: TcpStream) {
     let cap = Duration::from_millis(250);
     let _ = stream.set_write_timeout(Some(cap));
     let _ = stream.set_read_timeout(Some(cap));
@@ -339,24 +340,6 @@ fn handle_connection(
     }
 }
 
-/// Stops the enumeration once a batch flush failed — `BatchSink::push`
-/// itself always says "keep going", so without this a vanished client
-/// would keep the worker enumerating into a dead socket.
-struct StopOnFail<'a, S> {
-    inner: S,
-    failed: &'a Cell<bool>,
-}
-
-impl<S: ResultSink> ResultSink for StopOnFail<'_, S> {
-    fn push(&mut self, tuple: &[u32]) -> bool {
-        self.inner.push(tuple) && !self.failed.get()
-    }
-
-    fn finish(&mut self) {
-        self.inner.finish();
-    }
-}
-
 fn parse_u64(req: &Request, name: &str) -> Result<Option<u64>, String> {
     match req.param(name) {
         None => Ok(None),
@@ -452,44 +435,14 @@ fn handle_query(
 
     // stream mode: headers, then one JSON array per occurrence, then a
     // trailing summary object; the connection close delimits the body.
+    // The head goes out with the first batch; a vanished reader fails a
+    // batch write, which stops the enumeration.
     let arity = prepared.query().num_nodes();
-    let writer = RefCell::new(BufWriter::new(stream));
-    if http::write_stream_head(&mut *writer.borrow_mut(), 200, "application/x-ndjson").is_err() {
-        ServerMetrics::bump(&metrics.client_disconnects);
-        return;
-    }
-    let failed = Cell::new(false);
-    let inner = BatchSink::new(arity, config.batch_tuples.max(1), |flat: &[u32], arity: usize| {
-        let mut w = writer.borrow_mut();
-        let mut line = String::with_capacity(arity * 8 + 3);
-        for t in flat.chunks(arity.max(1)) {
-            line.clear();
-            line.push('[');
-            for (i, v) in t.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                line.push_str(&v.to_string());
-            }
-            line.push_str("]\n");
-            if w.write_all(line.as_bytes()).is_err() {
-                failed.set(true);
-                return; // reader gone: drop the rest of the batch
-            }
-        }
-        if w.flush().is_err() {
-            failed.set(true);
-        }
-    });
-    let mut sink = StopOnFail { inner, failed: &failed };
+    let mut sink = WriteSink::new(stream, arity, config.batch_tuples, TupleFormat::NDJSON);
+    sink.write_raw(http::stream_head(200, "application/x-ndjson").as_bytes());
     let outcome = run.stream(&mut sink);
-    ServerMetrics::add(&metrics.tuples_streamed, sink.inner.pushed);
-    drop(sink); // releases the closure's borrow of `writer`
+    ServerMetrics::add(&metrics.tuples_streamed, sink.pushed());
     record_query_metrics(metrics, &outcome, start);
-    if failed.get() {
-        ServerMetrics::bump(&metrics.client_disconnects);
-        return;
-    }
     let r = &outcome.result;
     let summary = format!(
         "{{\"status\":\"{}\",\"count\":{},\"timed_out\":{},\"limit_hit\":{}}}\n",
@@ -498,8 +451,9 @@ fn handle_query(
         r.timed_out,
         r.limit_hit,
     );
-    let mut w = writer.into_inner();
-    if w.write_all(summary.as_bytes()).and_then(|()| w.flush()).is_err() {
+    sink.write_raw(summary.as_bytes());
+    sink.finish();
+    if sink.into_error().is_some() {
         ServerMetrics::bump(&metrics.client_disconnects);
     }
 }

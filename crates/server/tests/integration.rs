@@ -575,3 +575,38 @@ fn metrics_page_reflects_traffic() {
     send_raw(addr, "POST", "/shutdown", "");
     handle.join().unwrap().unwrap();
 }
+
+/// A streamed body is the session's own tuples as NDJSON, byte for byte
+/// and in the same order, then the summary line. Three tuples per write
+/// over a ten-tuple answer that holds node 0 and two-digit ids covers
+/// full batches, the tail and the summary.
+#[test]
+fn streamed_body_is_the_sessions_tuples_byte_for_byte() {
+    let session = Arc::new(Session::new(ab_graph()));
+    let config = ServerConfig { batch_tuples: 3, ..Default::default() };
+    let (addr, handle) = Server::spawn(Arc::clone(&session), "127.0.0.1:0", config).unwrap();
+
+    let mut sink = rig_core::CollectSink::default();
+    session.prepare(AB_QUERY).unwrap().run().stream(&mut sink);
+    let tuples = sink.tuples;
+    assert!(tuples.len() >= 7, "{tuples:?}");
+    assert!(tuples.iter().flatten().any(|&v| v == 0) && tuples.iter().flatten().any(|&v| v >= 10));
+    let mut expected: String = tuples
+        .iter()
+        .map(|t| {
+            let ids: Vec<String> = t.iter().map(u32::to_string).collect();
+            format!("[{}]\n", ids.join(","))
+        })
+        .collect();
+    expected.push_str(&format!(
+        "{{\"status\":\"ok\",\"count\":{},\"timed_out\":false,\"limit_hit\":false}}\n",
+        tuples.len()
+    ));
+
+    let (status, body) = send_raw(addr, "POST", "/query", AB_QUERY);
+    assert_eq!(status, 200);
+    assert_eq!(body, expected);
+
+    send_raw(addr, "POST", "/shutdown", "");
+    handle.join().unwrap().unwrap();
+}

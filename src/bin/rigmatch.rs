@@ -97,14 +97,12 @@
 //! static analysis rejected the query (`check`, `--lint strict`).
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use rigmatch::baselines::{Budget, Engine, Jm, NeoLike, Tm};
 use rigmatch::core::{Durability, Error, FsBackend, GmConfig, LintMode, Session, StoreOptions};
 use rigmatch::graph::parse_text;
-use rigmatch::mjoin::{BatchSink, EnumOptions, ResultSink, SearchOrder};
+use rigmatch::mjoin::{EnumOptions, SearchOrder, TupleFormat, WriteSink};
 use rigmatch::query::{looks_like_hpql, parse_query, PatternQuery};
 use rigmatch::storage::DurableStore;
 
@@ -350,52 +348,6 @@ fn write_stdout(text: &str) -> Result<(), Error> {
         Ok(()) => Ok(()),
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
         Err(e) => Err(Error::io("stdout", e)),
-    }
-}
-
-/// Shared record of stdout trouble seen by streaming sinks. A closed pipe
-/// asks the enumeration to stop cleanly (exit 0 — `head` got the lines it
-/// wanted); any other write error is kept so the caller can surface it as
-/// `Error::Io` once the workers have drained.
-#[derive(Default)]
-struct StdoutTrouble {
-    closed: AtomicBool,
-    error: Mutex<Option<std::io::Error>>,
-}
-
-impl StdoutTrouble {
-    fn record(&self, e: std::io::Error) {
-        if e.kind() != std::io::ErrorKind::BrokenPipe {
-            let mut slot = self.error.lock().unwrap_or_else(|p| p.into_inner());
-            slot.get_or_insert(e);
-        }
-        self.closed.store(true, Ordering::Relaxed);
-    }
-
-    fn check(&self) -> Result<(), Error> {
-        match self.error.lock().unwrap_or_else(|p| p.into_inner()).take() {
-            Some(e) => Err(Error::io("stdout", e)),
-            None => Ok(()),
-        }
-    }
-}
-
-/// Wraps a sink so enumeration stops (push returns `false`) once stdout
-/// has gone away — `BatchSink::push` itself always says "keep going", so
-/// without this an EPIPE mid-stream would keep every worker enumerating
-/// into a dead pipe.
-struct StopOnTrouble<'a, S> {
-    inner: S,
-    trouble: &'a StdoutTrouble,
-}
-
-impl<S: ResultSink> ResultSink for StopOnTrouble<'_, S> {
-    fn push(&mut self, tuple: &[u32]) -> bool {
-        self.inner.push(tuple) && !self.trouble.closed.load(Ordering::Relaxed)
-    }
-
-    fn finish(&mut self) {
-        self.inner.finish();
     }
 }
 
@@ -717,36 +669,26 @@ fn run_gm(
         return Ok(ExitCode::SUCCESS);
     }
 
-    let trouble = StdoutTrouble::default();
     let outcome = if cli.count_only {
         run().threads(cli.threads).count()
     } else {
-        // Each worker (one, running inline, unless --threads > 1) batches
-        // matches and flushes them under a shared stdout lock, so nothing
-        // is materialized and lines never interleave mid-tuple.
+        // Each worker (one, running inline, unless --threads > 1) formats
+        // its matches into batches and writes each with one
+        // `Stdout::write_all`, which holds the stdout lock for the call,
+        // so nothing is materialized and lines never interleave.
         let stdout = std::io::stdout();
         let arity = q.num_nodes();
-        let (_, outcome) = run().threads(cli.threads).par_stream(|_worker| {
-            let stdout = &stdout;
-            let trouble = &trouble;
-            let inner = BatchSink::new(arity, 256, move |flat: &[u32], arity| {
-                use std::io::Write;
-                let mut out = stdout.lock();
-                for t in flat.chunks(arity.max(1)) {
-                    let line = t.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(" ");
-                    if let Err(e) = writeln!(out, "{line}") {
-                        // reader gone: drop the rest of the batch
-                        trouble.record(e);
-                        return;
-                    }
-                }
-            });
-            StopOnTrouble { inner, trouble }
-        });
+        let (sinks, outcome) = run()
+            .threads(cli.threads)
+            .par_stream(|_worker| WriteSink::new(&stdout, arity, 256, TupleFormat::TEXT));
+        // a closed pipe (`rigmatch ... | head`) is a clean stop; any other
+        // write error is a real I/O error
+        let mut errors = sinks.into_iter().filter_map(WriteSink::into_error);
+        if let Some(e) = errors.find(|e| e.kind() != std::io::ErrorKind::BrokenPipe) {
+            return Err(Error::io("stdout", e));
+        }
         outcome
     };
-    // a non-EPIPE stdout failure is a real I/O error; EPIPE is a clean stop
-    trouble.check()?;
 
     eprintln!(
         "{} occurrence(s){}",

@@ -97,7 +97,8 @@ pub mod prelude {
         parse_mutations, DataGraph, GraphBuilder, GraphView, Label, MutationOp, NodeId, Snapshot,
     };
     pub use rig_mjoin::{
-        BatchSink, CollectSink, CountSink, FirstKSink, FnSink, ParOptions, ResultSink, SearchOrder,
+        CollectSink, CountSink, FirstKSink, FnSink, ParOptions, ResultSink, SearchOrder,
+        TupleFormat, WriteSink,
     };
     pub use rig_query::{
         parse_hpql, to_hpql, transitive_reduction, EdgeKind, Flavor, HpqlQuery, PatternQuery,

@@ -74,7 +74,7 @@ fn parallel_flags_stream_and_count() {
     let out = bin().arg(&g).arg(&q).args(["--count", "--threads", "4"]).output().unwrap();
     assert!(out.status.success(), "{out:?}");
     assert_eq!(String::from_utf8(out.stdout).unwrap().trim(), "1");
-    // parallel streaming enumeration (batched sinks under a stdout lock)
+    // parallel streaming enumeration (one write per batch per worker)
     let out = bin().arg(&g).arg(&q).args(["--threads", "4"]).output().unwrap();
     assert!(out.status.success(), "{out:?}");
     assert_eq!(String::from_utf8(out.stdout).unwrap().trim(), "0 1 3");
@@ -83,6 +83,66 @@ fn parallel_flags_stream_and_count() {
         bin().arg(&g).arg(&q).args(["--count", "--threads", "4", "--limit", "1"]).output().unwrap();
     assert!(out.status.success(), "{out:?}");
     assert_eq!(String::from_utf8(out.stdout).unwrap().trim(), "1");
+
+    // a multi-batch answer: one thread prints the library's tuples byte
+    // for byte, in its order; four threads print the same lines in some
+    // order
+    let chain = chain_graph(100);
+    let g = write_tmp("g6_chain.txt", &chain);
+    let expected: String = {
+        use rigmatch::prelude::Session;
+        let session = Session::new(rigmatch::graph::parse_text(&chain).unwrap());
+        let (tuples, _) = session.prepare(CHAIN_QUERY).unwrap().run().collect_all();
+        tuples.iter().map(|t| format!("{} {}\n", t[0], t[1])).collect()
+    };
+    assert_eq!(expected.lines().count(), 1275);
+    let stream = |threads: &str| {
+        let out = bin().arg(&g).args(["--query", CHAIN_QUERY, "--threads", threads]).output();
+        let out = out.unwrap();
+        assert!(out.status.success(), "threads={threads}: {out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    assert_eq!(stream("1"), expected);
+    let mut four: Vec<String> = stream("4").lines().map(str::to_string).collect();
+    let mut one: Vec<&str> = expected.lines().collect();
+    four.sort();
+    one.sort();
+    assert_eq!(four, one);
+}
+
+/// A chain `0 -> 1 -> ... -> n-1` alternating Author (even ids) and
+/// Paper (odd ids): Author `2k` reaches the `n/2 - k` Papers after it.
+fn chain_graph(n: u32) -> String {
+    let mut graph = String::from("l 0 Author\nl 1 Paper\n");
+    for v in 0..n {
+        graph.push_str(&format!("v {v} {}\n", v % 2));
+    }
+    for v in 1..n {
+        graph.push_str(&format!("e {} {v}\n", v - 1));
+    }
+    graph
+}
+
+const CHAIN_QUERY: &str = "MATCH (a:Author)=>(p:Paper)";
+
+/// stdout on a full device is an I/O error, not a closed reader: exit 4
+/// with an `error:` line and no panic, inline and in parallel.
+#[test]
+#[cfg(target_os = "linux")]
+fn full_stdout_is_an_io_error() {
+    let g = write_tmp("g_full.txt", &chain_graph(100));
+    for threads in ["1", "4"] {
+        let out = bin()
+            .arg(&g)
+            .args(["--query", CHAIN_QUERY, "--threads", threads])
+            .stdout(std::fs::File::create("/dev/full").unwrap())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(4), "threads={threads}: {stderr}");
+        assert!(stderr.contains("error:"), "threads={threads}: {stderr}");
+        assert!(!stderr.contains("panicked"), "threads={threads}: {stderr}");
+    }
 }
 
 /// `rigmatch ... | head -1`: a reader that goes away mid-stream is a clean
