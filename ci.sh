@@ -186,8 +186,8 @@ if [[ "${1:-}" != "quick" ]]; then
             --scale 0.005 --timeout 2 --limit 100000 > /dev/null
     done
 
-    step "parallel engine agreement sweep (RIGMATCH_THREADS=1,2,8)"
-    RIGMATCH_THREADS=1,2,8 cargo test -q -p rig_mjoin --test engine_matrix
+    step "correctness matrix thread sweep (RIGMATCH_THREADS=1,2,8)"
+    RIGMATCH_THREADS=1,2,8 cargo test -q --test matrix
 
     step "kill-and-recover differential + crash-recovery proptests"
     cargo test -q --test kill_recover --test storage_recovery

@@ -1,9 +1,10 @@
-//! Brute-force reference counter: naive backtracking directly over the
+//! Brute-force reference enumerator: naive backtracking directly over the
 //! raw data graph — **no RIG, no simulation pruning, no search-order
 //! statistics** — so it shares no code (and no bugs) with the engine under
-//! test. It is the ground-truth oracle for every counting test (the
-//! factorized-counting differentials in `tests/factorized_differential.rs`
-//! among them).
+//! test. It is the ground-truth oracle for every answer test: the
+//! correctness matrix in `tests/matrix.rs` compares tuples, counts and
+//! cardinalities against [`brute_force_tuples`], and the harnesses check
+//! counts against [`brute_force_count`].
 //!
 //! Semantics match the engine exactly:
 //! * tuples are homomorphisms (or isomorphism-style embeddings with
@@ -77,9 +78,31 @@ struct Constraint {
 /// unbudgeted — size inputs accordingly (tests and in-harness bench
 /// verification only).
 pub fn brute_force_count(g: &DataGraph, q: &PatternQuery, injective: bool) -> u64 {
+    let mut count = 0u64;
+    brute_force_visit(g, q, injective, &mut |_| count += 1);
+    count
+}
+
+/// Every occurrence of `q` in `g` (tuples indexed by query node id),
+/// sorted. Exact and unbudgeted, like [`brute_force_count`].
+pub fn brute_force_tuples(g: &DataGraph, q: &PatternQuery, injective: bool) -> Vec<Vec<NodeId>> {
+    let mut out = Vec::new();
+    brute_force_visit(g, q, injective, &mut |t| out.push(t.to_vec()));
+    out.sort_unstable();
+    out
+}
+
+/// Calls `visit` with every occurrence of `q` in `g`, indexed by query
+/// node id, in no particular order.
+fn brute_force_visit(
+    g: &DataGraph,
+    q: &PatternQuery,
+    injective: bool,
+    visit: &mut dyn FnMut(&[NodeId]),
+) {
     let n = q.num_nodes();
     if n == 0 {
-        return 0;
+        return;
     }
     // Binding order: start at the node with the fewest label candidates,
     // then greedily extend with a connected node (preferring one reachable
@@ -155,71 +178,88 @@ pub fn brute_force_count(g: &DataGraph, q: &PatternQuery, injective: bool) -> u6
         }
     }
 
-    let mut reach = DfsReach::new(g.num_nodes());
-    let mut binding = vec![0 as NodeId; n];
-    let mut count = 0u64;
-    rec(g, q, &order, &cons, &generator, injective, &mut reach, &mut binding, 0, &mut count);
-    count
+    let mut search = Search {
+        g,
+        q,
+        order: &order,
+        cons: &cons,
+        generator: &generator,
+        injective,
+        reach: DfsReach::new(g.num_nodes()),
+        binding: vec![0 as NodeId; n],
+        tuple: vec![0 as NodeId; n],
+        visit,
+    };
+    search.rec(0);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn rec(
-    g: &DataGraph,
-    q: &PatternQuery,
-    order: &[usize],
-    cons: &[Vec<Constraint>],
-    generator: &[Option<Constraint>],
+/// The backtracking state: bindings by binding-order position, and the
+/// same bindings by query node id for `visit`.
+struct Search<'a> {
+    g: &'a DataGraph,
+    q: &'a PatternQuery,
+    order: &'a [usize],
+    cons: &'a [Vec<Constraint>],
+    generator: &'a [Option<Constraint>],
     injective: bool,
-    reach: &mut DfsReach,
-    binding: &mut [NodeId],
-    depth: usize,
-    count: &mut u64,
-) {
-    if depth == order.len() {
-        *count += 1;
-        return;
-    }
-    let qi = order[depth];
-    let label = q.label(qi as QNode);
-    let try_candidate =
-        |v: NodeId, reach: &mut DfsReach, binding: &mut [NodeId], count: &mut u64| {
-            if !g.is_live(v) || g.label(v) != label {
-                return;
+    reach: DfsReach,
+    binding: Vec<NodeId>,
+    tuple: Vec<NodeId>,
+    visit: &'a mut dyn FnMut(&[NodeId]),
+}
+
+impl Search<'_> {
+    fn rec(&mut self, depth: usize) {
+        if depth == self.order.len() {
+            for (&qi, &v) in self.order.iter().zip(&self.binding) {
+                self.tuple[qi] = v;
             }
-            if injective && binding[..depth].contains(&v) {
-                return;
-            }
-            for c in &cons[depth] {
-                let b = binding[c.other];
-                let (src, dst) = if c.other_is_source { (b, v) } else { (v, b) };
-                let ok = match c.kind {
-                    EdgeKind::Direct => g.has_edge(src, dst),
-                    EdgeKind::Reachability => reach.reaches(g, src, dst),
-                };
-                if !ok {
-                    return;
+            (self.visit)(&self.tuple);
+            return;
+        }
+        let g = self.g;
+        let qi = self.order[depth];
+        let label = self.q.label(qi as QNode);
+        match self.generator[depth] {
+            Some(gen) => {
+                let b = self.binding[gen.other];
+                let list = if gen.other_is_source { g.out_neighbors(b) } else { g.in_neighbors(b) };
+                for &v in list {
+                    self.try_candidate(depth, label, v);
                 }
             }
-            binding[depth] = v;
-            rec(g, q, order, cons, generator, injective, reach, binding, depth + 1, count);
-        };
-    match generator[depth] {
-        Some(gen) => {
-            let b = binding[gen.other];
-            let list = if gen.other_is_source { g.out_neighbors(b) } else { g.in_neighbors(b) };
-            for &v in list {
-                try_candidate(v, reach, binding, count);
+            None => {
+                if (label as usize) >= g.num_labels() {
+                    return;
+                }
+                for &v in g.nodes_with_label(label) {
+                    self.try_candidate(depth, label, v);
+                }
             }
         }
-        None => {
-            let l = label;
-            if (l as usize) >= g.num_labels() {
+    }
+
+    fn try_candidate(&mut self, depth: usize, label: u32, v: NodeId) {
+        let g = self.g;
+        if !g.is_live(v) || g.label(v) != label {
+            return;
+        }
+        if self.injective && self.binding[..depth].contains(&v) {
+            return;
+        }
+        for c in &self.cons[depth] {
+            let b = self.binding[c.other];
+            let (src, dst) = if c.other_is_source { (b, v) } else { (v, b) };
+            let ok = match c.kind {
+                EdgeKind::Direct => g.has_edge(src, dst),
+                EdgeKind::Reachability => self.reach.reaches(g, src, dst),
+            };
+            if !ok {
                 return;
             }
-            for &v in g.nodes_with_label(l) {
-                try_candidate(v, reach, binding, count);
-            }
         }
+        self.binding[depth] = v;
+        self.rec(depth + 1);
     }
 }
 
@@ -250,6 +290,8 @@ mod tests {
         q.add_edge(1, 2, EdgeKind::Direct);
         assert_eq!(brute_force_count(&g, &q, false), 2);
         assert_eq!(brute_force_count(&g, &q, true), 2);
+        // tuples are indexed by query node, whatever the binding order
+        assert_eq!(brute_force_tuples(&g, &q, false), [[0, 1, 3], [0, 2, 3]]);
     }
 
     #[test]

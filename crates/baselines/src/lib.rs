@@ -21,9 +21,10 @@
 //!   WCOJ-style enumeration with a topology-driven order.
 //! * [`GmEngine`] — adapter putting GM behind the same [`Engine`] trait so
 //!   harnesses can iterate engines uniformly.
-//! * [`brute_force_count`] — the ground-truth oracle: naive backtracking
-//!   over the raw graph with on-line DFS reachability, sharing no code
-//!   with the engine; every counting test verifies against it.
+//! * [`brute_force_tuples`] / [`brute_force_count`] — the ground-truth
+//!   oracle: naive backtracking over the raw graph with on-line DFS
+//!   reachability, sharing no code with the engine; every answer test
+//!   verifies against it.
 //!
 //! These analogues reproduce the *architectural* properties the paper
 //! attributes to each system, on identical inputs.
@@ -36,7 +37,7 @@ mod rm;
 mod tm;
 mod wcoj;
 
-pub use brute::brute_force_count;
+pub use brute::{brute_force_count, brute_force_tuples};
 pub use gf::{Catalog, EhLike, GfLike};
 pub use jm::Jm;
 pub use neo::NeoLike;

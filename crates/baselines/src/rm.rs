@@ -14,7 +14,7 @@ use crate::{failure_report, Budget, Engine};
 use rig_core::{RunReport, RunStatus};
 use rig_graph::DataGraph;
 use rig_index::{build_rig_from_candidates, RigOptions};
-use rig_mjoin::{count, EnumOptions, SearchOrder};
+use rig_mjoin::{enumerate_sink, CountSink, EnumOptions, SearchOrder};
 use rig_query::{EdgeKind, PatternQuery};
 use rig_reach::BflIndex;
 use rig_sim::{double_simulation, SimContext, SimOptions};
@@ -79,7 +79,7 @@ impl Engine for RmLike<'_> {
             deadline,
             injective: false,
         };
-        let result = count(query, &rig, &opts);
+        let result = enumerate_sink(query, &rig, &opts, &mut CountSink::default());
         let total = start.elapsed();
         RunReport {
             engine: "RM".into(),

@@ -14,7 +14,7 @@ use crate::{failure_report, Budget, Engine};
 use rig_core::{RunReport, RunStatus};
 use rig_graph::DataGraph;
 use rig_index::{build_rig, RigOptions};
-use rig_mjoin::{enumerate, EnumOptions, SearchOrder};
+use rig_mjoin::{enumerate_sink, EnumOptions, FnSink, SearchOrder};
 use rig_query::{EdgeId, EdgeKind, PatternQuery, QNode};
 use rig_reach::{BflIndex, Reachability};
 use rig_sim::SimContext;
@@ -96,7 +96,7 @@ impl Engine for Tm<'_> {
         let limit = budget.match_limit.unwrap_or(u64::MAX);
         let g = self.graph;
         let bfl = &self.bfl;
-        let result = enumerate(&tree_query, &rig, &opts, |t| {
+        let mut sink = FnSink(|t: &[_]| {
             tree_tuples += 1;
             if tree_tuples > cap {
                 exceeded = true;
@@ -115,6 +115,7 @@ impl Engine for Tm<'_> {
             }
             count < limit
         });
+        let result = enumerate_sink(&tree_query, &rig, &opts, &mut sink);
         let total = start.elapsed();
         let status = if exceeded {
             RunStatus::MemoryExceeded

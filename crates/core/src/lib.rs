@@ -16,8 +16,9 @@
 //!
 //! The application API is the [`Session`] (see [`session`]): it owns the
 //! versioned graph store (base CSR + delta overlay) and its reachability
-//! index, accepts queries as HPQL text or [`PatternQuery`] values, caches
-//! built RIGs across executions, and takes live mutations through
+//! index, accepts queries as HPQL text or
+//! [`PatternQuery`](rig_query::PatternQuery) values, caches built RIGs
+//! across executions, and takes live mutations through
 //! [`GraphTxn`] / [`Session::commit`] with label-aware plan invalidation.
 
 mod error;
@@ -43,7 +44,6 @@ use std::time::Duration;
 
 use rig_index::{RigOptions, RigStats};
 use rig_mjoin::{EnumOptions, EnumResult};
-use rig_query::PatternQuery;
 
 /// Full GM configuration. `Default` is the paper's evaluation setup.
 #[derive(Debug, Clone, Copy, Default)]
@@ -134,19 +134,6 @@ impl QueryOutcome {
     }
 }
 
-/// Convenience for harnesses: evaluate `query` on `graph` once through a
-/// throwaway [`Session`] with `cfg`. Prefer a long-lived session when the
-/// graph is reused — it keeps the BFL index and plan cache warm.
-pub fn evaluate_once(
-    graph: &rig_graph::DataGraph,
-    query: &PatternQuery,
-    cfg: &GmConfig,
-) -> Result<QueryOutcome, Error> {
-    let session = Session::with_config(graph.clone(), *cfg);
-    let prepared = session.prepare(query)?;
-    Ok(prepared.run().count())
-}
-
 // re-export the pieces users need to drive the matcher without digging
 // through sub-crates
 pub use rig_index::{RigOptions as RigBuildOptions, SelectMode};
@@ -192,6 +179,11 @@ mod tests {
         b.build()
     }
 
+    /// Counts `query` on `graph` through a fresh session with `cfg`.
+    fn count_once(graph: &DataGraph, query: &PatternQuery, cfg: GmConfig) -> QueryOutcome {
+        Session::with_config(graph.clone(), cfg).prepare(query).unwrap().run().count()
+    }
+
     #[test]
     fn end_to_end_fig2() {
         let session = Session::with_config(fig2_graph(), GmConfig::exact());
@@ -215,10 +207,9 @@ mod tests {
         q.add_edge(1, 2, EdgeKind::Reachability);
         q.add_edge(0, 2, EdgeKind::Reachability); // redundant
         let g = fig2_graph();
-        let with = evaluate_once(&g, &q, &GmConfig::exact()).unwrap();
+        let with = count_once(&g, &q, GmConfig::exact());
         assert_eq!(with.metrics.edges_reduced, 1);
-        let without =
-            evaluate_once(&g, &q, &GmConfig { skip_reduction: true, ..GmConfig::exact() }).unwrap();
+        let without = count_once(&g, &q, GmConfig { skip_reduction: true, ..GmConfig::exact() });
         assert_eq!(without.metrics.edges_reduced, 0);
         // identical answers either way (equivalence of the reduction)
         assert_eq!(with.result.count, without.result.count);
@@ -230,7 +221,7 @@ mod tests {
             enumeration: EnumOptions { limit: Some(1), ..Default::default() },
             ..GmConfig::exact()
         };
-        let o = evaluate_once(&fig2_graph(), &fig2_query(), &cfg).unwrap();
+        let o = count_once(&fig2_graph(), &fig2_query(), cfg);
         assert_eq!(o.result.count, 1);
         assert!(o.result.limit_hit);
     }
@@ -240,7 +231,7 @@ mod tests {
         // label 2 -> label 0 direct edge never occurs
         let mut q = PatternQuery::new(vec![2, 0]);
         q.add_edge(0, 1, EdgeKind::Direct);
-        let o = evaluate_once(&fig2_graph(), &q, &GmConfig::exact()).unwrap();
+        let o = count_once(&fig2_graph(), &q, GmConfig::exact());
         assert_eq!(o.result.count, 0);
         assert_eq!(o.metrics.rig_stats.node_count, 0);
     }
@@ -249,8 +240,8 @@ mod tests {
     fn three_pass_default_equals_exact_count() {
         // the §4.5 approximation changes the RIG, never the answer
         let g = fig2_graph();
-        let exact = evaluate_once(&g, &fig2_query(), &GmConfig::exact()).unwrap();
-        let capped = evaluate_once(&g, &fig2_query(), &GmConfig::default()).unwrap();
+        let exact = count_once(&g, &fig2_query(), GmConfig::exact());
+        let capped = count_once(&g, &fig2_query(), GmConfig::default());
         assert_eq!(exact.result.count, capped.result.count);
     }
 

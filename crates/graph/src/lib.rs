@@ -208,28 +208,6 @@ impl DataGraph {
             .flat_map(move |u| self.out_neighbors(u).iter().map(move |&v| (u, v)))
     }
 
-    /// The node-induced subgraph on `keep` (node ids are re-densified in
-    /// ascending order of the original ids). Used by the Fig. 11 scalability
-    /// experiment (prefix subsets of DBLP) and the Fig. 18 email fragments.
-    pub fn induced_subgraph(&self, keep: &Bitset) -> DataGraph {
-        let mut remap: FxHashMap<NodeId, NodeId> = FxHashMap::default();
-        let mut b = GraphBuilder::new();
-        for (new_id, old_id) in keep.iter().filter(|&v| self.is_live(v)).enumerate() {
-            remap.insert(old_id, new_id as NodeId);
-            b.add_node_with_name(self.label(old_id), self.label_name(self.label(old_id)));
-        }
-        for old_u in keep.iter() {
-            // tombstoned ids in `keep` have no remap entry (filtered above)
-            let Some(&nu) = remap.get(&old_u) else { continue };
-            for &old_v in self.out_neighbors(old_u) {
-                if let Some(&nv) = remap.get(&old_v) {
-                    b.add_edge(nu, nv);
-                }
-            }
-        }
-        b.build()
-    }
-
     /// Returns a copy of the graph with labels reassigned by `f`. Used by
     /// the Fig. 10 / Fig. 18 varying-label experiments.
     pub fn relabel(&self, f: impl Fn(NodeId, Label) -> Label) -> DataGraph {
@@ -449,36 +427,6 @@ mod tests {
         for l in 0..g.num_labels() as Label {
             assert_eq!(g.label_bitset(l).to_vec(), g.nodes_with_label(l));
         }
-    }
-
-    #[test]
-    fn induced_subgraph_remaps_ids() {
-        let g = fig2_graph();
-        let keep = Bitset::from_slice(&[1, 3, 7]); // a1, b0, c0
-        let s = g.induced_subgraph(&keep);
-        assert_eq!(s.num_nodes(), 3);
-        // a1->b0 and a1->c0 survive, b0->c1 does not (c1 dropped)
-        assert_eq!(s.num_edges(), 2);
-        assert_eq!(s.label(0), 0);
-        assert_eq!(s.label(1), 1);
-        assert_eq!(s.label(2), 2);
-        assert!(s.has_edge(0, 1));
-        assert!(s.has_edge(0, 2));
-    }
-
-    #[test]
-    fn induced_subgraph_skips_tombstones() {
-        let mut b = GraphBuilder::new();
-        let x = b.add_node(0);
-        let _dead = b.add_node(1); // edge-free, tombstoned below
-        let y = b.add_node(2);
-        b.add_edge(x, y);
-        let g = b.build().with_tombstones(Bitset::from_slice(&[1]));
-        // keep includes the dead node 1: it must simply be dropped
-        let s = g.induced_subgraph(&Bitset::from_slice(&[0, 1, 2]));
-        assert_eq!(s.num_nodes(), 2);
-        assert_eq!(s.num_edges(), 1);
-        assert!(s.has_edge(0, 1));
     }
 
     #[test]

@@ -164,6 +164,18 @@ impl<'a> Cursor<'a> {
     fn u64(&mut self) -> Result<u64, SegmentError> {
         Ok(u64::from_le_bytes(self.array()?))
     }
+
+    /// Reads the count of a list whose entries take at least 4 bytes
+    /// each: a count past the bytes left is truncation, caught before the
+    /// allocation it would size.
+    fn count(&mut self) -> Result<usize, SegmentError> {
+        let pos = self.pos;
+        let count = self.u32()? as usize;
+        if count > (self.bytes.len() - self.pos) / 4 {
+            return err(format!("count {count} at offset {pos} overruns the payload"));
+        }
+        Ok(count)
+    }
 }
 
 /// Decodes a segment produced by [`encode_segment`], returning the graph
@@ -194,8 +206,8 @@ pub fn decode_segment(bytes: &[u8]) -> Result<(DataGraph, u64), SegmentError> {
 
     let mut c = Cursor { bytes: payload, pos: 0 };
     let store_version = c.u64()?;
-    let n = c.u32()? as usize;
-    let num_labels = c.u32()? as usize;
+    let n = c.count()?;
+    let num_labels = c.count()?;
     let mut labels: Vec<Label> = Vec::with_capacity(n);
     for _ in 0..n {
         let l = c.u32()?;
@@ -213,7 +225,7 @@ pub fn decode_segment(bytes: &[u8]) -> Result<(DataGraph, u64), SegmentError> {
             Err(_) => return err(format!("label name {i} is not valid utf-8")),
         }
     }
-    let dead_count = c.u32()? as usize;
+    let dead_count = c.count()?;
     let mut dead_ids: Vec<NodeId> = Vec::with_capacity(dead_count);
     for _ in 0..dead_count {
         let v = c.u32()?;
@@ -333,6 +345,24 @@ mod tests {
         let bytes = encode_segment(&g, 7);
         for keep in 0..bytes.len() {
             assert!(decode_segment(&bytes[..keep]).is_err(), "truncation to {keep} accepted");
+        }
+    }
+
+    /// A count claiming `u32::MAX` entries under a valid checksum is an
+    /// error, not an allocation of that many entries.
+    #[test]
+    fn hostile_counts_are_errors() {
+        let g = sample();
+        let bytes = encode_segment(&g, 7);
+        let names: usize = g.label_names().iter().map(|s| 4 + s.len()).sum();
+        // payload offsets of n, num_labels and the tombstone count
+        for at in [8, 12, 16 + 4 * g.num_nodes() + names] {
+            let mut payload = bytes[20..].to_vec();
+            payload[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let mut bad = bytes[..20].to_vec();
+            bad[8..12].copy_from_slice(&crc32(&payload).to_le_bytes());
+            bad.extend_from_slice(&payload);
+            assert!(decode_segment(&bad).is_err(), "count at payload offset {at} accepted");
         }
     }
 

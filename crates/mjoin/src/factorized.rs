@@ -1014,7 +1014,8 @@ impl std::fmt::Debug for Factorization<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{collect, count, EnumOptions};
+    use crate::tests::{collect, count};
+    use crate::EnumOptions;
     use rig_graph::GraphBuilder;
     use rig_index::{build_rig, RigOptions};
     use rig_query::EdgeKind;

@@ -60,7 +60,6 @@
 pub mod factorized;
 pub(crate) mod order;
 pub mod parallel;
-pub mod reference;
 pub mod sink;
 
 pub use factorized::{DpCount, Factorization, FactorizationShape};
@@ -75,7 +74,7 @@ use rig_graph::{Deadline, NodeId};
 use rig_index::{AdjRun, Rig};
 use rig_query::{PatternQuery, QNode};
 
-/// Options for [`enumerate`].
+/// Options for [`enumerate_sink`].
 #[derive(Debug, Clone, Copy)]
 pub struct EnumOptions {
     pub order: SearchOrder,
@@ -136,20 +135,10 @@ impl EnumResult {
     }
 }
 
-/// Enumerates the answer of `query` over the RIG, invoking `visit` with
-/// each occurrence tuple **indexed by query node id** (not search
-/// position). Returning `false` from `visit` stops the enumeration.
-pub fn enumerate(
-    query: &PatternQuery,
-    rig: &Rig,
-    opts: &EnumOptions,
-    visit: impl FnMut(&[NodeId]) -> bool,
-) -> EnumResult {
-    enumerate_sink(query, rig, opts, &mut FnSink(visit))
-}
-
-/// Like [`enumerate`], but streams occurrences into a [`ResultSink`]
-/// (`sink.finish()` is called when the run ends).
+/// Enumerates the answer of `query` over the RIG into `sink`, one
+/// occurrence tuple **indexed by query node id** (not search position)
+/// per push; a push returning `false` stops the enumeration, and
+/// `sink.finish()` is called when the run ends.
 pub fn enumerate_sink<S: ResultSink>(
     query: &PatternQuery,
     rig: &Rig,
@@ -165,28 +154,6 @@ pub fn enumerate_sink<S: ResultSink>(
     worker.recurse(0, sink);
     sink.finish();
     worker.result
-}
-
-/// Counts occurrences (no per-tuple callback overhead beyond counting).
-pub fn count(query: &PatternQuery, rig: &Rig, opts: &EnumOptions) -> EnumResult {
-    enumerate(query, rig, opts, |_| true)
-}
-
-/// Collects up to `max` occurrence tuples (indexed by query node).
-pub fn collect(
-    query: &PatternQuery,
-    rig: &Rig,
-    opts: &EnumOptions,
-    max: usize,
-) -> (Vec<Vec<NodeId>>, EnumResult) {
-    let mut out = Vec::new();
-    let r = enumerate(query, rig, opts, |t| {
-        if out.len() < max {
-            out.push(t.to_vec());
-        }
-        out.len() < max
-    });
-    (out, r)
 }
 
 /// The query-shaped, RIG-independent-of-binding part of an enumeration:
@@ -831,12 +798,29 @@ impl<'a, 'r> Worker<'a, 'r> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rig_graph::{DataGraph, GraphBuilder};
     use rig_index::{build_rig, RigOptions};
     use rig_query::{fig2_query, EdgeKind, PatternQuery};
     use rig_reach::BflIndex;
+
+    /// Counts the occurrences through a [`CountSink`].
+    pub(crate) fn count(query: &PatternQuery, rig: &Rig, opts: &EnumOptions) -> EnumResult {
+        enumerate_sink(query, rig, opts, &mut CountSink::default())
+    }
+
+    /// Collects up to `max` occurrence tuples through a [`FirstKSink`].
+    pub(crate) fn collect(
+        query: &PatternQuery,
+        rig: &Rig,
+        opts: &EnumOptions,
+        max: usize,
+    ) -> (Vec<Vec<NodeId>>, EnumResult) {
+        let mut sink = FirstKSink::new(max);
+        let r = enumerate_sink(query, rig, opts, &mut sink);
+        (sink.tuples, r)
+    }
     use rig_sim::SimContext;
 
     fn fig2_graph() -> DataGraph {

@@ -126,7 +126,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{count, CollectSink, CountSink, EnumOptions};
+    use crate::tests::{collect, count};
+    use crate::{CollectSink, CountSink, EnumOptions};
     use rig_graph::GraphBuilder;
     use rig_index::{build_rig, RigOptions};
     use rig_query::{EdgeKind, PatternQuery};
@@ -213,7 +214,7 @@ mod tests {
     fn sorted_collection_matches_sequential_answer() {
         let (g, q) = random_setup(2);
         let rig = rig_of(&g, &q);
-        let (mut seq, _) = crate::collect(&q, &rig, &EnumOptions::default(), usize::MAX);
+        let (mut seq, _) = collect(&q, &rig, &EnumOptions::default(), usize::MAX);
         seq.sort_unstable();
         let (sinks, r) = par_enumerate(
             &q,

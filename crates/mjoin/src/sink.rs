@@ -4,10 +4,9 @@
 //! callers consume matches **without materializing the answer set**: a
 //! count-only sink keeps a single counter, a first-k sink keeps at most
 //! `k` tuples, a [`WriteSink`] formats them as text and writes one batch
-//! at a time to any [`std::io::Write`]. Every enumeration entry point —
-//! [`crate::enumerate_sink`], [`crate::count`], [`crate::par_enumerate`]
-//! — is built on this trait; the closure-based [`crate::enumerate`] API
-//! wraps its visitor in a [`FnSink`].
+//! at a time to any [`std::io::Write`]. Both enumeration entry points —
+//! [`crate::enumerate_sink`] and [`crate::par_enumerate`] — are built on
+//! this trait; a closure visitor rides in a [`FnSink`].
 //!
 //! Under [`crate::par_enumerate`] each worker owns a **private** sink (no
 //! locks on the emit path); the per-worker sinks are returned to the

@@ -62,12 +62,6 @@ pub fn transitive_reduction(q: &PatternQuery) -> PatternQuery {
     }
 }
 
-/// Number of reachability edges a reduction would remove, without building
-/// the reduced query (used for workload statistics).
-pub fn redundant_edge_count(q: &PatternQuery) -> usize {
-    q.num_edges() - transitive_reduction(q).num_edges()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,7 +154,8 @@ mod tests {
 
     #[test]
     fn redundant_count() {
-        assert_eq!(redundant_edge_count(&fig3_query()), 1);
+        let q = fig3_query();
+        assert_eq!(q.num_edges() - transitive_reduction(&q).num_edges(), 1);
     }
 
     #[test]

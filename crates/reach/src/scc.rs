@@ -152,12 +152,6 @@ impl Condensation {
     pub fn component(&self, v: NodeId) -> u32 {
         self.comp[v as usize]
     }
-
-    /// True iff `u` and `v` share a component.
-    #[inline]
-    pub fn same_component(&self, u: NodeId, v: NodeId) -> bool {
-        self.comp[u as usize] == self.comp[v as usize]
-    }
 }
 
 /// One direction of the condensation DAG in CSR form: the neighbours of
@@ -255,9 +249,9 @@ mod tests {
         let g = graph(&[(0, 1), (1, 2), (2, 0), (2, 3)], 4);
         let c = Condensation::new(&g);
         assert_eq!(c.count, 2);
-        assert!(c.same_component(0, 1));
-        assert!(c.same_component(1, 2));
-        assert!(!c.same_component(0, 3));
+        assert_eq!(c.component(0), c.component(1));
+        assert_eq!(c.component(1), c.component(2));
+        assert_ne!(c.component(0), c.component(3));
         assert!(c.nontrivial[c.component(0) as usize]);
         assert!(!c.nontrivial[c.component(3) as usize]);
         let c0 = c.component(0) as usize;
@@ -278,9 +272,9 @@ mod tests {
         let g = graph(&[(0, 1), (1, 0), (2, 3), (3, 2)], 4);
         let c = Condensation::new(&g);
         assert_eq!(c.count, 2);
-        assert!(c.same_component(0, 1));
-        assert!(c.same_component(2, 3));
-        assert!(!c.same_component(0, 2));
+        assert_eq!(c.component(0), c.component(1));
+        assert_eq!(c.component(2), c.component(3));
+        assert_ne!(c.component(0), c.component(2));
     }
 
     #[test]

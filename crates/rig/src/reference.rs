@@ -4,10 +4,10 @@
 //! simulation from the raw match sets and intersecting with the pre-filter
 //! afterwards.
 //!
-//! It exists for one job only: it is the **oracle** of the differential
-//! suites. The `csr_vs_reference` proptests assert the CSR [`crate::Rig`]
-//! produces identical candidate sets, adjacency and MJoin counts, and the
-//! `engine_matrix` suite checks the CSR engine's answers against it.
+//! It exists for one job only: it is the **oracle** of the index-side
+//! differential suite. The `expansion_agreement` proptests assert the CSR
+//! [`crate::Rig`] produces identical candidate sets and adjacency under
+//! every selection mode.
 //!
 //! Do not use it in new code paths; it is strictly slower and larger.
 

@@ -56,6 +56,26 @@ proptest! {
         assert_matches_reference(&q, &build_reference_rig(&ctx, &opts), &rig, "exact")?;
     }
 
+    /// The same agreement under every selection mode. Exact (fixpoint)
+    /// simulation makes the CSR build's seeded selection and the
+    /// reference's intersect-after selection converge to the same FB
+    /// relation.
+    #[test]
+    fn structures_agree((g, q) in setup_strategy()) {
+        let bfl = BflIndex::new(&g);
+        let ctx = SimContext::new(&g, &q, &bfl);
+        for select in [
+            SelectMode::MatchSets,
+            SelectMode::PrefilterOnly,
+            SelectMode::SimOnly,
+            SelectMode::PrefilterThenSim,
+        ] {
+            let opts = RigOptions { select, ..RigOptions::exact() };
+            let (base, rig) = (build_reference_rig(&ctx, &opts), build_rig(&ctx, &opts));
+            assert_matches_reference(&q, &base, &rig, &format!("{select:?}"))?;
+        }
+    }
+
     /// Forward and backward RIG adjacency must mirror each other exactly.
     #[test]
     fn forward_backward_adjacency_mirror((g, q) in setup_strategy()) {

@@ -196,12 +196,6 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    /// True iff some candidate set is empty (query answer is empty; RIG
-    /// construction can stop early, §4.3).
-    pub fn any_empty(&self) -> bool {
-        self.fb.iter().any(|s| s.is_empty())
-    }
-
     /// Total candidate count across query nodes.
     pub fn total_candidates(&self) -> u64 {
         self.fb.iter().map(|s| s.len()).sum()
@@ -277,7 +271,7 @@ mod tests {
             assert_eq!(r.fb[0].to_vec(), vec![1, 2], "{opts:?} FB(A)");
             assert_eq!(r.fb[1].to_vec(), vec![3, 5], "{opts:?} FB(B)");
             assert_eq!(r.fb[2].to_vec(), vec![7, 9], "{opts:?} FB(C)");
-            assert!(!r.any_empty());
+            assert!(r.fb.iter().all(|s| !s.is_empty()));
         }
     }
 
@@ -315,7 +309,6 @@ mod tests {
         let ctx = SimContext::new(&g, &q, &reach);
         for opts in all_option_combos() {
             let r = double_simulation(&ctx, &opts);
-            assert!(r.any_empty(), "{opts:?}");
             assert!(r.fb.iter().all(|s| s.is_empty()), "{opts:?}");
         }
     }

@@ -10,19 +10,18 @@
 //! the third formats every tuple into batched writes through a
 //! `WriteSink`.
 
+mod testkit;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use rig_graph::{GraphBuilder, NodeId};
-use rig_index::reference::build_reference_rig;
-use rig_index::{build_rig, RigOptions};
-use rig_mjoin::reference::ref_count;
-use rig_mjoin::{
+use rigmatch::graph::{DataGraph, NodeId};
+use rigmatch::mjoin::{
     enumerate_sink, CountSink, EnumOptions, EnumResult, Plan, ResultSink, TupleFormat, WriteSink,
 };
-use rig_query::{EdgeKind, PatternQuery};
-use rig_reach::BflIndex;
-use rig_sim::SimContext;
+use rigmatch::query::PatternQuery;
+use rigmatch::rig::{Rig, RigOptions};
+use testkit::{memo_free_steps, query, D, R};
 
 struct CountingAlloc;
 
@@ -68,23 +67,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Dense one-label random graph (one giant SCC).
-fn dense_graph() -> rig_graph::DataGraph {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(7);
-    let n = 200usize;
-    let mut b = GraphBuilder::new();
-    for _ in 0..n {
-        b.add_node(0);
-    }
-    for _ in 0..1500 {
-        let u = rng.gen_range(0..n) as NodeId;
-        let v = rng.gen_range(0..n) as NodeId;
-        if u != v {
-            b.add_edge(u, v);
-        }
-    }
-    b.build()
+fn dense_graph() -> DataGraph {
+    testkit::explosive_graph(7, 200, 1500)
 }
 
 /// A 4-node pattern with a skipping constraint, so the enumeration has an
@@ -92,22 +76,18 @@ fn dense_graph() -> rig_graph::DataGraph {
 /// multiway-intersection paths, and emits plenty of tuples for the
 /// steady-state window.
 fn chain_query() -> PatternQuery {
-    let mut q = PatternQuery::new(vec![0; 4]);
-    q.add_edge(0, 1, EdgeKind::Reachability);
-    q.add_edge(1, 2, EdgeKind::Direct);
-    q.add_edge(2, 3, EdgeKind::Reachability);
-    q.add_edge(0, 2, EdgeKind::Reachability); // second operand at step of node 2
-    q
+    // the edge 0 ⇝ 2 is a second operand at node 2's step
+    query(&[0; 4], &[(0, 1), (1, 2), (2, 3), (0, 2)], &[R, D, R, R])
 }
 
 /// HQ0-shaped: a direct leaf beside a reachability branch. The branch
 /// reads only shared runs, so the suffix below the leaf replays.
 fn star_query() -> PatternQuery {
-    let mut q = PatternQuery::new(vec![0; 4]);
-    q.add_edge(0, 1, EdgeKind::Direct);
-    q.add_edge(0, 2, EdgeKind::Reachability);
-    q.add_edge(2, 3, EdgeKind::Reachability);
-    q
+    query(&[0; 4], &testkit::HQ0, &[D, R, R])
+}
+
+fn rig_of(g: &DataGraph, q: &PatternQuery) -> Rig {
+    testkit::rig(g, q, &RigOptions::default())
 }
 
 /// Passes tuples on to `inner` and samples the thread's allocation count
@@ -132,10 +112,8 @@ impl<S: ResultSink> ResultSink for Probe<S> {
 
 /// Enumerates 100k matches of `q` into `sink` and asserts the allocation
 /// count did not move between the first and the last emitted tuple.
-fn assert_steady(g: &rig_graph::DataGraph, q: &PatternQuery, sink: impl ResultSink) -> EnumResult {
-    let bfl = BflIndex::new(g);
-    let ctx = SimContext::new(g, q, &bfl);
-    let rig = build_rig(&ctx, &RigOptions::default());
+fn assert_steady(g: &DataGraph, q: &PatternQuery, sink: impl ResultSink) -> EnumResult {
+    let rig = rig_of(g, q);
     assert!(!rig.is_empty(), "workload must have matches");
 
     let opts = EnumOptions { limit: Some(100_000), ..Default::default() };
@@ -171,18 +149,15 @@ fn zero_allocations_while_streaming_through_a_write_sink() {
 }
 
 /// The memo records before the first tuple and replays after it: the
-/// replays keep the steps far below the memo-free reference engine's under
-/// the same limit, and still allocate nothing.
+/// replays keep the steps far below a memo-free search's in the same order
+/// under the same limit, and still allocate nothing.
 #[test]
 fn zero_allocations_while_replaying_a_suffix() {
     let (g, q) = (dense_graph(), star_query());
-    let bfl = BflIndex::new(&g);
-    let ctx = SimContext::new(&g, &q, &bfl);
-    let rig = build_rig(&ctx, &RigOptions::default());
-    assert!(Plan::new(&q, &rig, &EnumOptions::default()).memo_split().is_some());
+    let rig = rig_of(&g, &q);
+    let plan = Plan::new(&q, &rig, &EnumOptions::default());
+    assert!(plan.memo_split().is_some());
     let r = assert_steady(&g, &q, CountSink::default());
-    let opts = EnumOptions { limit: Some(100_000), ..Default::default() };
-    let reference = ref_count(&q, &build_reference_rig(&ctx, &RigOptions::default()), &opts);
-    assert_eq!(reference.count, r.count);
-    assert!(r.steps * 4 < reference.steps, "{} steps, the reference {}", r.steps, reference.steps);
+    let free = memo_free_steps(&q, &rig, &plan.order, r.count);
+    assert!(r.steps * 4 < free, "{} steps, memo-free {free}", r.steps);
 }

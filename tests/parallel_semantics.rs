@@ -1,22 +1,20 @@
 //! Semantics of the morsel-driven parallel engine: deterministic match
 //! sets, exact limits, prompt timeouts, and total `EnumResult` merging.
 
+mod testkit;
+
 use std::time::{Duration, Instant};
 
-use rig_graph::{GraphBuilder, NodeId};
-use rig_index::{build_rig, Rig, RigOptions};
-use rig_mjoin::{
-    collect, count, enumerate_sink, par_enumerate, CollectSink, CountSink, EnumOptions, EnumResult,
-    ParOptions,
+use rigmatch::graph::{DataGraph, NodeId};
+use rigmatch::mjoin::{
+    enumerate_sink, par_enumerate, CollectSink, CountSink, EnumOptions, EnumResult, ParOptions,
 };
-use rig_query::{EdgeKind, PatternQuery};
-use rig_reach::BflIndex;
-use rig_sim::SimContext;
+use rigmatch::query::{EdgeKind, PatternQuery};
+use rigmatch::rig::{Rig, RigOptions};
+use testkit::{count, explosive_graph, query, random_graph, reach_chain, sequential, D, R};
 
-fn build(g: &rig_graph::DataGraph, q: &PatternQuery) -> Rig {
-    let bfl = BflIndex::new(g);
-    let ctx = SimContext::new(g, q, &bfl);
-    build_rig(&ctx, &RigOptions::exact())
+fn build(g: &DataGraph, q: &PatternQuery) -> Rig {
+    testkit::rig(g, q, &RigOptions::exact())
 }
 
 /// Counts through `par_enumerate` with one `CountSink` per worker; the
@@ -29,54 +27,15 @@ fn par_total(q: &PatternQuery, rig: &Rig, opts: &EnumOptions, par: &ParOptions) 
 
 /// Mixed-label random graph with a hybrid 3-node pattern — a mid-size
 /// answer set with skewed per-root work.
-fn mixed_setup(seed: u64) -> (rig_graph::DataGraph, PatternQuery) {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = 150usize;
-    let mut b = GraphBuilder::new();
-    for _ in 0..n {
-        b.add_node(rng.gen_range(0..3));
-    }
-    for _ in 0..600 {
-        let u = rng.gen_range(0..n) as NodeId;
-        let v = rng.gen_range(0..n) as NodeId;
-        if u != v {
-            b.add_edge(u, v);
-        }
-    }
-    let g = b.build();
-    let mut q = PatternQuery::new(vec![0, 1, 2]);
-    q.add_edge(0, 1, EdgeKind::Direct);
-    q.add_edge(1, 2, EdgeKind::Reachability);
-    q.add_edge(0, 2, EdgeKind::Reachability);
-    (g, q)
+fn mixed_setup(seed: u64) -> (DataGraph, PatternQuery) {
+    let q = query(&[0, 1, 2], &[(0, 1), (1, 2), (0, 2)], &[D, R, R]);
+    (random_graph(150, 600, 3, seed), q)
 }
 
 /// One-label dense graph whose 5-chain reachability query has an
 /// astronomically large answer — the budget-stress workload.
-fn explosive_setup() -> (rig_graph::DataGraph, PatternQuery) {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(99);
-    let n = 300usize;
-    let mut b = GraphBuilder::new();
-    for _ in 0..n {
-        b.add_node(0);
-    }
-    for _ in 0..3000 {
-        let u = rng.gen_range(0..n) as NodeId;
-        let v = rng.gen_range(0..n) as NodeId;
-        if u != v {
-            b.add_edge(u, v);
-        }
-    }
-    let g = b.build();
-    let mut q = PatternQuery::new(vec![0; 5]);
-    for i in 1..5u32 {
-        q.add_edge(i - 1, i, EdgeKind::Reachability);
-    }
-    (g, q)
+fn explosive_setup() -> (DataGraph, PatternQuery) {
+    (explosive_graph(99, 300, 3000), reach_chain(5))
 }
 
 /// Determinism: with a sorting (collect-then-sort) sink, the match set is
@@ -87,18 +46,12 @@ fn sorted_match_sets_are_invariant_to_threads_and_morsels() {
     let (g, q) = mixed_setup(11);
     let rig = build(&g, &q);
     let opts = EnumOptions::default();
-    let (mut expect, seq) = collect(&q, &rig, &opts, usize::MAX);
-    expect.sort_unstable();
+    let (expect, seq) = sequential(&q, &rig, &opts);
     assert!(seq.count > 50, "workload too small to be meaningful: {}", seq.count);
     let huge = rig.candidates(0).len() + 7; // > |candidates| of every node
     for threads in [1usize, 2, 3, 8] {
         for morsel in [1usize, 5, 64, huge] {
-            let (sinks, r) =
-                par_enumerate(&q, &rig, &opts, &ParOptions { threads, morsel }, |_| {
-                    CollectSink::default()
-                });
-            let mut tuples: Vec<_> = sinks.into_iter().flat_map(|s| s.tuples).collect();
-            tuples.sort_unstable();
+            let (tuples, r) = testkit::parallel(&q, &rig, &opts, ParOptions { threads, morsel });
             assert_eq!(tuples, expect, "match set differs at threads={threads} morsel={morsel}");
             assert_eq!(r.count, seq.count);
             assert!(!r.timed_out && !r.limit_hit);
@@ -226,7 +179,7 @@ fn single_thread_runs_inline_in_sequential_order() {
         owner: std::thread::ThreadId,
         tuples: Vec<Vec<NodeId>>,
     }
-    impl rig_mjoin::ResultSink for ThreadCheckSink {
+    impl rigmatch::mjoin::ResultSink for ThreadCheckSink {
         fn push(&mut self, tuple: &[NodeId]) -> bool {
             assert_eq!(std::thread::current().id(), self.owner, "push left the calling thread");
             self.tuples.push(tuple.to_vec());

@@ -7,11 +7,14 @@
 //!   covers;
 //! * transitive reduction preserves answers (§3, query equivalence).
 
+mod testkit;
+
 use proptest::prelude::*;
 use rigmatch::core::{GmConfig, Session};
-use rigmatch::graph::{DataGraph, GraphBuilder, NodeId};
+use rigmatch::graph::{DataGraph, GraphBuilder};
 use rigmatch::query::{transitive_reduction, EdgeKind, PatternQuery};
-use rigmatch::reach::{BflIndex, Reachability};
+use rigmatch::reach::BflIndex;
+use testkit::{check, oracle, Dims, SELECT_MODES};
 
 const NUM_LABELS: u32 = 3;
 
@@ -66,69 +69,27 @@ fn query_strategy() -> impl Strategy<Value = PatternQuery> {
         })
 }
 
-/// Brute-force homomorphism enumeration (ground truth).
-fn brute_force(g: &DataGraph, q: &PatternQuery) -> Vec<Vec<NodeId>> {
-    let bfl = BflIndex::new(g);
-    let n = q.num_nodes();
-    let mut out = Vec::new();
-    let mut assign = vec![0 as NodeId; n];
-    fn rec(
-        d: usize,
-        g: &DataGraph,
-        q: &PatternQuery,
-        bfl: &BflIndex,
-        assign: &mut Vec<NodeId>,
-        out: &mut Vec<Vec<NodeId>>,
-    ) {
-        if d == q.num_nodes() {
-            out.push(assign.clone());
-            return;
-        }
-        for v in 0..g.num_nodes() as NodeId {
-            if g.label(v) != q.label(d as u32) {
-                continue;
-            }
-            assign[d] = v;
-            let ok = q.edges().iter().all(|e| {
-                let (f, t) = (e.from as usize, e.to as usize);
-                if f > d || t > d {
-                    return true;
-                }
-                match e.kind {
-                    EdgeKind::Direct => g.has_edge(assign[f], assign[t]),
-                    EdgeKind::Reachability => bfl.reaches(assign[f], assign[t]),
-                }
-            });
-            if ok {
-                rec(d + 1, g, q, bfl, assign, out);
-            }
-        }
+/// Runs the matrix's check for `q` on a clean session over `g` under
+/// `dims`; a query whose labels fall outside the graph's label space is
+/// rejected by `prepare` instead, and its answer must be empty.
+fn check_random(g: &DataGraph, q: &PatternQuery, dims: &Dims) {
+    if q.labels().iter().any(|&l| l as usize >= g.num_labels()) {
+        assert!(oracle(g, q, false).is_empty(), "a rejected query had answers");
+        assert!(Session::new(g.clone()).prepare(q).is_err());
+        return;
     }
-    rec(0, g, q, &bfl, &mut assign, &mut out);
-    out
+    let session = Session::with_config(g.clone(), dims.config());
+    check(&session, q, dims, "random graph");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// MJoin's answer equals brute force, and FB sandwiches os/ms.
+    /// Every engine's answer equals the oracle's, under dimensions
+    /// sampled from `seed`.
     #[test]
-    fn gm_equals_brute_force(g in graph_strategy(), q in query_strategy()) {
-        let truth = brute_force(&g, &q);
-        let session = Session::with_config(g.clone(), GmConfig::exact());
-        match session.prepare(&q) {
-            // random labels can fall outside the random graph's label
-            // space; prepare rejects those, whose answer is empty
-            Err(_) => prop_assert!(truth.is_empty(), "rejected query had answers"),
-            Ok(prepared) => {
-                let (mut tuples, outcome) = prepared.run().collect_all();
-                prop_assert_eq!(outcome.result.count as usize, truth.len());
-                let mut expect = truth.clone();
-                expect.sort();
-                tuples.sort();
-                prop_assert_eq!(tuples, expect);
-            }
-        }
+    fn gm_equals_brute_force(g in graph_strategy(), q in query_strategy(), seed in 0u64..1000) {
+        check_random(&g, &q, &Dims { store: testkit::Store::Clean, ..Dims::sample(seed) });
     }
 
     /// The simulation sandwich: every occurrence column is inside FB, and
@@ -136,7 +97,7 @@ proptest! {
     #[test]
     fn simulation_sandwich(g in graph_strategy(), q in query_strategy()) {
         use rigmatch::sim::{double_simulation, SimContext, SimOptions};
-        let truth = brute_force(&g, &q);
+        let truth = oracle(&g, &q, false);
         let bfl = BflIndex::new(&g);
         let ctx = SimContext::new(&g, &q, &bfl);
         let ms = ctx.match_sets();
@@ -155,7 +116,7 @@ proptest! {
     fn rig_lossless(g in graph_strategy(), q in query_strategy()) {
         use rigmatch::rig::{build_rig, RigOptions};
         use rigmatch::sim::SimContext;
-        let truth = brute_force(&g, &q);
+        let truth = oracle(&g, &q, false);
         let bfl = BflIndex::new(&g);
         let ctx = SimContext::new(&g, &q, &bfl);
         let rig = build_rig(&ctx, &RigOptions::exact());
@@ -217,8 +178,8 @@ proptest! {
     fn reduction_preserves_answers(g in graph_strategy(), q in query_strategy()) {
         let r = transitive_reduction(&q);
         prop_assert!(r.num_edges() <= q.num_edges());
-        let a = brute_force(&g, &q).len();
-        let b = brute_force(&g, &r).len();
+        let a = oracle(&g, &q, false);
+        let b = oracle(&g, &r, false);
         prop_assert_eq!(a, b, "reduction changed the answer");
     }
 }
@@ -227,31 +188,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Prop. 4.1, end to end: a RIG is lossless under *every* node-selection
-    /// mode, so MJoin's occurrence count over each variant's RIG equals the
-    /// naive brute-force homomorphism count.
+    /// mode, so every engine's answer over each variant's RIG equals the
+    /// oracle's.
     #[test]
     fn mjoin_over_rig_counts_equal_brute_force_all_select_modes(
         g in graph_strategy(),
         q in query_strategy(),
     ) {
-        use rigmatch::mjoin::{count, EnumOptions};
-        use rigmatch::rig::{build_rig, RigOptions, SelectMode};
-        use rigmatch::sim::SimContext;
-
-        let truth = brute_force(&g, &q).len() as u64;
-        let bfl = BflIndex::new(&g);
-        let ctx = SimContext::new(&g, &q, &bfl);
-        for mode in [
-            SelectMode::PrefilterThenSim,
-            SelectMode::SimOnly,
-            SelectMode::PrefilterOnly,
-            SelectMode::MatchSets,
-        ] {
-            let rig = build_rig(&ctx, &RigOptions { select: mode, ..RigOptions::exact() });
-            let res = count(&q, &rig, &EnumOptions::default());
-            prop_assert_eq!(res.count, truth, "select mode {:?}", mode);
-            prop_assert!(!res.timed_out);
-            prop_assert!(!res.limit_hit);
+        for select in SELECT_MODES {
+            check_random(&g, &q, &Dims { select, ..Dims::clean() });
         }
     }
 }
