@@ -150,6 +150,16 @@ if [[ "${1:-}" != "quick" ]]; then
     grep -q '^v 4 0$' "${cli_tmp}/chord2.txt"
     grep -q '^e 3 2$' "${cli_tmp}/chord2.txt"
     [[ "$(run_cli "${cli_tmp}/chord2.txt" --count --query "${chord_q}")" == "12" ]]
+    # deleting 3 -> 1 splits the Paper SCC into the chain 1 -> 2 -> 3, so
+    # the rebase rebuilds the index (the one-pass condensation kernel)
+    # instead of extending it; only (1, 2, 3) is left
+    printf 'd e 3 1\n' > "${cli_tmp}/split.txt"
+    [[ "$(run_cli "${cli_tmp}/cycle.txt" --count --stats --mutations "${cli_tmp}/split.txt" \
+          --query "${chord_q}" 2> "${cli_tmp}/split.err")" == "1" ]]
+    grep -q 'store: v1, 1 rebase(s), 0 index extension(s)' "${cli_tmp}/split.err"
+    run_cli update "${cli_tmp}/cycle.txt" "${cli_tmp}/split.txt" --output "${cli_tmp}/split2.txt" 2> /dev/null
+    if grep -q '^e 3 1$' "${cli_tmp}/split2.txt"; then false; fi
+    [[ "$(run_cli "${cli_tmp}/split2.txt" --count --query "${chord_q}")" == "1" ]]
     # a cyclic --factorized count over cycle.txt, whose Papers form one
     # SCC, so the DP's conditioning loop sums shared reachability runs; it
     # must equal the enumerated count (a --limit routes --count to MJoin)

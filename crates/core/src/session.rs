@@ -81,7 +81,7 @@
 
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rig_analyze::{Analyzer, Report};
 use rig_graph::{DataGraph, GraphView, Label, LabelPairCounts, Snapshot};
@@ -107,6 +107,10 @@ pub(crate) struct State {
     pub(crate) compactions: u64,
     pub(crate) rebases: u64,
     pub(crate) index_extensions: u64,
+    /// Time the published rebases spent materializing, and building or
+    /// extending the index.
+    pub(crate) rebase_materialize: Duration,
+    pub(crate) rebase_index: Duration,
     /// Mutations applied by the commits since the last checkpoint (the
     /// [`CompactionPolicy`] input). Unlike the overlay's op count, a
     /// rebase leaves it alone.
@@ -186,6 +190,8 @@ impl Session {
                 compactions: 0,
                 rebases: 0,
                 index_extensions: 0,
+                rebase_materialize: Duration::ZERO,
+                rebase_index: Duration::ZERO,
                 ops_since_checkpoint,
                 cache: PlanCache::new(DEFAULT_CACHE_CAPACITY),
                 pairs: None,

@@ -7,7 +7,7 @@
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rig_graph::{CommitImpact, DataGraph, DeltaOverlay, Label, MutationOp, NodeId, Snapshot};
 use rig_reach::{BflIndex, Reachability};
@@ -72,6 +72,12 @@ pub struct StoreStats {
     /// rebuilding it: those whose delta removed nothing and added only
     /// nodes and edges the index already implied.
     pub index_extensions: u64,
+    /// Total time the published rebases spent materializing the delta
+    /// into a fresh base.
+    pub rebase_materialize_time: Duration,
+    /// Total time the published rebases spent building (or extending)
+    /// the index of that base.
+    pub rebase_index_time: Duration,
     /// Mutations currently resident in the delta overlay: 0 exactly when
     /// the current snapshot is clean.
     pub delta_ops: u64,
@@ -505,12 +511,15 @@ impl Session {
             // borrow its index
             Arc::ptr_eq(st.snapshot.base(), snapshot.base()).then(|| Arc::clone(&st.bfl))
         };
+        let start = Instant::now();
         let merged = Arc::new(snapshot.materialize());
+        let materialized = Instant::now();
         let extend = parent.filter(|bfl| preserves_reachability(snapshot.delta(), bfl));
         let bfl = Arc::new(match &extend {
             Some(parent) => parent.extended(merged.num_nodes()),
             None => BflIndex::new(&merged),
         });
+        let indexed = Instant::now();
         let clean = Arc::new(Snapshot::new(Arc::new(DeltaOverlay::new(merged)), version));
         let mut st = self.state();
         if st.snapshot.version() == version {
@@ -518,6 +527,8 @@ impl Session {
             st.bfl = Arc::clone(&bfl);
             st.rebases += 1;
             st.index_extensions += u64::from(extend.is_some());
+            st.rebase_materialize += materialized - start;
+            st.rebase_index += indexed - materialized;
         }
         (clean, bfl)
     }
@@ -532,6 +543,8 @@ impl Session {
             compactions: st.compactions,
             rebases: st.rebases,
             index_extensions: st.index_extensions,
+            rebase_materialize_time: st.rebase_materialize,
+            rebase_index_time: st.rebase_index,
             delta_ops: st.snapshot.delta().ops(),
             base_nodes: base.num_nodes(),
             base_edges: base.num_edges(),

@@ -96,6 +96,111 @@ struct InvertedPatch {
     bits: Bitset,
 }
 
+/// The full replacement rows of one adjacency direction, for the patched
+/// nodes only, all in one buffer: `slots` maps a node to its row's place
+/// in `arena`.
+///
+/// A row keeps spare room after its entries, so an insertion shifts in
+/// place; a full row moves to the end of the arena with double the room
+/// and leaves its old place unused. A clone copies only the live rows,
+/// packed, so a commit's clone costs the delta and not the garbage of
+/// earlier commits, and dropping an overlay frees two buffers per
+/// direction, not one per row.
+#[derive(Default)]
+struct PatchRows {
+    slots: FxHashMap<NodeId, Slot>,
+    arena: Vec<NodeId>,
+}
+
+#[derive(Clone, Copy)]
+struct Slot {
+    start: usize,
+    len: u32,
+    cap: u32,
+}
+
+impl Slot {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start..self.start + self.len as usize
+    }
+}
+
+/// Room for a row of `len` entries: a few insertions fit before it moves.
+fn room(len: usize) -> usize {
+    len + len / 4 + 2
+}
+
+/// Appends `row` to `arena` with its room and returns its slot.
+fn push_row(arena: &mut Vec<NodeId>, row: &[NodeId]) -> Slot {
+    let start = arena.len();
+    let cap = room(row.len());
+    arena.extend_from_slice(row);
+    arena.resize(start + cap, 0);
+    Slot { start, len: row.len() as u32, cap: cap as u32 }
+}
+
+impl PatchRows {
+    #[inline]
+    fn get(&self, v: NodeId) -> Option<&[NodeId]> {
+        self.slots.get(&v).map(|s| &self.arena[s.range()])
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (NodeId, &[NodeId])> {
+        self.slots.iter().map(|(&v, s)| (v, &self.arena[s.range()]))
+    }
+
+    /// `v`'s slot, patched from `base` (its row under the base segment)
+    /// on first use, and the arena.
+    fn slot(&mut self, v: NodeId, base: &[NodeId]) -> (&mut Slot, &mut Vec<NodeId>) {
+        let arena = &mut self.arena;
+        (self.slots.entry(v).or_insert_with(|| push_row(arena, base)), arena)
+    }
+
+    /// Inserts `w` into `v`'s row, which must not hold it.
+    fn insert(&mut self, v: NodeId, w: NodeId, base: &[NodeId]) {
+        let (s, arena) = self.slot(v, base);
+        if s.len == s.cap {
+            let start = arena.len();
+            let cap = room(2 * s.len as usize);
+            arena.extend_from_within(s.range());
+            arena.resize(start + cap, 0);
+            (s.start, s.cap) = (start, cap as u32);
+        }
+        let row = s.range();
+        let i = row.start + arena[row.clone()].binary_search(&w).unwrap_or_else(|i| i);
+        arena.copy_within(i..row.end, i + 1);
+        arena[i] = w;
+        s.len += 1;
+    }
+
+    /// Removes `w` from `v`'s row, if it holds it.
+    fn remove(&mut self, v: NodeId, w: NodeId, base: &[NodeId]) {
+        let (s, arena) = self.slot(v, base);
+        let row = s.range();
+        if let Ok(i) = arena[row.clone()].binary_search(&w) {
+            arena.copy_within(row.start + i + 1..row.end, row.start + i);
+            s.len -= 1;
+        }
+    }
+
+    /// Makes `v`'s row empty.
+    fn clear(&mut self, v: NodeId) {
+        self.slot(v, &[]).0.len = 0;
+    }
+}
+
+impl Clone for PatchRows {
+    fn clone(&self) -> Self {
+        let mut slots = self.slots.clone();
+        let live: usize = slots.values().map(|s| room(s.len as usize)).sum();
+        let mut arena = Vec::with_capacity(live);
+        for s in slots.values_mut() {
+            *s = push_row(&mut arena, &self.arena[s.range()]);
+        }
+        PatchRows { slots, arena }
+    }
+}
+
 /// An in-memory delta over an immutable base [`DataGraph`].
 ///
 /// Mutable only while a commit is being applied; once published inside a
@@ -115,9 +220,9 @@ pub struct DeltaOverlay {
     /// Tombstoned node ids (base or added).
     removed: Bitset,
     /// Full replacement forward adjacency for patched nodes (sorted).
-    fwd: FxHashMap<NodeId, Vec<NodeId>>,
+    fwd: PatchRows,
     /// Full replacement backward adjacency for patched nodes (sorted).
-    bwd: FxHashMap<NodeId, Vec<NodeId>>,
+    bwd: PatchRows,
     /// Full replacement inverted lists for labels whose membership changed
     /// (and for every label beyond the base label space).
     inverted: FxHashMap<Label, InvertedPatch>,
@@ -141,8 +246,8 @@ impl DeltaOverlay {
             extra_label_names: Vec::new(),
             name_to_label: FxHashMap::default(),
             removed: Bitset::new(),
-            fwd: FxHashMap::default(),
-            bwd: FxHashMap::default(),
+            fwd: PatchRows::default(),
+            bwd: PatchRows::default(),
             inverted: FxHashMap::default(),
             edge_net: 0,
             nodes_added: 0,
@@ -194,12 +299,8 @@ impl DeltaOverlay {
     /// they replace.
     pub fn added_edges(&self) -> Vec<(NodeId, NodeId)> {
         let mut out = Vec::new();
-        for (&u, row) in &self.fwd {
-            let old = if (u as usize) < self.base.num_nodes() {
-                self.base.out_neighbors(u)
-            } else {
-                &EMPTY_IDS
-            };
+        for (u, row) in self.fwd.iter() {
+            let old = base_out(&self.base, u);
             let mut j = 0;
             for &v in row {
                 while j < old.len() && old[j] < v {
@@ -260,27 +361,13 @@ impl DeltaOverlay {
     /// Sorted out-neighbors of `v` under the overlay.
     #[inline]
     pub fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        if let Some(p) = self.fwd.get(&v) {
-            return p;
-        }
-        if (v as usize) < self.base.num_nodes() {
-            self.base.out_neighbors(v)
-        } else {
-            &EMPTY_IDS
-        }
+        self.fwd.get(v).unwrap_or_else(|| base_out(&self.base, v))
     }
 
     /// Sorted in-neighbors of `v` under the overlay.
     #[inline]
     pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        if let Some(p) = self.bwd.get(&v) {
-            return p;
-        }
-        if (v as usize) < self.base.num_nodes() {
-            self.base.in_neighbors(v)
-        } else {
-            &EMPTY_IDS
-        }
+        self.bwd.get(v).unwrap_or_else(|| base_in(&self.base, v))
     }
 
     /// True iff the edge `(u, v)` exists under the overlay.
@@ -367,10 +454,7 @@ impl DeltaOverlay {
                     dropped += 1;
                     impact.touched.insert(self.label(w));
                     if w != v {
-                        let patch = self.bwd_patch(w);
-                        if let Ok(i) = patch.binary_search(&v) {
-                            patch.remove(i);
-                        }
+                        self.bwd.remove(w, v, base_in(&self.base, w));
                     }
                 }
                 for &w in &ins {
@@ -379,13 +463,10 @@ impl DeltaOverlay {
                     }
                     dropped += 1;
                     impact.touched.insert(self.label(w));
-                    let patch = self.fwd_patch(w);
-                    if let Ok(i) = patch.binary_search(&v) {
-                        patch.remove(i);
-                    }
+                    self.fwd.remove(w, v, base_out(&self.base, w));
                 }
-                self.fwd.insert(v, Vec::new());
-                self.bwd.insert(v, Vec::new());
+                self.fwd.clear(v);
+                self.bwd.clear(v);
                 self.removed.insert(v);
                 let label = self.label(v);
                 let patch = self.inverted_patch(label);
@@ -415,13 +496,9 @@ impl DeltaOverlay {
                 if self.has_edge(u, v) {
                     return Ok(None); // idempotent, mirrors GraphBuilder dedup
                 }
-                // the edge is absent (checked above): both searches miss
-                let fp = self.fwd_patch(u);
-                let i = fp.binary_search(&v).unwrap_or_else(|i| i);
-                fp.insert(i, v);
-                let bp = self.bwd_patch(v);
-                let i = bp.binary_search(&u).unwrap_or_else(|i| i);
-                bp.insert(i, u);
+                // the edge is absent (checked above)
+                self.fwd.insert(u, v, base_out(&self.base, u));
+                self.bwd.insert(v, u, base_in(&self.base, v));
                 self.edge_net += 1;
                 self.edges_added += 1;
                 impact.edges_added += 1;
@@ -435,14 +512,8 @@ impl DeltaOverlay {
                 if !self.has_edge(u, v) {
                     return Err(format!("remove edge ({u},{v}): no such edge"));
                 }
-                let fp = self.fwd_patch(u);
-                if let Ok(i) = fp.binary_search(&v) {
-                    fp.remove(i);
-                }
-                let bp = self.bwd_patch(v);
-                if let Ok(i) = bp.binary_search(&u) {
-                    bp.remove(i);
-                }
+                self.fwd.remove(u, v, base_out(&self.base, u));
+                self.bwd.remove(v, u, base_in(&self.base, v));
                 self.edge_net -= 1;
                 self.edges_removed += 1;
                 impact.edges_removed += 1;
@@ -481,28 +552,6 @@ impl DeltaOverlay {
             self.extra_label_names.push(String::new());
             self.inverted.insert(l, InvertedPatch { list: Vec::new(), bits: Bitset::new() });
         }
-    }
-
-    fn fwd_patch(&mut self, v: NodeId) -> &mut Vec<NodeId> {
-        let base = &self.base;
-        self.fwd.entry(v).or_insert_with(|| {
-            if (v as usize) < base.num_nodes() {
-                base.out_neighbors(v).to_vec()
-            } else {
-                Vec::new()
-            }
-        })
-    }
-
-    fn bwd_patch(&mut self, v: NodeId) -> &mut Vec<NodeId> {
-        let base = &self.base;
-        self.bwd.entry(v).or_insert_with(|| {
-            if (v as usize) < base.num_nodes() {
-                base.in_neighbors(v).to_vec()
-            } else {
-                Vec::new()
-            }
-        })
     }
 
     fn inverted_patch(&mut self, label: Label) -> &mut InvertedPatch {
@@ -610,26 +659,36 @@ impl DeltaOverlay {
 
 /// One direction of a materialized CSR over `n` rows: the base rows
 /// (`base_offsets` / `base_targets`) except where `patches` holds a full
-/// replacement row, and empty rows for unpatched ids past the base. Each
-/// run of base rows between two patched ids is one slice copy, its
-/// offsets shifted by the difference between its new and old start.
+/// replacement row, and empty rows for unpatched ids past the base. A
+/// table over the ids locates the patched rows, so the walk goes through
+/// the ids in order without sorting the patch keys; each run of base rows
+/// between two patched ids is one slice copy, its offsets shifted by the
+/// difference between its new and old start.
 fn merge_rows(
     n: usize,
     base_offsets: &[u64],
     base_targets: &[NodeId],
-    patches: &FxHashMap<NodeId, Vec<NodeId>>,
+    patches: &PatchRows,
     edges: usize,
 ) -> (Vec<u64>, Vec<NodeId>) {
     let base_n = base_offsets.len() - 1;
-    let mut patched: Vec<(usize, &[NodeId])> =
-        patches.iter().map(|(&v, row)| (v as usize, row.as_slice())).collect();
-    patched.sort_unstable_by_key(|&(v, _)| v);
     let mut offsets = Vec::with_capacity(n + 1);
     let mut targets = Vec::with_capacity(edges);
     offsets.push(0u64);
+    // `at[v]`: where `v`'s patched row is in `rows`, if it has one
+    let mut at = vec![u32::MAX; if patches.slots.is_empty() { 0 } else { n }];
+    let rows: Vec<&[NodeId]> = (patches.iter().enumerate())
+        .map(|(i, (v, row))| {
+            at[v as usize] = i as u32;
+            row
+        })
+        .collect();
+    let patched = (at.iter().enumerate())
+        .filter(|&(_, &i)| i != u32::MAX)
+        .map(|(v, &i)| (v, rows[i as usize]));
     // rows `..next` are written; the sentinel flushes the tail
     let mut next = 0;
-    for (v, row) in patched.into_iter().chain(std::iter::once((n, &[][..]))) {
+    for (v, row) in patched.chain(std::iter::once((n, &[][..]))) {
         let copy_end = v.min(base_n);
         if next < copy_end {
             let old_start = base_offsets[next];
@@ -721,6 +780,26 @@ impl MutationStream {
     /// generated so far (the reference a recovered store is compared to).
     pub fn mirror(&self) -> &DeltaOverlay {
         &self.mirror
+    }
+}
+
+/// `v`'s out-row in `base`; empty for ids past it.
+#[inline]
+fn base_out(base: &DataGraph, v: NodeId) -> &[NodeId] {
+    if (v as usize) < base.num_nodes() {
+        base.out_neighbors(v)
+    } else {
+        &EMPTY_IDS
+    }
+}
+
+/// `v`'s in-row in `base`; empty for ids past it.
+#[inline]
+fn base_in(base: &DataGraph, v: NodeId) -> &[NodeId] {
+    if (v as usize) < base.num_nodes() {
+        base.in_neighbors(v)
+    } else {
+        &EMPTY_IDS
     }
 }
 
@@ -1203,6 +1282,98 @@ mod tests {
             // an empty overlay materializes to its base
             let empty = DeltaOverlay::new(Arc::new(m2));
             assert_same_graph(&empty.materialize(), empty.base(), &format!("seed {seed} empty"));
+        }
+    }
+
+    /// Every row, both directions, of `d`.
+    fn rows(d: &DeltaOverlay) -> Vec<(Vec<NodeId>, Vec<NodeId>)> {
+        (0..d.num_nodes() as NodeId)
+            .map(|v| (d.out_neighbors(v).to_vec(), d.in_neighbors(v).to_vec()))
+            .collect()
+    }
+
+    /// Live rows only: a packed arena holds each row and its spare room.
+    fn assert_packed(d: &DeltaOverlay, what: &str) {
+        for (dir, p) in [("fwd", &d.fwd), ("bwd", &d.bwd)] {
+            let live: usize = p.slots.values().map(|s| room(s.len as usize)).sum();
+            assert_eq!(p.arena.len(), live, "{what}: {dir} arena carries garbage");
+        }
+    }
+
+    #[test]
+    fn a_commit_on_a_clone_leaves_the_published_overlay_unchanged() {
+        let mut b = GraphBuilder::new();
+        for v in 0..12 {
+            b.add_node(v % 2);
+        }
+        for v in 0..12 {
+            b.add_edge(v, (v + 1) % 12);
+            b.add_edge(v, (v + 5) % 12);
+        }
+        let mut published = DeltaOverlay::new(Arc::new(b.build()));
+        apply_all(
+            &mut published,
+            &[MutationOp::RemoveEdge(0, 1), MutationOp::AddEdge(0, 3), MutationOp::AddEdge(3, 0)],
+        );
+        let (before, graph, edges) =
+            (rows(&published), published.materialize(), published.num_edges());
+        // the commit: its ops patch the published rows again, grow them
+        // past their room, clear a row and add a node
+        let mut next = published.clone();
+        assert_packed(&next, "fresh clone");
+        let mut ops = vec![MutationOp::AddNode(LabelSpec::Id(1)), MutationOp::RemoveNode(5)];
+        ops.extend((1..12).filter(|&w| w != 5).map(|w| MutationOp::AddEdge(0, w)));
+        ops.extend((1..12).filter(|&w| w != 5).map(|w| MutationOp::AddEdge(w, 3)));
+        ops.extend([MutationOp::RemoveEdge(3, 0), MutationOp::AddEdge(12, 0)]);
+        let mut impact = CommitImpact::default();
+        for op in &ops {
+            let _ = next.apply(op, &mut impact);
+        }
+        assert!(next.out_neighbors(0).len() > before[0].0.len());
+        assert_eq!(rows(&published), before, "published rows");
+        assert_eq!(published.num_edges(), edges, "published edge count");
+        assert_same_graph(&published.materialize(), &graph, "published materialization");
+        assert_same_graph(&next.materialize(), &builder_oracle(&next), "the commit");
+    }
+
+    #[test]
+    fn rows_repatched_over_a_long_commit_sequence_materialize_equal_to_the_oracle() {
+        let mut b = GraphBuilder::new();
+        for v in 0..40 {
+            b.add_node(v % 3);
+        }
+        for v in 0..40 {
+            b.add_edge(v, (v * 7 + 1) % 40);
+        }
+        let mut published = DeltaOverlay::new(Arc::new(b.build()));
+        let mut state = 0x5EED_u64;
+        // a hot set of 4 nodes, so the same rows grow, shrink and move
+        // in every commit
+        let mut hot = || (xorshift(&mut state) % 4) as NodeId;
+        for commit in 0..300 {
+            let mut next = published.clone();
+            assert_packed(&next, &format!("clone before commit {commit}"));
+            let mut impact = CommitImpact::default();
+            for k in 0..12u64 {
+                let (u, w) = (hot(), (hot() * 11 + k as NodeId) % 40);
+                let op = if next.has_edge(u, w) {
+                    MutationOp::RemoveEdge(u, w)
+                } else {
+                    MutationOp::AddEdge(u, w)
+                };
+                next.apply(&op, &mut impact).unwrap();
+                let op = if next.has_edge(w, u) {
+                    MutationOp::RemoveEdge(w, u)
+                } else {
+                    MutationOp::AddEdge(w, u)
+                };
+                next.apply(&op, &mut impact).unwrap();
+            }
+            published = next;
+            if commit % 25 == 24 {
+                let what = format!("commit {commit}");
+                assert_same_graph(&published.materialize(), &builder_oracle(&published), &what);
+            }
         }
     }
 

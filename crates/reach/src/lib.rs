@@ -6,7 +6,9 @@
 //! plugged in. We provide:
 //!
 //! * [`scc`] — Tarjan strongly-connected-component condensation, shared by
-//!   every index (reachability is an SCC-level property);
+//!   every index (reachability is an SCC-level property). One iterative
+//!   DFS reads each edge once and yields the components, the condensation
+//!   DAG's rows and the cyclic flags together;
 //! * [`interval`] — DFS interval labels on the condensation, giving BFL
 //!   O(1) *negative* cuts (`u.end < v.begin ⇒ u ⊀ v`) and O(1) *positive*
 //!   hits for tree descendants;

@@ -9,6 +9,7 @@
 //! serving stack.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use rig_core::{CacheStats, Session, StoreStats};
 
@@ -61,6 +62,14 @@ impl ServerMetrics {
 
 fn counter(out: &mut String, name: &str, help: &str, value: u64) {
     out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"));
+}
+
+/// A counter in seconds with one sample per `stage` label.
+fn stage_seconds(out: &mut String, name: &str, help: &str, stages: &[(&str, Duration)]) {
+    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
+    for (stage, time) in stages {
+        out.push_str(&format!("{name}{{stage=\"{stage}\"}} {}\n", time.as_secs_f64()));
+    }
 }
 
 fn gauge(out: &mut String, name: &str, help: &str, value: u64) {
@@ -177,6 +186,12 @@ pub fn render(metrics: &ServerMetrics, session: &Session) -> String {
         "rebases that extended the reachability index instead of rebuilding it",
         s.index_extensions,
     );
+    stage_seconds(
+        &mut out,
+        "rigmatch_store_rebase_seconds_total",
+        "time rebases spent materializing the delta and indexing the result",
+        &[("materialize", s.rebase_materialize_time), ("index", s.rebase_index_time)],
+    );
     gauge(&mut out, "rigmatch_store_delta_ops", "mutations resident in the overlay", s.delta_ops);
     gauge(&mut out, "rigmatch_graph_live_nodes", "live nodes in the snapshot", s.live_nodes as u64);
     gauge(&mut out, "rigmatch_graph_edges", "edges in the snapshot", s.edges as u64);
@@ -211,6 +226,13 @@ mod tests {
         assert!(page.contains("rigmatch_wal_flush_failures_total 0\n"));
         assert!(page.contains("rigmatch_store_rebases_total 0\n"));
         assert!(page.contains("rigmatch_store_index_extensions_total 0\n"));
+        let rebase_seconds = |page: &str, stage: &str| -> f64 {
+            let name = format!("rigmatch_store_rebase_seconds_total{{stage=\"{stage}\"}} ");
+            let line = page.lines().find_map(|l| l.strip_prefix(&name));
+            line.unwrap_or_else(|| panic!("no {stage} rebase time in {page}")).parse().unwrap()
+        };
+        assert_eq!(rebase_seconds(&page, "materialize"), 0.0);
+        assert_eq!(rebase_seconds(&page, "index"), 0.0);
         // a node-only commit, folded away, extends the index
         let mut txn = session.begin();
         txn.add_node(1);
@@ -219,12 +241,26 @@ mod tests {
         let page = render(&m, &session);
         assert!(page.contains("rigmatch_store_rebases_total 1\n"));
         assert!(page.contains("rigmatch_store_index_extensions_total 1\n"));
-        // every non-comment line is `name value`
+        let stats = session.store_stats();
+        for (stage, time) in
+            [("materialize", stats.rebase_materialize_time), ("index", stats.rebase_index_time)]
+        {
+            assert!(time > Duration::ZERO, "{stage} took no time");
+            assert_eq!(rebase_seconds(&page, stage), time.as_secs_f64(), "{stage}");
+        }
+        // every non-comment line is `name value`, or `name{stage="..."}
+        // seconds` for the rebase stages
         for line in page.lines().filter(|l| !l.starts_with('#')) {
             let mut parts = line.split(' ');
             let name = parts.next().unwrap();
             assert!(name.starts_with("rigmatch_"), "{line}");
-            assert!(parts.next().unwrap().parse::<u64>().is_ok(), "{line}");
+            let value = parts.next().unwrap();
+            if name.starts_with("rigmatch_store_rebase_seconds_total{stage=\"") {
+                assert!(name.ends_with("\"}"), "{line}");
+                assert!(value.parse::<f64>().is_ok(), "{line}");
+            } else {
+                assert!(value.parse::<u64>().is_ok(), "{line}");
+            }
             assert!(parts.next().is_none(), "{line}");
         }
     }

@@ -719,8 +719,12 @@ fn run_gm(
         );
         let s = session.store_stats();
         eprintln!(
-            "store: v{}, {} rebase(s), {} index extension(s)",
-            s.version, s.rebases, s.index_extensions
+            "store: v{}, {} rebase(s), {} index extension(s) (materialize {:?}, index {:?})",
+            s.version,
+            s.rebases,
+            s.index_extensions,
+            s.rebase_materialize_time,
+            s.rebase_index_time
         );
     }
     if cli.strict {
