@@ -160,6 +160,13 @@ if [[ "${1:-}" != "quick" ]]; then
     run_cli update "${cli_tmp}/cycle.txt" "${cli_tmp}/split.txt" --output "${cli_tmp}/split2.txt" 2> /dev/null
     if grep -q '^e 3 1$' "${cli_tmp}/split2.txt"; then false; fi
     [[ "$(run_cli "${cli_tmp}/split2.txt" --count --query "${chord_q}")" == "1" ]]
+    # a numeric label id past the next new one is a validation error (exit
+    # 5) refused before the label space grows, so it fails at once instead
+    # of allocating for four billion labels (timeout's own exit is 124)
+    printf 'a v 4294967295\n' > "${cli_tmp}/far.txt"
+    rc=0; timeout 30 cargo run -q --release --bin rigmatch -- "${cli_tmp}/g.txt" --count \
+        --mutations "${cli_tmp}/far.txt" --query 'MATCH (a:Author)' 2> /dev/null || rc=$?
+    [[ "${rc}" == "5" ]]
     # a cyclic --factorized count over cycle.txt, whose Papers form one
     # SCC, so the DP's conditioning loop sums shared reachability runs; it
     # must equal the enumerated count (a --limit routes --count to MJoin)

@@ -324,8 +324,15 @@ impl Session {
     /// the cached RIG, and each run sees the newest committed snapshot.
     pub fn prepare<'s, Q: IntoPattern>(&'s self, source: Q) -> Result<Prepared<'s>, Error> {
         let snapshot = self.graph();
-        let (original, vars) = source.into_pattern(GraphView::from(&*snapshot))?;
-        validate_pattern(&*snapshot, &original, vars.as_deref())?;
+        // a delta only appends to the label dictionary: until it has, the
+        // base resolves every name, and a dirty snapshot is not merged
+        let graph = if snapshot.num_labels() == snapshot.base().num_labels() {
+            GraphView::from(snapshot.base())
+        } else {
+            GraphView::from(&*snapshot)
+        };
+        let (original, vars) = source.into_pattern(graph)?;
+        validate_pattern(graph, &original, vars.as_deref())?;
         let red_start = Instant::now();
         let (reduced, edges_reduced) = if self.config.skip_reduction {
             (original.clone(), 0)
@@ -342,7 +349,7 @@ impl Session {
         let mut label_names: Vec<(Label, String)> = original
             .labels()
             .iter()
-            .map(|&l| (l, snapshot.label_name(l).to_string()))
+            .map(|&l| (l, graph.label_name(l).to_string()))
             .filter(|(_, n)| !n.is_empty())
             .collect();
         label_names.sort_unstable();
@@ -871,15 +878,37 @@ mod tests {
     #[test]
     fn added_nodes_and_labels_are_queryable() {
         let session = fig2_session();
+        // a node-only commit that grows the dictionary: `prepare` resolves
+        // the new name through the dirty snapshot
+        let mut txn = session.begin();
+        txn.add_named_node("NewLabel");
+        session.commit(txn).unwrap();
+        assert!(session.graph().is_dirty());
+        assert_eq!(session.prepare("MATCH (x:NewLabel)").unwrap().run().count().result.count, 1);
         let mut txn = session.begin();
         let d = txn.add_named_node("D");
         txn.add_edge(0, d);
         session.commit(txn).unwrap();
         let p = session.prepare("MATCH (a:A)->(d:D)").unwrap();
         let (tuples, _) = p.run().collect_all();
-        assert_eq!(tuples, vec![vec![0, 10]]);
+        assert_eq!(tuples, vec![vec![0, 11]]);
         // snapshot label dictionary grew
-        assert_eq!(session.graph().label_id("D"), Some(3));
+        assert_eq!(session.graph().label_id("D"), Some(4));
+    }
+
+    /// A build that reads a dirty snapshot merges it; the session's
+    /// rebase then publishes that merge instead of merging again.
+    #[test]
+    fn a_dirty_snapshot_is_merged_once_by_its_first_reader() {
+        let session = dirty_fig2_session();
+        let (snapshot, bfl) = (session.graph(), session.bfl());
+        let q = rig_query::fig2_query();
+        let ctx = SimContext::new(&snapshot, &q, &*bfl);
+        assert!(ctx.graph.is_dirty());
+        assert!(std::ptr::eq(ctx.graph.graph(), &**snapshot.materialized()));
+        session.prepare(FIG2_HPQL).unwrap().run().count();
+        assert_eq!(session.store_stats().rebases, 1);
+        assert!(Arc::ptr_eq(session.graph().base(), snapshot.materialized()), "merged twice");
     }
 
     #[test]

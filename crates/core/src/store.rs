@@ -73,7 +73,8 @@ pub struct StoreStats {
     /// nodes and edges the index already implied.
     pub index_extensions: u64,
     /// Total time the published rebases spent materializing the delta
-    /// into a fresh base.
+    /// into a fresh base (none for a snapshot a reader had already
+    /// materialized: the rebase takes that merge).
     pub rebase_materialize_time: Duration,
     /// Total time the published rebases spent building (or extending)
     /// the index of that base.
@@ -485,9 +486,11 @@ impl Session {
         true
     }
 
-    /// Rebases the dirty `snapshot`: materializes it and builds the BFL
-    /// index of the result **without holding the state lock**, and
-    /// publishes the clean pair iff no commit landed in the meantime.
+    /// Rebases the dirty `snapshot`: takes its materialization (merged
+    /// here, or earlier by a reader of the snapshot, never twice) and
+    /// builds the BFL index of the result **without holding the state
+    /// lock**, and publishes the clean pair iff no commit landed in the
+    /// meantime.
     /// Either way the caller gets a clean snapshot of its own version plus
     /// its BFL, so snapshot isolation is unchanged. Touches no storage.
     /// Single-flight: a racer that waited on the rebase lock finds the
@@ -512,7 +515,7 @@ impl Session {
             Arc::ptr_eq(st.snapshot.base(), snapshot.base()).then(|| Arc::clone(&st.bfl))
         };
         let start = Instant::now();
-        let merged = Arc::new(snapshot.materialize());
+        let merged = Arc::clone(snapshot.materialized());
         let materialized = Instant::now();
         let extend = parent.filter(|bfl| preserves_reachability(snapshot.delta(), bfl));
         let bfl = Arc::new(match &extend {

@@ -1,20 +1,20 @@
 //! Delta-overlay storage for dynamic data graphs.
 //!
 //! The immutable CSR [`DataGraph`] is the **base segment**; a
-//! [`DeltaOverlay`] layers committed mutations (added/removed nodes and
-//! edges, per-label inverted-list patches, label-dictionary growth) on top
-//! of it without rebuilding the CSR. A [`Snapshot`] pairs an immutable
-//! overlay with a version number: cloning one is O(1) (two `Arc` bumps),
-//! so in-flight query runs keep a consistent view of the graph while
-//! writers commit further deltas.
+//! [`DeltaOverlay`] is the write buffer on top of it: committed mutations
+//! (added/removed nodes and edges, label-dictionary growth) recorded
+//! without rebuilding the CSR. A [`Snapshot`] pairs an immutable overlay
+//! with a version number: cloning one is O(1), so in-flight query runs
+//! keep a consistent view of the graph while writers commit further
+//! deltas.
 //!
-//! Overlay reads resolve in one hash probe: a node whose adjacency was
-//! never touched by a mutation reads straight from the base CSR slices; a
-//! *patched* node reads its full replacement adjacency from the delta.
-//! Patches always store complete sorted neighbor lists (not diffs), so
-//! every accessor still returns plain `&[NodeId]` slices and the
-//! downstream pipeline (simulation, RIG expansion) runs unchanged on
-//! either representation.
+//! The overlay answers what a commit needs to validate and apply its ops:
+//! liveness, labels, adjacency rows (a row a mutation touched is stored in
+//! full, sorted; any other row reads from the base) and the label
+//! dictionary. The query pipeline never reads it: a dirty snapshot is read
+//! through its materialization ([`Snapshot::graph`]), which the snapshot
+//! merges on first use and keeps, so every stage reads one CSR
+//! representation.
 //!
 //! Node ids are **stable for the lifetime of a store**: removing a node
 //! tombstones its id (the slot keeps its label but leaves every inverted
@@ -23,7 +23,7 @@
 //! *without renumbering*, so match tuples and cached plans remain valid
 //! across compactions.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rig_bitset::Bitset;
 
@@ -87,14 +87,6 @@ impl CommitImpact {
 // ---------------------------------------------------------------------------
 // the overlay
 // ---------------------------------------------------------------------------
-
-#[derive(Clone)]
-struct InvertedPatch {
-    /// Full sorted live membership of the label under the overlay.
-    list: Vec<NodeId>,
-    /// The same membership as a bitmap.
-    bits: Bitset,
-}
 
 /// The full replacement rows of one adjacency direction, for the patched
 /// nodes only, all in one buffer: `slots` maps a node to its row's place
@@ -223,9 +215,6 @@ pub struct DeltaOverlay {
     fwd: PatchRows,
     /// Full replacement backward adjacency for patched nodes (sorted).
     bwd: PatchRows,
-    /// Full replacement inverted lists for labels whose membership changed
-    /// (and for every label beyond the base label space).
-    inverted: FxHashMap<Label, InvertedPatch>,
     /// Net edge count relative to the base.
     edge_net: i64,
     /// Cumulative operation counters (monotone; drive compaction).
@@ -248,7 +237,6 @@ impl DeltaOverlay {
             removed: Bitset::new(),
             fwd: PatchRows::default(),
             bwd: PatchRows::default(),
-            inverted: FxHashMap::default(),
             edge_net: 0,
             nodes_added: 0,
             nodes_removed: 0,
@@ -315,7 +303,7 @@ impl DeltaOverlay {
         out
     }
 
-    // -- graph accessors (overlay view) ------------------------------------
+    // -- rows, labels and the label dictionary under the overlay ------------
 
     /// Node-id space size (base slots + added nodes; includes tombstones).
     #[inline]
@@ -376,24 +364,6 @@ impl DeltaOverlay {
         self.out_neighbors(u).binary_search(&v).is_ok()
     }
 
-    /// Sorted live inverted list of `label` under the overlay.
-    #[inline]
-    pub fn nodes_with_label(&self, label: Label) -> &[NodeId] {
-        if let Some(p) = self.inverted.get(&label) {
-            return &p.list;
-        }
-        self.base.nodes_with_label(label)
-    }
-
-    /// The inverted list of `label` as a bitmap.
-    #[inline]
-    pub fn label_bitset(&self, label: Label) -> &Bitset {
-        if let Some(p) = self.inverted.get(&label) {
-            return &p.bits;
-        }
-        self.base.label_bitset(label)
-    }
-
     /// Resolves a label name (overlay additions first, then the base
     /// dictionary).
     pub fn label_id(&self, name: &str) -> Option<Label> {
@@ -424,19 +394,9 @@ impl DeltaOverlay {
     ) -> Result<Option<NodeId>, String> {
         match op {
             MutationOp::AddNode(spec) => {
-                let label = self.resolve_label(spec);
-                self.grow_label_space(label);
+                let label = self.resolve_label(spec)?;
                 let id = self.num_nodes() as NodeId;
                 self.added_labels.push(label);
-                let base = &self.base;
-                let patch = self.inverted.entry(label).or_insert_with(|| {
-                    let list = base.nodes_with_label(label).to_vec();
-                    let bits = base_label_bits(base, label);
-                    InvertedPatch { list, bits }
-                });
-                // ids grow monotonically, so pushing keeps the list sorted
-                patch.list.push(id);
-                patch.bits.insert(id);
                 self.nodes_added += 1;
                 impact.nodes_added += 1;
                 impact.touched.insert(label);
@@ -469,11 +429,6 @@ impl DeltaOverlay {
                 self.bwd.clear(v);
                 self.removed.insert(v);
                 let label = self.label(v);
-                let patch = self.inverted_patch(label);
-                if let Ok(i) = patch.list.binary_search(&v) {
-                    patch.list.remove(i);
-                }
-                patch.bits.remove(v);
                 self.edge_net -= dropped as i64;
                 self.edges_removed += dropped;
                 self.nodes_removed += 1;
@@ -525,41 +480,29 @@ impl DeltaOverlay {
         }
     }
 
-    fn resolve_label(&mut self, spec: &LabelSpec) -> Label {
-        match spec {
-            LabelSpec::Id(l) => *l,
-            LabelSpec::Named(name) => {
-                if let Some(l) = self.label_id(name) {
-                    return l;
-                }
-                let l = self.num_labels() as Label;
-                self.grow_label_space(l);
-                self.extra_label_names[l as usize - self.base.num_labels()] = name.clone();
-                self.name_to_label.insert(name.clone(), l);
-                l
+    /// The label `spec` names. A numeric id must be an existing label or
+    /// the next new one (`num_labels()`), so one op grows the label space
+    /// by at most one label, as a new name does; a new name or the next
+    /// id appends an (unnamed) label to the dictionary.
+    fn resolve_label(&mut self, spec: &LabelSpec) -> Result<Label, String> {
+        let next = self.num_labels() as Label;
+        let (label, name) = match spec {
+            LabelSpec::Id(l) if *l > next => {
+                return Err(format!("add node: label id {l} is past the next new label, {next}"))
             }
+            LabelSpec::Id(l) => (*l, String::new()),
+            LabelSpec::Named(name) => match self.label_id(name) {
+                Some(l) => (l, String::new()),
+                None => {
+                    self.name_to_label.insert(name.clone(), next);
+                    (next, name.clone())
+                }
+            },
+        };
+        if label == next {
+            self.extra_label_names.push(name);
         }
-    }
-
-    /// Extends the label space so `label` is a valid id; every label beyond
-    /// the base space gets an (initially empty) inverted patch so the
-    /// bitmap accessor has something to hand out.
-    fn grow_label_space(&mut self, label: Label) {
-        let base_l = self.base.num_labels();
-        while self.num_labels() <= label as usize {
-            let l = self.num_labels() as Label;
-            debug_assert!(l as usize >= base_l);
-            self.extra_label_names.push(String::new());
-            self.inverted.insert(l, InvertedPatch { list: Vec::new(), bits: Bitset::new() });
-        }
-    }
-
-    fn inverted_patch(&mut self, label: Label) -> &mut InvertedPatch {
-        let base = &self.base;
-        self.inverted.entry(label).or_insert_with(|| InvertedPatch {
-            list: base.nodes_with_label(label).to_vec(),
-            bits: base_label_bits(base, label),
-        })
+        Ok(label)
     }
 
     // -- random mutation workloads -----------------------------------------
@@ -614,11 +557,15 @@ impl DeltaOverlay {
     /// ids. This is both the LSM compaction step and the differential-test
     /// oracle ("rebuild from scratch").
     ///
-    /// The cost is a copy of the base plus the patches: rows and inverted
-    /// lists the overlay never patched are copied from the base as whole
-    /// slices (a run of unpatched rows is one copy plus shifted offsets),
-    /// patched ones are taken from the overlay, and added nodes without a
-    /// patch get empty rows. Nothing is re-sorted or re-derived.
+    /// The cost is a copy of the base plus the patches: rows the overlay
+    /// never patched are copied from the base as whole slices (a run of
+    /// unpatched rows is one copy plus shifted offsets), patched ones are
+    /// taken from the overlay, and added nodes without a patch get empty
+    /// rows. Each inverted list (and bitmap) is the base's, copied whole,
+    /// with its label's live added nodes appended, which keeps it sorted
+    /// because their ids come after every base id; a delta that removed
+    /// nodes then drops them from their labels' lists. Nothing is
+    /// re-sorted.
     pub fn materialize(&self) -> DataGraph {
         let base = &*self.base;
         let n = self.num_nodes();
@@ -630,14 +577,38 @@ impl DeltaOverlay {
             merge_rows(n, &base.fwd_offsets, &base.fwd_targets, &self.fwd, edges);
         let (bwd_offsets, bwd_targets) =
             merge_rows(n, &base.bwd_offsets, &base.bwd_targets, &self.bwd, edges);
-        // labels past the base space always carry a patch (see
-        // `grow_label_space`), so the base lookups stay in range
-        let (inverted, inverted_bits) = (0..self.num_labels() as Label)
-            .map(|l| match self.inverted.get(&l) {
-                Some(p) => (p.list.clone(), p.bits.clone()),
-                None => (base.inverted[l as usize].clone(), base.inverted_bits[l as usize].clone()),
+        // the live added nodes by label, so each list is allocated once
+        let mut added: Vec<Vec<NodeId>> = vec![Vec::new(); self.num_labels()];
+        for (v, &l) in (base.num_nodes() as NodeId..).zip(&self.added_labels) {
+            if !self.removed.contains(v) {
+                added[l as usize].push(v);
+            }
+        }
+        let (mut inverted, mut inverted_bits): (Vec<_>, Vec<_>) = (added.iter().enumerate())
+            .map(|(l, added)| {
+                let old = base.inverted.get(l).map_or(&[][..], Vec::as_slice);
+                let mut list = Vec::with_capacity(old.len() + added.len());
+                list.extend_from_slice(old);
+                list.extend_from_slice(added);
+                let mut bits = base.inverted_bits.get(l).cloned().unwrap_or_default();
+                for &v in added {
+                    bits.insert(v);
+                }
+                (list, bits)
             })
             .unzip();
+        if self.nodes_removed > 0 {
+            let mut dropped = FxHashSet::default();
+            for v in self.removed.iter().filter(|&v| (v as usize) < base.num_nodes()) {
+                let l = base.label(v);
+                inverted_bits[l as usize].remove(v);
+                dropped.insert(l);
+            }
+            for l in dropped {
+                let bits = &inverted_bits[l as usize];
+                inverted[l as usize].retain(|&v| bits.contains(v));
+            }
+        }
         let mut label_names = base.label_names.clone();
         label_names.extend(self.extra_label_names.iter().cloned());
         let mut dead = base.dead.clone();
@@ -803,14 +774,6 @@ fn base_in(base: &DataGraph, v: NodeId) -> &[NodeId] {
     }
 }
 
-fn base_label_bits(base: &DataGraph, label: Label) -> Bitset {
-    if (label as usize) < base.num_labels() {
-        base.label_bitset(label).clone()
-    } else {
-        Bitset::new()
-    }
-}
-
 impl std::fmt::Debug for DeltaOverlay {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -826,24 +789,31 @@ impl std::fmt::Debug for DeltaOverlay {
 // ---------------------------------------------------------------------------
 
 /// An immutable, versioned view of a (possibly mutated) data graph:
-/// `Arc<base CSR>` + `Arc<frozen delta>`. Cloning is O(1); every query run
-/// executes against exactly one snapshot, so concurrent commits never
+/// `Arc<frozen delta>` over its base CSR. Cloning is O(1); every query
+/// run executes against exactly one snapshot, so concurrent commits never
 /// change the data mid-enumeration.
+///
+/// A snapshot derefs to its [`DeltaOverlay`], for what a commit reads:
+/// liveness, labels, rows and the label dictionary. Reads go through
+/// [`Snapshot::graph`]: the base when the snapshot is clean, and when it
+/// is dirty the delta merged into it, once, by whichever reader comes
+/// first; every later reader, and the session's rebase, shares that merge.
 #[derive(Clone)]
 pub struct Snapshot {
     delta: Arc<DeltaOverlay>,
     version: u64,
+    merged: OnceLock<Arc<DataGraph>>,
 }
 
 impl Snapshot {
     /// A version-0 snapshot of an unmutated graph.
     pub fn clean(base: impl Into<Arc<DataGraph>>) -> Snapshot {
-        Snapshot { delta: Arc::new(DeltaOverlay::new(base.into())), version: 0 }
+        Snapshot::new(Arc::new(DeltaOverlay::new(base.into())), 0)
     }
 
     /// Wraps a frozen overlay at `version`.
     pub fn new(delta: Arc<DeltaOverlay>, version: u64) -> Snapshot {
-        Snapshot { delta, version }
+        Snapshot { delta, version, merged: OnceLock::new() }
     }
 
     /// The store version this snapshot was published at.
@@ -851,76 +821,42 @@ impl Snapshot {
         self.version
     }
 
-    /// The base segment.
-    pub fn base(&self) -> &Arc<DataGraph> {
-        self.delta.base()
-    }
-
     /// The delta overlay.
     pub fn delta(&self) -> &Arc<DeltaOverlay> {
         &self.delta
     }
 
-    /// True when the delta holds any mutation — the signal for the
-    /// pipeline to switch reachability work off the base-only BFL index.
+    /// True when the delta holds any mutation: the graph is then the
+    /// delta's materialization, which no index built on the base
+    /// describes.
     #[inline]
     pub fn is_dirty(&self) -> bool {
         !self.delta.is_empty()
     }
 
-    /// See [`DeltaOverlay::materialize`].
-    pub fn materialize(&self) -> DataGraph {
-        self.delta.materialize()
+    /// The graph this snapshot describes: the base when clean, otherwise
+    /// [`DeltaOverlay::materialize`], computed on the first call and kept.
+    pub fn materialized(&self) -> &Arc<DataGraph> {
+        if self.is_dirty() {
+            self.merged.get_or_init(|| Arc::new(self.delta.materialize()))
+        } else {
+            self.delta.base()
+        }
     }
 
-    // forwarded accessors
+    /// [`Snapshot::materialized`], borrowed.
     #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.delta.num_nodes()
+    pub fn graph(&self) -> &DataGraph {
+        self.materialized()
     }
-    pub fn num_live_nodes(&self) -> usize {
-        self.delta.num_live_nodes()
-    }
+}
+
+impl std::ops::Deref for Snapshot {
+    type Target = DeltaOverlay;
+
     #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.delta.num_edges()
-    }
-    #[inline]
-    pub fn num_labels(&self) -> usize {
-        self.delta.num_labels()
-    }
-    #[inline]
-    pub fn label(&self, v: NodeId) -> Label {
-        self.delta.label(v)
-    }
-    pub fn is_live(&self, v: NodeId) -> bool {
-        self.delta.is_live(v)
-    }
-    #[inline]
-    pub fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        self.delta.out_neighbors(v)
-    }
-    #[inline]
-    pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        self.delta.in_neighbors(v)
-    }
-    #[inline]
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.delta.has_edge(u, v)
-    }
-    #[inline]
-    pub fn nodes_with_label(&self, label: Label) -> &[NodeId] {
-        self.delta.nodes_with_label(label)
-    }
-    #[inline]
-    pub fn label_bitset(&self, label: Label) -> &Bitset {
-        self.delta.label_bitset(label)
-    }
-    pub fn label_id(&self, name: &str) -> Option<Label> {
-        self.delta.label_id(name)
-    }
-    pub fn label_name(&self, label: Label) -> &str {
-        self.delta.label_name(label)
+    fn deref(&self) -> &DeltaOverlay {
+        &self.delta
     }
 }
 
@@ -1052,7 +988,7 @@ mod tests {
         assert_eq!(d.num_edges(), 3);
         assert_eq!(d.num_labels(), 3);
         assert_eq!(d.out_neighbors(0), base.out_neighbors(0));
-        assert_eq!(d.nodes_with_label(0), &[0, 1]);
+        assert_eq!(d.materialize().nodes_with_label(0), &[0, 1]);
         assert_eq!(d.label_id("B"), Some(1));
     }
 
@@ -1068,8 +1004,9 @@ mod tests {
         assert_eq!(d.num_edges(), 4);
         assert_eq!(d.out_neighbors(4), &[2]);
         assert!(d.in_neighbors(2).contains(&4));
-        assert_eq!(d.nodes_with_label(0), &[0, 1, 4]);
-        assert_eq!(d.label_bitset(0).to_vec(), vec![0, 1, 4]);
+        let m = d.materialize();
+        assert_eq!(m.nodes_with_label(0), &[0, 1, 4]);
+        assert_eq!(m.label_bitset(0).to_vec(), vec![0, 1, 4]);
         assert!(impact.structural);
         assert_eq!(impact.nodes_added, 1);
         assert_eq!(impact.edges_added, 1);
@@ -1112,7 +1049,7 @@ mod tests {
         assert_eq!(d.num_edges(), 0);
         assert_eq!(d.out_neighbors(0), &[] as &[NodeId]);
         assert_eq!(d.out_neighbors(2), &[] as &[NodeId]);
-        assert_eq!(d.nodes_with_label(1), &[] as &[NodeId]);
+        assert_eq!(d.materialize().nodes_with_label(1), &[] as &[NodeId]);
         assert_eq!(impact.edges_removed, 3);
         assert!(impact.structural);
         // removing again fails; edges to it fail
@@ -1134,7 +1071,7 @@ mod tests {
         assert!(!impact.structural, "isolated add/remove cannot change reachability");
         assert_eq!(d.label_id("D"), Some(3));
         assert_eq!(d.num_labels(), 4);
-        assert_eq!(d.nodes_with_label(3), &[] as &[NodeId]);
+        assert_eq!(d.materialize().nodes_with_label(3), &[] as &[NodeId]);
     }
 
     #[test]
@@ -1154,11 +1091,16 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(d.label(y), 3);
-        // numeric growth past the end creates intermediate empty labels
-        let z = d.apply(&MutationOp::AddNode(LabelSpec::Id(6)), &mut impact).unwrap().unwrap();
-        assert_eq!(d.label(z), 6);
-        assert_eq!(d.num_labels(), 7);
-        assert!(d.nodes_with_label(5).is_empty());
+        // the next numeric id grows the label space by one unnamed label
+        let next = d.num_labels() as Label;
+        let z = d.apply(&MutationOp::AddNode(LabelSpec::Id(next)), &mut impact).unwrap().unwrap();
+        assert_eq!((d.label(z), d.label_name(4), d.num_labels()), (4, "", 5));
+        // an id past the next new label is refused and changes nothing
+        for id in [d.num_labels() as Label + 1, Label::MAX] {
+            let err = d.apply(&MutationOp::AddNode(LabelSpec::Id(id)), &mut impact).unwrap_err();
+            assert!(err.contains(&format!("label id {id}")), "{err}");
+            assert_eq!((d.num_nodes(), d.num_labels()), (7, 5));
+        }
         // existing base name resolves to the base id
         let a = d
             .apply(&MutationOp::AddNode(LabelSpec::Named("A".into())), &mut impact)
@@ -1190,9 +1132,10 @@ mod tests {
             assert_eq!(m.in_neighbors(v), d.in_neighbors(v), "adjb({v})");
             assert_eq!(m.is_live(v), d.is_live(v), "live({v})");
         }
+        let oracle = builder_oracle(&d);
         for l in 0..d.num_labels() as Label {
-            assert_eq!(m.nodes_with_label(l), d.nodes_with_label(l), "I_{l}");
-            assert_eq!(m.label_bitset(l).to_vec(), d.label_bitset(l).to_vec());
+            assert_eq!(m.nodes_with_label(l), oracle.nodes_with_label(l), "I_{l}");
+            assert_eq!(m.label_bitset(l).to_vec(), oracle.label_bitset(l).to_vec(), "I_{l} bits");
         }
         assert_eq!(m.label_id("A"), Some(0));
         // a second-generation overlay over the compacted base still works
@@ -1244,7 +1187,7 @@ mod tests {
         for i in 0..ops {
             let op = match i % 17 {
                 5 => MutationOp::AddNode(LabelSpec::Named(format!("L{}", seed % 3 + i as u64 % 2))),
-                11 => MutationOp::AddNode(LabelSpec::Id(d.num_labels() as Label + 1)),
+                11 => MutationOp::AddNode(LabelSpec::Id(d.num_labels() as Label)),
                 _ => match d.random_mutation(&mut state, 4) {
                     Some(op) => op,
                     None => continue,

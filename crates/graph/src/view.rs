@@ -1,162 +1,54 @@
-//! A borrowed, copyable view over either graph representation.
+//! A borrowed, copyable view of the one graph every read stage reads.
 //!
 //! Every read-only pipeline stage (simulation, pre-filtering, RIG
-//! expansion, set-reachability sweeps) takes a [`GraphView`] instead of
-//! `&DataGraph`, so the same code runs against a frozen base CSR *or* a
-//! delta [`Snapshot`] without generics or dynamic dispatch in the hot
-//! loops — each accessor is one match on a two-variant enum, and both
-//! arms return the same borrowed slices/bitmaps the CSR path always did.
+//! expansion, set-reachability sweeps) takes a [`GraphView`]: a
+//! `&DataGraph` it derefs to, plus whether that graph is a dirty
+//! [`Snapshot`]'s materialization. A dirty snapshot is read through the
+//! merge it caches on first use ([`Snapshot::graph`]), so the hot loops
+//! see one CSR representation whatever the caller holds.
 
-use rig_bitset::Bitset;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use crate::delta::Snapshot;
-use crate::{DataGraph, Label, NodeId};
+use crate::DataGraph;
 
-/// A borrowed graph: the immutable base CSR, or a delta snapshot.
+/// A borrowed graph, and whether it carries uncompacted mutations.
 #[derive(Clone, Copy)]
-pub enum GraphView<'a> {
-    Base(&'a DataGraph),
-    Snapshot(&'a Snapshot),
+pub struct GraphView<'a> {
+    graph: &'a DataGraph,
+    dirty: bool,
 }
 
 impl<'a> From<&'a DataGraph> for GraphView<'a> {
-    fn from(g: &'a DataGraph) -> Self {
-        GraphView::Base(g)
+    fn from(graph: &'a DataGraph) -> Self {
+        GraphView { graph, dirty: false }
     }
 }
 
-impl<'a> From<&'a std::sync::Arc<DataGraph>> for GraphView<'a> {
-    fn from(g: &'a std::sync::Arc<DataGraph>) -> Self {
-        GraphView::Base(g)
+impl<'a> From<&'a Arc<DataGraph>> for GraphView<'a> {
+    fn from(graph: &'a Arc<DataGraph>) -> Self {
+        GraphView { graph, dirty: false }
     }
 }
 
 impl<'a> From<&'a Snapshot> for GraphView<'a> {
     fn from(s: &'a Snapshot) -> Self {
-        GraphView::Snapshot(s)
+        GraphView { graph: s.graph(), dirty: s.is_dirty() }
     }
 }
 
-impl<'a> From<&'a std::sync::Arc<Snapshot>> for GraphView<'a> {
-    fn from(s: &'a std::sync::Arc<Snapshot>) -> Self {
-        GraphView::Snapshot(s)
+impl<'a> From<&'a Arc<Snapshot>> for GraphView<'a> {
+    fn from(s: &'a Arc<Snapshot>) -> Self {
+        GraphView::from(&**s)
     }
 }
 
 impl<'a> GraphView<'a> {
-    /// Number of node-id slots `|V|` (including tombstones).
+    /// The graph, borrowed for the view's whole lifetime.
     #[inline]
-    pub fn num_nodes(self) -> usize {
-        match self {
-            GraphView::Base(g) => g.num_nodes(),
-            GraphView::Snapshot(s) => s.num_nodes(),
-        }
-    }
-
-    /// Number of edges `|E|`.
-    #[inline]
-    pub fn num_edges(self) -> usize {
-        match self {
-            GraphView::Base(g) => g.num_edges(),
-            GraphView::Snapshot(s) => s.num_edges(),
-        }
-    }
-
-    /// Number of labels `|L|`.
-    #[inline]
-    pub fn num_labels(self) -> usize {
-        match self {
-            GraphView::Base(g) => g.num_labels(),
-            GraphView::Snapshot(s) => s.num_labels(),
-        }
-    }
-
-    /// Label of node `v`.
-    #[inline]
-    pub fn label(self, v: NodeId) -> Label {
-        match self {
-            GraphView::Base(g) => g.label(v),
-            GraphView::Snapshot(s) => s.label(v),
-        }
-    }
-
-    /// True iff `v` is a live (non-tombstoned) node.
-    #[inline]
-    pub fn is_live(self, v: NodeId) -> bool {
-        match self {
-            GraphView::Base(g) => g.is_live(v),
-            GraphView::Snapshot(s) => s.is_live(v),
-        }
-    }
-
-    /// Sorted out-neighbors of `v`.
-    #[inline]
-    pub fn out_neighbors(self, v: NodeId) -> &'a [NodeId] {
-        match self {
-            GraphView::Base(g) => g.out_neighbors(v),
-            GraphView::Snapshot(s) => s.out_neighbors(v),
-        }
-    }
-
-    /// Sorted in-neighbors of `v`.
-    #[inline]
-    pub fn in_neighbors(self, v: NodeId) -> &'a [NodeId] {
-        match self {
-            GraphView::Base(g) => g.in_neighbors(v),
-            GraphView::Snapshot(s) => s.in_neighbors(v),
-        }
-    }
-
-    /// Out-degree of `v`.
-    #[inline]
-    pub fn out_degree(self, v: NodeId) -> usize {
-        self.out_neighbors(v).len()
-    }
-
-    /// In-degree of `v`.
-    #[inline]
-    pub fn in_degree(self, v: NodeId) -> usize {
-        self.in_neighbors(v).len()
-    }
-
-    /// True iff the edge `(u, v)` exists.
-    #[inline]
-    pub fn has_edge(self, u: NodeId, v: NodeId) -> bool {
-        self.out_neighbors(u).binary_search(&v).is_ok()
-    }
-
-    /// Sorted inverted list `I_label` (live nodes only).
-    #[inline]
-    pub fn nodes_with_label(self, label: Label) -> &'a [NodeId] {
-        match self {
-            GraphView::Base(g) => g.nodes_with_label(label),
-            GraphView::Snapshot(s) => s.nodes_with_label(label),
-        }
-    }
-
-    /// The inverted list of `label` as a bitmap.
-    #[inline]
-    pub fn label_bitset(self, label: Label) -> &'a Bitset {
-        match self {
-            GraphView::Base(g) => g.label_bitset(label),
-            GraphView::Snapshot(s) => s.label_bitset(label),
-        }
-    }
-
-    /// Resolves a label name to its id, if named.
-    pub fn label_id(self, name: &str) -> Option<Label> {
-        match self {
-            GraphView::Base(g) => g.label_id(name),
-            GraphView::Snapshot(s) => s.label_id(name),
-        }
-    }
-
-    /// Human-readable name of `label` ("" = unnamed).
-    pub fn label_name(self, label: Label) -> &'a str {
-        match self {
-            GraphView::Base(g) => g.label_name(label),
-            GraphView::Snapshot(s) => s.label_name(label),
-        }
+    pub fn graph(self) -> &'a DataGraph {
+        self.graph
     }
 
     /// True when this view carries uncompacted mutations: an index built
@@ -165,19 +57,22 @@ impl<'a> GraphView<'a> {
     /// instead of borrowing the index's.
     #[inline]
     pub fn is_dirty(self) -> bool {
-        match self {
-            GraphView::Base(_) => false,
-            GraphView::Snapshot(s) => s.is_dirty(),
-        }
+        self.dirty
+    }
+}
+
+impl Deref for GraphView<'_> {
+    type Target = DataGraph;
+
+    #[inline]
+    fn deref(&self) -> &DataGraph {
+        self.graph
     }
 }
 
 impl std::fmt::Debug for GraphView<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GraphView::Base(g) => write!(f, "{g:?}"),
-            GraphView::Snapshot(s) => write!(f, "{s:?}"),
-        }
+        write!(f, "{:?}{}", self.graph, if self.dirty { " (dirty)" } else { "" })
     }
 }
 
@@ -186,7 +81,6 @@ mod tests {
     use super::*;
     use crate::delta::{CommitImpact, DeltaOverlay, MutationOp};
     use crate::GraphBuilder;
-    use std::sync::Arc;
 
     #[test]
     fn base_and_snapshot_views_agree_when_clean() {
@@ -198,8 +92,7 @@ mod tests {
         let snap = Snapshot::clean(Arc::clone(&g));
         let bv = GraphView::from(&*g);
         let sv = GraphView::from(&snap);
-        assert_eq!(bv.num_nodes(), sv.num_nodes());
-        assert_eq!(bv.out_neighbors(0), sv.out_neighbors(0));
+        assert!(std::ptr::eq(bv.graph(), sv.graph()), "a clean snapshot reads its base");
         assert_eq!(bv.nodes_with_label(1), sv.nodes_with_label(1));
         assert_eq!(bv.label_id("B"), sv.label_id("B"));
         assert!(!bv.is_dirty() && !sv.is_dirty());
@@ -220,5 +113,6 @@ mod tests {
         assert!(v.is_dirty());
         assert!(!v.has_edge(0, 1));
         assert_eq!(v.num_edges(), 0);
+        assert!(std::ptr::eq(v.graph(), GraphView::from(&snap).graph()), "one merge per snapshot");
     }
 }

@@ -109,12 +109,12 @@ impl Reachability for SnapshotReach<'_> {
 mod tests {
     use super::*;
     use crate::testutil::random_graph;
-    use rig_graph::{CommitImpact, DeltaOverlay, GraphView, LabelSpec, MutationOp};
+    use rig_graph::{CommitImpact, DeltaOverlay, LabelSpec, MutationOp};
     use std::sync::Arc;
 
-    /// Ground truth on the overlay view.
+    /// Ground truth on the overlay's rows.
     fn naive(snap: &Snapshot, u: NodeId, v: NodeId) -> bool {
-        let g = GraphView::from(snap);
+        let g: &DeltaOverlay = snap;
         let mut seen = vec![false; g.num_nodes()];
         let mut stack: Vec<NodeId> = g.out_neighbors(u).to_vec();
         while let Some(x) = stack.pop() {

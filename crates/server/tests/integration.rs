@@ -412,6 +412,16 @@ fn error_responses_map_onto_the_documented_status_codes() {
     let (status, body) = send_raw(addr, "POST", "/update", "q w e\n");
     assert_eq!(status, 400, "{body}");
 
+    // a numeric label id past the next new one is refused before the
+    // label space grows, and publishes nothing
+    let version = session.store_stats().version;
+    let (status, body) = send_raw(addr, "POST", "/update", "a v 4294967295\n");
+    assert_eq!(status, 422, "{body}");
+    assert!(body.contains("\"kind\":\"validation\""), "{body}");
+    let (status, body) = send_raw(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(session.store_stats().version, version);
+
     send_raw(addr, "POST", "/shutdown", "");
     handle.join().unwrap().unwrap();
 }

@@ -8,16 +8,16 @@
 
 use crate::{DirectCheckMode, SimContext, SimOptions};
 use rig_bitset::Bitset;
-use rig_graph::{GraphView, NodeId};
+use rig_graph::{DataGraph, NodeId};
 use rig_query::{EdgeId, EdgeKind};
 
 /// Marks every neighbor (under `adj`) of the members of `set` in a dense
 /// bitmap of `ceil(|V|/64)` words, one bit per adjacency entry: the
 /// adjacency union of the bitBat batch check, built without a sort.
-fn mark_neighbors<'a>(
-    graph: GraphView<'a>,
+fn mark_neighbors(
+    graph: &DataGraph,
     set: &Bitset,
-    adj: fn(GraphView<'a>, NodeId) -> &'a [NodeId],
+    adj: fn(&DataGraph, NodeId) -> &[NodeId],
 ) -> Vec<u64> {
     let mut marks = vec![0u64; graph.num_nodes().div_ceil(64)];
     for w in set.iter() {
@@ -49,7 +49,7 @@ pub fn forward_prune_edge(
         EdgeKind::Direct => match opts.direct_mode {
             DirectCheckMode::BitBat => {
                 // v survives iff some w ∈ FB(qj) has v among its in-neighbors
-                let marks = mark_neighbors(ctx.graph, &fb[qj], GraphView::in_neighbors);
+                let marks = mark_neighbors(&ctx.graph, &fb[qj], DataGraph::in_neighbors);
                 shrink_to_members(&mut fb[qi], |v| is_marked(&marks, v))
             }
             DirectCheckMode::BitIter => {
@@ -89,7 +89,7 @@ pub fn backward_prune_edge(
     match e.kind {
         EdgeKind::Direct => match opts.direct_mode {
             DirectCheckMode::BitBat => {
-                let marks = mark_neighbors(ctx.graph, &fb[qi], GraphView::out_neighbors);
+                let marks = mark_neighbors(&ctx.graph, &fb[qi], DataGraph::out_neighbors);
                 shrink_to_members(&mut fb[qj], |v| is_marked(&marks, v))
             }
             DirectCheckMode::BitIter => {
@@ -129,7 +129,9 @@ fn shrink_to_members(set: &mut Bitset, mut member: impl FnMut(NodeId) -> bool) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rig_graph::{CommitImpact, DeltaOverlay, GraphBuilder, LabelSpec, MutationOp, Snapshot};
+    use rig_graph::{
+        CommitImpact, DeltaOverlay, GraphBuilder, GraphView, LabelSpec, MutationOp, Snapshot,
+    };
     use rig_query::{EdgeKind, PatternQuery};
     use rig_reach::BflIndex;
     use std::sync::Arc;
@@ -195,10 +197,10 @@ mod tests {
         let mut q = PatternQuery::new(vec![0, 2]); // A ⇝ C
         q.add_edge(0, 1, EdgeKind::Reachability);
         let reach = BflIndex::new(&g);
-        // an isolated node of an unused label makes the view dirty without
+        // an isolated node of a new label makes the view dirty without
         // changing any answer
         let mut delta = DeltaOverlay::new(Arc::clone(&g));
-        delta.apply(&MutationOp::AddNode(LabelSpec::Id(7)), &mut CommitImpact::default()).unwrap();
+        delta.apply(&MutationOp::AddNode(LabelSpec::Id(3)), &mut CommitImpact::default()).unwrap();
         let dirty = Snapshot::new(Arc::new(delta), 1);
         for view in [GraphView::from(&*g), GraphView::from(&dirty)] {
             let ctx = SimContext::new(view, &q, &reach);

@@ -47,9 +47,10 @@ use rig_reach::{Condensation, Reachability};
 
 /// Everything a simulation pass needs to look at.
 ///
-/// The graph is a [`GraphView`] — the immutable base CSR or a delta
-/// [`rig_graph::Snapshot`] — so the same simulation code prunes over a
-/// frozen graph and over an uncompacted overlay.
+/// The graph is a [`GraphView`]: a base CSR, or a dirty
+/// [`rig_graph::Snapshot`]'s cached materialization. Either way the
+/// simulation code reads one `DataGraph`; the view only remembers whether
+/// it is dirty.
 ///
 /// Every reachability question of selection and RIG expansion is answered
 /// from one [`Condensation`] of the view, resolved once by
@@ -69,7 +70,8 @@ impl<'a> SimContext<'a> {
     /// Borrows `reach`'s condensation when the view is clean and `reach`
     /// has one; otherwise computes the view's own, in O(|V| + |E|). A
     /// dirty view has changed since any index was built, so its
-    /// condensation is always its own.
+    /// condensation is always its own, even when `reach` is the base's
+    /// index.
     pub fn new(
         graph: impl Into<GraphView<'a>>,
         query: &'a PatternQuery,

@@ -75,8 +75,9 @@ fn main() {
     }
 
     // Show the RIG compression: candidate space vs raw label space.
-    let g = session.graph();
-    let raw: u64 = q.labels().iter().map(|&l| g.nodes_with_label(l).len() as u64).sum();
+    let snapshot = session.graph();
+    let raw: u64 =
+        q.labels().iter().map(|&l| snapshot.graph().nodes_with_label(l).len() as u64).sum();
     println!(
         "RIG kept {} candidate nodes out of {} label-matched nodes",
         outcome.metrics.rig_stats.node_count, raw

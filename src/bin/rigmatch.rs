@@ -461,7 +461,7 @@ fn run_update(cli: &Cli, g: Option<rigmatch::graph::DataGraph>) -> Result<ExitCo
     session.flush_wal()?;
     let snap = session.graph();
     eprintln!("{} -> {:?}", before, snap);
-    let out = rigmatch::graph::to_text(&snap.materialize());
+    let out = rigmatch::graph::to_text(snap.graph());
     match &cli.output_path {
         Some(p) => {
             std::fs::write(p, &out).map_err(|e| Error::io(p.clone(), e))?;

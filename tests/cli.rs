@@ -250,6 +250,11 @@ fn distinct_exit_codes() {
     let disconnected = write_tmp("q11.txt", "n 0 0\nn 1 1\nn 2 2\nd 0 1\n");
     let out = bin().arg(&g).arg(&disconnected).output().unwrap();
     assert_eq!(code(&out), 5, "{out:?}");
+    // validation = 5 (a numeric label id past the next new one)
+    let far_label = write_tmp("m10.txt", "a v 4294967295\n");
+    let out =
+        bin().arg(&g).args(["--query", HPQL, "--mutations"]).arg(&far_label).output().unwrap();
+    assert_eq!(code(&out), 5, "{out:?}");
     // budget = 6 only under --strict; without it truncation still exits 0
     let args = ["--query", HPQL, "--count", "--limit", "0"];
     let out = bin().arg(&g).args(args).output().unwrap();
