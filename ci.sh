@@ -167,6 +167,13 @@ if [[ "${1:-}" != "quick" ]]; then
     rc=0; timeout 30 cargo run -q --release --bin rigmatch -- "${cli_tmp}/g.txt" --count \
         --mutations "${cli_tmp}/far.txt" --query 'MATCH (a:Author)' 2> /dev/null || rc=$?
     [[ "${rc}" == "5" ]]
+    # the same id as a node label in graph text is a parse error (exit 3):
+    # label ids must be smaller than the input's length in bytes, so the
+    # label tables are never sized by it
+    printf 'v 0 4294967295\n' > "${cli_tmp}/far_label.txt"
+    rc=0; timeout 30 cargo run -q --release --bin rigmatch -- "${cli_tmp}/far_label.txt" \
+        --count --query 'MATCH (a:0)' 2> /dev/null || rc=$?
+    [[ "${rc}" == "3" ]]
     # a cyclic --factorized count over cycle.txt, whose Papers form one
     # SCC, so the DP's conditioning loop sums shared reachability runs; it
     # must equal the enumerated count (a --limit routes --count to MJoin)

@@ -6,9 +6,11 @@ use crate::{DataGraph, FxHashMap, Label, NodeId};
 
 /// Accumulates nodes and edges, then freezes into an immutable CSR graph.
 ///
+/// Edges are kept as one flat list in the order they are added.
 /// Duplicate edges and self-loops are allowed on input; duplicates are
 /// removed at [`GraphBuilder::build`] time (the paper's data model has
-/// simple directed graphs).
+/// simple directed graphs), which sorts the list into CSR rows by
+/// counting sort.
 ///
 /// The builder also maintains the graph's **label-name dictionary**: label
 /// ids can be interned from names ([`GraphBuilder::intern_label`] /
@@ -21,8 +23,7 @@ pub struct GraphBuilder {
     label_names: Vec<String>,
     name_to_label: FxHashMap<String, Label>,
     next_label: Label,
-    adj: Vec<Vec<NodeId>>,
-    edge_count_hint: usize,
+    edges: Vec<(NodeId, NodeId)>,
 }
 
 impl GraphBuilder {
@@ -34,8 +35,7 @@ impl GraphBuilder {
     pub fn with_capacity(nodes: usize, edges: usize) -> Self {
         GraphBuilder {
             labels: Vec::with_capacity(nodes),
-            adj: Vec::with_capacity(nodes),
-            edge_count_hint: edges,
+            edges: Vec::with_capacity(edges),
             ..Default::default()
         }
     }
@@ -45,7 +45,6 @@ impl GraphBuilder {
         let id = self.labels.len() as NodeId;
         self.labels.push(label);
         self.next_label = self.next_label.max(label + 1);
-        self.adj.push(Vec::new());
         id
     }
 
@@ -106,7 +105,18 @@ impl GraphBuilder {
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) {
         debug_assert!((u as usize) < self.labels.len(), "unknown source {u}");
         debug_assert!((v as usize) < self.labels.len(), "unknown target {v}");
-        self.adj[u as usize].push(v);
+        self.edges.push((u, v));
+    }
+
+    /// Adds every edge of `edges`, taking the list over when the builder
+    /// holds none yet (so a caller's list is not copied). Every endpoint
+    /// must already exist.
+    pub(crate) fn add_edges(&mut self, edges: Vec<(NodeId, NodeId)>) {
+        if self.edges.is_empty() {
+            self.edges = edges;
+        } else {
+            self.edges.extend_from_slice(&edges);
+        }
     }
 
     /// Number of nodes added so far.
@@ -114,20 +124,59 @@ impl GraphBuilder {
         self.labels.len()
     }
 
-    /// Freezes into an immutable [`DataGraph`]; sorts and deduplicates
-    /// adjacency lists.
+    /// Freezes into an immutable [`DataGraph`]: sorts the edges into
+    /// CSR rows and drops duplicates.
     pub fn build(self) -> DataGraph {
-        let mut offsets = Vec::with_capacity(self.adj.len() + 1);
-        let mut targets = Vec::with_capacity(self.edge_count_hint);
-        offsets.push(0);
-        for mut adj in self.adj {
-            adj.sort_unstable();
-            adj.dedup();
-            targets.extend_from_slice(&adj);
-            offsets.push(targets.len() as u64);
-        }
+        let (offsets, targets) = csr_rows(self.labels.len(), self.edges);
         DataGraph::from_csr(self.labels, offsets, targets, self.label_names, Bitset::new())
     }
+}
+
+/// The forward CSR of `edges` over `n` rows, each row sorted and without
+/// duplicates. Counting sort: count each row's edges, prefix-sum the
+/// counts into row ends, and scatter each target to the end of its row,
+/// moving that end down; the ends are then the row starts. Each row is
+/// then sorted, and the deduplicated rows are compacted to the front.
+/// Edges already in CSR order (strictly increasing pairs, as
+/// [`crate::to_text`] writes them) need neither scatter nor sort.
+fn csr_rows(n: usize, edges: Vec<(NodeId, NodeId)>) -> (Vec<u64>, Vec<NodeId>) {
+    let mut offsets = vec![0u64; n + 1];
+    for &(u, _) in &edges {
+        offsets[u as usize] += 1;
+    }
+    let mut end = 0;
+    for o in &mut offsets[..n] {
+        end += *o;
+        *o = end;
+    }
+    offsets[n] = end;
+    if edges.windows(2).all(|w| w[0] < w[1]) {
+        offsets.copy_within(..n, 1);
+        offsets[0] = 0;
+        return (offsets, edges.iter().map(|&(_, v)| v).collect());
+    }
+    let mut targets = vec![0 as NodeId; edges.len()];
+    for &(u, v) in &edges {
+        let at = &mut offsets[u as usize];
+        *at -= 1;
+        targets[*at as usize] = v;
+    }
+    drop(edges);
+    let mut kept = 0;
+    for u in 0..n {
+        let (start, end) = (offsets[u] as usize, offsets[u + 1] as usize);
+        targets[start..end].sort_unstable();
+        offsets[u] = kept as u64;
+        for i in start..end {
+            if i == start || targets[i] != targets[i - 1] {
+                targets[kept] = targets[i];
+                kept += 1;
+            }
+        }
+    }
+    offsets[n] = kept as u64;
+    targets.truncate(kept);
+    (offsets, targets)
 }
 
 #[cfg(test)]
@@ -216,6 +265,40 @@ mod tests {
         let g = b.build();
         assert_eq!(g.label_name(0), "First");
         assert_eq!(g.label_id("Second"), None);
+    }
+
+    #[test]
+    fn counting_sort_equals_sorting_each_row() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for _ in 0..200 {
+            let n = next(40) as usize;
+            let m = if n == 0 { 0 } else { next(5 * n as u64) as usize };
+            // self-loops, duplicates and any order; high ids leave the
+            // last rows empty
+            let edges: Vec<(NodeId, NodeId)> =
+                (0..m).map(|_| (next(n as u64) as NodeId, next(n as u64) as NodeId)).collect();
+            let mut rows = vec![std::collections::BTreeSet::new(); n];
+            for &(u, v) in &edges {
+                rows[u as usize].insert(v);
+            }
+            let mut want = (vec![0u64], Vec::new());
+            for row in &rows {
+                want.1.extend(row.iter().copied());
+                want.0.push(want.1.len() as u64);
+            }
+            assert_eq!(csr_rows(n, edges.clone()), want, "{edges:?}");
+            // the same list sorted and deduplicated takes the no-scatter path
+            let mut sorted = edges;
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(csr_rows(n, sorted), want);
+        }
     }
 
     #[test]

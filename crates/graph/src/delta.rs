@@ -27,7 +27,7 @@ use std::sync::{Arc, OnceLock};
 
 use rig_bitset::Bitset;
 
-use crate::io::ParseError;
+use crate::io::{err, parse_u32, ParseError, Scanner};
 use crate::{DataGraph, FxHashMap, FxHashSet, Label, NodeId};
 
 // ---------------------------------------------------------------------------
@@ -892,58 +892,53 @@ impl std::fmt::Debug for Snapshot {
 ///
 /// Returns one `Vec<MutationOp>` per commit. A trailing `commit` does not
 /// produce an empty segment; an empty script yields no segments.
+///
+/// The script is read by the graph text's scanner (see [`crate::parse_text`]):
+/// records end at `\n`, tokens are separated by ASCII whitespace, and ids
+/// are decimal `u32`s that may carry a leading `+`. An `a v` token that is
+/// no such number is a label name. Unlike graph text, a record may not
+/// carry extra tokens.
 pub fn parse_mutations(input: &str) -> Result<Vec<Vec<MutationOp>>, ParseError> {
-    let err = |line: usize, message: String| ParseError { line, message };
     let mut segments: Vec<Vec<MutationOp>> = Vec::new();
     let mut current: Vec<MutationOp> = Vec::new();
-    for (ln, raw) in input.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
+    let mut s = Scanner::new(input);
+    while s.next_record() {
+        let ln = s.line();
+        let Some(first) = s.token() else { continue };
+        if first.starts_with('#') {
             continue;
         }
-        if line == "commit" {
-            if !current.is_empty() {
-                segments.push(std::mem::take(&mut current));
+        let second = s.token();
+        let op = match (first, second) {
+            ("commit", None) => {
+                if !current.is_empty() {
+                    segments.push(std::mem::take(&mut current));
+                }
+                continue;
             }
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let op = match (parts.next(), parts.next()) {
-            (Some("a"), Some("v")) => {
-                let tok = parts.next().ok_or_else(|| err(ln + 1, "a v: missing label".into()))?;
-                let spec = match tok.parse::<Label>() {
-                    Ok(id) => LabelSpec::Id(id),
-                    Err(_) => LabelSpec::Named(tok.to_string()),
-                };
-                MutationOp::AddNode(spec)
+            ("a", Some("v")) => {
+                let tok = s.token().ok_or_else(|| err(ln, "a v: missing label"))?;
+                MutationOp::AddNode(match parse_u32(tok) {
+                    Some(id) => LabelSpec::Id(id),
+                    None => LabelSpec::Named(tok.to_string()),
+                })
             }
-            (Some("d"), Some("v")) => {
-                let id: NodeId = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err(ln + 1, "d v: bad node id".into()))?;
-                MutationOp::RemoveNode(id)
+            ("d", Some("v")) => {
+                MutationOp::RemoveNode(s.u32().ok_or_else(|| err(ln, "d v: bad node id"))?)
             }
-            (Some(a @ ("a" | "d")), Some("e")) => {
-                let u: NodeId = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err(ln + 1, format!("{a} e: bad edge source")))?;
-                let v: NodeId = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err(ln + 1, format!("{a} e: bad edge target")))?;
+            (a @ ("a" | "d"), Some("e")) => {
+                let u = s.u32().ok_or_else(|| err(ln, format!("{a} e: bad edge source")))?;
+                let v = s.u32().ok_or_else(|| err(ln, format!("{a} e: bad edge target")))?;
                 if a == "a" {
                     MutationOp::AddEdge(u, v)
                 } else {
                     MutationOp::RemoveEdge(u, v)
                 }
             }
-            (Some(tok), _) => return Err(err(ln + 1, format!("unknown mutation record '{tok}'"))),
-            (None, _) => continue,
+            (tok, _) => return Err(err(ln, format!("unknown mutation record '{tok}'"))),
         };
-        if parts.next().is_some() {
-            return Err(err(ln + 1, "trailing tokens on mutation line".into()));
+        if s.token().is_some() {
+            return Err(err(ln, "trailing tokens on mutation line"));
         }
         current.push(op);
     }

@@ -22,7 +22,7 @@ pub use delta::{
     parse_mutations, CommitImpact, DeltaOverlay, LabelSpec, MutationOp, MutationStream, Snapshot,
 };
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
-pub use io::{parse_text, to_text, ParseError};
+pub use io::{parse_text, push_decimal, to_text, ParseError};
 pub use segment::{crc32, decode_segment, encode_segment, SegmentError, SEGMENT_MAGIC};
 pub use stats::{GraphStats, LabelPairCounts};
 pub use view::GraphView;

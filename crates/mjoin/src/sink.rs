@@ -17,7 +17,7 @@
 
 use std::io::{self, Write};
 
-use rig_graph::NodeId;
+use rig_graph::{push_decimal, NodeId};
 
 /// A consumer of occurrence tuples (indexed by query node id).
 pub trait ResultSink {
@@ -165,20 +165,6 @@ impl<W: Write> WriteSink<W> {
 /// Decimal digits of the largest `NodeId`.
 const MAX_ID_DIGITS: usize = 10;
 
-fn push_id(buf: &mut Vec<u8>, mut id: NodeId) {
-    let mut digits = [0u8; MAX_ID_DIGITS];
-    let mut start = MAX_ID_DIGITS;
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (id % 10) as u8;
-        id /= 10;
-        if id == 0 {
-            break;
-        }
-    }
-    buf.extend_from_slice(&digits[start..]);
-}
-
 impl<W: Write> ResultSink for WriteSink<W> {
     fn push(&mut self, tuple: &[NodeId]) -> bool {
         if self.error.is_some() {
@@ -188,7 +174,7 @@ impl<W: Write> ResultSink for WriteSink<W> {
         let mut sep: &[u8] = b"";
         for &id in tuple {
             self.buf.extend_from_slice(sep);
-            push_id(&mut self.buf, id);
+            push_decimal(&mut self.buf, id);
             sep = self.format.sep;
         }
         self.buf.extend_from_slice(self.format.close);
