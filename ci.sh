@@ -135,6 +135,18 @@ if [[ "${1:-}" != "quick" ]]; then
     grep -q '^e 3 1$' "${cli_tmp}/g2.txt"
     [[ "$(run_cli "${cli_tmp}/g2.txt" --count \
           --query 'MATCH (a:Author)->(p:Paper)')" == "2" ]]
+    # a node-only script: its merge keeps the base's CSR and reads the new
+    # nodes' rows as empty, so the count is unchanged, and the rewritten
+    # file holds the two nodes, no new edge, and reads back the same
+    printf 'a v Paper\na v Author\n' > "${cli_tmp}/nodes.txt"
+    nodes_q='MATCH (a:Author)->(p:Paper)=>(q:Paper)'
+    [[ "$(run_cli "${cli_tmp}/g.txt" --count --mutations "${cli_tmp}/nodes.txt" \
+          --query "${nodes_q}")" == "1" ]]
+    run_cli update "${cli_tmp}/g.txt" "${cli_tmp}/nodes.txt" --output "${cli_tmp}/nodes2.txt"
+    grep -q '^v 3 1$' "${cli_tmp}/nodes2.txt"
+    grep -q '^v 4 0$' "${cli_tmp}/nodes2.txt"
+    [[ "$(grep -c '^e ' "${cli_tmp}/nodes2.txt")" == "2" ]]
+    [[ "$(run_cli "${cli_tmp}/nodes2.txt" --count --query "${nodes_q}")" == "1" ]]
     # a rebase whose delta adds a node and an edge the index already
     # implies (3 -> 2 inside the cycle 1 -> 2 -> 3 -> 1) extends the BFL
     # index instead of rebuilding it; answers match the rewritten graph

@@ -28,7 +28,7 @@ use std::sync::{Arc, OnceLock};
 use rig_bitset::Bitset;
 
 use crate::io::{err, parse_u32, ParseError, Scanner};
-use crate::{DataGraph, FxHashMap, FxHashSet, Label, NodeId};
+use crate::{Csr, DataGraph, FxHashMap, FxHashSet, Label, Members, Names, NodeId};
 
 // ---------------------------------------------------------------------------
 // mutation ops
@@ -175,9 +175,12 @@ impl PatchRows {
         }
     }
 
-    /// Makes `v`'s row empty.
-    fn clear(&mut self, v: NodeId) {
-        self.slot(v, &[]).0.len = 0;
+    /// Makes `v`'s row empty; a row that is empty under the base (`base`)
+    /// and unpatched stays unpatched.
+    fn clear(&mut self, v: NodeId, base: &[NodeId]) {
+        if !base.is_empty() || self.slots.contains_key(&v) {
+            self.slot(v, &[]).0.len = 0;
+        }
     }
 }
 
@@ -223,8 +226,6 @@ pub struct DeltaOverlay {
     edges_added: u64,
     edges_removed: u64,
 }
-
-static EMPTY_IDS: [NodeId; 0] = [];
 
 impl DeltaOverlay {
     /// An empty overlay over `base`.
@@ -288,7 +289,7 @@ impl DeltaOverlay {
     pub fn added_edges(&self) -> Vec<(NodeId, NodeId)> {
         let mut out = Vec::new();
         for (u, row) in self.fwd.iter() {
-            let old = base_out(&self.base, u);
+            let old = self.base.out_neighbors(u);
             let mut j = 0;
             for &v in row {
                 while j < old.len() && old[j] < v {
@@ -349,13 +350,13 @@ impl DeltaOverlay {
     /// Sorted out-neighbors of `v` under the overlay.
     #[inline]
     pub fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        self.fwd.get(v).unwrap_or_else(|| base_out(&self.base, v))
+        self.fwd.get(v).unwrap_or_else(|| self.base.out_neighbors(v))
     }
 
     /// Sorted in-neighbors of `v` under the overlay.
     #[inline]
     pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        self.bwd.get(v).unwrap_or_else(|| base_in(&self.base, v))
+        self.bwd.get(v).unwrap_or_else(|| self.base.in_neighbors(v))
     }
 
     /// True iff the edge `(u, v)` exists under the overlay.
@@ -414,7 +415,7 @@ impl DeltaOverlay {
                     dropped += 1;
                     impact.touched.insert(self.label(w));
                     if w != v {
-                        self.bwd.remove(w, v, base_in(&self.base, w));
+                        self.bwd.remove(w, v, self.base.in_neighbors(w));
                     }
                 }
                 for &w in &ins {
@@ -423,10 +424,10 @@ impl DeltaOverlay {
                     }
                     dropped += 1;
                     impact.touched.insert(self.label(w));
-                    self.fwd.remove(w, v, base_out(&self.base, w));
+                    self.fwd.remove(w, v, self.base.out_neighbors(w));
                 }
-                self.fwd.clear(v);
-                self.bwd.clear(v);
+                self.fwd.clear(v, self.base.out_neighbors(v));
+                self.bwd.clear(v, self.base.in_neighbors(v));
                 self.removed.insert(v);
                 let label = self.label(v);
                 self.edge_net -= dropped as i64;
@@ -452,8 +453,8 @@ impl DeltaOverlay {
                     return Ok(None); // idempotent, mirrors GraphBuilder dedup
                 }
                 // the edge is absent (checked above)
-                self.fwd.insert(u, v, base_out(&self.base, u));
-                self.bwd.insert(v, u, base_in(&self.base, v));
+                self.fwd.insert(u, v, self.base.out_neighbors(u));
+                self.bwd.insert(v, u, self.base.in_neighbors(v));
                 self.edge_net += 1;
                 self.edges_added += 1;
                 impact.edges_added += 1;
@@ -467,8 +468,8 @@ impl DeltaOverlay {
                 if !self.has_edge(u, v) {
                     return Err(format!("remove edge ({u},{v}): no such edge"));
                 }
-                self.fwd.remove(u, v, base_out(&self.base, u));
-                self.bwd.remove(v, u, base_in(&self.base, v));
+                self.fwd.remove(u, v, self.base.out_neighbors(u));
+                self.bwd.remove(v, u, self.base.in_neighbors(v));
                 self.edge_net -= 1;
                 self.edges_removed += 1;
                 impact.edges_removed += 1;
@@ -557,97 +558,93 @@ impl DeltaOverlay {
     /// ids. This is both the LSM compaction step and the differential-test
     /// oracle ("rebuild from scratch").
     ///
-    /// The cost is a copy of the base plus the patches: rows the overlay
-    /// never patched are copied from the base as whole slices (a run of
-    /// unpatched rows is one copy plus shifted offsets), patched ones are
-    /// taken from the overlay, and added nodes without a patch get empty
-    /// rows. Each inverted list (and bitmap) is the base's, copied whole,
-    /// with its label's live added nodes appended, which keeps it sorted
-    /// because their ids come after every base id; a delta that removed
-    /// nodes then drops them from their labels' lists. Nothing is
-    /// re-sorted.
+    /// The result shares every part of the base the delta left alone, and
+    /// copies only what it changed:
+    ///
+    /// - a direction with no patched row keeps the base's CSR (rows of
+    ///   added nodes past it read as empty), so a node-only delta copies
+    ///   no adjacency. Otherwise that direction is merged: each run of
+    ///   unpatched rows is one slice copy, each patched row is taken from
+    ///   the overlay;
+    /// - the node labels are copied and extended only when nodes were
+    ///   added;
+    /// - only a label that gained or lost members gets a new inverted list
+    ///   and bitmap: the base's with its removed nodes dropped and its
+    ///   live added nodes appended, which keeps it sorted because their
+    ///   ids come after every base id;
+    /// - the label dictionary is kept unless labels were added, and the
+    ///   tombstones unless nodes were removed.
     pub fn materialize(&self) -> DataGraph {
         let base = &*self.base;
-        let n = self.num_nodes();
-        let edges = self.num_edges();
-        let mut labels = Vec::with_capacity(n);
-        labels.extend_from_slice(&base.labels);
-        labels.extend_from_slice(&self.added_labels);
-        let (fwd_offsets, fwd_targets) =
-            merge_rows(n, &base.fwd_offsets, &base.fwd_targets, &self.fwd, edges);
-        let (bwd_offsets, bwd_targets) =
-            merge_rows(n, &base.bwd_offsets, &base.bwd_targets, &self.bwd, edges);
-        // the live added nodes by label, so each list is allocated once
-        let mut added: Vec<Vec<NodeId>> = vec![Vec::new(); self.num_labels()];
+        let (n, edges) = (self.num_nodes(), self.num_edges());
+        let labels = if self.added_labels.is_empty() {
+            Arc::clone(&base.labels)
+        } else {
+            let mut labels = Vec::with_capacity(n);
+            labels.extend_from_slice(&base.labels);
+            labels.extend_from_slice(&self.added_labels);
+            Arc::new(labels)
+        };
+        let mut gained: Vec<Vec<NodeId>> = vec![Vec::new(); self.num_labels()];
         for (v, &l) in (base.num_nodes() as NodeId..).zip(&self.added_labels) {
             if !self.removed.contains(v) {
-                added[l as usize].push(v);
+                gained[l as usize].push(v);
             }
         }
-        let (mut inverted, mut inverted_bits): (Vec<_>, Vec<_>) = (added.iter().enumerate())
-            .map(|(l, added)| {
-                let old = base.inverted.get(l).map_or(&[][..], Vec::as_slice);
-                let mut list = Vec::with_capacity(old.len() + added.len());
-                list.extend_from_slice(old);
-                list.extend_from_slice(added);
-                let mut bits = base.inverted_bits.get(l).cloned().unwrap_or_default();
-                for &v in added {
-                    bits.insert(v);
-                }
-                (list, bits)
+        let mut lost: Vec<Vec<NodeId>> = vec![Vec::new(); self.num_labels()];
+        for v in self.removed.iter().take_while(|&v| (v as usize) < base.num_nodes()) {
+            lost[base.label(v) as usize].push(v);
+        }
+        let inverted = (gained.iter().zip(&lost).enumerate())
+            .map(|(l, (gained, lost))| match base.inverted.get(l) {
+                Some(old) if gained.is_empty() && lost.is_empty() => Arc::clone(old),
+                Some(old) => Arc::new(old.changed(gained, lost)),
+                None => Arc::new(Members::default().changed(gained, lost)),
             })
-            .unzip();
-        if self.nodes_removed > 0 {
-            let mut dropped = FxHashSet::default();
-            for v in self.removed.iter().filter(|&v| (v as usize) < base.num_nodes()) {
-                let l = base.label(v);
-                inverted_bits[l as usize].remove(v);
-                dropped.insert(l);
-            }
-            for l in dropped {
-                let bits = &inverted_bits[l as usize];
-                inverted[l as usize].retain(|&v| bits.contains(v));
-            }
-        }
-        let mut label_names = base.label_names.clone();
-        label_names.extend(self.extra_label_names.iter().cloned());
-        let mut dead = base.dead.clone();
-        dead.or_assign(&self.removed);
+            .collect();
+        let names = if self.extra_label_names.is_empty() {
+            Arc::clone(&base.names)
+        } else {
+            let mut names = base.names.names.clone();
+            names.extend(self.extra_label_names.iter().cloned());
+            Arc::new(Names::new(names))
+        };
+        let dead = if self.removed.is_empty() {
+            Arc::clone(&base.dead)
+        } else {
+            let mut dead = Bitset::clone(&base.dead);
+            dead.or_assign(&self.removed);
+            Arc::new(dead)
+        };
         DataGraph {
             labels,
-            fwd_offsets,
-            fwd_targets,
-            bwd_offsets,
-            bwd_targets,
+            fwd: merge_rows(n, &base.fwd, &self.fwd, edges),
+            bwd: merge_rows(n, &base.bwd, &self.bwd, edges),
             inverted,
-            inverted_bits,
-            name_to_label: crate::name_index(&label_names),
-            label_names,
+            names,
             dead,
         }
     }
 }
 
-/// One direction of a materialized CSR over `n` rows: the base rows
-/// (`base_offsets` / `base_targets`) except where `patches` holds a full
-/// replacement row, and empty rows for unpatched ids past the base. A
-/// table over the ids locates the patched rows, so the walk goes through
+/// One direction of a materialized CSR over `n` rows: `base` itself when
+/// `patches` is empty, else the base rows except where `patches` holds a
+/// full replacement row, and empty rows for unpatched ids past the base.
+/// A table over the ids locates the patched rows, so the walk goes through
 /// the ids in order without sorting the patch keys; each run of base rows
 /// between two patched ids is one slice copy, its offsets shifted by the
 /// difference between its new and old start.
-fn merge_rows(
-    n: usize,
-    base_offsets: &[u64],
-    base_targets: &[NodeId],
-    patches: &PatchRows,
-    edges: usize,
-) -> (Vec<u64>, Vec<NodeId>) {
+fn merge_rows(n: usize, base: &Arc<Csr>, patches: &PatchRows, edges: usize) -> Arc<Csr> {
+    if patches.slots.is_empty() {
+        return Arc::clone(base);
+    }
+    let (base_offsets, base_targets) = (&base.offsets, &base.targets);
     let base_n = base_offsets.len() - 1;
     let mut offsets = Vec::with_capacity(n + 1);
     let mut targets = Vec::with_capacity(edges);
     offsets.push(0u64);
     // `at[v]`: where `v`'s patched row is in `rows`, if it has one
-    let mut at = vec![u32::MAX; if patches.slots.is_empty() { 0 } else { n }];
+    let mut at = vec![u32::MAX; n];
     let rows: Vec<&[NodeId]> = (patches.iter().enumerate())
         .map(|(i, (v, row))| {
             at[v as usize] = i as u32;
@@ -678,7 +675,7 @@ fn merge_rows(
         }
         next = v + 1;
     }
-    (offsets, targets)
+    Arc::new(Csr { offsets, targets })
 }
 
 /// xorshift64* step (Vigna): dependency-free deterministic randomness for
@@ -751,26 +748,6 @@ impl MutationStream {
     /// generated so far (the reference a recovered store is compared to).
     pub fn mirror(&self) -> &DeltaOverlay {
         &self.mirror
-    }
-}
-
-/// `v`'s out-row in `base`; empty for ids past it.
-#[inline]
-fn base_out(base: &DataGraph, v: NodeId) -> &[NodeId] {
-    if (v as usize) < base.num_nodes() {
-        base.out_neighbors(v)
-    } else {
-        &EMPTY_IDS
-    }
-}
-
-/// `v`'s in-row in `base`; empty for ids past it.
-#[inline]
-fn base_in(base: &DataGraph, v: NodeId) -> &[NodeId] {
-    if (v as usize) < base.num_nodes() {
-        base.in_neighbors(v)
-    } else {
-        &EMPTY_IDS
     }
 }
 
@@ -1159,18 +1136,47 @@ mod tests {
         b.build().with_tombstones((0..n).filter(|&v| !d.is_live(v)).collect())
     }
 
+    /// Field by field, rows rather than raw CSR arrays (a graph that only
+    /// gained nodes keeps a CSR shorter than its node count), and the
+    /// segment bytes.
     fn assert_same_graph(got: &DataGraph, want: &DataGraph, what: &str) {
         assert_eq!(got.labels, want.labels, "{what}: labels");
-        assert_eq!(got.fwd_offsets, want.fwd_offsets, "{what}: fwd_offsets");
-        assert_eq!(got.fwd_targets, want.fwd_targets, "{what}: fwd_targets");
-        assert_eq!(got.bwd_offsets, want.bwd_offsets, "{what}: bwd_offsets");
-        assert_eq!(got.bwd_targets, want.bwd_targets, "{what}: bwd_targets");
-        assert_eq!(got.inverted, want.inverted, "{what}: inverted lists");
-        let bits = |g: &DataGraph| g.inverted_bits.iter().map(Bitset::to_vec).collect::<Vec<_>>();
-        assert_eq!(bits(got), bits(want), "{what}: inverted bitmaps");
-        assert_eq!(got.label_names, want.label_names, "{what}: label names");
-        assert_eq!(got.name_to_label, want.name_to_label, "{what}: name dictionary");
+        for (dir, csr) in [("fwd", &got.fwd), ("bwd", &got.bwd)] {
+            assert!(csr.offsets.len() <= got.num_nodes() + 1, "{what}: {dir} rows past |V|");
+        }
+        let rows = |g: &DataGraph| {
+            (0..g.num_nodes() as NodeId)
+                .map(|v| (g.out_neighbors(v).to_vec(), g.in_neighbors(v).to_vec()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(rows(got), rows(want), "{what}: rows");
+        assert_eq!(got.num_edges(), want.num_edges(), "{what}: edge count");
+        assert_eq!(got.bwd.targets.len(), got.num_edges(), "{what}: bwd edge count");
+        let members = |g: &DataGraph| {
+            g.inverted.iter().map(|m| (m.list.clone(), m.bits.to_vec())).collect::<Vec<_>>()
+        };
+        assert_eq!(members(got), members(want), "{what}: inverted lists and bitmaps");
+        assert_eq!(got.names.names, want.names.names, "{what}: label names");
+        assert_eq!(got.names.ids, want.names.ids, "{what}: name dictionary");
         assert_eq!(got.dead.to_vec(), want.dead.to_vec(), "{what}: tombstones");
+        let bytes = |g: &DataGraph| crate::encode_segment(g, 7);
+        assert!(bytes(got) == bytes(want), "{what}: segment bytes");
+    }
+
+    /// A random graph of 10 to 59 nodes labeled `A`, `B` and `C`.
+    fn random_base(seed: u64) -> Arc<DataGraph> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut b = GraphBuilder::new();
+        let n = 10 + (xorshift(&mut state) % 50) as NodeId;
+        for v in 0..n {
+            b.add_node_with_name(v % 3, ["A", "B", "C"][v as usize % 3]);
+        }
+        for _ in 0..(xorshift(&mut state) % (3 * n as u64)) {
+            let u = (xorshift(&mut state) % n as u64) as NodeId;
+            let v = (xorshift(&mut state) % n as u64) as NodeId;
+            b.add_edge(u, v);
+        }
+        Arc::new(b.build())
     }
 
     /// A random overlay: `ops` random mutations plus named and numeric
@@ -1198,18 +1204,7 @@ mod tests {
     #[test]
     fn materialize_equals_a_builder_oracle_on_random_overlays() {
         for seed in 1..=24u64 {
-            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut b = GraphBuilder::new();
-            let n = 10 + (xorshift(&mut state) % 50) as NodeId;
-            for v in 0..n {
-                b.add_node_with_name(v % 3, ["A", "B", "C"][v as usize % 3]);
-            }
-            for _ in 0..(xorshift(&mut state) % (3 * n as u64)) {
-                let u = (xorshift(&mut state) % n as u64) as NodeId;
-                let v = (xorshift(&mut state) % n as u64) as NodeId;
-                b.add_edge(u, v);
-            }
-            let base = Arc::new(b.build());
+            let base = random_base(seed);
             // two generations, so the second base carries tombstones
             let first = random_overlay(base, seed, 60);
             let m1 = first.materialize();
@@ -1221,6 +1216,120 @@ mod tests {
             let empty = DeltaOverlay::new(Arc::new(m2));
             assert_same_graph(&empty.materialize(), empty.base(), &format!("seed {seed} empty"));
         }
+    }
+
+    /// What one commit of a compaction chain holds.
+    #[derive(Clone, Copy, Debug)]
+    enum Kind {
+        /// Added nodes (new labels among them) and removed isolated ones.
+        Nodes,
+        /// Added and removed edges.
+        Edges,
+        /// Any mutation, node removals that drop edges among them.
+        Mixed,
+    }
+
+    /// Applies `count` random ops of `kind` to `d`; an op that fails
+    /// (an edge at a removed node) is skipped.
+    fn random_commit(d: &mut DeltaOverlay, kind: Kind, state: &mut u64, count: usize) {
+        let mut impact = CommitImpact::default();
+        for _ in 0..count {
+            let n = d.num_nodes() as u64;
+            let pick = |state: &mut u64| (xorshift(state) % n) as NodeId;
+            let op = match kind {
+                Kind::Nodes => match xorshift(state) % 8 {
+                    0 | 1 => match pick(state) {
+                        v if d.out_neighbors(v).is_empty() && d.in_neighbors(v).is_empty() => {
+                            MutationOp::RemoveNode(v)
+                        }
+                        _ => continue,
+                    },
+                    2 => MutationOp::AddNode(LabelSpec::Named(format!("N{}", xorshift(state) % 3))),
+                    3 => MutationOp::AddNode(LabelSpec::Id(d.num_labels() as Label)),
+                    _ => MutationOp::AddNode(LabelSpec::Id(
+                        (xorshift(state) % d.num_labels() as u64) as Label,
+                    )),
+                },
+                Kind::Edges => match (pick(state), pick(state)) {
+                    (u, v) if d.has_edge(u, v) => MutationOp::RemoveEdge(u, v),
+                    (u, v) => MutationOp::AddEdge(u, v),
+                },
+                Kind::Mixed => match d.random_mutation(state, d.num_labels() as Label) {
+                    Some(op) => op,
+                    None => continue,
+                },
+            };
+            let _ = d.apply(&op, &mut impact);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// A chain of compactions, each over the last one's result: every
+        /// materialization equals the builder oracle, a node-only one
+        /// keeps its base's CSR in both directions, and an edge-only one
+        /// keeps every label part. The chain always holds a node-only
+        /// compaction over an edge compaction and the other way round.
+        #[test]
+        fn compaction_chains_share_what_they_leave_alone_and_equal_the_oracle(
+            seed in 1u64..1_000_000,
+            kinds in proptest::prop::collection::vec(0usize..3, 0..6),
+            counts in proptest::prop::collection::vec(1usize..24, 9),
+        ) {
+            let mut base = random_base(seed);
+            let mut state = seed;
+            let chain = [Kind::Edges, Kind::Nodes, Kind::Edges, Kind::Mixed].into_iter()
+                .chain(kinds.iter().map(|&k| [Kind::Nodes, Kind::Edges, Kind::Mixed][k]));
+            for (i, (kind, &count)) in chain.zip(counts.iter().cycle()).enumerate() {
+                let mut d = DeltaOverlay::new(Arc::clone(&base));
+                random_commit(&mut d, kind, &mut state, count);
+                let m = d.materialize();
+                let what = format!("seed {seed}, commit {i} ({kind:?})");
+                assert_same_graph(&m, &builder_oracle(&d), &what);
+                let shared = |a: bool, part: &str| {
+                    proptest::prop_assert!(a, "{}: {} copied", what, part);
+                    Ok(())
+                };
+                match kind {
+                    Kind::Nodes => {
+                        shared(Arc::ptr_eq(&m.fwd, &base.fwd), "fwd CSR")?;
+                        shared(Arc::ptr_eq(&m.bwd, &base.bwd), "bwd CSR")?;
+                    }
+                    Kind::Edges => {
+                        shared(Arc::ptr_eq(&m.labels, &base.labels), "labels")?;
+                        shared(Arc::ptr_eq(&m.names, &base.names), "names")?;
+                        shared(Arc::ptr_eq(&m.dead, &base.dead), "tombstones")?;
+                        let lists = m.inverted.iter().zip(&base.inverted);
+                        shared(lists.into_iter().all(|(a, b)| Arc::ptr_eq(a, b)), "a label")?;
+                    }
+                    Kind::Mixed => {}
+                }
+                base = Arc::new(m);
+            }
+        }
+    }
+
+    #[test]
+    fn a_node_only_compaction_copies_only_the_labels_and_the_grown_label() {
+        let base = small_base();
+        let mut d = DeltaOverlay::new(Arc::clone(&base));
+        apply_all(&mut d, &[MutationOp::AddNode(LabelSpec::Id(1)), MutationOp::RemoveNode(4)]);
+        apply_all(&mut d, &[MutationOp::AddNode(LabelSpec::Id(2))]);
+        let m = d.materialize();
+        assert_same_graph(&m, &builder_oracle(&d), "node-only");
+        assert!(Arc::ptr_eq(&m.fwd, &base.fwd) && Arc::ptr_eq(&m.bwd, &base.bwd), "CSR copied");
+        assert!(Arc::ptr_eq(&m.names, &base.names), "names copied");
+        assert!(!Arc::ptr_eq(&m.labels, &base.labels), "labels grew");
+        let shared: Vec<bool> =
+            m.inverted.iter().zip(&base.inverted).map(|(a, b)| Arc::ptr_eq(a, b)).collect();
+        assert_eq!(shared, [true, true, false], "only label 2 gained a member");
+        assert_eq!(m.out_neighbors(5), &[] as &[NodeId], "a row past the CSR is empty");
+        assert_eq!((m.num_nodes(), m.num_live_nodes(), m.num_edges()), (6, 5, 3));
+        // a clone shares every part
+        let c = m.clone();
+        assert!(Arc::ptr_eq(&c.fwd, &m.fwd) && Arc::ptr_eq(&c.labels, &m.labels));
+        assert!(Arc::ptr_eq(&c.inverted[0], &m.inverted[0]) && Arc::ptr_eq(&c.dead, &m.dead));
     }
 
     /// Every row, both directions, of `d`.

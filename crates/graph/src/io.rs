@@ -247,9 +247,18 @@ pub fn parse_text(input: &str) -> Result<DataGraph, ParseError> {
         }
     }
     labels.sort_unstable_by_key(|&(id, _)| id);
-    for (expect, &(id, _)) in labels.iter().enumerate() {
-        if id as usize != expect {
-            return Err(err(0, format!("node ids not dense: missing {expect}")));
+    for (expect, &(id, _)) in (0..).zip(&labels) {
+        if id < expect {
+            let mut seen = 0;
+            let ln = line_of(input, "v", |s| {
+                seen += u32::from(s.u32() == Some(id));
+                seen == 2
+            });
+            return Err(err(ln, format!("duplicate node id {id}")));
+        }
+        if id > expect {
+            let ln = line_of(input, "v", |s| s.u32().is_some_and(|id| id > expect));
+            return Err(err(ln, format!("node ids not dense: missing {expect}")));
         }
     }
     let mut b = GraphBuilder::with_capacity(labels.len(), 0);
@@ -263,20 +272,38 @@ pub fn parse_text(input: &str) -> Result<DataGraph, ParseError> {
     let dead_set = Bitset::from_slice(&dead);
     for &d in &dead {
         if d >= n {
-            return Err(err(0, format!("tombstone x {d} references unknown node")));
+            let ln = line_of(input, "x", |s| s.u32() == Some(d));
+            return Err(err(ln, format!("tombstone x {d} references unknown node")));
         }
     }
     for &(u, v) in &edges {
-        if u >= n || v >= n {
-            return Err(err(0, format!("edge ({u},{v}) references unknown node")));
-        }
-        if !dead_set.is_empty() && (dead_set.contains(u) || dead_set.contains(v)) {
-            return Err(err(0, format!("edge ({u},{v}) touches a tombstoned node")));
-        }
+        let message = if u >= n || v >= n {
+            "references unknown node"
+        } else if !dead_set.is_empty() && (dead_set.contains(u) || dead_set.contains(v)) {
+            "touches a tombstoned node"
+        } else {
+            continue;
+        };
+        let ln = line_of(input, "e", |s| s.u32() == Some(u) && s.u32() == Some(v));
+        return Err(err(ln, format!("edge ({u},{v}) {message}")));
     }
     b.add_edges(edges);
     let g = b.build();
     Ok(if dead_set.is_empty() { g } else { g.with_tombstones(dead_set) })
+}
+
+/// The line of the first record of `input` tagged `tag` that `hit`
+/// accepts, reading the record's fields; 0 if none does. An id check of
+/// [`parse_text`] runs after the line scan, so it finds its record with
+/// this second scan, made only once a check has failed.
+fn line_of(input: &str, tag: &str, mut hit: impl FnMut(&mut Scanner) -> bool) -> usize {
+    let mut s = Scanner::new(input);
+    while s.next_record() {
+        if s.token() == Some(tag) && hit(&mut s) {
+            return s.line();
+        }
+    }
+    0
 }
 
 /// Appends one record: `tag`, then each field after a space.

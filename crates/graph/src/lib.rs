@@ -27,6 +27,8 @@ pub use segment::{crc32, decode_segment, encode_segment, SegmentError, SEGMENT_M
 pub use stats::{GraphStats, LabelPairCounts};
 pub use view::GraphView;
 
+use std::sync::Arc;
+
 use rig_bitset::Bitset;
 
 /// Node identifier: dense index into the graph's node arrays.
@@ -39,6 +41,12 @@ pub type Label = u32;
 ///
 /// Construct via [`GraphBuilder`] or [`parse_text`]. Node ids are dense
 /// `0..num_nodes`; labels are dense `0..num_labels`.
+///
+/// Each large part sits behind an `Arc`: the CSR of each direction, the
+/// node labels, each label's inverted list with its bitmap, the label
+/// dictionary and the tombstones. A clone shares them all, and a
+/// compaction ([`DeltaOverlay::materialize`]) shares every part its delta
+/// left alone, so adding a few nodes copies no adjacency.
 ///
 /// ```
 /// use rig_graph::GraphBuilder;
@@ -53,27 +61,91 @@ pub type Label = u32;
 /// ```
 #[derive(Clone)]
 pub struct DataGraph {
-    /// `labels[v]` is the label of node `v`.
-    labels: Vec<Label>,
-    /// CSR offsets / targets, forward direction; `fwd_targets` slices sorted.
-    fwd_offsets: Vec<u64>,
-    fwd_targets: Vec<NodeId>,
-    /// CSR offsets / targets, backward direction; sorted.
-    bwd_offsets: Vec<u64>,
-    bwd_targets: Vec<NodeId>,
-    /// Inverted lists: `inverted[l]` = sorted nodes labeled `l`.
-    inverted: Vec<Vec<NodeId>>,
-    /// Same inverted lists as bitmaps.
-    inverted_bits: Vec<Bitset>,
-    /// Optional human-readable label names (parallel to label ids).
-    label_names: Vec<String>,
-    /// Reverse dictionary: label name -> id (only named labels appear).
-    name_to_label: FxHashMap<String, Label>,
+    /// `labels[v]` is the label of node `v`; its length is `|V|`.
+    labels: Arc<Vec<Label>>,
+    /// Forward adjacency (`adjf`).
+    fwd: Arc<Csr>,
+    /// Backward adjacency (`adjb`).
+    bwd: Arc<Csr>,
+    /// `inverted[l]`: the nodes labeled `l`, as a sorted list and a bitmap.
+    inverted: Vec<Arc<Members>>,
+    /// Label names and their reverse dictionary.
+    names: Arc<Names>,
     /// Tombstoned node ids: slots that keep their label but are excluded
     /// from every inverted list and carry no edges. Produced by delta
     /// compaction ([`delta::DeltaOverlay::materialize`]) so node ids stay
     /// stable across node removals; empty for ordinary graphs.
-    dead: Bitset,
+    dead: Arc<Bitset>,
+}
+
+/// One direction of the adjacency in CSR form: row `v` is
+/// `targets[offsets[v]..offsets[v + 1]]`, sorted and without duplicates.
+/// Rows past the last stored one are empty, so a graph that only gained
+/// nodes can keep its base's CSR.
+struct Csr {
+    offsets: Vec<u64>,
+    targets: Vec<NodeId>,
+}
+
+impl Csr {
+    #[inline]
+    fn row(&self, v: NodeId) -> &[NodeId] {
+        let v = v as usize;
+        match self.offsets.get(v + 1) {
+            Some(&hi) => &self.targets[self.offsets[v] as usize..hi as usize],
+            None => &[],
+        }
+    }
+}
+
+/// The live nodes of one label: the inverted list `I_l` (sorted) and the
+/// same set as a bitmap.
+#[derive(Default)]
+struct Members {
+    list: Vec<NodeId>,
+    bits: Bitset,
+}
+
+impl Members {
+    /// These members without `lost` and with `gained` appended; every
+    /// gained id must be larger than every member's, so the list stays
+    /// sorted.
+    fn changed(&self, gained: &[NodeId], lost: &[NodeId]) -> Members {
+        let mut bits = self.bits.clone();
+        let mut list = Vec::with_capacity(self.list.len() + gained.len());
+        if lost.is_empty() {
+            list.extend_from_slice(&self.list);
+        } else {
+            for &v in lost {
+                bits.remove(v);
+            }
+            list.extend(self.list.iter().filter(|&&v| bits.contains(v)));
+        }
+        list.extend_from_slice(gained);
+        for &v in gained {
+            bits.insert(v);
+        }
+        Members { list, bits }
+    }
+}
+
+/// The label dictionary: a name per label id (empty = unnamed) and the
+/// reverse map, in which the first id carrying a name wins.
+struct Names {
+    names: Vec<String>,
+    ids: FxHashMap<String, Label>,
+}
+
+impl Names {
+    fn new(names: Vec<String>) -> Names {
+        let mut ids = FxHashMap::default();
+        for (l, name) in names.iter().enumerate() {
+            if !name.is_empty() {
+                ids.entry(name.clone()).or_insert(l as Label);
+            }
+        }
+        Names { names, ids }
+    }
 }
 
 impl DataGraph {
@@ -86,7 +158,7 @@ impl DataGraph {
     /// Number of edges `|E|`.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.fwd_targets.len()
+        self.fwd.targets.len()
     }
 
     /// Number of distinct labels `|L|`.
@@ -135,40 +207,36 @@ impl DataGraph {
 
     /// Human-readable name of `label`, if one was supplied at build time.
     pub fn label_name(&self, label: Label) -> &str {
-        self.label_names.get(label as usize).map(|s| s.as_str()).unwrap_or("")
+        self.names.names.get(label as usize).map_or("", String::as_str)
     }
 
     /// All label names, indexed by label id (empty string = unnamed).
     pub fn label_names(&self) -> &[String] {
-        &self.label_names
+        &self.names.names
     }
 
     /// Resolves a label name back to its id through the label-name
     /// dictionary (O(1) hash lookup).
     pub fn label_id(&self, name: &str) -> Option<Label> {
-        self.name_to_label.get(name).copied()
+        self.names.ids.get(name).copied()
     }
 
     /// True iff any label carries a name (i.e. the graph was built with a
     /// label dictionary).
     pub fn has_label_names(&self) -> bool {
-        !self.name_to_label.is_empty()
+        !self.names.ids.is_empty()
     }
 
     /// Sorted out-neighbors of `v` (the forward adjacency list `adjf`).
     #[inline]
     pub fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let lo = self.fwd_offsets[v as usize] as usize;
-        let hi = self.fwd_offsets[v as usize + 1] as usize;
-        &self.fwd_targets[lo..hi]
+        self.fwd.row(v)
     }
 
     /// Sorted in-neighbors of `v` (the backward adjacency list `adjb`).
     #[inline]
     pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let lo = self.bwd_offsets[v as usize] as usize;
-        let hi = self.bwd_offsets[v as usize + 1] as usize;
-        &self.bwd_targets[lo..hi]
+        self.bwd.row(v)
     }
 
     /// Out-degree of `v`.
@@ -192,14 +260,13 @@ impl DataGraph {
     /// Sorted inverted list `I_label`: all nodes labeled `label`.
     #[inline]
     pub fn nodes_with_label(&self, label: Label) -> &[NodeId] {
-        static EMPTY: [NodeId; 0] = [];
-        self.inverted.get(label as usize).map(|v| v.as_slice()).unwrap_or(&EMPTY)
+        self.inverted.get(label as usize).map_or(&[], |m| &m.list)
     }
 
     /// The inverted list of `label` as a bitmap (the match set `ms(q)` of a
     /// query node labeled `label`).
     pub fn label_bitset(&self, label: Label) -> &Bitset {
-        &self.inverted_bits[label as usize]
+        &self.inverted[label as usize].bits
     }
 
     /// Iterator over all edges `(u, v)`.
@@ -218,7 +285,7 @@ impl DataGraph {
         for (u, v) in self.edges() {
             b.add_edge(u, v);
         }
-        b.build().with_tombstones(self.dead.clone())
+        b.build().with_tombstones(Bitset::clone(&self.dead))
     }
 
     /// Summary statistics.
@@ -276,20 +343,19 @@ impl DataGraph {
                 inverted[l as usize].push(v as NodeId);
             }
         }
-        let inverted_bits = inverted.iter().map(|list| Bitset::from_sorted_dedup(list)).collect();
+        let inverted = inverted
+            .into_iter()
+            .map(|list| Arc::new(Members { bits: Bitset::from_sorted_dedup(&list), list }))
+            .collect();
         let mut names = label_names;
         names.resize(num_labels, String::new());
         DataGraph {
-            labels,
-            fwd_offsets,
-            fwd_targets,
-            bwd_offsets,
-            bwd_targets,
+            labels: Arc::new(labels),
+            fwd: Arc::new(Csr { offsets: fwd_offsets, targets: fwd_targets }),
+            bwd: Arc::new(Csr { offsets: bwd_offsets, targets: bwd_targets }),
             inverted,
-            inverted_bits,
-            name_to_label: name_index(&names),
-            label_names: names,
-            dead,
+            names: Arc::new(Names::new(names)),
+            dead: Arc::new(dead),
         }
     }
 
@@ -297,28 +363,18 @@ impl DataGraph {
     /// labels but leave every inverted list. All tombstones must be
     /// edge-free — [`parse_text`] enforces this for `x` lines.
     pub(crate) fn with_tombstones(mut self, dead: Bitset) -> DataGraph {
+        let mut lost = vec![Vec::new(); self.num_labels()];
         for v in dead.iter() {
-            let l = self.labels[v as usize] as usize;
-            if let Ok(i) = self.inverted[l].binary_search(&v) {
-                self.inverted[l].remove(i);
-            }
-            self.inverted_bits[l].remove(v);
+            lost[self.label(v) as usize].push(v);
         }
-        self.dead = dead;
+        for (members, lost) in self.inverted.iter_mut().zip(&lost) {
+            if !lost.is_empty() {
+                *members = Arc::new(members.changed(&[], lost));
+            }
+        }
+        self.dead = Arc::new(dead);
         self
     }
-}
-
-/// The reverse label dictionary of `names` (one name per label id; empty
-/// = unnamed). The first id carrying a name wins.
-pub(crate) fn name_index(names: &[String]) -> FxHashMap<String, Label> {
-    let mut name_to_label = FxHashMap::default();
-    for (l, name) in names.iter().enumerate() {
-        if !name.is_empty() {
-            name_to_label.entry(name.clone()).or_insert(l as Label);
-        }
-    }
-    name_to_label
 }
 
 impl std::fmt::Debug for DataGraph {

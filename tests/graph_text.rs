@@ -5,9 +5,11 @@
 //! a graph written by `to_text` reads back as the same graph, every
 //! spelling the format allows gives the graph its canonical text gives,
 //! each malformed input fails on the same line with the same message, and
-//! no input, however mangled, panics. The two deliberate differences are
-//! tested too: non-ASCII whitespace separates no tokens, and a label id
-//! must be smaller than the input's length in bytes.
+//! no input, however mangled, panics. The deliberate differences are
+//! tested too: non-ASCII whitespace separates no tokens, a label id must
+//! be smaller than the input's length in bytes, and an id error names the
+//! line of its record (a duplicated id its second record, under its own
+//! message) where line 0 stood.
 
 mod testkit;
 
@@ -269,14 +271,17 @@ fn malformed_graph_text_fails_on_its_line_with_its_message() {
         ("q 0 0\n", 1, "unknown record 'q'"),
         ("V 0 0\n", 1, "unknown record 'V'"),
         ("# c\n\n  \t\nve 0 0\n", 4, "unknown record 've'"),
-        ("v 0 0\nv 2 0\n", 0, "node ids not dense: missing 1"),
-        ("v 0 0\nv 0 0\n", 0, "node ids not dense: missing 1"),
-        ("v 1 0\n", 0, "node ids not dense: missing 0"),
-        ("v 0 0\nx 3\n", 0, "tombstone x 3 references unknown node"),
-        ("e 0 1\n", 0, "edge (0,1) references unknown node"),
-        ("v 0 0\ne 0 5\n", 0, "edge (0,5) references unknown node"),
-        ("v 0 0\nv 1 0\nx 0\ne 0 1\n", 0, "edge (0,1) touches a tombstoned node"),
-        ("v 0 0\ne 0 0\nx 0\n", 0, "edge (0,0) touches a tombstoned node"),
+        ("v 0 0\nv 2 0\n", 2, "node ids not dense: missing 1"),
+        ("v 0 0\nv 0 0\n", 2, "duplicate node id 0"),
+        ("v 1 0\n", 1, "node ids not dense: missing 0"),
+        ("v 1 0\nv 0 0\n# c\nv 1 1\n", 4, "duplicate node id 1"),
+        ("v 0 0\nv 3 0\nv 1 0\n", 2, "node ids not dense: missing 2"),
+        ("v 0 0\nv 1 0\ne 0 1\ne 1 7\n", 4, "edge (1,7) references unknown node"),
+        ("v 0 0\nx 3\n", 2, "tombstone x 3 references unknown node"),
+        ("e 0 1\n", 1, "edge (0,1) references unknown node"),
+        ("v 0 0\ne 0 5\n", 2, "edge (0,5) references unknown node"),
+        ("v 0 0\nv 1 0\nx 0\ne 0 1\n", 4, "edge (0,1) touches a tombstoned node"),
+        ("v 0 0\ne 0 0\nx 0\n", 2, "edge (0,0) touches a tombstoned node"),
     ];
     for &(input, line, message) in cases {
         let got = parse_text(input).map(|g| format!("{g:?}"));

@@ -18,8 +18,13 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rigmatch::core::{Durability, Error, ErrorKind, GmConfig, MemBackend, Session, StoreOptions};
-use rigmatch::graph::{encode_segment, DataGraph, MutationOp, MutationStream};
+use rigmatch::core::{
+    CompactionPolicy, Durability, Error, ErrorKind, GmConfig, MemBackend, Session, StoreOptions,
+};
+use rigmatch::graph::{
+    encode_segment, parse_text, to_text, CommitImpact, DataGraph, DeltaOverlay, LabelSpec,
+    MutationOp, MutationStream, NodeId,
+};
 use rigmatch::query::{EdgeKind, PatternQuery};
 use rigmatch::rig::SelectMode;
 
@@ -398,6 +403,74 @@ fn recovered_session_resumes_committing() {
         graph_bytes(&stream.mirror().materialize()),
         "post-recovery commits are as durable as pre-crash ones"
     );
+}
+
+/// A checkpoint of a node-only compaction, whose base keeps its parent's
+/// CSR and reads the rows of the added nodes as empty, reopens from its
+/// segment alone equal to the builder's graph of the same state.
+#[test]
+fn a_checkpointed_node_only_compaction_reopens_equal_to_the_oracle() {
+    let backend = Arc::new(MemBackend::new());
+    let dir = PathBuf::from(STORE_DIR);
+    let base = Arc::new(base_graph(7));
+    let open = || {
+        Session::open_with(
+            &dir,
+            GmConfig::default(),
+            Arc::clone(&backend) as Arc<dyn rigmatch::core::StorageBackend>,
+            StoreOptions::default(),
+        )
+        .expect("recover")
+    };
+    let session = Session::create_at_with(
+        &dir,
+        Arc::clone(&base),
+        GmConfig::default(),
+        Arc::clone(&backend) as Arc<dyn rigmatch::core::StorageBackend>,
+        StoreOptions::default(),
+    )
+    .expect("create")
+    .with_compaction(CompactionPolicy { min_ops: 1, ratio: 0.0 });
+    let (u, v) = (0..20)
+        .flat_map(|u| (0..20).map(move |v| (u, v)))
+        .find(|&(u, v)| !base.has_edge(u, v))
+        .expect("a missing edge");
+    let commits = [
+        vec![MutationOp::AddEdge(u, v)],
+        vec![
+            MutationOp::AddNode(LabelSpec::Id(1)),
+            MutationOp::AddNode(LabelSpec::Named("Fresh".into())),
+            MutationOp::AddNode(LabelSpec::Id(0)),
+        ],
+        vec![MutationOp::RemoveNode(20), MutationOp::AddNode(LabelSpec::Named("Fresh".into()))],
+    ];
+    let mut mirror = DeltaOverlay::new(Arc::clone(&base));
+    for ops in &commits {
+        assert!(session.apply(ops).expect("commit").compacted, "every commit compacts");
+        for op in ops {
+            mirror.apply(op, &mut CommitImpact::default()).expect("valid op");
+        }
+    }
+    let oracle = parse_text(&to_text(&mirror.materialize())).expect("oracle text parses");
+    assert_eq!(graph_bytes(session.graph().graph()), graph_bytes(&oracle), "before reopening");
+    drop(session);
+    backend.simulate_crash();
+
+    let session = open();
+    let report = session.recovery_report().expect("a durable session reports");
+    assert_eq!((report.snapshot_version, report.wal_records_replayed), (3, 0));
+    let g = session.graph().graph().clone();
+    assert_eq!(graph_bytes(&g), graph_bytes(&oracle), "after reopening");
+    for w in 0..oracle.num_nodes() as NodeId {
+        assert_eq!(g.out_neighbors(w), oracle.out_neighbors(w), "adjf({w})");
+        assert_eq!(g.in_neighbors(w), oracle.in_neighbors(w), "adjb({w})");
+        assert_eq!(g.is_live(w), oracle.is_live(w), "live({w})");
+    }
+    for l in 0..oracle.num_labels() as u32 {
+        assert_eq!(g.nodes_with_label(l), oracle.nodes_with_label(l), "I_{l}");
+        assert_eq!(g.label_bitset(l), oracle.label_bitset(l), "I_{l} bits");
+    }
+    assert_eq!(g.label_id("Fresh"), oracle.label_id("Fresh"));
 }
 
 /// Read-time rebases are in-memory only: a reachability read on a dirty
