@@ -107,18 +107,19 @@ if [[ "${1:-}" != "quick" ]]; then
         [[ "$(run_cli "${cli_tmp}/chain.txt" --engine "${engine}" --count \
               --query 'MATCH (a:Author)=>(p:Paper)')" == "20100" ]]
     done
-    # the same 20 100 pairs streamed as text span many 256-tuple batches:
-    # two workers print the lines one worker prints, in some order, and a
-    # full stdout is an I/O error (exit 4), not a clean stop
+    # the same 20 100 pairs streamed as text span many 256-tuple batches,
+    # and a full stdout is an I/O error (exit 4), not a clean stop
     run_cli "${cli_tmp}/chain.txt" --query 'MATCH (a:Author)=>(p:Paper)' 2> /dev/null \
-        | LC_ALL=C sort > "${cli_tmp}/one.txt"
-    run_cli "${cli_tmp}/chain.txt" --query 'MATCH (a:Author)=>(p:Paper)' --threads 2 \
-        2> /dev/null | LC_ALL=C sort > "${cli_tmp}/two.txt"
+        > "${cli_tmp}/one.txt"
     [[ "$(wc -l < "${cli_tmp}/one.txt")" == "20100" ]]
-    cmp -s "${cli_tmp}/one.txt" "${cli_tmp}/two.txt"
+    [[ "$(LC_ALL=C sort -u "${cli_tmp}/one.txt" | wc -l)" == "20100" ]]
     rc=0; run_cli "${cli_tmp}/chain.txt" --query 'MATCH (a:Author)=>(p:Paper)' \
         > /dev/full 2> /dev/null || rc=$?
     [[ "${rc}" == "4" ]]
+    # enumeration runs on one thread: --threads is an unknown flag (exit 2)
+    rc=0; run_cli "${cli_tmp}/chain.txt" --query 'MATCH (a:Author)=>(p:Paper)' --threads 2 \
+        > /dev/null 2>&1 || rc=$?
+    [[ "${rc}" == "2" ]]
     # dynamic updates: --mutations commits a script before the query runs
     # (the first read rebases the dirty snapshot onto a clean base), and
     # `update` rewrites the materialized graph
@@ -221,9 +222,6 @@ if [[ "${1:-}" != "quick" ]]; then
         cargo run -q --release -p rig_bench --bin "${fig}" -- \
             --scale 0.005 --timeout 2 --limit 100000 > /dev/null
     done
-
-    step "correctness matrix thread sweep (RIGMATCH_THREADS=1,2,8)"
-    RIGMATCH_THREADS=1,2,8 cargo test -q --test matrix
 
     step "kill-and-recover differential + crash-recovery proptests"
     cargo test -q --test kill_recover --test storage_recovery

@@ -138,8 +138,8 @@ impl QueryOutcome {
 // through sub-crates
 pub use rig_index::{RigOptions as RigBuildOptions, SelectMode};
 pub use rig_mjoin::{
-    CollectSink, CountSink, EnumOptions as EnumerationOptions, FirstKSink, FnSink, ParOptions,
-    ResultSink, SearchOrder, TupleFormat, WriteSink,
+    CollectSink, CountSink, EnumOptions as EnumerationOptions, FirstKSink, FnSink, ResultSink,
+    SearchOrder, TupleFormat, WriteSink,
 };
 pub use rig_sim::{DirectCheckMode, SimAlgorithm, SimOptions};
 pub use rig_storage::{
@@ -243,32 +243,6 @@ mod tests {
         let exact = count_once(&g, &fig2_query(), GmConfig::exact());
         let capped = count_once(&g, &fig2_query(), GmConfig::default());
         assert_eq!(exact.result.count, capped.result.count);
-    }
-
-    #[test]
-    fn parallel_session_agrees_with_sequential() {
-        let session = Session::with_config(fig2_graph(), GmConfig::exact());
-        let p = session.prepare(fig2_query()).unwrap();
-        let seq = p.run().count();
-        for threads in [2usize, 8] {
-            let par = p.run().threads(threads).count();
-            assert_eq!(par.result.count, seq.result.count, "threads={threads}");
-        }
-        let (sinks, outcome) = p.run().threads(3).par_stream(|_| CollectSink::default());
-        let mut tuples: Vec<Vec<rig_graph::NodeId>> =
-            sinks.into_iter().flat_map(|s| s.tuples).collect();
-        tuples.sort();
-        assert_eq!(tuples, vec![vec![1, 3, 7], vec![2, 5, 9]]);
-        assert_eq!(outcome.result.count, 2);
-    }
-
-    #[test]
-    fn parallel_limit_is_enforced_not_fallen_back() {
-        let session = Session::with_config(fig2_graph(), GmConfig::exact());
-        let p = session.prepare(fig2_query()).unwrap();
-        let o = p.run().threads(4).limit(1).count();
-        assert_eq!(o.result.count, 1);
-        assert!(o.result.limit_hit);
     }
 
     #[test]

@@ -7,19 +7,14 @@
 //! with the RIG it gets back.
 //!
 //! Tuples come from MJoin only. `count()` answers from the factorized DP
-//! when it is eligible; otherwise it, `collect()` and `par_stream()` drive
-//! MJoin through [`rig_mjoin::par_enumerate`], so [`Run::threads`] is the
-//! one switch between sequential (one worker, inline on the calling
-//! thread) and parallel execution. [`Run::stream`] feeds one `&mut` sink
-//! and therefore always runs a single worker.
+//! when it is eligible; otherwise it, `collect()` and `stream()` drive
+//! MJoin through [`rig_mjoin::enumerate_sink`] on the calling thread.
 
 use std::time::{Duration, Instant};
 
 use rig_graph::{Label, NodeId};
 use rig_index::{Rig, RigStats};
-use rig_mjoin::{
-    CollectSink, CountSink, EnumOptions, EnumResult, ParOptions, Plan, ResultSink, SearchOrder,
-};
+use rig_mjoin::{CollectSink, CountSink, EnumOptions, EnumResult, Plan, ResultSink, SearchOrder};
 use rig_query::{hpql, PatternQuery, QNode};
 
 use crate::session::Session;
@@ -97,7 +92,6 @@ impl<'s> Prepared<'s> {
         Run {
             prepared: self,
             opts: self.session.config().enumeration,
-            threads: 1,
             use_cache: true,
             force_enumerate: false,
         }
@@ -118,24 +112,22 @@ impl std::fmt::Debug for Prepared<'_> {
 // ---------------------------------------------------------------------------
 
 /// Fluent execution builder:
-/// `prepared.run().limit(10).timeout(d).threads(4).count()`.
+/// `prepared.run().limit(10).timeout(d).count()`.
 ///
 /// Defaults come from the session's `GmConfig::enumeration`; every knob
 /// here overrides per run. Terminal methods: [`Run::count`],
 /// [`Run::collect`], [`Run::collect_all`], [`Run::stream`],
-/// [`Run::par_stream`], [`Run::explain`].
+/// [`Run::explain`], [`Run::factorized_summary`].
 #[must_use = "a Run does nothing until a terminal method (count/collect/stream/explain) is called"]
 pub struct Run<'a, 's> {
     prepared: &'a Prepared<'s>,
     opts: EnumOptions,
-    threads: usize,
     use_cache: bool,
     force_enumerate: bool,
 }
 
 impl<'a, 's> Run<'a, 's> {
-    /// Stop after `k` occurrences (exact under parallelism; the run
-    /// reports `limit_hit`).
+    /// Stop after exactly `k` occurrences (the run reports `limit_hit`).
     pub fn limit(mut self, k: u64) -> Self {
         self.opts.limit = Some(k);
         self
@@ -158,15 +150,6 @@ impl<'a, 's> Run<'a, 's> {
     /// Enforce injectivity (isomorphism-style matching).
     pub fn injective(mut self, injective: bool) -> Self {
         self.opts.injective = injective;
-        self
-    }
-
-    /// MJoin workers for the enumerating terminals (`count`'s
-    /// enumeration, `collect`, `par_stream`). `1`, the default, runs one
-    /// worker inline on the calling thread; more use the morsel-driven
-    /// parallel engine.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
         self
     }
 
@@ -221,9 +204,8 @@ impl<'a, 's> Run<'a, 's> {
     /// counting DP over the pruned RIG without enumerating a single tuple,
     /// witnessed by [`GmMetrics::counted_via_factorization`]. The
     /// [`Run::force_enumerate`] escape hatch and any budget knob fall back
-    /// to the (possibly parallel) MJoin enumeration engine.
+    /// to MJoin enumeration into a [`CountSink`].
     pub fn count(self) -> QueryOutcome {
-        let par = ParOptions::with_threads(self.threads);
         let force_enumerate = self.force_enumerate;
         let mut via_dp = false;
         let mut outcome = self.execute(|q, rig, opts| {
@@ -233,7 +215,7 @@ impl<'a, 's> Run<'a, 's> {
                     return r;
                 }
             }
-            rig_mjoin::par_enumerate(q, rig, opts, &par, |_| CountSink::default()).1
+            rig_mjoin::enumerate_sink(q, rig, opts, &mut CountSink::default())
         });
         outcome.metrics.counted_via_factorization = via_dp;
         outcome
@@ -246,8 +228,7 @@ impl<'a, 's> Run<'a, 's> {
     }
 
     /// Collects up to `max` occurrence tuples (indexed by pattern node
-    /// id). Parallel runs return the tuples sorted (deterministic across
-    /// schedules); sequential runs return enumeration order.
+    /// id), in enumeration order.
     pub fn collect(mut self, max: usize) -> (Vec<Vec<NodeId>>, QueryOutcome) {
         // cap enumeration at `max` unless a tighter limit is already set
         if self.opts.limit.is_none_or(|l| l > max as u64) {
@@ -257,20 +238,14 @@ impl<'a, 's> Run<'a, 's> {
     }
 
     /// Collects every occurrence tuple (honors an explicit
-    /// [`Run::limit`]), in the same order as [`Run::collect`].
+    /// [`Run::limit`]), in enumeration order.
     pub fn collect_all(self) -> (Vec<Vec<NodeId>>, QueryOutcome) {
-        let parallel = self.threads > 1;
-        let (sinks, outcome) = self.par_stream(|_| CollectSink::default());
-        let mut tuples: Vec<Vec<NodeId>> = sinks.into_iter().flat_map(|s| s.tuples).collect();
-        if parallel {
-            tuples.sort_unstable();
-        }
-        (tuples, outcome)
+        let mut sink = CollectSink::default();
+        let outcome = self.stream(&mut sink);
+        (sink.tuples, outcome)
     }
 
-    /// Streams every occurrence into `sink` on the calling thread
-    /// (ignores [`Run::threads`] — parallel streaming needs per-worker
-    /// sinks, see [`Run::par_stream`]).
+    /// Streams every occurrence into `sink` on the calling thread.
     pub fn stream<S: ResultSink>(self, sink: &mut S) -> QueryOutcome {
         let mut ran = false;
         let outcome = self.execute(|q, rig, opts| {
@@ -283,36 +258,6 @@ impl<'a, 's> Run<'a, 's> {
             sink.finish();
         }
         outcome
-    }
-
-    /// Streams through [`rig_mjoin::par_enumerate`] with [`Run::threads`]
-    /// workers: `make_sink(worker)` builds one sink per worker; returns
-    /// the sinks (all finished) with the outcome. With one thread this is
-    /// [`Run::stream`]: one sink, built and fed on the calling thread.
-    pub fn par_stream<S, F>(self, make_sink: F) -> (Vec<S>, QueryOutcome)
-    where
-        S: ResultSink + Send,
-        F: Fn(usize) -> S + Sync,
-    {
-        let par = ParOptions::with_threads(self.threads);
-        let mut sinks = Vec::new();
-        let outcome = self.execute(|q, rig, opts| {
-            let (s, r) = rig_mjoin::par_enumerate(q, rig, opts, &par, &make_sink);
-            sinks = s;
-            r
-        });
-        if sinks.is_empty() {
-            // empty-RIG short circuit: hand back one finished sink per
-            // worker so callers can merge uniformly
-            sinks = (0..par.threads.max(1))
-                .map(|w| {
-                    let mut s = make_sink(w);
-                    s.finish();
-                    s
-                })
-                .collect();
-        }
-        (sinks, outcome)
     }
 
     /// Explains the plan without enumerating: the reduced query, whether
@@ -348,8 +293,8 @@ impl<'a, 's> Run<'a, 's> {
     /// Builds the factorized answer-graph summary (the CLI's
     /// `--factorized` output mode): shape, exact DP count and
     /// per-variable distinct-binding cardinalities, computed without
-    /// materializing any tuple. Ignores [`Run::threads`] and the limit
-    /// knob — this terminal always runs the DP. A [`Run::timeout`] *is*
+    /// materializing any tuple. Ignores the limit knob — this terminal
+    /// always runs the DP. A [`Run::timeout`] *is*
     /// honored: it caps the RIG build and the DP's conditioning loops for
     /// the count and the cardinalities, and a summary truncated in any of
     /// them reports `timed_out` with `count: None`.

@@ -36,9 +36,8 @@
 //! The graph is **mutable between runs**: stage node/edge changes on a
 //! [`GraphTxn`] and publish them with [`Session::commit`]. Every run
 //! executes against one immutable [`Snapshot`] (O(1) to take), so
-//! in-flight sequential and morsel-parallel enumerations keep a
-//! consistent view while writers proceed; the next run simply picks up
-//! the newest snapshot.
+//! in-flight enumerations keep a consistent view while writers proceed;
+//! the next run simply picks up the newest snapshot.
 //!
 //! ```
 //! use rig_core::Session;
@@ -704,11 +703,9 @@ mod tests {
         for order in [SearchOrder::Jo, SearchOrder::Ri, SearchOrder::Bj] {
             assert_eq!(p.run().order(order).count().result.count, 2, "{order:?}");
         }
-        for threads in [2usize, 4] {
-            assert_eq!(p.run().threads(threads).count().result.count, 2);
-            let (tuples, _) = p.run().threads(threads).collect_all();
-            assert_eq!(tuples, vec![vec![1, 3, 7], vec![2, 5, 9]]);
-        }
+        let (mut tuples, _) = p.run().collect_all();
+        tuples.sort();
+        assert_eq!(tuples, vec![vec![1, 3, 7], vec![2, 5, 9]]);
         let (tuples, _) = p.run().collect(1);
         assert_eq!(tuples.len(), 1);
         let mut sink = CountSink::default();
@@ -736,17 +733,13 @@ mod tests {
         let o = p.run().stream(&mut sink);
         assert_eq!(o.result.count, 0);
         assert_eq!(sink.0, 1);
-        let (sinks, o) = p.run().threads(3).par_stream(|_| FinishCounter(0));
-        assert_eq!(o.result.count, 0);
-        assert_eq!(sinks.len(), 3);
-        assert!(sinks.iter().all(|s| s.0 == 1));
     }
 
-    /// One thread is the sequential engine, not one spawned worker:
-    /// `par_stream` builds exactly one sink on the calling thread, every
-    /// push happens there, and the tuples arrive in `stream`'s order.
+    /// Enumeration runs inline: every push of `stream` happens on the
+    /// calling thread, and `collect_all` returns the tuples in `stream`'s
+    /// order.
     #[test]
-    fn single_thread_par_stream_runs_inline_like_stream() {
+    fn collect_all_runs_inline_in_stream_order() {
         struct OnCaller {
             caller: std::thread::ThreadId,
             tuples: Vec<Vec<NodeId>>,
@@ -761,16 +754,19 @@ mod tests {
         let session = dense_session(6);
         let p = session.prepare(TRIANGLE).unwrap();
         let caller = std::thread::current().id();
-        let mut expect = rig_mjoin::CollectSink::default();
-        let seq = p.run().stream(&mut expect);
-        assert_eq!(expect.tuples.len(), 120);
-        let (sinks, o) = p.run().threads(1).par_stream(|w| {
-            assert_eq!((w, std::thread::current().id()), (0, caller), "sink built off the caller");
-            OnCaller { caller, tuples: Vec::new() }
-        });
-        assert_eq!(sinks.len(), 1);
-        assert_eq!(sinks[0].tuples, expect.tuples);
-        assert_eq!(o.result.count, seq.result.count);
+        for limit in [None, Some(7)] {
+            let run = || match limit {
+                Some(k) => p.run().limit(k),
+                None => p.run(),
+            };
+            let mut on_caller = OnCaller { caller, tuples: Vec::new() };
+            let streamed = run().stream(&mut on_caller);
+            assert_eq!(on_caller.tuples.len(), limit.map_or(120, |k| k as usize));
+            let (collected, o) = run().collect_all();
+            assert_eq!(collected, on_caller.tuples, "limit {limit:?}");
+            let (r, s) = (&o.result, &streamed.result);
+            assert_eq!((r.count, r.limit_hit, r.steps), (s.count, s.limit_hit, s.steps));
+        }
     }
 
     #[test]
@@ -992,10 +988,6 @@ mod tests {
         let (mut rebuilt_tuples, _) = p2.run().collect_all();
         rebuilt_tuples.sort();
         assert_eq!(overlay_tuples, rebuilt_tuples);
-        // parallel enumeration on the dirty snapshot agrees too
-        let (mut par_tuples, _) = p.run().threads(4).collect_all();
-        par_tuples.sort();
-        assert_eq!(par_tuples, overlay_tuples);
     }
 
     /// Sorted match set of `hpql` on `session`.

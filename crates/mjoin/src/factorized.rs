@@ -34,7 +34,7 @@
 //! per binding.
 //!
 //! Tuples are never produced here: every answer tuple comes from the MJoin
-//! engine ([`crate::enumerate_sink`], [`crate::par_enumerate`]).
+//! engine ([`crate::enumerate_sink`]).
 //!
 //! Counting arithmetic is u128 with saturation + an overflow flag:
 //! zero/non-zero decisions (pruning) stay correct under saturation, while

@@ -28,8 +28,8 @@
 //! Whole search suffixes repeat for the same reason. [`Plan::new`] picks
 //! a *memo split*: the deepest search position, at least two steps from
 //! the end, below which the suffix reads from the position just before it
-//! only shared runs (or nothing, when that position is a leaf). Each
-//! worker records the suffix below the split once per distinct set of
+//! only shared runs (or nothing, when that position is a leaf). The
+//! search records the suffix below the split once per distinct set of
 //! input runs — per last-step call, the bindings of the suffix's other
 //! nodes and the last step's candidates — and replays it, one counted
 //! step, while the runs repeat. The recording lives in three arrays
@@ -45,13 +45,8 @@
 //! enumeration (the ISO comparison of Fig. 9).
 //!
 //! Results stream through a [`ResultSink`] (see [`sink`]) rather than being
-//! materialized. The same engine core powers the **morsel-driven parallel**
-//! entry point [`par_enumerate`] (see [`parallel`] and `docs/parallel.md`):
-//! workers pull fixed-size morsels of the root candidate range off a shared
-//! atomic cursor and share the `limit`/deadline budget through atomics, so
-//! parallel runs honor both without falling back to the sequential engine.
-//! With one thread, [`par_enumerate`] runs a single worker inline, exactly
-//! like [`enumerate_sink`].
+//! materialized. [`enumerate_sink`] is the only entry point: one worker, run
+//! from the root on the calling thread.
 //!
 //! This engine is the only producer of answer tuples. The [`factorized`]
 //! DP answers counts and per-variable cardinalities over the same RIG but
@@ -59,15 +54,12 @@
 
 pub mod factorized;
 pub(crate) mod order;
-pub mod parallel;
 pub mod sink;
 
 pub use factorized::{DpCount, Factorization, FactorizationShape};
 pub use order::{compute_order, edge_cardinality, is_connected_order, SearchOrder};
-pub use parallel::{par_enumerate, ParOptions};
 pub use sink::{CollectSink, CountSink, FirstKSink, FnSink, ResultSink, TupleFormat, WriteSink};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use rig_graph::{Deadline, NodeId};
@@ -121,18 +113,6 @@ impl EnumResult {
     pub fn empty(order: Vec<QNode>) -> EnumResult {
         EnumResult { count: 0, timed_out: false, limit_hit: false, order, steps: 0 }
     }
-
-    /// Totals `other` into `self`: counts and steps add, **both** budget
-    /// flags OR (a limit or timeout that stopped any worker stopped the
-    /// run). This is the only correct way to combine per-worker results —
-    /// dropping `limit_hit` here was a real bug in the pre-morsel
-    /// partitioned driver.
-    pub fn merge(&mut self, other: &EnumResult) {
-        self.count += other.count;
-        self.steps += other.steps;
-        self.timed_out |= other.timed_out;
-        self.limit_hit |= other.limit_hit;
-    }
 }
 
 /// Enumerates the answer of `query` over the RIG into `sink`, one
@@ -150,7 +130,7 @@ pub fn enumerate_sink<S: ResultSink>(
         sink.finish();
         return EnumResult::empty(plan.order);
     }
-    let mut worker = Worker::new(rig, opts, &plan, None);
+    let mut worker = Worker::new(rig, opts, &plan);
     worker.recurse(0, sink);
     sink.finish();
     worker.result
@@ -159,7 +139,7 @@ pub fn enumerate_sink<S: ResultSink>(
 /// The query-shaped, RIG-independent-of-binding part of an enumeration:
 /// the search order plus, per search step, the edges connecting that step
 /// to earlier-bound query nodes, and the suffix memo's split. Computed once
-/// and shared (read-only) by every worker of a parallel run.
+/// per run, before the search starts.
 pub struct Plan {
     /// The search order: position `i` binds query node `order[i]`.
     pub order: Vec<QNode>,
@@ -219,38 +199,6 @@ impl Plan {
     }
 }
 
-/// Budget and work-distribution state shared by all workers of one
-/// parallel run. Everything is lock-free: morsel claims and match
-/// reservations are single `fetch_add`s, termination is a flag every
-/// worker polls once per recursion step.
-pub(crate) struct SharedState {
-    /// Next unclaimed root-candidate position (the morsel cursor).
-    /// Work-stealing degenerates to contention on this one counter: a fast
-    /// worker simply claims more morsels than a slow one.
-    pub(crate) cursor: AtomicUsize,
-    /// Set on any terminal condition (limit reached, timeout, sink stop);
-    /// all workers observe it within one recursion step.
-    pub(crate) stop: AtomicBool,
-    /// Match reservations when a limit is set: a worker may emit the n-th
-    /// match iff `n <= limit`, so exactly `limit` matches are emitted
-    /// across all workers.
-    emitted: AtomicU64,
-    pub(crate) timed_out: AtomicBool,
-    pub(crate) limit_hit: AtomicBool,
-}
-
-impl SharedState {
-    pub(crate) fn new() -> SharedState {
-        SharedState {
-            cursor: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            emitted: AtomicU64::new(0),
-            timed_out: AtomicBool::new(false),
-            limit_hit: AtomicBool::new(false),
-        }
-    }
-}
-
 /// Identity of one operand run: its address and length. Two runs with the
 /// same key are the same slice of the RIG, so they have the same contents.
 type RunKey = (*const u32, usize);
@@ -259,7 +207,7 @@ fn run_key(run: &AdjRun<'_>) -> RunKey {
     (run.list.as_ptr(), run.list.len())
 }
 
-/// Reusable per-depth scratch (allocated once per worker).
+/// Reusable per-depth scratch (allocated once per run).
 struct Step<'r> {
     /// Query node bound at this depth.
     q: usize,
@@ -311,7 +259,7 @@ enum MemoState {
     Complete,
 }
 
-/// A worker's record of the search below the memo split, kept for the
+/// The record of the search below the memo split, kept for the
 /// last input runs it was searched under. Each recorded call of the last
 /// step stores the bindings of the suffix's other positions and the last
 /// step's candidates; replaying them emits exactly what searching again
@@ -338,13 +286,9 @@ struct SuffixMemo<'r> {
     buf_span: Option<(usize, usize)>,
 }
 
-/// One enumeration worker: all per-run mutable state (per-depth scratch,
-/// tuple buffers, budget counters). Sequential enumeration is a single
-/// worker driven from the root; parallel enumeration is `threads` workers
-/// pulling root morsels off a [`SharedState`] cursor, each reusing its own
-/// scratch across morsels (zero steady-state allocations per step, same as
-/// the sequential hot loop).
-pub(crate) struct Worker<'a, 'r> {
+/// One enumeration's mutable state (per-depth scratch, tuple buffers,
+/// budget counters), driven from the root by [`enumerate_sink`].
+struct Worker<'a, 'r> {
     rig: &'r Rig,
     opts: &'a EnumOptions,
     plan: &'a Plan,
@@ -356,18 +300,12 @@ pub(crate) struct Worker<'a, 'r> {
     out_tuple: Vec<NodeId>,
     /// `opts.deadline`, charged per stop check.
     deadline: Deadline,
-    shared: Option<&'a SharedState>,
     memo: SuffixMemo<'r>,
-    pub(crate) result: EnumResult,
+    result: EnumResult,
 }
 
 impl<'a, 'r> Worker<'a, 'r> {
-    pub(crate) fn new(
-        rig: &'r Rig,
-        opts: &'a EnumOptions,
-        plan: &'a Plan,
-        shared: Option<&'a SharedState>,
-    ) -> Worker<'a, 'r> {
+    fn new(rig: &'r Rig, opts: &'a EnumOptions, plan: &'a Plan) -> Worker<'a, 'r> {
         let n = plan.order.len();
         // Every buffer is sized for the worst case up front (|cos(q_i)|
         // bounds any intersection at step i — the Thm. 5.1 space bound), so
@@ -415,7 +353,6 @@ impl<'a, 'r> Worker<'a, 'r> {
             tuple_local: vec![0; n],
             out_tuple: vec![0; n],
             deadline: Deadline::new(opts.deadline),
-            shared,
             memo,
             result: EnumResult::empty(plan.order.clone()),
         }
@@ -426,11 +363,7 @@ impl<'a, 'r> Worker<'a, 'r> {
         if self.result.timed_out || self.result.limit_hit {
             return true;
         }
-        if let Some(sh) = self.shared {
-            if sh.stop.load(Ordering::Relaxed) {
-                return true;
-            }
-        } else if let Some(limit) = self.opts.limit {
+        if let Some(limit) = self.opts.limit {
             if self.result.count >= limit {
                 self.result.limit_hit = true;
                 return true;
@@ -440,112 +373,25 @@ impl<'a, 'r> Worker<'a, 'r> {
             return false;
         }
         self.result.timed_out = true;
-        if let Some(sh) = self.shared {
-            sh.timed_out.store(true, Ordering::Relaxed);
-            sh.stop.store(true, Ordering::Relaxed);
-        }
         true
     }
 
     /// Emits the current full binding (`out_tuple`). Returns `false` when
     /// the enumeration must stop (limit reached or sink asked to stop).
     fn emit<S: ResultSink>(&mut self, sink: &mut S) -> bool {
-        let Some(sh) = self.shared else {
-            self.result.count += 1;
-            let keep = sink.push(&self.out_tuple);
-            if let Some(limit) = self.opts.limit {
-                if self.result.count >= limit {
-                    self.result.limit_hit = true;
-                    return false;
-                }
-            }
-            return keep;
-        };
-        match self.opts.limit {
-            None => {
-                self.result.count += 1;
-                let keep = sink.push(&self.out_tuple);
-                if !keep {
-                    sh.stop.store(true, Ordering::Relaxed);
-                }
-                keep
-            }
-            Some(limit) => {
-                // Reserve a slot before emitting: the n-th reservation may
-                // be emitted iff n <= limit, so the k workers collectively
-                // emit exactly `limit` matches, never more.
-                let prev = sh.emitted.fetch_add(1, Ordering::Relaxed);
-                if prev >= limit {
-                    sh.limit_hit.store(true, Ordering::Relaxed);
-                    sh.stop.store(true, Ordering::Relaxed);
-                    return false;
-                }
-                self.result.count += 1;
-                let keep = sink.push(&self.out_tuple);
-                if prev + 1 == limit {
-                    self.result.limit_hit = true;
-                    sh.limit_hit.store(true, Ordering::Relaxed);
-                    sh.stop.store(true, Ordering::Relaxed);
-                    return false;
-                }
-                if !keep {
-                    sh.stop.store(true, Ordering::Relaxed);
-                }
-                keep
+        self.result.count += 1;
+        let keep = sink.push(&self.out_tuple);
+        if let Some(limit) = self.opts.limit {
+            if self.result.count >= limit {
+                self.result.limit_hit = true;
+                return false;
             }
         }
-    }
-
-    /// Morsel loop of one parallel worker: claim `[lo, lo + morsel)` root
-    /// positions off the shared cursor, run the ordinary backtracking
-    /// search under each claimed root binding, repeat until the cursor is
-    /// exhausted or the run stops. Load balancing is automatic — cursor
-    /// contention *is* the work-stealing protocol. A worker without shared
-    /// state owns the whole root range and runs the sequential search.
-    pub(crate) fn run_morsels<S: ResultSink>(&mut self, sink: &mut S, morsel: usize) {
-        let Some(sh) = self.shared else {
-            self.recurse(0, sink);
-            sink.finish();
-            return;
-        };
-        debug_assert!(
-            self.plan.constraints[0].is_empty(),
-            "the first search-order node has no earlier-bound constraints"
-        );
-        // An already-expired (e.g. zero) budget stops the worker before it
-        // claims any work.
-        if self.stopped() {
-            sink.finish();
-            return;
-        }
-        let (q_root, cos_root) = (self.steps[0].q, self.steps[0].cos);
-        let n_root = cos_root.len();
-        let morsel = morsel.max(1);
-        'claim: while !sh.stop.load(Ordering::Relaxed) {
-            let lo = sh.cursor.fetch_add(morsel, Ordering::Relaxed);
-            if lo >= n_root {
-                break;
-            }
-            let hi = (lo + morsel).min(n_root);
-            self.result.steps += 1; // root-level step, one per claimed morsel
-            for (k, &v) in (lo..).zip(&cos_root[lo..hi]) {
-                self.tuple_local[0] = k as u32;
-                self.out_tuple[q_root] = v;
-                if !self.recurse(1, sink) {
-                    break 'claim;
-                }
-            }
-        }
-        sink.finish();
+        keep
     }
 
     /// Returns false when enumeration must stop entirely.
     fn recurse<S: ResultSink>(&mut self, i: usize, sink: &mut S) -> bool {
-        if i == self.steps.len() {
-            // only a one-node query's morsel root binding gets here; every
-            // other full binding is emitted in place by the last step
-            return self.emit(sink);
-        }
         if self.stopped() {
             return false;
         }
@@ -1012,10 +858,16 @@ pub(crate) mod tests {
         let g = b.build(); // no edges
         let mut q = PatternQuery::new(vec![0, 1]);
         q.add_edge(0, 1, EdgeKind::Direct);
-        let rig = rig_for(&g, &q);
-        let r = count(&q, &rig, &EnumOptions::default());
-        assert_eq!(r.count, 0);
-        assert_eq!(r.steps, 0);
+        // and a label that never occurs
+        let mut absent = PatternQuery::new(vec![7, 1]);
+        absent.add_edge(0, 1, EdgeKind::Direct);
+        for q in [q, absent] {
+            let rig = rig_for(&g, &q);
+            let r = count(&q, &rig, &EnumOptions::default());
+            assert_eq!(r.count, 0);
+            assert_eq!(r.steps, 0);
+            assert!(!r.timed_out && !r.limit_hit);
+        }
     }
 
     /// The sink entry point streams the same answer the closure API does,
@@ -1033,24 +885,5 @@ pub(crate) mod tests {
         let mut lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
         lines.sort();
         assert_eq!(lines, ["1 3 7", "2 5 9"]);
-    }
-
-    /// EnumResult::merge is total: counts/steps add, both flags OR.
-    #[test]
-    fn enum_result_merge_is_total() {
-        let mut a = EnumResult {
-            count: 3,
-            timed_out: false,
-            limit_hit: true,
-            order: vec![0, 1],
-            steps: 10,
-        };
-        let b =
-            EnumResult { count: 4, timed_out: true, limit_hit: false, order: vec![0, 1], steps: 7 };
-        a.merge(&b);
-        assert_eq!(a.count, 7);
-        assert_eq!(a.steps, 17);
-        assert!(a.timed_out, "timed_out must survive the merge");
-        assert!(a.limit_hit, "limit_hit must survive the merge");
     }
 }

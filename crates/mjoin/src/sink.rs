@@ -4,16 +4,13 @@
 //! callers consume matches **without materializing the answer set**: a
 //! count-only sink keeps a single counter, a first-k sink keeps at most
 //! `k` tuples, a [`WriteSink`] formats them as text and writes one batch
-//! at a time to any [`std::io::Write`]. Both enumeration entry points —
-//! [`crate::enumerate_sink`] and [`crate::par_enumerate`] — are built on
-//! this trait; a closure visitor rides in a [`FnSink`].
+//! at a time to any [`std::io::Write`]. The enumeration entry point,
+//! [`crate::enumerate_sink`], is built on this trait; a closure visitor
+//! rides in a [`FnSink`].
 //!
-//! Under [`crate::par_enumerate`] each worker owns a **private** sink (no
-//! locks on the emit path); the per-worker sinks are returned to the
-//! caller for merging. A sink that returns `false` from [`ResultSink::push`]
-//! requests early termination of the whole enumeration (all workers, in
-//! the parallel case) — it does *not* set `limit_hit`, which is reserved
-//! for the engine-enforced [`crate::EnumOptions::limit`] budget.
+//! A sink that returns `false` from [`ResultSink::push`] stops the
+//! enumeration — it does *not* set `limit_hit`, which is reserved for the
+//! engine-enforced [`crate::EnumOptions::limit`] budget.
 
 use std::io::{self, Write};
 
@@ -21,11 +18,10 @@ use rig_graph::{push_decimal, NodeId};
 
 /// A consumer of occurrence tuples (indexed by query node id).
 pub trait ResultSink {
-    /// Receives one occurrence. Return `false` to stop the enumeration
-    /// (globally — in parallel runs every worker stops promptly).
+    /// Receives one occurrence. Return `false` to stop the enumeration.
     fn push(&mut self, tuple: &[NodeId]) -> bool;
 
-    /// Called exactly once when the (worker-local) enumeration ends, so
+    /// Called exactly once when the enumeration ends, so
     /// buffering sinks can flush their tail. Default: no-op.
     fn finish(&mut self) {}
 }
@@ -55,9 +51,7 @@ impl ResultSink for CountSink {
 }
 
 /// Keeps the first `k` tuples it sees and then asks the enumeration to
-/// stop. In a parallel run each worker holds its own `FirstKSink`, so up
-/// to `threads × k` tuples may be retained before the stop propagates;
-/// the caller picks its `k` from the merged sinks.
+/// stop.
 #[derive(Debug, Clone)]
 pub struct FirstKSink {
     k: usize,

@@ -212,9 +212,10 @@ impl HpqlQuery {
 
     /// Resolves label names by interning them in first-use order (raw `Id`
     /// labels pass through unchanged). Returns the resolved query plus the
-    /// interned name table (`table[label] = name`, empty string for labels
-    /// only ever written numerically). Useful where no graph dictionary
-    /// exists — tests, offline tooling, query fixtures.
+    /// interned name table (`table[label] = name`), which holds the
+    /// interned names only: a numeric label past its end is unnamed.
+    /// Useful where no graph dictionary exists — tests, offline tooling,
+    /// query fixtures.
     pub fn resolve_interned(&self) -> Result<(HpqlResolved, Vec<String>), HpqlError> {
         let mut table: Vec<String> = Vec::new();
         let mut labels: Vec<Label> = Vec::with_capacity(self.labels.len());
@@ -230,10 +231,6 @@ impl HpqlQuery {
                 },
             };
             labels.push(id);
-        }
-        let max_label = labels.iter().copied().max().unwrap_or(0) as usize;
-        if table.len() <= max_label {
-            table.resize(max_label + 1, String::new());
         }
         Ok((self.build(labels)?, table))
     }
@@ -825,6 +822,19 @@ mod tests {
     fn parse_interned(text: &str) -> (PatternQuery, Vec<String>) {
         let (r, _names) = parse_hpql(text).unwrap().resolve_interned().unwrap();
         (r.query, r.vars)
+    }
+
+    /// The name table holds the interned names only, so a numeric label
+    /// near `u32::MAX` does not size it.
+    #[test]
+    fn interned_table_holds_only_names() {
+        let (r, names) =
+            parse_hpql("MATCH (a:4294967295)->(b:0)").unwrap().resolve_interned().unwrap();
+        assert_eq!(r.query.labels(), &[u32::MAX, 0]);
+        assert!(names.is_empty(), "{} names", names.len());
+        let (r, names) = parse_hpql("MATCH (a:Author)->(b:7)").unwrap().resolve_interned().unwrap();
+        assert_eq!(r.query.labels(), &[0, 7]);
+        assert_eq!(names, ["Author"]);
     }
 
     #[test]

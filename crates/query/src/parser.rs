@@ -7,6 +7,8 @@
 //! r <from> <to>      # reachability edge (double line in the figures)
 //! ```
 
+use std::cmp::Ordering;
+
 use crate::{EdgeKind, PatternQuery, QNode};
 use rig_graph::Label;
 
@@ -29,10 +31,12 @@ fn err(line: usize, message: impl Into<String>) -> QueryParseError {
     QueryParseError { line, message: message.into() }
 }
 
-/// Parses the text format in the module docs.
+/// Parses the text format in the module docs. Every error names the line
+/// of the record it is about; node ids must be `0..n`, each once.
 pub fn parse_query(input: &str) -> Result<PatternQuery, QueryParseError> {
-    let mut nodes: Vec<(QNode, Label)> = Vec::new();
-    let mut edges: Vec<(QNode, QNode, EdgeKind)> = Vec::new();
+    // each record with its 1-based line number
+    let mut nodes: Vec<(QNode, Label, usize)> = Vec::new();
+    let mut edges: Vec<(QNode, QNode, EdgeKind, usize)> = Vec::new();
     for (ln, raw) in input.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -50,30 +54,35 @@ pub fn parse_query(input: &str) -> Result<PatternQuery, QueryParseError> {
             "n" => {
                 let id = next_u32("node id")?;
                 let label = next_u32("node label")?;
-                nodes.push((id, label));
+                nodes.push((id, label, ln + 1));
             }
             "d" => {
                 let f = next_u32("edge source")?;
                 let t = next_u32("edge target")?;
-                edges.push((f, t, EdgeKind::Direct));
+                edges.push((f, t, EdgeKind::Direct, ln + 1));
             }
             "r" => {
                 let f = next_u32("edge source")?;
                 let t = next_u32("edge target")?;
-                edges.push((f, t, EdgeKind::Reachability));
+                edges.push((f, t, EdgeKind::Reachability, ln + 1));
             }
             other => return Err(err(ln + 1, format!("unknown record '{other}'"))),
         }
     }
-    nodes.sort_unstable_by_key(|&(id, _)| id);
-    for (expect, &(id, _)) in nodes.iter().enumerate() {
-        if id as usize != expect {
-            return Err(err(0, format!("node ids not dense: missing {expect}")));
+    // stable: a repeated id's later record sorts after its first
+    nodes.sort_by_key(|&(id, ..)| id);
+    for (expect, &(id, _, line)) in nodes.iter().enumerate() {
+        match (id as usize).cmp(&expect) {
+            Ordering::Less => return Err(err(line, format!("duplicate node id {id}"))),
+            Ordering::Greater => {
+                return Err(err(line, format!("node ids not dense: missing {expect}")))
+            }
+            Ordering::Equal => {}
         }
     }
-    let mut q = PatternQuery::new(nodes.into_iter().map(|(_, l)| l).collect());
-    for (f, t, k) in edges {
-        q.try_add_edge(f, t, k).map_err(|e| err(0, e.to_string()))?;
+    let mut q = PatternQuery::new(nodes.into_iter().map(|(_, l, _)| l).collect());
+    for (f, t, k, line) in edges {
+        q.try_add_edge(f, t, k).map_err(|e| err(line, e.to_string()))?;
     }
     Ok(q)
 }
@@ -114,12 +123,20 @@ mod tests {
         assert_eq!(q.edge(0).kind, EdgeKind::Reachability);
     }
 
+    /// Each error names the line of its record.
     #[test]
     fn errors() {
-        assert!(parse_query("n 0\n").is_err());
-        assert!(parse_query("x 0 0\n").is_err());
-        assert!(parse_query("n 0 0\nn 2 0\n").is_err());
-        assert!(parse_query("n 0 0\nd 0 5\n").is_err());
-        assert!(parse_query("n 0 0\nd 0 0\n").is_err());
+        let cases = [
+            ("n 0\n", "line 1: bad node label"),
+            ("x 0 0\n", "line 1: unknown record 'x'"),
+            ("n 0 0\nn 0 1\n", "line 2: duplicate node id 0"),
+            ("n 0 0\nn 2 0\n", "line 2: node ids not dense: missing 1"),
+            ("n 2 0\n# gap\nn 0 0\n", "line 1: node ids not dense: missing 1"),
+            ("n 0 0\nd 0 5\n", "line 2: edge endpoint 5 out of range (pattern has 1 node(s))"),
+            ("n 0 0\n\nd 0 0\n", "line 3: self-loop on pattern node 0 is not expressible"),
+        ];
+        for (text, expect) in cases {
+            assert_eq!(parse_query(text).unwrap_err().to_string(), expect, "{text:?}");
+        }
     }
 }

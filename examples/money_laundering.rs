@@ -6,8 +6,8 @@
 //! The pattern is cyclic in the undirected sense and hybrid: the "layering"
 //! steps are reachability edges (arbitrarily long transfer chains), the
 //! "placement" and "integration" steps are direct transfers. It is written
-//! as HPQL and executed through the `Session` run builder — here with the
-//! morsel-driven parallel engine and per-worker first-k sinks.
+//! as HPQL and executed through the `Session` run builder, streaming into
+//! a first-k sink.
 //!
 //! Run with: `cargo run --example money_laundering`
 
@@ -54,23 +54,17 @@ fn main() {
     let q = prepared.query();
     println!("pattern class: {:?}, {} reachability edges", q.class(), q.reachability_edge_count());
 
-    // Morsel-driven parallel evaluation, streaming into per-worker
-    // first-k sinks: nothing beyond the 5 reported structures is ever
-    // materialized, and the workers stop as soon as enough are found.
-    let (sinks, outcome) = prepared.run().threads(2).par_stream(|_| FirstKSink::new(5));
-    let mut tuples: Vec<Vec<NodeId>> = sinks.into_iter().flat_map(|s| s.tuples).collect();
-    tuples.sort();
-    tuples.truncate(5);
-    // With per-worker first-k sinks the engine may count a few more
-    // matches than are kept before the stop flag propagates, so report
-    // both numbers honestly.
+    // Streaming into a first-k sink: nothing beyond the 5 reported
+    // structures is ever materialized, and the search stops as soon as
+    // enough are found.
+    let mut sink = FirstKSink::new(5);
+    let outcome = prepared.run().stream(&mut sink);
     println!(
-        "showing {} suspicious round-trip structures ({} found before early stop, {:.3} ms)",
-        tuples.len(),
-        outcome.result.count,
+        "showing {} suspicious round-trip structures ({:.3} ms)",
+        sink.tuples.len(),
         outcome.metrics.total_time.as_secs_f64() * 1e3
     );
-    for t in &tuples {
+    for t in &sink.tuples {
         println!("  person {} : legal {} => illegal {} => legal {}", t[0], t[1], t[2], t[3]);
     }
 

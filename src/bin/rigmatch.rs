@@ -14,7 +14,6 @@
 //!   --engine gm|jm|tm|neo    matcher to use            (default gm)
 //!   --limit <n>              stop after n matches      (default all)
 //!   --timeout <secs>         wall-clock budget         (default none)
-//!   --threads <n>            parallel workers, gm only (default 1)
 //!   --count                  print only the count
 //!   --order jo|ri|bj         search order, gm only     (default jo)
 //!   --no-reduction           skip query transitive reduction
@@ -66,12 +65,6 @@
 //!
 //! Graph files use the `rig-graph` text format (`v <id> <label>` /
 //! `e <src> <dst>` / optional `l <id> <name>`).
-//!
-//! With `--threads N` (N > 1) GM runs the morsel-driven parallel engine:
-//! counting uses per-worker counting sinks, enumeration streams matches
-//! through per-worker batched sinks (match order is then
-//! scheduling-dependent). `--limit` and `--timeout` are honored in both
-//! modes.
 //!
 //! With `--data-dir <dir>` the GM session is **durable**: an empty or
 //! uninitialized directory is seeded from the graph file (binary snapshot
@@ -138,7 +131,6 @@ struct Cli {
     engine: String,
     limit: Option<u64>,
     timeout: Option<Duration>,
-    threads: usize,
     count_only: bool,
     /// Print the factorized answer summary instead of enumerating.
     factorized: bool,
@@ -154,8 +146,8 @@ struct Cli {
 fn usage() -> ! {
     eprintln!(
         "usage: rigmatch [explain] <graph-file> (<query-file> | --query 'HPQL') \
-         [--engine gm|jm|tm|neo] [--limit N] [--timeout SECS] [--threads N] \
-         [--count] [--factorized] [--order jo|ri|bj] [--no-reduction] \
+         [--engine gm|jm|tm|neo] [--limit N] [--timeout SECS] [--count] \
+         [--factorized] [--order jo|ri|bj] [--no-reduction] \
          [--mutations FILE] [--stats] [--strict] [--lint off|warn|strict] \
          [--data-dir DIR] [--durability strict|batched|none]\n\
          \x20      rigmatch check <graph-file> (<query-file> | --query 'HPQL') \
@@ -198,7 +190,6 @@ fn parse_cli() -> Cli {
         engine: "gm".into(),
         limit: None,
         timeout: None,
-        threads: 1,
         count_only: false,
         factorized: false,
         order: SearchOrder::Jo,
@@ -229,10 +220,6 @@ fn parse_cli() -> Cli {
                 i += 1;
                 let secs: u64 = argv.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
                 cli.timeout = Some(Duration::from_secs(secs));
-            }
-            "--threads" => {
-                i += 1;
-                cli.threads = argv.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
             }
             "--count" => cli.count_only = true,
             "--factorized" => cli.factorized = true,
@@ -670,21 +657,16 @@ fn run_gm(
     }
 
     let outcome = if cli.count_only {
-        run().threads(cli.threads).count()
+        run().count()
     } else {
-        // Each worker (one, running inline, unless --threads > 1) formats
-        // its matches into batches and writes each with one
-        // `Stdout::write_all`, which holds the stdout lock for the call,
-        // so nothing is materialized and lines never interleave.
+        // matches are formatted into batches of 256 lines, each written
+        // with one `Stdout::write_all`, so nothing is materialized
         let stdout = std::io::stdout();
-        let arity = q.num_nodes();
-        let (sinks, outcome) = run()
-            .threads(cli.threads)
-            .par_stream(|_worker| WriteSink::new(&stdout, arity, 256, TupleFormat::TEXT));
+        let mut sink = WriteSink::new(&stdout, q.num_nodes(), 256, TupleFormat::TEXT);
+        let outcome = run().stream(&mut sink);
         // a closed pipe (`rigmatch ... | head`) is a clean stop; any other
         // write error is a real I/O error
-        let mut errors = sinks.into_iter().filter_map(WriteSink::into_error);
-        if let Some(e) = errors.find(|e| e.kind() != std::io::ErrorKind::BrokenPipe) {
+        if let Some(e) = sink.into_error().filter(|e| e.kind() != std::io::ErrorKind::BrokenPipe) {
             return Err(Error::io("stdout", e));
         }
         outcome

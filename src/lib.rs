@@ -46,9 +46,9 @@
 //! ```
 //!
 //! The [`Run`](core::Run) builder carries every per-execution knob:
-//! `prepared.run().limit(10).timeout(d).threads(4).order(o)` with
-//! terminals `.count()`, `.collect(max)`, `.stream(sink)`,
-//! `.par_stream(make_sink)` and `.explain()`. Patterns can also be built
+//! `prepared.run().limit(10).timeout(d).order(o)` with terminals
+//! `.count()`, `.collect(max)`, `.collect_all()`, `.stream(sink)` and
+//! `.explain()`. Patterns can also be built
 //! programmatically as [`PatternQuery`](query::PatternQuery) values and
 //! prepared the same way — both paths produce identical plans (and share
 //! one plan-cache entry). See `docs/api.md` for the full grammar and a
@@ -97,8 +97,7 @@ pub mod prelude {
         parse_mutations, DataGraph, GraphBuilder, GraphView, Label, MutationOp, NodeId, Snapshot,
     };
     pub use rig_mjoin::{
-        CollectSink, CountSink, FirstKSink, FnSink, ParOptions, ResultSink, SearchOrder,
-        TupleFormat, WriteSink,
+        CollectSink, CountSink, FirstKSink, FnSink, ResultSink, SearchOrder, TupleFormat, WriteSink,
     };
     pub use rig_query::{
         parse_hpql, to_hpql, transitive_reduction, EdgeKind, Flavor, HpqlQuery, PatternQuery,

@@ -3,8 +3,7 @@
 //! allocator (own test binary) counts the allocations of each thread; a
 //! test snapshots its own thread's count at the first emitted tuple (after
 //! which all per-depth scratch is warm) and asserts it never moves again
-//! for the remainder of the sequential enumeration, which runs on that
-//! thread. Counting per thread keeps the test harness's own allocations
+//! for the remainder of the enumeration, which runs on that thread. Counting per thread keeps the test harness's own allocations
 //! on other threads out of the window. The second workload's plan has a
 //! memo split, so its window also covers suffix recordings and replays;
 //! the third formats every tuple into batched writes through a

@@ -66,27 +66,33 @@ fn bad_inputs_fail_cleanly() {
     assert!(!unknown_engine.status.success());
 }
 
+/// A legacy query file that repeats a node id is a parse error (exit 3)
+/// naming the line of the repeat.
 #[test]
-fn parallel_flags_stream_and_count() {
+fn query_file_id_errors_name_their_line() {
+    let g = write_tmp("g_dup.txt", GRAPH);
+    let q = write_tmp("q_dup.txt", "n 0 0\nn 0 1\n");
+    let out = bin().arg(&g).arg(&q).output().unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("line 2: duplicate node id 0"), "{stderr}");
+}
+
+/// Counting with a limit is exact, a multi-batch text stream is the
+/// library's answer byte for byte, and `--threads` is an unknown flag.
+#[test]
+fn stream_and_count_match_the_library() {
     let g = write_tmp("g6.txt", GRAPH);
     let q = write_tmp("q6.txt", QUERY);
-    // parallel counting (morsel engine)
-    let out = bin().arg(&g).arg(&q).args(["--count", "--threads", "4"]).output().unwrap();
+    let out = bin().arg(&g).arg(&q).args(["--count", "--limit", "1"]).output().unwrap();
     assert!(out.status.success(), "{out:?}");
     assert_eq!(String::from_utf8(out.stdout).unwrap().trim(), "1");
-    // parallel streaming enumeration (one write per batch per worker)
-    let out = bin().arg(&g).arg(&q).args(["--threads", "4"]).output().unwrap();
-    assert!(out.status.success(), "{out:?}");
-    assert_eq!(String::from_utf8(out.stdout).unwrap().trim(), "0 1 3");
-    // parallel counting with a limit — no sequential fallback, exact cap
-    let out =
-        bin().arg(&g).arg(&q).args(["--count", "--threads", "4", "--limit", "1"]).output().unwrap();
-    assert!(out.status.success(), "{out:?}");
-    assert_eq!(String::from_utf8(out.stdout).unwrap().trim(), "1");
+    let out = bin().arg(&g).arg(&q).args(["--threads", "2"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8(out.stderr).unwrap().contains("usage:"));
 
-    // a multi-batch answer: one thread prints the library's tuples byte
-    // for byte, in its order; four threads print the same lines in some
-    // order
+    // a multi-batch answer: the CLI prints the library's tuples byte for
+    // byte, in its order
     let chain = chain_graph(100);
     let g = write_tmp("g6_chain.txt", &chain);
     let expected: String = {
@@ -96,18 +102,9 @@ fn parallel_flags_stream_and_count() {
         tuples.iter().map(|t| format!("{} {}\n", t[0], t[1])).collect()
     };
     assert_eq!(expected.lines().count(), 1275);
-    let stream = |threads: &str| {
-        let out = bin().arg(&g).args(["--query", CHAIN_QUERY, "--threads", threads]).output();
-        let out = out.unwrap();
-        assert!(out.status.success(), "threads={threads}: {out:?}");
-        String::from_utf8(out.stdout).unwrap()
-    };
-    assert_eq!(stream("1"), expected);
-    let mut four: Vec<String> = stream("4").lines().map(str::to_string).collect();
-    let mut one: Vec<&str> = expected.lines().collect();
-    four.sort();
-    one.sort();
-    assert_eq!(four, one);
+    let out = bin().arg(&g).args(["--query", CHAIN_QUERY]).output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), expected);
 }
 
 /// A chain `0 -> 1 -> ... -> n-1` alternating Author (even ids) and
@@ -126,28 +123,25 @@ fn chain_graph(n: u32) -> String {
 const CHAIN_QUERY: &str = "MATCH (a:Author)=>(p:Paper)";
 
 /// stdout on a full device is an I/O error, not a closed reader: exit 4
-/// with an `error:` line and no panic, inline and in parallel.
+/// with an `error:` line and no panic.
 #[test]
 #[cfg(target_os = "linux")]
 fn full_stdout_is_an_io_error() {
     let g = write_tmp("g_full.txt", &chain_graph(100));
-    for threads in ["1", "4"] {
-        let out = bin()
-            .arg(&g)
-            .args(["--query", CHAIN_QUERY, "--threads", threads])
-            .stdout(std::fs::File::create("/dev/full").unwrap())
-            .output()
-            .unwrap();
-        let stderr = String::from_utf8(out.stderr).unwrap();
-        assert_eq!(out.status.code(), Some(4), "threads={threads}: {stderr}");
-        assert!(stderr.contains("error:"), "threads={threads}: {stderr}");
-        assert!(!stderr.contains("panicked"), "threads={threads}: {stderr}");
-    }
+    let out = bin()
+        .arg(&g)
+        .args(["--query", CHAIN_QUERY])
+        .stdout(std::fs::File::create("/dev/full").unwrap())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(stderr.contains("error:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 /// `rigmatch ... | head -1`: a reader that goes away mid-stream is a clean
-/// stop (exit 0, no panic), for the inline single worker and for the
-/// parallel workers alike.
+/// stop (exit 0, no panic).
 #[test]
 fn closed_stdout_stops_enumeration_cleanly() {
     use std::io::BufRead;
@@ -165,23 +159,21 @@ fn closed_stdout_stops_enumeration_cleanly() {
         }
     }
     let g = write_tmp("g_epipe.txt", &graph);
-    for threads in ["1", "4"] {
-        let mut child = bin()
-            .arg(&g)
-            .args(["--query", "MATCH (a:A)->(b:A)->(c:A)", "--threads", threads])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .unwrap();
-        let mut first = String::new();
-        std::io::BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
-        assert_eq!(first.split_whitespace().count(), 3, "threads={threads}: {first:?}");
-        // the reader is dropped here: every later write hits EPIPE
-        let out = child.wait_with_output().unwrap();
-        let stderr = String::from_utf8(out.stderr).unwrap();
-        assert!(out.status.success(), "threads={threads}: {:?} {stderr}", out.status);
-        assert!(!stderr.contains("panicked"), "threads={threads}: {stderr}");
-    }
+    let mut child = bin()
+        .arg(&g)
+        .args(["--query", "MATCH (a:A)->(b:A)->(c:A)"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
+    assert_eq!(first.split_whitespace().count(), 3, "{first:?}");
+    // the reader is dropped here: every later write hits EPIPE
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(out.status.success(), "{:?} {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

@@ -2,9 +2,21 @@
 //! the same canonical query (modulo node renumbering, which the printed
 //! variable names make explicit — node ids follow first appearance in the
 //! text, so the test maps them back through the `v<i>` names).
+//!
+//! Query text fuzzing: arbitrary bytes and character-level mutations of
+//! the Fig. 9 template instances, printed as HPQL by `to_hpql` and in the
+//! legacy line format by `query_to_text`, go through `parse_hpql`,
+//! `parse_query` and `looks_like_hpql`. Every input ends in a value or a
+//! typed error, never a panic; a legacy error names a line of the input,
+//! and an accepted query prints and re-parses to the same query.
 
 use proptest::prelude::*;
-use rigmatch::query::{parse_hpql, to_hpql, EdgeKind, PatternQuery, QNode};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use rigmatch::query::{
+    looks_like_hpql, parse_hpql, parse_query, query_to_text, template, template_count, to_hpql,
+    EdgeKind, Flavor, PatternQuery, QNode,
+};
 
 const NUM_LABELS: u32 = 4;
 
@@ -113,5 +125,128 @@ proptest! {
         let b = to_hpql(&q.canonical(), None, |_| None);
         assert_round_trips(&q, a.as_str());
         assert_round_trips(&q, b.as_str());
+    }
+}
+
+/// Tokens the mutations insert: HPQL keywords and punctuation, legacy
+/// record tags, label ids at and past the `u32` range, comments, every
+/// kind of whitespace, a no-break space and a non-ASCII letter.
+const POOL: [&str; 30] = [
+    "MATCH",
+    "match",
+    "(",
+    ")",
+    ":",
+    ",",
+    ";",
+    "->",
+    "=>",
+    "-",
+    "=",
+    ">",
+    "a",
+    "_a0",
+    "Name",
+    "n",
+    "d",
+    "r",
+    "0",
+    "1",
+    "4294967295",
+    "4294967296",
+    "#",
+    "//",
+    " ",
+    "\t",
+    "\n",
+    "\r\n",
+    "\u{a0}",
+    "é",
+];
+
+/// `text` with `edits` random insertions from [`POOL`] and deletions.
+fn mangle(text: &str, edits: usize, rng: &mut StdRng) -> String {
+    let mut chars: Vec<char> = text.chars().collect();
+    for _ in 0..edits {
+        let at = rng.gen_range(0..=chars.len());
+        if rng.gen_bool(0.3) && at < chars.len() {
+            let end = (at + rng.gen_range(1..4usize)).min(chars.len());
+            chars.drain(at..end);
+        } else {
+            let tok = POOL[rng.gen_range(0..POOL.len())];
+            chars.splice(at..at, tok.chars());
+        }
+    }
+    chars.into_iter().collect()
+}
+
+/// A Fig. 9 template instance drawn from `rng`: any of the templates, any
+/// flavour, labels from a few small ids and `u32::MAX`.
+fn template_instance(rng: &mut StdRng) -> PatternQuery {
+    let t = template(rng.gen_range(0..template_count()));
+    let flavor = [Flavor::C, Flavor::H, Flavor::D][rng.gen_range(0..3usize)];
+    let labels: Vec<u32> =
+        (0..t.num_nodes).map(|_| [0, 1, 7, u32::MAX][rng.gen_range(0..4usize)]).collect();
+    t.instantiate(flavor, &labels)
+}
+
+/// Parsing `text` with both query parsers ends in a value or a typed
+/// error (a panic fails the test). A legacy error names a line of the
+/// input; an accepted HPQL query with numeric labels only, and an accepted
+/// legacy query, print and re-parse to the same query.
+fn parses_cleanly(text: &str) -> Result<(), TestCaseError> {
+    let lines = text.lines().count();
+    looks_like_hpql(text);
+    match parse_query(text) {
+        Ok(q) => {
+            let back = parse_query(&query_to_text(&q)).expect("query_to_text output parses");
+            prop_assert_eq!(back, q, "{:?}", text);
+        }
+        Err(e) => prop_assert!(e.line >= 1 && e.line <= lines, "{:?}: {}", text, e),
+    }
+    if let Ok((resolved, names)) = parse_hpql(text).and_then(|ast| ast.resolve_interned()) {
+        // no interned name: every label was written as a number
+        if names.is_empty() {
+            let q = resolved.query;
+            assert_round_trips(&q, &to_hpql(&q, None, |_| None));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic_either_query_parser(
+        bytes in prop::collection::vec(prop::num::u8::ANY, 0..200),
+    ) {
+        parses_cleanly(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    #[test]
+    fn mutated_template_texts_never_panic_either_query_parser(
+        seed in 0u64..1 << 32,
+        edits in 1usize..6,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let q = template_instance(&mut rng);
+        parses_cleanly(&mangle(&to_hpql(&q, None, |_| None), edits, &mut rng))?;
+        parses_cleanly(&mangle(&query_to_text(&q), edits, &mut rng))?;
+    }
+}
+
+/// The unmutated instances are accepted by both parsers and round-trip.
+#[test]
+fn template_instances_round_trip_through_both_formats() {
+    let mut rng = StdRng::seed_from_u64(9);
+    for _ in 0..200 {
+        let q = template_instance(&mut rng);
+        let hpql = to_hpql(&q, None, |_| None);
+        assert!(looks_like_hpql(&hpql), "{hpql}");
+        assert_round_trips(&q, &hpql);
+        let legacy = query_to_text(&q);
+        assert!(!looks_like_hpql(&legacy), "{legacy}");
+        assert_eq!(parse_query(&legacy).unwrap(), q, "{legacy}");
     }
 }

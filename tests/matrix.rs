@@ -7,12 +7,10 @@
 //! seed. Each case samples, rather than multiplies out, the other
 //! dimensions (`testkit::Dims`): the search order (Jo, Ri, Bj), the
 //! selection mode, the direct-check mode, the budget (none, exact and
-//! flagged limits, a past deadline), the session's thread count and the
-//! store the graph reached its state through (clean, dirty, rebased with
-//! an extended or a rebuilt index, compacted, recovered from the WAL).
-//! Every case then runs all engines: sequential and morsel runs at the
-//! `RIGMATCH_THREADS` thread counts (default 2, 3 and 8) with morsels 1
-//! and 64, the DP count and cardinalities, injective runs, and the
+//! flagged limits, a past deadline) and the store the graph reached its
+//! state through (clean, dirty, rebased with an extended or a rebuilt
+//! index, compacted, recovered from the WAL). Every case then runs all
+//! engines: MJoin, the DP count and cardinalities, injective runs, and the
 //! session's collect, stream, DP count and forced enumeration. The
 //! coverage checks below make sure the sample reaches every value of
 //! every dimension, plans with and without a memo split, and DPs with and
@@ -111,9 +109,6 @@ fn the_sample_covers_every_dimension() {
         // every store also meets a budget
         assert!(dims.iter().any(|d| d.store == store), "{store:?}");
         assert!(dims.iter().any(|d| d.store == store && d.budget != Budget::None), "{store:?}");
-    }
-    for threads in testkit::thread_counts() {
-        assert!(dims.iter().any(|d| d.threads == threads), "{threads} threads");
     }
     // the bitmap direct checks meet a graph wider than one 64-bit word
     // under a selection mode that runs the simulation

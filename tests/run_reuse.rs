@@ -12,13 +12,12 @@ mod testkit;
 
 use rigmatch::core::Session;
 use rigmatch::graph::NodeId;
-use rigmatch::mjoin::{EnumOptions, ParOptions, SearchOrder};
+use rigmatch::mjoin::{EnumOptions, SearchOrder};
 use rigmatch::query::{EdgeKind, PatternQuery};
 use rigmatch::rig::{Rig, RigOptions};
-use testkit::{check, diamond_shapes, graph, oracle, parallel, rig, sequential, Dims, Regime};
+use testkit::{check, diamond_shapes, graph, oracle, rig, sequential, Dims, Regime};
 
 const ORDERS: [SearchOrder; 2] = [SearchOrder::Jo, SearchOrder::Ri];
-const TWO: ParOptions = ParOptions { threads: 2, morsel: 1 };
 
 /// The all-reachability HQ6 diamond on `regime`.
 fn hq6(regime: Regime, seed: u64) -> (rigmatch::graph::DataGraph, PatternQuery, Rig) {
@@ -81,17 +80,13 @@ fn limit_running_out_in_the_last_step_is_exact() {
     for order in ORDERS {
         for limit in [1u64, 2, 5, 100, all.len() as u64 - 1] {
             let opts = EnumOptions { order, limit: Some(limit), ..Default::default() };
-            for (engine, (tuples, r)) in [
-                ("sequential", sequential(&q, &rig, &opts)),
-                ("2 threads", parallel(&q, &rig, &opts, TWO)),
-            ] {
-                let ctx = format!("{engine} {order:?} limit {limit}");
-                assert_eq!(r.count, limit, "{ctx}");
-                assert!(r.limit_hit, "{ctx}");
-                assert_eq!(tuples.len() as u64, limit, "{ctx}");
-                assert!(tuples.windows(2).all(|w| w[0] != w[1]), "duplicate tuple, {ctx}");
-                assert!(tuples.iter().all(|t| all.binary_search(t).is_ok()), "{ctx}");
-            }
+            let (tuples, r) = sequential(&q, &rig, &opts);
+            let ctx = format!("{order:?} limit {limit}");
+            assert_eq!(r.count, limit, "{ctx}");
+            assert!(r.limit_hit, "{ctx}");
+            assert_eq!(tuples.len() as u64, limit, "{ctx}");
+            assert!(tuples.windows(2).all(|w| w[0] != w[1]), "duplicate tuple, {ctx}");
+            assert!(tuples.iter().all(|t| all.binary_search(t).is_ok()), "{ctx}");
         }
     }
 }
@@ -113,8 +108,7 @@ fn injective_drops_a_last_step_candidate_bound_earlier() {
         for order in ORDERS {
             let opts = EnumOptions { order, injective: true, ..Default::default() };
             let ctx = format!("{regime:?} {order:?}");
-            assert_eq!(sequential(&q, &rig, &opts).0, iso, "sequential, {ctx}");
-            assert_eq!(parallel(&q, &rig, &opts, TWO).0, iso, "2 threads, {ctx}");
+            assert_eq!(sequential(&q, &rig, &opts).0, iso, "{ctx}");
         }
     }
 }

@@ -82,21 +82,6 @@ fn cached_run_is_byte_identical_to_cold_across_modes_and_kinds() {
     }
 }
 
-#[test]
-fn parallel_and_sequential_share_the_cached_plan() {
-    let g = random_graph(80, 220, 11);
-    let session = Session::new(g);
-    let p = session.prepare(shaped_query(Flavor::H)).unwrap();
-    let (mut seq, _) = p.run().collect_all();
-    seq.sort();
-    for threads in [2usize, 4] {
-        let (par, outcome) = p.run().threads(threads).collect_all();
-        assert!(outcome.metrics.rig_from_cache, "threads={threads}");
-        assert_eq!(par, seq, "threads={threads} (parallel collect is sorted)");
-    }
-    assert_eq!(session.cache_stats().misses, 1);
-}
-
 /// The Session API's headline check: one query written as HPQL text and once
 /// via the builder API produce identical match sets through `Session`,
 /// and the second execution reuses the cached RIG with a measurable skip

@@ -102,22 +102,6 @@ fn tree_queries_converge_fast() {
     }
 }
 
-/// Facade-level parallel enumeration equals sequential (§6 future work).
-#[test]
-fn par_count_matches_sequential() {
-    let g = em_fragment(13);
-    let session = Session::with_config(g.clone(), GmConfig::exact());
-    for id in [3usize, 6, 8] {
-        let q = template(id).instantiate_modulo(Flavor::H, g.num_labels());
-        let p = session.prepare(&q).unwrap();
-        let seq = p.run().count();
-        for threads in [2usize, 4] {
-            let par = p.run().threads(threads).count();
-            assert_eq!(par.result.count, seq.result.count, "HQ{id} threads={threads}");
-        }
-    }
-}
-
 /// The Budget→failure machinery: a one-tuple intermediate budget forces JM
 /// into OM on any non-trivial query while GM is unaffected (Tables 3/5).
 #[test]

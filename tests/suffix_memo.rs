@@ -1,28 +1,24 @@
-//! MJoin's suffix memo: below the plan's memo split, a worker replays the
+//! MJoin's suffix memo: below the plan's memo split, the search replays the
 //! search it recorded while the runs that search reads from earlier
 //! positions repeat, instead of searching it again.
 //!
 //! The named cases run the HQ0- and HQ13-shaped memo queries of the
 //! testkit (a leaf bound before a branch that never reads it; reachability
 //! edges into a suffix of shared runs) on the giant SCC, where inputs
-//! repeat, under Jo, Ri and Bj. Limits, deadlines, sink stops, two
-//! workers and injectivity must behave as without the memo.
+//! repeat, under Jo, Ri and Bj. Limits, deadlines, sink stops and
+//! injectivity must behave as without the memo.
 
 mod testkit;
 
 use std::time::Instant;
 
 use rigmatch::graph::{GraphBuilder, NodeId};
-use rigmatch::mjoin::{enumerate_sink, EnumOptions, FirstKSink, ParOptions, Plan, SearchOrder};
+use rigmatch::mjoin::{enumerate_sink, EnumOptions, FirstKSink, Plan, SearchOrder};
 use rigmatch::rig::RigOptions;
 use testkit::{
-    check, graph, memo_free_steps, memo_shapes, oracle, parallel, query, rig, sequential, Dims,
-    Regime, Shape, D, ORDERS, R, REGIMES,
+    check, graph, memo_free_steps, memo_shapes, oracle, query, rig, sequential, Dims, Regime,
+    Shape, D, ORDERS, R, REGIMES,
 };
-
-/// Two workers claiming one root position at a time, so each worker's
-/// memo carries over between morsels.
-const TWO: ParOptions = ParOptions { threads: 2, morsel: 1 };
 
 /// A memo shape's giant-SCC graph and RIG.
 fn giant(shape: &Shape) -> (rigmatch::graph::DataGraph, rigmatch::rig::Rig) {
@@ -101,25 +97,20 @@ fn limits_stopping_inside_a_replay_are_exact() {
         for order in ORDERS {
             for limit in [1, 7, len / 3, len / 2, len - 1] {
                 let opts = EnumOptions { order, limit: Some(limit), ..Default::default() };
-                for (engine, (tuples, r)) in [
-                    ("sequential", sequential(&shape.q, &rig, &opts)),
-                    ("2 threads", parallel(&shape.q, &rig, &opts, TWO)),
-                ] {
-                    let ctx = format!("{engine} {} {order:?} limit {limit}", shape.name);
-                    assert_eq!(r.count, limit, "{ctx}");
-                    assert!(r.limit_hit, "{ctx}");
-                    assert_eq!(tuples.len() as u64, limit, "{ctx}");
-                    assert!(tuples.windows(2).all(|w| w[0] != w[1]), "duplicate tuple, {ctx}");
-                    assert!(tuples.iter().all(|t| all.binary_search(t).is_ok()), "{ctx}");
-                }
+                let (tuples, r) = sequential(&shape.q, &rig, &opts);
+                let ctx = format!("{} {order:?} limit {limit}", shape.name);
+                assert_eq!(r.count, limit, "{ctx}");
+                assert!(r.limit_hit, "{ctx}");
+                assert_eq!(tuples.len() as u64, limit, "{ctx}");
+                assert!(tuples.windows(2).all(|w| w[0] != w[1]), "duplicate tuple, {ctx}");
+                assert!(tuples.iter().all(|t| all.binary_search(t).is_ok()), "{ctx}");
             }
         }
     }
 }
 
 /// The first stop check reads the clock, so a run that replays notices a
-/// past deadline at once; parallel workers check it before claiming
-/// work.
+/// past deadline at once.
 #[test]
 fn a_past_deadline_times_out() {
     for shape in memo_shapes() {
@@ -130,8 +121,7 @@ fn a_past_deadline_times_out() {
                 continue;
             }
             let ctx = format!("{} {order:?}", shape.name);
-            assert!(testkit::count(&shape.q, &rig, &opts).timed_out, "sequential, {ctx}");
-            assert!(parallel(&shape.q, &rig, &opts, TWO).1.timed_out, "2 threads, {ctx}");
+            assert!(testkit::count(&shape.q, &rig, &opts).timed_out, "{ctx}");
         }
     }
 }
@@ -169,7 +159,6 @@ fn injective_answers_do_not_change() {
                 let (tuples, r) = sequential(&shape.q, &rig, &opts);
                 assert_eq!(tuples, iso, "{ctx}");
                 assert_eq!(r.count as usize, iso.len(), "{ctx}");
-                assert_eq!(parallel(&shape.q, &rig, &opts, TWO).0, iso, "2 threads, {ctx}");
             }
         }
     }
@@ -205,6 +194,5 @@ fn an_overflowing_recording_is_not_replayed() {
         let plan = Plan::new(&q, &rig, &opts);
         let (tuples, _) = sequential(&q, &rig, &opts);
         assert_eq!(tuples, expect, "{order:?}, split {:?} of {:?}", plan.memo_split(), plan.order);
-        assert_eq!(parallel(&q, &rig, &opts, TWO).0, expect, "2 threads, {order:?}");
     }
 }

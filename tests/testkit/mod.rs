@@ -24,8 +24,7 @@ use rigmatch::core::{
 };
 use rigmatch::graph::{CommitImpact, DataGraph, DeltaOverlay, GraphBuilder, MutationOp, NodeId};
 use rigmatch::mjoin::{
-    enumerate_sink, par_enumerate, CollectSink, CountSink, EnumOptions, EnumResult, ParOptions,
-    Plan, SearchOrder,
+    enumerate_sink, CollectSink, CountSink, EnumOptions, EnumResult, Plan, SearchOrder,
 };
 use rigmatch::query::{EdgeKind, PatternQuery, QNode};
 use rigmatch::reach::{BflIndex, Reachability, SnapshotReach};
@@ -284,19 +283,6 @@ pub fn rig(g: &DataGraph, q: &PatternQuery, opts: &RigOptions) -> Rig {
     build_rig(&SimContext::new(g, q, &bfl), opts)
 }
 
-/// The thread counts parallel runs sweep: `RIGMATCH_THREADS` (a comma
-/// list, e.g. `RIGMATCH_THREADS=1,2,8`) or {2, 3, 8}.
-#[allow(clippy::panic, reason = "a malformed RIGMATCH_THREADS must fail the test run loudly")]
-pub fn thread_counts() -> Vec<usize> {
-    match std::env::var("RIGMATCH_THREADS") {
-        Ok(v) => v
-            .split(',')
-            .map(|p| p.trim().parse().unwrap_or_else(|_| panic!("bad RIGMATCH_THREADS part {p:?}")))
-            .collect(),
-        Err(_) => vec![2, 3, 8],
-    }
-}
-
 /// One sequential run, its tuples sorted.
 pub fn sequential(
     q: &PatternQuery,
@@ -307,21 +293,6 @@ pub fn sequential(
     let r = enumerate_sink(q, rig, opts, &mut sink);
     sink.tuples.sort_unstable();
     (sink.tuples, r)
-}
-
-/// One morsel-driven run, its workers' tuples merged and sorted; the
-/// merged count must equal the tuples the sinks saw.
-pub fn parallel(
-    q: &PatternQuery,
-    rig: &Rig,
-    opts: &EnumOptions,
-    par: ParOptions,
-) -> (Vec<Vec<NodeId>>, EnumResult) {
-    let (sinks, r) = par_enumerate(q, rig, opts, &par, |_| CollectSink::default());
-    let mut tuples: Vec<_> = sinks.into_iter().flat_map(|s| s.tuples).collect();
-    tuples.sort_unstable();
-    assert_eq!(r.count, tuples.len() as u64, "merged count vs the sinks' tuples");
-    (tuples, r)
 }
 
 /// A sequential count through a [`CountSink`].
@@ -576,8 +547,6 @@ pub struct Dims {
     pub direct: DirectCheckMode,
     pub budget: Budget,
     pub store: Store,
-    /// Threads for the session's parallel runs.
-    pub threads: usize,
 }
 
 impl Dims {
@@ -585,18 +554,16 @@ impl Dims {
     pub fn sample(seed: u64) -> Dims {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut pick = |len: usize| rng.gen_range(0..len);
-        let threads = thread_counts();
         Dims {
             order: ORDERS[pick(3)],
             select: SELECT_MODES[pick(4)],
             direct: DIRECT_MODES[pick(3)],
             budget: BUDGETS[pick(3)],
             store: STORES[pick(6)],
-            threads: threads[pick(threads.len())],
         }
     }
 
-    /// A clean store with the default options, no budget and two threads.
+    /// A clean store with the default options and no budget.
     pub fn clean() -> Dims {
         let rig = RigOptions::default();
         Dims {
@@ -605,7 +572,6 @@ impl Dims {
             direct: rig.sim.direct_mode,
             budget: Budget::None,
             store: Store::Clean,
-            threads: 2,
         }
     }
 
@@ -633,10 +599,9 @@ pub struct Checked {
 
 /// Checks every way of computing the answer of `q` over `session` (set up
 /// as `dims.store`) against the oracle over the session's materialized
-/// snapshot: sequential and morsel runs (threads from
-/// [`thread_counts`], morsel 1 and 64), the DP count and per-variable
-/// cardinalities, injective runs, the budget `dims.budget`, and the
-/// session's collect, stream, DP `count` and `force_enumerate` terminals.
+/// snapshot: MJoin runs, the DP count and per-variable cardinalities,
+/// injective runs, the budget `dims.budget`, and the session's collect,
+/// stream, DP `count` and `force_enumerate` terminals.
 pub fn check(session: &Session, q: &PatternQuery, dims: &Dims, what: &str) -> Checked {
     let ctx = format!("{what} {dims:?}");
     let truth = session.graph().materialize();
@@ -651,17 +616,9 @@ pub fn check(session: &Session, q: &PatternQuery, dims: &Dims, what: &str) -> Ch
     let (seq, r) = sequential(q, &rig, &opts);
     assert_eq!(seq, expect, "sequential, {ctx}");
     assert!(r.count == len && !r.limit_hit && !r.timed_out, "sequential result {r:?}, {ctx}");
-    for threads in thread_counts() {
-        for morsel in [1, 64] {
-            let (tuples, r) = parallel(q, &rig, &opts, ParOptions { threads, morsel });
-            assert_eq!(tuples, expect, "{threads} threads, morsel {morsel}, {ctx}");
-            assert!(!r.limit_hit && !r.timed_out, "{threads} threads, morsel {morsel}, {ctx}");
-        }
-    }
     let inj = EnumOptions { injective: true, ..opts };
     assert_eq!(Plan::new(q, &rig, &inj).memo_split(), None, "injective plans never split, {ctx}");
     assert_eq!(sequential(q, &rig, &inj).0, iso, "injective, {ctx}");
-    assert_eq!(parallel(q, &rig, &inj, ParOptions { threads: 2, morsel: 1 }).0, iso, "{ctx}");
 
     let mut conditioned = false;
     if !rig.is_empty() {
@@ -695,26 +652,18 @@ pub fn check(session: &Session, q: &PatternQuery, dims: &Dims, what: &str) -> Ch
             limits.retain(|&k| k > 0 && k < len);
             limits.dedup();
             for k in limits {
-                let opts = EnumOptions { limit: Some(k), ..opts };
-                let runs = [
-                    ("sequential", sequential(q, &rig, &opts)),
-                    ("parallel", parallel(q, &rig, &opts, ParOptions { threads: 2, morsel: 1 })),
-                ];
-                for (engine, (tuples, r)) in runs {
-                    let ctx = format!("{engine} limit {k}, {ctx}");
-                    assert!(r.count == k && r.limit_hit && !r.timed_out, "{r:?}, {ctx}");
-                    assert_eq!(tuples.len() as u64, k, "{ctx}");
-                    assert!(tuples.windows(2).all(|w| w[0] != w[1]), "duplicate tuple, {ctx}");
-                    assert!(tuples.iter().all(|t| expect.binary_search(t).is_ok()), "{ctx}");
-                }
+                let (tuples, r) = sequential(q, &rig, &EnumOptions { limit: Some(k), ..opts });
+                let ctx = format!("limit {k}, {ctx}");
+                assert!(r.count == k && r.limit_hit && !r.timed_out, "{r:?}, {ctx}");
+                assert_eq!(tuples.len() as u64, k, "{ctx}");
+                assert!(tuples.windows(2).all(|w| w[0] != w[1]), "duplicate tuple, {ctx}");
+                assert!(tuples.iter().all(|t| expect.binary_search(t).is_ok()), "{ctx}");
             }
         }
         Budget::PastDeadline => {
             let opts = EnumOptions { deadline: Some(Instant::now()), ..opts };
             if !rig.is_empty() {
-                assert!(count(q, &rig, &opts).timed_out, "sequential past deadline, {ctx}");
-                let par = ParOptions { threads: 2, morsel: 1 };
-                assert!(parallel(q, &rig, &opts, par).1.timed_out, "parallel, {ctx}");
+                assert!(count(q, &rig, &opts).timed_out, "past deadline, {ctx}");
             }
         }
     }
@@ -722,7 +671,7 @@ pub fn check(session: &Session, q: &PatternQuery, dims: &Dims, what: &str) -> Ch
     // the session's terminals (a read rebases a dirty snapshot)
     let p = session.prepare(q).expect("the case's query validates");
     let run = || p.run().order(dims.order);
-    let (mut tuples, o) = run().threads(dims.threads).collect_all();
+    let (mut tuples, o) = run().collect_all();
     tuples.sort_unstable();
     assert_eq!(tuples, expect, "session collect, {ctx}");
     assert!(!o.result.limit_hit && !o.result.timed_out, "session collect, {ctx}");
@@ -733,18 +682,18 @@ pub fn check(session: &Session, q: &PatternQuery, dims: &Dims, what: &str) -> Ch
     assert_eq!(dp.result.count, len, "session DP count, {ctx}");
     let empty = run().explain().empty_answer;
     assert_eq!(dp.metrics.counted_via_factorization, !empty, "DP witness, {ctx}");
-    let en = run().force_enumerate().threads(dims.threads).count();
+    let en = run().force_enumerate().count();
     assert!(!en.metrics.counted_via_factorization, "{ctx}");
     assert_eq!(en.result.count, len, "session force_enumerate, {ctx}");
-    let inj = run().injective(true).threads(dims.threads).count();
+    let inj = run().injective(true).count();
     assert_eq!(inj.result.count, iso.len() as u64, "session injective, {ctx}");
     match dims.budget {
         Budget::Limit if len > 1 => {
-            let o = run().limit(len - 1).threads(dims.threads).count();
+            let o = run().limit(len - 1).count();
             assert!(o.result.count == len - 1 && o.result.limit_hit, "session limit, {ctx}");
         }
         Budget::PastDeadline if len > 0 => {
-            let o = run().timeout(Duration::ZERO).threads(dims.threads).count();
+            let o = run().timeout(Duration::ZERO).count();
             assert!(o.result.timed_out, "session past deadline, {ctx}");
         }
         _ => {}

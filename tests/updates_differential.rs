@@ -1,8 +1,8 @@
 //! Update-vs-rebuild differential suite: random interleavings of node and
 //! edge inserts, deletes and compactions, committed through the session,
 //! must leave answers identical to the oracle over the materialized
-//! snapshot (a from-scratch rebuild), across every `SelectMode`, both
-//! `EdgeKind`s and the `RIGMATCH_THREADS` thread counts. After each commit
+//! snapshot (a from-scratch rebuild), across every `SelectMode` and both
+//! `EdgeKind`s. After each commit
 //! the first query is checked over the dirty snapshot (a RIG built
 //! outside the session with `SnapshotReach`), and every session read
 //! rebases onto a fresh base first. `overlay_oracle_matches_rebuild`
@@ -36,10 +36,10 @@ fn workload() -> Vec<PatternQuery> {
     out
 }
 
-/// Sorted match set of `q` on `session` at `threads` workers.
-fn matches(session: &Session, q: &PatternQuery, threads: usize) -> Vec<Vec<NodeId>> {
+/// Sorted match set of `q` on `session`.
+fn matches(session: &Session, q: &PatternQuery) -> Vec<Vec<NodeId>> {
     let p = session.prepare(q).expect("workload validates");
-    let (mut tuples, outcome) = p.run().threads(threads).collect_all();
+    let (mut tuples, outcome) = p.run().collect_all();
     assert!(!outcome.result.timed_out && !outcome.result.limit_hit);
     tuples.sort();
     tuples
@@ -158,8 +158,7 @@ fn scripted_interleaving_with_auto_compaction() {
             session.apply(&ops).unwrap();
             let rebuilt = Session::new(session.graph().materialize());
             for q in &queries {
-                assert_eq!(matches(&session, q, 1), matches(&rebuilt, q, 1));
-                assert_eq!(matches(&session, q, 8), matches(&rebuilt, q, 1));
+                assert_eq!(matches(&session, q), matches(&rebuilt, q));
             }
         }
     }
