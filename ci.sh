@@ -44,12 +44,19 @@ if [[ "${1:-}" != "quick" ]]; then
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet \
         --exclude rand --exclude proptest
 
-    step "CLI smoke: --query inline HPQL + explain + exit codes"
+    step "CLI smoke: inline and file HPQL + explain + exit codes"
     cli_tmp="$(mktemp -d)"
     printf 'l 0 Author\nl 1 Paper\nv 0 0\nv 1 1\nv 2 1\ne 0 1\ne 1 2\n' \
         > "${cli_tmp}/g.txt"
     run_cli() { cargo run -q --release --bin rigmatch -- "$@"; }
     [[ "$(run_cli "${cli_tmp}/g.txt" --query 'MATCH (a:Author)->(p:Paper)=>(q:Paper)' --count)" == "1" ]]
+    # a query file holds HPQL and counts what --query counts; a file in
+    # the old n/d/r line format is an HPQL parse error (exit 3)
+    printf 'MATCH (a:Author)->(p:Paper)=>(q:Paper)\n' > "${cli_tmp}/q.hpql"
+    [[ "$(run_cli "${cli_tmp}/g.txt" "${cli_tmp}/q.hpql" --count)" == "1" ]]
+    printf 'n 0 0\nn 1 1\nd 0 1\n' > "${cli_tmp}/q.txt"
+    rc=0; run_cli "${cli_tmp}/g.txt" "${cli_tmp}/q.txt" --count 2> /dev/null || rc=$?
+    [[ "${rc}" == "3" ]]
     # capture first, then grep: `| grep -q` can exit at the first match and
     # EPIPE the CLI's remaining line-buffered writes
     explain_out="$(run_cli explain "${cli_tmp}/g.txt" \

@@ -205,7 +205,7 @@ impl Report {
         let (errors, warnings, notes) = self.counts();
         let mut out = String::from("{\n  \"analysis\": true,\n");
         match &self.source {
-            Some(s) => out.push_str(&format!("  \"query\": \"{}\",\n", escape(s))),
+            Some(s) => out.push_str(&format!("  \"query\": \"{}\",\n", json_escape(s))),
             None => out.push_str("  \"query\": null,\n"),
         }
         out.push_str(&format!("  \"proven_empty\": {},\n", self.proven_empty()));
@@ -227,16 +227,17 @@ impl Report {
                 ));
             }
             if let Some(s) = &d.suggestion {
-                out.push_str(&format!("\"suggestion\": \"{}\", ", escape(s)));
+                out.push_str(&format!("\"suggestion\": \"{}\", ", json_escape(s)));
             }
-            out.push_str(&format!("\"message\": \"{}\"}}", escape(&d.message)));
+            out.push_str(&format!("\"message\": \"{}\"}}", json_escape(&d.message)));
         }
         out.push_str("\n  ]\n}\n");
         out
     }
 }
 
-fn escape(s: &str) -> String {
+/// Escapes `s` for inclusion inside a JSON string literal.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -303,5 +304,13 @@ error[A001]: unknown label name 'Autor' (variable 'a')
         assert!(json.contains("\"code\": \"P001\""), "{json}");
         assert!(json.contains("\"line\": 1, \"col\": 7, \"len\": 3"), "{json}");
         assert!(json.contains("\"errors\": 1"), "{json}");
+        // a hand-built pattern has no source text
+        let json = Report { source: None, diagnostics: Vec::new() }.to_json();
+        assert!(json.contains("\"query\": null"), "{json}");
+    }
+
+    #[test]
+    fn json_escaping_covers_controls() {
+        assert_eq!(json_escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
     }
 }

@@ -36,7 +36,7 @@
 
 mod diag;
 
-pub use diag::{Code, Diagnostic, Report, Severity};
+pub use diag::{json_escape, Code, Diagnostic, Report, Severity};
 pub use rig_query::Span;
 
 use rig_graph::{DataGraph, Label, LabelPairCounts};

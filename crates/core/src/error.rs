@@ -1,7 +1,7 @@
 //! The unified `rigmatch` error type.
 //!
 //! Every fallible surface of the library funnels into [`Error`]: text
-//! parsing (graph files, legacy query files, HPQL), semantic validation
+//! parsing (graph files, HPQL query text), semantic validation
 //! (disconnected patterns, label ids outside the graph's label space,
 //! malformed edges), I/O, and budget trips (a run truncated by its match
 //! limit or wall-clock timeout when the caller demanded completeness).
@@ -11,15 +11,13 @@
 //! scripts can distinguish usage, parse, I/O, validation and budget
 //! failures without scraping stderr.
 
-use rig_query::{HpqlError, PatternError, QueryParseError};
+use rig_query::{HpqlError, PatternError};
 
 /// Unified error for the `rigmatch` API (parse / validation / IO / budget).
 #[derive(Debug)]
 pub enum Error {
     /// A graph file failed to parse.
     GraphParse(rig_graph::ParseError),
-    /// A legacy (`n`/`d`/`r`) query file failed to parse.
-    QueryParse(QueryParseError),
     /// HPQL text failed to parse or resolve.
     Hpql(HpqlError),
     /// A pattern was structurally malformed (duplicate edge, self-loop,
@@ -82,7 +80,7 @@ impl Error {
     /// The coarse kind of this error.
     pub fn kind(&self) -> ErrorKind {
         match self {
-            Error::GraphParse(_) | Error::QueryParse(_) | Error::Hpql(_) => ErrorKind::Parse,
+            Error::GraphParse(_) | Error::Hpql(_) => ErrorKind::Parse,
             Error::Pattern(_) | Error::Validation(_) | Error::Conflict { .. } => {
                 ErrorKind::Validation
             }
@@ -108,7 +106,6 @@ impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Error::GraphParse(e) => write!(f, "graph parse error: {e}"),
-            Error::QueryParse(e) => write!(f, "query parse error: {e}"),
             Error::Hpql(e) => write!(f, "HPQL error: {e}"),
             Error::Pattern(e) => write!(f, "pattern error: {e}"),
             Error::Validation(msg) => write!(f, "validation error: {msg}"),
@@ -150,7 +147,6 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::GraphParse(e) => Some(e),
-            Error::QueryParse(e) => Some(e),
             Error::Hpql(e) => Some(e),
             Error::Pattern(e) => Some(e),
             Error::Io { source, .. } => Some(source),
@@ -173,12 +169,6 @@ impl From<rig_graph::ParseError> for Error {
     }
 }
 
-impl From<QueryParseError> for Error {
-    fn from(e: QueryParseError) -> Error {
-        Error::QueryParse(e)
-    }
-}
-
 impl From<HpqlError> for Error {
     fn from(e: HpqlError) -> Error {
         Error::Hpql(e)
@@ -198,7 +188,7 @@ mod tests {
     #[test]
     fn kinds_and_exit_codes_are_distinct() {
         let errs = [
-            Error::QueryParse(QueryParseError { line: 1, message: "x".into() }),
+            Error::Hpql(HpqlError { line: 1, col: 1, len: 1, message: "x".into() }),
             Error::validation("bad"),
             Error::io("/tmp/x", std::io::Error::new(std::io::ErrorKind::NotFound, "gone")),
             Error::Budget { timed_out: true, limit_hit: false },
@@ -227,12 +217,11 @@ mod tests {
 
     #[test]
     fn from_impls_classify() {
-        let e: Error = QueryParseError { line: 3, message: "bad".into() }.into();
-        assert_eq!(e.kind(), ErrorKind::Parse);
         let e: Error = rig_query::PatternError::SelfLoop { node: 0 }.into();
         assert_eq!(e.kind(), ErrorKind::Validation);
         let e: Error = rig_query::HpqlError { line: 1, col: 2, len: 1, message: "x".into() }.into();
         assert_eq!(e.kind(), ErrorKind::Parse);
+        assert_eq!(e.kind().exit_code(), 3);
         assert!(std::error::Error::source(&e).is_some());
     }
 }

@@ -49,9 +49,8 @@ pub struct CountStrategy {
 }
 
 /// Computes the routing decision for `query` under `opts`.
-/// `force_enumerate` is the [`Run`](crate::session::Run) escape hatch.
-pub fn strategy(query: &PatternQuery, opts: &EnumOptions, force_enumerate: bool) -> CountStrategy {
-    let eligible = dp_eligible(opts) && !force_enumerate;
+pub fn strategy(query: &PatternQuery, opts: &EnumOptions) -> CountStrategy {
+    let eligible = dp_eligible(opts);
     let shape = FactorizationShape::analyze(query);
     let shape_desc = if shape.is_tree() {
         "tree".to_string()
@@ -66,8 +65,6 @@ pub fn strategy(query: &PatternQuery, opts: &EnumOptions, force_enumerate: bool)
         let guard =
             if shape.is_tree() { "" } else { "; enumerates if conditioning fan-out is large" };
         format!("factorized DP ({shape_desc}{guard})")
-    } else if force_enumerate {
-        format!("enumerate (forced; shape is {shape_desc})")
     } else if opts.injective {
         "enumerate (injective)".into()
     } else {
@@ -181,23 +178,22 @@ mod tests {
     fn eligibility_rules() {
         let q = chain();
         let base = EnumOptions::default();
-        assert!(strategy(&q, &base, false).eligible);
-        assert!(!strategy(&q, &base, true).eligible);
-        assert!(!strategy(&q, &base.with_limit(5), false).eligible);
+        assert!(strategy(&q, &base).eligible);
+        assert!(!strategy(&q, &base.with_limit(5)).eligible);
         let budgeted = EnumOptions { deadline: Some(Instant::now()), ..base };
-        assert!(!strategy(&q, &budgeted, false).eligible);
+        assert!(!strategy(&q, &budgeted).eligible);
         let inj = EnumOptions { injective: true, ..base };
-        assert!(!strategy(&q, &inj, false).eligible);
-        assert_eq!(dp_eligible(&base), strategy(&q, &base, false).eligible);
+        assert!(!strategy(&q, &inj).eligible);
+        assert_eq!(dp_eligible(&base), strategy(&q, &base).eligible);
     }
 
     #[test]
     fn strategy_describes_shape() {
-        assert!(strategy(&chain(), &EnumOptions::default(), false).describe.contains("tree"));
+        assert!(strategy(&chain(), &EnumOptions::default()).describe.contains("tree"));
         let mut t = PatternQuery::new(vec![0, 1, 2]);
         t.add_edge(0, 1, EdgeKind::Direct);
         t.add_edge(1, 2, EdgeKind::Direct);
         t.add_edge(0, 2, EdgeKind::Direct);
-        assert!(strategy(&t, &EnumOptions::default(), false).describe.contains("cyclic"));
+        assert!(strategy(&t, &EnumOptions::default()).describe.contains("cyclic"));
     }
 }

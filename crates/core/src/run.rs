@@ -89,12 +89,7 @@ impl<'s> Prepared<'s> {
 
     /// Starts building an execution of this plan.
     pub fn run(&self) -> Run<'_, 's> {
-        Run {
-            prepared: self,
-            opts: self.session.config().enumeration,
-            use_cache: true,
-            force_enumerate: false,
-        }
+        Run { prepared: self, opts: self.session.config().enumeration, use_cache: true }
     }
 }
 
@@ -123,7 +118,6 @@ pub struct Run<'a, 's> {
     prepared: &'a Prepared<'s>,
     opts: EnumOptions,
     use_cache: bool,
-    force_enumerate: bool,
 }
 
 impl<'a, 's> Run<'a, 's> {
@@ -157,14 +151,6 @@ impl<'a, 's> Run<'a, 's> {
     /// stored) — benchmarking cold paths, mostly.
     pub fn no_cache(mut self) -> Self {
         self.use_cache = false;
-        self
-    }
-
-    /// Escape hatch: never answer [`Run::count`] with the factorized DP,
-    /// always enumerate tuples (differential testing, benchmarking the
-    /// enumeration path).
-    pub fn force_enumerate(mut self) -> Self {
-        self.force_enumerate = true;
         self
     }
 
@@ -202,14 +188,13 @@ impl<'a, 's> Run<'a, 's> {
     /// Eligible plans (no injectivity, no limit/timeout budget — see
     /// [`crate::factorized::dp_eligible`]) are answered by the factorized
     /// counting DP over the pruned RIG without enumerating a single tuple,
-    /// witnessed by [`GmMetrics::counted_via_factorization`]. The
-    /// [`Run::force_enumerate`] escape hatch and any budget knob fall back
-    /// to MJoin enumeration into a [`CountSink`].
+    /// witnessed by [`GmMetrics::counted_via_factorization`]. Other runs
+    /// count by MJoin enumeration into a [`CountSink`], which
+    /// [`Run::stream`] into a [`CountSink`] does for any run.
     pub fn count(self) -> QueryOutcome {
-        let force_enumerate = self.force_enumerate;
         let mut via_dp = false;
         let mut outcome = self.execute(|q, rig, opts| {
-            if !force_enumerate && crate::factorized::dp_eligible(opts) {
+            if crate::factorized::dp_eligible(opts) {
                 if let Some(r) = crate::factorized::dp_count_result(q, rig) {
                     via_dp = true;
                     return r;
@@ -273,8 +258,7 @@ impl<'a, 's> Run<'a, 's> {
             let split = plan.memo_split();
             (plan.order, split)
         };
-        let count_strategy =
-            crate::factorized::strategy(&prepared.exec, &self.opts, self.force_enumerate);
+        let count_strategy = crate::factorized::strategy(&prepared.exec, &self.opts);
         Explain {
             hpql: prepared.original_hpql(),
             reduced_hpql: prepared.to_hpql(),

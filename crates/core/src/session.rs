@@ -237,8 +237,9 @@ impl Session {
         self.with_analyzer(|a| a.analyze_ast(ast, source))
     }
 
-    /// [`Session::analyze`] over a hand-built pattern (legacy query
-    /// files): same passes, span-less diagnostics.
+    /// [`Session::analyze`] over a hand-built pattern (a library caller's
+    /// `PatternQuery`, with no source text): same passes, span-less
+    /// diagnostics.
     pub fn analyze_pattern(&self, q: &PatternQuery) -> Report {
         self.with_analyzer(|a| a.analyze_pattern(q, None))
     }
@@ -671,18 +672,17 @@ mod tests {
     }
 
     /// `explain` reports the same DP-vs-enumerate routing that `count`
-    /// takes, under every budget knob and the escape hatch.
+    /// takes, under every budget knob.
     #[test]
     fn explain_and_count_route_alike() {
         let session = fig2_session();
         let p = session.prepare("MATCH (a:A)->(b:B)=>(c:C)").unwrap();
         type Knob = for<'a, 's> fn(Run<'a, 's>) -> Run<'a, 's>;
-        let knobs: [(&str, Knob); 5] = [
+        let knobs: [(&str, Knob); 4] = [
             ("none", |r| r),
             ("limit", |r| r.limit(100)),
             ("timeout", |r| r.timeout(Duration::from_secs(60))),
             ("injective", |r| r.injective(true)),
-            ("force_enumerate", |r| r.force_enumerate()),
         ];
         for (name, knob) in knobs {
             let eligible = knob(p.run()).explain().count_strategy.eligible;

@@ -31,10 +31,10 @@
 //!
 //! Parsing yields an [`HpqlQuery`] AST. Label *names* are resolved to
 //! dense label ids by [`HpqlQuery::resolve`] (against a graph's label-name
-//! dictionary — see `rig_graph::DataGraph::label_id`) or
-//! [`HpqlQuery::resolve_interned`] (first-use interning, for graph-free
-//! round trips). The inverse direction is [`to_hpql`], the pretty-printer
-//! used by `explain` output and asserted round-trip-stable by proptests.
+//! dictionary — see `rig_graph::DataGraph::label_id`; `resolve(|_| None)`
+//! accepts exactly the texts whose labels are all numeric). The inverse
+//! direction is [`to_hpql`], the pretty-printer used by `explain` output
+//! and asserted round-trip-stable by proptests.
 
 use crate::{EdgeKind, PatternError, PatternQuery, QNode};
 use rig_graph::Label;
@@ -210,31 +210,6 @@ impl HpqlQuery {
         self.build(labels)
     }
 
-    /// Resolves label names by interning them in first-use order (raw `Id`
-    /// labels pass through unchanged). Returns the resolved query plus the
-    /// interned name table (`table[label] = name`), which holds the
-    /// interned names only: a numeric label past its end is unnamed.
-    /// Useful where no graph dictionary exists — tests, offline tooling,
-    /// query fixtures.
-    pub fn resolve_interned(&self) -> Result<(HpqlResolved, Vec<String>), HpqlError> {
-        let mut table: Vec<String> = Vec::new();
-        let mut labels: Vec<Label> = Vec::with_capacity(self.labels.len());
-        for spec in &self.labels {
-            let id = match spec {
-                LabelSpec::Id(id) => *id,
-                LabelSpec::Name(name) => match table.iter().position(|n| n == name) {
-                    Some(i) => i as Label,
-                    None => {
-                        table.push(name.clone());
-                        (table.len() - 1) as Label
-                    }
-                },
-            };
-            labels.push(id);
-        }
-        Ok((self.build(labels)?, table))
-    }
-
     fn build(&self, labels: Vec<Label>) -> Result<HpqlResolved, HpqlError> {
         let mut query = PatternQuery::new(labels);
         for &(f, t, kind) in &self.edges {
@@ -247,21 +222,6 @@ impl HpqlQuery {
 /// Parses HPQL text into an [`HpqlQuery`] AST.
 pub fn parse_hpql(input: &str) -> Result<HpqlQuery, HpqlError> {
     Parser::new(input)?.parse()
-}
-
-/// True if `text` looks like HPQL (its first significant token is the
-/// `MATCH` keyword) rather than the legacy line-oriented `n`/`d`/`r`
-/// format. Used by the CLI to auto-detect query file formats.
-pub fn looks_like_hpql(text: &str) -> bool {
-    for raw in text.lines() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with("//") {
-            continue;
-        }
-        let word: String = line.chars().take_while(|c| c.is_ascii_alphabetic()).collect();
-        return word.eq_ignore_ascii_case("match");
-    }
-    false
 }
 
 // ---------------------------------------------------------------------------
@@ -819,27 +779,33 @@ mod tests {
     use super::*;
     use crate::fig2_query;
 
-    fn parse_interned(text: &str) -> (PatternQuery, Vec<String>) {
-        let (r, _names) = parse_hpql(text).unwrap().resolve_interned().unwrap();
+    /// The label dictionary of these tests: a name's id is its index.
+    const NAMES: [&str; 4] = ["Author", "Paper", "L", "M"];
+
+    fn parse_named(text: &str) -> (PatternQuery, Vec<String>) {
+        let r = parse_hpql(text)
+            .unwrap()
+            .resolve(|n| NAMES.iter().position(|x| *x == n).map(|i| i as Label))
+            .unwrap();
         (r.query, r.vars)
     }
 
-    /// The name table holds the interned names only, so a numeric label
-    /// near `u32::MAX` does not size it.
+    /// Numeric labels pass through unchanged, up to `u32::MAX`, and never
+    /// meet the dictionary: a text with numeric labels only resolves
+    /// without one, and a named and a numeric label stay distinct.
     #[test]
-    fn interned_table_holds_only_names() {
-        let (r, names) =
-            parse_hpql("MATCH (a:4294967295)->(b:0)").unwrap().resolve_interned().unwrap();
+    fn numeric_labels_pass_through_resolution() {
+        let r = parse_hpql("MATCH (a:4294967295)->(b:0)").unwrap().resolve(|_| None).unwrap();
         assert_eq!(r.query.labels(), &[u32::MAX, 0]);
-        assert!(names.is_empty(), "{} names", names.len());
-        let (r, names) = parse_hpql("MATCH (a:Author)->(b:7)").unwrap().resolve_interned().unwrap();
-        assert_eq!(r.query.labels(), &[0, 7]);
-        assert_eq!(names, ["Author"]);
+        let (q, _) = parse_named("MATCH (a:Author)->(b:7), (b)->(c:0)");
+        assert_eq!(q.labels(), &[0, 7, 0]);
+        let (q, _) = parse_named("MATCH (a:M)->(b:0)");
+        assert_eq!(q.labels(), &[3, 0]);
     }
 
     #[test]
     fn parses_the_issue_example() {
-        let (q, vars) = parse_interned("MATCH (a:Author)->(p:Paper)=>(q:Paper), (a)->(q)");
+        let (q, vars) = parse_named("MATCH (a:Author)->(p:Paper)=>(q:Paper), (a)->(q)");
         assert_eq!(vars, vec!["a", "p", "q"]);
         assert_eq!(q.num_nodes(), 3);
         assert_eq!(q.num_edges(), 3);
@@ -853,7 +819,7 @@ mod tests {
 
     #[test]
     fn numeric_labels_and_anonymous_nodes() {
-        let (q, vars) = parse_interned("MATCH (x:0)=>(:7)");
+        let (q, vars) = parse_named("MATCH (x:0)=>(:7)");
         assert_eq!(q.num_nodes(), 2);
         assert_eq!(q.label(0), 0);
         assert_eq!(q.label(1), 7);
@@ -864,15 +830,15 @@ mod tests {
     #[test]
     fn comments_whitespace_case_and_semicolon() {
         let (q, _) =
-            parse_interned("# a comment\n  match // trailing\n   (a:L) -> (b:M)\n , (b) => (a) ;");
+            parse_named("# a comment\n  match // trailing\n   (a:L) -> (b:M)\n , (b) => (a) ;");
         assert_eq!(q.num_edges(), 2);
         assert_eq!(q.edge(1).kind, EdgeKind::Reachability);
     }
 
     #[test]
     fn label_first_mention_wins_and_conflicts_error() {
-        let (q, _) = parse_interned("MATCH (a:L)->(b:M), (b)->(a)");
-        assert_eq!(q.label(0), 0);
+        let (q, _) = parse_named("MATCH (a:L)->(b:M), (b)->(a)");
+        assert_eq!(q.labels(), &[2, 3]);
         let e = parse_hpql("MATCH (a:L)->(b:M), (a:M)->(b)").unwrap_err();
         assert!(e.message.contains("relabeled"), "{e}");
     }
@@ -884,7 +850,7 @@ mod tests {
         let e = parse_hpql("MATCH (a:L)->(a)").unwrap_err();
         assert!(e.message.contains("self-loop"), "{e}");
         // parallel edges of different kinds are fine
-        let (q, _) = parse_interned("MATCH (a:L)->(b:M), (a)=>(b)");
+        let (q, _) = parse_named("MATCH (a:L)->(b:M), (a)=>(b)");
         assert_eq!(q.num_edges(), 2);
     }
 
@@ -966,7 +932,7 @@ mod tests {
         let q = fig2_query();
         let text = to_hpql(&q, None, |_| None);
         assert_eq!(text, "MATCH (v0:0)->(v1:1)=>(v2:2), (v0)->(v2)");
-        let (back, vars) = parse_interned(&text);
+        let (back, vars) = parse_named(&text);
         // v0,v1,v2 appear in id order here, so node numbering is preserved
         assert_eq!(vars, vec!["v0", "v1", "v2"]);
         assert_eq!(back.canonical(), q.canonical());
@@ -985,13 +951,5 @@ mod tests {
     fn printer_handles_edge_free_patterns() {
         let q = PatternQuery::new(vec![3]);
         assert_eq!(to_hpql(&q, None, |_| None), "MATCH (v0:3)");
-    }
-
-    #[test]
-    fn hpql_detection() {
-        assert!(looks_like_hpql("  # c\n MATCH (a:0)->(b:1)"));
-        assert!(looks_like_hpql("match (a:0)->(b:1)"));
-        assert!(!looks_like_hpql("n 0 0\nn 1 1\nd 0 1\n"));
-        assert!(!looks_like_hpql(""));
     }
 }

@@ -12,21 +12,16 @@
 //! * the 20 reconstructed **Fig. 7 templates** and their C/H/D flavors;
 //! * **random query extraction** from a data graph with a non-empty-answer
 //!   guarantee (used by the hp/yt/hu workloads of §7);
-//! * a line-oriented text **parser** for queries;
 //! * **HPQL**, the textual hybrid-pattern language
 //!   (`MATCH (a:Author)->(p:Paper)=>(q:Paper)`), in [`hpql`].
 
 pub mod generator;
 pub mod hpql;
-pub mod parser;
 pub mod reduction;
 pub mod templates;
 
 pub use generator::{random_query, GeneratorConfig};
-pub use hpql::{
-    closest_label, looks_like_hpql, parse_hpql, to_hpql, HpqlError, HpqlQuery, HpqlResolved, Span,
-};
-pub use parser::{parse_query, query_to_text, QueryParseError};
+pub use hpql::{closest_label, parse_hpql, to_hpql, HpqlError, HpqlQuery, HpqlResolved, Span};
 pub use reduction::{transitive_closure, transitive_reduction};
 pub use templates::{template, template_count, Flavor, TemplateId};
 

@@ -60,8 +60,9 @@ use std::time::{Duration, Instant};
 use rig_core::{Error, ErrorKind, Session};
 use rig_mjoin::{ResultSink, TupleFormat, WriteSink};
 
-use http::{json_escape, Request, RequestError};
+use http::{Request, RequestError};
 use metrics::ServerMetrics;
+use rig_analyze::json_escape;
 
 /// How often `/update` re-stages a script segment that lost an
 /// optimistic-commit race before giving up with 409.

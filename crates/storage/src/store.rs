@@ -179,28 +179,30 @@ impl DurableStore {
         // contiguous version run on top of the snapshot, or commits have
         // gone missing (e.g. recovery fell back to an older segment after
         // the WAL was truncated for a newer one)
+        // (tracking the last version, not the next: a segment may hold
+        // `u64::MAX`)
         let mut txns: Vec<WalRecord> = Vec::new();
-        let mut next = base_version + 1;
+        let mut last = base_version;
         for rec in scan.records {
             if rec.version <= base_version {
                 report.wal_records_skipped += 1;
                 continue;
             }
-            if rec.version != next {
+            if rec.version - 1 != last {
                 return Err(corrupt(
                     &wal,
                     format!(
-                        "wal version {} does not continue the store (expected {next}, \
+                        "wal version {} does not continue the store (last {last}, \
                          snapshot at {base_version}): committed transactions are missing",
                         rec.version
                     ),
                 ));
             }
-            next += 1;
+            last = rec.version;
             txns.push(rec);
         }
         report.wal_records_replayed = txns.len() as u64;
-        report.recovered_version = next - 1;
+        report.recovered_version = last;
 
         let store = DurableStore {
             backend,

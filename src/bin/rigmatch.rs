@@ -56,12 +56,10 @@
 //! GM commits the script to its session, whose first read rebases it onto
 //! a clean base; baseline engines get the materialized graph.
 //!
-//! Query sources: a file in either format — **HPQL**
-//! (`MATCH (a:Author)->(p:Paper)=>(q:Paper)`, detected by its leading
-//! `MATCH` keyword) or the legacy line format (`n <id> <label>`, `d`/`r`
-//! edges) — or inline HPQL via `--query`. HPQL label names resolve through
-//! the graph's label-name dictionary (`l <id> <name>` lines in the graph
-//! file); numeric labels (`(a:0)`) always work.
+//! Queries are **HPQL** (`MATCH (a:Author)->(p:Paper)=>(q:Paper)`), read
+//! from a query file or given inline via `--query`. HPQL label names
+//! resolve through the graph's label-name dictionary (`l <id> <name>`
+//! lines in the graph file); numeric labels (`(a:0)`) always work.
 //!
 //! Graph files use the `rig-graph` text format (`v <id> <label>` /
 //! `e <src> <dst>` / optional `l <id> <name>`).
@@ -96,7 +94,6 @@ use rigmatch::baselines::{Budget, Engine, Jm, NeoLike, Tm};
 use rigmatch::core::{Durability, Error, FsBackend, GmConfig, LintMode, Session, StoreOptions};
 use rigmatch::graph::parse_text;
 use rigmatch::mjoin::{EnumOptions, SearchOrder, TupleFormat, WriteSink};
-use rigmatch::query::{looks_like_hpql, parse_query, PatternQuery};
 use rigmatch::storage::DurableStore;
 
 struct Cli {
@@ -342,24 +339,12 @@ fn read_file(path: &str) -> Result<String, Error> {
     std::fs::read_to_string(path).map_err(|io| Error::io(path, io))
 }
 
-/// The query as the session will receive it: HPQL text (resolved against
-/// the graph inside `prepare`) or an already-parsed legacy pattern.
-enum QuerySource {
-    Hpql(String),
-    Legacy(PatternQuery),
-}
-
-fn load_query(cli: &Cli) -> Result<QuerySource, Error> {
+/// The query's HPQL text: `--query`, or the query file's contents.
+fn load_query(cli: &Cli) -> Result<String, Error> {
     if let Some(text) = &cli.query_text {
-        return Ok(QuerySource::Hpql(text.clone()));
+        return Ok(text.clone());
     }
-    let path = cli.query_path.as_deref().expect("parse_cli guarantees a query source");
-    let text = read_file(path)?;
-    if looks_like_hpql(&text) {
-        Ok(QuerySource::Hpql(text))
-    } else {
-        Ok(QuerySource::Legacy(parse_query(&text)?))
-    }
+    read_file(cli.query_path.as_deref().expect("parse_cli guarantees a query source"))
 }
 
 fn main() -> ExitCode {
@@ -518,9 +503,9 @@ fn run(cli: &Cli) -> Result<ExitCode, Error> {
     if cli.update {
         return run_update(cli, g);
     }
-    let source = load_query(cli)?;
+    let text = load_query(cli)?;
     if cli.check {
-        return run_check(cli, g, source);
+        return run_check(cli, g, &text);
     }
 
     let cfg = GmConfig {
@@ -530,7 +515,7 @@ fn run(cli: &Cli) -> Result<ExitCode, Error> {
     };
 
     match cli.engine.as_str() {
-        "gm" => run_gm(cli, g, source, cfg),
+        "gm" => run_gm(cli, g, &text, cfg),
         name @ ("jm" | "tm" | "neo") => {
             if cli.data_dir.is_some() {
                 return Err(Error::validation("--data-dir is only available for the gm engine"));
@@ -547,7 +532,7 @@ fn run(cli: &Cli) -> Result<ExitCode, Error> {
                 }
                 None => g,
             };
-            run_baseline(cli, &g, &source, name)
+            run_baseline(cli, &g, &text, name)
         }
         other => {
             eprintln!("error: unknown engine '{other}'");
@@ -562,7 +547,7 @@ fn run(cli: &Cli) -> Result<ExitCode, Error> {
 fn run_check(
     cli: &Cli,
     g: Option<rigmatch::graph::DataGraph>,
-    source: QuerySource,
+    text: &str,
 ) -> Result<ExitCode, Error> {
     let session = make_session(cli, GmConfig::default(), || {
         Ok(g.expect("graph parsed unless the store was opened"))
@@ -571,10 +556,7 @@ fn run_check(
         // the analysis rebases the dirty snapshot and proves on its base
         apply_mutations(&session, path, cli.stats)?;
     }
-    let report = match &source {
-        QuerySource::Hpql(text) => session.analyze(text),
-        QuerySource::Legacy(q) => session.analyze_pattern(q),
-    };
+    let report = session.analyze(text);
     if cli.format_json {
         write_stdout(&report.to_json())?;
     } else if report.diagnostics.is_empty() {
@@ -592,7 +574,7 @@ fn run_check(
 fn run_gm(
     cli: &Cli,
     g: Option<rigmatch::graph::DataGraph>,
-    source: QuerySource,
+    text: &str,
     cfg: GmConfig,
 ) -> Result<ExitCode, Error> {
     let session =
@@ -602,25 +584,18 @@ fn run_gm(
         apply_mutations(&session, path, cli.stats)?;
         session.flush_wal()?;
     }
-    let source_text = match &source {
-        QuerySource::Hpql(text) => Some(text.clone()),
-        QuerySource::Legacy(_) => None,
-    };
-    let prepared = match source {
-        QuerySource::Hpql(text) => match cli.lint {
-            LintMode::Off => session.prepare(text.as_str())?,
-            mode => {
-                // warn: print findings and run anyway; strict: an
-                // error-severity finding surfaces as Error::Analysis
-                // through exit_for (exit code 8)
-                let (prepared, report) = session.prepare_with_lint(&text, mode)?;
-                if !report.diagnostics.is_empty() {
-                    eprint!("{}", report.render_compact());
-                }
-                prepared
+    let prepared = match cli.lint {
+        LintMode::Off => session.prepare(text)?,
+        mode => {
+            // warn: print findings and run anyway; strict: an
+            // error-severity finding surfaces as Error::Analysis
+            // through exit_for (exit code 8)
+            let (prepared, report) = session.prepare_with_lint(text, mode)?;
+            if !report.diagnostics.is_empty() {
+                eprint!("{}", report.render_compact());
             }
-        },
-        QuerySource::Legacy(q) => session.prepare(q)?,
+            prepared
+        }
     };
     let q = prepared.query();
     eprintln!(
@@ -635,10 +610,7 @@ fn run_gm(
         let mut out = format!("{}", prepared.run().order(cli.order).explain());
         // append the analyzer's findings (lints, proofs, cost notes) so
         // a plan read and a health check are one command
-        let report = match &source_text {
-            Some(text) => session.analyze(text),
-            None => session.analyze_pattern(prepared.query()),
-        };
+        let report = session.analyze(text);
         if !report.diagnostics.is_empty() {
             out.push_str("diagnostics:\n");
             out.push_str(&report.render_compact());
@@ -719,7 +691,7 @@ fn run_gm(
 fn run_baseline(
     cli: &Cli,
     g: &rigmatch::graph::DataGraph,
-    source: &QuerySource,
+    text: &str,
     name: &str,
 ) -> Result<ExitCode, Error> {
     if cli.explain {
@@ -733,10 +705,7 @@ fn run_baseline(
     // exits) identically whichever engine was asked to run it.
     use rigmatch::core::{validate_pattern, IntoPattern};
     use rigmatch::graph::GraphView;
-    let (q, vars) = match source {
-        QuerySource::Legacy(q) => q.into_pattern(GraphView::from(g))?,
-        QuerySource::Hpql(text) => text.as_str().into_pattern(GraphView::from(g))?,
-    };
+    let (q, vars) = text.into_pattern(GraphView::from(g))?;
     validate_pattern(g, &q, vars.as_deref())?;
     let budget =
         Budget { timeout: cli.timeout, max_intermediate: Some(50_000_000), match_limit: cli.limit };

@@ -3,60 +3,17 @@
 //! global allocator (own test binary) counts the bytes each thread asks
 //! for, so the bounds are byte counts and do not depend on timing.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod testkit;
+
 use std::sync::Arc;
 
 use rigmatch::core::CompactionPolicy;
 use rigmatch::graph::{CommitImpact, DataGraph, DeltaOverlay, Label, LabelSpec, MutationOp};
 use rigmatch::Session;
-
-struct CountingAlloc;
-
-thread_local! {
-    /// Bytes allocated by this thread. A const-initialized `Cell` needs no
-    /// lazy set-up and no destructor, so the allocator can touch it
-    /// without allocating.
-    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count(bytes: usize) {
-    // a thread being torn down may have lost its slot: skip the count
-    let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    /// Counts the whole new block: an upper bound on what a grown block
-    /// adds.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+use testkit::bytes_during;
 
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// `f`'s result and the bytes the calling thread allocated running it.
-fn bytes_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOC_BYTES.with(Cell::get);
-    let out = f();
-    (out, ALLOC_BYTES.with(Cell::get) - before)
-}
+static GLOBAL: testkit::CountingAlloc = testkit::CountingAlloc;
 
 /// The `ep` stand-in at scale 0.05 (3 800 nodes, about 25 000 edges).
 fn ep() -> DataGraph {

@@ -22,6 +22,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rigmatch::core::{GmConfig, Report, Session, Severity};
 use rigmatch::graph::{CommitImpact, DeltaOverlay, GraphBuilder, NodeId};
+use rigmatch::mjoin::CountSink;
 use rigmatch::query::{template, template_count, to_hpql, EdgeKind, Flavor, PatternQuery};
 use rigmatch::rig::{RigOptions, SelectMode};
 
@@ -169,7 +170,7 @@ fn check_soundness(session: &Session, ctx: &str, seed: u64) -> usize {
             dp.result.count,
             report.render_compact()
         );
-        let en = p.run().force_enumerate().count();
+        let en = p.run().stream(&mut CountSink::default());
         assert_eq!(
             en.result.count,
             0,
@@ -290,7 +291,8 @@ fn emptiness_proofs_fire_and_the_engine_agrees() {
             assert!(report.proven_empty(), "select={select:?}:\n{}", report.render_compact());
             let p = session.prepare(q).expect("labels are in range");
             assert_eq!(p.run().count().result.count, 0, "select={select:?}");
-            assert_eq!(p.run().force_enumerate().count().result.count, 0, "select={select:?}");
+            let en = p.run().stream(&mut CountSink::default());
+            assert_eq!(en.result.count, 0, "select={select:?}");
         }
         // the satisfiable direction carries no proof
         assert!(!analyze_checked(&session, &forward, &format!("select={select:?}")).proven_empty());

@@ -14,7 +14,7 @@ fn write_tmp(name: &str, contents: &str) -> std::path::PathBuf {
 
 const GRAPH: &str =
     "l 0 Author\nl 1 Paper\nl 2 Cited\nv 0 0\nv 1 1\nv 2 1\nv 3 2\ne 0 1\ne 0 2\ne 1 3\n";
-const QUERY: &str = "n 0 0\nn 1 1\nn 2 2\nd 0 1\nr 1 2\n";
+const QUERY: &str = "MATCH (a:0)->(p:1)=>(c:2)";
 const HPQL: &str = "MATCH (a:Author)->(p:Paper)=>(c:Cited)";
 
 fn bin() -> Command {
@@ -64,18 +64,6 @@ fn bad_inputs_fail_cleanly() {
     assert!(!missing.status.success());
     let unknown_engine = bin().arg(&g).arg(&q).args(["--engine", "magic"]).output().unwrap();
     assert!(!unknown_engine.status.success());
-}
-
-/// A legacy query file that repeats a node id is a parse error (exit 3)
-/// naming the line of the repeat.
-#[test]
-fn query_file_id_errors_name_their_line() {
-    let g = write_tmp("g_dup.txt", GRAPH);
-    let q = write_tmp("q_dup.txt", "n 0 0\nn 0 1\n");
-    let out = bin().arg(&g).arg(&q).output().unwrap();
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert_eq!(out.status.code(), Some(3), "{stderr}");
-    assert!(stderr.contains("line 2: duplicate node id 0"), "{stderr}");
 }
 
 /// Counting with a limit is exact, a multi-batch text stream is the
@@ -176,13 +164,27 @@ fn closed_stdout_stops_enumeration_cleanly() {
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
+/// A query file holds HPQL: it prints what `--query` with the same text
+/// prints, and a file in the old `n`/`d`/`r` line format is an HPQL parse
+/// error (exit 3) on its first line.
 #[test]
-fn hpql_query_files_are_autodetected() {
+fn query_files_are_hpql() {
     let g = write_tmp("g7.txt", GRAPH);
-    let q = write_tmp("q7.hpql", "# citation pattern\nMATCH (a:Author)->(p:Paper)=>(c:Cited)\n");
-    let out = bin().arg(&g).arg(&q).output().unwrap();
-    assert!(out.status.success(), "{out:?}");
-    assert_eq!(String::from_utf8(out.stdout).unwrap().trim(), "0 1 3");
+    let text = "# citation pattern\nMATCH (a:Author)->(p:Paper)=>(c:Cited)\n";
+    let q = write_tmp("q7.hpql", text);
+    let from_file = bin().arg(&g).arg(&q).output().unwrap();
+    let inline = bin().arg(&g).args(["--query", text]).output().unwrap();
+    assert!(from_file.status.success(), "{from_file:?}");
+    assert_eq!(String::from_utf8(from_file.stdout.clone()).unwrap().trim(), "0 1 3");
+    assert_eq!(
+        (from_file.status.code(), &from_file.stdout),
+        (inline.status.code(), &inline.stdout)
+    );
+    let old = write_tmp("q7.txt", "n 0 0\nn 1 1\nd 0 1\n");
+    let out = bin().arg(&g).arg(&old).output().unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("HPQL error: 1:"), "{stderr}");
 }
 
 #[test]
@@ -227,10 +229,10 @@ fn distinct_exit_codes() {
     // usage = 2
     let out = bin().output().unwrap();
     assert_eq!(code(&out), 2);
-    // parse = 3 (bad HPQL, bad legacy query file, unknown label name)
+    // parse = 3 (bad HPQL, a self-loop in a query file, unknown label name)
     let out = bin().arg(&g).args(["--query", "MATCH (a:Author"]).output().unwrap();
     assert_eq!(code(&out), 3, "{out:?}");
-    let bad_q = write_tmp("q10.txt", "n 0 0\nd 0 9\n");
+    let bad_q = write_tmp("q10.txt", "MATCH (a:0)->(a)");
     let out = bin().arg(&g).arg(&bad_q).output().unwrap();
     assert_eq!(code(&out), 3, "{out:?}");
     let out = bin().arg(&g).args(["--query", "MATCH (a:Ghost)->(p:Paper)"]).output().unwrap();
@@ -239,7 +241,7 @@ fn distinct_exit_codes() {
     let out = bin().arg("/nonexistent-graph").args(["--query", HPQL]).output().unwrap();
     assert_eq!(code(&out), 4, "{out:?}");
     // validation = 5 (disconnected query)
-    let disconnected = write_tmp("q11.txt", "n 0 0\nn 1 1\nn 2 2\nd 0 1\n");
+    let disconnected = write_tmp("q11.txt", "MATCH (a:0)->(b:1), (c:2)");
     let out = bin().arg(&g).arg(&disconnected).output().unwrap();
     assert_eq!(code(&out), 5, "{out:?}");
     // validation = 5 (a numeric label id past the next new one)
@@ -319,12 +321,12 @@ fn check_emits_the_analysis_json_schema() {
     assert!(stdout.contains("\"proven_empty\": true"), "{stdout}");
     assert!(stdout.contains("\"code\": \"E102\""), "{stdout}");
     assert!(stdout.contains("\"errors\": 1"), "{stdout}");
-    // legacy query files analyze too; with no HPQL text the query is null
+    // query files analyze too, and the report carries the file's text
     let q = write_tmp("q13.txt", QUERY);
     let out = bin().arg("check").arg(&g).arg(&q).args(["--format", "json"]).output().unwrap();
     assert_eq!(out.status.code().unwrap(), 0, "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("\"query\": null"), "{stdout}");
+    assert!(stdout.contains(&format!("\"query\": \"{QUERY}\"")), "{stdout}");
 }
 
 /// `check --mutations` analyzes the graph after the script: deleting both

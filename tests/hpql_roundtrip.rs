@@ -4,18 +4,15 @@
 //! text, so the test maps them back through the `v<i>` names).
 //!
 //! Query text fuzzing: arbitrary bytes and character-level mutations of
-//! the Fig. 9 template instances, printed as HPQL by `to_hpql` and in the
-//! legacy line format by `query_to_text`, go through `parse_hpql`,
-//! `parse_query` and `looks_like_hpql`. Every input ends in a value or a
-//! typed error, never a panic; a legacy error names a line of the input,
-//! and an accepted query prints and re-parses to the same query.
+//! the Fig. 9 template instances, printed as HPQL by `to_hpql`, go through
+//! `parse_hpql`. Every input ends in a value or a typed error, never a
+//! panic, and an accepted query prints and re-parses to the same query.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rigmatch::query::{
-    looks_like_hpql, parse_hpql, parse_query, query_to_text, template, template_count, to_hpql,
-    EdgeKind, Flavor, PatternQuery, QNode,
+    parse_hpql, template, template_count, to_hpql, EdgeKind, Flavor, PatternQuery, QNode,
 };
 
 const NUM_LABELS: u32 = 4;
@@ -54,7 +51,7 @@ fn query_strategy() -> impl Strategy<Value = PatternQuery> {
 /// `v<i>` variable names, then compares canonical forms.
 fn assert_round_trips(q: &PatternQuery, text: &str) {
     let ast = parse_hpql(text).unwrap_or_else(|e| panic!("re-parse failed: {e}\n{text}"));
-    let (resolved, _names) = ast.resolve_interned().expect("numeric labels resolve");
+    let resolved = ast.resolve(|_| None).expect("numeric labels resolve");
     let parsed = resolved.query;
     assert_eq!(parsed.num_nodes(), q.num_nodes(), "{text}");
     // orig_of[j] = original node id of parsed node j (from its var name)
@@ -128,10 +125,10 @@ proptest! {
     }
 }
 
-/// Tokens the mutations insert: HPQL keywords and punctuation, legacy
-/// record tags, label ids at and past the `u32` range, comments, every
-/// kind of whitespace, a no-break space and a non-ASCII letter.
-const POOL: [&str; 30] = [
+/// Tokens the mutations insert: HPQL keywords and punctuation, label ids
+/// at and past the `u32` range, comments, every kind of whitespace, a
+/// no-break space and a non-ASCII letter.
+const POOL: [&str; 27] = [
     "MATCH",
     "match",
     "(",
@@ -147,9 +144,6 @@ const POOL: [&str; 30] = [
     "a",
     "_a0",
     "Name",
-    "n",
-    "d",
-    "r",
     "0",
     "1",
     "4294967295",
@@ -190,63 +184,43 @@ fn template_instance(rng: &mut StdRng) -> PatternQuery {
     t.instantiate(flavor, &labels)
 }
 
-/// Parsing `text` with both query parsers ends in a value or a typed
-/// error (a panic fails the test). A legacy error names a line of the
-/// input; an accepted HPQL query with numeric labels only, and an accepted
-/// legacy query, print and re-parse to the same query.
-fn parses_cleanly(text: &str) -> Result<(), TestCaseError> {
-    let lines = text.lines().count();
-    looks_like_hpql(text);
-    match parse_query(text) {
-        Ok(q) => {
-            let back = parse_query(&query_to_text(&q)).expect("query_to_text output parses");
-            prop_assert_eq!(back, q, "{:?}", text);
-        }
-        Err(e) => prop_assert!(e.line >= 1 && e.line <= lines, "{:?}: {}", text, e),
+/// Parsing `text` ends in a value or a typed error (a panic fails the
+/// test). An accepted query whose labels are all numeric, the ones that
+/// resolve without a dictionary, prints and re-parses to the same query.
+fn parses_cleanly(text: &str) {
+    if let Ok(resolved) = parse_hpql(text).and_then(|ast| ast.resolve(|_| None)) {
+        let q = resolved.query;
+        assert_round_trips(&q, &to_hpql(&q, None, |_| None));
     }
-    if let Ok((resolved, names)) = parse_hpql(text).and_then(|ast| ast.resolve_interned()) {
-        // no interned name: every label was written as a number
-        if names.is_empty() {
-            let q = resolved.query;
-            assert_round_trips(&q, &to_hpql(&q, None, |_| None));
-        }
-    }
-    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn arbitrary_bytes_never_panic_either_query_parser(
+    fn arbitrary_bytes_never_panic_the_query_parser(
         bytes in prop::collection::vec(prop::num::u8::ANY, 0..200),
     ) {
-        parses_cleanly(&String::from_utf8_lossy(&bytes))?;
+        parses_cleanly(&String::from_utf8_lossy(&bytes));
     }
 
     #[test]
-    fn mutated_template_texts_never_panic_either_query_parser(
+    fn mutated_template_texts_never_panic_the_query_parser(
         seed in 0u64..1 << 32,
         edits in 1usize..6,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let q = template_instance(&mut rng);
-        parses_cleanly(&mangle(&to_hpql(&q, None, |_| None), edits, &mut rng))?;
-        parses_cleanly(&mangle(&query_to_text(&q), edits, &mut rng))?;
+        parses_cleanly(&mangle(&to_hpql(&q, None, |_| None), edits, &mut rng));
     }
 }
 
-/// The unmutated instances are accepted by both parsers and round-trip.
+/// The unmutated instances are accepted and round-trip.
 #[test]
-fn template_instances_round_trip_through_both_formats() {
+fn template_instances_round_trip() {
     let mut rng = StdRng::seed_from_u64(9);
     for _ in 0..200 {
         let q = template_instance(&mut rng);
-        let hpql = to_hpql(&q, None, |_| None);
-        assert!(looks_like_hpql(&hpql), "{hpql}");
-        assert_round_trips(&q, &hpql);
-        let legacy = query_to_text(&q);
-        assert!(!looks_like_hpql(&legacy), "{legacy}");
-        assert_eq!(parse_query(&legacy).unwrap(), q, "{legacy}");
+        assert_round_trips(&q, &to_hpql(&q, None, |_| None));
     }
 }
