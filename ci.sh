@@ -63,12 +63,12 @@ if [[ "${1:-}" != "quick" ]]; then
         --query 'MATCH (a:Author)->(p:Paper)=>(q:Paper), (a)=>(q)')"
     grep -q 'reduced:.*1 edge(s) removed' <<< "${explain_out}"
     grep -q 'count:.*factorized DP' <<< "${explain_out}"
-    # --factorized prints the answer-graph summary (exact DP count, no
-    # tuple materialization) instead of enumerating
-    fact_out="$(run_cli "${cli_tmp}/g.txt" --factorized \
-        --query 'MATCH (a:Author)->(p:Paper)=>(q:Paper)')"
-    grep -q 'count:       1' <<< "${fact_out}"
-    grep -q 'shape:       tree' <<< "${fact_out}"
+    # --stats names the count's route: an unbudgeted tree count is the
+    # factorized DP's (exact, no tuple materialization)
+    fact_out="$(run_cli "${cli_tmp}/g.txt" --count --stats \
+        --query 'MATCH (a:Author)->(p:Paper)=>(q:Paper)' 2> "${cli_tmp}/stats.txt")"
+    [[ "${fact_out}" == "1" ]]
+    grep -q '^count: factorized DP$' "${cli_tmp}/stats.txt"
     # parse errors exit 3, I/O errors exit 4
     rc=0; run_cli "${cli_tmp}/g.txt" --query 'MATCH (broken' 2> /dev/null || rc=$?
     [[ "${rc}" == "3" ]]
@@ -194,15 +194,18 @@ if [[ "${1:-}" != "quick" ]]; then
     rc=0; timeout 30 cargo run -q --release --bin rigmatch -- "${cli_tmp}/far_label.txt" \
         --count --query 'MATCH (a:0)' 2> /dev/null || rc=$?
     [[ "${rc}" == "3" ]]
-    # a cyclic --factorized count over cycle.txt, whose Papers form one
-    # SCC, so the DP's conditioning loop sums shared reachability runs; it
-    # must equal the enumerated count (a --limit routes --count to MJoin)
+    # a cyclic DP count over cycle.txt, whose Papers form one SCC, so the
+    # DP's conditioning loop sums shared reachability runs; it must equal
+    # the enumerated count (a --limit routes --count to MJoin)
     cyc_q='MATCH (p:Paper)=>(q:Paper)=>(r:Paper), (r)->(p)'
-    cyc_out="$(run_cli "${cli_tmp}/cycle.txt" --factorized --query "${cyc_q}")"
-    grep -q 'shape:       cyclic' <<< "${cyc_out}"
+    cyc_explain="$(run_cli explain "${cli_tmp}/cycle.txt" --query "${cyc_q}")"
+    grep -q 'count:.*factorized DP (cyclic' <<< "${cyc_explain}"
+    cyc_out="$(run_cli "${cli_tmp}/cycle.txt" --count --stats --query "${cyc_q}" \
+        2> "${cli_tmp}/stats.txt")"
+    grep -q '^count: factorized DP$' "${cli_tmp}/stats.txt"
     cyc_enum="$(run_cli "${cli_tmp}/cycle.txt" --count --limit 1000000 --query "${cyc_q}")"
     [[ "${cyc_enum}" == "9" ]]
-    grep -q "^count:       ${cyc_enum}\$" <<< "${cyc_out}"
+    [[ "${cyc_out}" == "${cyc_enum}" ]]
     # durable store: seed from the graph file, write commits ahead to the
     # WAL, inspect recovery, then query the recovered store (once a store
     # exists, --data-dir is authoritative and the graph file is ignored)

@@ -2,8 +2,8 @@
 //! raw data graph — **no RIG, no simulation pruning, no search-order
 //! statistics** — so it shares no code (and no bugs) with the engine under
 //! test. It is the ground-truth oracle for every answer test: the
-//! correctness matrix in `tests/matrix.rs` compares tuples, counts and
-//! cardinalities against [`brute_force_tuples`], and the harnesses check
+//! correctness matrix in `tests/matrix.rs` compares tuples and counts
+//! against [`brute_force_tuples`], and the harnesses check
 //! counts against [`brute_force_count`].
 //!
 //! Semantics match the engine exactly:

@@ -1,11 +1,10 @@
-//! Session-level surface of the factorized answer subsystem.
+//! Session-level surface of the factorized counting DP.
 //!
 //! The engine lives in [`rig_mjoin::factorized`]: a [`Factorization`]
 //! compiles one query against its pruned RIG into a DP-countable answer
-//! representation (see `docs/factorized.md`). It answers counts and
-//! per-variable cardinalities; every tuple comes from MJoin.
-//! This module adds the *policy* layer the [`Session`](crate::Session)
-//! API uses:
+//! representation (see `docs/factorized.md`). It answers the unbudgeted
+//! count; every tuple comes from MJoin. This module adds the *policy*
+//! layer the [`Session`](crate::Session) API uses:
 //!
 //! * [`dp_eligible`] — the eligibility rule deciding when
 //!   [`Run::count`](crate::session::Run::count) auto-routes to the DP;
@@ -13,9 +12,7 @@
 //!   [`Explain`](crate::Explain) and the CLI;
 //! * [`dp_count_result`] — the DP wrapped in the engine's [`EnumResult`]
 //!   shape (with overflow falling back to `None` so the caller can
-//!   enumerate instead);
-//! * [`FactorizedSummary`] — the answer-graph summary printed by the
-//!   CLI's `--factorized` output mode.
+//!   enumerate instead).
 
 pub use rig_mjoin::factorized::{
     DpCount, Factorization, FactorizationShape, DP_CONDITIONING_LIMIT,
@@ -92,74 +89,6 @@ pub fn dp_count_result(query: &PatternQuery, rig: &Rig) -> Option<EnumResult> {
         order: f.order().to_vec(),
         steps: dp.assignments,
     })
-}
-
-/// Per-variable slice of the answer-graph summary.
-#[derive(Debug, Clone)]
-pub struct VarSummary {
-    /// Variable name (HPQL name when known, `v<i>` otherwise).
-    pub name: String,
-    /// RIG candidate-set cardinality `|cos(q)|`.
-    pub candidates: u64,
-    /// Distinct bindings of this variable across the full answer set.
-    pub distinct: u64,
-}
-
-/// The answer-graph summary printed by the CLI's `--factorized` mode:
-/// shape, conditioning, exact count and per-variable cardinalities —
-/// all computed without materializing a single tuple.
-#[derive(Debug, Clone)]
-pub struct FactorizedSummary {
-    /// The (reduced) query, pretty-printed as HPQL.
-    pub hpql: String,
-    /// True for tree-shaped queries (single DP pass).
-    pub tree: bool,
-    /// Cyclic edges requiring conditional re-expansion.
-    pub extra_edges: usize,
-    /// Names of the conditioned variables.
-    pub conditioned: Vec<String>,
-    /// Conditioning bindings the DP expanded over.
-    pub assignments: u64,
-    /// Exact occurrence count. `None` when the count overflowed u128
-    /// (effectively astronomically large) or the deadline truncated the
-    /// DP's count or cardinalities (`timed_out` distinguishes the two).
-    pub count: Option<u128>,
-    /// Per-variable candidate/distinct cardinalities.
-    pub vars: Vec<VarSummary>,
-    /// True when the RIG came from the session plan cache.
-    pub rig_from_cache: bool,
-    /// True when the run's timeout expired during the RIG build or one of
-    /// the DP's conditioning loops (count or cardinalities): `count` is
-    /// `None` and the cardinalities are unreliable.
-    pub timed_out: bool,
-}
-
-impl std::fmt::Display for FactorizedSummary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "query:       {}", self.hpql)?;
-        if self.tree {
-            writeln!(f, "shape:       tree (pure DP, no re-expansion)")?;
-        } else {
-            writeln!(
-                f,
-                "shape:       cyclic ({} extra edge(s); conditioned on [{}], {} binding(s))",
-                self.extra_edges,
-                self.conditioned.join(", "),
-                self.assignments,
-            )?;
-        }
-        match self.count {
-            Some(c) => writeln!(f, "count:       {c}")?,
-            None if self.timed_out => writeln!(f, "count:       (timed out)")?,
-            None => writeln!(f, "count:       > u128 (overflow)")?,
-        }
-        writeln!(f, "rig:         {}", if self.rig_from_cache { "cached" } else { "built" })?;
-        writeln!(f, "variables:   name  candidates  distinct")?;
-        for v in &self.vars {
-            writeln!(f, "             {:<5} {:>10}  {:>8}", v.name, v.candidates, v.distinct)?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

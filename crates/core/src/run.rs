@@ -111,8 +111,8 @@ impl std::fmt::Debug for Prepared<'_> {
 ///
 /// Defaults come from the session's `GmConfig::enumeration`; every knob
 /// here overrides per run. Terminal methods: [`Run::count`],
-/// [`Run::collect`], [`Run::collect_all`], [`Run::stream`],
-/// [`Run::explain`], [`Run::factorized_summary`].
+/// [`Run::collect`], [`Run::collect_all`], [`Run::stream`] and
+/// [`Run::explain`].
 #[must_use = "a Run does nothing until a terminal method (count/collect/stream/explain) is called"]
 pub struct Run<'a, 's> {
     prepared: &'a Prepared<'s>,
@@ -128,8 +128,9 @@ impl<'a, 's> Run<'a, 's> {
     }
 
     /// Wall-clock budget for the whole run, counted from this call: the
-    /// RIG build, the factorized DP and enumeration all stop at the one
-    /// deadline it sets, and a run cut short reports `timed_out`.
+    /// RIG build and enumeration both stop at the one deadline it sets,
+    /// and a run cut short reports `timed_out`. A timed run counts by
+    /// enumeration, never by the factorized DP.
     pub fn timeout(mut self, d: Duration) -> Self {
         self.opts.deadline = Instant::now().checked_add(d);
         self
@@ -271,68 +272,6 @@ impl<'a, 's> Run<'a, 's> {
             memo_split,
             vars: prepared.vars.clone(),
             count_strategy,
-        }
-    }
-
-    /// Builds the factorized answer-graph summary (the CLI's
-    /// `--factorized` output mode): shape, exact DP count and
-    /// per-variable distinct-binding cardinalities, computed without
-    /// materializing any tuple. Ignores the limit knob — this terminal
-    /// always runs the DP. A [`Run::timeout`] *is*
-    /// honored: it caps the RIG build and the DP's conditioning loops for
-    /// the count and the cardinalities, and a summary truncated in any of
-    /// them reports `timed_out` with `count: None`.
-    pub fn factorized_summary(self) -> crate::factorized::FactorizedSummary {
-        use crate::factorized::{FactorizedSummary, VarSummary};
-        let prepared = self.prepared;
-        let (rig, from_cache) =
-            prepared.session.rig_for(prepared, self.use_cache, self.opts.deadline);
-        let q = &prepared.exec;
-        let name_of = |i: usize| match prepared.vars.as_deref() {
-            Some(v) => v[i].clone(),
-            None => format!("v{i}"),
-        };
-        if rig.is_empty() {
-            let timed_out = rig.stats.timed_out;
-            let shape = crate::factorized::FactorizationShape::analyze(q);
-            return FactorizedSummary {
-                hpql: prepared.to_hpql(),
-                tree: shape.is_tree(),
-                extra_edges: shape.extra_edges.len(),
-                conditioned: Vec::new(),
-                assignments: 0,
-                count: if timed_out { None } else { Some(0) },
-                vars: (0..q.num_nodes())
-                    .map(|i| VarSummary { name: name_of(i), candidates: 0, distinct: 0 })
-                    .collect(),
-                rig_from_cache: from_cache,
-                timed_out,
-            };
-        }
-        let mut f = crate::factorized::Factorization::new(q, &rig);
-        f.set_deadline(self.opts.deadline);
-        let dp = f.count();
-        // cardinalities re-run the conditioning loop under the same
-        // deadline; a summary truncated in either loop reports no count
-        let cards = if dp.timed_out { None } else { f.var_cardinalities() };
-        let timed_out = cards.is_none();
-        let cards = cards.unwrap_or_else(|| vec![0; q.num_nodes()]);
-        FactorizedSummary {
-            hpql: prepared.to_hpql(),
-            tree: f.is_tree(),
-            extra_edges: f.shape().extra_edges.len(),
-            conditioned: f.shape().conditioned.iter().map(|&c| name_of(c as usize)).collect(),
-            assignments: dp.assignments,
-            count: if timed_out { None } else { dp.total },
-            vars: (0..q.num_nodes())
-                .map(|i| VarSummary {
-                    name: name_of(i),
-                    candidates: rig.cos_len(i as QNode),
-                    distinct: cards[i],
-                })
-                .collect(),
-            rig_from_cache: from_cache,
-            timed_out,
         }
     }
 }

@@ -365,20 +365,25 @@ impl Session {
     /// a private copy of the delta, publishes a new snapshot on success,
     /// sweeps the plan cache by label-set fingerprint, and compacts the
     /// store if the delta crossed the policy threshold. Fails without side
-    /// effects on the first invalid op, or if another commit landed since
-    /// [`Session::begin`] (optimistic concurrency).
+    /// effects on the first invalid op, if another commit landed since
+    /// [`Session::begin`] (optimistic concurrency), or if the store is at
+    /// version `u64::MAX`, which no version can follow.
     pub fn commit(&self, txn: GraphTxn) -> Result<CommitSummary, Error> {
         let mut st = self.state();
         let current = st.snapshot.version();
         if current != txn.start_version {
             return Err(Error::Conflict { started_at: txn.start_version, current });
         }
+        // a store opened at the last version has no next one: refuse
+        // before anything is logged or published
+        let version = current.checked_add(1).ok_or_else(|| {
+            Error::validation(format!("store version {current} is the last; no commit can follow"))
+        })?;
         let mut overlay: DeltaOverlay = (**st.snapshot.delta()).clone();
         let mut impact = CommitImpact::default();
         for op in &txn.ops {
             overlay.apply(op, &mut impact).map_err(Error::validation)?;
         }
-        let version = current + 1;
         // write-ahead: the record must be durable (to the policy's
         // standard) before the commit publishes. On error nothing was
         // published and the store rolled back, so the commit simply fails.

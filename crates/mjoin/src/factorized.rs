@@ -1,5 +1,5 @@
-//! Factorized answers over the pruned RIG: DP counting and pushed-down
-//! aggregates.
+//! Factorized counting over the pruned RIG: the exact occurrence count by
+//! dynamic programming, never touching a tuple.
 //!
 //! The fully pruned RIG is a near-factorized representation of the answer
 //! set: per query node a candidate array, per query edge a bipartite
@@ -22,16 +22,9 @@
 //! constraint graph over the free nodes is a forest, so the tree DP
 //! applies per binding and the grand total is the sum over bindings.
 //!
-//! Two aggregates share the machinery:
-//! * [`Factorization::count`] — the exact occurrence count, pushed down
-//!   into the DP, never touching a tuple;
-//! * [`Factorization::var_cardinalities`] — per-variable distinct-binding
-//!   counts via a top-down participation pass after each binding's DP.
-//!
-//! Both run the same conditioning loop: one dense pass over the free
-//! forest, then per support-filtered conditioning binding one sparse pass
-//! over the binding-dependent positions, with the deadline charged once
-//! per binding.
+//! [`Factorization::count`] runs one dense pass over the free forest,
+//! then per support-filtered conditioning binding one sparse pass over the
+//! binding-dependent positions.
 //!
 //! Tuples are never produced here: every answer tuple comes from the MJoin
 //! engine ([`crate::enumerate_sink`]).
@@ -42,10 +35,9 @@
 //! overflowed, letting callers fall back to enumeration.
 //!
 //! All scratch (count arrays, run memos, cursors, bindings) is allocated in
-//! [`Factorization::new`]; the counting entry points are **allocation-free
+//! [`Factorization::new`]; [`Factorization::count`] is **allocation-free
 //! in steady state** (see `tests/alloc_factorized.rs`).
 
-use rig_graph::Deadline;
 use rig_index::{AdjRun, Rig};
 use rig_query::{EdgeId, PatternQuery, QNode};
 
@@ -222,15 +214,12 @@ impl RunMemo {
 
 /// Exact DP count. `total` is `None` when u128 arithmetic saturated —
 /// callers should fall back to plain enumeration (which could never reach
-/// such a count anyway) — or when the deadline expired (`timed_out` set;
-/// a partial sum must never be mistaken for the answer). `assignments` is
-/// the number of conditioning-set bindings the DP re-expanded over (1 for
-/// tree-shaped queries).
+/// such a count anyway). `assignments` is the number of conditioning-set
+/// bindings the DP re-expanded over (1 for tree-shaped queries).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DpCount {
     pub total: Option<u128>,
     pub assignments: u64,
-    pub timed_out: bool,
 }
 
 #[inline]
@@ -292,8 +281,6 @@ pub struct Factorization<'q, 'r> {
     /// zone: all edges to earlier conditioned nodes; free zone: unary
     /// filters anchored at conditioned bindings).
     checks: Vec<Vec<Check>>,
-    /// Free zone: the forest tree edge up to the parent position.
-    parent: Vec<Option<Check>>,
     /// Free zone: forest tree edges down to child positions (anchor =
     /// self).
     children: Vec<Vec<Check>>,
@@ -317,7 +304,7 @@ pub struct Factorization<'q, 'r> {
     /// and its S-anchored checks), sized to their largest stored-run
     /// count; empty when no such link shares runs. A binding-independent
     /// position's entries stay valid from the dense pass through every
-    /// sparse pass of one conditioning loop.
+    /// sparse pass of one count.
     memo: Vec<RunMemo>,
     /// Conditioned zone: per S position, a binding-independent candidate
     /// filter (`false` = provably contributes to no answer, skipped by
@@ -329,14 +316,11 @@ pub struct Factorization<'q, 'r> {
     cursors: Vec<usize>,
     started: bool,
     done: bool,
-    /// Wall-clock cutoff for the aggregate conditioning loops (see
-    /// [`Self::set_deadline`]).
-    deadline: Option<std::time::Instant>,
 }
 
 impl<'q, 'r> Factorization<'q, 'r> {
-    /// Compiles the factorization (all scratch allocated here; the
-    /// aggregate entry points are steady-state allocation-free).
+    /// Compiles the factorization (all scratch allocated here;
+    /// [`Self::count`] is steady-state allocation-free).
     pub fn new(query: &'q PatternQuery, rig: &'r Rig) -> Factorization<'q, 'r> {
         assert_eq!(rig.num_query_nodes(), query.num_nodes(), "RIG/query shape mismatch");
         assert_eq!(rig.num_query_edges(), query.num_edges(), "RIG/query shape mismatch");
@@ -481,7 +465,6 @@ impl<'q, 'r> Factorization<'q, 'r> {
             order,
             s_len,
             checks,
-            parent,
             children,
             roots,
             counts,
@@ -496,7 +479,6 @@ impl<'q, 'r> Factorization<'q, 'r> {
             cursors: vec![0; n],
             started: false,
             done: false,
-            deadline: None,
         }
     }
 
@@ -520,11 +502,10 @@ impl<'q, 'r> Factorization<'q, 'r> {
         self.shape.is_tree()
     }
 
-    /// Upper bound on the number of conditioning bindings the aggregate
-    /// entry points may expand: the product of the conditioned
-    /// candidate-set sizes (saturating). `1` for tree queries. Callers
-    /// use this as a cost estimate to route between the DP and plain
-    /// enumeration.
+    /// Upper bound on the number of conditioning bindings [`Self::count`]
+    /// may expand: the product of the conditioned candidate-set sizes
+    /// (saturating). `1` for tree queries. Callers use this as a cost
+    /// estimate to route between the DP and plain enumeration.
     pub fn conditioning_estimate(&self) -> u64 {
         let mut est = 1u64;
         for pos in 0..self.s_len {
@@ -533,10 +514,10 @@ impl<'q, 'r> Factorization<'q, 'r> {
         est
     }
 
-    /// Crude cost model for the aggregate entry points: estimated
-    /// conditioning bindings times the expected per-binding re-expansion
-    /// width (one plus the mean generator-run length of every S-anchored
-    /// free position). `1` for tree queries. Callers compare this against
+    /// Crude cost model for [`Self::count`]: estimated conditioning
+    /// bindings times the expected per-binding re-expansion width (one
+    /// plus the mean generator-run length of every S-anchored free
+    /// position). `1` for tree queries. Callers compare this against
     /// [`DP_CONDITIONING_LIMIT`] to route between the DP and plain
     /// enumeration.
     pub fn estimated_work(&self) -> u64 {
@@ -562,10 +543,10 @@ impl<'q, 'r> Factorization<'q, 'r> {
     }
 
     /// Bottom-up subtree-count DP over the free forest **ignoring the
-    /// S-anchored checks**, run once per aggregate call. For
-    /// binding-independent positions this *is* their final count (no
-    /// checks anywhere in their subtree) — for a tree query, every
-    /// position; for binding-dependent positions it is an upper-bound
+    /// S-anchored checks**, run once per count. For binding-independent
+    /// positions this *is* their final count (no checks anywhere in their
+    /// subtree) — for a tree query, every position; for binding-dependent
+    /// positions it is an upper-bound
     /// "potential" — zero potential means zero under every conditioning
     /// binding, which [`Self::compute_support`] exploits to prune
     /// conditioning candidates up front. Saturating arithmetic; `of` is
@@ -862,142 +843,31 @@ impl<'q, 'r> Factorization<'q, 'r> {
         }
     }
 
-    /// Sets a wall-clock cutoff for the conditioning loop of
-    /// [`Self::count`] and [`Self::var_cardinalities`], charged once per
-    /// conditioning binding. Past the deadline the count aborts with
-    /// `timed_out` set and `total: None`, and the cardinalities return
-    /// `None` — a partial result is never reported as the answer. MJoin
-    /// enumeration reads its deadline from `EnumOptions::deadline`.
-    pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
-        self.deadline = deadline;
-    }
-
-    /// The conditioning loop both aggregates share: the dense potential
-    /// pass, then — for a cyclic query — one sparse pass per
-    /// support-filtered conditioning binding, charging the deadline once
-    /// per binding. `visit` runs after every binding whose count is positive
-    /// (once for a tree query), while the DP scratch holds that binding's
-    /// counts.
-    fn condition(&mut self, mut visit: impl FnMut(&Self)) -> DpCount {
+    /// Exact occurrence count by DP — no tuple is ever materialized: the
+    /// dense potential pass, then — for a cyclic query — one sparse pass
+    /// per support-filtered conditioning binding.
+    pub fn count(&mut self) -> DpCount {
         if self.rig.is_empty() || self.order.is_empty() {
-            return DpCount { total: Some(0), assignments: 0, timed_out: false };
+            return DpCount { total: Some(0), assignments: 0 };
         }
         let mut of = false;
         self.potential_forest_dp(&mut of);
         let base = self.base_factor(&mut of);
-        let (mut grand, mut assignments, mut timed_out) = (0u128, 0u64, false);
+        let (mut grand, mut assignments) = (0u128, 0u64);
         if self.s_len == 0 {
             (grand, assignments) = (base, 1);
-            if base > 0 {
-                visit(self);
-            }
         } else if base > 0 {
             if !self.support_ready {
                 self.compute_support();
             }
             self.reset();
-            let mut deadline = Deadline::new(self.deadline);
             while self.next_s_assignment() {
-                if deadline.charge() {
-                    timed_out = true;
-                    break;
-                }
                 assignments += 1;
                 let t = self.sparse_pass(base, &mut of);
-                if t > 0 {
-                    grand = sat_add(grand, t, &mut of);
-                    visit(self);
-                }
+                grand = sat_add(grand, t, &mut of);
             }
         }
-        DpCount { total: if of || timed_out { None } else { Some(grand) }, assignments, timed_out }
-    }
-
-    /// Exact occurrence count by DP — no tuple is ever materialized.
-    pub fn count(&mut self) -> DpCount {
-        self.condition(|_| {})
-    }
-
-    /// Per-variable distinct-binding cardinality: for each query node, the
-    /// number of its RIG candidates that occur in at least one answer.
-    /// Computed by a top-down participation pass per conditioning binding
-    /// — still no tuple materialization. `None` when the deadline expired
-    /// before every binding was visited.
-    pub fn var_cardinalities(&mut self) -> Option<Vec<u64>> {
-        let n = self.order.len();
-        let mut part: Vec<Vec<bool>> = (0..n).map(|p| vec![false; self.cand_len(p)]).collect();
-        let mut above: Vec<Vec<bool>> = (0..n).map(|p| vec![false; self.cand_len(p)]).collect();
-        let mut seen: Vec<RunMemo> =
-            self.memo.iter().map(|m| RunMemo::new(m.stamp.len())).collect();
-        let dp = self.condition(|f| f.mark_participation(&mut part, &mut above, &mut seen));
-        if dp.timed_out {
-            return None;
-        }
-        let mut out = vec![0u64; n];
-        for (pos, p) in part.iter().enumerate() {
-            out[self.order[pos] as usize] = p.iter().filter(|&&b| b).count() as u64;
-        }
-        Some(out)
-    }
-
-    /// True iff free position `pos`'s candidate `c` has a positive count
-    /// under the current binding. A binding-dependent position's count is
-    /// live only when the current sparse pass stamped it.
-    #[inline]
-    fn positive(&self, pos: usize, c: usize) -> bool {
-        self.counts[pos][c] > 0 && (!self.s_dep[pos] || self.stamp[pos][c] == self.epoch)
-    }
-
-    /// Marks, for the current (positive-total) conditioning binding, every
-    /// candidate that participates in some answer: conditioned bindings
-    /// directly, free candidates via a parents-first reachability pass
-    /// over positive DP counts. Marking is idempotent, so a shared parent
-    /// run is marked once per position (`seen` memoizes run ids).
-    fn mark_participation(
-        &self,
-        part: &mut [Vec<bool>],
-        above: &mut [Vec<bool>],
-        seen: &mut [RunMemo],
-    ) {
-        let n = self.order.len();
-        for pos in 0..self.s_len {
-            part[pos][self.binding[pos] as usize] = true;
-        }
-        for pos in self.s_len..n {
-            match self.parent[pos] {
-                None => {
-                    for (c, a) in above[pos].iter_mut().enumerate() {
-                        *a = self.positive(pos, c);
-                    }
-                }
-                Some(p) => {
-                    for a in above[pos].iter_mut() {
-                        *a = false;
-                    }
-                    let (pa, rest) = above.split_at_mut(pos);
-                    let cur = &mut rest[0];
-                    seen[pos].renew();
-                    for (cp, &ok) in pa[p.pos].iter().enumerate() {
-                        if !ok {
-                            continue;
-                        }
-                        seen[pos].run(self.rig, &p, cp as u32, |list| {
-                            for &c2 in list {
-                                if self.positive(pos, c2 as usize) {
-                                    cur[c2 as usize] = true;
-                                }
-                            }
-                            0
-                        });
-                    }
-                }
-            }
-            for (c, &a) in above[pos].iter().enumerate() {
-                if a {
-                    part[pos][c] = true;
-                }
-            }
-        }
+        DpCount { total: if of { None } else { Some(grand) }, assignments }
     }
 }
 
@@ -1107,50 +977,5 @@ mod tests {
         let mut f = Factorization::new(&q, &rig);
         assert!(!f.is_tree());
         assert_eq!(f.count().total, Some(expect.len() as u128));
-    }
-
-    /// The cardinalities run the count's conditioning loop, deadline
-    /// included: a deadline that expires after the count truncates them,
-    /// and the truncation is reported rather than partial cardinalities.
-    #[test]
-    fn cardinalities_honor_the_deadline() {
-        let mut b = GraphBuilder::new();
-        for _ in 0..6 {
-            b.add_node(0);
-        }
-        for (u, v) in [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (1, 4), (4, 5), (2, 5)] {
-            b.add_edge(u, v);
-        }
-        let g = b.build();
-        let mut q = PatternQuery::new(vec![0, 0, 0]);
-        q.add_edge(0, 1, EdgeKind::Direct);
-        q.add_edge(1, 2, EdgeKind::Direct);
-        q.add_edge(0, 2, EdgeKind::Reachability);
-        let rig = rig_for(&g, &q);
-        let mut f = Factorization::new(&q, &rig);
-        assert!(!f.is_tree());
-        let dp = f.count();
-        assert!(!dp.timed_out && dp.total.is_some_and(|t| t > 0));
-        f.set_deadline(Some(std::time::Instant::now()));
-        assert_eq!(f.var_cardinalities(), None);
-        assert!(f.count().timed_out);
-        f.set_deadline(None);
-        assert!(f.var_cardinalities().is_some());
-    }
-
-    #[test]
-    fn var_cardinalities_match_enumeration() {
-        let g = fig2();
-        let q = rig_query::fig2_query();
-        let rig = rig_for(&g, &q);
-        let (tuples, _) = collect(&q, &rig, &EnumOptions::default(), usize::MAX);
-        let mut f = Factorization::new(&q, &rig);
-        let cards = f.var_cardinalities().expect("no deadline");
-        for qn in 0..q.num_nodes() {
-            let mut vals: Vec<_> = tuples.iter().map(|t| t[qn]).collect();
-            vals.sort_unstable();
-            vals.dedup();
-            assert_eq!(cards[qn], vals.len() as u64, "var {qn}");
-        }
     }
 }

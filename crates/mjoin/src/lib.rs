@@ -49,15 +49,14 @@
 //! from the root on the calling thread.
 //!
 //! This engine is the only producer of answer tuples. The [`factorized`]
-//! DP answers counts and per-variable cardinalities over the same RIG but
-//! never emits a tuple.
+//! DP answers exact counts over the same RIG but never emits a tuple.
 
 pub mod factorized;
 pub(crate) mod order;
 pub mod sink;
 
 pub use factorized::{DpCount, Factorization, FactorizationShape};
-pub use order::{compute_order, edge_cardinality, is_connected_order, SearchOrder};
+pub use order::{compute_order, is_connected_order, SearchOrder};
 pub use sink::{CollectSink, CountSink, FirstKSink, FnSink, ResultSink, TupleFormat, WriteSink};
 
 use std::time::Instant;

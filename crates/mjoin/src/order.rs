@@ -99,7 +99,7 @@ fn bj_order(query: &PatternQuery, rig: &Rig) -> Vec<QNode> {
     let sel: Vec<f64> = (0..query.num_edges())
         .map(|eid| {
             let e = query.edge(eid as u32);
-            let card = edge_cardinality(rig, eid as u32) as f64;
+            let card = rig.edge_cardinality(eid as u32) as f64;
             let denom = rig.cos_len(e.from) as f64 * rig.cos_len(e.to) as f64;
             if denom == 0.0 {
                 0.0
@@ -171,11 +171,6 @@ fn bj_order(query: &PatternQuery, rig: &Rig) -> Vec<QNode> {
     order.reverse();
     debug_assert_eq!(order.len(), n);
     order
-}
-
-/// Total RIG edge cardinality `|cos(e)|` for a query edge.
-pub fn edge_cardinality(rig: &Rig, eid: u32) -> u64 {
-    rig.edge_cardinality(eid)
 }
 
 #[cfg(test)]

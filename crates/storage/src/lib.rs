@@ -36,7 +36,7 @@ mod wal;
 
 pub use backend::{FsBackend, MemBackend, StorageBackend};
 pub use store::{segment_file_name, DurableStore, Recovered, StoreOptions};
-pub use wal::{decode_wal_record, encode_wal_record, WalRecord};
+pub use wal::{decode_wal_record, encode_wal_record, WalError, WalRecord};
 
 use std::io;
 use std::path::{Path, PathBuf};

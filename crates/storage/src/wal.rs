@@ -35,6 +35,26 @@ pub struct WalRecord {
     pub ops: Vec<MutationOp>,
 }
 
+/// A WAL record payload failed to decode: truncation, an unknown op tag,
+/// a label name that is not UTF-8, or trailing bytes. The message says
+/// which.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WalError {
+    pub message: String,
+}
+
+impl std::fmt::Display for WalError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "wal record: {}", self.message)
+    }
+}
+
+impl std::error::Error for WalError {}
+
+fn err(message: impl Into<String>) -> WalError {
+    WalError { message: message.into() }
+}
+
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -109,43 +129,40 @@ impl<'a> Cursor<'a> {
 }
 
 /// Decodes one record payload (the bytes after the len/crc header).
-pub fn decode_wal_record(payload: &[u8]) -> Result<WalRecord, String> {
+pub fn decode_wal_record(payload: &[u8]) -> Result<WalRecord, WalError> {
     let mut c = Cursor { bytes: payload, pos: 0 };
-    let version = c.u64().ok_or("payload too short for version")?;
-    let count = c.u32().ok_or("payload too short for op count")? as usize;
+    let version = c.u64().ok_or_else(|| err("payload too short for version"))?;
+    let count = c.u32().ok_or_else(|| err("payload too short for op count"))? as usize;
     let mut ops = Vec::with_capacity(count.min(payload.len()));
     for i in 0..count {
-        let tag = c.u8().ok_or_else(|| format!("op {i}: missing tag"))?;
+        let short = |what: &str| err(format!("op {i}: short {what}"));
+        let tag = c.u8().ok_or_else(|| err(format!("op {i}: missing tag")))?;
         let op = match tag {
-            0 => MutationOp::AddNode(LabelSpec::Id(
-                c.u32().ok_or_else(|| format!("op {i}: short AddNode"))?,
-            )),
+            0 => MutationOp::AddNode(LabelSpec::Id(c.u32().ok_or_else(|| short("AddNode"))?)),
             1 => {
-                let len = c.u32().ok_or_else(|| format!("op {i}: short AddNode name"))? as usize;
-                let raw = c.take(len).ok_or_else(|| format!("op {i}: short AddNode name"))?;
+                let len = c.u32().ok_or_else(|| short("AddNode name"))? as usize;
+                let raw = c.take(len).ok_or_else(|| short("AddNode name"))?;
                 let name = std::str::from_utf8(raw)
-                    .map_err(|_| format!("op {i}: AddNode name not utf-8"))?;
+                    .map_err(|_| err(format!("op {i}: AddNode name not utf-8")))?;
                 MutationOp::AddNode(LabelSpec::Named(name.to_string()))
             }
-            2 => {
-                MutationOp::RemoveNode(c.u32().ok_or_else(|| format!("op {i}: short RemoveNode"))?)
-            }
+            2 => MutationOp::RemoveNode(c.u32().ok_or_else(|| short("RemoveNode"))?),
             3 => {
-                let u = c.u32().ok_or_else(|| format!("op {i}: short AddEdge"))?;
-                let v = c.u32().ok_or_else(|| format!("op {i}: short AddEdge"))?;
+                let u = c.u32().ok_or_else(|| short("AddEdge"))?;
+                let v = c.u32().ok_or_else(|| short("AddEdge"))?;
                 MutationOp::AddEdge(u, v)
             }
             4 => {
-                let u = c.u32().ok_or_else(|| format!("op {i}: short RemoveEdge"))?;
-                let v = c.u32().ok_or_else(|| format!("op {i}: short RemoveEdge"))?;
+                let u = c.u32().ok_or_else(|| short("RemoveEdge"))?;
+                let v = c.u32().ok_or_else(|| short("RemoveEdge"))?;
                 MutationOp::RemoveEdge(u, v)
             }
-            t => return Err(format!("op {i}: unknown tag {t}")),
+            t => return Err(err(format!("op {i}: unknown tag {t}"))),
         };
         ops.push(op);
     }
     if c.pos != payload.len() {
-        return Err(format!("{} trailing byte(s) in record payload", payload.len() - c.pos));
+        return Err(err(format!("{} trailing byte(s) in record payload", payload.len() - c.pos)));
     }
     Ok(WalRecord { version, ops })
 }
@@ -191,10 +208,10 @@ pub(crate) fn replay_wal(path: &Path, bytes: &[u8]) -> Result<WalScan, StorageEr
         }
         match decode_wal_record(payload) {
             Ok(r) => records.push(r),
-            Err(detail) => {
+            Err(e) => {
                 // the checksum matched, so this is writer-side damage, not
                 // a torn write — always an error
-                return Err(corrupt(path, format!("record at byte {pos}: {detail}")));
+                return Err(corrupt(path, format!("record at byte {pos}: {}", e.message)));
             }
         }
         pos = end;

@@ -18,8 +18,7 @@
 //!   --order jo|ri|bj         search order, gm only     (default jo)
 //!   --no-reduction           skip query transitive reduction
 //!   --mutations <file>       apply a mutation script before querying
-//!   --factorized             print the factorized answer summary, gm only
-//!   --stats                  print phase timings and RIG statistics
+//!   --stats                  print phase timings, RIG statistics, count route
 //!   --strict                 fail (exit 6) if limit/timeout truncated the run
 //!   --lint off|warn|strict   static analysis before running, gm only
 //!                            (warn prints findings; strict exits 8 on errors)
@@ -42,11 +41,6 @@
 //! query as given, its transitive reduction, the RIG statistics, the
 //! search order MJoin would use, and the `count()` routing decision
 //! (factorized DP vs. tuple enumeration — see `docs/factorized.md`).
-//!
-//! `--factorized` prints the factorized answer-graph summary instead of
-//! enumerating: query shape (tree vs. cyclic with conditioning), the
-//! exact DP occurrence count, and per-variable candidate / distinct
-//! cardinalities — all computed without materializing a single tuple.
 //!
 //! `update` applies a mutation script (`a v <label>` / `a e <u> <v>` /
 //! `d v <id>` / `d e <u> <v>` lines, `commit` boundaries — see
@@ -129,8 +123,6 @@ struct Cli {
     limit: Option<u64>,
     timeout: Option<Duration>,
     count_only: bool,
-    /// Print the factorized answer summary instead of enumerating.
-    factorized: bool,
     order: SearchOrder,
     reduction: bool,
     stats: bool,
@@ -144,9 +136,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: rigmatch [explain] <graph-file> (<query-file> | --query 'HPQL') \
          [--engine gm|jm|tm|neo] [--limit N] [--timeout SECS] [--count] \
-         [--factorized] [--order jo|ri|bj] [--no-reduction] \
-         [--mutations FILE] [--stats] [--strict] [--lint off|warn|strict] \
-         [--data-dir DIR] [--durability strict|batched|none]\n\
+         [--order jo|ri|bj] [--no-reduction] [--mutations FILE] [--stats] [--strict] \
+         [--lint off|warn|strict] [--data-dir DIR] [--durability strict|batched|none]\n\
          \x20      rigmatch check <graph-file> (<query-file> | --query 'HPQL') \
          [--format text|json] [--mutations FILE]\n\
          \x20      rigmatch update <graph-file> <mutations-file> [--output PATH] [--stats] \
@@ -188,7 +179,6 @@ fn parse_cli() -> Cli {
         limit: None,
         timeout: None,
         count_only: false,
-        factorized: false,
         order: SearchOrder::Jo,
         reduction: true,
         stats: false,
@@ -219,7 +209,6 @@ fn parse_cli() -> Cli {
                 cli.timeout = Some(Duration::from_secs(secs));
             }
             "--count" => cli.count_only = true,
-            "--factorized" => cli.factorized = true,
             "--order" => {
                 i += 1;
                 cli.order = match argv.get(i).map(|s| s.as_str()) {
@@ -623,10 +612,6 @@ fn run_gm(
         Some(t) => prepared.run().timeout(t),
         None => prepared.run(),
     };
-    if cli.factorized {
-        write_stdout(&format!("{}", run().factorized_summary()))?;
-        return Ok(ExitCode::SUCCESS);
-    }
 
     let outcome = if cli.count_only {
         run().count()
@@ -671,6 +656,10 @@ fn run_gm(
             m.matching_time(),
             m.enumeration_time
         );
+        eprintln!(
+            "count: {}",
+            if m.counted_via_factorization { "factorized DP" } else { "enumerated" }
+        );
         let s = session.store_stats();
         eprintln!(
             "store: v{}, {} rebase(s), {} index extension(s) (materialize {:?}, index {:?})",
@@ -696,9 +685,6 @@ fn run_baseline(
 ) -> Result<ExitCode, Error> {
     if cli.explain {
         return Err(Error::validation("explain is only available for the gm engine"));
-    }
-    if cli.factorized {
-        return Err(Error::validation("--factorized is only available for the gm engine"));
     }
     // Baselines take a ready pattern; resolve and validate through the
     // same path Session::prepare uses, so a bad query classifies (and

@@ -52,6 +52,22 @@ fn stats_flag_reports_rig() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("RIG:"), "{stderr}");
     assert!(stderr.contains("sim passes"), "{stderr}");
+    assert!(stderr.contains("count: factorized DP"), "{stderr}");
+    // a limit sends the count to MJoin
+    let out = bin().arg(&g).arg(&q).args(["--count", "--stats", "--limit", "5"]).output().unwrap();
+    assert!(out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("count: enumerated"), "{stderr}");
+}
+
+/// `--factorized` is not a flag: it exits 2 with the usage text.
+#[test]
+fn factorized_is_an_unknown_flag() {
+    let g = write_tmp("g3f.txt", GRAPH);
+    let q = write_tmp("q3f.txt", QUERY);
+    let out = bin().arg(&g).arg(&q).arg("--factorized").output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8(out.stderr).unwrap().contains("usage:"));
 }
 
 #[test]

@@ -1,11 +1,10 @@
-//! Factorized answers on small random graphs: the counting DP, the
-//! sequential and parallel enumeration and the oracle must agree for every
-//! query of the testkit's flavoured workload (trees and cyclic shapes in
-//! direct, reachability and mixed edge kinds), injective or not, under
-//! every `SelectMode`, on clean bases and on dirty delta-overlay
-//! snapshots. Each query goes through the matrix's check, which also
-//! compares the DP's per-variable cardinalities with the distinct bindings
-//! of the oracle's answer.
+//! The factorized count on small random graphs: the counting DP, MJoin
+//! enumeration and the oracle must agree for every query of the testkit's
+//! flavoured workload (trees and cyclic shapes in direct, reachability and
+//! mixed edge kinds), injective or not, under every `SelectMode`, on clean
+//! bases and on dirty delta-overlay snapshots. Each query goes through the
+//! matrix's check, which runs the DP count twice, so the second run reuses
+//! the DP's scratch.
 
 mod testkit;
 

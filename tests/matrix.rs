@@ -10,8 +10,8 @@
 //! flagged limits, a past deadline) and the store the graph reached its
 //! state through (clean, dirty, rebased with an extended or a rebuilt
 //! index, compacted, recovered from the WAL). Every case then runs all
-//! engines: MJoin, the DP count and cardinalities, injective runs, and the
-//! session's collect, stream, DP count and forced enumeration. The
+//! engines: MJoin, the DP count, injective runs, and the session's
+//! collect, stream, DP count and forced enumeration. The
 //! coverage checks below make sure the sample reaches every value of
 //! every dimension, plans with and without a memo split, and DPs with and
 //! without conditioning.

@@ -19,13 +19,14 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rigmatch::core::{ErrorKind, GmConfig, Session};
 use rigmatch::graph::{
-    crc32, decode_segment, encode_segment, CommitImpact, DataGraph, DeltaOverlay, LabelSpec,
-    MutationOp, NodeId, SEGMENT_MAGIC,
+    crc32, decode_segment, encode_segment, CommitImpact, DataGraph, DeltaOverlay, GraphBuilder,
+    LabelSpec, MutationOp, NodeId, SEGMENT_MAGIC,
 };
 use rigmatch::storage::{
     decode_wal_record, encode_wal_record, segment_file_name, DurableStore, MemBackend,
-    StorageBackend, StoreOptions,
+    StorageBackend, StoreOptions, WalError,
 };
 use testkit::{bytes_during, Regime, REGIMES};
 
@@ -146,8 +147,9 @@ fn segment_decodes_cleanly(bytes: &[u8]) -> Result<(), TestCaseError> {
 fn record_decodes_cleanly(payload: &[u8]) -> Result<(), TestCaseError> {
     let (decoded, used) = bytes_during(|| decode_wal_record(payload));
     prop_assert!(used <= alloc_bound(payload.len()), "{} in, {} allocated", payload.len(), used);
-    if let Ok(r) = decoded {
-        prop_assert_eq!(&encode_wal_record(r.version, &r.ops)[8..], payload);
+    match decoded {
+        Ok(r) => prop_assert_eq!(&encode_wal_record(r.version, &r.ops)[8..], payload),
+        Err(WalError { message }) => prop_assert!(!message.is_empty()),
     }
     Ok(())
 }
@@ -321,5 +323,38 @@ fn stores_at_the_last_version_open_or_fail_typed() {
             (_, Err(e)) => assert!(e.to_string().contains("does not continue"), "{e}"),
             (_, Ok((_, r))) => panic!("base {base}: opened at {}", r.report.recovered_version),
         }
+    }
+}
+
+/// A session opened on a store at the last `u64` version refuses its next
+/// commit with a typed error: the version stays and the WAL is unchanged.
+#[test]
+fn a_commit_at_the_last_version_is_refused() {
+    let mut b = GraphBuilder::new();
+    for _ in 0..3 {
+        b.add_node(0);
+    }
+    let backend = Arc::new(MemBackend::new());
+    let dir = Path::new("store");
+    let opts = StoreOptions::default();
+    DurableStore::create(backend.clone(), dir, &b.build(), u64::MAX, opts).unwrap();
+    let session = Session::open_with(dir, GmConfig::default(), backend.clone(), opts).unwrap();
+    let wal = backend.file(&dir.join("wal.log"));
+    let err = session.apply(&[MutationOp::AddEdge(0, 2)]).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Validation, "{err}");
+    assert_eq!(session.store_stats().version, u64::MAX);
+    assert_eq!(backend.file(&dir.join("wal.log")), wal);
+}
+
+/// Every strict prefix of a valid record payload fails to decode with a
+/// `WalError` naming what the cut took away.
+#[test]
+fn truncated_wal_payloads_fail_with_a_wal_error() {
+    let ops = [MutationOp::AddNode(LabelSpec::Named("Paper".into())), MutationOp::AddEdge(0, 1)];
+    let payload = encode_wal_record(7, &ops)[8..].to_vec();
+    assert_eq!(decode_wal_record(&payload).map(|r| r.ops), Ok(ops.to_vec()));
+    for cut in 0..payload.len() {
+        let WalError { message } = decode_wal_record(&payload[..cut]).unwrap_err();
+        assert!(message.contains("short") || message.contains("missing"), "cut {cut}: {message}");
     }
 }
